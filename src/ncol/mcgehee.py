@@ -182,6 +182,51 @@ class Trajectory:
         return noise < tol / 5.0
 
     # -- interpolation -----------------------------------------------------
+    @property
+    def frozen_shape(self) -> bool:
+        """True when every sample sits at s[0] with zero shape velocity."""
+        if self.exact_homothetic:
+            return True
+        return not np.any(self.s_prime) and bool(np.all(self.s == self.s[0]))
+
+    def _checked_tau(self, t) -> np.ndarray:
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if t.min() < self.tau[0] - 1e-12 or t.max() > self.tau[-1] + 1e-12:
+            raise ValueError(f"tau range [{t.min()}, {t.max()}] outside trajectory horizon")
+        return t
+
+    def _hermite(self, t: np.ndarray):
+        """Sample index with the cubic Hermite weights and their tau-derivatives."""
+        idx, h, u = self._locate(t)
+        h00 = (1 + 2 * u) * (1 - u) ** 2
+        h10 = u * (1 - u) ** 2
+        h01 = u**2 * (3 - 2 * u)
+        h11 = u**2 * (u - 1)
+        dh00 = 6 * u * (u - 1) / h
+        dh10 = (1 - u) * (1 - 3 * u) / h
+        dh01 = -6 * u * (u - 1) / h
+        dh11 = u * (3 * u - 2) / h
+        return idx, (h00, h10 * h, h01, h11 * h), (dh00, dh10 * h, dh01, dh11 * h)
+
+    def _log_rho(self, idx, w) -> np.ndarray:
+        lr0, lr1 = np.log(self.rho[idx]), np.log(self.rho[idx + 1])
+        sl0 = self.rho_prime[idx] / self.rho[idx]
+        sl1 = self.rho_prime[idx + 1] / self.rho[idx + 1]
+        return w[0] * lr0 + w[1] * sl0 + w[2] * lr1 + w[3] * sl1
+
+    def log_rate(self, t) -> np.ndarray:
+        """rho'/rho at tau values t, formed without dividing rho' by rho.
+
+        The ratio stays finite where rho itself underflows (c tau > ~745 on
+        the exact collapse): exact data returns -c, sampled data the
+        derivative of the Hermite interpolant of log rho used by evaluate.
+        """
+        t = self._checked_tau(t)
+        if self.exact_homothetic:
+            return np.full(t.shape, -self.meta["decay_rate"])
+        idx, _, dw = self._hermite(t)
+        return self._log_rho(idx, dw)
+
     def _locate(self, t: np.ndarray):
         idx = np.clip(np.searchsorted(self.tau, t, side="right") - 1, 0, self.n_samples - 2)
         t0, t1 = self.tau[idx], self.tau[idx + 1]
@@ -196,9 +241,7 @@ class Trajectory:
         is nearly linear along a collapse, so this preserves relative
         accuracy); s uses Hermite cubics with the stored velocities.
         """
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if t.min() < self.tau[0] - 1e-12 or t.max() > self.tau[-1] + 1e-12:
-            raise ValueError(f"tau range [{t.min()}, {t.max()}] outside trajectory horizon")
+        t = self._checked_tau(t)
         if self.exact_homothetic:
             c = self.meta["decay_rate"]
             rho0 = self.meta["rho0"]
@@ -207,28 +250,15 @@ class Trajectory:
             s = np.broadcast_to(self.s[0], (t.size,) + self.s[0].shape).copy()
             s_p = np.zeros_like(s)
             return rho, rho_p, s, s_p
-        idx, h, u = self._locate(t)
-        h00 = (1 + 2 * u) * (1 - u) ** 2
-        h10 = u * (1 - u) ** 2
-        h01 = u**2 * (3 - 2 * u)
-        h11 = u**2 * (u - 1)
-        lr0, lr1 = np.log(self.rho[idx]), np.log(self.rho[idx + 1])
-        sl0 = self.rho_prime[idx] / self.rho[idx]
-        sl1 = self.rho_prime[idx + 1] / self.rho[idx + 1]
-        logrho = h00 * lr0 + h10 * h * sl0 + h01 * lr1 + h11 * h * sl1
-        dh00 = 6 * u * (u - 1) / h
-        dh10 = (1 - u) * (1 - 3 * u) / h
-        dh01 = -6 * u * (u - 1) / h
-        dh11 = u * (3 * u - 2) / h
-        dlog = dh00 * lr0 + dh10 * h * sl0 + dh01 * lr1 + dh11 * h * sl1
-        rho = np.exp(logrho)
-        rho_p = rho * dlog
+        idx, w, dw = self._hermite(t)
+        rho = np.exp(self._log_rho(idx, w))
+        rho_p = rho * self._log_rho(idx, dw)
         shape = self.s[0].shape
         bc = (slice(None),) + (None,) * len(shape)
         s0v, s1v = self.s[idx], self.s[idx + 1]
         sp0, sp1 = self.s_prime[idx], self.s_prime[idx + 1]
-        s = (h00[bc] * s0v + (h10 * h)[bc] * sp0 + h01[bc] * s1v + (h11 * h)[bc] * sp1)
-        s_p = (dh00[bc] * s0v + (dh10 * h)[bc] * sp0 + dh01[bc] * s1v + (dh11 * h)[bc] * sp1)
+        s = w[0][bc] * s0v + w[1][bc] * sp0 + w[2][bc] * s1v + w[3][bc] * sp1
+        s_p = dw[0][bc] * s0v + dw[1][bc] * sp0 + dw[2][bc] * s1v + dw[3][bc] * sp1
         return rho, rho_p, s, s_p
 
     def hessian_term(self, t, w):
@@ -536,7 +566,7 @@ def homothetic_quadrature_trajectory(cc, h: float, tau_max: float,
     return Trajectory(alpha=alpha, masses=cc.masses.copy(), tau=tau, rho=rho,
                       rho_prime=rho_prime, s=s_arr, s_prime=np.zeros_like(s_arr),
                       h=float(h), potential_scale=potential_scale,
-                      meta={"frozen_shape": True, "decay_rate_tail": float(c_inf)})
+                      meta={"decay_rate_tail": float(c_inf)})
 
 
 # ---------------------------------------------------------------------------
@@ -605,13 +635,13 @@ def asymptotic_report(traj: Trajectory, cc_set, n_tail: int = 200,
     tau_end = traj.tau_end
     tail_start = max(traj.tau[0], tau_end - max(0.9 * tau_end, traj.tau[0] + 1e-9))
     grid = np.linspace(tail_start, tau_end, n_tail)
-    rho, rho_p, s, s_p = traj.evaluate(grid)
+    _, _, s, s_p = traj.evaluate(grid)
     u_vals = np.array([
         traj.potential_scale * nbody.potential(s[k], traj.masses, traj.alpha)
         for k in range(grid.size)
     ])
     b_limit, b_conv = _aitken_limit(u_vals, converge_tol)
-    ratio = rho_p / rho
+    ratio = traj.log_rate(grid)
     ratio_limit, ratio_conv = _aitken_limit(ratio, converge_tol)
     predicted = -(2.0 - traj.alpha) / 4.0 * np.sqrt(2.0 * max(b_limit, 0.0))
     sp_norm = np.sqrt(np.einsum("j,kjd,kjd->k", traj.masses, s_p, s_p))

@@ -153,22 +153,43 @@ class CombinedVariation:
         if all(np.array_equal(b.xi, bumps[0].xi) for b in bumps):
             self.xi = bumps[0].xi
 
+    def _sum(self, part, t):
+        """sum_n c_n part_n(t), evaluating each bump only on its own support.
+
+        Profiles vanish exactly off their supports, so the skipped terms are
+        zeros and the sum is bitwise that of the full evaluation.
+        """
+        out = None
+        for c, b in zip(self.coeffs, self.bumps):
+            lo, hi = b.support
+            inside = (t >= lo) & (t <= hi)
+            vals = c * getattr(b, part)(t[inside])
+            if out is None:
+                out = np.zeros(t.shape + vals.shape[1:])
+            out[inside] += vals
+        return out
+
     def scalar(self, t):
-        return sum(c * b.scalar(t) for c, b in zip(self.coeffs, self.bumps))
+        return self._sum("scalar", np.asarray(t, dtype=float))
 
     def scalar_deriv(self, t):
-        return sum(c * b.scalar_deriv(t) for c, b in zip(self.coeffs, self.bumps))
+        return self._sum("scalar_deriv", np.asarray(t, dtype=float))
 
     def value(self, t):
-        return sum(c * b.value(t) for c, b in zip(self.coeffs, self.bumps))
+        return self._sum("value", np.atleast_1d(np.asarray(t, dtype=float)))
 
     def deriv(self, t):
-        return sum(c * b.deriv(t) for c, b in zip(self.coeffs, self.bumps))
+        return self._sum("deriv", np.atleast_1d(np.asarray(t, dtype=float)))
+
+
+def _is_scalar_bump(variation) -> bool:
+    """A variation of the form phi(tau) xi with a fixed direction xi."""
+    return hasattr(variation, "xi") and hasattr(variation, "scalar")
 
 
 def _hessian_row(traj: Trajectory, grid, s, variation, values):
     """Hessian term along the flow; constant-coefficient on frozen-shape data."""
-    if traj.exact_homothetic and hasattr(variation, "xi") and hasattr(variation, "scalar"):
+    if traj.frozen_shape and _is_scalar_bump(variation):
         coef = traj.potential_scale * nbody.hessian_on_ellipsoid(
             traj.s[0], traj.masses, traj.alpha, variation.xi)
         phi = variation.scalar(grid)
@@ -227,7 +248,8 @@ def _refine_until(integral_fn, traj, support, tol):
         step = grid[1] - grid[0]
         simpson = step / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
                                 + 2.0 * vals[2:-1:2].sum())
-        if prev is not None and abs(simpson - prev) <= tol * (1.0 + abs(simpson)):
+        if not np.isfinite(simpson) or (
+                prev is not None and abs(simpson - prev) <= tol * (1.0 + abs(simpson))):
             return simpson
         prev = simpson
         ppu *= 2.0
@@ -253,23 +275,56 @@ def second_variation_s(traj: Trajectory, variation, quad_tol: float = 1e-8) -> f
     return float(_refine_until(integrand, traj, variation.support, quad_tol))
 
 
-def quadratic_Q(traj: Trajectory, variation, quad_tol: float = 1e-8) -> SecondVariationReport:
-    """Evaluate Q(w) with its kinetic / radial / cross / Hessian breakdown."""
+def _sampled_integrand(traj: Trajectory, variation):
+    """Rows of Q from the per-sample (K, N, d) stacks; any variation, any data."""
     m = traj.masses
-    parts = np.zeros(4)
 
     def integrand(grid):
-        rho, rho_p, s, _ = traj.evaluate(grid)
-        ratio = rho_p / rho
+        _, _, s, _ = traj.evaluate(grid)
+        ratio = traj.log_rate(grid)
         w = variation.value(grid)
         dw = variation.deriv(grid)
         kin = _mdot(m, dw, dw)
         mass2 = _mdot(m, w, w)
         crossdot = _mdot(m, dw, w)
         hess = _hessian_row(traj, grid, s, variation, w)
-        rows = np.stack([kin, ratio**2 * mass2, -2.0 * ratio * crossdot, hess])
-        return rows
+        return np.stack([kin, ratio**2 * mass2, -2.0 * ratio * crossdot, hess])
 
+    return integrand
+
+
+def _frozen_integrand(traj: Trajectory, variation):
+    """Rows of Q for w = phi(tau) xi on frozen-shape data, in scalars.
+
+    With s = s0 the pairings are constants: |w'|^2 = nM phi'^2,
+    |w|^2 = nM phi^2, <w', w> = nM phi phi' and D2U_E(s0)(w, w) = H phi^2.
+    """
+    xi = variation.xi
+    n_m = float(np.einsum("j,jd,jd->", traj.masses, xi, xi))
+    hess = traj.potential_scale * nbody.hessian_on_ellipsoid(
+        traj.s[0], traj.masses, traj.alpha, xi)
+
+    def integrand(grid):
+        ratio = traj.log_rate(grid)
+        phi = variation.scalar(grid)
+        dphi = variation.scalar_deriv(grid)
+        return np.stack([n_m * dphi**2, ratio**2 * n_m * phi**2,
+                         -2.0 * ratio * n_m * phi * dphi, hess * phi**2])
+
+    return integrand
+
+
+def quadratic_Q(traj: Trajectory, variation, quad_tol: float = 1e-8) -> SecondVariationReport:
+    """Evaluate Q(w) with its kinetic / radial / cross / Hessian breakdown.
+
+    rho'/rho comes from Trajectory.log_rate, so Q stays finite past rho
+    underflow.  Bumps phi(tau) xi on frozen-shape data are integrated in
+    scalars; other variations go through the per-sample (K, N, d) stacks.
+    """
+    if traj.frozen_shape and _is_scalar_bump(variation):
+        integrand = _frozen_integrand(traj, variation)
+    else:
+        integrand = _sampled_integrand(traj, variation)
     ppu = 16.0
     prev = None
     for _ in range(8):
@@ -279,11 +334,11 @@ def quadratic_Q(traj: Trajectory, variation, quad_tol: float = 1e-8) -> SecondVa
         simpson = step / 3.0 * (rows[:, 0] + rows[:, -1] + 4.0 * rows[:, 1:-1:2].sum(axis=1)
                                 + 2.0 * rows[:, 2:-1:2].sum(axis=1))
         total = simpson.sum()
-        if prev is not None and abs(total - prev) <= quad_tol * (1.0 + abs(total)):
-            parts = simpson
+        parts = simpson
+        if not np.isfinite(total) or (
+                prev is not None and abs(total - prev) <= quad_tol * (1.0 + abs(total))):
             break
         prev = total
-        parts = simpson
         ppu *= 2.0
     return SecondVariationReport(value=float(parts.sum()), kinetic=float(parts[0]),
                                  rho_term=float(parts[1]), cross=float(parts[2]),
@@ -329,7 +384,7 @@ def morse_witnesses(traj: Trajectory, xi, shifts, l1: float = 0.0, l2: float = 2
     q_combo = quadratic_Q(traj, combo, quad_tol).value
     q_expected = float(np.sum(coeffs**2 * np.array(q_vals)))
     scale = 1.0 + abs(q_expected)
-    if abs(q_combo - q_expected) > 1e-8 * scale:
+    if not abs(q_combo - q_expected) <= 1e-8 * scale:
         raise AssertionError(
             f"disjoint-support additivity violated: {q_combo} vs {q_expected}")
     worst = min(reports, key=lambda r: r.value)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,39 @@ def test_homothetic_oracle_closed_form(coll1):
     assert np.max(np.abs(rho_p / rho + c)) < 1e-12
     # exponential decay bound rho <= rho(0) e^(-c tau)
     assert np.all(rho <= 1.0 * np.exp(-c * t) * (1 + 1e-12))
+
+
+def test_log_rate_matches_evaluate_and_survives_underflow(coll1):
+    kicked = zero_energy_state(coll1, normal_kick(coll1, 1e-3))
+    sampled = [
+        mcgehee.integrate_el(kicked, coll1.masses, 1.0, tau_max=3.0),
+        mcgehee.homothetic_oracle(coll1, h=2.0, tau_max=10.0),
+        mcgehee.homothetic_quadrature_trajectory(coll1, h=0.5, tau_max=10.0),
+    ]
+    for traj in sampled:
+        t = np.linspace(traj.tau[0], traj.tau_end, 517)
+        rho, rho_p, _, _ = traj.evaluate(t)
+        assert np.allclose(traj.log_rate(t), rho_p / rho, rtol=1e-13, atol=0.0)
+    exact = mcgehee.homothetic_oracle(coll1, h=0.0, tau_max=1500.0)
+    c = exact.meta["decay_rate"]
+    t = np.array([10.0, 745.0 / c + 1.0, 1400.0])
+    rho = exact.evaluate(t)[0]
+    assert rho[0] > 0.0 and np.all(rho[1:] == 0.0)
+    assert np.all(exact.log_rate(t) == -c)
+    with pytest.raises(ValueError):
+        exact.log_rate(1501.0)
+
+
+def test_frozen_shape_is_read_from_the_data(coll1):
+    assert mcgehee.homothetic_oracle(coll1, h=0.0, tau_max=5.0).frozen_shape
+    assert mcgehee.homothetic_oracle(coll1, h=2.0, tau_max=5.0).frozen_shape
+    quad = mcgehee.homothetic_quadrature_trajectory(coll1, h=0.5, tau_max=5.0)
+    assert quad.frozen_shape
+    kicked = zero_energy_state(coll1, normal_kick(coll1, 1e-3))
+    assert not mcgehee.integrate_el(kicked, coll1.masses, 1.0, tau_max=1.0).frozen_shape
+    moved = quad.s.copy()
+    moved[-1] = moved[-1, ::-1]
+    assert not dataclasses.replace(quad, s=moved).frozen_shape
 
 
 def test_homothetic_oracle_agrees_with_flow(coll1):

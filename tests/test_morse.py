@@ -155,6 +155,117 @@ def test_disjoint_support_additivity(homothetic_traj, mu1_direction):
                                   abs=1e-10 * (1 + abs(q)))
 
 
+def test_morse_witnesses_past_rho_underflow():
+    # c = 2.82 on the 8-gon, so rho = exp(-c tau) underflows to 0 inside the
+    # last four supports; rho'/rho must still come out finite
+    cc = central.embed_in_3d(central.ngon(8, 1.0))
+    rep_s = spectral.smallest_eigenvalue(cc)
+    traj = mcgehee.homothetic_oracle(cc, h=0.0, tau_max=440.0)
+    shifts = morse.default_shifts(10, 0.0, 20.0)
+    assert traj.evaluate(shifts[-1])[0][0] == 0.0
+    rep = morse.morse_witnesses(traj, rep_s.eigvec, shifts, l1=1e-9, l2=20.0)
+    assert rep.witnesses == 10
+    assert all(np.isfinite(q) and q < 0.0 for q in rep.q_values)
+
+
+class StackOnly:
+    """Exposes only support/value/deriv, so quadratic_Q takes the (K, N, d) path."""
+
+    def __init__(self, variation):
+        self.support = variation.support
+        self.value = variation.value
+        self.deriv = variation.deriv
+
+
+@pytest.fixture(scope="module")
+def frozen_trajs(coll1, homothetic_traj):
+    return {"exact": homothetic_traj,
+            "quadrature": mcgehee.homothetic_quadrature_trajectory(coll1, h=0.5, tau_max=300.0)}
+
+
+@pytest.mark.parametrize("name", ["exact", "quadrature"])
+@settings(max_examples=8, deadline=None)
+@given(l1=st.floats(min_value=0.01, max_value=2.0),
+       width=st.floats(min_value=0.5, max_value=8.0),
+       frac=st.floats(min_value=0.0, max_value=1.0),
+       amp=st.floats(min_value=0.5, max_value=2.0))
+def test_frozen_scalar_path_matches_stack_path(name, l1, width, frac, amp, frozen_trajs, coll1,
+                                               mu1_direction):
+    traj = frozen_trajs[name]
+    assert traj.frozen_shape
+    tau_hi = min(600.0 / mcgehee.homothetic_decay_rate(coll1), traj.tau_end)
+    shift = frac * (tau_hi - l1 - width)
+    bump = morse.BumpVariation(l1=l1, l2=l1 + width, shift=shift, xi=amp * mu1_direction)
+    fast = morse.quadratic_Q(traj, bump)
+    ref = morse.quadratic_Q(traj, StackOnly(bump))
+    assert fast.value == pytest.approx(ref.value, rel=1e-9)
+    scale = 1e-9 * (1.0 + abs(ref.value))
+    for part in ("kinetic", "rho_term", "cross", "hessian"):
+        assert getattr(fast, part) == pytest.approx(getattr(ref, part), abs=scale)
+
+
+def test_frozen_scalar_path_skips_evaluate(monkeypatch, frozen_trajs, mu1_direction):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("frozen-shape Q must not interpolate the shape")
+
+    monkeypatch.setattr(mcgehee.Trajectory, "evaluate", refuse)
+    bump = morse.BumpVariation(l1=0.5, l2=6.0, shift=40.0, xi=mu1_direction)
+    for traj in frozen_trajs.values():
+        assert np.isfinite(morse.quadratic_Q(traj, bump).value)
+
+
+def test_refinement_stops_at_first_nonfinite_estimate(homothetic_traj, mu1_direction):
+    grids = []
+
+    def nan_rows(grid):
+        grids.append(grid.size)
+        return np.full(grid.size, np.nan)
+
+    assert np.isnan(morse._refine_until(nan_rows, homothetic_traj, (1.0, 5.0), 1e-8))
+    assert len(grids) == 1
+
+    bump = morse.BumpVariation(l1=0.5, l2=4.0, shift=1.0, xi=mu1_direction)
+
+    class NanValues:
+        support = bump.support
+        deriv = bump.deriv
+
+        def value(self, t):
+            grids.append(np.size(t))
+            return np.full_like(bump.value(t), np.nan)
+
+    assert np.isnan(morse.quadratic_Q(homothetic_traj, NanValues()).value)
+    assert len(grids) == 2
+
+
+def test_additivity_check_rejects_nan(monkeypatch, homothetic_traj, mu1_direction):
+    nan_report = morse.SecondVariationReport(value=float("nan"), kinetic=0.0, rho_term=0.0,
+                                             cross=0.0, hessian=0.0)
+    monkeypatch.setattr(morse, "quadratic_Q", lambda *args, **kwargs: nan_report)
+    with pytest.raises(AssertionError, match="additivity"):
+        morse.morse_witnesses(homothetic_traj, mu1_direction, [10.0, 40.0], l1=1e-9, l2=20.0)
+
+
+def test_combined_variation_matches_naive_sum(mu1_direction):
+    bumps = [morse.BumpVariation(l1=0.5, l2=3.0, shift=0.0, xi=mu1_direction),
+             morse.BumpVariation(l1=0.5, l2=3.0, shift=2.5, xi=mu1_direction,
+                                 profile_kind="bump"),
+             morse.BumpVariation(l1=1e-9, l2=4.0, shift=2.0, xi=mu1_direction),
+             morse.BumpVariation(l1=1.0, l2=2.0, shift=8.0, xi=mu1_direction,
+                                 profile_kind="bump")]
+    coeffs = [1.3, -0.7, 0.0, -2.1]
+    combo = morse.CombinedVariation(bumps, coeffs)
+    edges = np.array([e for b in bumps for e in b.support])
+    grid = np.sort(np.concatenate([np.linspace(-1.0, 11.0, 2401), edges,
+                                   np.nextafter(edges, -np.inf),
+                                   np.nextafter(edges, np.inf)]))
+    for part in ("scalar", "scalar_deriv", "value", "deriv"):
+        naive = sum(c * getattr(b, part)(grid) for c, b in zip(coeffs, bumps))
+        got = getattr(combo, part)(grid)
+        assert got.shape == naive.shape
+        assert got.tobytes() == naive.tobytes(), part
+
+
 def test_projected_bump_on_homothetic_is_exact(homothetic_traj, mu1_direction):
     bump = morse.BumpVariation(l1=0.5, l2=6.0, shift=2.0, xi=mu1_direction)
     proj, corr = morse.projected_bump(homothetic_traj, bump)
