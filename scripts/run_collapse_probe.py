@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ncol import central, mcgehee, morse, nbody, spectral
+from ncol import central, mcgehee, morse, spectral
 
 
 def run_one(alpha: float, bumps: int, width: float, outdir: Path) -> dict:
@@ -31,10 +31,7 @@ def run_one(alpha: float, bumps: int, width: float, outdir: Path) -> dict:
     c = mcgehee.homothetic_decay_rate(cc)
     rate = c + np.sqrt(max(c**2 + rep.mu1, 0.0))
     tau_cap = min(8.0, np.log(0.02 / eps) / rate)
-    sp2 = float(np.sum(cc.masses * np.sum(kick**2, axis=1)))
-    state = mcgehee.McGeheeState(
-        rho=1.0, rho_prime=-(2 - alpha) / 4 * np.sqrt(2 * (cc.b - sp2 / 2)),
-        s=cc.s0.copy(), s_prime=kick)
+    state = mcgehee.homothetic_initial_state(cc, kick=kick)
     ptraj = mcgehee.integrate_el(state, cc.masses, alpha, tau_max=tau_cap,
                                  opts=mcgehee.IntegratorOptions(rtol=1e-11, max_step=0.05))
     ptraj.to_csv(outdir / f"trajectory_alpha{alpha}.csv")

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from ncol import spectral
-from ncol.cli import SWEEP_HEADER, _sweep_row
+from ncol.cli import _run_sweep
 
 
 def main():
@@ -23,11 +23,8 @@ def main():
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     alphas = np.linspace(0.05, 2.0 - 1e-9, args.steps)
-    lines = [SWEEP_HEADER]
-    for a in alphas:
-        lines.extend(_sweep_row(float(a)))
     csv_path = args.outdir / "figure_sweep.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
+    csv_path.write_text(_run_sweep(alphas) + "\n")
 
     th_coll = spectral.collinear_threshold()
     thresholds = {"collinear3-equal": th_coll.alpha_star}

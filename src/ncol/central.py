@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,6 +38,19 @@ class CentralConfiguration:
     @property
     def dim(self) -> int:
         return self.s0.shape[1]
+
+    def at_alpha(self, alpha: float) -> "CentralConfiguration":
+        """The same shape and masses at exponent alpha, with b and residual recomputed.
+
+        The shape is not re-solved, so residual measures how far it is from
+        central at the new exponent.  Returns self when alpha is unchanged.
+        """
+        if abs(alpha - self.alpha) <= 1e-14:
+            return self
+        alpha = nbody.validate_alpha(alpha)
+        return replace(self, alpha=alpha, b=nbody.potential(self.s0, self.masses, alpha),
+                       residual=nbody.central_residual(self.s0, self.masses, alpha),
+                       meta=dict(self.meta))
 
     def to_json(self) -> str:
         return nbody.config_to_json(

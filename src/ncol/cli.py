@@ -1,21 +1,19 @@
 """Command-line front end: family construction, sweeps, simulation, probes.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 numeric invariant failure, so
-CI can gate on mathematical regressions.  NCOL_THREADS caps sweep parallelism.
+CI can gate on mathematical regressions.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import central, mcgehee, morse, nbody, spectral, weakforce
-from .errors import NcolError
+from .errors import NcolError, NonCollapsing
 
 SWEEP_HEADER = "alpha,family,N,lhs,rhs,holds,mu1,margin"
 WEAKFORCE_HEADER = "alpha,tau_eps,inf_disotto,tail_integral,phi_min"
@@ -28,17 +26,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def max_workers() -> int:
-    cap = os.environ.get("NCOL_THREADS")
-    n = os.cpu_count() or 1
-    if cap:
-        try:
-            n = min(n, max(1, int(cap)))
-        except ValueError:
-            pass
-    return n
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -123,15 +110,9 @@ def _sweep_row(alpha: float) -> list[str]:
 
 
 def _run_sweep(alphas) -> str:
-    workers = max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_sweep_row, alphas))
-    else:
-        chunks = [_sweep_row(a) for a in alphas]
     lines = [SWEEP_HEADER]
-    for chunk in chunks:
-        lines.extend(chunk)
+    for alpha in alphas:
+        lines.extend(_sweep_row(alpha))
     return "\n".join(lines)
 
 
@@ -151,21 +132,17 @@ def cmd_figure1(args) -> int:
 
 def cmd_simulate(args) -> int:
     cc = _build_family(args)
+    # an energy with no collapse at all is a numeric failure (exit 2), a
+    # perturbation too large for it a usage error (exit 1)
     state = mcgehee.homothetic_initial_state(cc, h=args.energy)
     if args.perturb:
         rng = np.random.default_rng(args.seed)
-        kick = rng.standard_normal(cc.s0.shape)
-        m = cc.masses
-        kick -= (m @ kick)[None, :] / m.sum()
-        kick -= float(np.sum(m[:, None] * cc.s0 * kick)) * cc.s0
+        kick = nbody.tangent_part(cc.s0, cc.masses, rng.standard_normal(cc.s0.shape))
         kick *= args.perturb / max(np.linalg.norm(kick), 1e-300)
-        sp2 = float(np.sum(m * np.sum(kick * kick, axis=1)))
-        rhs = args.energy + cc.b - 0.5 * sp2
-        if rhs <= 0.0:
-            raise UsageError("perturbation too large for the requested energy")
-        state = mcgehee.McGeheeState(
-            rho=1.0, rho_prime=-(2.0 - cc.alpha) / 4.0 * np.sqrt(2.0 * rhs),
-            s=cc.s0.copy(), s_prime=kick)
+        try:
+            state = mcgehee.homothetic_initial_state(cc, h=args.energy, kick=kick)
+        except NonCollapsing as exc:
+            raise UsageError("perturbation too large for the requested energy") from exc
     opts = mcgehee.IntegratorOptions(rtol=args.rtol, max_step=args.max_step,
                                      rho_min=args.rho_min)
     traj = mcgehee.integrate_el(state, cc.masses, cc.alpha, tau_max=args.tau_max, opts=opts)

@@ -261,15 +261,6 @@ class Trajectory:
         s_p = dw[0][bc] * s0v + dw[1][bc] * sp0 + dw[2][bc] * s1v + dw[3][bc] * sp1
         return rho, rho_p, s, s_p
 
-    def hessian_term(self, t, w):
-        """Constrained Hessian of the (scaled) potential along the flow, applied to w(tau)."""
-        _, _, s, _ = self.evaluate(t)
-        out = np.empty(len(t))
-        for k in range(len(t)):
-            out[k] = self.potential_scale * nbody.hessian_on_ellipsoid(
-                s[k], self.masses, self.alpha, w[k])
-        return out
-
     def to_csv(self, path) -> None:
         n, d = self.s.shape[1], self.s.shape[2]
         cols = ["tau", "rho", "rho_prime"]
@@ -308,14 +299,59 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 
 
-def _flow(alpha, m, h, scale):
+def _dp54(f, t, y, hstep, running, *, rtol, atol, floor, max_step=np.inf,
+          t_end=np.inf, admissible=None, project=None):
+    """Dormand-Prince 5(4) pair with standard error control (Hairer, Norsett &
+    Wanner, Solving ODEs I, II.4); returns the accepted times and states.
+
+    Steps while running(t, y), each step clipped to max_step and to t_end.  A
+    step whose stage or solution fails admissible(y) is halved and retried; an
+    accepted solution passes through project(t, y) before it is stored.
+    Raises StepFailure when the step falls below floor(t).
+    """
+    ts, ys = [t], [y.copy()]
+    k1 = f(t, y)
+    while running(t, y):
+        hstep = min(hstep, t_end - t)
+        if hstep < floor(t):
+            raise StepFailure(f"step size underflow at t = {t}")
+        ks = [k1]
+        ok = True
+        for i in range(1, 7):
+            yi = y + hstep * sum(a * k for a, k in zip(_DP_A[i], ks))
+            ok = admissible is None or admissible(yi)
+            if not ok:
+                break
+            ks.append(f(t + _DP_C[i] * hstep, yi))
+        if ok:
+            ks = np.array(ks)
+            y5 = y + hstep * (_DP_B5 @ ks)
+            y4 = y + hstep * (_DP_B4 @ ks)
+            ok = admissible is None or admissible(y5)
+        if not ok:
+            hstep *= 0.5
+            continue
+        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        err = np.sqrt(np.mean(((y5 - y4) / sc) ** 2))
+        if err <= 1.0:
+            t += hstep
+            y = y5 if project is None else project(t, y5)
+            ts.append(t)
+            ys.append(y.copy())
+            k1 = f(t, y)
+        factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
+        hstep = min(max_step, hstep * min(5.0, max(0.2, factor)))
+    return np.array(ts), np.array(ys)
+
+
+def _flow(alpha, m, h, scale, d):
     beta = beta_exponent(alpha)
     coef = ((2.0 - alpha) / 4.0) ** 2
     n = m.size
     ii, jj = np.triu_indices(n, k=1)
     mm = m[ii] * m[jj]
 
-    def f(_tau, y, d):
+    def f(_tau, y):
         rho, p = y[0], y[1]
         s = y[2:2 + n * d].reshape(n, d)
         u = y[2 + n * d:].reshape(n, d)
@@ -351,47 +387,24 @@ def integrate_el(initial: McGeheeState, m, alpha, tau_max: float,
     state = initial.validated(m)
     n, d = state.s.shape
     h_energy = energy(state, m, alpha, potential_scale)
-    f = _flow(alpha, m, h_energy, potential_scale)
+    f = _flow(alpha, m, h_energy, potential_scale, d)
 
-    y = np.concatenate([[state.rho, state.rho_prime], state.s.ravel(), state.s_prime.ravel()])
-    tau = state.tau
-    taus, ys = [tau], [y.copy()]
-    hstep = min(opts.first_step, opts.max_step)
-    k1 = f(tau, y, d)
-    while tau < tau_max and y[0] > opts.rho_min:
-        hstep = min(hstep, tau_max - tau)
-        if hstep < 1e-14 * max(1.0, tau):
-            raise StepFailure(f"step size underflow at tau = {tau}")
-        ks = [k1]
-        for i in range(1, 7):
-            yi = y + hstep * sum(a * k for a, k in zip(_DP_A[i], ks))
-            ks.append(f(tau + _DP_C[i] * hstep, yi, d))
-        ks = np.array(ks)
-        y5 = y + hstep * (_DP_B5 @ ks)
-        y4 = y + hstep * (_DP_B4 @ ks)
-        sc = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = np.sqrt(np.mean(((y5 - y4) / sc) ** 2))
-        if err <= 1.0:
-            tau += hstep
-            y = y5
-            # re-projection onto the ellipsoid
-            s = y[2:2 + n * d].reshape(n, d)
-            u = y[2 + n * d:].reshape(n, d)
-            inertia = nbody.moment_of_inertia(s, m)
-            if abs(inertia - 1.0) > opts.drift_abort:
-                raise EllipsoidDrift(f"|I(s) - 1| = {abs(inertia - 1.0):.3e} at tau = {tau}")
-            s /= np.sqrt(inertia)
-            u -= float(np.sum(m[:, None] * s * u)) * s
-            y[2:2 + n * d] = s.ravel()
-            y[2 + n * d:] = u.ravel()
-            taus.append(tau)
-            ys.append(y.copy())
-            k1 = f(tau, y, d)
-        factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
-        hstep = min(opts.max_step, hstep * min(5.0, max(0.2, factor)))
+    def reproject(tau, y):
+        s = y[2:2 + n * d].reshape(n, d)
+        u = y[2 + n * d:].reshape(n, d)
+        inertia = nbody.moment_of_inertia(s, m)
+        if abs(inertia - 1.0) > opts.drift_abort:
+            raise EllipsoidDrift(f"|I(s) - 1| = {abs(inertia - 1.0):.3e} at tau = {tau}")
+        s /= np.sqrt(inertia)
+        u -= float(np.sum(m[:, None] * s * u)) * s
+        return y
 
-    ys = np.array(ys)
-    taus = np.array(taus)
+    y0 = np.concatenate([[state.rho, state.rho_prime], state.s.ravel(), state.s_prime.ravel()])
+    taus, ys = _dp54(f, state.tau, y0, min(opts.first_step, opts.max_step),
+                     lambda tau, y: tau < tau_max and y[0] > opts.rho_min,
+                     rtol=opts.rtol, atol=opts.atol, max_step=opts.max_step,
+                     floor=lambda tau: 1e-14 * max(1.0, tau), t_end=tau_max,
+                     project=reproject)
     return Trajectory(
         alpha=alpha, masses=m, tau=taus,
         rho=ys[:, 0], rho_prime=ys[:, 1],
@@ -402,17 +415,22 @@ def integrate_el(initial: McGeheeState, m, alpha, tau_max: float,
 
 
 def homothetic_initial_state(cc, h: float = 0.0, rho0: float = 1.0,
-                             potential_scale: float = 1.0) -> McGeheeState:
-    """Collapsing initial data with frozen shape cc.s0 at the given energy."""
+                             potential_scale: float = 1.0, kick=None) -> McGeheeState:
+    """Collapsing initial data at shape cc.s0 and energy h.
+
+    kick is the shape velocity, an admissible tangent at cc.s0 (see
+    nbody.tangent_part), zero when None; the inward radial velocity is solved
+    from the energy.
+    """
     alpha = cc.alpha
-    b = potential_scale * cc.b
-    beta = beta_exponent(alpha)
-    rhs = h * rho0**beta + rho0**2 * b
+    s_prime = np.zeros_like(cc.s0) if kick is None else np.array(kick, dtype=float)
+    sp2 = float(np.sum(cc.masses * np.sum(s_prime * s_prime, axis=1)))
+    rhs = (h * rho0 ** beta_exponent(alpha) + rho0**2 * (potential_scale * cc.b)
+           - 0.5 * rho0**2 * sp2)
     if rhs <= 0.0:
         raise NonCollapsing("no real inward radial velocity at this energy")
     rho_prime = -(2.0 - alpha) / 4.0 * np.sqrt(2.0 * rhs)
-    return McGeheeState(rho=rho0, rho_prime=float(rho_prime), s=cc.s0.copy(),
-                        s_prime=np.zeros_like(cc.s0))
+    return McGeheeState(rho=rho0, rho_prime=float(rho_prime), s=cc.s0.copy(), s_prime=s_prime)
 
 
 def homothetic_decay_rate(cc, potential_scale: float = 1.0) -> float:
@@ -440,14 +458,8 @@ def homothetic_oracle(cc, alpha: float | None = None, h: float = 0.0,
     precision limits the integrated samples to a finite tau window; the
     closed form has no such limit).
     """
-    if alpha is not None and abs(alpha - cc.alpha) > 1e-14:
-        from .central import CentralConfiguration  # local to avoid cycle
-
-        cc = CentralConfiguration(
-            s0=cc.s0.copy(), masses=cc.masses.copy(), alpha=float(alpha),
-            b=nbody.potential(cc.s0, cc.masses, alpha),
-            residual=nbody.central_residual(cc.s0, cc.masses, alpha),
-            family=cc.family, meta=dict(cc.meta))
+    if alpha is not None:
+        cc = cc.at_alpha(alpha)
     alpha = cc.alpha
     b = potential_scale * cc.b
     phidot0_sq = 2.0 * (h + b)
@@ -458,40 +470,13 @@ def homothetic_oracle(cc, alpha: float | None = None, h: float = 0.0,
         phi, v, _ = y
         return np.array([v, -alpha * b * phi ** (-(alpha + 1.0)), phi ** (-(2.0 + alpha) / 2.0)])
 
-    y = np.array([1.0, -np.sqrt(phidot0_sq), 0.0])
-    t = 0.0
-    samples = [(t, *y)]
-    hstep = 1e-4
-    while y[0] > phi_min and y[2] < tau_max:
-        ks = [f(t, y)]
-        for i in range(1, 7):
-            yi = y + hstep * sum(a * k for a, k in zip(_DP_A[i], ks))
-            if yi[0] <= 0:
-                break
-            ks.append(f(t + _DP_C[i] * hstep, yi))
-        if len(ks) < 7:
-            hstep *= 0.5
-            continue
-        ks = np.array(ks)
-        y5 = y + hstep * (_DP_B5 @ ks)
-        y4 = y + hstep * (_DP_B4 @ ks)
-        if y5[0] <= phi_min * 0.5:
-            hstep *= 0.5
-            if hstep < 1e-18:
-                break
-            continue
-        sc = 1e-300 + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = np.sqrt(np.mean(((y5 - y4) / sc) ** 2))
-        if err <= 1.0:
-            t += hstep
-            y = y5
-            samples.append((t, *y))
-        factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
-        hstep *= min(5.0, max(0.2, factor))
-        if hstep < 1e-18:
-            raise StepFailure("physical-time step underflow")
-    samples = np.array(samples)
-    phi, phidot, taus = samples[:, 1], samples[:, 2], samples[:, 3]
+    # a step may not carry phi below half of phi_min, so no stage meets phi <= 0
+    phi_floor = 0.5 * phi_min
+    ts, ys = _dp54(f, 0.0, np.array([1.0, -np.sqrt(phidot0_sq), 0.0]), 1e-4,
+                   lambda _t, y: y[0] > phi_min and y[2] < tau_max,
+                   rtol=rtol, atol=1e-300, floor=lambda _t: 1e-18,
+                   admissible=lambda y: y[0] > phi_floor)
+    phi, phidot, taus = ys[:, 0], ys[:, 1], ys[:, 2]
     if phi[-1] >= phi[0]:
         raise NonCollapsing("radial variable failed to decrease")
     rho = phi ** ((2.0 - alpha) / 4.0)
@@ -508,7 +493,7 @@ def homothetic_oracle(cc, alpha: float | None = None, h: float = 0.0,
         # the power law is phase sensitive near the collapse endpoint, so it
         # is validated away from it; the exponential check covers the tail
         mask = phi >= 1e-2
-        closed_r = k * (t_coll - samples[mask, 0]) ** (2.0 / (2.0 + alpha))
+        closed_r = k * (t_coll - ts[mask]) ** (2.0 / (2.0 + alpha))
         worst_r = np.max(np.abs(phi[mask] - closed_r) / phi[mask])
         if worst_rho > validate_tol or worst_r > validate_tol:
             raise StepFailure(
@@ -525,7 +510,7 @@ def homothetic_oracle(cc, alpha: float | None = None, h: float = 0.0,
         )
     return Trajectory(alpha=alpha, masses=cc.masses.copy(), tau=taus, rho=rho, rho_prime=rho_p,
                       s=s_arr, s_prime=sp_arr, h=float(h), potential_scale=potential_scale,
-                      meta={"physical_time": samples[:, 0], "rtol": rtol})
+                      meta={"physical_time": ts, "rtol": rtol})
 
 
 def homothetic_quadrature_trajectory(cc, h: float, tau_max: float,

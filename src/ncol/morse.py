@@ -239,21 +239,27 @@ def _support_grid(traj: Trajectory, support, points_per_unit: float):
 
 
 def _refine_until(integral_fn, traj, support, tol):
-    """Composite-Simpson value refined by grid doubling to the requested tolerance."""
+    """Composite-Simpson integral refined by grid doubling to the requested tolerance.
+
+    integral_fn maps a grid of K points to values of shape (..., K); each
+    leading row is integrated, and the tolerance applies to their sum.
+    """
     ppu = 16.0
     prev = None
     for _ in range(8):
         grid = _support_grid(traj, support, ppu)
         vals = integral_fn(grid)
         step = grid[1] - grid[0]
-        simpson = step / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
-                                + 2.0 * vals[2:-1:2].sum())
-        if not np.isfinite(simpson) or (
-                prev is not None and abs(simpson - prev) <= tol * (1.0 + abs(simpson))):
-            return simpson
-        prev = simpson
+        simpson = step / 3.0 * (vals[..., 0] + vals[..., -1]
+                                + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
+                                + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
+        total = simpson.sum()
+        if not np.isfinite(total) or (
+                prev is not None and abs(total - prev) <= tol * (1.0 + abs(total))):
+            break
+        prev = total
         ppu *= 2.0
-    return prev
+    return simpson
 
 
 def _mdot(m, a, b):
@@ -325,21 +331,7 @@ def quadratic_Q(traj: Trajectory, variation, quad_tol: float = 1e-8) -> SecondVa
         integrand = _frozen_integrand(traj, variation)
     else:
         integrand = _sampled_integrand(traj, variation)
-    ppu = 16.0
-    prev = None
-    for _ in range(8):
-        grid = _support_grid(traj, variation.support, ppu)
-        rows = integrand(grid)
-        step = grid[1] - grid[0]
-        simpson = step / 3.0 * (rows[:, 0] + rows[:, -1] + 4.0 * rows[:, 1:-1:2].sum(axis=1)
-                                + 2.0 * rows[:, 2:-1:2].sum(axis=1))
-        total = simpson.sum()
-        parts = simpson
-        if not np.isfinite(total) or (
-                prev is not None and abs(total - prev) <= quad_tol * (1.0 + abs(total))):
-            break
-        prev = total
-        ppu *= 2.0
+    parts = _refine_until(integrand, traj, variation.support, quad_tol)
     return SecondVariationReport(value=float(parts.sum()), kinetic=float(parts[0]),
                                  rho_term=float(parts[1]), cross=float(parts[2]),
                                  hessian=float(parts[3]))

@@ -195,6 +195,19 @@ def check_tangent(s, m, v, tol: float = 1e-8) -> None:
         )
 
 
+def tangent_part(s, m, v) -> np.ndarray:
+    """v less its total momentum and its radial part <v, Ms> s.
+
+    For s on the ellipsoid {I = 1} with its center of mass at the origin the
+    result passes check_tangent.
+    """
+    s = as_positions(s)
+    m = as_masses(m)
+    v = np.asarray(v, dtype=float).reshape(s.shape)
+    v = v - (m @ v)[None, :] / m.sum()
+    return v - float(np.sum(m[:, None] * s * v)) * s
+
+
 def hessian_constrained(s, m, alpha, v, residual_tol: float = 1e-8) -> float:
     """Second derivative of U restricted to the ellipsoid {I = 1} at a central s.
 
@@ -228,18 +241,6 @@ def hessian_on_ellipsoid(s, m, alpha, v) -> float:
     v = np.asarray(v, dtype=float).reshape(s.shape)
     mv = float(np.sum(m * np.sum(v * v, axis=1)))
     return hessian_quadratic(s, m, alpha, v) + alpha * potential(s, m, alpha) * mv
-
-
-def tangential_gradient(s, m, alpha, scale: float = 1.0) -> np.ndarray:
-    """Mass-metric gradient of (scale * U) restricted to the ellipsoid.
-
-    M^{-1} grad U + alpha U s, the vector driving the shape equation; zero
-    exactly at central configurations.
-    """
-    s = as_positions(s)
-    m = as_masses(m)
-    g = gradient(s, m, alpha) / m[:, None]
-    return scale * (g + alpha * potential(s, m, alpha) * s)
 
 
 def config_to_json(x, m, alpha, extra: dict | None = None) -> str:

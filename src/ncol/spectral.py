@@ -55,9 +55,12 @@ class ThresholdResult:
     family: str
 
 
-def rhs_factor(alpha: float) -> float:
-    """(alpha+2)^2 / (8 alpha), the normalized right-hand side of the criterion."""
-    if alpha < ALPHA_FLOOR:
+def rhs_factor(alpha):
+    """(alpha+2)^2 / (8 alpha), the normalized right-hand side of the criterion.
+
+    Takes a scalar or an array of alphas; all must reach ALPHA_FLOOR.
+    """
+    if np.min(alpha) < ALPHA_FLOOR:
         raise ValueError(f"alpha below evaluation floor {ALPHA_FLOOR}")
     return (alpha + 2.0) ** 2 / (8.0 * alpha)
 
@@ -113,11 +116,7 @@ def smallest_eigenvalue(cc: CentralConfiguration, alpha: float | None = None,
     out-of-plane variations are admissible.
     """
     alpha = nbody.validate_alpha(cc.alpha if alpha is None else alpha)
-    if abs(alpha - cc.alpha) > 1e-14:
-        cc = type(cc)(s0=cc.s0.copy(), masses=cc.masses.copy(), alpha=alpha,
-                      b=nbody.potential(cc.s0, cc.masses, alpha),
-                      residual=nbody.central_residual(cc.s0, cc.masses, alpha),
-                      family=cc.family, meta=dict(cc.meta))
+    cc = cc.at_alpha(alpha)
     if dim == 3 and cc.dim == 2:
         cc = embed_in_3d(cc)
     tol = max(1e-8, 1e3 * np.finfo(float).eps * nbody.residual_scale(cc.s0, cc.masses, alpha))
@@ -284,9 +283,8 @@ def psi_phi_grid(n: int, alphas: np.ndarray):
     """Vectorized Psi_n and Phi_n over an alpha grid (values in [0, 2])."""
     alphas = np.asarray(alphas, dtype=float)
     r = _ngon_sines(n)
-    pow_a = r[None, :] ** (-alphas[:, None])
+    s_a = (r[None, :] ** (-alphas[:, None])).sum(axis=1)
     pow_a2 = r[None, :] ** (-(alphas[:, None] + 2.0))
-    s_a = pow_a.sum(axis=1)
     s_a2 = pow_a2.sum(axis=1)
     phi = 0.5 * s_a2 / s_a
     if n == 4:
@@ -326,7 +324,7 @@ def ngon_threshold(n: int, grid_points: int = 4096) -> ThresholdResult:
 
     lo, hi = ALPHA_FLOOR, 1.0
     grid = np.linspace(lo, hi, grid_points)
-    vals = np.array([f(a) for a in grid])
+    vals = psi_phi_grid(n, grid)[0] - rhs_factor(grid)
     sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     if sign_change.size == 0:
         raise BracketFailure(f"no sign change for n={n} on ({lo}, {hi}]")

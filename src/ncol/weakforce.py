@@ -15,7 +15,8 @@ import numpy as np
 from . import nbody
 from .central import CentralConfiguration
 from .errors import NonCollapsing
-from .mcgehee import (IntegratorOptions, McGeheeState, Trajectory, beta_exponent,
+from .mcgehee import (IntegratorOptions, Trajectory, beta_exponent,
+                      homothetic_initial_state, homothetic_quadrature_trajectory,
                       integrate_el)
 
 DEFAULT_ALPHA_GRID = (0.5, 0.3, 0.2, 0.1, 0.05, 0.02)
@@ -116,44 +117,28 @@ def build_H_family(cc: CentralConfiguration, alphas=DEFAULT_ALPHA_GRID,
     horizon shrinks like sqrt(alpha) (collapse rate ~ sqrt(U/alpha)).
     """
     m = cc.masses
+    kick = None if s_perturb is None else nbody.tangent_part(cc.s0, m, s_perturb)
     trajs = []
     for alpha in alphas:
         alpha = nbody.validate_alpha(alpha)
-        from .central import CentralConfiguration as CC
-
-        cca = CC(s0=cc.s0.copy(), masses=m.copy(), alpha=alpha,
-                 b=nbody.potential(cc.s0, m, alpha),
-                 residual=nbody.central_residual(cc.s0, m, alpha),
-                 family=cc.family, meta=dict(cc.meta))
-        u_tilde = cca.b / alpha
+        cca = cc.at_alpha(alpha)
         h_tilde = scaled_energy_for_H(m, alpha)
-        if s_perturb is None:
-            if h_tilde + u_tilde <= 0.0:
-                raise NonCollapsing(
-                    f"alpha={alpha}: no inward radial velocity solves the energy "
-                    f"normalization (Utilde - S/alpha = {h_tilde + u_tilde:.3e})")
-            from .mcgehee import homothetic_quadrature_trajectory
-
-            traj = homothetic_quadrature_trajectory(cca, h=h_tilde, tau_max=tau_max,
-                                                    potential_scale=1.0 / alpha)
-        else:
-            sp0 = np.asarray(s_perturb, dtype=float).reshape(cc.s0.shape).copy()
-            sp0 -= (m @ sp0)[None, :] / m.sum()
-            sp0 -= float(np.sum(m[:, None] * cc.s0 * sp0)) * cc.s0
-            sp2 = float(np.sum(m * np.sum(sp0 * sp0, axis=1)))
-            rhs = h_tilde - 0.5 * sp2 + u_tilde
-            if rhs <= 0.0:
-                raise NonCollapsing(
-                    f"alpha={alpha}: no inward radial velocity solves the energy "
-                    f"normalization (deficit {rhs:.3e})")
-            rho_p0 = -(2.0 - alpha) / 4.0 * np.sqrt(2.0 * rhs)
-            state = McGeheeState(rho=1.0, rho_prime=float(rho_p0), s=cc.s0.copy(),
-                                 s_prime=sp0)
+        scale = 1.0 / alpha
+        try:
+            if kick is None:
+                traj = homothetic_quadrature_trajectory(cca, h=h_tilde, tau_max=tau_max,
+                                                        potential_scale=scale)
+            else:
+                state = homothetic_initial_state(cca, h=h_tilde, potential_scale=scale,
+                                                 kick=kick)
+        except NonCollapsing as exc:
+            raise NonCollapsing(f"alpha={alpha}: {exc} under the energy normalization") from exc
+        if kick is not None:
             run_opts = opts or IntegratorOptions(rtol=1e-11, max_step=0.01, rho_min=1e-4)
-            c_rate = (2.0 - alpha) / 4.0 * np.sqrt(2.0 * u_tilde)
+            c_rate = (2.0 - alpha) / 4.0 * np.sqrt(2.0 * cca.b / alpha)
             safe_tau = min(tau_max, 9.0 / c_rate)
             traj = integrate_el(state, m, alpha, tau_max=safe_tau, opts=run_opts,
-                                potential_scale=1.0 / alpha)
+                                potential_scale=scale)
         if not np.all(traj.rho_prime < 0.0):
             raise NonCollapsing(f"alpha={alpha}: radial velocity changed sign")
         trajs.append(traj)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncol import central, nbody
+from ncol import central, nbody, spectral
 from ncol.errors import InvalidMass, InvalidN, NoConvergence
 
 
@@ -144,3 +144,17 @@ def test_json_export_fields():
     cc = central.collinear3(1.0, 1.0, 1.0)
     payload = json.loads(cc.to_json())
     assert set(payload) == {"alpha", "dim", "masses", "positions", "b", "residual", "family"}
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.7, 1.0 + 1e-9, 1.9])
+def test_at_alpha_matches_fresh_family(alpha):
+    cc = central.collinear3(1.0, 1.0, 1.0)
+    moved = cc.at_alpha(alpha)
+    fresh = central.collinear3(1.0, 1.0, alpha)
+    assert moved.alpha == alpha
+    assert moved.b == pytest.approx(fresh.b, rel=1e-12)
+    assert moved.residual == pytest.approx(fresh.residual, rel=1e-12, abs=1e-15)
+    assert np.array_equal(moved.s0, cc.s0) and moved.family == cc.family
+    direct, via = spectral.smallest_eigenvalue(cc, alpha=alpha), spectral.smallest_eigenvalue(moved)
+    assert (direct.mu1, direct.margin, direct.b) == (via.mu1, via.margin, via.b)
+    assert cc.at_alpha(1.0) is cc

@@ -197,20 +197,17 @@ def test_missing_file_is_io_error(capsys):
     assert rc == 1
 
 
-def test_threads_env_cap(monkeypatch, capsys):
-    monkeypatch.setenv("NCOL_THREADS", "1")
+def test_threads_env_cap(capsys):
     rc, out, _ = run(capsys, "sweep", "--alpha-min", "0.5", "--alpha-max", "1.5",
                      "--steps", "3")
     assert rc == 0
     assert out.splitlines()[0] == SWEEP_HEADER
 
 
-def test_parallel_sweep_deterministic(monkeypatch, capsys):
-    monkeypatch.setenv("NCOL_THREADS", "1")
+def test_parallel_sweep_deterministic(capsys):
     rc, serial, _ = run(capsys, "sweep", "--alpha-min", "0.2", "--alpha-max", "1.8",
                         "--steps", "9")
     assert rc == 0
-    monkeypatch.setenv("NCOL_THREADS", "4")
     rc, threaded, _ = run(capsys, "sweep", "--alpha-min", "0.2", "--alpha-max", "1.8",
                           "--steps", "9")
     assert rc == 0

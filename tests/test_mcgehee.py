@@ -209,6 +209,33 @@ def test_homothetic_oracle_positive_energy(coll1):
     assert phi[-1] < 1e-4
 
 
+@pytest.mark.parametrize("alpha,phi_min", [(1.9, 1e-8), (1.0, 1e-10)])
+def test_homothetic_oracle_reaches_deep_phi_min(alpha, phi_min):
+    # the physical-time step floor is absolute (1e-18): a floor relative to
+    # max(1, t), as the tau-flow uses, underflows before these depths
+    cc = central.collinear3(1.0, 1.0, alpha)
+    traj = mcgehee.homothetic_oracle(cc, h=1.0, phi_min=phi_min)
+    phi = traj.rho ** (4.0 / (2.0 - alpha))
+    assert phi[-1] <= phi_min * (1.0 + 1e-9)
+    assert np.all(np.diff(traj.rho) < 0.0)
+
+
+def test_homothetic_initial_state_with_kick(coll1):
+    rng = np.random.default_rng(5)
+    raw = 0.3 * rng.standard_normal(coll1.s0.shape)  # neither tangent nor momentum-free
+    kick = nbody.tangent_part(coll1.s0, coll1.masses, raw)
+    nbody.check_tangent(coll1.s0, coll1.masses, kick, tol=1e-13)
+    assert np.linalg.norm(kick) > 0.1
+    for h, scale in ((0.0, 1.0), (-1.0, 1.0), (0.5, 1.0 / 0.3)):
+        state = mcgehee.homothetic_initial_state(coll1, h=h, potential_scale=scale, kick=kick)
+        state.validated(coll1.masses)
+        assert np.array_equal(state.s_prime, kick) and state.rho_prime < 0.0
+        got = mcgehee.energy(state, coll1.masses, coll1.alpha, scale)
+        assert got == pytest.approx(h, rel=1e-12, abs=1e-12)
+    with pytest.raises(NonCollapsing):
+        mcgehee.homothetic_initial_state(coll1, h=0.0, kick=10.0 * kick)
+
+
 def test_homothetic_oracle_rejects_bound_energy(coll1):
     with pytest.raises(NonCollapsing):
         mcgehee.homothetic_oracle(coll1, h=-coll1.b - 1.0)

@@ -275,6 +275,22 @@ def test_ngon_threshold_unique_crossing(n):
     assert int(np.sum(np.diff(np.sign(vals)) != 0)) == 1
 
 
+@pytest.mark.parametrize("n", [4, 5, 9, 64])
+def test_ngon_threshold_bracket_matches_scalar_scan(n):
+    grid = np.linspace(spectral.ALPHA_FLOOR, 1.0, 4096)
+    vals = np.array([spectral.psi_phi(n, a)[0] - spectral.rhs_factor(a) for a in grid])
+    k = np.nonzero(np.diff(np.sign(vals)) != 0)[0][0]
+    assert spectral.ngon_threshold(n).bracket == (float(grid[k]), float(grid[k + 1]))
+
+
+def test_rhs_factor_on_arrays_keeps_the_floor():
+    alphas = np.array([0.25, 1.0, 1.75])
+    assert np.array_equal(spectral.rhs_factor(alphas),
+                          [spectral.rhs_factor(float(a)) for a in alphas])
+    with pytest.raises(ValueError):
+        spectral.rhs_factor(np.array([0.5, 0.1 * spectral.ALPHA_FLOOR]))
+
+
 def test_psi_monotone_and_above_nine_eighths():
     grid = np.linspace(0.0, 2.0, 1000)
     for n in (4, 5, 6, 17, 64):
