@@ -86,13 +86,18 @@ def from_mcgehee(state: McGeheeState, m, alpha):
 
 def energy(state: McGeheeState, m, alpha, potential_scale: float = 1.0) -> float:
     """Conserved energy h = rho^(-beta) (1/2 (4/(2-a))^2 rho'^2 + rho^2 (1/2 |s'|_M^2 - U(s)))."""
-    m = nbody.as_masses(m)
-    alpha = nbody.validate_alpha(alpha)
+    s, m, alpha = nbody.checked(state.s, m, alpha)
+    return float(_energy_stack(state.rho, state.rho_prime, s, state.s_prime, m, alpha,
+                               potential_scale))
+
+
+def _energy_stack(rho, rho_prime, s, s_prime, m, alpha, potential_scale):
+    """energy over stacks of samples: rho (...,), s and s' (..., N, d)."""
     beta = beta_exponent(alpha)
-    kin = 0.5 * (4.0 / (2.0 - alpha)) ** 2 * state.rho_prime**2
-    sp2 = float(np.sum(m * np.sum(state.s_prime**2, axis=1)))
-    u = potential_scale * nbody.potential(state.s, m, alpha)
-    return float(state.rho ** (-beta) * (kin + state.rho**2 * (0.5 * sp2 - u)))
+    kin = 0.5 * (4.0 / (2.0 - alpha)) ** 2 * rho_prime**2
+    sp2 = np.sum(m * np.sum(s_prime**2, axis=-1), axis=-1)
+    u = potential_scale * nbody.potential_stack(s, m, alpha)
+    return rho ** (-beta) * (kin + rho**2 * (0.5 * sp2 - u))
 
 
 @dataclass(frozen=True)
@@ -138,22 +143,13 @@ class Trajectory:
     def tau_end(self) -> float:
         return float(self.tau[-1])
 
-    def state(self, k: int) -> McGeheeState:
-        return McGeheeState(rho=float(self.rho[k]), rho_prime=float(self.rho_prime[k]),
-                            s=self.s[k], s_prime=self.s_prime[k], tau=float(self.tau[k]))
-
     # -- traces ------------------------------------------------------------
     def potential_trace(self) -> np.ndarray:
-        return np.array([
-            self.potential_scale * nbody.potential(self.s[k], self.masses, self.alpha)
-            for k in range(self.n_samples)
-        ])
+        return self.potential_scale * nbody.potential_stack(self.s, self.masses, self.alpha)
 
     def energy_trace(self) -> np.ndarray:
-        return np.array([
-            energy(self.state(k), self.masses, self.alpha, self.potential_scale)
-            for k in range(self.n_samples)
-        ])
+        return _energy_stack(self.rho, self.rho_prime, self.s, self.s_prime, self.masses,
+                             self.alpha, self.potential_scale)
 
     def lambda1_trace(self) -> np.ndarray:
         return -self.beta * self.energy_trace()
@@ -348,20 +344,13 @@ def _flow(alpha, m, h, scale, d):
     beta = beta_exponent(alpha)
     coef = ((2.0 - alpha) / 4.0) ** 2
     n = m.size
-    ii, jj = np.triu_indices(n, k=1)
-    mm = m[ii] * m[jj]
 
     def f(_tau, y):
         rho, p = y[0], y[1]
         s = y[2:2 + n * d].reshape(n, d)
         u = y[2 + n * d:].reshape(n, d)
-        diff = s[ii] - s[jj]
-        dist = np.sqrt(np.sum(diff * diff, axis=1))
-        pot = scale * float(np.sum(mm * dist ** (-alpha)))
-        w = -alpha * scale * mm * dist ** (-(alpha + 2.0))
-        grad = np.zeros_like(s)
-        np.add.at(grad, ii, w[:, None] * diff)
-        np.add.at(grad, jj, -w[:, None] * diff)
+        pot = scale * float(nbody.potential_stack(s, m, alpha))
+        grad = scale * nbody.gradient_stack(s, m, alpha)
         sp2 = float(np.sum(m * np.sum(u * u, axis=1)))
         dp = coef * (rho * (sp2 + 2.0 * pot) + beta * h * rho ** (beta - 1.0))
         # shape equation with the multiplier eliminated: the tangential gradient
@@ -541,7 +530,14 @@ def homothetic_quadrature_trajectory(cc, h: float, tau_max: float,
     sigma = np.linspace(0.0, sigma_end, n)
     speed = coef * np.sqrt(2.0 * (h * np.exp(-(beta - 2.0) * sigma) + b))
     inv = 1.0 / speed
-    tau = np.concatenate([[0.0], np.cumsum(0.5 * (inv[1:] + inv[:-1]) * np.diff(sigma))])
+    # trapezoid sums of 1/speed written in place: these fine-grid arrays are
+    # the largest transient of a weakforce run
+    tau = np.zeros(n)
+    steps = tau[1:]
+    np.add(inv[1:], inv[:-1], out=steps)
+    steps *= 0.5
+    steps *= np.subtract(sigma[1:], sigma[:-1], out=inv[1:])
+    np.cumsum(steps, out=steps)
     stop = np.searchsorted(tau, tau_max, side="right")
     keep = np.unique(np.concatenate([np.arange(0, stop, keep_every), [max(stop - 1, 0)]]))
     sigma, tau, speed = sigma[keep], tau[keep], speed[keep]
@@ -621,10 +617,7 @@ def asymptotic_report(traj: Trajectory, cc_set, n_tail: int = 200,
     tail_start = max(traj.tau[0], tau_end - max(0.9 * tau_end, traj.tau[0] + 1e-9))
     grid = np.linspace(tail_start, tau_end, n_tail)
     _, _, s, s_p = traj.evaluate(grid)
-    u_vals = np.array([
-        traj.potential_scale * nbody.potential(s[k], traj.masses, traj.alpha)
-        for k in range(grid.size)
-    ])
+    u_vals = traj.potential_scale * nbody.potential_stack(s, traj.masses, traj.alpha)
     b_limit, b_conv = _aitken_limit(u_vals, converge_tol)
     ratio = traj.log_rate(grid)
     ratio_limit, ratio_conv = _aitken_limit(ratio, converge_tol)

@@ -194,11 +194,8 @@ def _hessian_row(traj: Trajectory, grid, s, variation, values):
             traj.s[0], traj.masses, traj.alpha, variation.xi)
         phi = variation.scalar(grid)
         return coef * phi**2
-    return np.array([
-        traj.potential_scale * nbody.hessian_on_ellipsoid(s[k], traj.masses, traj.alpha,
-                                                          values[k])
-        for k in range(grid.size)
-    ])
+    return traj.potential_scale * nbody.hessian_on_ellipsoid_stack(s, traj.masses, traj.alpha,
+                                                                   values)
 
 
 @dataclass(frozen=True)
@@ -438,8 +435,8 @@ def homographic_blocks(traj: Trajectory, zeta, variation, quad_tol: float = 1e-8
     coef = (4.0 / (2.0 - alpha)) ** 2
     s0 = traj.s[0]
     grad_vec = traj.potential_scale * (
-        nbody.gradient(s0, m, alpha)
-        + alpha * nbody.potential(s0, m, alpha) * m[:, None] * s0)
+        nbody.gradient_stack(s0, m, alpha)
+        + alpha * nbody.potential_stack(s0, m, alpha) * m[:, None] * s0)
 
     sup_z = zeta.support
     sup_v = variation.support
@@ -450,8 +447,7 @@ def homographic_blocks(traj: Trajectory, zeta, variation, quad_tol: float = 1e-8
         z = zeta.scalar(grid)
         dz = zeta.scalar_deriv(grid)
         sp2 = _mdot(m, sp, sp)
-        u = np.array([traj.potential_scale * nbody.potential(s[k], m, alpha)
-                      for k in range(grid.size)])
+        u = traj.potential_scale * nbody.potential_stack(s, m, alpha)
         return coef * dz**2 + z**2 * (sp2 + 2.0 * u)
 
     def mixed_integrand(grid):
@@ -468,10 +464,7 @@ def homographic_blocks(traj: Trajectory, zeta, variation, quad_tol: float = 1e-8
         v = variation.value(grid)
         dv = variation.deriv(grid)
         kin = _mdot(m, dv, dv)
-        hess = np.array([
-            traj.potential_scale * nbody.hessian_on_ellipsoid(s[k], m, alpha, v[k])
-            for k in range(grid.size)
-        ])
+        hess = traj.potential_scale * nbody.hessian_on_ellipsoid_stack(s, m, alpha, v)
         return rho**2 * (kin + hess)
 
     d2_rho = float(_refine_until(rho_integrand, traj, support, quad_tol))

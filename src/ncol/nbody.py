@@ -6,10 +6,16 @@ Positions are (N, d) arrays, masses (N,) arrays.  The pair potential is
 
 and all inner products written ``<.,.>`` are plain Euclidean; the mass
 metric enters only through explicit factors of M = diag(m_i).
+
+Two layers: the core (pair_separations, pair_terms and the ``*_stack``
+kernels) works unchecked on stacks (..., N, d), one value per configuration;
+the boundary (potential, gradient, the Hessians, matrix_A) validates one
+configuration and calls the core.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -49,47 +55,138 @@ def mass_matrix_diag(m: np.ndarray, d: int) -> np.ndarray:
     return np.repeat(as_masses(m), d)
 
 
-def pair_separations(x: np.ndarray):
-    """Upper-triangle pair indices (i, j), separation vectors and distances."""
-    x = as_positions(x)
-    n = x.shape[0]
+# ---------------------------------------------------------------------------
+# the core: unchecked kernels on stacks of configurations
+#
+# Positions come as stacks (..., N, d) and every function returns one value
+# per configuration.  Masses, alpha and shapes are trusted; the boundary below
+# and the callers inside the package validate them once.  A pair closer than
+# COLLISION_THRESHOLD anywhere in a stack still raises CollisionConfiguration.
+
+
+@functools.cache
+def pair_indices(n: int):
+    """Upper-triangle pair indices (i, j) of n bodies, read-only, one copy per n."""
     ii, jj = np.triu_indices(n, k=1)
-    diff = x[ii] - x[jj]
-    dist = np.linalg.norm(diff, axis=1)
+    ii.flags.writeable = jj.flags.writeable = False
+    return ii, jj
+
+
+def pair_separations(x: np.ndarray):
+    """Pair indices (i, j), separations x_i - x_j and distances of a stack (..., N, d)."""
+    ii, jj = pair_indices(x.shape[-2])
+    diff = x.take(ii, axis=-2) - x.take(jj, axis=-2)
+    dist = np.sqrt((diff * diff).sum(axis=-1))
     return ii, jj, diff, dist
 
 
-def min_distance(x) -> float:
-    _, _, _, dist = pair_separations(x)
-    return float(dist.min())
+def pair_terms(x, m):
+    """pair_separations with the pair masses m_i m_j: (i, j, m_i m_j, x_i - x_j, r_ij).
+
+    Raises CollisionConfiguration when a pair anywhere in the stack is closer
+    than COLLISION_THRESHOLD.
+    """
+    ii, jj, diff, dist = pair_separations(x)
+    if dist.min() < COLLISION_THRESHOLD:
+        raise CollisionConfiguration(f"minimum pair distance {dist.min():.3e} below threshold")
+    return ii, jj, m[ii] * m[jj], diff, dist
 
 
-def _checked_distances(x, m, alpha):
+def potential_stack(x, m, alpha) -> np.ndarray:
+    """U = sum over pairs of m_i m_j / |x_i - x_j|^alpha, shape (...)."""
+    _, _, mm, _, dist = pair_terms(x, m)
+    return (mm * dist ** (-alpha)).sum(axis=-1)
+
+
+def gradient_stack(x, m, alpha) -> np.ndarray:
+    """Euclidean gradient of U, shape (..., N, d)."""
+    ii, jj, mm, diff, dist = pair_terms(x, m)
+    w = -alpha * mm * dist ** (-(alpha + 2.0))
+    force = w[..., None] * diff
+    grad = np.zeros(force.shape[:-2] + x.shape[-2:])
+    # each body sums its pairs in pair order
+    np.add.at(grad, (..., ii, slice(None)), force)
+    np.add.at(grad, (..., jj, slice(None)), -force)
+    return grad
+
+
+def hessian_quadratic_stack(x, m, alpha, v) -> np.ndarray:
+    """Second derivative of U at x on the direction v (broadcast against x), shape (...)."""
+    ii, jj, mm, diff, dist = pair_terms(x, m)
+    dv = v.take(ii, axis=-2) - v.take(jj, axis=-2)
+    inner = (diff * dv).sum(axis=-1)
+    return alpha * (mm * (
+        (alpha + 2.0) * inner**2 / dist ** (alpha + 4.0)
+        - (dv * dv).sum(axis=-1) / dist ** (alpha + 2.0)
+    )).sum(axis=-1)
+
+
+def hessian_on_ellipsoid_stack(s, m, alpha, v) -> np.ndarray:
+    """hessian_quadratic + alpha U <Mv, v>, shape (...); see hessian_on_ellipsoid."""
+    mv = (m * (v * v).sum(axis=-1)).sum(axis=-1)
+    return hessian_quadratic_stack(s, m, alpha, v) + alpha * potential_stack(s, m, alpha) * mv
+
+
+def hessian_full_stack(x, m, alpha) -> np.ndarray:
+    """Hessian of U on the full space, shape (..., N*d, N*d).
+
+    Per-pair block: B = alpha*m_i*m_j*[(alpha+2) u u^T / r^(alpha+4) - I / r^(alpha+2)]
+    with u = x_i - x_j.  A difference coupling puts -B at (i, j) and (j, i);
+    each diagonal block is minus the sum of the off-diagonal blocks of its row.
+    """
+    ii, jj, mm, diff, dist = pair_terms(x, m)
+    n, d = x.shape[-2:]
+    r = dist[..., None, None]
+    outer = diff[..., :, None] * diff[..., None, :]
+    block = (alpha * mm)[..., None, None] * (
+        (alpha + 2.0) * outer / r ** (alpha + 4.0) - np.eye(d) / r ** (alpha + 2.0))
+    H = np.zeros(x.shape[:-2] + (n, n, d, d))
+    H[..., ii, jj, :, :] = -block
+    H[..., jj, ii, :, :] = -block
+    diag = np.arange(n)
+    H[..., diag, diag, :, :] = -H.sum(axis=-3)
+    return np.swapaxes(H, -3, -2).reshape(x.shape[:-2] + (n * d, n * d))
+
+
+def matrix_A_stack(x, m, alpha) -> np.ndarray:
+    """Interaction matrix A of each configuration, shape (..., N, N); see matrix_A."""
+    ii, jj, _, _, dist = pair_terms(x, m)
+    n = x.shape[-2]
+    A = np.zeros(x.shape[:-2] + (n, n))
+    w = dist ** (-(alpha + 2.0))
+    A[..., ii, jj] = -m[jj] * w
+    A[..., jj, ii] = -m[ii] * w
+    diag = np.arange(n)
+    A[..., diag, diag] = -A.sum(axis=-1)
+    return A
+
+
+# ---------------------------------------------------------------------------
+# the boundary: validated functions of one configuration (N, d)
+
+
+def checked(x, m, alpha):
+    """Validated positions (N, d), masses (N,) and alpha."""
     x = as_positions(x)
     m = as_masses(m)
     if m.size != x.shape[0]:
         raise ValueError("mass vector length does not match body count")
-    alpha = validate_alpha(alpha)
-    ii, jj, diff, dist = pair_separations(x)
-    if dist.min() < COLLISION_THRESHOLD:
-        raise CollisionConfiguration(f"minimum pair distance {dist.min():.3e} below threshold")
-    return x, m, alpha, ii, jj, diff, dist
+    return x, m, validate_alpha(alpha)
+
+
+def min_distance(x) -> float:
+    _, _, _, dist = pair_separations(as_positions(x))
+    return float(dist.min())
 
 
 def potential(x, m, alpha) -> float:
     """U(x) = sum over pairs of m_i m_j / |x_i - x_j|^alpha."""
-    x, m, alpha, ii, jj, _, dist = _checked_distances(x, m, alpha)
-    return float(np.sum(m[ii] * m[jj] * dist ** (-alpha)))
+    return float(potential_stack(*checked(x, m, alpha)))
 
 
 def gradient(x, m, alpha) -> np.ndarray:
     """Euclidean gradient of U, shape (N, d)."""
-    x, m, alpha, ii, jj, diff, dist = _checked_distances(x, m, alpha)
-    w = -alpha * m[ii] * m[jj] * dist ** (-(alpha + 2.0))
-    grad = np.zeros_like(x)
-    np.add.at(grad, ii, w[:, None] * diff)
-    np.add.at(grad, jj, -w[:, None] * diff)
-    return grad
+    return gradient_stack(*checked(x, m, alpha))
 
 
 def moment_of_inertia(x, m) -> float:
@@ -106,44 +203,15 @@ def center_of_mass(x, m) -> np.ndarray:
 
 
 def hessian_full(x, m, alpha) -> np.ndarray:
-    """Hessian of U on the full space, as an (N*d, N*d) symmetric matrix.
-
-    Per-pair block: alpha*m_i*m_j*[(alpha+2) u u^T / r^(alpha+4) - I / r^(alpha+2)]
-    with u = x_i - x_j, accumulated with the usual +/- pattern of a
-    difference coupling.
-    """
-    x, m, alpha, ii, jj, diff, dist = _checked_distances(x, m, alpha)
-    n, d = x.shape
-    H = np.zeros((n * d, n * d))
-    eye = np.eye(d)
-    for k in range(ii.size):
-        i, j, u, r = ii[k], jj[k], diff[k], dist[k]
-        block = alpha * m[i] * m[j] * (
-            (alpha + 2.0) * np.outer(u, u) / r ** (alpha + 4.0) - eye / r ** (alpha + 2.0)
-        )
-        si, sj = slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d)
-        H[si, si] += block
-        H[sj, sj] += block
-        H[si, sj] -= block
-        H[sj, si] -= block
-    return H
+    """Hessian of U on the full space, as an (N*d, N*d) symmetric matrix."""
+    return hessian_full_stack(*checked(x, m, alpha))
 
 
 def hessian_quadratic(x, m, alpha, v) -> float:
     """Evaluate the second derivative of U at x on the direction v, shape (N, d)."""
-    x, m, alpha, ii, jj, diff, dist = _checked_distances(x, m, alpha)
+    x, m, alpha = checked(x, m, alpha)
     v = np.asarray(v, dtype=float).reshape(x.shape)
-    dv = v[ii] - v[jj]
-    inner = np.sum(diff * dv, axis=1)
-    return float(
-        alpha
-        * np.sum(
-            m[ii] * m[jj] * (
-                (alpha + 2.0) * inner**2 / dist ** (alpha + 4.0)
-                - np.sum(dv * dv, axis=1) / dist ** (alpha + 2.0)
-            )
-        )
-    )
+    return float(hessian_quadratic_stack(x, m, alpha, v))
 
 
 def matrix_A(x, m, alpha) -> np.ndarray:
@@ -153,21 +221,13 @@ def matrix_A(x, m, alpha) -> np.ndarray:
     Symmetric for equal masses; in general M A is symmetric.  On directions
     normal to the configuration span the Hessian reduces to -alpha <v, M A v>.
     """
-    x, m, alpha, ii, jj, _, dist = _checked_distances(x, m, alpha)
-    n = x.shape[0]
-    A = np.zeros((n, n))
-    w = dist ** (-(alpha + 2.0))
-    A[ii, jj] = -m[jj] * w
-    A[jj, ii] = -m[ii] * w
-    A[np.arange(n), np.arange(n)] = -A.sum(axis=1)
-    return A
+    return matrix_A_stack(*checked(x, m, alpha))
 
 
 def central_residual_vector(x, m, alpha) -> np.ndarray:
     """Residual of the central-configuration identity grad U(x) + alpha U(x) M x."""
-    x = as_positions(x)
-    m = as_masses(m)
-    return gradient(x, m, alpha) + alpha * potential(x, m, alpha) * m[:, None] * x
+    x, m, alpha = checked(x, m, alpha)
+    return gradient_stack(x, m, alpha) + alpha * potential_stack(x, m, alpha) * m[:, None] * x
 
 
 def central_residual(x, m, alpha) -> float:
@@ -176,9 +236,8 @@ def central_residual(x, m, alpha) -> float:
 
 def residual_scale(x, m, alpha) -> float:
     """Magnitude of the terms cancelling in the centrality identity."""
-    x = as_positions(x)
-    m = as_masses(m)
-    u = potential(x, m, alpha)
+    x, m, alpha = checked(x, m, alpha)
+    u = float(potential_stack(x, m, alpha))
     return 1.0 + alpha * u * float(np.linalg.norm(m[:, None] * x))
 
 
@@ -217,9 +276,7 @@ def hessian_constrained(s, m, alpha, v, residual_tol: float = 1e-8) -> float:
     """
     from .errors import NotCentral
 
-    s = as_positions(s)
-    m = as_masses(m)
-    alpha = validate_alpha(alpha)
+    s, m, alpha = checked(s, m, alpha)
     res = central_residual(s, m, alpha)
     if res > residual_tol * residual_scale(s, m, alpha):
         raise NotCentral(f"centrality residual {res:.3e} exceeds tolerance")
@@ -236,11 +293,9 @@ def hessian_on_ellipsoid(s, m, alpha, v) -> float:
     For tangent v the extension terms proportional to <Ms, v> vanish and the
     value reduces to hessian_quadratic + alpha U <Mv, v>; no centrality needed.
     """
-    s = as_positions(s)
-    m = as_masses(m)
+    s, m, alpha = checked(s, m, alpha)
     v = np.asarray(v, dtype=float).reshape(s.shape)
-    mv = float(np.sum(m * np.sum(v * v, axis=1)))
-    return hessian_quadratic(s, m, alpha, v) + alpha * potential(s, m, alpha) * mv
+    return float(hessian_on_ellipsoid_stack(s, m, alpha, v))
 
 
 def config_to_json(x, m, alpha, extra: dict | None = None) -> str:

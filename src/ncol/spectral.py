@@ -299,13 +299,8 @@ def psi_from_matrix(n: int, alpha: float, pair: int = 0) -> float:
     from .central import ngon
 
     cc = ngon(n, max(alpha, ALPHA_FLOOR)) if alpha > 0 else ngon(n, 0.5)
-    # distances are alpha independent; assemble A at the requested alpha by hand
-    ii, jj, _, dist = nbody.pair_separations(cc.s0)
-    a_mat = np.zeros((n, n))
-    w = dist ** (-(alpha + 2.0))
-    a_mat[ii, jj] = -w
-    a_mat[jj, ii] = -w
-    a_mat[np.arange(n), np.arange(n)] = -a_mat.sum(axis=1)
+    # distances are alpha independent; the core takes any alpha, also alpha <= 0
+    a_mat = nbody.matrix_A_stack(cc.s0, cc.masses, alpha)
     if n == 4:
         wvec = np.array([0.5, -0.5, 0.5, -0.5])
     else:

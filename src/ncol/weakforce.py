@@ -33,18 +33,15 @@ def scaled_potentials(x, m, alpha):
     Utilde = U/alpha, Uhat = (1/alpha) sum m_i m_j (r^-alpha - 1) and the
     logarithmic limit Ulog = -sum m_i m_j log r;  Uhat -> Ulog pointwise.
     """
-    x = nbody.as_positions(x)
-    m = nbody.as_masses(m)
-    alpha = nbody.validate_alpha(alpha)
-    ii, jj, _, dist = nbody.pair_separations(x)
-    if dist.min() < nbody.COLLISION_THRESHOLD:
-        from .errors import CollisionConfiguration
+    return tuple(float(u) for u in _scaled_potentials_stack(*nbody.checked(x, m, alpha)))
 
-        raise CollisionConfiguration("collision in scaled potential evaluation")
-    mm = m[ii] * m[jj]
-    u_tilde = float(np.sum(mm * dist ** (-alpha)) / alpha)
-    u_hat = float(np.sum(mm * (dist ** (-alpha) - 1.0)) / alpha)
-    u_log = float(-np.sum(mm * np.log(dist)))
+
+def _scaled_potentials_stack(x, m, alpha):
+    """scaled_potentials over a stack of configurations (..., N, d), unchecked."""
+    _, _, mm, _, dist = nbody.pair_terms(x, m)
+    u_tilde = np.sum(mm * dist ** (-alpha), axis=-1) / alpha
+    u_hat = np.sum(mm * (dist ** (-alpha) - 1.0), axis=-1) / alpha
+    u_log = -np.sum(mm * np.log(dist), axis=-1)
     return u_tilde, u_hat, u_log
 
 
@@ -169,7 +166,7 @@ def gamma_trace(traj: Trajectory, alpha: float | None = None,
     partial sum of the dissipation integral.  A uniform resample step keeps
     the finite-difference truncation below the comparison tolerance.
     """
-    alpha = traj.alpha if alpha is None else alpha
+    alpha = nbody.validate_alpha(traj.alpha if alpha is None else alpha)
     m = traj.masses
     if resample_step is not None:
         tau = np.arange(traj.tau[0], traj.tau_end, resample_step)
@@ -178,7 +175,7 @@ def gamma_trace(traj: Trajectory, alpha: float | None = None,
         tau, rho, rho_p = traj.tau, traj.rho, traj.rho_prime
         s, s_p = traj.s, traj.s_prime
     sp2 = np.einsum("j,kjd,kjd->k", m, s_p, s_p)
-    uhat = np.array([scaled_potentials(s[k], m, alpha)[1] for k in range(tau.size)])
+    uhat = _scaled_potentials_stack(s, m, alpha)[1]
     gamma = 0.5 * sp2 - uhat
     rhs = -2.0 * (rho_p / rho) * sp2
     dgamma = np.gradient(gamma, tau, edge_order=2)
@@ -315,10 +312,10 @@ def action_functional(path: np.ndarray, dt: float, m, alpha, scaled: bool = Fals
     action); velocities by central differences, trapezoid in time.
     """
     path = np.asarray(path, dtype=float)
-    m = nbody.as_masses(m)
+    _, m, alpha = nbody.checked(path[0], m, alpha)
     vel = np.gradient(path, dt, axis=0, edge_order=2)
     kin = 0.5 * np.einsum("j,tjd,tjd->t", m, vel, vel)
-    pots = np.array([nbody.potential(path[t], m, alpha) for t in range(path.shape[0])])
+    pots = nbody.potential_stack(path, m, alpha)
     if scaled:
         pots = pots / alpha
     return float(np.trapezoid(kin + pots, dx=dt))

@@ -252,6 +252,24 @@ def test_quadrature_trajectory_matches_oracle(coll1):
     assert np.max(np.abs(rp1 - rp2) / np.abs(rp2)) < 1e-5
 
 
+@pytest.mark.parametrize("alpha,h,scale", [(1.0, -1.0, 1.0), (1.0, 0.7, 1.0),
+                                             (0.05, -60.0, 20.0), (1.6, 0.0, 1.0)])
+def test_quadrature_clock_equals_out_of_place_formula(alpha, h, scale):
+    # the in-place trapezoid sums keep the operation order of the plain formula
+    cc = central.collinear3(1.0, 1.0, alpha)
+    qt = mcgehee.homothetic_quadrature_trajectory(cc, h=h, tau_max=3.0, potential_scale=scale,
+                                                  keep_every=1)
+    beta, b, coef = mcgehee.beta_exponent(alpha), scale * cc.b, (2.0 - alpha) / 4.0
+    sigma_end = 3.0 * coef * np.sqrt(2.0 * (max(h, 0.0) + b)) + 5.0
+    sigma = np.linspace(0.0, sigma_end, int(np.ceil(sigma_end / 2e-4)) + 1)
+    speed = coef * np.sqrt(2.0 * (h * np.exp(-(beta - 2.0) * sigma) + b))
+    inv = 1.0 / speed
+    tau = np.concatenate([[0.0], np.cumsum(0.5 * (inv[1:] + inv[:-1]) * np.diff(sigma))])
+    k = qt.n_samples
+    np.testing.assert_array_equal(qt.tau, tau[:k])
+    np.testing.assert_array_equal(qt.rho_prime, -np.exp(-sigma[:k]) * speed[:k])
+
+
 def test_asymptotic_report_needs_samples(coll1):
     from ncol.errors import InsufficientHorizon
 

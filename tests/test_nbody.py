@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncol import nbody
+from ncol import central, mcgehee, morse, nbody, weakforce
 from ncol.errors import CollisionConfiguration, InvalidMass
 
 SQ2 = np.sqrt(2.0)
@@ -259,3 +259,196 @@ def test_config_json_roundtrip():
     assert np.allclose(m, ONES3)
     assert alpha == 1.0
     assert set(payload) == {"alpha", "dim", "masses", "positions"}
+
+
+# ---------------------------------------------------------------------------
+# the batched core against reference loops over the pairs, one at a time;
+# each reference also sums the magnitudes of its terms, before any of them
+# cancel, as the scale of its rounding
+
+
+def ref_pairs(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def ref_potential(x, m, alpha):
+    total = 0.0
+    for i, j in ref_pairs(len(m)):
+        total += m[i] * m[j] * np.linalg.norm(x[i] - x[j]) ** (-alpha)
+    return total
+
+
+def ref_gradient(x, m, alpha):
+    grad, size = np.zeros_like(x), np.zeros_like(x)
+    for i, j in ref_pairs(len(m)):
+        u = x[i] - x[j]
+        f = -alpha * m[i] * m[j] * np.linalg.norm(u) ** (-(alpha + 2.0)) * u
+        grad[i] += f
+        grad[j] -= f
+        size[i] += np.abs(f)
+        size[j] += np.abs(f)
+    return grad, size
+
+
+def ref_hessian_quadratic(x, m, alpha, v):
+    total = size = 0.0
+    for i, j in ref_pairs(len(m)):
+        u, dv = x[i] - x[j], v[i] - v[j]
+        r = np.linalg.norm(u)
+        radial = alpha * m[i] * m[j] * (alpha + 2.0) * (u @ dv) ** 2 / r ** (alpha + 4.0)
+        normal = alpha * m[i] * m[j] * (dv @ dv) / r ** (alpha + 2.0)
+        total += radial - normal
+        size += radial + normal
+    return total, size
+
+
+def ref_hessian_full(x, m, alpha):
+    n, d = x.shape
+    H, size = np.zeros((n * d, n * d)), np.zeros((n * d, n * d))
+    for i, j in ref_pairs(n):
+        u = x[i] - x[j]
+        r = np.linalg.norm(u)
+        radial = alpha * m[i] * m[j] * (alpha + 2.0) * np.outer(u, u) / r ** (alpha + 4.0)
+        normal = alpha * m[i] * m[j] * np.eye(d) / r ** (alpha + 2.0)
+        si, sj = slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d)
+        for a, b, sign in ((si, si, 1.0), (sj, sj, 1.0), (si, sj, -1.0), (sj, si, -1.0)):
+            H[a, b] += sign * (radial - normal)
+            size[a, b] += np.abs(radial) + normal
+    return H, size
+
+
+def assert_within(got, want, size, rel=1e-12):
+    assert np.all(np.abs(np.asarray(got) - want) <= rel * size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 8), n=st.integers(2, 16), d=st.sampled_from([2, 3]),
+       alpha=st.floats(1e-6, 2.0, exclude_max=True),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_core_matches_reference_loops(k, n, d, alpha, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(k, n, d))
+    v = rng.standard_normal((k, n, d))
+    m = rng.uniform(0.5, 2.0, size=n)
+    pot = nbody.potential_stack(x, m, alpha)
+    grad = nbody.gradient_stack(x, m, alpha)
+    quad = nbody.hessian_quadratic_stack(x, m, alpha, v)
+    on_ellipsoid = nbody.hessian_on_ellipsoid_stack(x, m, alpha, v)
+    full = nbody.hessian_full_stack(x, m, alpha)
+    assert pot.shape == quad.shape == on_ellipsoid.shape == (k,)
+    assert grad.shape == x.shape and full.shape == (k, n * d, n * d)
+    for s in range(k):
+        u = ref_potential(x[s], m, alpha)
+        assert_within(pot[s], u, u)
+        assert_within(grad[s], *ref_gradient(x[s], m, alpha))
+        q, q_size = ref_hessian_quadratic(x[s], m, alpha, v[s])
+        assert_within(quad[s], q, q_size)
+        mv = float(np.sum(m[:, None] * v[s] ** 2))
+        assert_within(on_ellipsoid[s], q + alpha * u * mv, q_size + alpha * u * mv)
+        assert_within(full[s], *ref_hessian_full(x[s], m, alpha))
+        # the boundary is the core on one configuration
+        assert nbody.potential(x[s], m, alpha) == pot[s]
+        assert nbody.hessian_on_ellipsoid(x[s], m, alpha, v[s]) == on_ellipsoid[s]
+        np.testing.assert_array_equal(nbody.hessian_full(x[s], m, alpha), full[s])
+
+
+def test_fixed_configuration_broadcasts_against_directions():
+    rng = np.random.default_rng(9)
+    x = random_config(rng, n=5)
+    m = rng.uniform(0.5, 2.0, size=5)
+    v = rng.standard_normal((7, 5, 2))
+    got = nbody.hessian_on_ellipsoid_stack(x, m, 0.7, v)
+    want = [nbody.hessian_on_ellipsoid(x, m, 0.7, vk) for vk in v]
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+def test_stack_with_one_colliding_sample_raises():
+    rng = np.random.default_rng(10)
+    x = rng.uniform(-1.0, 1.0, size=(6, 4, 3))
+    x[4, 3] = x[4, 1]
+    m, v = np.ones(4), rng.standard_normal(x.shape)
+    for kernel in (nbody.potential_stack, nbody.gradient_stack, nbody.hessian_full_stack,
+                   nbody.matrix_A_stack):
+        with pytest.raises(CollisionConfiguration):
+            kernel(x, m, 1.0)
+    for kernel in (nbody.hessian_quadratic_stack, nbody.hessian_on_ellipsoid_stack):
+        with pytest.raises(CollisionConfiguration):
+            kernel(x, m, 1.0, v)
+    assert np.all(np.isfinite(nbody.potential_stack(np.delete(x, 4, axis=0), m, 1.0)))
+
+
+V3 = np.array([[0.1, 0.2], [-0.3, 0.1], [0.2, -0.3]])
+BOUNDARY = {
+    "potential": nbody.potential,
+    "gradient": nbody.gradient,
+    "hessian_full": nbody.hessian_full,
+    "matrix_A": nbody.matrix_A,
+    "hessian_quadratic": lambda x, m, a: nbody.hessian_quadratic(x, m, a, V3),
+    "hessian_on_ellipsoid": lambda x, m, a: nbody.hessian_on_ellipsoid(x, m, a, V3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY))
+def test_boundary_validates_masses_alpha_and_shape(name):
+    fn = BOUNDARY[name]
+    fn(COLLINEAR_S0, ONES3, 1.0)
+    for bad_m in ([1.0, -1.0, 1.0], [1.0, 0.0, 1.0], [[1.0, 1.0, 1.0]]):
+        with pytest.raises(InvalidMass):
+            fn(COLLINEAR_S0, bad_m, 1.0)
+    with pytest.raises(ValueError):
+        fn(COLLINEAR_S0, np.ones(4), 1.0)
+    for bad_alpha in (0.0, 2.0, -0.5, float("nan")):
+        with pytest.raises(ValueError):
+            fn(COLLINEAR_S0, ONES3, bad_alpha)
+    with pytest.raises(ValueError):
+        fn(np.stack([COLLINEAR_S0, COLLINEAR_S0]), ONES3, 1.0)
+
+
+def test_pair_indices_cached_and_read_only():
+    ii, jj = nbody.pair_indices(5)
+    assert nbody.pair_indices(5)[0] is ii
+    assert list(zip(ii, jj)) == ref_pairs(5)
+    with pytest.raises(ValueError):
+        ii[0] = 3
+
+
+# ---------------------------------------------------------------------------
+# per-sample traces run on the core, never on the scalar boundary
+
+
+def rotating_trajectory(cc, n_samples):
+    """Synthetic shape-varying data: s0 turning at unit rate while rho decays."""
+    tau = np.linspace(0.0, 6.0, n_samples)
+    c, s = np.cos(tau)[:, None], np.sin(tau)[:, None]
+    x0, y0 = cc.s0[:, 0], cc.s0[:, 1]
+    shape = np.stack([c * x0 - s * y0, s * x0 + c * y0], axis=-1)
+    velocity = np.stack([-shape[..., 1], shape[..., 0]], axis=-1)
+    rho = np.exp(-0.5 * tau)
+    return mcgehee.Trajectory(alpha=cc.alpha, masses=cc.masses, tau=tau, rho=rho,
+                              rho_prime=-0.5 * rho, s=shape, s_prime=velocity, h=0.0)
+
+
+def test_traces_never_reach_the_scalar_boundary(monkeypatch):
+    cc = central.collinear3(1.0, 1.0, 1.0)
+    frozen = mcgehee.homothetic_quadrature_trajectory(cc, h=1.0, tau_max=8.0, keep_every=8)
+    moving = rotating_trajectory(cc, 3000)
+    assert frozen.n_samples > 2000
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-sample call to a scalar nbody function")
+
+    monkeypatch.setattr(nbody, "potential", refuse)
+    monkeypatch.setattr(nbody, "hessian_on_ellipsoid", refuse)
+    monkeypatch.setattr(weakforce, "scaled_potentials", refuse)
+    for traj in (frozen, moving):
+        assert traj.potential_trace().shape == (traj.n_samples,)
+        assert np.all(np.isfinite(traj.energy_trace()))
+        mcgehee.asymptotic_report(traj, [cc])
+        weakforce.gamma_trace(traj)
+        weakforce.disotto_bound(traj, cc.masses)
+    xi = np.zeros((3, 2))
+    xi[:, 1] = np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)
+    bump = morse.BumpVariation(l1=0.5, l2=2.5, shift=1.0, xi=xi, profile_kind="bump")
+    morse.homographic_blocks(frozen, morse.ScalarBump(l1=0.5, l2=2.5, shift=1.0), bump)
+    assert np.isfinite(morse.quadratic_Q(moving, bump).value)
+    weakforce.action_functional(moving.s, 0.01, cc.masses, 1.0)

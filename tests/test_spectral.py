@@ -248,6 +248,22 @@ def test_psi_matches_matrix_oracle():
             assert psi == pytest.approx(spectral.psi_from_matrix(n, alpha), rel=1e-11)
 
 
+def test_psi_matrix_oracle_at_and_below_zero_alpha():
+    # the matrix route takes alpha <= 0 on the alpha = 0.5 polygon
+    for n in (4, 5, 9):
+        assert spectral.psi_from_matrix(n, 0.0) == pytest.approx(spectral.psi_phi(n, 0.0)[0],
+                                                                  rel=1e-11)
+        chords = np.array([np.linalg.norm(np.exp(2j * np.pi * k / n) - 1.0)
+                           for k in range(1, n)])
+        a = -0.5
+        s_a, s_a2 = np.sum(chords ** (-a)), np.sum(chords ** (-(a + 2.0)))
+        if n == 4:
+            quad = s_a2 + 2.0 * chords[0] ** (-(a + 2.0)) - chords[1] ** (-(a + 2.0))
+        else:
+            quad = s_a2 + chords[0] ** (-(a + 2.0))
+        assert spectral.psi_from_matrix(n, a) == pytest.approx(2.0 * quad / s_a, rel=1e-11)
+
+
 def test_psi_shifted_pair_equivalence():
     for pair in range(1, 6):
         direct = spectral.psi_from_matrix(6, 1.0, pair=pair)
