@@ -282,15 +282,15 @@ class Trajectory:
 
 # Dormand-Prince 5(4) tableau
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 
@@ -303,24 +303,27 @@ def _dp54(f, t, y, hstep, running, *, rtol, atol, floor, max_step=np.inf,
     Steps while running(t, y), each step clipped to max_step and to t_end.  A
     step whose stage or solution fails admissible(y) is halved and retried; an
     accepted solution passes through project(t, y) before it is stored.
+    Without project the last stage of an accepted step is the next step's
+    first (FSAL); a projected state gets a fresh f(t, y).
     Raises StepFailure when the step falls below floor(t).
     """
     ts, ys = [t], [y.copy()]
-    k1 = f(t, y)
+    ks = np.empty((7, y.size))
+    ks[0] = f(t, y)
     while running(t, y):
         hstep = min(hstep, t_end - t)
         if hstep < floor(t):
             raise StepFailure(f"step size underflow at t = {t}")
-        ks = [k1]
         ok = True
         for i in range(1, 7):
-            yi = y + hstep * sum(a * k for a, k in zip(_DP_A[i], ks))
+            # summed row by row in tableau order, as a Python sum would; a matrix
+            # product rounds differently and would move the trajectories
+            yi = y + hstep * np.add.reduce(_DP_A[i, :i, None] * ks[:i])
             ok = admissible is None or admissible(yi)
             if not ok:
                 break
-            ks.append(f(t + _DP_C[i] * hstep, yi))
+            ks[i] = f(t + _DP_C[i] * hstep, yi)
         if ok:
-            ks = np.array(ks)
             y5 = y + hstep * (_DP_B5 @ ks)
             y4 = y + hstep * (_DP_B4 @ ks)
             ok = admissible is None or admissible(y5)
@@ -328,13 +331,18 @@ def _dp54(f, t, y, hstep, running, *, rtol, atol, floor, max_step=np.inf,
             hstep *= 0.5
             continue
         sc = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = np.sqrt(np.mean(((y5 - y4) / sc) ** 2))
+        q = (y5 - y4) / sc
+        err = np.sqrt(np.add.reduce(q * q) / q.size)  # np.mean's arithmetic
         if err <= 1.0:
             t += hstep
-            y = y5 if project is None else project(t, y5)
             ts.append(t)
+            if project is None:
+                y = y5
+                ks[0] = ks[6]
+            else:
+                y = project(t, y5)
+                ks[0] = f(t, y)
             ys.append(y.copy())
-            k1 = f(t, y)
         factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
         hstep = min(max_step, hstep * min(5.0, max(0.2, factor)))
     return np.array(ts), np.array(ys)
@@ -344,20 +352,30 @@ def _flow(alpha, m, h, scale, d):
     beta = beta_exponent(alpha)
     coef = ((2.0 - alpha) / 4.0) ** 2
     n = m.size
+    nd = n * d
+    m_col = m[:, None]
 
     def f(_tau, y):
         rho, p = y[0], y[1]
-        s = y[2:2 + n * d].reshape(n, d)
-        u = y[2 + n * d:].reshape(n, d)
-        pot = scale * float(nbody.potential_stack(s, m, alpha))
-        grad = scale * nbody.gradient_stack(s, m, alpha)
-        sp2 = float(np.sum(m * np.sum(u * u, axis=1)))
-        dp = coef * (rho * (sp2 + 2.0 * pot) + beta * h * rho ** (beta - 1.0))
+        s = y[2:2 + nd].reshape(n, d)
+        u = y[2 + nd:].reshape(n, d)
+        pot, grad = nbody.potential_gradient_stack(s, m, alpha)
+        pot = scale * pot
+        grad *= scale
+        sp2 = (m * (u * u).sum(axis=1)).sum()
+        out = np.empty(y.size)
+        out[0] = p
+        out[1] = coef * (rho * (sp2 + 2.0 * pot) + beta * h * rho ** (beta - 1.0))
+        out[2:2 + nd] = y[2 + nd:]
         # shape equation with the multiplier eliminated: the tangential gradient
         # M^-1 grad U + alpha U s vanishes identically at central shapes
-        grad_tan = grad / m[:, None] + alpha * pot * s
-        du = -2.0 * (p / rho) * u + grad_tan - sp2 * s
-        return np.concatenate([[p, dp], u.ravel(), du.ravel()])
+        du = out[2 + nd:].reshape(n, d)
+        np.multiply(-2.0 * (p / rho), u, out=du)
+        grad /= m_col
+        grad += alpha * pot * s
+        du += grad
+        du -= sp2 * s
+        return out
 
     return f
 
@@ -381,7 +399,7 @@ def integrate_el(initial: McGeheeState, m, alpha, tau_max: float,
     def reproject(tau, y):
         s = y[2:2 + n * d].reshape(n, d)
         u = y[2 + n * d:].reshape(n, d)
-        inertia = nbody.moment_of_inertia(s, m)
+        inertia = float((m * (s * s).sum(axis=1)).sum())
         if abs(inertia - 1.0) > opts.drift_abort:
             raise EllipsoidDrift(f"|I(s) - 1| = {abs(inertia - 1.0):.3e} at tau = {tau}")
         s /= np.sqrt(inertia)

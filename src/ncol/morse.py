@@ -235,28 +235,37 @@ def _support_grid(traj: Trajectory, support, points_per_unit: float):
     return np.linspace(lo, hi, n + 1)
 
 
-def _refine_until(integral_fn, traj, support, tol):
-    """Composite-Simpson integral refined by grid doubling to the requested tolerance.
+def _refine_until(integral_fns, traj, support, tol):
+    """Composite-Simpson integrals refined together by grid doubling.
 
-    integral_fn maps a grid of K points to values of shape (..., K); each
-    leading row is integrated, and the tolerance applies to their sum.
+    Each of integral_fns maps a grid of K points to values of shape (..., K);
+    each leading row is integrated, and the tolerance applies to their sum.
+    An integral stops at its own tolerance (or at its first non-finite
+    estimate) while the others go on refining.  Every level builds one grid,
+    so an integrand may reuse what another computed on that same grid object.
+    Returns the row estimates of each integral, in the order given.
     """
     ppu = 16.0
-    prev = None
+    results = [None] * len(integral_fns)
+    prev = [None] * len(integral_fns)
+    running = list(range(len(integral_fns)))
     for _ in range(8):
         grid = _support_grid(traj, support, ppu)
-        vals = integral_fn(grid)
         step = grid[1] - grid[0]
-        simpson = step / 3.0 * (vals[..., 0] + vals[..., -1]
-                                + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
-                                + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
-        total = simpson.sum()
-        if not np.isfinite(total) or (
-                prev is not None and abs(total - prev) <= tol * (1.0 + abs(total))):
+        for k in tuple(running):
+            vals = integral_fns[k](grid)
+            simpson = step / 3.0 * (vals[..., 0] + vals[..., -1]
+                                    + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
+                                    + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
+            total = simpson.sum()
+            if not np.isfinite(total) or (
+                    prev[k] is not None and abs(total - prev[k]) <= tol * (1.0 + abs(total))):
+                running.remove(k)
+            results[k], prev[k] = simpson, total
+        if not running:
             break
-        prev = total
         ppu *= 2.0
-    return simpson
+    return results
 
 
 def _mdot(m, a, b):
@@ -275,7 +284,7 @@ def second_variation_s(traj: Trajectory, variation, quad_tol: float = 1e-8) -> f
         hess = _hessian_row(traj, grid, s, variation, v)
         return rho**2 * (kin + hess)
 
-    return float(_refine_until(integrand, traj, variation.support, quad_tol))
+    return float(_refine_until([integrand], traj, variation.support, quad_tol)[0])
 
 
 def _sampled_integrand(traj: Trajectory, variation):
@@ -328,7 +337,7 @@ def quadratic_Q(traj: Trajectory, variation, quad_tol: float = 1e-8) -> SecondVa
         integrand = _frozen_integrand(traj, variation)
     else:
         integrand = _sampled_integrand(traj, variation)
-    parts = _refine_until(integrand, traj, variation.support, quad_tol)
+    parts, = _refine_until([integrand], traj, variation.support, quad_tol)
     return SecondVariationReport(value=float(parts.sum()), kinetic=float(parts[0]),
                                  rho_term=float(parts[1]), cross=float(parts[2]),
                                  hessian=float(parts[3]))
@@ -442,8 +451,16 @@ def homographic_blocks(traj: Trajectory, zeta, variation, quad_tol: float = 1e-8
     sup_v = variation.support
     support = (min(sup_z[0], sup_v[0]), max(sup_z[1], sup_v[1]))
 
+    evaluated = {}
+
+    def evaluate(grid):
+        # the three integrals refine on shared grids: one evaluation per grid
+        if evaluated.get("grid") is not grid:
+            evaluated.update(grid=grid, samples=traj.evaluate(grid))
+        return evaluated["samples"]
+
     def rho_integrand(grid):
-        _, _, s, sp = traj.evaluate(grid)
+        _, _, s, sp = evaluate(grid)
         z = zeta.scalar(grid)
         dz = zeta.scalar_deriv(grid)
         sp2 = _mdot(m, sp, sp)
@@ -451,7 +468,7 @@ def homographic_blocks(traj: Trajectory, zeta, variation, quad_tol: float = 1e-8
         return coef * dz**2 + z**2 * (sp2 + 2.0 * u)
 
     def mixed_integrand(grid):
-        rho, _, s, sp = traj.evaluate(grid)
+        rho, _, s, sp = evaluate(grid)
         z = zeta.scalar(grid)
         v = variation.value(grid)
         dv = variation.deriv(grid)
@@ -460,17 +477,16 @@ def homographic_blocks(traj: Trajectory, zeta, variation, quad_tol: float = 1e-8
         return 2.0 * rho * z * (kin + force)
 
     def shape_integrand(grid):
-        rho, _, s, _ = traj.evaluate(grid)
+        rho, _, s, _ = evaluate(grid)
         v = variation.value(grid)
         dv = variation.deriv(grid)
         kin = _mdot(m, dv, dv)
         hess = traj.potential_scale * nbody.hessian_on_ellipsoid_stack(s, m, alpha, v)
         return rho**2 * (kin + hess)
 
-    d2_rho = float(_refine_until(rho_integrand, traj, support, quad_tol))
-    d2_mixed = float(_refine_until(mixed_integrand, traj, support, quad_tol))
-    d2_shape = float(_refine_until(shape_integrand, traj, support, quad_tol))
-    return d2_rho, d2_mixed, d2_shape
+    d2_rho, d2_mixed, d2_shape = _refine_until(
+        [rho_integrand, mixed_integrand, shape_integrand], traj, support, quad_tol)
+    return float(d2_rho), float(d2_mixed), float(d2_shape)
 
 
 @dataclass(frozen=True)

@@ -92,15 +92,11 @@ def pair_terms(x, m):
     return ii, jj, m[ii] * m[jj], diff, dist
 
 
-def potential_stack(x, m, alpha) -> np.ndarray:
-    """U = sum over pairs of m_i m_j / |x_i - x_j|^alpha, shape (...)."""
-    _, _, mm, _, dist = pair_terms(x, m)
+def _potential_from(alpha, mm, dist):
     return (mm * dist ** (-alpha)).sum(axis=-1)
 
 
-def gradient_stack(x, m, alpha) -> np.ndarray:
-    """Euclidean gradient of U, shape (..., N, d)."""
-    ii, jj, mm, diff, dist = pair_terms(x, m)
+def _gradient_from(x, alpha, ii, jj, mm, diff, dist):
     w = -alpha * mm * dist ** (-(alpha + 2.0))
     force = w[..., None] * diff
     grad = np.zeros(force.shape[:-2] + x.shape[-2:])
@@ -108,6 +104,23 @@ def gradient_stack(x, m, alpha) -> np.ndarray:
     np.add.at(grad, (..., ii, slice(None)), force)
     np.add.at(grad, (..., jj, slice(None)), -force)
     return grad
+
+
+def potential_gradient_stack(x, m, alpha):
+    """(U, grad U) of a stack (..., N, d) from one pair_terms call."""
+    ii, jj, mm, diff, dist = pair_terms(x, m)
+    return _potential_from(alpha, mm, dist), _gradient_from(x, alpha, ii, jj, mm, diff, dist)
+
+
+def potential_stack(x, m, alpha) -> np.ndarray:
+    """U = sum over pairs of m_i m_j / |x_i - x_j|^alpha, shape (...)."""
+    _, _, mm, _, dist = pair_terms(x, m)
+    return _potential_from(alpha, mm, dist)
+
+
+def gradient_stack(x, m, alpha) -> np.ndarray:
+    """Euclidean gradient of U, shape (..., N, d)."""
+    return _gradient_from(x, alpha, *pair_terms(x, m))
 
 
 def hessian_quadratic_stack(x, m, alpha, v) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import nbody
 from .central import CentralConfiguration, embed_in_3d
-from .errors import BracketFailure, InvalidN, NotCentral
+from .errors import BracketFailure, InvalidN, NoConvergence, NotCentral
 
 ALPHA_FLOOR = 1e-6
 
@@ -392,7 +392,8 @@ def ngon_ratio_bases(n: int) -> np.ndarray:
 
 
 def bisect(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Plain bisection; raises BracketFailure without a sign change."""
+    """Plain bisection; raises BracketFailure without a sign change and
+    NoConvergence when max_iter halvings leave the bracket wider than tol."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -409,4 +410,6 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> 
             lo, flo = mid, fm
         else:
             hi, fhi = mid, fm
-    return 0.5 * (lo + hi)
+    if hi - lo < tol:
+        return 0.5 * (lo + hi)
+    raise NoConvergence(f"bracket [{lo}, {hi}] still wider than {tol} after {max_iter} halvings")

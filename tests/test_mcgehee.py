@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncol import central, mcgehee, nbody
-from ncol.errors import EllipsoidDrift, NonCollapsing, ZeroConfiguration
+from ncol.errors import EllipsoidDrift, NonCollapsing, StepFailure, ZeroConfiguration
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +120,17 @@ def test_integrator_stops_at_rho_floor(coll1):
     traj = mcgehee.integrate_el(zero_energy_state(coll1), coll1.masses, 1.0, tau_max=80.0)
     assert traj.rho[-1] <= 1.1e-8
     assert traj.tau_end < 80.0
+
+
+def test_reprojection_uses_the_mass_weighted_inertia():
+    cc = central.collinear3(3.0, 0.5, 0.8)
+    kick = nbody.tangent_part(cc.s0, cc.masses, np.random.default_rng(2).standard_normal((3, 2)))
+    state = mcgehee.homothetic_initial_state(cc, kick=1e-3 * kick / np.linalg.norm(kick))
+    traj = mcgehee.integrate_el(state, cc.masses, cc.alpha, tau_max=2.0)
+    inertia = np.einsum("j,kjd,kjd->k", cc.masses, traj.s, traj.s)
+    assert np.max(np.abs(inertia - 1.0)) < 1e-14
+    radial = np.einsum("j,kjd,kjd->k", cc.masses, traj.s, traj.s_prime)
+    assert np.max(np.abs(radial)) < 1e-14
 
 
 def test_integrator_drift_abort(coll1):
@@ -338,3 +349,172 @@ def test_trajectory_csv_columns(tmp_path, coll1):
     assert header[:3] == ["tau", "rho", "rho_prime"]
     assert header[-4:] == ["U_s", "h", "lambda1", "lambda2"]
     assert len(header) == 3 + 2 * 6 + 4
+
+
+# ---------------------------------------------------------------------------
+# the DP5(4) stepper and the tau-flow RHS against their plain forms
+
+_REF_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
+_REF_A = [
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+_REF_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_REF_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100,
+                    1 / 40])
+
+
+def reference_dp54(f, t, y, hstep, running, *, rtol, atol, floor, max_step=np.inf,
+                   t_end=np.inf, admissible=None, project=None, fsal=False):
+    """The stepper with its stages summed one by one in Python.
+
+    fsal=False is a fresh f(t, y) after every accepted step; fsal=True reuses
+    the last stage when no projection moved the state, as _dp54 does.
+    """
+    ts, ys = [t], [y.copy()]
+    k1 = f(t, y)
+    while running(t, y):
+        hstep = min(hstep, t_end - t)
+        if hstep < floor(t):
+            raise StepFailure(f"step size underflow at t = {t}")
+        ks = [k1]
+        ok = True
+        for i in range(1, 7):
+            yi = y + hstep * sum(a * k for a, k in zip(_REF_A[i], ks))
+            ok = admissible is None or admissible(yi)
+            if not ok:
+                break
+            ks.append(f(t + _REF_C[i] * hstep, yi))
+        if ok:
+            ks = np.array(ks)
+            y5 = y + hstep * (_REF_B5 @ ks)
+            y4 = y + hstep * (_REF_B4 @ ks)
+            ok = admissible is None or admissible(y5)
+        if not ok:
+            hstep *= 0.5
+            continue
+        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        err = np.sqrt(np.mean(((y5 - y4) / sc) ** 2))
+        if err <= 1.0:
+            t += hstep
+            y = y5 if project is None else project(t, y5)
+            ts.append(t)
+            ys.append(y.copy())
+            k1 = ks[6] if fsal and project is None else f(t, y)
+        factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
+        hstep = min(max_step, hstep * min(5.0, max(0.2, factor)))
+    return np.array(ts), np.array(ys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(1, 6),
+       with_project=st.booleans(), with_admissible=st.booleans())
+def test_dp54_matches_reference_stepper(seed, n, with_project, with_admissible):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    c = rng.standard_normal(n)
+    y0 = rng.standard_normal(n)
+    bound = np.max(np.abs(y0)) + 0.5
+
+    def f(t, y):
+        return a @ np.tanh(y) + c * np.cos(t)
+
+    def project(_t, y):
+        y -= 1e-3 * np.tanh(y)  # in place, as the tau-flow's reprojection
+        return y
+
+    kwargs = dict(rtol=10.0 ** rng.uniform(-11, -6), atol=1e-12, floor=lambda t: 1e-14,
+                  max_step=0.5, t_end=3.0,
+                  project=project if with_project else None,
+                  admissible=(lambda y: np.max(np.abs(y)) < bound) if with_admissible else None)
+
+    def running(t, y):
+        return t < 3.0 and np.max(np.abs(y)) < bound - 0.05  # steps often overshoot bound
+
+    def solve(stepper, **extra):
+        try:
+            return stepper(f, 0.0, y0.copy(), 1e-3, running, **kwargs, **extra)
+        except StepFailure as exc:
+            return str(exc)
+
+    got = solve(mcgehee._dp54)
+    want = solve(reference_dp54, fsal=not with_project)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+
+
+def test_oracle_rhs_count_is_six_per_step_plus_one(coll1, monkeypatch):
+    # without a projection the last stage of a step is the next step's first
+    inner = mcgehee._dp54
+    seen = {"rhs": 0, "attempts": 0}
+
+    def counting(f, t, y, hstep, running, **kwargs):
+        def counted_f(*args):
+            seen["rhs"] += 1
+            return f(*args)
+
+        def counted_running(*args):
+            seen["attempts"] += 1
+            return running(*args)
+
+        ts, ys = inner(counted_f, t, y, hstep, counted_running, **kwargs)
+        seen["steps"] = ts.size - 1
+        return ts, ys
+
+    monkeypatch.setattr(mcgehee, "_dp54", counting)
+    mcgehee.homothetic_oracle(coll1, h=1.0, tau_max=30.0)
+    assert seen["attempts"] - 1 == seen["steps"] > 100  # no rejected step
+    assert seen["rhs"] == 6 * seen["steps"] + 1
+
+
+def reference_flow(alpha, m, h, scale, d):
+    """The tau-flow right-hand side with two pair sums and a concatenated output."""
+    beta = mcgehee.beta_exponent(alpha)
+    coef = ((2.0 - alpha) / 4.0) ** 2
+    n = m.size
+
+    def f(_tau, y):
+        rho, p = y[0], y[1]
+        s = y[2:2 + n * d].reshape(n, d)
+        u = y[2 + n * d:].reshape(n, d)
+        pot = scale * float(nbody.potential_stack(s, m, alpha))
+        grad = scale * nbody.gradient_stack(s, m, alpha)
+        sp2 = float(np.sum(m * np.sum(u * u, axis=1)))
+        dp = coef * (rho * (sp2 + 2.0 * pot) + beta * h * rho ** (beta - 1.0))
+        grad_tan = grad / m[:, None] + alpha * pot * s
+        du = -2.0 * (p / rho) * u + grad_tan - sp2 * s
+        return np.concatenate([[p, dp], u.ravel(), du.ravel()])
+
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(2, 9),
+       d=st.sampled_from([1, 2, 3]), alpha=st.floats(0.01, 1.99),
+       h=st.floats(-2.0, 2.0), scale=st.sampled_from([1.0, 0.3, 7.0]))
+def test_flow_rhs_matches_reference_and_sums_pairs_once(seed, n, d, alpha, h, scale):
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.5, 2.0, size=n)
+    s = rng.uniform(-1.0, 1.0, size=(n, d))
+    if nbody.min_distance(s) < 1e-3:
+        return
+    s /= np.sqrt(nbody.moment_of_inertia(s, m))
+    y = np.concatenate([[rng.uniform(1e-3, 2.0), rng.standard_normal()], s.ravel(),
+                        rng.standard_normal(n * d)])
+    want = reference_flow(alpha, m, h, scale, d)(0.0, y)
+    calls = []
+    pair_terms = nbody.pair_terms
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nbody, "pair_terms", lambda *a: calls.append(1) or pair_terms(*a))
+        got = mcgehee._flow(alpha, m, h, scale, d)(0.0, y)
+    np.testing.assert_array_equal(got, want)
+    assert len(calls) == 1

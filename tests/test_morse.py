@@ -221,7 +221,7 @@ def test_refinement_stops_at_first_nonfinite_estimate(homothetic_traj, mu1_direc
         grids.append(grid.size)
         return np.full(grid.size, np.nan)
 
-    assert np.isnan(morse._refine_until(nan_rows, homothetic_traj, (1.0, 5.0), 1e-8))
+    assert np.isnan(morse._refine_until([nan_rows], homothetic_traj, (1.0, 5.0), 1e-8)[0])
     assert len(grids) == 1
 
     bump = morse.BumpVariation(l1=0.5, l2=4.0, shift=1.0, xi=mu1_direction)
@@ -341,6 +341,99 @@ def test_homographic_blocks_positive_small_alpha():
         assert abs(d2m) < 1e-10
         assert d2r + d2s > 0.0
         assert d2r > 0.0
+
+
+def separate_blocks(traj, zeta, variation, quad_tol=1e-8):
+    """homographic_blocks with each integral refined alone, on its own evaluations.
+
+    Returns the three blocks and the number of grids each integral refined on.
+    """
+    m, alpha, scale = traj.masses, traj.alpha, traj.potential_scale
+    coef = (4.0 / (2.0 - alpha)) ** 2
+    s0 = traj.s[0]
+    grad_vec = scale * (nbody.gradient_stack(s0, m, alpha)
+                        + alpha * nbody.potential_stack(s0, m, alpha) * m[:, None] * s0)
+    support = (min(zeta.support[0], variation.support[0]),
+               max(zeta.support[1], variation.support[1]))
+
+    def rho_integrand(grid):
+        _, _, s, sp = traj.evaluate(grid)
+        z, dz = zeta.scalar(grid), zeta.scalar_deriv(grid)
+        u = scale * nbody.potential_stack(s, m, alpha)
+        return coef * dz**2 + z**2 * (morse._mdot(m, sp, sp) + 2.0 * u)
+
+    def mixed_integrand(grid):
+        rho, _, _, sp = traj.evaluate(grid)
+        z, v, dv = zeta.scalar(grid), variation.value(grid), variation.deriv(grid)
+        force = np.einsum("jd,kjd->k", grad_vec, v)
+        return 2.0 * rho * z * (morse._mdot(m, sp, dv) + force)
+
+    def shape_integrand(grid):
+        rho, _, s, _ = traj.evaluate(grid)
+        v, dv = variation.value(grid), variation.deriv(grid)
+        hess = scale * nbody.hessian_on_ellipsoid_stack(s, m, alpha, v)
+        return rho**2 * (morse._mdot(m, dv, dv) + hess)
+
+    blocks, levels = [], []
+    for fn in (rho_integrand, mixed_integrand, shape_integrand):
+        grids = []
+        counted = (lambda fn: lambda grid: grids.append(grid.size) or fn(grid))(fn)
+        blocks.append(float(morse._refine_until([counted], traj, support, quad_tol)[0]))
+        levels.append(len(grids))
+    return tuple(blocks), levels
+
+
+@pytest.mark.parametrize("alpha,h", [(0.05, 1.0), (1.0, 0.0), (1.0, 2.0)])
+def test_homographic_blocks_evaluate_each_grid_once(alpha, h, monkeypatch):
+    cc = central.collinear3(1.0, 1.0, alpha)
+    traj = mcgehee.homothetic_oracle(cc, h=h, tau_max=30.0, phi_min=1e-6)
+    rng = np.random.default_rng(21)
+    cases = []
+    for _ in range(6):
+        l1 = 0.3 + rng.uniform(0.0, 1.0)
+        width = rng.uniform(0.5, min(4.0, traj.tau_end - l1 - 0.6))
+        sh = rng.uniform(0.0, traj.tau_end - l1 - width - 0.5)
+        v = morse.BumpVariation(l1=l1, l2=l1 + width, shift=sh,
+                                xi=admissible_direction(cc, rng), profile_kind="bump")
+        z = morse.ScalarBump(l1=l1, l2=l1 + width, shift=sh, amplitude=rng.uniform(0.2, 2.0))
+        cases.append((z, v, *separate_blocks(traj, z, v)))
+    # some integrals stop before the others
+    assert any(len(set(levels)) > 1 for *_, levels in cases)
+    evaluate, support_grid, seen = mcgehee.Trajectory.evaluate, morse._support_grid, []
+
+    def counted(self, t):
+        seen.append("evaluate")
+        return evaluate(self, t)
+
+    def counted_grid(*args):
+        seen.append("grid")
+        return support_grid(*args)
+
+    monkeypatch.setattr(mcgehee.Trajectory, "evaluate", counted)
+    monkeypatch.setattr(morse, "_support_grid", counted_grid)
+    for z, v, want, levels in cases:
+        seen.clear()
+        assert morse.homographic_blocks(traj, z, v) == want  # bitwise
+        # one grid and one evaluation per level, as many levels as the slowest integral
+        assert seen == ["grid", "evaluate"] * max(levels)
+
+
+def test_refinement_stops_each_integral_at_its_own_tolerance(homothetic_traj):
+    calls = {}
+
+    def row(k):
+        def fn(grid):
+            calls[k] = calls.get(k, 0) + 1
+            return np.exp(-k * grid) * np.sin(3.0 * k * grid) + 0.1 * k
+        return fn
+
+    fns = [row(k) for k in (0.5, 2.0, 9.0)]
+    together = morse._refine_until(fns, homothetic_traj, (1.0, 30.0), 1e-12)
+    shared_calls, calls = calls, {}
+    for k, fn, got in zip((0.5, 2.0, 9.0), fns, together):
+        assert got == morse._refine_until([fn], homothetic_traj, (1.0, 30.0), 1e-12)[0]
+        assert shared_calls[k] == calls[k]
+    assert len(set(calls.values())) > 1  # they converge at different levels
 
 
 def test_homographic_blocks_reject_moving_shape(coll1):

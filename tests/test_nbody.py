@@ -352,6 +352,22 @@ def test_core_matches_reference_loops(k, n, d, alpha, seed):
         np.testing.assert_array_equal(nbody.hessian_full(x[s], m, alpha), full[s])
 
 
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, 6), n=st.integers(2, 12), d=st.sampled_from([1, 2, 3]),
+       alpha=st.floats(1e-6, 2.0, exclude_max=True),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_potential_gradient_stack_is_both_kernels(k, n, d, alpha, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(k, n, d) if k else (n, d))
+    m = rng.uniform(0.5, 2.0, size=n)
+    if nbody.pair_separations(x)[3].min() < nbody.COLLISION_THRESHOLD:
+        return
+    pot, grad = nbody.potential_gradient_stack(x, m, alpha)
+    np.testing.assert_array_equal(pot, nbody.potential_stack(x, m, alpha))
+    np.testing.assert_array_equal(grad, nbody.gradient_stack(x, m, alpha))
+    assert np.shape(pot) == x.shape[:-2] and grad.shape == x.shape
+
+
 def test_fixed_configuration_broadcasts_against_directions():
     rng = np.random.default_rng(9)
     x = random_config(rng, n=5)
@@ -367,8 +383,8 @@ def test_stack_with_one_colliding_sample_raises():
     x = rng.uniform(-1.0, 1.0, size=(6, 4, 3))
     x[4, 3] = x[4, 1]
     m, v = np.ones(4), rng.standard_normal(x.shape)
-    for kernel in (nbody.potential_stack, nbody.gradient_stack, nbody.hessian_full_stack,
-                   nbody.matrix_A_stack):
+    for kernel in (nbody.potential_stack, nbody.gradient_stack, nbody.potential_gradient_stack,
+                   nbody.hessian_full_stack, nbody.matrix_A_stack):
         with pytest.raises(CollisionConfiguration):
             kernel(x, m, 1.0)
     for kernel in (nbody.hessian_quadratic_stack, nbody.hessian_on_ellipsoid_stack):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ncol import central, nbody, spectral
-from ncol.errors import BracketFailure, InvalidN, NotCentral
+from ncol.errors import BracketFailure, InvalidN, NoConvergence, NotCentral
 
 ALPHA_BAR_CAP = 6 - 4 * np.sqrt(2)  # 0.3431457...
 
@@ -371,3 +371,15 @@ def test_hiphop_condition_consistency():
 def test_bisect_bracket_failure():
     with pytest.raises(BracketFailure):
         spectral.bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_bisect_raises_when_iterations_run_out():
+    with pytest.raises(NoConvergence):
+        spectral.bisect(lambda x: x - 0.3, 0.0, 1.0, max_iter=3)
+    # a tolerance below the spacing of doubles near the root cannot be met
+    with pytest.raises(NoConvergence):
+        spectral.bisect(lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0, tol=1e-20)
+    assert spectral.bisect(lambda x: x - 0.3, 0.0, 1.0) == pytest.approx(0.3, abs=1e-12)
+    # the last halving may meet the tolerance: that answer is returned
+    assert spectral.bisect(lambda x: x - 0.3, 0.0, 1.0, tol=0.2, max_iter=3) \
+        == pytest.approx(0.3, abs=0.1)
