@@ -520,6 +520,9 @@ def homothetic_oracle(cc, alpha: float | None = None, h: float = 0.0,
                       meta={"physical_time": ts, "rtol": rtol})
 
 
+_QUAD_CHUNK = 1 << 14
+
+
 def homothetic_quadrature_trajectory(cc, h: float, tau_max: float,
                                      potential_scale: float = 1.0,
                                      sigma_step: float = 2e-4,
@@ -545,20 +548,47 @@ def homothetic_quadrature_trajectory(cc, h: float, tau_max: float,
     # generous sigma horizon: tau(sigma) >= sigma / max-speed
     sigma_end = tau_max * coef * np.sqrt(2.0 * (max(h, 0.0) + b)) + 5.0
     n = int(np.ceil(sigma_end / sigma_step)) + 1
-    sigma = np.linspace(0.0, sigma_end, n)
-    speed = coef * np.sqrt(2.0 * (h * np.exp(-(beta - 2.0) * sigma) + b))
-    inv = 1.0 / speed
-    # trapezoid sums of 1/speed written in place: these fine-grid arrays are
-    # the largest transient of a weakforce run
-    tau = np.zeros(n)
-    steps = tau[1:]
-    np.add(inv[1:], inv[:-1], out=steps)
-    steps *= 0.5
-    steps *= np.subtract(sigma[1:], sigma[:-1], out=inv[1:])
-    np.cumsum(steps, out=steps)
-    stop = np.searchsorted(tau, tau_max, side="right")
-    keep = np.unique(np.concatenate([np.arange(0, stop, keep_every), [max(stop - 1, 0)]]))
-    sigma, tau, speed = sigma[keep], tau[keep], speed[keep]
+    # The grid is np.linspace(0, sigma_end, n), walked in chunks of
+    # _QUAD_CHUNK intervals so that the fine grid (540,000 points for the
+    # alpha = 0.02 member of `ncol weakforce`) is never held whole.  The
+    # trapezoid sums of 1/speed are written in place, and the running clock
+    # is carried into the first sum of the next chunk, which adds in the order
+    # of one cumsum over the whole grid.  Every keep_every-th point is kept,
+    # and the last one at or before tau_max; the walk ends with the chunk that
+    # passes tau_max.
+    dsigma = sigma_end / (n - 1)
+    kept = []
+    carry, stop = 0.0, n
+    for i0 in range(0, n - 1, _QUAD_CHUNK):
+        i1 = min(i0 + _QUAD_CHUNK, n - 1)
+        sigma = np.arange(i0, i1 + 1, dtype=float) * dsigma
+        if i1 == n - 1:
+            sigma[-1] = sigma_end
+        speed = coef * np.sqrt(2.0 * (h * np.exp(-(beta - 2.0) * sigma) + b))
+        inv = 1.0 / speed
+        tau = np.empty_like(sigma)
+        tau[0] = carry
+        steps = tau[1:]
+        np.add(inv[1:], inv[:-1], out=steps)
+        steps *= 0.5
+        steps *= np.subtract(sigma[1:], sigma[:-1], out=inv[1:])
+        steps[0] += carry
+        np.cumsum(steps, out=steps)
+        carry = tau[-1]
+        count = int(np.searchsorted(tau, tau_max, side="right"))
+        if count <= i1 - i0:
+            stop = i0 + count
+        # kept points of this chunk past its first, which the previous chunk kept
+        first = 0 if i0 == 0 else i0 + 1 + (-(i0 + 1)) % keep_every
+        local = np.arange(first, min(i1, stop - 1) + 1, keep_every) - i0
+        done = stop < n or i1 == n - 1
+        last = max(stop - 1, 0)
+        if done and (last % keep_every or stop == 0):
+            local = np.append(local, last - i0)
+        kept.append((sigma[local], tau[local], speed[local]))
+        if done:
+            break
+    sigma, tau, speed = (np.concatenate(parts) for parts in zip(*kept))
     rho = np.exp(-sigma)
     rho_prime = -rho * speed
     s_arr = np.broadcast_to(cc.s0, (tau.size,) + cc.s0.shape).copy()

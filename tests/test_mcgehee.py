@@ -281,6 +281,52 @@ def test_quadrature_clock_equals_out_of_place_formula(alpha, h, scale):
     np.testing.assert_array_equal(qt.rho_prime, -np.exp(-sigma[:k]) * speed[:k])
 
 
+@pytest.mark.parametrize("tau_max,keep_every,chunk", [
+    (3.0, 64, 1 << 14), (3.0, 7, 1 << 14), (0.01, 5, 1 << 14), (12.0, 64, 1000),
+    (12.0, 1, 999), (2.0, 3, 64), (1e-4, 4, 64)])
+def test_quadrature_chunks_keep_the_whole_grid_samples(tau_max, keep_every, chunk,
+                                                       monkeypatch):
+    # the chunked walk keeps, bitwise, the samples of one pass over the whole grid
+    alpha, h, scale = 0.05, -40.0, 20.0
+    cc = central.collinear3(1.0, 1.0, alpha)
+    monkeypatch.setattr(mcgehee, "_QUAD_CHUNK", chunk)
+    qt = mcgehee.homothetic_quadrature_trajectory(cc, h=h, tau_max=tau_max,
+                                                  potential_scale=scale,
+                                                  keep_every=keep_every)
+    beta, b, coef = mcgehee.beta_exponent(alpha), scale * cc.b, (2.0 - alpha) / 4.0
+    sigma_end = tau_max * coef * np.sqrt(2.0 * (max(h, 0.0) + b)) + 5.0
+    sigma = np.linspace(0.0, sigma_end, int(np.ceil(sigma_end / 2e-4)) + 1)
+    speed = coef * np.sqrt(2.0 * (h * np.exp(-(beta - 2.0) * sigma) + b))
+    inv = 1.0 / speed
+    tau = np.concatenate([[0.0], np.cumsum(0.5 * (inv[1:] + inv[:-1]) * np.diff(sigma))])
+    stop = np.searchsorted(tau, tau_max, side="right")
+    keep = np.unique(np.concatenate([np.arange(0, stop, keep_every), [max(stop - 1, 0)]]))
+    np.testing.assert_array_equal(qt.tau, tau[keep])
+    np.testing.assert_array_equal(qt.rho, np.exp(-sigma[keep]))
+    np.testing.assert_array_equal(qt.rho_prime, -np.exp(-sigma[keep]) * speed[keep])
+
+
+def test_quadrature_trajectory_never_holds_the_whole_grid():
+    # the alpha = 0.02 member of `ncol weakforce`: a 540,000-point grid, 4.1 MB
+    # per whole-grid array
+    import tracemalloc
+
+    from ncol import weakforce
+
+    alpha = 0.02
+    cc = central.collinear3(1.0, 1.0, alpha)
+    h = weakforce.scaled_energy_for_H(cc.masses, alpha)
+    tracemalloc.start()
+    try:
+        qt = mcgehee.homothetic_quadrature_trajectory(cc, h=h, tau_max=12.0,
+                                                      potential_scale=1.0 / alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert qt.n_samples > 5000
+    assert peak < 2**21
+
+
 def test_asymptotic_report_needs_samples(coll1):
     from ncol.errors import InsufficientHorizon
 
