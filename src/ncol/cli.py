@@ -73,9 +73,7 @@ def cmd_central(args) -> int:
 
 
 def cmd_spectral(args) -> int:
-    cc = _build_family(args)
-    dim = args.dim if args.dim else (3 if cc.family == "ngon" else cc.dim)
-    rep = spectral.smallest_eigenvalue(cc, dim=dim)
+    rep = spectral.check_rel_eigen(_build_family(args), dim=args.dim or None)
     _emit(json.dumps(rep.to_dict(), indent=2), args.out)
     return 0
 
@@ -93,13 +91,12 @@ def cmd_threshold(args) -> int:
     return 0
 
 
-def _sweep_row(alpha: float) -> list[str]:
+def _sweep_row(cc: central.CentralConfiguration, alpha: float) -> list[str]:
     lhs_eq, rhs, holds_eq = spectral.collinear_equal_condition(alpha)
     lhs_b = spectral.collinear_B_eigenvalues(alpha)[0]
     g = 2.0 ** ((alpha + 2.0) / 2.0)
     lhs_b_norm = lhs_b / (g + 2.0 / g)
-    cc = central.collinear3(1.0, 1.0, alpha)
-    rep = spectral.smallest_eigenvalue(cc)
+    rep = spectral.smallest_eigenvalue(cc, alpha)
     rows = [
         f"{alpha:.12g},collinear3-equal,3,{lhs_eq:.12g},{rhs:.12g},{int(holds_eq)},"
         f"{rep.mu1:.12g},{rep.margin:.12g}",
@@ -110,9 +107,12 @@ def _sweep_row(alpha: float) -> list[str]:
 
 
 def _run_sweep(alphas) -> str:
+    # the equal-mass collinear shape is central at every alpha; each row moves
+    # it to its alpha, where smallest_eigenvalue checks the residual again
+    cc = central.collinear3(1.0, 1.0, 1.0)
     lines = [SWEEP_HEADER]
     for alpha in alphas:
-        lines.extend(_sweep_row(alpha))
+        lines.extend(_sweep_row(cc, alpha))
     return "\n".join(lines)
 
 

@@ -494,7 +494,7 @@ def homothetic_oracle(cc, alpha: float | None = None, h: float = 0.0,
 
     if h == 0.0:
         c = homothetic_decay_rate(cc, potential_scale)
-        k = (b * (2.0 + alpha) ** 2 / 2.0) ** (1.0 / (2.0 + alpha))
+        k = homothetic_collapse_constant(cc, potential_scale)
         t_coll = 2.0 / ((2.0 + alpha) * np.sqrt(2.0 * b))
         worst_rho = np.max(np.abs(rho - np.exp(-c * taus)) / np.exp(-c * taus))
         # the power law is phase sensitive near the collapse endpoint, so it

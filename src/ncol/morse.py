@@ -187,17 +187,6 @@ def _is_scalar_bump(variation) -> bool:
     return hasattr(variation, "xi") and hasattr(variation, "scalar")
 
 
-def _hessian_row(traj: Trajectory, grid, s, variation, values):
-    """Hessian term along the flow; constant-coefficient on frozen-shape data."""
-    if traj.frozen_shape and _is_scalar_bump(variation):
-        coef = traj.potential_scale * nbody.hessian_on_ellipsoid(
-            traj.s[0], traj.masses, traj.alpha, variation.xi)
-        phi = variation.scalar(grid)
-        return coef * phi**2
-    return traj.potential_scale * nbody.hessian_on_ellipsoid_stack(s, traj.masses, traj.alpha,
-                                                                   values)
-
-
 @dataclass(frozen=True)
 class SecondVariationReport:
     value: float
@@ -281,7 +270,7 @@ def second_variation_s(traj: Trajectory, variation, quad_tol: float = 1e-8) -> f
         v = variation.value(grid)
         dv = variation.deriv(grid)
         kin = _mdot(m, dv, dv)
-        hess = _hessian_row(traj, grid, s, variation, v)
+        hess = traj.potential_scale * nbody.hessian_on_ellipsoid_stack(s, m, traj.alpha, v)
         return rho**2 * (kin + hess)
 
     return float(_refine_until([integrand], traj, variation.support, quad_tol)[0])
@@ -299,7 +288,7 @@ def _sampled_integrand(traj: Trajectory, variation):
         kin = _mdot(m, dw, dw)
         mass2 = _mdot(m, w, w)
         crossdot = _mdot(m, dw, w)
-        hess = _hessian_row(traj, grid, s, variation, w)
+        hess = traj.potential_scale * nbody.hessian_on_ellipsoid_stack(s, m, traj.alpha, w)
         return np.stack([kin, ratio**2 * mass2, -2.0 * ratio * crossdot, hess])
 
     return integrand

@@ -68,36 +68,17 @@ def rhs_factor(alpha):
 def admissible_basis(s0: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of {<v, M s0> = 0} and {sum_i m_i v_i = 0}.
 
-    Modified Gram-Schmidt on the coordinate basis after projecting out the
-    normalized constraint rows; N is small so stability suffices.
+    The null space of the normalized constraint rows, read off one complete
+    QR of their transpose.  The d mass-sum rows are mutually orthogonal, so
+    only the M s0 row, placed last, can depend on the others; |R_kk| below
+    1e-12 drops it, and the columns of Q past the rank span the null space.
     """
-    n, d = s0.shape
-    cons = [(m[:, None] * s0).ravel()]
-    for c in range(d):
-        row = np.zeros((n, d))
-        row[:, c] = m
-        cons.append(row.ravel())
-    cons = [r / np.linalg.norm(r) for r in cons]
-    # orthonormalize the constraints themselves first
-    ortho_cons = []
-    for r in cons:
-        for q in ortho_cons:
-            r = r - (q @ r) * q
-        nr = np.linalg.norm(r)
-        if nr > 1e-12:
-            ortho_cons.append(r / nr)
-    basis = []
-    for k in range(n * d):
-        v = np.zeros(n * d)
-        v[k] = 1.0
-        for q in ortho_cons:
-            v = v - (q @ v) * q
-        for q in basis:
-            v = v - (q @ v) * q
-        nv = np.linalg.norm(v)
-        if nv > 1e-10:
-            basis.append(v / nv)
-    return np.array(basis)
+    d = s0.shape[1]
+    cons = np.vstack([np.kron(m, np.eye(d)), (m[:, None] * s0).ravel()])
+    cons /= np.linalg.norm(cons, axis=1)[:, None]
+    q, r = np.linalg.qr(cons.T, mode="complete")
+    rank = int(np.count_nonzero(np.abs(np.diag(r)) > 1e-12))
+    return q[:, rank:].T
 
 
 def constrained_hessian_matrix(cc: CentralConfiguration, alpha: float) -> np.ndarray:

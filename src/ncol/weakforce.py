@@ -207,6 +207,17 @@ def blowup_quantity(traj: Trajectory) -> np.ndarray:
     return (1.0 - traj.rho**gamma) / gamma
 
 
+def _grid_prefix(alphas, first_tau):
+    """(tau_eps, alpha_eps) for the largest grid alpha_eps below which every
+    member has a first_tau; tau_eps is the latest of those.  None when no
+    grid alpha qualifies."""
+    for cand in sorted(alphas, reverse=True):
+        members = [a for a in alphas if a < cand]
+        if members and all(first_tau[a] is not None for a in members):
+            return max(first_tau[a] for a in members), cand
+    return None
+
+
 def check_esplode1(family: ScaledFamily, eps: float) -> GridCheck:
     """Find (tau_eps, alpha_eps) with the blow-up quantity >= 1/eps on the grid.
 
@@ -220,14 +231,10 @@ def check_esplode1(family: ScaledFamily, eps: float) -> GridCheck:
         q = blowup_quantity(traj)
         above = q >= target
         crossings[alpha] = float(traj.tau[np.argmax(above)]) if above.any() else None
-    for cand in sorted(family.alphas, reverse=True):
-        members = [a for a in family.alphas if a < cand]
-        if not members:
-            continue
-        if all(crossings[a] is not None for a in members):
-            tau_eps = max(crossings[a] for a in members)
-            return GridCheck(satisfied=True, tau_eps=tau_eps, alpha_eps=cand, eps=eps,
-                             table={a: crossings[a] for a in family.alphas})
+    found = _grid_prefix(family.alphas, crossings)
+    if found:
+        return GridCheck(satisfied=True, tau_eps=found[0], alpha_eps=found[1], eps=eps,
+                         table=crossings)
     return GridCheck(satisfied=False, tau_eps=None, alpha_eps=None, eps=eps,
                      table=crossings, note="no grid prefix crossed the threshold")
 
@@ -288,15 +295,10 @@ def check_esplode2(family: ScaledFamily, eps: float) -> GridCheck:
             "phi_sq_min": float((phi**2).min()),
             "phi_sq_required": c_const + 1.0 / eps,
         }
-    for cand in sorted(family.alphas, reverse=True):
-        members = [a for a in family.alphas if a < cand]
-        if not members:
-            continue
-        if all(tails[a]["first_tau"] is not None for a in members):
-            tau_eps = max(tails[a]["first_tau"] for a in members)
-            return GridCheck(satisfied=phi_ok, tau_eps=tau_eps, alpha_eps=cand, eps=eps,
-                             table=tails,
-                             note="" if phi_ok else "-rho'/rho failed positivity")
+    found = _grid_prefix(family.alphas, {a: t["first_tau"] for a, t in tails.items()})
+    if found:
+        return GridCheck(satisfied=phi_ok, tau_eps=found[0], alpha_eps=found[1], eps=eps,
+                         table=tails, note="" if phi_ok else "-rho'/rho failed positivity")
     return GridCheck(satisfied=False, tau_eps=None, alpha_eps=None, eps=eps, table=tails,
                      note="tail integral never fell below eps on the grid")
 
@@ -331,9 +333,7 @@ def family_report_rows(family: ScaledFamily, eps: float):
     e1 = check_esplode1(family, eps)
     rows = []
     for alpha, traj in family:
-        tau_a = e1.table.get(alpha) if isinstance(e1.table, dict) else None
-        if isinstance(tau_a, dict):
-            tau_a = None
+        tau_a = e1.table[alpha]
         vals = disotto_bound(traj, family.cc.masses)
         mask = traj.tau >= (tau_a if tau_a is not None else traj.tau[0])
         sp2 = np.einsum("j,kjd,kjd->k", traj.masses, traj.s_prime, traj.s_prime)

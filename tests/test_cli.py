@@ -1,16 +1,27 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ncol import spectral
-from ncol.cli import SWEEP_HEADER, WEAKFORCE_HEADER, main
+from ncol import central, spectral
+from ncol.cli import SWEEP_HEADER, WEAKFORCE_HEADER, _sweep_row, main
 
 
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Byte equality that names the first differing line; pytest's own diff
+    of two texts this long can take minutes."""
+    if got != want:
+        a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        k = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        pytest.fail(f"line {k} differs: {a[k:k + 1]} vs {b[k:k + 1]} "
+                    f"({len(a)} vs {len(b)} lines)")
 
 
 def test_central_collinear(capsys):
@@ -90,6 +101,18 @@ def test_sweep_header_and_rows(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 7
 
 
+def test_sweep_rows_equal_rows_from_a_configuration_built_per_alpha(capsys):
+    # the sweep moves one collinear configuration across alpha; a row from a
+    # configuration constructed and verified at its own alpha is byte-equal
+    rc, out, _ = run(capsys, "sweep", "--alpha-min", "0.01", "--alpha-max", "1.99",
+                     "--steps", "41")
+    assert rc == 0
+    rows = [SWEEP_HEADER]
+    for alpha in np.linspace(0.01, 1.99, 41):
+        rows.extend(_sweep_row(central.collinear3(1.0, 1.0, alpha), alpha))
+    assert_same_text(out, "\n".join(rows) + "\n")
+
+
 def test_sweep_empty_range_exits_one(capsys):
     rc, _, err = run(capsys, "sweep", "--alpha-min", "1.0", "--alpha-max", "0.5",
                      "--steps", "10")
@@ -127,6 +150,13 @@ def test_figure1_contains_newtonian_row(tmp_path, capsys):
     for a, h in holds_eq.items():
         if h:
             assert holds_b[a] == 1
+
+
+def test_figure1_matches_the_benchmark_reference(capsys):
+    rc, out, _ = run(capsys, "figure1")
+    assert rc == 0
+    ref = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "figure1.csv"
+    assert_same_text(out, ref.read_text())
 
 
 def test_simulate_command(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ncol import central, nbody, spectral
 from ncol.errors import BracketFailure, InvalidN, NoConvergence, NotCentral
@@ -96,6 +98,128 @@ def test_check_rel_eigen_polygons_newtonian(n):
     # the polygon criterion holds at the Newtonian exponent for every n >= 4
     cc = central.ngon(n, 1.0)
     assert spectral.check_rel_eigen(cc).satisfied is True
+
+
+def reference_admissible_basis(s0, m):
+    """Modified Gram-Schmidt on the coordinate basis after projecting out the
+    normalized constraint rows: the construction admissible_basis replaced,
+    kept as its oracle (an empty basis keeps its (0, N d) shape)."""
+    n, d = s0.shape
+    cons = [(m[:, None] * s0).ravel()]
+    for c in range(d):
+        row = np.zeros((n, d))
+        row[:, c] = m
+        cons.append(row.ravel())
+    cons = [r / np.linalg.norm(r) for r in cons]
+    ortho_cons = []
+    for r in cons:
+        for q in ortho_cons:
+            r = r - (q @ r) * q
+        nr = np.linalg.norm(r)
+        if nr > 1e-12:
+            ortho_cons.append(r / nr)
+    basis = []
+    for k in range(n * d):
+        v = np.zeros(n * d)
+        v[k] = 1.0
+        for q in ortho_cons:
+            v = v - (q @ v) * q
+        for q in basis:
+            v = v - (q @ v) * q
+        nv = np.linalg.norm(v)
+        if nv > 1e-10:
+            basis.append(v / nv)
+    return np.array(basis).reshape(-1, n * d)
+
+
+def _null_space_defect(basis, s0, m, rows):
+    """Largest departure of basis from an orthonormal (rows, N d) basis of the
+    admissible directions; inf for the wrong shape."""
+    if basis.shape != (rows, s0.size):
+        return np.inf
+    tangents = basis.reshape(rows, *s0.shape)
+    return max(np.max(np.abs(basis @ basis.T - np.eye(rows)), initial=0.0),
+               np.max(np.abs(np.einsum("j,kjd,jd->k", m, tangents, s0)), initial=0.0),
+               np.max(np.abs(np.einsum("j,kjd->kd", m, tangents)), initial=0.0))
+
+
+def _exact_projector(s0, m):
+    """I - C^+ C for the constraint rows C, from the SVD inside pinv."""
+    n, d = s0.shape
+    cons = np.vstack([(m[:, None] * s0).ravel(), np.kron(m, np.eye(d))])
+    return np.eye(n * d) - np.linalg.pinv(cons) @ cons
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 16), d=st.integers(1, 3))
+def test_admissible_basis_is_the_gram_schmidt_null_space(data, n, d):
+    m = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    x = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n * d,
+                                    max_size=n * d))).reshape(n, d)
+    x -= (m @ x) / m.sum()
+    inertia = nbody.moment_of_inertia(x, m)
+    assume(inertia > 1e-6)
+    s0 = x / np.sqrt(inertia)
+    rows = n * d - 1 - d
+    basis = spectral.admissible_basis(s0, m)
+    assert _null_space_defect(basis, s0, m, rows) <= 1e-12
+    assert np.max(np.abs(basis.T @ basis - _exact_projector(s0, m))) <= 1e-12
+    # the Gram-Schmidt oracle can keep a row of amplified round-off (see
+    # test_gram_schmidt_reference_keeps_a_round_off_row); it is compared
+    # wherever it returned a clean basis
+    ref = reference_admissible_basis(s0, m)
+    if _null_space_defect(ref, s0, m, rows) <= 1e-12:
+        assert np.max(np.abs(basis.T @ basis - ref.T @ ref)) <= 1e-12
+
+
+def test_gram_schmidt_reference_keeps_a_round_off_row():
+    # one of the old construction's failures, found by the property above:
+    # two coordinate vectors leave remainders of 2e-8 and 6e-8, both pass its
+    # 1e-10 cut, and the basis of N d - 1 - d = 14 rows comes back with 15
+    m = np.array([9.0, 1.1, 1.5, 7.462981828660819, 3.6230864405410244, 4.729198783889319,
+                  4.819487777531296, 4.612386994608987, 5.107298615951306,
+                  7.8450351943652405, 6.938469997784531, 4.8966932030237995,
+                  1.8512917243526992, 2.3290248192530947, 6.909042857195907,
+                  7.794303613388783])
+    x = np.array([0.00310310121547892, 0.575598851874296, -0.08790522680505092,
+                  -0.09790522680505091, 0.5715967143002156, 0.4020947731949491,
+                  -0.33048360030929885, -0.09790522680505091, -0.09790522680505091,
+                  0.5862537903168754, -0.07790522680505091, -0.9606271496654843,
+                  0.5866668293627695, -0.09790521680505092, -0.09790522680505091,
+                  -0.09790522680505091])[:, None]
+    x -= (m @ x) / m.sum()
+    s0 = x / np.sqrt(nbody.moment_of_inertia(x, m))
+    assert reference_admissible_basis(s0, m).shape == (15, 16)
+    basis = spectral.admissible_basis(s0, m)
+    assert _null_space_defect(basis, s0, m, 14) <= 1e-12
+    assert np.max(np.abs(basis.T @ basis - _exact_projector(s0, m))) <= 1e-12
+
+
+def test_admissible_basis_drops_a_dependent_constraint():
+    # every body at one point: M s0 is a combination of the mass-sum rows,
+    # so only d constraints are independent
+    m = np.array([1.0, 2.0, 0.5, 3.0])
+    s0 = np.tile([0.3, -0.2, 0.1], (4, 1))
+    s0 /= np.sqrt(nbody.moment_of_inertia(s0, m))
+    basis = spectral.admissible_basis(s0, m)
+    ref = reference_admissible_basis(s0, m)
+    assert _null_space_defect(basis, s0, m, 4 * 3 - 3) <= 1e-12
+    assert np.max(np.abs(basis.T @ basis - ref.T @ ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("cc, alpha", [
+    (central.embed_in_3d(central.ngon(64, 1.0)), 1.0),
+    (central.collinear3(1.0, 1.0, 1.0), 0.3),
+    (central.collinear3(1.0, 1.0, 1.0), 0.7),
+    (central.collinear3(1.0, 1.0, 1.0), 1.7),
+])
+def test_smallest_eigenvalue_matches_gram_schmidt_spectrum(cc, alpha):
+    rep = spectral.smallest_eigenvalue(cc, alpha)
+    basis = reference_admissible_basis(cc.s0, cc.masses)
+    h = spectral.constrained_hessian_matrix(cc.at_alpha(alpha), alpha)
+    ref = np.linalg.eigvalsh(basis @ h @ basis.T)
+    assert rep.mu1 == pytest.approx(ref[0], rel=1e-12)
+    assert np.max(np.abs(rep.eigenvalues - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_collinear_equal_condition_values():
