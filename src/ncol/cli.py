@@ -91,28 +91,27 @@ def cmd_threshold(args) -> int:
     return 0
 
 
-def _sweep_row(cc: central.CentralConfiguration, alpha: float) -> list[str]:
+def _sweep_row(alpha: float, mu1: float, margin: float) -> list[str]:
     lhs_eq, rhs, holds_eq = spectral.collinear_equal_condition(alpha)
     lhs_b = spectral.collinear_B_eigenvalues(alpha)[0]
     g = 2.0 ** ((alpha + 2.0) / 2.0)
     lhs_b_norm = lhs_b / (g + 2.0 / g)
-    rep = spectral.smallest_eigenvalue(cc, alpha)
     rows = [
         f"{alpha:.12g},collinear3-equal,3,{lhs_eq:.12g},{rhs:.12g},{int(holds_eq)},"
-        f"{rep.mu1:.12g},{rep.margin:.12g}",
+        f"{mu1:.12g},{margin:.12g}",
         f"{alpha:.12g},collinear3-B,3,{lhs_b_norm:.12g},{rhs:.12g},{int(lhs_b_norm > rhs)},"
-        f"{rep.mu1:.12g},{rep.margin:.12g}",
+        f"{mu1:.12g},{margin:.12g}",
     ]
     return rows
 
 
 def _run_sweep(alphas) -> str:
-    # the equal-mass collinear shape is central at every alpha; each row moves
-    # it to its alpha, where smallest_eigenvalue checks the residual again
-    cc = central.collinear3(1.0, 1.0, 1.0)
+    # the equal-mass collinear shape is central at every alpha; spectral_sweep
+    # moves it to all of them at once and checks the residual at each
+    sweep = spectral.spectral_sweep(central.collinear3(1.0, 1.0, 1.0), alphas)
     lines = [SWEEP_HEADER]
-    for alpha in alphas:
-        lines.extend(_sweep_row(cc, alpha))
+    for row in zip(sweep.alphas, sweep.mu1, sweep.margin):
+        lines.extend(_sweep_row(*row))
     return "\n".join(lines)
 
 
@@ -125,6 +124,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_figure1(args) -> int:
+    if args.steps < 0:
+        raise UsageError("--steps must not be negative")
     alphas = np.linspace(0.05, 2.0 - 1e-9, args.steps)
     _emit(_run_sweep(alphas), args.out)
     return 0

@@ -108,6 +108,7 @@ class IntegratorOptions:
     first_step: float = 1e-3
     rho_min: float = 1e-8
     drift_abort: float = 1e-6
+    max_steps: int = 100_000
 
 
 @dataclass(frozen=True)
@@ -296,7 +297,7 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 
 
 
 def _dp54(f, t, y, hstep, running, *, rtol, atol, floor, max_step=np.inf,
-          t_end=np.inf, admissible=None, project=None):
+          t_end=np.inf, admissible=None, project=None, max_steps=np.inf):
     """Dormand-Prince 5(4) pair with standard error control (Hairer, Norsett &
     Wanner, Solving ODEs I, II.4); returns the accepted times and states.
 
@@ -305,12 +306,18 @@ def _dp54(f, t, y, hstep, running, *, rtol, atol, floor, max_step=np.inf,
     accepted solution passes through project(t, y) before it is stored.
     Without project the last stage of an accepted step is the next step's
     first (FSAL); a projected state gets a fresh f(t, y).
-    Raises StepFailure when the step falls below floor(t).
+    Raises StepFailure when the step falls below floor(t), and when running
+    still holds after max_steps attempted steps, accepted or rejected.
     """
     ts, ys = [t], [y.copy()]
     ks = np.empty((7, y.size))
     ks[0] = f(t, y)
+    attempts = 0
     while running(t, y):
+        if attempts >= max_steps:
+            raise StepFailure(f"step budget spent: {attempts} attempted steps, "
+                              f"{len(ts) - 1} accepted, at t = {t}")
+        attempts += 1
         hstep = min(hstep, t_end - t)
         if hstep < floor(t):
             raise StepFailure(f"step size underflow at t = {t}")
@@ -387,7 +394,8 @@ def integrate_el(initial: McGeheeState, m, alpha, tau_max: float,
 
     The shape point is renormalized to the ellipsoid and its velocity
     re-projected after every accepted step; corrections beyond drift_abort
-    raise EllipsoidDrift.  Stops at rho < rho_min or tau_max.
+    raise EllipsoidDrift.  Stops at rho < rho_min or tau_max; raises
+    StepFailure when neither is reached within opts.max_steps attempted steps.
     """
     m = nbody.as_masses(m)
     alpha = nbody.validate_alpha(alpha)
@@ -411,7 +419,7 @@ def integrate_el(initial: McGeheeState, m, alpha, tau_max: float,
                      lambda tau, y: tau < tau_max and y[0] > opts.rho_min,
                      rtol=opts.rtol, atol=opts.atol, max_step=opts.max_step,
                      floor=lambda tau: 1e-14 * max(1.0, tau), t_end=tau_max,
-                     project=reproject)
+                     project=reproject, max_steps=opts.max_steps)
     return Trajectory(
         alpha=alpha, masses=m, tau=taus,
         rho=ys[:, 0], rho_prime=ys[:, 1],
@@ -453,7 +461,7 @@ def homothetic_collapse_constant(cc, potential_scale: float = 1.0) -> float:
 def homothetic_oracle(cc, alpha: float | None = None, h: float = 0.0,
                       tau_max: float = 30.0, phi_min: float = 1e-6,
                       rtol: float = 1e-11, validate_tol: float = 1e-8,
-                      potential_scale: float = 1.0) -> Trajectory:
+                      potential_scale: float = 1.0, max_steps: int = 50_000) -> Trajectory:
     """Reference trajectory from the scalar radial problem in physical time.
 
     Integrates phidd = -alpha U(s0) phi^(-(alpha+1)) together with the clock
@@ -463,7 +471,8 @@ def homothetic_oracle(cc, alpha: float | None = None, h: float = 0.0,
     law r(t) = k (T-t)^(2/(2+alpha)) and the returned trajectory is backed by
     the exact exponential form, which extends to arbitrary tau_max (double
     precision limits the integrated samples to a finite tau window; the
-    closed form has no such limit).
+    closed form has no such limit).  More than max_steps attempted steps of
+    the radial problem raise StepFailure.
     """
     if alpha is not None:
         cc = cc.at_alpha(alpha)
@@ -482,7 +491,7 @@ def homothetic_oracle(cc, alpha: float | None = None, h: float = 0.0,
     ts, ys = _dp54(f, 0.0, np.array([1.0, -np.sqrt(phidot0_sq), 0.0]), 1e-4,
                    lambda _t, y: y[0] > phi_min and y[2] < tau_max,
                    rtol=rtol, atol=1e-300, floor=lambda _t: 1e-18,
-                   admissible=lambda y: y[0] > phi_floor)
+                   admissible=lambda y: y[0] > phi_floor, max_steps=max_steps)
     phi, phidot, taus = ys[:, 0], ys[:, 1], ys[:, 2]
     if phi[-1] >= phi[0]:
         raise NonCollapsing("radial variable failed to decrease")

@@ -87,7 +87,8 @@ def pair_terms(x, m):
     than COLLISION_THRESHOLD.
     """
     ii, jj, diff, dist = pair_separations(x)
-    if dist.min() < COLLISION_THRESHOLD:
+    # an empty stack has no close pair
+    if dist.min(initial=np.inf) < COLLISION_THRESHOLD:
         raise CollisionConfiguration(f"minimum pair distance {dist.min():.3e} below threshold")
     return ii, jj, m[ii] * m[jj], diff, dist
 
@@ -143,6 +144,7 @@ def hessian_on_ellipsoid_stack(s, m, alpha, v) -> np.ndarray:
 def hessian_full_stack(x, m, alpha) -> np.ndarray:
     """Hessian of U on the full space, shape (..., N*d, N*d).
 
+    alpha is a scalar or an array over the stack's leading axes x.shape[:-2].
     Per-pair block: B = alpha*m_i*m_j*[(alpha+2) u u^T / r^(alpha+4) - I / r^(alpha+2)]
     with u = x_i - x_j.  A difference coupling puts -B at (i, j) and (j, i);
     each diagonal block is minus the sum of the off-diagonal blocks of its row.
@@ -151,8 +153,12 @@ def hessian_full_stack(x, m, alpha) -> np.ndarray:
     n, d = x.shape[-2:]
     r = dist[..., None, None]
     outer = diff[..., :, None] * diff[..., None, :]
-    block = (alpha * mm)[..., None, None] * (
-        (alpha + 2.0) * outer / r ** (alpha + 4.0) - np.eye(d) / r ** (alpha + 2.0))
+    a_pair = a_block = alpha
+    if isinstance(alpha, np.ndarray):
+        # one alpha per configuration: broadcast over pairs and block entries
+        a_pair, a_block = alpha[..., None], alpha[..., None, None, None]
+    block = (a_pair * mm)[..., None, None] * (
+        (a_block + 2.0) * outer / r ** (a_block + 4.0) - np.eye(d) / r ** (a_block + 2.0))
     H = np.zeros(x.shape[:-2] + (n, n, d, d))
     H[..., ii, jj, :, :] = -block
     H[..., jj, ii, :, :] = -block

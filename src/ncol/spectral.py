@@ -81,40 +81,93 @@ def admissible_basis(s0: np.ndarray, m: np.ndarray) -> np.ndarray:
     return q[:, rank:].T
 
 
-def constrained_hessian_matrix(cc: CentralConfiguration, alpha: float) -> np.ndarray:
-    """Full-space matrix of the ellipsoid-restricted second derivative."""
-    h = nbody.hessian_full(cc.s0, cc.masses, alpha)
+def constrained_hessian_matrix(cc: CentralConfiguration, alpha, b=None) -> np.ndarray:
+    """Full-space matrix H + alpha b M of the ellipsoid-restricted second derivative.
+
+    alpha and b (default cc.b) are scalars, or (K,) arrays for a stack
+    (K, N*d, N*d) of the shape cc.s0 at K exponents.  alpha is trusted, as in
+    nbody's core; spectral_sweep validates it.
+    """
+    b = cc.b if b is None else b
+    x = cc.s0 if np.ndim(alpha) == 0 else np.broadcast_to(cc.s0, np.shape(alpha) + cc.s0.shape)
+    h = nbody.hessian_full_stack(x, cc.masses, alpha)
     mdiag = nbody.mass_matrix_diag(cc.masses, cc.dim)
-    return h + alpha * cc.b * np.diag(mdiag)
+    return h + np.multiply(alpha, b)[..., None, None] * np.diag(mdiag)
+
+
+@dataclass(frozen=True)
+class SpectralSweep:
+    """The criterion of one shape at K exponents; report(k) is its k-th SpectralReport.
+
+    b, residual, mu1 and margin have shape (K,), eigenvalues (K, k) and
+    eigenvectors (K, k, N, d) with k admissible directions.
+    """
+    alphas: np.ndarray
+    b: np.ndarray
+    residual: np.ndarray
+    mu1: np.ndarray
+    margin: np.ndarray
+    family: str
+    eigenvalues: np.ndarray = field(repr=False)
+    eigenvectors: np.ndarray = field(repr=False)
+
+    def report(self, k: int) -> SpectralReport:
+        margin = float(self.margin[k])
+        return SpectralReport(mu1=float(self.mu1[k]), eigvec=self.eigenvectors[k, 0],
+                              b=float(self.b[k]), alpha=float(self.alphas[k]), margin=margin,
+                              satisfied=margin < 0.0, family=self.family,
+                              eigenvalues=self.eigenvalues[k],
+                              eigenvectors=self.eigenvectors[k])
+
+
+def spectral_sweep(cc: CentralConfiguration, alphas, dim: int | None = None) -> SpectralSweep:
+    """Smallest constrained Hessian eigenvalue of the shape cc.s0 at each alpha.
+
+    The shape is not re-solved: b and the centrality residual are recomputed
+    at every alpha, and NotCentral names the first alpha where the residual
+    fails its gate.  One admissible basis, one (K, N*d, N*d) Hessian stack and
+    one batched eigh serve all alphas.  Eigenvectors are Euclidean-normalized;
+    for unequal masses the value depends on this normalization choice.  dim=3
+    embeds a planar shape so out-of-plane variations are admissible.
+    """
+    alphas = np.array(alphas, dtype=float).reshape(-1)
+    bad = np.flatnonzero(~((alphas > 0.0) & (alphas < 2.0)))
+    if bad.size:
+        nbody.validate_alpha(alphas[bad[0]])
+    s0, m = cc.s0, cc.masses
+    x = np.broadcast_to(s0, alphas.shape + s0.shape)
+    b, grad = nbody.potential_gradient_stack(x, m, alphas[:, None])
+    res_vec = grad + (alphas * b)[:, None, None] * m[:, None] * s0
+    flat = res_vec.reshape(alphas.size, s0.size)
+    residual = np.sqrt(np.vecdot(flat, flat))  # np.linalg.norm's arithmetic, row by row
+    scale = 1.0 + alphas * b * float(np.linalg.norm(m[:, None] * s0))
+    tol = np.maximum(1e-8, 1e3 * np.finfo(float).eps * scale)
+    bad = np.flatnonzero(residual > tol)
+    if bad.size:
+        k = bad[0]
+        raise NotCentral(f"configuration residual {residual[k]:.3e} too large "
+                         f"at alpha = {alphas[k]:.12g}")
+    if dim == 3 and cc.dim == 2:
+        cc = embed_in_3d(cc)
+    basis = admissible_basis(cc.s0, cc.masses)
+    proj = basis @ constrained_hessian_matrix(cc, alphas, b) @ basis.T
+    vals, vecs = np.linalg.eigh(proj)
+    kdim = basis.shape[0]
+    full = np.swapaxes(basis.T @ vecs, -1, -2).reshape(alphas.size, kdim, *cc.s0.shape)
+    full /= np.linalg.norm(full.reshape(alphas.size, kdim, cc.s0.size), axis=-1)[..., None, None]
+    mu1 = vals[:, 0]
+    margin = mu1 + (2.0 - alphas) ** 2 / 8.0 * b
+    return SpectralSweep(alphas=alphas, b=b, residual=residual, mu1=mu1, margin=margin,
+                         family=cc.family, eigenvalues=vals, eigenvectors=full)
 
 
 def smallest_eigenvalue(cc: CentralConfiguration, alpha: float | None = None,
                         dim: int | None = None) -> SpectralReport:
     """Smallest eigenvalue of the constrained Hessian over admissible tangents.
 
-    Eigenvectors are Euclidean-normalized; for unequal masses the value
-    depends on this normalization choice.  dim=3 embeds a planar family so
-    out-of-plane variations are admissible.
+    spectral_sweep at the one exponent alpha, cc.alpha when None.
     """
-    alpha = nbody.validate_alpha(cc.alpha if alpha is None else alpha)
-    cc = cc.at_alpha(alpha)
-    if dim == 3 and cc.dim == 2:
-        cc = embed_in_3d(cc)
-    tol = max(1e-8, 1e3 * np.finfo(float).eps * nbody.residual_scale(cc.s0, cc.masses, alpha))
-    if cc.residual > tol:
-        raise NotCentral(f"configuration residual {cc.residual:.3e} too large")
-    basis = admissible_basis(cc.s0, cc.masses)
-    h = constrained_hessian_matrix(cc, alpha)
-    proj = basis @ h @ basis.T
-    vals, vecs = np.linalg.eigh(proj)
-    full = (basis.T @ vecs).T.reshape(vals.size, *cc.s0.shape)
-    full /= np.linalg.norm(full.reshape(vals.size, -1), axis=1)[:, None, None]
-    eigvec = full[0]
-    mu1 = float(vals[0])
-    margin = mu1 + (2.0 - alpha) ** 2 / 8.0 * cc.b
-    return SpectralReport(mu1=mu1, eigvec=eigvec, b=cc.b, alpha=alpha, margin=margin,
-                          satisfied=margin < 0.0, family=cc.family, eigenvalues=vals,
-                          eigenvectors=full)
+    return spectral_sweep(cc, [cc.alpha if alpha is None else alpha], dim=dim).report(0)
 
 
 def check_rel_eigen(cc: CentralConfiguration, alpha: float | None = None,

@@ -1,10 +1,11 @@
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ncol import central, spectral
+from ncol import central, mcgehee, spectral
 from ncol.cli import SWEEP_HEADER, WEAKFORCE_HEADER, _sweep_row, main
 
 
@@ -109,7 +110,8 @@ def test_sweep_rows_equal_rows_from_a_configuration_built_per_alpha(capsys):
     assert rc == 0
     rows = [SWEEP_HEADER]
     for alpha in np.linspace(0.01, 1.99, 41):
-        rows.extend(_sweep_row(central.collinear3(1.0, 1.0, alpha), alpha))
+        rep = spectral.smallest_eigenvalue(central.collinear3(1.0, 1.0, alpha), alpha)
+        rows.extend(_sweep_row(alpha, rep.mu1, rep.margin))
     assert_same_text(out, "\n".join(rows) + "\n")
 
 
@@ -118,6 +120,18 @@ def test_sweep_empty_range_exits_one(capsys):
                      "--steps", "10")
     assert rc == 1
     assert "usage error" in err
+
+
+def test_sweep_names_the_first_non_central_alpha(monkeypatch, capsys):
+    # a shape central at alpha = 1 only, in place of the collinear family
+    solved = central.solve_central(np.array([[-0.6, 0.0], [0.05, 0.0], [0.5, 0.0]]),
+                                   [1.0, 2.0, 3.0], 1.0)
+    monkeypatch.setattr(central, "collinear3", lambda m1, m2, alpha: solved)
+    rc, out, err = run(capsys, "sweep", "--alpha-min", "0.5", "--alpha-max", "1.5",
+                       "--steps", "3")
+    assert rc == 2
+    assert out == ""
+    assert "numeric failure" in err and "at alpha = 0.5" in err
 
 
 def test_sweep_crossings_bracket_thresholds(tmp_path, capsys):
@@ -159,6 +173,18 @@ def test_figure1_matches_the_benchmark_reference(capsys):
     assert_same_text(out, ref.read_text())
 
 
+def test_figure1_negative_steps_is_usage_error(capsys):
+    rc, out, err = run(capsys, "figure1", "--steps", "-3")
+    assert rc == 1
+    assert out == "" and "usage error" in err
+
+
+def test_figure1_zero_steps_prints_the_header(capsys):
+    rc, out, _ = run(capsys, "figure1", "--steps", "0")
+    assert rc == 0
+    assert out == SWEEP_HEADER + "\n"
+
+
 def test_simulate_command(tmp_path, capsys):
     out_path = tmp_path / "traj.csv"
     rc, _, err = run(capsys, "simulate", "--family", "collinear3", "--alpha", "1",
@@ -180,6 +206,18 @@ def test_simulate_rejects_oversized_perturbation(capsys):
     rc, _, err = run(capsys, "simulate", "--family", "collinear3", "--alpha", "1",
                      "--energy", "-3.4", "--perturb", "3.0")
     assert rc == 1
+
+
+def test_simulate_stops_at_its_step_budget(tmp_path, monkeypatch, capsys):
+    # this perturbed run creeps towards a near-binary passage with ever
+    # smaller steps; without a budget it ran for minutes
+    monkeypatch.setattr(mcgehee, "IntegratorOptions",
+                        functools.partial(mcgehee.IntegratorOptions, max_steps=500))
+    rc, _, err = run(capsys, "simulate", "--family", "collinear3", "--perturb", "1e-3",
+                     "--seed", "2", "--energy", "0.7", "--out", str(tmp_path / "t.csv"))
+    assert rc == 2
+    assert "numeric failure: step budget spent: 500 attempted steps" in err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_morse_command_counts(tmp_path, capsys):

@@ -498,6 +498,31 @@ def test_dp54_matches_reference_stepper(seed, n, with_project, with_admissible):
             np.testing.assert_array_equal(g, w)
 
 
+def test_dp54_step_budget(coll1):
+    def f(t, y):
+        return np.array([y[1], -y[0]])
+
+    checks = [0]
+
+    def running(t, y):
+        checks[0] += 1
+        return t < 10.0
+
+    def solve(**budget):
+        return mcgehee._dp54(f, 0.0, np.array([1.0, 0.0]), 1e-3, running, rtol=1e-10,
+                             atol=1e-12, floor=lambda t: 1e-14, t_end=10.0, **budget)
+
+    ts, ys = solve()
+    steps = checks[0] - 1  # accepted and rejected steps
+    assert steps > ts.size - 1
+    for t_got, t_want in zip(solve(max_steps=steps), (ts, ys)):
+        np.testing.assert_array_equal(t_got, t_want)
+    with pytest.raises(StepFailure, match=f"budget spent: {steps - 1} attempted steps"):
+        solve(max_steps=steps - 1)
+    with pytest.raises(StepFailure, match="budget spent: 5 attempted steps"):
+        mcgehee.homothetic_oracle(coll1, h=1.0, tau_max=30.0, max_steps=5)
+
+
 def test_oracle_rhs_count_is_six_per_step_plus_one(coll1, monkeypatch):
     # without a projection the last stage of a step is the next step's first
     inner = mcgehee._dp54

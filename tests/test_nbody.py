@@ -368,6 +368,30 @@ def test_potential_gradient_stack_is_both_kernels(k, n, d, alpha, seed):
     assert np.shape(pot) == x.shape[:-2] and grad.shape == x.shape
 
 
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, 8), n=st.integers(2, 12), d=st.sampled_from([1, 2, 3]),
+       one_shape=st.booleans(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_alpha_arrays_equal_a_loop_over_alphas(k, n, d, one_shape, seed):
+    # one alpha per configuration: over the leading axis for the Hessian, as
+    # alpha[:, None] against the pair axis for the potential and gradient
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(k, n, d))
+    if one_shape:
+        x = np.broadcast_to(x[0] if k else rng.uniform(-1.0, 1.0, size=(n, d)), (k, n, d))
+    if k and nbody.pair_separations(x)[3].min() < nbody.COLLISION_THRESHOLD:
+        return
+    m = rng.uniform(0.5, 2.0, size=n)
+    alphas = rng.uniform(1e-6, 2.0, size=k)
+    full = nbody.hessian_full_stack(x, m, alphas)
+    pot = nbody.potential_stack(x, m, alphas[:, None])
+    grad = nbody.gradient_stack(x, m, alphas[:, None])
+    assert full.shape == (k, n * d, n * d) and pot.shape == (k,) and grad.shape == (k, n, d)
+    for s, alpha in enumerate(alphas.tolist()):
+        np.testing.assert_array_equal(full[s], nbody.hessian_full_stack(x[s], m, alpha))
+        assert pot[s] == nbody.potential_stack(x[s], m, alpha)
+        np.testing.assert_array_equal(grad[s], nbody.gradient_stack(x[s], m, alpha))
+
+
 def test_fixed_configuration_broadcasts_against_directions():
     rng = np.random.default_rng(9)
     x = random_config(rng, n=5)

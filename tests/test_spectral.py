@@ -222,6 +222,77 @@ def test_smallest_eigenvalue_matches_gram_schmidt_spectrum(cc, alpha):
     assert np.max(np.abs(rep.eigenvalues - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def reference_smallest_eigenvalue(cc, alpha, dim=None):
+    """The per-alpha body smallest_eigenvalue had before spectral_sweep, kept
+    as its oracle: (mu1, margin, b, residual) of the shape cc.s0 at alpha."""
+    alpha = nbody.validate_alpha(alpha)
+    b = nbody.potential(cc.s0, cc.masses, alpha)
+    residual = nbody.central_residual(cc.s0, cc.masses, alpha)
+    tol = max(1e-8, 1e3 * np.finfo(float).eps * nbody.residual_scale(cc.s0, cc.masses, alpha))
+    if residual > tol:
+        raise NotCentral(f"configuration residual {residual:.3e} too large")
+    if dim == 3 and cc.dim == 2:
+        cc = central.embed_in_3d(cc)
+    basis = spectral.admissible_basis(cc.s0, cc.masses)
+    h = nbody.hessian_full(cc.s0, cc.masses, alpha)
+    h = h + alpha * b * np.diag(nbody.mass_matrix_diag(cc.masses, cc.dim))
+    vals, _ = np.linalg.eigh(basis @ h @ basis.T)
+    mu1 = float(vals[0])
+    return mu1, mu1 + (2.0 - alpha) ** 2 / 8.0 * b, b, residual
+
+
+@st.composite
+def shapes(draw):
+    """A collinear3 with random masses, or an ngon with n in 4..12 in 2 or 3 dimensions."""
+    if draw(st.booleans()):
+        return central.collinear3(draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0)), 1.0)
+    return central.ngon(draw(st.integers(4, 12)), 1.0, dim=draw(st.sampled_from([2, 3])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cc=shapes(), dim=st.sampled_from([None, 3]),
+       alphas=st.lists(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True), max_size=50))
+def test_spectral_sweep_equals_a_loop_over_alphas(cc, dim, alphas):
+    sweep = spectral.spectral_sweep(cc, alphas, dim=dim)
+    assert sweep.mu1.shape == sweep.margin.shape == sweep.b.shape == (len(alphas),)
+    for k, alpha in enumerate(alphas):
+        want = reference_smallest_eigenvalue(cc, alpha, dim=dim)
+        rep = spectral.smallest_eigenvalue(cc, alpha, dim=dim)
+        assert (rep.mu1, rep.margin, rep.b) == want[:3]
+        got = (sweep.mu1[k], sweep.margin[k], sweep.b[k], sweep.residual[k])
+        if len(alphas) > 1 and (alpha == 1.0 or alpha + 2.0 == 2.0):
+            # numpy raises a small array to a scalar power of -1 or 2 with a
+            # reciprocal or a square, but to the same power taken from a stack
+            # of exponents with pow, which can differ in the last bit
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * want[2])
+            continue
+        assert got == want
+        np.testing.assert_array_equal(rep.eigenvectors, sweep.eigenvectors[k])
+
+
+def test_spectral_sweep_validates_every_alpha(coll1):
+    for bad in (0.0, 2.0, -0.5, np.nan):
+        with pytest.raises(ValueError, match="open interval"):
+            spectral.spectral_sweep(coll1, [0.5, bad, 1.0])
+
+
+def test_spectral_sweep_names_the_first_non_central_alpha():
+    # an unequal-mass collinear shape solved at alpha = 1 is central there only
+    cc = central.solve_central(np.array([[-0.6, 0.0], [0.05, 0.0], [0.5, 0.0]]),
+                               [1.0, 2.0, 3.0], 1.0)
+    assert spectral.spectral_sweep(cc, [1.0, 1.0]).mu1.shape == (2,)
+    with pytest.raises(NotCentral, match=r"at alpha = 0\.9$"):
+        spectral.spectral_sweep(cc, [1.0, 1.0, 0.9, 1.5, 0.5])
+    with pytest.raises(NotCentral, match=r"at alpha = 0\.999$"):
+        spectral.smallest_eigenvalue(cc, 0.999)
+
+
+def test_spectral_sweep_of_no_alphas(coll1):
+    sweep = spectral.spectral_sweep(central.ngon(5, 1.0), [], dim=3)
+    assert sweep.mu1.shape == sweep.residual.shape == (0,)
+    assert sweep.eigenvalues.shape == (0, 11) and sweep.eigenvectors.shape == (0, 11, 5, 3)
+
+
 def test_collinear_equal_condition_values():
     lhs, rhs, holds = spectral.collinear_equal_condition(1.0)
     assert lhs == pytest.approx(2.4, abs=1e-15)
