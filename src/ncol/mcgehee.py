@@ -458,10 +458,15 @@ def homothetic_collapse_constant(cc, potential_scale: float = 1.0) -> float:
     return (potential_scale * cc.b * (2.0 + cc.alpha) ** 2 / 2.0) ** (1.0 / (2.0 + cc.alpha))
 
 
+# step budget of the oracle's radial problem; its runs take at most a few
+# thousand steps
+_ORACLE_MAX_STEPS = 50_000
+
+
 def homothetic_oracle(cc, alpha: float | None = None, h: float = 0.0,
                       tau_max: float = 30.0, phi_min: float = 1e-6,
                       rtol: float = 1e-11, validate_tol: float = 1e-8,
-                      potential_scale: float = 1.0, max_steps: int = 50_000) -> Trajectory:
+                      potential_scale: float = 1.0) -> Trajectory:
     """Reference trajectory from the scalar radial problem in physical time.
 
     Integrates phidd = -alpha U(s0) phi^(-(alpha+1)) together with the clock
@@ -471,8 +476,8 @@ def homothetic_oracle(cc, alpha: float | None = None, h: float = 0.0,
     law r(t) = k (T-t)^(2/(2+alpha)) and the returned trajectory is backed by
     the exact exponential form, which extends to arbitrary tau_max (double
     precision limits the integrated samples to a finite tau window; the
-    closed form has no such limit).  More than max_steps attempted steps of
-    the radial problem raise StepFailure.
+    closed form has no such limit).  More than _ORACLE_MAX_STEPS attempted
+    steps of the radial problem raise StepFailure.
     """
     if alpha is not None:
         cc = cc.at_alpha(alpha)
@@ -491,7 +496,7 @@ def homothetic_oracle(cc, alpha: float | None = None, h: float = 0.0,
     ts, ys = _dp54(f, 0.0, np.array([1.0, -np.sqrt(phidot0_sq), 0.0]), 1e-4,
                    lambda _t, y: y[0] > phi_min and y[2] < tau_max,
                    rtol=rtol, atol=1e-300, floor=lambda _t: 1e-18,
-                   admissible=lambda y: y[0] > phi_floor, max_steps=max_steps)
+                   admissible=lambda y: y[0] > phi_floor, max_steps=_ORACLE_MAX_STEPS)
     phi, phidot, taus = ys[:, 0], ys[:, 1], ys[:, 2]
     if phi[-1] >= phi[0]:
         raise NonCollapsing("radial variable failed to decrease")

@@ -114,7 +114,12 @@ def potential_gradient_stack(x, m, alpha):
 
 
 def potential_stack(x, m, alpha) -> np.ndarray:
-    """U = sum over pairs of m_i m_j / |x_i - x_j|^alpha, shape (...)."""
+    """U = sum over pairs of m_i m_j / |x_i - x_j|^alpha, shape (...).
+
+    alpha broadcasts against the pair distances (..., P): a scalar, or
+    alphas[:, None] for one alpha per configuration; so for gradient_stack,
+    potential_gradient_stack and central_residual_stack.
+    """
     _, _, mm, _, dist = pair_terms(x, m)
     return _potential_from(alpha, mm, dist)
 
@@ -144,27 +149,46 @@ def hessian_on_ellipsoid_stack(s, m, alpha, v) -> np.ndarray:
 def hessian_full_stack(x, m, alpha) -> np.ndarray:
     """Hessian of U on the full space, shape (..., N*d, N*d).
 
-    alpha is a scalar or an array over the stack's leading axes x.shape[:-2].
     Per-pair block: B = alpha*m_i*m_j*[(alpha+2) u u^T / r^(alpha+4) - I / r^(alpha+2)]
     with u = x_i - x_j.  A difference coupling puts -B at (i, j) and (j, i);
     each diagonal block is minus the sum of the off-diagonal blocks of its row.
+    alpha broadcasts against the blocks (..., P, d, d): a scalar, or
+    alphas[:, None, None, None] for one alpha per configuration of a (K, N, d) stack.
     """
     ii, jj, mm, diff, dist = pair_terms(x, m)
     n, d = x.shape[-2:]
     r = dist[..., None, None]
     outer = diff[..., :, None] * diff[..., None, :]
-    a_pair = a_block = alpha
-    if isinstance(alpha, np.ndarray):
-        # one alpha per configuration: broadcast over pairs and block entries
-        a_pair, a_block = alpha[..., None], alpha[..., None, None, None]
-    block = (a_pair * mm)[..., None, None] * (
-        (a_block + 2.0) * outer / r ** (a_block + 4.0) - np.eye(d) / r ** (a_block + 2.0))
+    block = alpha * mm[..., None, None] * (
+        (alpha + 2.0) * outer / r ** (alpha + 4.0) - np.eye(d) / r ** (alpha + 2.0))
     H = np.zeros(x.shape[:-2] + (n, n, d, d))
     H[..., ii, jj, :, :] = -block
     H[..., jj, ii, :, :] = -block
     diag = np.arange(n)
     H[..., diag, diag, :, :] = -H.sum(axis=-3)
     return np.swapaxes(H, -3, -2).reshape(x.shape[:-2] + (n * d, n * d))
+
+
+def norm_stack(v) -> np.ndarray:
+    """Euclidean norm of each configuration of a stack (..., N, d), shape (...).
+
+    The square root of one dot product per configuration: np.linalg.norm's
+    arithmetic on a single configuration.
+    """
+    flat = v.reshape(v.shape[:-2] + (v.shape[-2] * v.shape[-1],))
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def central_residual_stack(x, m, alpha):
+    """(U, grad U + alpha U M x, 1 + alpha U |M x|) of a stack (..., N, d).
+
+    The residual of the central-configuration identity, shape (..., N, d),
+    and the magnitude of the terms cancelling in it, shape (...).
+    """
+    u, grad = potential_gradient_stack(x, m, alpha)
+    au = (alpha * u[..., None])[..., 0]  # alpha U, one per configuration
+    residual = grad + au[..., None, None] * m[:, None] * x
+    return u, residual, 1.0 + au * norm_stack(m[:, None] * x)
 
 
 def matrix_A_stack(x, m, alpha) -> np.ndarray:
@@ -245,19 +269,16 @@ def matrix_A(x, m, alpha) -> np.ndarray:
 
 def central_residual_vector(x, m, alpha) -> np.ndarray:
     """Residual of the central-configuration identity grad U(x) + alpha U(x) M x."""
-    x, m, alpha = checked(x, m, alpha)
-    return gradient_stack(x, m, alpha) + alpha * potential_stack(x, m, alpha) * m[:, None] * x
+    return central_residual_stack(*checked(x, m, alpha))[1]
 
 
 def central_residual(x, m, alpha) -> float:
-    return float(np.linalg.norm(central_residual_vector(x, m, alpha)))
+    return float(norm_stack(central_residual_vector(x, m, alpha)))
 
 
 def residual_scale(x, m, alpha) -> float:
     """Magnitude of the terms cancelling in the centrality identity."""
-    x, m, alpha = checked(x, m, alpha)
-    u = float(potential_stack(x, m, alpha))
-    return 1.0 + alpha * u * float(np.linalg.norm(m[:, None] * x))
+    return float(central_residual_stack(*checked(x, m, alpha))[2])
 
 
 def check_tangent(s, m, v, tol: float = 1e-8) -> None:

@@ -81,18 +81,20 @@ def admissible_basis(s0: np.ndarray, m: np.ndarray) -> np.ndarray:
     return q[:, rank:].T
 
 
-def constrained_hessian_matrix(cc: CentralConfiguration, alpha, b=None) -> np.ndarray:
-    """Full-space matrix H + alpha b M of the ellipsoid-restricted second derivative.
+def constrained_hessian_matrix(cc: CentralConfiguration, alphas, b=None) -> np.ndarray:
+    """Full-space matrices H + alpha b M of the ellipsoid-restricted second derivative.
 
-    alpha and b (default cc.b) are scalars, or (K,) arrays for a stack
-    (K, N*d, N*d) of the shape cc.s0 at K exponents.  alpha is trusted, as in
-    nbody's core; spectral_sweep validates it.
+    One (N*d, N*d) matrix of the shape cc.s0 per entry of alphas, and b
+    (default cc.b) the matching potentials: shape (K, N*d, N*d) for K alphas,
+    (N*d, N*d) for one scalar.  alphas are trusted, as in nbody's core;
+    spectral_sweep validates them.
     """
+    alphas = np.asarray(alphas, dtype=float)
     b = cc.b if b is None else b
-    x = cc.s0 if np.ndim(alpha) == 0 else np.broadcast_to(cc.s0, np.shape(alpha) + cc.s0.shape)
-    h = nbody.hessian_full_stack(x, cc.masses, alpha)
+    x = np.broadcast_to(cc.s0, alphas.shape + cc.s0.shape)
+    h = nbody.hessian_full_stack(x, cc.masses, alphas[..., None, None, None])
     mdiag = nbody.mass_matrix_diag(cc.masses, cc.dim)
-    return h + np.multiply(alpha, b)[..., None, None] * np.diag(mdiag)
+    return h + (alphas * b)[..., None, None] * np.diag(mdiag)
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,8 @@ def spectral_sweep(cc: CentralConfiguration, alphas, dim: int | None = None) -> 
     """Smallest constrained Hessian eigenvalue of the shape cc.s0 at each alpha.
 
     The shape is not re-solved: b and the centrality residual are recomputed
-    at every alpha, and NotCentral names the first alpha where the residual
+    at every alpha (an alpha within 1e-14 of cc.alpha keeps cc's own, as
+    cc.at_alpha does), and NotCentral names the first alpha where the residual
     fails its gate.  One admissible basis, one (K, N*d, N*d) Hessian stack and
     one batched eigh serve all alphas.  Eigenvectors are Euclidean-normalized;
     for unequal masses the value depends on this normalization choice.  dim=3
@@ -134,13 +137,11 @@ def spectral_sweep(cc: CentralConfiguration, alphas, dim: int | None = None) -> 
     bad = np.flatnonzero(~((alphas > 0.0) & (alphas < 2.0)))
     if bad.size:
         nbody.validate_alpha(alphas[bad[0]])
-    s0, m = cc.s0, cc.masses
-    x = np.broadcast_to(s0, alphas.shape + s0.shape)
-    b, grad = nbody.potential_gradient_stack(x, m, alphas[:, None])
-    res_vec = grad + (alphas * b)[:, None, None] * m[:, None] * s0
-    flat = res_vec.reshape(alphas.size, s0.size)
-    residual = np.sqrt(np.vecdot(flat, flat))  # np.linalg.norm's arithmetic, row by row
-    scale = 1.0 + alphas * b * float(np.linalg.norm(m[:, None] * s0))
+    x = np.broadcast_to(cc.s0, alphas.shape + cc.s0.shape)
+    b, res_vec, scale = nbody.central_residual_stack(x, cc.masses, alphas[:, None])
+    own = np.abs(alphas - cc.alpha) <= 1e-14
+    b = np.where(own, cc.b, b)
+    residual = np.where(own, cc.residual, nbody.norm_stack(res_vec))
     tol = np.maximum(1e-8, 1e3 * np.finfo(float).eps * scale)
     bad = np.flatnonzero(residual > tol)
     if bad.size:

@@ -498,7 +498,7 @@ def test_dp54_matches_reference_stepper(seed, n, with_project, with_admissible):
             np.testing.assert_array_equal(g, w)
 
 
-def test_dp54_step_budget(coll1):
+def test_dp54_step_budget(coll1, monkeypatch):
     def f(t, y):
         return np.array([y[1], -y[0]])
 
@@ -519,8 +519,9 @@ def test_dp54_step_budget(coll1):
         np.testing.assert_array_equal(t_got, t_want)
     with pytest.raises(StepFailure, match=f"budget spent: {steps - 1} attempted steps"):
         solve(max_steps=steps - 1)
+    monkeypatch.setattr(mcgehee, "_ORACLE_MAX_STEPS", 5)
     with pytest.raises(StepFailure, match="budget spent: 5 attempted steps"):
-        mcgehee.homothetic_oracle(coll1, h=1.0, tau_max=30.0, max_steps=5)
+        mcgehee.homothetic_oracle(coll1, h=1.0, tau_max=30.0)
 
 
 def test_oracle_rhs_count_is_six_per_step_plus_one(coll1, monkeypatch):

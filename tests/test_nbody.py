@@ -372,8 +372,8 @@ def test_potential_gradient_stack_is_both_kernels(k, n, d, alpha, seed):
 @given(k=st.integers(0, 8), n=st.integers(2, 12), d=st.sampled_from([1, 2, 3]),
        one_shape=st.booleans(), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_alpha_arrays_equal_a_loop_over_alphas(k, n, d, one_shape, seed):
-    # one alpha per configuration: over the leading axis for the Hessian, as
-    # alpha[:, None] against the pair axis for the potential and gradient
+    # one alpha per configuration, shaped to broadcast against the per-pair
+    # blocks for the Hessian and against the pair axis for the others
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=(k, n, d))
     if one_shape:
@@ -382,14 +382,24 @@ def test_alpha_arrays_equal_a_loop_over_alphas(k, n, d, one_shape, seed):
         return
     m = rng.uniform(0.5, 2.0, size=n)
     alphas = rng.uniform(1e-6, 2.0, size=k)
-    full = nbody.hessian_full_stack(x, m, alphas)
+    full = nbody.hessian_full_stack(x, m, alphas[:, None, None, None])
     pot = nbody.potential_stack(x, m, alphas[:, None])
     grad = nbody.gradient_stack(x, m, alphas[:, None])
-    assert full.shape == (k, n * d, n * d) and pot.shape == (k,) and grad.shape == (k, n, d)
+    u, res, scale = nbody.central_residual_stack(x, m, alphas[:, None])
+    assert full.shape == (k, n * d, n * d) and pot.shape == u.shape == scale.shape == (k,)
+    assert grad.shape == res.shape == (k, n, d)
     for s, alpha in enumerate(alphas.tolist()):
         np.testing.assert_array_equal(full[s], nbody.hessian_full_stack(x[s], m, alpha))
-        assert pot[s] == nbody.potential_stack(x[s], m, alpha)
+        assert pot[s] == u[s] == nbody.potential_stack(x[s], m, alpha)
         np.testing.assert_array_equal(grad[s], nbody.gradient_stack(x[s], m, alpha))
+        # the centrality identity and its scale as the boundary wrote them out
+        # before central_residual_stack
+        want = grad[s] + alpha * pot[s] * m[:, None] * x[s]
+        np.testing.assert_array_equal(res[s], want)
+        np.testing.assert_array_equal(res[s], nbody.central_residual_vector(x[s], m, alpha))
+        assert nbody.central_residual(x[s], m, alpha) == float(np.linalg.norm(want))
+        assert scale[s] == nbody.residual_scale(x[s], m, alpha) \
+            == 1.0 + alpha * pot[s] * float(np.linalg.norm(m[:, None] * x[s]))
 
 
 def test_fixed_configuration_broadcasts_against_directions():

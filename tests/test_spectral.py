@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -226,8 +228,8 @@ def reference_smallest_eigenvalue(cc, alpha, dim=None):
     """The per-alpha body smallest_eigenvalue had before spectral_sweep, kept
     as its oracle: (mu1, margin, b, residual) of the shape cc.s0 at alpha."""
     alpha = nbody.validate_alpha(alpha)
-    b = nbody.potential(cc.s0, cc.masses, alpha)
-    residual = nbody.central_residual(cc.s0, cc.masses, alpha)
+    cc = cc.at_alpha(alpha)
+    b, residual = cc.b, cc.residual
     tol = max(1e-8, 1e3 * np.finfo(float).eps * nbody.residual_scale(cc.s0, cc.masses, alpha))
     if residual > tol:
         raise NotCentral(f"configuration residual {residual:.3e} too large")
@@ -258,16 +260,32 @@ def test_spectral_sweep_equals_a_loop_over_alphas(cc, dim, alphas):
     for k, alpha in enumerate(alphas):
         want = reference_smallest_eigenvalue(cc, alpha, dim=dim)
         rep = spectral.smallest_eigenvalue(cc, alpha, dim=dim)
-        assert (rep.mu1, rep.margin, rep.b) == want[:3]
         got = (sweep.mu1[k], sweep.margin[k], sweep.b[k], sweep.residual[k])
-        if len(alphas) > 1 and (alpha == 1.0 or alpha + 2.0 == 2.0):
-            # numpy raises a small array to a scalar power of -1 or 2 with a
-            # reciprocal or a square, but to the same power taken from a stack
-            # of exponents with pow, which can differ in the last bit
+        if alpha == 1.0 or alpha + 2.0 == 2.0:
+            # numpy raises an array to a scalar power of -1 or 2 with a
+            # reciprocal or a square, but to the same power taken from an
+            # array of exponents with pow, which can differ in the last bit
             assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * want[2])
+            assert np.allclose((rep.mu1, rep.margin, rep.b), want[:3],
+                               rtol=1e-13, atol=1e-13 * want[2])
             continue
         assert got == want
+        assert (rep.mu1, rep.margin, rep.b) == want[:3]
         np.testing.assert_array_equal(rep.eigenvectors, sweep.eigenvectors[k])
+
+
+def test_smallest_eigenvalue_keeps_the_configurations_own_b(coll1):
+    # as at_alpha does, an alpha within 1e-14 of the shape's own keeps its
+    # stored b and residual; here they are set apart from recomputed values
+    cc = replace(coll1, b=coll1.b * (1.0 + 1e-12), residual=3e-16)
+    for alpha in (None, 1.0, 1.0 + 1e-15):
+        assert spectral.smallest_eigenvalue(cc, alpha).b == cc.b
+    sweep = spectral.spectral_sweep(cc, [1.0, 0.5])
+    assert sweep.b[0] == cc.b and sweep.residual[0] == cc.residual
+    assert sweep.margin[0] == sweep.mu1[0] + 1.0 / 8.0 * cc.b
+    assert sweep.b[1] == pytest.approx(nbody.potential(cc.s0, cc.masses, 0.5), rel=1e-13)
+    assert sweep.residual[1] == pytest.approx(nbody.central_residual(cc.s0, cc.masses, 0.5),
+                                              abs=1e-15)
 
 
 def test_spectral_sweep_validates_every_alpha(coll1):
