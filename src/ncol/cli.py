@@ -91,27 +91,18 @@ def cmd_threshold(args) -> int:
     return 0
 
 
-def _sweep_row(alpha: float, mu1: float, margin: float) -> list[str]:
-    lhs_eq, rhs, holds_eq = spectral.collinear_equal_condition(alpha)
-    lhs_b = spectral.collinear_B_eigenvalues(alpha)[0]
-    g = 2.0 ** ((alpha + 2.0) / 2.0)
-    lhs_b_norm = lhs_b / (g + 2.0 / g)
-    rows = [
-        f"{alpha:.12g},collinear3-equal,3,{lhs_eq:.12g},{rhs:.12g},{int(holds_eq)},"
-        f"{mu1:.12g},{margin:.12g}",
-        f"{alpha:.12g},collinear3-B,3,{lhs_b_norm:.12g},{rhs:.12g},{int(lhs_b_norm > rhs)},"
-        f"{mu1:.12g},{margin:.12g}",
-    ]
-    return rows
-
-
 def _run_sweep(alphas) -> str:
     # the equal-mass collinear shape is central at every alpha; spectral_sweep
     # moves it to all of them at once and checks the residual at each
     sweep = spectral.spectral_sweep(central.collinear3(1.0, 1.0, 1.0), alphas)
+    lhs_eq, rhs, holds_eq = spectral.collinear_equal_condition(sweep.alphas)
+    lhs_b, _, holds_b = spectral.collinear_B_eigen_condition(sweep.alphas)
     lines = [SWEEP_HEADER]
-    for row in zip(sweep.alphas, sweep.mu1, sweep.margin):
-        lines.extend(_sweep_row(*row))
+    for a, le, r, he, lb, hb, mu1, margin in zip(sweep.alphas, lhs_eq, rhs, holds_eq,
+                                                lhs_b, holds_b, sweep.mu1, sweep.margin):
+        tail = f"{mu1:.12g},{margin:.12g}"
+        lines.append(f"{a:.12g},collinear3-equal,3,{le:.12g},{r:.12g},{int(he)},{tail}")
+        lines.append(f"{a:.12g},collinear3-B,3,{lb:.12g},{r:.12g},{int(hb)},{tail}")
     return "\n".join(lines)
 
 
@@ -162,16 +153,23 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_morse(args) -> int:
+    # each bump starts just past tau = 0 and has support (l1, width)
+    l1, width = 1e-9, args.width
+    if args.bumps < 1:
+        raise UsageError("--bumps must be at least 1")
+    if not (np.isfinite(width) and width > l1):
+        raise UsageError(f"--width must be finite and above {l1:g}")
+    if not 0.0 <= args.flat_fraction < 1.0:
+        raise UsageError("--flat-fraction must lie in [0, 1)")
     cc = _build_family(args)
     if cc.family == "ngon":
         # polygon probes live out of plane
         cc = central.embed_in_3d(cc)
     rep = spectral.smallest_eigenvalue(cc)
-    width = args.width
     tau_need = args.bumps * 2.0 * width + 2.0 * width
     traj = mcgehee.homothetic_oracle(cc, h=0.0, tau_max=tau_need)
     shifts = morse.default_shifts(args.bumps, 0.0, width)
-    wrep = morse.morse_witnesses(traj, rep.eigvec, shifts, l1=1e-9, l2=width,
+    wrep = morse.morse_witnesses(traj, rep.eigvec, shifts, l1=l1, l2=width,
                                  flat_fraction=args.flat_fraction)
     _emit(json.dumps(wrep.to_dict(), indent=2), args.out)
     print(f"witnesses={wrep.witnesses} of {args.bumps}; criterion margin={rep.margin:.6g}",

@@ -231,6 +231,14 @@ class Trajectory:
         u = (t - t0) / h
         return idx, h, u
 
+    def rho_at(self, t) -> np.ndarray:
+        """Interpolated rho at tau values t, as evaluate gives it, without the shape."""
+        t = self._checked_tau(t)
+        if self.exact_homothetic:
+            return self.meta["rho0"] * np.exp(-self.meta["decay_rate"] * t)
+        idx, w, _ = self._hermite(t)
+        return np.exp(self._log_rho(idx, w))
+
     def evaluate(self, t):
         """Interpolated (rho, rho', s, s') at tau values t (scalar or array).
 
@@ -240,10 +248,8 @@ class Trajectory:
         """
         t = self._checked_tau(t)
         if self.exact_homothetic:
-            c = self.meta["decay_rate"]
-            rho0 = self.meta["rho0"]
-            rho = rho0 * np.exp(-c * t)
-            rho_p = -c * rho
+            rho = self.rho_at(t)
+            rho_p = -self.meta["decay_rate"] * rho
             s = np.broadcast_to(self.s[0], (t.size,) + self.s[0].shape).copy()
             s_p = np.zeros_like(s)
             return rho, rho_p, s, s_p
@@ -502,9 +508,6 @@ def homothetic_oracle(cc, alpha: float | None = None, h: float = 0.0,
         raise NonCollapsing("radial variable failed to decrease")
     rho = phi ** ((2.0 - alpha) / 4.0)
     rho_p = (2.0 - alpha) / 4.0 * phidot * phi ** ((2.0 + alpha) / 4.0)
-    n_samp = taus.size
-    s_arr = np.broadcast_to(cc.s0, (n_samp,) + cc.s0.shape).copy()
-    sp_arr = np.zeros_like(s_arr)
 
     if h == 0.0:
         c = homothetic_decay_rate(cc, potential_scale)
@@ -521,17 +524,20 @@ def homothetic_oracle(cc, alpha: float | None = None, h: float = 0.0,
                 f"closed-form validation failed: rho err {worst_rho:.2e}, r err {worst_r:.2e}")
         grid = np.linspace(0.0, tau_max, max(64, int(tau_max * 16) + 1))
         rho_g = np.exp(-c * grid)
-        s_g = np.broadcast_to(cc.s0, (grid.size,) + cc.s0.shape).copy()
-        return Trajectory(
-            alpha=alpha, masses=cc.masses.copy(), tau=grid, rho=rho_g, rho_prime=-c * rho_g,
-            s=s_g, s_prime=np.zeros_like(s_g), h=0.0, potential_scale=potential_scale,
-            exact_homothetic=True,
+        return _frozen_trajectory(
+            cc, grid, rho_g, -c * rho_g, 0.0, potential_scale, exact_homothetic=True,
             meta={"decay_rate": c, "rho0": 1.0, "collapse_time": t_coll,
-                  "collapse_constant": k, "validation_err": float(max(worst_rho, worst_r))},
-        )
-    return Trajectory(alpha=alpha, masses=cc.masses.copy(), tau=taus, rho=rho, rho_prime=rho_p,
-                      s=s_arr, s_prime=sp_arr, h=float(h), potential_scale=potential_scale,
-                      meta={"physical_time": ts, "rtol": rtol})
+                  "collapse_constant": k, "validation_err": float(max(worst_rho, worst_r))})
+    return _frozen_trajectory(cc, taus, rho, rho_p, h, potential_scale,
+                              meta={"physical_time": ts, "rtol": rtol})
+
+
+def _frozen_trajectory(cc, tau, rho, rho_prime, h, potential_scale, **kwargs) -> Trajectory:
+    """Trajectory pinned at the shape cc.s0 with zero shape velocity."""
+    s = np.broadcast_to(cc.s0, (tau.size,) + cc.s0.shape).copy()
+    return Trajectory(alpha=cc.alpha, masses=cc.masses.copy(), tau=tau, rho=rho,
+                      rho_prime=rho_prime, s=s, s_prime=np.zeros_like(s), h=float(h),
+                      potential_scale=potential_scale, **kwargs)
 
 
 _QUAD_CHUNK = 1 << 14
@@ -604,12 +610,8 @@ def homothetic_quadrature_trajectory(cc, h: float, tau_max: float,
             break
     sigma, tau, speed = (np.concatenate(parts) for parts in zip(*kept))
     rho = np.exp(-sigma)
-    rho_prime = -rho * speed
-    s_arr = np.broadcast_to(cc.s0, (tau.size,) + cc.s0.shape).copy()
-    return Trajectory(alpha=alpha, masses=cc.masses.copy(), tau=tau, rho=rho,
-                      rho_prime=rho_prime, s=s_arr, s_prime=np.zeros_like(s_arr),
-                      h=float(h), potential_scale=potential_scale,
-                      meta={"decay_rate_tail": float(c_inf)})
+    return _frozen_trajectory(cc, tau, rho, -rho * speed, h, potential_scale,
+                              meta={"decay_rate_tail": float(c_inf)})
 
 
 # ---------------------------------------------------------------------------

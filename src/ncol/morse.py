@@ -213,15 +213,18 @@ class SecondVariationReport:
 # quadrature on the trajectory
 
 
+def _intervals(width: float, points_per_unit: float) -> int:
+    """Number of grid intervals on a support of this width: even, and at least 64."""
+    n = max(64, int(np.ceil(width * points_per_unit)))
+    return n + n % 2
+
+
 def _support_grid(traj: Trajectory, support, points_per_unit: float):
     lo, hi = support
     if lo < traj.tau[0] - 1e-12 or hi > traj.tau_end + 1e-12:
         raise SupportOutOfRange(
             f"support ({lo}, {hi}) exceeds horizon [{traj.tau[0]}, {traj.tau_end}]")
-    n = max(64, int(np.ceil((hi - lo) * points_per_unit)))
-    if n % 2:
-        n += 1
-    return np.linspace(lo, hi, n + 1)
+    return np.linspace(lo, hi, _intervals(hi - lo, points_per_unit) + 1)
 
 
 def _refine_until(integral_fns, traj, support, tol):
@@ -232,9 +235,15 @@ def _refine_until(integral_fns, traj, support, tol):
     An integral stops at its own tolerance (or at its first non-finite
     estimate) while the others go on refining.  Every level builds one grid,
     so an integrand may reuse what another computed on that same grid object.
-    Returns the row estimates of each integral, in the order given.
+    The first level is the first whose grid differs from the next one's: on
+    a support narrower than 2 the coarser levels are all the same 64-interval
+    grid, and comparing two of them would check nothing.  Returns the row
+    estimates of each integral, in the order given.
     """
     ppu = 16.0
+    width = support[1] - support[0]
+    while _intervals(width, 2.0 * ppu) == _intervals(width, ppu):
+        ppu *= 2.0
     results = [None] * len(integral_fns)
     prev = [None] * len(integral_fns)
     running = list(range(len(integral_fns)))
@@ -294,16 +303,22 @@ def _sampled_integrand(traj: Trajectory, variation):
     return integrand
 
 
+def _frozen_pairings(traj: Trajectory, xi):
+    """|xi|_M^2 and D2U_E(s0)(xi, xi) at the frozen shape s0 = traj.s[0]."""
+    m = traj.masses
+    n_m = float(np.einsum("j,jd,jd->", m, xi, xi))
+    hess = traj.potential_scale * float(
+        nbody.hessian_on_ellipsoid_stack(traj.s[0], m, traj.alpha, xi))
+    return n_m, hess
+
+
 def _frozen_integrand(traj: Trajectory, variation):
     """Rows of Q for w = phi(tau) xi on frozen-shape data, in scalars.
 
     With s = s0 the pairings are constants: |w'|^2 = nM phi'^2,
     |w|^2 = nM phi^2, <w', w> = nM phi phi' and D2U_E(s0)(w, w) = H phi^2.
     """
-    xi = variation.xi
-    n_m = float(np.einsum("j,jd,jd->", traj.masses, xi, xi))
-    hess = traj.potential_scale * nbody.hessian_on_ellipsoid(
-        traj.s[0], traj.masses, traj.alpha, xi)
+    n_m, hess = _frozen_pairings(traj, variation.xi)
 
     def integrand(grid):
         ratio = traj.log_rate(grid)
@@ -419,59 +434,47 @@ def projected_bump(traj: Trajectory, bump: BumpVariation):
 # homographic second-variation blocks
 
 
-def homographic_blocks(traj: Trajectory, zeta, variation, quad_tol: float = 1e-8,
-                       sprime_tol: float = 1e-10):
+def homographic_blocks(traj: Trajectory, zeta, variation, quad_tol: float = 1e-8):
     """The radial, mixed and shape blocks of the second variation on frozen-shape data.
 
-    zeta is a scalar path (value/deriv), variation a tangent path.  Raises
-    NotHomographic when the trajectory carries shape velocity.
+    zeta is a scalar path (scalar/scalar_deriv), variation a bump phi(tau) xi
+    with a fixed direction xi.  With the shape frozen at s0 every pairing is
+    a constant read once at s0, and the integrands need rho alone:
+
+        radial  (4/(2-alpha))^2 zeta'^2 + 2 U(s0) zeta^2
+        mixed   2 rho zeta phi <grad U_E(s0), xi>
+        shape   rho^2 (|xi|_M^2 phi'^2 + D2U_E(s0)(xi, xi) phi^2)
+
+    with grad U_E = grad U + alpha U M s, the centrality residual.  Raises
+    NotHomographic when the trajectory's shape is not frozen.
     """
-    if float(np.max(traj.sprime_norm_trace())) > sprime_tol:
-        raise NotHomographic("trajectory has nonzero shape velocity")
-    m = traj.masses
-    alpha = traj.alpha
+    if not traj.frozen_shape:
+        raise NotHomographic("trajectory shape is not frozen")
+    alpha, scale = traj.alpha, traj.potential_scale
     coef = (4.0 / (2.0 - alpha)) ** 2
-    s0 = traj.s[0]
-    grad_vec = traj.potential_scale * (
-        nbody.gradient_stack(s0, m, alpha)
-        + alpha * nbody.potential_stack(s0, m, alpha) * m[:, None] * s0)
+    u0, grad_e, _ = nbody.central_residual_stack(traj.s[0], traj.masses, alpha)
+    two_u = 2.0 * (scale * float(u0))
+    force = scale * float(np.einsum("jd,jd->", grad_e, variation.xi))
+    n_m, hess = _frozen_pairings(traj, variation.xi)
+    support = (min(zeta.support[0], variation.support[0]),
+               max(zeta.support[1], variation.support[1]))
+    interpolated = {}
 
-    sup_z = zeta.support
-    sup_v = variation.support
-    support = (min(sup_z[0], sup_v[0]), max(sup_z[1], sup_v[1]))
-
-    evaluated = {}
-
-    def evaluate(grid):
-        # the three integrals refine on shared grids: one evaluation per grid
-        if evaluated.get("grid") is not grid:
-            evaluated.update(grid=grid, samples=traj.evaluate(grid))
-        return evaluated["samples"]
+    def rho_on(grid):
+        # the integrals refine on shared grids: one rho interpolation per grid
+        if interpolated.get("grid") is not grid:
+            interpolated.update(grid=grid, rho=traj.rho_at(grid))
+        return interpolated["rho"]
 
     def rho_integrand(grid):
-        _, _, s, sp = evaluate(grid)
-        z = zeta.scalar(grid)
-        dz = zeta.scalar_deriv(grid)
-        sp2 = _mdot(m, sp, sp)
-        u = traj.potential_scale * nbody.potential_stack(s, m, alpha)
-        return coef * dz**2 + z**2 * (sp2 + 2.0 * u)
+        return coef * zeta.scalar_deriv(grid) ** 2 + zeta.scalar(grid) ** 2 * two_u
 
     def mixed_integrand(grid):
-        rho, _, s, sp = evaluate(grid)
-        z = zeta.scalar(grid)
-        v = variation.value(grid)
-        dv = variation.deriv(grid)
-        kin = _mdot(m, sp, dv)
-        force = np.einsum("jd,kjd->k", grad_vec, v)
-        return 2.0 * rho * z * (kin + force)
+        return 2.0 * rho_on(grid) * zeta.scalar(grid) * (variation.scalar(grid) * force)
 
     def shape_integrand(grid):
-        rho, _, s, _ = evaluate(grid)
-        v = variation.value(grid)
-        dv = variation.deriv(grid)
-        kin = _mdot(m, dv, dv)
-        hess = traj.potential_scale * nbody.hessian_on_ellipsoid_stack(s, m, alpha, v)
-        return rho**2 * (kin + hess)
+        phi, dphi = variation.scalar(grid), variation.scalar_deriv(grid)
+        return rho_on(grid) ** 2 * (n_m * dphi**2 + hess * phi**2)
 
     d2_rho, d2_mixed, d2_shape = _refine_until(
         [rho_integrand, mixed_integrand, shape_integrand], traj, support, quad_tol)

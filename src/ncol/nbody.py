@@ -26,12 +26,22 @@ COLLISION_THRESHOLD = 1e-12
 RESIDUAL_TOL = 1e-9
 
 
-def validate_alpha(alpha: float) -> float:
-    """Force exponent alpha must lie strictly inside (0, 2)."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in the open interval (0, 2), got {alpha}")
-    return alpha
+def validate_alpha(alpha):
+    """Force exponent alpha must lie strictly inside (0, 2).
+
+    A scalar comes back as a float, a numpy array as a float array; for an
+    array the error names its first value outside the interval.
+    """
+    if getattr(alpha, "ndim", 0) == 0:
+        alpha = float(alpha)
+        if not 0.0 < alpha < 2.0:
+            raise ValueError(f"alpha must lie in the open interval (0, 2), got {alpha}")
+        return alpha
+    alphas = np.asarray(alpha, dtype=float)
+    bad = np.flatnonzero(~((alphas > 0.0) & (alphas < 2.0)))
+    if bad.size:
+        validate_alpha(alphas.flat[bad[0]])
+    return alphas
 
 
 def as_masses(m) -> np.ndarray:

@@ -60,7 +60,7 @@ def rhs_factor(alpha):
 
     Takes a scalar or an array of alphas; all must reach ALPHA_FLOOR.
     """
-    if np.min(alpha) < ALPHA_FLOOR:
+    if np.min(alpha, initial=np.inf) < ALPHA_FLOOR:
         raise ValueError(f"alpha below evaluation floor {ALPHA_FLOOR}")
     return (alpha + 2.0) ** 2 / (8.0 * alpha)
 
@@ -133,10 +133,7 @@ def spectral_sweep(cc: CentralConfiguration, alphas, dim: int | None = None) -> 
     for unequal masses the value depends on this normalization choice.  dim=3
     embeds a planar shape so out-of-plane variations are admissible.
     """
-    alphas = np.array(alphas, dtype=float).reshape(-1)
-    bad = np.flatnonzero(~((alphas > 0.0) & (alphas < 2.0)))
-    if bad.size:
-        nbody.validate_alpha(alphas[bad[0]])
+    alphas = nbody.validate_alpha(np.array(alphas, dtype=float).reshape(-1))
     x = np.broadcast_to(cc.s0, alphas.shape + cc.s0.shape)
     b, res_vec, scale = nbody.central_residual_stack(x, cc.masses, alphas[:, None])
     own = np.abs(alphas - cc.alpha) <= 1e-14
@@ -180,27 +177,45 @@ def check_rel_eigen(cc: CentralConfiguration, alpha: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# collinear three-body closed forms
+# closed forms in alpha
+#
+# Each takes a scalar or an array of alphas and computes on an array either
+# way: numpy may vectorise a power over an array, which rounds differently
+# from a scalar power, and so a scalar call still equals the matching entry
+# of an array call bitwise.  A scalar call returns Python scalars.
 
 
-def collinear_equal_condition(alpha: float):
+def _alpha_array(alpha) -> np.ndarray:
+    return np.atleast_1d(nbody.validate_alpha(alpha))
+
+
+def _as_called(alpha, *values):
+    """values as they are for an array alpha, their one entries as scalars for a scalar."""
+    return values if getattr(alpha, "ndim", 0) else tuple(v.item() for v in values)
+
+
+def collinear_equal_condition(alpha):
     """Normal-variation condition for three equal masses.
 
     lhs = 6*2^a / (2*2^a + 1), rhs = (a+2)^2/(8a); holds when lhs > rhs.
     """
-    alpha = nbody.validate_alpha(alpha)
-    lhs = 6.0 * 2.0**alpha / (2.0 * 2.0**alpha + 1.0)
-    rhs = rhs_factor(alpha)
-    return lhs, rhs, lhs > rhs
+    a = _alpha_array(alpha)
+    p = 2.0**a
+    lhs = 6.0 * p / (2.0 * p + 1.0)
+    rhs = rhs_factor(a)
+    return _as_called(alpha, lhs, rhs, lhs > rhs)
 
 
 def collinear_threshold() -> ThresholdResult:
     """Crossing point of the equal-mass condition, below 6 - 4 sqrt(2)."""
     lo, hi = 0.01, 6.0 - 4.0 * np.sqrt(2.0)
-    root = bisect(lambda a: collinear_equal_condition(a)[0] - collinear_equal_condition(a)[1],
-                  lo, hi, tol=1e-14)
-    lhs, rhs, _ = collinear_equal_condition(root)
-    return ThresholdResult(alpha_star=root, bracket=(lo, hi), residual=abs(lhs - rhs),
+
+    def gap(a):
+        lhs, rhs, _ = collinear_equal_condition(a)
+        return lhs - rhs
+
+    root = bisect(gap, lo, hi, tol=1e-14)
+    return ThresholdResult(alpha_star=root, bracket=(lo, hi), residual=abs(gap(root)),
                            family="collinear3-equal")
 
 
@@ -252,31 +267,37 @@ def unequal_existence_boundary() -> ThresholdResult:
                            family="collinear3-m2-boundary")
 
 
+def _gamma(alpha):
+    """gamma = 2^((alpha+2)/2) of the equal-mass collinear family."""
+    return 2.0 ** ((alpha + 2.0) / 2.0)
+
+
 def collinear_B_matrix(alpha: float) -> np.ndarray:
     """Interaction matrix of the equal-mass collinear family restricted to zero-sum
     directions, in the basis (1,0,-1), (0,1,-1); gamma = 2^((alpha+2)/2)."""
-    g = 2.0 ** ((alpha + 2.0) / 2.0)
+    g = _gamma(alpha)
     return np.array([[2.0 * g + 4.0 / g, g + 2.0 / g], [g + 2.0 / g, 5.0 * g + 1.0 / g]])
 
 
-def collinear_B_eigenvalues(alpha: float):
+def collinear_B_eigenvalues(alpha):
     """Closed-form eigenvalues (7g + 5/g +- sqrt(13 g^2 - 2 + 25/g^2)) / 2."""
-    g = 2.0 ** ((alpha + 2.0) / 2.0)
+    g = _gamma(_alpha_array(alpha))
     disc = np.sqrt(13.0 * g * g - 2.0 + 25.0 / (g * g))
-    return (7.0 * g + 5.0 / g + disc) / 2.0, (7.0 * g + 5.0 / g - disc) / 2.0
+    return _as_called(alpha, (7.0 * g + 5.0 / g + disc) / 2.0, (7.0 * g + 5.0 / g - disc) / 2.0)
 
 
-def collinear_B_eigen_condition(alpha: float):
-    """Wider sufficient condition via the top restricted eigenvalue.
+def collinear_B_eigen_condition(alpha):
+    """Wider sufficient condition via the top restricted eigenvalue, as the sweep prints it.
 
-    lhs = lambda_max(B), rhs = (2+alpha)^2/(8 alpha) * (gamma + 2/gamma); the
-    weight equals U(s0) of the equal-mass collinear configuration.
+    lhs = lambda_max(B) / (gamma + 2/gamma), rhs = (2+alpha)^2/(8 alpha); the
+    weight gamma + 2/gamma equals U(s0) of the equal-mass collinear
+    configuration.
     """
-    alpha = nbody.validate_alpha(alpha)
-    g = 2.0 ** ((alpha + 2.0) / 2.0)
-    lhs = collinear_B_eigenvalues(alpha)[0]
-    rhs = rhs_factor(alpha) * (g + 2.0 / g)
-    return lhs, rhs, lhs > rhs
+    a = _alpha_array(alpha)
+    g = _gamma(a)
+    lhs = collinear_B_eigenvalues(a)[0] / (g + 2.0 / g)
+    rhs = rhs_factor(a)
+    return _as_called(alpha, lhs, rhs, lhs > rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -291,42 +312,27 @@ def _ngon_sines(n: int) -> np.ndarray:
     return np.sin((k - 1) * np.pi / n)
 
 
-def psi_phi(n: int, alpha: float):
+def psi_phi(n: int, alpha):
     """The normalized quadratic form Psi_n and its mean-field part Phi_n.
 
     Built from the normalized chords; the probe concentrates on one adjacent
     pair for n >= 5 (any adjacent pair gives the same value by symmetry, see
     psi_from_matrix(pair=...)) and alternates over all four vertices for
-    n = 4.  Valid for alpha in [0, 2] including the endpoints.
+    n = 4.  Valid for alpha in [0, 2] including the endpoints; alpha is a
+    scalar or an array, as for the collinear closed forms.
     """
-    if not 0.0 <= alpha <= 2.0:
+    a = np.atleast_1d(np.asarray(alpha, dtype=float))
+    if not np.all((0.0 <= a) & (a <= 2.0)):
         raise ValueError("alpha must lie in [0, 2] for the polygon conditions")
     r = _ngon_sines(n)
-    s_a = np.sum(r ** (-alpha))
-    s_a2 = np.sum(r ** (-(alpha + 2.0)))
-    phi = 0.5 * s_a2 / s_a
-    r12 = r[0] ** (-(alpha + 2.0))
+    s_a = (r ** (-a[..., None])).sum(axis=-1)
+    pow_a2 = r ** (-(a[..., None] + 2.0))
+    phi = 0.5 * pow_a2.sum(axis=-1) / s_a
     if n == 4:
-        r13 = r[1] ** (-(alpha + 2.0))
-        psi = phi + 0.5 * (2.0 * r12 - r13) / s_a
+        psi = phi + 0.5 * (2.0 * pow_a2[..., 0] - pow_a2[..., 1]) / s_a
     else:
-        psi = phi + 0.5 * r12 / s_a
-    return float(psi), float(phi)
-
-
-def psi_phi_grid(n: int, alphas: np.ndarray):
-    """Vectorized Psi_n and Phi_n over an alpha grid (values in [0, 2])."""
-    alphas = np.asarray(alphas, dtype=float)
-    r = _ngon_sines(n)
-    s_a = (r[None, :] ** (-alphas[:, None])).sum(axis=1)
-    pow_a2 = r[None, :] ** (-(alphas[:, None] + 2.0))
-    s_a2 = pow_a2.sum(axis=1)
-    phi = 0.5 * s_a2 / s_a
-    if n == 4:
-        psi = phi + 0.5 * (2.0 * pow_a2[:, 0] - pow_a2[:, 1]) / s_a
-    else:
-        psi = phi + 0.5 * pow_a2[:, 0] / s_a
-    return psi, phi
+        psi = phi + 0.5 * pow_a2[..., 0] / s_a
+    return _as_called(alpha, psi, phi)
 
 
 def psi_from_matrix(n: int, alpha: float, pair: int = 0) -> float:
@@ -354,7 +360,7 @@ def ngon_threshold(n: int, grid_points: int = 4096) -> ThresholdResult:
 
     lo, hi = ALPHA_FLOOR, 1.0
     grid = np.linspace(lo, hi, grid_points)
-    vals = psi_phi_grid(n, grid)[0] - rhs_factor(grid)
+    vals = f(grid)
     sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     if sign_change.size == 0:
         raise BracketFailure(f"no sign change for n={n} on ({lo}, {hi}]")

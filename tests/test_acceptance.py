@@ -96,12 +96,12 @@ def test_criterion_03_ngon_criterion():
         psi0, phi0 = spectral.psi_phi(n, 0.0)
         assert psi0 > 9.0 / 8.0
         assert phi0 > (n - 1) / n
-        psi_mono, _ = spectral.psi_phi_grid(n, grid_mono)
+        psi_mono, _ = spectral.psi_phi(n, grid_mono)
         assert np.all(np.diff(psi_mono) > 0.0)
         th = spectral.ngon_threshold(n)
         assert th.alpha_star < 1.0
         worst_alpha_n = max(worst_alpha_n, th.alpha_star)
-        psi_u, _ = spectral.psi_phi_grid(n, grid_unique)
+        psi_u, _ = spectral.psi_phi(n, grid_unique)
         assert int(np.sum(np.diff(np.sign(psi_u - rhs_unique)) != 0)) == 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

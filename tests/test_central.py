@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncol import central, nbody, spectral
 from ncol.errors import InvalidMass, InvalidN, NoConvergence
@@ -127,6 +129,31 @@ def test_canonicalize_rotation_invariance():
     a = central.canonicalize(cc.s0, cc.masses)
     b = central.canonicalize(cc.s0 @ rot.T, cc.masses)
     assert np.allclose(a, b, atol=1e-10)
+
+
+@st.composite
+def perturbed_central(draw):
+    """A planar start 1e-3 away from a central configuration, its masses and alpha:
+    a collinear3 with random masses, or a 4- to 6-gon."""
+    alpha = draw(st.floats(0.3, 1.7))
+    if draw(st.booleans()):
+        cc = central.collinear3(draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0)), alpha)
+    else:
+        cc = central.ngon(draw(st.integers(4, 6)), alpha)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return cc.s0 + 1e-3 * rng.standard_normal(cc.s0.shape), cc.masses, alpha
+
+
+@settings(max_examples=30, deadline=None)
+@given(start=perturbed_central(), theta=st.floats(0.0, 2.0 * np.pi), data=st.data())
+def test_solve_central_is_invariant_under_rotation_and_relabelling(start, theta, data):
+    x0, m, alpha = start
+    perm = np.array(data.draw(st.permutations(range(m.size))))
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    out = central.solve_central(x0, m, alpha)
+    moved = central.solve_central(x0[perm] @ rot.T, m[perm], alpha)
+    assert moved.b == pytest.approx(out.b, rel=1e-10)
+    assert np.allclose(moved.s0, out.s0[perm] @ rot.T, rtol=0.0, atol=1e-9)
 
 
 def test_embed_in_3d():

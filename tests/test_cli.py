@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ncol import central, mcgehee, spectral
-from ncol.cli import SWEEP_HEADER, WEAKFORCE_HEADER, _sweep_row, main
+from ncol.cli import SWEEP_HEADER, WEAKFORCE_HEADER, main
 
 
 def run(capsys, *argv):
@@ -102,6 +102,15 @@ def test_sweep_header_and_rows(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 7
 
 
+def scalar_sweep_rows(alpha, mu1, margin):
+    """The two CSV rows of one alpha, from scalar calls of the closed forms."""
+    lhs_eq, rhs, holds_eq = spectral.collinear_equal_condition(alpha)
+    lhs_b, _, holds_b = spectral.collinear_B_eigen_condition(alpha)
+    tail = f"{mu1:.12g},{margin:.12g}"
+    return [f"{alpha:.12g},collinear3-equal,3,{lhs_eq:.12g},{rhs:.12g},{int(holds_eq)},{tail}",
+            f"{alpha:.12g},collinear3-B,3,{lhs_b:.12g},{rhs:.12g},{int(holds_b)},{tail}"]
+
+
 def test_sweep_rows_equal_rows_from_a_configuration_built_per_alpha(capsys):
     # the sweep moves one collinear configuration across alpha; a row from a
     # configuration constructed and verified at its own alpha is byte-equal
@@ -111,7 +120,7 @@ def test_sweep_rows_equal_rows_from_a_configuration_built_per_alpha(capsys):
     rows = [SWEEP_HEADER]
     for alpha in np.linspace(0.01, 1.99, 41):
         rep = spectral.smallest_eigenvalue(central.collinear3(1.0, 1.0, alpha), alpha)
-        rows.extend(_sweep_row(alpha, rep.mu1, rep.margin))
+        rows.extend(scalar_sweep_rows(alpha, rep.mu1, rep.margin))
     assert_same_text(out, "\n".join(rows) + "\n")
 
 
@@ -243,6 +252,25 @@ def test_morse_command_ngon(tmp_path, capsys):
                    "--bumps", "3", "--out", str(out_path))
     assert rc == 0
     assert json.loads(out_path.read_text())["witnesses"] == 3
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--bumps", "0"), ("--bumps", "-1"), ("--width", "0"), ("--width", "-5"),
+    ("--width", "1e-9"), ("--width", "inf"), ("--width", "nan"),
+    ("--flat-fraction", "1.0"), ("--flat-fraction", "1.5"), ("--flat-fraction", "-0.1"),
+    ("--flat-fraction", "nan")])
+def test_morse_rejects_invalid_probe_arguments(capsys, option, value):
+    rc, out, err = run(capsys, "morse", "--family", "collinear3", "--alpha", "1",
+                       option, value)
+    assert rc == 1
+    assert out == "" and err.startswith("usage error: ") and option in err
+
+
+def test_morse_accepts_the_argument_bounds(capsys):
+    rc, out, _ = run(capsys, "morse", "--family", "collinear3", "--alpha", "1",
+                     "--bumps", "1", "--width", "5", "--flat-fraction", "0")
+    assert rc == 0
+    assert json.loads(out)["witnesses"] == 1
 
 
 def test_weakforce_command(tmp_path, capsys):

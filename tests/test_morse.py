@@ -343,11 +343,8 @@ def test_homographic_blocks_positive_small_alpha():
         assert d2r > 0.0
 
 
-def separate_blocks(traj, zeta, variation, quad_tol=1e-8):
-    """homographic_blocks with each integral refined alone, on its own evaluations.
-
-    Returns the three blocks and the number of grids each integral refined on.
-    """
+def block_integrands(traj, zeta, variation):
+    """The support and the three block integrands of homographic_blocks, per sample."""
     m, alpha, scale = traj.masses, traj.alpha, traj.potential_scale
     coef = (4.0 / (2.0 - alpha)) ** 2
     s0 = traj.s[0]
@@ -374,8 +371,17 @@ def separate_blocks(traj, zeta, variation, quad_tol=1e-8):
         hess = scale * nbody.hessian_on_ellipsoid_stack(s, m, alpha, v)
         return rho**2 * (morse._mdot(m, dv, dv) + hess)
 
+    return support, (rho_integrand, mixed_integrand, shape_integrand)
+
+
+def separate_blocks(traj, zeta, variation, quad_tol=1e-8):
+    """homographic_blocks with each integral refined alone, on its own evaluations.
+
+    Returns the three blocks and the number of grids each integral refined on.
+    """
+    support, integrands = block_integrands(traj, zeta, variation)
     blocks, levels = [], []
-    for fn in (rho_integrand, mixed_integrand, shape_integrand):
+    for fn in integrands:
         grids = []
         counted = (lambda fn: lambda grid: grids.append(grid.size) or fn(grid))(fn)
         blocks.append(float(morse._refine_until([counted], traj, support, quad_tol)[0]))
@@ -399,23 +405,66 @@ def test_homographic_blocks_evaluate_each_grid_once(alpha, h, monkeypatch):
         cases.append((z, v, *separate_blocks(traj, z, v)))
     # some integrals stop before the others
     assert any(len(set(levels)) > 1 for *_, levels in cases)
-    evaluate, support_grid, seen = mcgehee.Trajectory.evaluate, morse._support_grid, []
+    rho_at, support_grid, seen = mcgehee.Trajectory.rho_at, morse._support_grid, []
 
     def counted(self, t):
-        seen.append("evaluate")
-        return evaluate(self, t)
+        seen.append("rho")
+        return rho_at(self, t)
 
     def counted_grid(*args):
         seen.append("grid")
         return support_grid(*args)
 
-    monkeypatch.setattr(mcgehee.Trajectory, "evaluate", counted)
+    monkeypatch.setattr(mcgehee.Trajectory, "rho_at", counted)
     monkeypatch.setattr(morse, "_support_grid", counted_grid)
     for z, v, want, levels in cases:
         seen.clear()
-        assert morse.homographic_blocks(traj, z, v) == want  # bitwise
-        # one grid and one evaluation per level, as many levels as the slowest integral
-        assert seen == ["grid", "evaluate"] * max(levels)
+        got = morse.homographic_blocks(traj, z, v)
+        # constants read once at s0 round differently from the per-sample pairings
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
+        # one grid per level, as many levels as the slowest integral, and one rho
+        # interpolation per level of the mixed and shape integrals (the radial
+        # integrand needs no rho)
+        with_rho = max(levels[1:])
+        assert seen == ["grid", "rho"] * with_rho + ["grid"] * (max(levels) - with_rho)
+
+
+def fine_simpson(fn, support, intervals=1 << 14):
+    """Composite Simpson of fn's rows on one fine grid, with no refinement.
+
+    The step is the support width over the interval count: grid[1] - grid[0]
+    would lose digits on a support far from tau = 0.
+    """
+    vals = fn(np.linspace(*support, intervals + 1))
+    step = (support[1] - support[0]) / intervals
+    return step / 3.0 * (vals[..., 0] + vals[..., -1] + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
+                         + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
+
+
+@pytest.mark.parametrize("alpha,h", [(1.0, 0.0), (0.05, 1.0)])
+def test_narrow_blocks_meet_their_tolerance(alpha, h):
+    # below width 2 the first grids share the 64-interval floor; refinement
+    # must still compare two different grids before it stops, so a block and
+    # Q at quad_tol 1e-8 match both the 1e-14 values and one fine grid
+    cc = central.collinear3(1.0, 1.0, alpha)
+    traj = mcgehee.homothetic_oracle(cc, h=h, tau_max=30.0, phi_min=1e-6)
+    rng = np.random.default_rng(8)
+    for width in (0.3, 0.7, 1.2, 1.9):
+        l1 = 0.3 + rng.uniform(0.0, 1.0)
+        sh = rng.uniform(0.0, traj.tau_end - l1 - width - 0.3)
+        v = morse.BumpVariation(l1=l1, l2=l1 + width, shift=sh,
+                                xi=admissible_direction(cc, rng), profile_kind="bump")
+        z = morse.ScalarBump(l1=l1, l2=l1 + width, shift=sh, amplitude=rng.uniform(0.2, 2.0))
+        support, integrands = block_integrands(traj, z, v)
+        fine = [fine_simpson(fn, support) for fn in integrands]
+        tight = morse.homographic_blocks(traj, z, v, quad_tol=1e-14)
+        for got, ref in zip(morse.homographic_blocks(traj, z, v), tight):
+            assert abs(got - ref) <= 1e-8 * (1.0 + abs(ref))
+        assert tight == pytest.approx(fine, rel=1e-9, abs=1e-9)
+        fine_q = fine_simpson(morse._sampled_integrand(traj, v), v.support).sum()
+        tight_q = morse.quadratic_Q(traj, v, quad_tol=1e-14).value
+        assert abs(morse.quadratic_Q(traj, v).value - tight_q) <= 1e-8 * (1.0 + abs(tight_q))
+        assert tight_q == pytest.approx(fine_q, rel=1e-9, abs=1e-9)
 
 
 def test_refinement_stops_each_integral_at_its_own_tolerance(homothetic_traj):

@@ -518,6 +518,57 @@ def test_rhs_factor_on_arrays_keeps_the_floor():
                           [spectral.rhs_factor(float(a)) for a in alphas])
     with pytest.raises(ValueError):
         spectral.rhs_factor(np.array([0.5, 0.1 * spectral.ALPHA_FLOOR]))
+    assert spectral.rhs_factor(np.array([])).shape == (0,)
+
+
+def reference_psi_phi(n, alpha):
+    """psi_phi as it was before it took arrays, kept as its oracle (floats)."""
+    r = np.sin((np.arange(2, n + 1) - 1) * np.pi / n)
+    s_a = np.sum(r ** (-alpha))
+    phi = 0.5 * np.sum(r ** (-(alpha + 2.0))) / s_a
+    r12 = r[0] ** (-(alpha + 2.0))
+    if n == 4:
+        return float(phi + 0.5 * (2.0 * r12 - r[1] ** (-(alpha + 2.0))) / s_a), float(phi)
+    return float(phi + 0.5 * r12 / s_a), float(phi)
+
+
+CLOSED_FORMS = {
+    "collinear_equal_condition": spectral.collinear_equal_condition,
+    "collinear_B_eigenvalues": spectral.collinear_B_eigenvalues,
+    "collinear_B_eigen_condition": spectral.collinear_B_eigen_condition,
+    "psi_phi_4": lambda a: spectral.psi_phi(4, a),
+    "psi_phi_5": lambda a: spectral.psi_phi(5, a),
+    "psi_phi_64": lambda a: spectral.psi_phi(64, a),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(CLOSED_FORMS)),
+       alphas=st.lists(st.floats(spectral.ALPHA_FLOOR, 2.0, exclude_max=True), max_size=40))
+def test_closed_forms_on_arrays_equal_their_scalar_calls(name, alphas):
+    form = CLOSED_FORMS[name]
+    columns = form(np.array(alphas))
+    for k, alpha in enumerate(alphas):
+        row = form(alpha)
+        assert all(type(v) in (float, bool) for v in row)
+        assert row == tuple(c[k] for c in columns)  # bitwise
+    assert all(c.shape == (len(alphas),) for c in columns)
+
+
+def test_closed_forms_validate_their_alphas():
+    for form in (spectral.collinear_equal_condition, spectral.collinear_B_eigenvalues,
+                 spectral.collinear_B_eigen_condition):
+        with pytest.raises(ValueError, match="open interval"):
+            form(np.array([0.5, 2.0]))
+    with pytest.raises(ValueError, match=r"\[0, 2\]"):
+        spectral.psi_phi(6, np.array([0.5, 2.5]))
+
+
+@pytest.mark.parametrize("n", [4, 5, 12, 64])
+def test_psi_phi_within_one_ulp_of_its_scalar_oracle(n):
+    for alpha in np.linspace(0.0, 2.0, 301):
+        got, want = spectral.psi_phi(n, alpha), reference_psi_phi(n, float(alpha))
+        assert all(abs(g - w) <= np.spacing(w) for g, w in zip(got, want))
 
 
 def test_psi_monotone_and_above_nine_eighths():
