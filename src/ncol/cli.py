@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -32,8 +33,16 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader has gone (`ncol figure1 | head`): drop the rest of the
+        # output, keep the flush at exit quiet, and let the command finish
+        # with its own exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _build_family(args) -> central.CentralConfiguration:

@@ -11,7 +11,8 @@ coefficient, which is what the witness counts probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,38 +25,27 @@ from .mcgehee import Trajectory
 # smooth compactly supported profiles
 
 
-def _soft(u):
-    """exp(-1/u) extended by zero for u <= 0."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    pos = u > 1e-12
-    out[pos] = np.exp(-1.0 / u[pos])
-    return out
-
-
-def _soft_d(u):
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    pos = u > 1e-12
-    out[pos] = np.exp(-1.0 / u[pos]) / u[pos] ** 2
-    return out
-
-
 def _transition(u):
-    """C-infinity monotone step from 0 at u<=0 to 1 at u>=1."""
-    a, b = _soft(u), _soft(1.0 - np.asarray(u, dtype=float))
-    return a / (a + b)
+    """C-infinity monotone step from 0 at u <= 0 to 1 at u >= 1, and its slope.
 
-
-def _transition_d(u):
+    The step is a / (a + b) with a = exp(-1/u), b = exp(-1/(1 - u)), each
+    taken as zero where its argument is at most 1e-12; there the step is
+    exactly 0 or 1 and its slope exactly 0, so the exponentials are taken on
+    the ramp alone.
+    """
     u = np.asarray(u, dtype=float)
-    a, b = _soft(u), _soft(1.0 - u)
-    da, db = _soft_d(u), -_soft_d(1.0 - u)
-    denom = (a + b) ** 2
-    out = np.zeros_like(u)
-    ok = denom > 0
-    out[ok] = (da[ok] * b[ok] - a[ok] * db[ok]) / denom[ok]
-    return out
+    pos = u > 1e-12
+    val = pos.astype(float)
+    val[np.isnan(u)] = np.nan
+    der = np.zeros_like(u)
+    ramp = pos & (1.0 - u > 1e-12)
+    x = u[ramp]
+    y = 1.0 - x
+    a, b = np.exp(-1.0 / x), np.exp(-1.0 / y)
+    da, db = a / x**2, -(b / y**2)
+    val[ramp] = a / (a + b)
+    der[ramp] = (da * b - a * db) / (a + b) ** 2
+    return val, der
 
 
 @dataclass(frozen=True)
@@ -67,40 +57,34 @@ class Profile:
     flat_fraction: float = 0.8
 
     def value(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.kind == "bump":
-            z = 2.0 * u / self.width - 1.0
-            out = np.zeros_like(z)
-            inside = np.abs(z) < 1.0
-            out[inside] = np.exp(-1.0 / (1.0 - z[inside] ** 2) + 1.0)
-            return out
-        ramp = 0.5 * (1.0 - self.flat_fraction) * self.width
-        up = _transition(u / ramp)
-        down = _transition((self.width - u) / ramp)
-        return up * down
+        return self.value_and_deriv(u)[0]
 
     def deriv(self, u):
+        return self.value_and_deriv(u)[1]
+
+    def value_and_deriv(self, u):
+        """The profile and its slope at u, from one pass over the exponentials."""
         u = np.asarray(u, dtype=float)
         if self.kind == "bump":
             z = 2.0 * u / self.width - 1.0
-            out = np.zeros_like(z)
+            val, der = np.zeros_like(z), np.zeros_like(z)
             inside = np.abs(z) < 1.0
             zi = z[inside]
-            out[inside] = np.exp(-1.0 / (1.0 - zi**2) + 1.0) * (-2.0 * zi / (1.0 - zi**2) ** 2) \
-                * (2.0 / self.width)
-            return out
+            e = np.exp(-1.0 / (1.0 - zi**2) + 1.0)
+            val[inside] = e
+            der[inside] = e * (-2.0 * zi / (1.0 - zi**2) ** 2) * (2.0 / self.width)
+            return val, der
         ramp = 0.5 * (1.0 - self.flat_fraction) * self.width
-        up = _transition(u / ramp)
-        down = _transition((self.width - u) / ramp)
-        dup = _transition_d(u / ramp) / ramp
-        ddown = -_transition_d((self.width - u) / ramp) / ramp
-        return dup * down + up * ddown
+        up, dup = _transition(u / ramp)
+        down, ddown = _transition((self.width - u) / ramp)
+        return up * down, dup / ramp * down + up * (-ddown / ramp)
 
     def dirichlet_ratio(self, n: int = 4001) -> float:
         """int phi'^2 / int phi^2, the kinetic cost of the profile."""
         u = np.linspace(0.0, self.width, n)
-        num = np.trapezoid(self.deriv(u) ** 2, u)
-        den = np.trapezoid(self.value(u) ** 2, u)
+        phi, dphi = self.value_and_deriv(u)
+        num = np.trapezoid(dphi**2, u)
+        den = np.trapezoid(phi**2, u)
         return float(num / den)
 
 
@@ -134,6 +118,9 @@ class BumpVariation:
     def scalar_deriv(self, t):
         return self.profile.deriv(np.asarray(t) - self.l1 - self.shift)
 
+    def scalar_and_deriv(self, t):
+        return self.profile.value_and_deriv(np.asarray(t) - self.l1 - self.shift)
+
     def value(self, t):
         t = np.atleast_1d(t)
         return self.scalar(t)[:, None, None] * self.xi
@@ -153,38 +140,55 @@ class CombinedVariation:
         if all(np.array_equal(b.xi, bumps[0].xi) for b in bumps):
             self.xi = bumps[0].xi
 
-    def _sum(self, part, t):
-        """sum_n c_n part_n(t), evaluating each bump only on its own support.
+    def _pieces(self, t):
+        """Each bump with the indices of the points of the flat t on its support.
 
-        Profiles vanish exactly off their supports, so the skipped terms are
-        zeros and the sum is bitwise that of the full evaluation.
+        One sort of t locates every support by bisection, so the cost does
+        not grow as the number of bumps times the number of points.
         """
-        out = None
+        order = np.argsort(t, kind="stable")
+        ts = t[order]
         for c, b in zip(self.coeffs, self.bumps):
             lo, hi = b.support
-            inside = (t >= lo) & (t <= hi)
-            vals = c * getattr(b, part)(t[inside])
-            if out is None:
-                out = np.zeros(t.shape + vals.shape[1:])
-            out[inside] += vals
-        return out
+            yield c, b, order[np.searchsorted(ts, lo, "left"):np.searchsorted(ts, hi, "right")]
+
+    def _sum(self, parts, t):
+        """sum_n c_n parts(bump_n, t), evaluating each bump only on its own support.
+
+        parts returns a tuple of arrays whose leading axis runs over the
+        points.  Profiles vanish exactly off their supports, so the skipped
+        terms are zeros and each sum is bitwise that of the full evaluation.
+        """
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        sums = None
+        for c, b, idx in self._pieces(flat):
+            vals = parts(b, flat[idx])
+            if sums is None:
+                sums = [np.zeros(flat.shape + v.shape[1:]) for v in vals]
+            for total, v in zip(sums, vals):
+                total[idx] += c * v
+        return tuple(total.reshape(t.shape + total.shape[1:]) for total in sums)
+
+    def scalar_and_deriv(self, t):
+        return self._sum(lambda b, pts: b.scalar_and_deriv(pts), t)
 
     def scalar(self, t):
-        return self._sum("scalar", np.asarray(t, dtype=float))
+        return self.scalar_and_deriv(t)[0]
 
     def scalar_deriv(self, t):
-        return self._sum("scalar_deriv", np.asarray(t, dtype=float))
+        return self.scalar_and_deriv(t)[1]
 
     def value(self, t):
-        return self._sum("value", np.atleast_1d(np.asarray(t, dtype=float)))
+        return self._sum(lambda b, pts: (b.value(pts),), np.atleast_1d(t))[0]
 
     def deriv(self, t):
-        return self._sum("deriv", np.atleast_1d(np.asarray(t, dtype=float)))
+        return self._sum(lambda b, pts: (b.deriv(pts),), np.atleast_1d(t))[0]
 
 
 def _is_scalar_bump(variation) -> bool:
     """A variation of the form phi(tau) xi with a fixed direction xi."""
-    return hasattr(variation, "xi") and hasattr(variation, "scalar")
+    return hasattr(variation, "xi") and hasattr(variation, "scalar_and_deriv")
 
 
 @dataclass(frozen=True)
@@ -213,56 +217,100 @@ class SecondVariationReport:
 # quadrature on the trajectory
 
 
+# Members of one stack of supports refined together; a chunk bounds the memory
+# of morse_witnesses whatever the number of bumps.
+_STACK_ROWS = 16
+
+
 def _intervals(width: float, points_per_unit: float) -> int:
     """Number of grid intervals on a support of this width: even, and at least 64."""
-    n = max(64, int(np.ceil(width * points_per_unit)))
+    n = max(64, math.ceil(width * points_per_unit))
     return n + n % 2
 
 
-def _support_grid(traj: Trajectory, support, points_per_unit: float):
-    lo, hi = support
-    if lo < traj.tau[0] - 1e-12 or hi > traj.tau_end + 1e-12:
-        raise SupportOutOfRange(
-            f"support ({lo}, {hi}) exceeds horizon [{traj.tau[0]}, {traj.tau_end}]")
-    return np.linspace(lo, hi, _intervals(hi - lo, points_per_unit) + 1)
+def _support_grid(traj: Trajectory, lo, hi, intervals: int):
+    """A (G, intervals + 1) grid whose row i spans the support (lo[i], hi[i]).
 
-
-def _refine_until(integral_fns, traj, support, tol):
-    """Composite-Simpson integrals refined together by grid doubling.
-
-    Each of integral_fns maps a grid of K points to values of shape (..., K);
-    each leading row is integrated, and the tolerance applies to their sum.
-    An integral stops at its own tolerance (or at its first non-finite
-    estimate) while the others go on refining.  Every level builds one grid,
-    so an integrand may reuse what another computed on that same grid object.
-    The first level is the first whose grid differs from the next one's: on
-    a support narrower than 2 the coarser levels are all the same 64-interval
-    grid, and comparing two of them would check nothing.  Returns the row
-    estimates of each integral, in the order given.
+    Each row is bitwise np.linspace(lo[i], hi[i], intervals + 1).
     """
-    ppu = 16.0
-    width = support[1] - support[0]
-    while _intervals(width, 2.0 * ppu) == _intervals(width, ppu):
-        ppu *= 2.0
+    outside = (lo < traj.tau[0] - 1e-12) | (hi > traj.tau_end + 1e-12)
+    if outside.any():
+        i = np.flatnonzero(outside)[0]
+        raise SupportOutOfRange(
+            f"support ({lo[i]}, {hi[i]}) exceeds horizon [{traj.tau[0]}, {traj.tau_end}]")
+    step = (hi - lo) / intervals
+    grid = np.arange(intervals + 1.0) * step[:, None]
+    grid += lo[:, None]
+    grid[:, -1] = hi
+    return grid
+
+
+def _refine_until(integral_fns, traj, supports, tol, narrowest=None):
+    """Composite-Simpson integrals on a stack of supports, refined together by grid doubling.
+
+    supports is one (lo, hi) pair or a sequence of them, one per member.
+    Each of integral_fns maps (grid, members), a (G, K) grid whose rows span
+    the supports of the members in the index array members, to values of
+    shape (G, ..., K); each row is integrated, and the tolerance applies to
+    the sum of a member's rows.  Each integral of each member stops at its
+    own tolerance (or at its first non-finite estimate) and leaves the stack
+    while the others go on refining.  A level builds one grid for the running
+    members that share an interval count, so an integrand may reuse what
+    another computed on that same grid object.  A member's first level is the
+    first whose grid differs from the next one's: on a support narrower than
+    2 the coarser levels are all the same 64-interval grid, and comparing two
+    of them would check nothing.  Where an integrand is made of pieces
+    narrower than its support, narrowest (their least width) sets that level
+    in place of the support's width, so the pieces are resolved as finely as
+    they would be alone.  Returns the row estimates of each integral, one per
+    member, in the order given.
+    """
+    lo, hi = np.reshape(np.asarray(supports, dtype=float), (-1, 2)).T
+    widths = (hi - lo).tolist()
+    ppu = []
+    for width in widths:
+        feature = width if narrowest is None else min(width, narrowest)
+        rate = 16.0
+        while _intervals(feature, 2.0 * rate) == _intervals(feature, rate):
+            rate *= 2.0
+        ppu.append(rate)
     results = [None] * len(integral_fns)
-    prev = [None] * len(integral_fns)
-    running = list(range(len(integral_fns)))
+    prev = [{} for _ in integral_fns]
+    running = [set(range(len(widths))) for _ in integral_fns]
     for _ in range(8):
-        grid = _support_grid(traj, support, ppu)
-        step = grid[1] - grid[0]
-        for k in tuple(running):
-            vals = integral_fns[k](grid)
-            simpson = step / 3.0 * (vals[..., 0] + vals[..., -1]
-                                    + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
-                                    + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
-            total = simpson.sum()
-            if not np.isfinite(total) or (
-                    prev[k] is not None and abs(total - prev[k]) <= tol * (1.0 + abs(total))):
-                running.remove(k)
-            results[k], prev[k] = simpson, total
-        if not running:
+        groups = {}
+        for m in sorted(set().union(*running)):
+            groups.setdefault(_intervals(widths[m], ppu[m]), []).append(m)
+        for n, group in sorted(groups.items()):
+            group = np.array(group)
+            grid = _support_grid(traj, lo[group], hi[group], n)
+            step = grid[:, 1] - grid[:, 0]
+            for k, fn in enumerate(integral_fns):
+                rows = [m in running[k] for m in group.tolist()]
+                if all(rows):  # the level's own grid object, which integrands may cache on
+                    members, g, h = group, grid, step
+                elif any(rows):
+                    members, g, h = group[rows], grid[rows], step[rows]
+                else:
+                    continue
+                vals = fn(g, members)
+                h = (h / 3.0).reshape((-1,) + (1,) * (vals.ndim - 2))
+                simpson = h * (vals[..., 0] + vals[..., -1]
+                               + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
+                               + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
+                if results[k] is None:
+                    results[k] = np.empty((len(widths),) + simpson.shape[1:])
+                results[k][members] = simpson
+                totals = simpson.reshape(members.size, -1).sum(axis=-1).tolist()
+                for m, total in zip(members.tolist(), totals):
+                    last = prev[k].get(m)
+                    if not math.isfinite(total) or (
+                            last is not None and abs(total - last) <= tol * (1.0 + abs(total))):
+                        running[k].discard(m)
+                    prev[k][m] = total
+        if not any(running):
             break
-        ppu *= 2.0
+        ppu = [2.0 * rate for rate in ppu]
     return results
 
 
@@ -274,31 +322,37 @@ def second_variation_s(traj: Trajectory, variation, quad_tol: float = 1e-8) -> f
     """int rho^2 (|v'|_M^2 + D2U_E(s)(v, v)) dtau for a compactly supported v."""
     m = traj.masses
 
-    def integrand(grid):
-        rho, _, s, _ = traj.evaluate(grid)
-        v = variation.value(grid)
-        dv = variation.deriv(grid)
+    def integrand(grid, members):
+        t = grid.ravel()
+        rho, _, s, _ = traj.evaluate(t)
+        v = variation.value(t)
+        dv = variation.deriv(t)
         kin = _mdot(m, dv, dv)
         hess = traj.potential_scale * nbody.hessian_on_ellipsoid_stack(s, m, traj.alpha, v)
-        return rho**2 * (kin + hess)
+        return (rho**2 * (kin + hess)).reshape(grid.shape)
 
-    return float(_refine_until([integrand], traj, variation.support, quad_tol)[0])
+    return float(_refine_until([integrand], traj, variation.support, quad_tol)[0][0])
 
 
-def _sampled_integrand(traj: Trajectory, variation):
-    """Rows of Q from the per-sample (K, N, d) stacks; any variation, any data."""
+def _sampled_integrand(traj: Trajectory, fields):
+    """Rows of Q from the per-sample (K, N, d) stacks; any variation, any data.
+
+    fields(grid, members) gives w and w' at the points of grid, flattened to
+    (grid.size, N, d).
+    """
     m = traj.masses
 
-    def integrand(grid):
-        _, _, s, _ = traj.evaluate(grid)
-        ratio = traj.log_rate(grid)
-        w = variation.value(grid)
-        dw = variation.deriv(grid)
+    def integrand(grid, members):
+        t = grid.ravel()
+        _, _, s, _ = traj.evaluate(t)
+        ratio = traj.log_rate(t)
+        w, dw = fields(grid, members)
         kin = _mdot(m, dw, dw)
         mass2 = _mdot(m, w, w)
         crossdot = _mdot(m, dw, w)
         hess = traj.potential_scale * nbody.hessian_on_ellipsoid_stack(s, m, traj.alpha, w)
-        return np.stack([kin, ratio**2 * mass2, -2.0 * ratio * crossdot, hess])
+        rows = (kin, ratio**2 * mass2, -2.0 * ratio * crossdot, hess)
+        return np.stack([r.reshape(grid.shape) for r in rows], axis=-2)
 
     return integrand
 
@@ -312,22 +366,38 @@ def _frozen_pairings(traj: Trajectory, xi):
     return n_m, hess
 
 
-def _frozen_integrand(traj: Trajectory, variation):
+def _frozen_integrand(traj: Trajectory, xi, scalars):
     """Rows of Q for w = phi(tau) xi on frozen-shape data, in scalars.
 
-    With s = s0 the pairings are constants: |w'|^2 = nM phi'^2,
-    |w|^2 = nM phi^2, <w', w> = nM phi phi' and D2U_E(s0)(w, w) = H phi^2.
+    scalars(grid, members) gives phi and phi' on grid.  With s = s0 the
+    pairings are constants: |w'|^2 = nM phi'^2, |w|^2 = nM phi^2,
+    <w', w> = nM phi phi' and D2U_E(s0)(w, w) = H phi^2.
     """
-    n_m, hess = _frozen_pairings(traj, variation.xi)
+    n_m, hess = _frozen_pairings(traj, xi)
 
-    def integrand(grid):
+    def integrand(grid, members):
         ratio = traj.log_rate(grid)
-        phi = variation.scalar(grid)
-        dphi = variation.scalar_deriv(grid)
+        phi, dphi = scalars(grid, members)
         return np.stack([n_m * dphi**2, ratio**2 * n_m * phi**2,
-                         -2.0 * ratio * n_m * phi * dphi, hess * phi**2])
+                         -2.0 * ratio * n_m * phi * dphi, hess * phi**2], axis=-2)
 
     return integrand
+
+
+def _reports(traj: Trajectory, integrand, supports, quad_tol: float, narrowest=None):
+    """One SecondVariationReport per support, refined in stacks of _STACK_ROWS members."""
+    supports = np.reshape(np.asarray(supports, dtype=float), (-1, 2))
+    reports = []
+    for start in range(0, len(supports), _STACK_ROWS):
+        def chunk(grid, members, start=start):
+            return integrand(grid, members + start)
+
+        parts, = _refine_until([chunk], traj, supports[start:start + _STACK_ROWS], quad_tol,
+                               narrowest)
+        reports += [SecondVariationReport(value=float(p.sum()), kinetic=float(p[0]),
+                                          rho_term=float(p[1]), cross=float(p[2]),
+                                          hessian=float(p[3])) for p in parts]
+    return reports
 
 
 def quadratic_Q(traj: Trajectory, variation, quad_tol: float = 1e-8) -> SecondVariationReport:
@@ -336,15 +406,18 @@ def quadratic_Q(traj: Trajectory, variation, quad_tol: float = 1e-8) -> SecondVa
     rho'/rho comes from Trajectory.log_rate, so Q stays finite past rho
     underflow.  Bumps phi(tau) xi on frozen-shape data are integrated in
     scalars; other variations go through the per-sample (K, N, d) stacks.
+    This is the one-member case of the stacks morse_witnesses refines.  A
+    combination of bumps starts its refinement where its narrowest bump's
+    own would start.
     """
     if traj.frozen_shape and _is_scalar_bump(variation):
-        integrand = _frozen_integrand(traj, variation)
+        integrand = _frozen_integrand(traj, variation.xi,
+                                      lambda grid, members: variation.scalar_and_deriv(grid))
     else:
-        integrand = _sampled_integrand(traj, variation)
-    parts, = _refine_until([integrand], traj, variation.support, quad_tol)
-    return SecondVariationReport(value=float(parts.sum()), kinetic=float(parts[0]),
-                                 rho_term=float(parts[1]), cross=float(parts[2]),
-                                 hessian=float(parts[3]))
+        integrand = _sampled_integrand(traj, lambda grid, members: (
+            variation.value(grid.ravel()), variation.deriv(grid.ravel())))
+    narrowest = min(b.support[1] - b.support[0] for b in getattr(variation, "bumps", [variation]))
+    return _reports(traj, integrand, variation.support, quad_tol, narrowest)[0]
 
 
 def default_shifts(count: int, l1: float, l2: float, start: float | None = None):
@@ -377,7 +450,22 @@ def morse_witnesses(traj: Trajectory, xi, shifts, l1: float = 0.0, l2: float = 2
     for b1, b2 in zip(bumps[:-1], bumps[1:]):
         if b1.support[1] > b2.support[0] + 1e-12:
             raise OverlappingSupports(f"supports {b1.support} and {b2.support} overlap")
-    reports = [quadratic_Q(traj, b, quad_tol) for b in bumps]
+    # the bumps differ only by their shifts: each stack row evaluates the one
+    # profile shifted to its own member, as BumpVariation.scalar_and_deriv does
+    shift_col = np.asarray(shifts, dtype=float)[:, None]
+
+    def scalars(grid, members):
+        return bumps[0].profile.value_and_deriv(grid - l1 - shift_col[members])
+
+    if traj.frozen_shape:
+        integrand = _frozen_integrand(traj, xi, scalars)
+    else:
+        def fields(grid, members):
+            phi, dphi = scalars(grid, members)
+            return phi.reshape(-1, 1, 1) * xi, dphi.reshape(-1, 1, 1) * xi
+
+        integrand = _sampled_integrand(traj, fields)
+    reports = _reports(traj, integrand, [b.support for b in bumps], quad_tol)
     q_vals = tuple(r.value for r in reports)
     witnesses = int(sum(1 for q in q_vals if q < 0.0))
     rng = np.random.default_rng(combo_seed)
@@ -390,9 +478,7 @@ def morse_witnesses(traj: Trajectory, xi, shifts, l1: float = 0.0, l2: float = 2
         raise AssertionError(
             f"disjoint-support additivity violated: {q_combo} vs {q_expected}")
     worst = min(reports, key=lambda r: r.value)
-    return SecondVariationReport(value=worst.value, kinetic=worst.kinetic,
-                                 rho_term=worst.rho_term, cross=worst.cross,
-                                 hessian=worst.hessian, q_values=q_vals, witnesses=witnesses)
+    return replace(worst, q_values=q_vals, witnesses=witnesses)
 
 
 def projected_bump(traj: Trajectory, bump: BumpVariation):
@@ -417,8 +503,8 @@ def projected_bump(traj: Trajectory, bump: BumpVariation):
         def deriv(self, t):
             t = np.atleast_1d(t)
             _, _, s, sp = traj.evaluate(t)
-            phi = bump.scalar(t)[:, None, None]
-            dphi = bump.scalar_deriv(t)[:, None, None]
+            phi, dphi = bump.scalar_and_deriv(t)
+            phi, dphi = phi[:, None, None], dphi[:, None, None]
             xi = bump.xi
             coef = np.einsum("j,jd,kjd->k", m, xi, s)[:, None, None]
             dcoef = np.einsum("j,jd,kjd->k", m, xi, sp)[:, None, None]
@@ -437,7 +523,7 @@ def projected_bump(traj: Trajectory, bump: BumpVariation):
 def homographic_blocks(traj: Trajectory, zeta, variation, quad_tol: float = 1e-8):
     """The radial, mixed and shape blocks of the second variation on frozen-shape data.
 
-    zeta is a scalar path (scalar/scalar_deriv), variation a bump phi(tau) xi
+    zeta is a scalar path (scalar_and_deriv), variation a bump phi(tau) xi
     with a fixed direction xi.  With the shape frozen at s0 every pairing is
     a constant read once at s0, and the integrands need rho alone:
 
@@ -458,27 +544,33 @@ def homographic_blocks(traj: Trajectory, zeta, variation, quad_tol: float = 1e-8
     n_m, hess = _frozen_pairings(traj, variation.xi)
     support = (min(zeta.support[0], variation.support[0]),
                max(zeta.support[1], variation.support[1]))
-    interpolated = {}
+    cache = {}
 
-    def rho_on(grid):
-        # the integrals refine on shared grids: one rho interpolation per grid
-        if interpolated.get("grid") is not grid:
-            interpolated.update(grid=grid, rho=traj.rho_at(grid))
-        return interpolated["rho"]
+    def on(grid, name, fn):
+        # the integrals refine on shared grids: rho and each profile once per grid
+        if cache.get("grid") is not grid:
+            cache.clear()
+            cache["grid"] = grid
+        if name not in cache:
+            cache[name] = fn(grid)
+        return cache[name]
 
-    def rho_integrand(grid):
-        return coef * zeta.scalar_deriv(grid) ** 2 + zeta.scalar(grid) ** 2 * two_u
+    def rho_integrand(grid, members):
+        z, dz = on(grid, "zeta", zeta.scalar_and_deriv)
+        return coef * dz**2 + z**2 * two_u
 
-    def mixed_integrand(grid):
-        return 2.0 * rho_on(grid) * zeta.scalar(grid) * (variation.scalar(grid) * force)
+    def mixed_integrand(grid, members):
+        z = on(grid, "zeta", zeta.scalar_and_deriv)[0]
+        phi = on(grid, "phi", variation.scalar_and_deriv)[0]
+        return 2.0 * on(grid, "rho", traj.rho_at) * z * (phi * force)
 
-    def shape_integrand(grid):
-        phi, dphi = variation.scalar(grid), variation.scalar_deriv(grid)
-        return rho_on(grid) ** 2 * (n_m * dphi**2 + hess * phi**2)
+    def shape_integrand(grid, members):
+        phi, dphi = on(grid, "phi", variation.scalar_and_deriv)
+        return on(grid, "rho", traj.rho_at) ** 2 * (n_m * dphi**2 + hess * phi**2)
 
     d2_rho, d2_mixed, d2_shape = _refine_until(
         [rho_integrand, mixed_integrand, shape_integrand], traj, support, quad_tol)
-    return float(d2_rho), float(d2_mixed), float(d2_shape)
+    return float(d2_rho[0]), float(d2_mixed[0]), float(d2_shape[0])
 
 
 @dataclass(frozen=True)
@@ -505,3 +597,7 @@ class ScalarBump:
 
     def scalar_deriv(self, t):
         return self.amplitude * self.profile.deriv(np.asarray(t) - self.l1 - self.shift)
+
+    def scalar_and_deriv(self, t):
+        phi, dphi = self.profile.value_and_deriv(np.asarray(t) - self.l1 - self.shift)
+        return self.amplitude * phi, self.amplitude * dphi

@@ -1,5 +1,8 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +283,43 @@ def test_weakforce_command(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[0] == WEAKFORCE_HEADER
     assert len(lines) == 7
+
+
+def run_with_closed_reader(lines, *argv):
+    """Run ncol in a child whose stdout reader closes after `lines` lines.
+
+    Returns the child's exit code and stderr.
+    """
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from ncol.cli import main; sys.exit(main())", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    return proc.returncode, err
+
+
+def test_figure1_into_a_closed_pipe_exits_zero():
+    # more than 64 KiB, so the child is still writing when the reader goes
+    rc, err = run_with_closed_reader(1, "figure1", "--steps", "2000")
+    assert (rc, err) == (0, "")
+
+
+def test_weakforce_into_a_closed_pipe_keeps_its_verdict(capsys):
+    want_rc, _, want_err = run(capsys, "weakforce", "--eps", "0.5")
+    assert want_rc in (0, 2)
+    # the reader is gone before the CSV is written
+    assert run_with_closed_reader(0, "weakforce", "--eps", "0.5") == (want_rc, want_err)
+
+
+def test_failed_out_write_is_io_error(tmp_path, capsys):
+    rc, _, err = run(capsys, "figure1", "--steps", "3", "--out", str(tmp_path / "no" / "x.csv"))
+    assert rc == 1
+    assert err.startswith("io error")
 
 
 def test_unknown_family_is_usage_error(capsys):

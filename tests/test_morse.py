@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncol import central, mcgehee, morse, nbody, spectral
@@ -217,11 +217,11 @@ def test_frozen_scalar_path_skips_evaluate(monkeypatch, frozen_trajs, mu1_direct
 def test_refinement_stops_at_first_nonfinite_estimate(homothetic_traj, mu1_direction):
     grids = []
 
-    def nan_rows(grid):
+    def nan_rows(grid, members):
         grids.append(grid.size)
-        return np.full(grid.size, np.nan)
+        return np.full(grid.shape, np.nan)
 
-    assert np.isnan(morse._refine_until([nan_rows], homothetic_traj, (1.0, 5.0), 1e-8)[0])
+    assert np.isnan(morse._refine_until([nan_rows], homothetic_traj, (1.0, 5.0), 1e-8)[0][0])
     assert len(grids) == 1
 
     bump = morse.BumpVariation(l1=0.5, l2=4.0, shift=1.0, xi=mu1_direction)
@@ -383,8 +383,8 @@ def separate_blocks(traj, zeta, variation, quad_tol=1e-8):
     blocks, levels = [], []
     for fn in integrands:
         grids = []
-        counted = (lambda fn: lambda grid: grids.append(grid.size) or fn(grid))(fn)
-        blocks.append(float(morse._refine_until([counted], traj, support, quad_tol)[0]))
+        counted = (lambda fn: lambda grid, _: grids.append(grid.size) or fn(grid[0])[None])(fn)
+        blocks.append(float(morse._refine_until([counted], traj, support, quad_tol)[0][0]))
         levels.append(len(grids))
     return tuple(blocks), levels
 
@@ -461,7 +461,8 @@ def test_narrow_blocks_meet_their_tolerance(alpha, h):
         for got, ref in zip(morse.homographic_blocks(traj, z, v), tight):
             assert abs(got - ref) <= 1e-8 * (1.0 + abs(ref))
         assert tight == pytest.approx(fine, rel=1e-9, abs=1e-9)
-        fine_q = fine_simpson(morse._sampled_integrand(traj, v), v.support).sum()
+        rows = morse._sampled_integrand(traj, lambda t, _: (v.value(t), v.deriv(t)))
+        fine_q = fine_simpson(lambda t: rows(t, None), v.support).sum()
         tight_q = morse.quadratic_Q(traj, v, quad_tol=1e-14).value
         assert abs(morse.quadratic_Q(traj, v).value - tight_q) <= 1e-8 * (1.0 + abs(tight_q))
         assert tight_q == pytest.approx(fine_q, rel=1e-9, abs=1e-9)
@@ -471,7 +472,7 @@ def test_refinement_stops_each_integral_at_its_own_tolerance(homothetic_traj):
     calls = {}
 
     def row(k):
-        def fn(grid):
+        def fn(grid, members):
             calls[k] = calls.get(k, 0) + 1
             return np.exp(-k * grid) * np.sin(3.0 * k * grid) + 0.1 * k
         return fn
@@ -480,7 +481,8 @@ def test_refinement_stops_each_integral_at_its_own_tolerance(homothetic_traj):
     together = morse._refine_until(fns, homothetic_traj, (1.0, 30.0), 1e-12)
     shared_calls, calls = calls, {}
     for k, fn, got in zip((0.5, 2.0, 9.0), fns, together):
-        assert got == morse._refine_until([fn], homothetic_traj, (1.0, 30.0), 1e-12)[0]
+        alone = morse._refine_until([fn], homothetic_traj, (1.0, 30.0), 1e-12)[0]
+        assert got.tobytes() == alone.tobytes()
         assert shared_calls[k] == calls[k]
     assert len(set(calls.values())) > 1  # they converge at different levels
 
@@ -503,3 +505,246 @@ def test_report_json_keys(homothetic_traj, mu1_direction):
     shifts = morse.default_shifts(3, 0.0, 20.0)
     rep = morse.morse_witnesses(homothetic_traj, mu1_direction, shifts, l1=1e-9, l2=20.0)
     assert set(rep.to_dict()) == {"Q", "kinetic", "rho_term", "cross", "hessian", "witnesses"}
+
+
+# ---------------------------------------------------------------------------
+# witness counts on one stack, against the one-bump-at-a-time loop
+
+
+def reference_profile(p, u):
+    """Profile value and slope as two separate passes computed them, the oracle
+    of Profile.value_and_deriv."""
+    def soft(x):
+        out = np.zeros_like(x)
+        pos = x > 1e-12
+        out[pos] = np.exp(-1.0 / x[pos])
+        return out
+
+    def soft_d(x):
+        out = np.zeros_like(x)
+        pos = x > 1e-12
+        out[pos] = np.exp(-1.0 / x[pos]) / x[pos] ** 2
+        return out
+
+    def step(x):
+        a, b = soft(x), soft(1.0 - x)
+        return a / (a + b)
+
+    def step_d(x):
+        a, b = soft(x), soft(1.0 - x)
+        da, db = soft_d(x), -soft_d(1.0 - x)
+        denom = (a + b) ** 2
+        out = np.zeros_like(x)
+        ok = denom > 0
+        out[ok] = (da[ok] * b[ok] - a[ok] * db[ok]) / denom[ok]
+        return out
+
+    u = np.asarray(u, dtype=float)
+    if p.kind == "bump":
+        z = 2.0 * u / p.width - 1.0
+        val, der = np.zeros_like(z), np.zeros_like(z)
+        inside = np.abs(z) < 1.0
+        zi = z[inside]
+        val[inside] = np.exp(-1.0 / (1.0 - zi**2) + 1.0)
+        der[inside] = np.exp(-1.0 / (1.0 - zi**2) + 1.0) * (-2.0 * zi / (1.0 - zi**2) ** 2) \
+            * (2.0 / p.width)
+        return val, der
+    ramp = 0.5 * (1.0 - p.flat_fraction) * p.width
+    up, down = step(u / ramp), step((p.width - u) / ramp)
+    dup = step_d(u / ramp) / ramp
+    ddown = -step_d((p.width - u) / ramp) / ramp
+    return up * down, dup * down + up * ddown
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["flattop", "bump"]),
+       width=st.floats(min_value=1e-3, max_value=1e3),
+       frac=st.floats(min_value=0.0, max_value=0.999),
+       u=st.lists(st.floats(width=64), max_size=20))
+def test_value_and_deriv_equals_the_two_pass_profile(kind, width, frac, u):
+    p = morse.Profile(width=width, kind=kind, flat_fraction=frac)
+    ramp = 0.5 * (1.0 - frac) * width
+    edges = np.array([0.0, 1e-12 * ramp, (1.0 - 1e-12) * ramp, ramp, width - ramp,
+                      width - (1.0 - 1e-12) * ramp, width - 1e-12 * ramp, width])
+    pts = np.concatenate([u, np.linspace(-0.1 * width, 1.1 * width, 301), edges,
+                          np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                          [np.nan, np.inf, -np.inf, -0.0]])
+    with np.errstate(all="ignore"):
+        got = p.value_and_deriv(pts)
+        want = reference_profile(p, pts)
+        alone = p.value(pts), p.deriv(pts)
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, alone))
+    for g, w in zip(got, want):
+        # bitwise, signed zeros included; a NaN is matched by a NaN
+        assert np.array_equal(np.isnan(g), np.isnan(w))
+        assert g[~np.isnan(w)].tobytes() == w[~np.isnan(w)].tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(min_value=1, max_value=5),
+       width=st.floats(min_value=0.3, max_value=12.0),
+       kind=st.sampled_from(["flattop", "bump"]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(n=5, width=0.5, kind="flattop", seed=0)
+def test_disjoint_supports_make_Q_additive(n, width, kind, seed, homothetic_traj, mu1_direction):
+    # flat fractions up to 0.95: steeper ramps on narrow supports are not
+    # resolved within 8 doublings, and Q comes back unconverged without a
+    # signal (ROADMAP item 4; CHANGES.md names the cases)
+    rng = np.random.default_rng(seed)
+    starts = np.cumsum(rng.uniform(0.0, 3.0, n) + width) - width
+    bumps = [morse.BumpVariation(l1=0.5, l2=0.5 + width, shift=float(s), xi=mu1_direction,
+                                 profile_kind=kind, flat_fraction=rng.uniform(0.0, 0.95))
+             for s in starts]
+    c = rng.standard_normal(n)
+    total = float(np.sum(c**2 * [morse.quadratic_Q(homothetic_traj, b).value for b in bumps]))
+    q = morse.quadratic_Q(homothetic_traj, morse.CombinedVariation(bumps, c)).value
+    assert abs(q - total) <= 1e-8 * (1.0 + abs(total))
+
+
+@pytest.mark.parametrize("width,flat", [(0.1, 0.9), (0.3, 0.9), (0.3, 0.95)])
+def test_narrow_steep_witnesses_pass_the_additivity_check(width, flat, homothetic_traj,
+                                                          mu1_direction):
+    # the combination of the bumps used to start refining where a support as
+    # wide as all of them would, ran out of doublings, and failed the check
+    shifts = morse.default_shifts(5, 0.0, width)
+    rep = morse.morse_witnesses(homothetic_traj, mu1_direction, shifts, l1=1e-9, l2=width,
+                                flat_fraction=flat)
+    assert len(rep.q_values) == 5
+
+
+def reference_witness_values(traj, xi, shifts, l1, l2, profile="flattop", flat_fraction=0.8,
+                             quad_tol=1e-8):
+    """The loop the stacked witness quadrature replaced: one quadratic_Q per bump."""
+    xi = np.asarray(xi, dtype=float).reshape(traj.s[0].shape)
+    return [morse.quadratic_Q(traj, morse.BumpVariation(l1=l1, l2=l2, shift=sh, xi=xi,
+                                                        profile_kind=profile,
+                                                        flat_fraction=flat_fraction), quad_tol)
+            for sh in shifts]
+
+
+REPORT_FIELDS = ("value", "kinetic", "rho_term", "cross", "hessian")
+
+
+def assert_same_report(got, want):
+    for name in REPORT_FIELDS:
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+
+
+@pytest.fixture(scope="module")
+def witness_trajs(coll1, homothetic_traj):
+    """Frozen-shape oracles at h = 0 and h = 1, and a kicked run with sampled shapes."""
+    kick = np.zeros((3, 2))
+    kick[:, 1] = 1e-3 * np.array([1.0, -2.0, 1.0]) / np.sqrt(6)
+    u = nbody.potential(coll1.s0, coll1.masses, 1.0)
+    sp2 = float(np.sum(coll1.masses * np.sum(kick * kick, axis=1)))
+    st0 = mcgehee.McGeheeState(rho=1.0, rho_prime=-0.25 * np.sqrt(2 * (u - 0.5 * sp2)),
+                               s=coll1.s0.copy(), s_prime=kick)
+    kicked = mcgehee.integrate_el(st0, coll1.masses, 1.0, tau_max=8.0,
+                                  opts=mcgehee.IntegratorOptions(rtol=1e-11, max_step=0.05))
+    assert not kicked.frozen_shape
+    return {"oracle-h0": homothetic_traj,
+            "oracle-h1": mcgehee.homothetic_oracle(coll1, h=1.0, tau_max=30.0, phi_min=1e-6),
+            "kicked": kicked}
+
+
+@pytest.mark.parametrize("name", ["oracle-h0", "oracle-h1", "kicked"])
+@settings(max_examples=12, deadline=None)
+@given(count=st.integers(min_value=1, max_value=5),
+       width=st.one_of(st.floats(min_value=0.1, max_value=1.99),
+                       st.floats(min_value=2.0, max_value=25.0)),
+       profile=st.sampled_from(["flattop", "bump"]),
+       flat=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       place=st.floats(min_value=0.0, max_value=1.0))
+@example(count=3, width=0.3, profile="flattop", flat=0.99, place=0.0)
+def test_stacked_witnesses_equal_the_per_bump_loop(name, count, width, profile, flat, place,
+                                                   witness_trajs, mu1_direction):
+    traj = witness_trajs[name]
+    horizon = traj.tau_end - 1e-6
+    width = min(width, horizon / (2 * count))
+    start = place * (horizon - width * (2 * count - 1))
+    shifts = morse.default_shifts(count, 0.0, width, start=start)
+    kw = dict(l1=1e-9, l2=width, profile=profile, flat_fraction=flat)
+    want = reference_witness_values(traj, mu1_direction, shifts, **kw)
+    try:
+        rep = morse.morse_witnesses(traj, mu1_direction, shifts, **kw)
+    except AssertionError:
+        # very steep ramps on narrow supports leave Q unconverged after 8
+        # doublings (ROADMAP item 4): the additivity check must then fail on
+        # the per-bump values as well
+        c = np.random.default_rng(0).standard_normal(count)
+        bumps = [morse.BumpVariation(l1=1e-9, l2=width, shift=sh, xi=mu1_direction,
+                                     profile_kind=profile, flat_fraction=flat) for sh in shifts]
+        q_combo = morse.quadratic_Q(traj, morse.CombinedVariation(bumps, c)).value
+        expected = float(np.sum(c**2 * np.array([r.value for r in want])))
+        assert not abs(q_combo - expected) <= 1e-8 * (1.0 + abs(expected))
+        return
+    assert [repr(q) for q in rep.q_values] == [repr(r.value) for r in want]
+    assert_same_report(rep, min(want, key=lambda r: r.value))
+    assert rep.witnesses == sum(r.value < 0.0 for r in want)
+
+
+def stacked_rows(bumps, nan_member=None, calls=None):
+    """(phi, phi') for any bumps, one grid row per member, each from its own bump.
+
+    The rows of nan_member are NaN; calls, when given, collects the members
+    of each evaluation.
+    """
+    def scalars(grid, members):
+        if calls is not None:
+            calls.append(list(members))
+        pairs = [bumps[m].scalar_and_deriv(row) for m, row in zip(members, grid)]
+        phi, dphi = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+        phi[np.asarray(members) == nan_member] = np.nan
+        return phi, dphi
+
+    return scalars
+
+
+@pytest.mark.parametrize("name", ["oracle-h0", "oracle-h1", "kicked"])
+@settings(max_examples=10, deadline=None)
+@given(widths=st.lists(st.floats(min_value=0.2, max_value=9.0), min_size=2, max_size=6),
+       kinds=st.lists(st.sampled_from(["flattop", "bump"]), min_size=6, max_size=6),
+       gap=st.floats(min_value=0.0, max_value=2.0),
+       nan_member=st.one_of(st.none(), st.integers(min_value=0, max_value=5)))
+@example(widths=[0.7, 5.3, 2.9], kinds=["flattop", "bump"] * 3, gap=1.0, nan_member=1)
+def test_stack_members_refine_alone(name, widths, kinds, gap, nan_member, witness_trajs,
+                                    mu1_direction):
+    # members of different widths start on different interval counts, or
+    # share a grid where the counts agree; each must stop at its own level
+    traj = witness_trajs[name]
+    widths = np.array(widths)
+    scale = min(1.0, (traj.tau_end - 0.5) / (widths.sum() + gap * len(widths)))
+    widths, gap = widths * scale, gap * scale
+    lows = 0.1 + np.cumsum(widths + gap) - widths - gap
+    bumps = [morse.BumpVariation(l1=1e-9, l2=w, shift=float(lo), xi=mu1_direction,
+                                 profile_kind=k) for w, lo, k in zip(widths, lows, kinds)]
+    calls = []
+    scalars = stacked_rows(bumps, nan_member, calls)
+    if traj.frozen_shape:
+        integrand = morse._frozen_integrand(traj, mu1_direction, scalars)
+    else:
+        integrand = morse._sampled_integrand(traj, lambda g, m: tuple(
+            x.reshape(-1, 1, 1) * mu1_direction for x in scalars(g, m)))
+    got = morse._reports(traj, integrand, [b.support for b in bumps], 1e-8)
+    for k, (rep, bump) in enumerate(zip(got, bumps)):
+        if k == nan_member:
+            assert np.isnan(rep.value)
+            assert sum(k in members for members in calls) == 1
+        else:
+            assert_same_report(rep, morse.quadratic_Q(traj, bump))
+
+
+def test_stack_shares_a_grid_per_interval_count(monkeypatch, homothetic_traj, mu1_direction):
+    # widths 0.7 and 2.9 both start on 64 intervals, 5.3 on 86
+    bumps = [morse.BumpVariation(l1=1e-9, l2=w, shift=lo, xi=mu1_direction)
+             for w, lo in ((0.7, 1.0), (5.3, 3.0), (2.9, 10.0))]
+    support_grid, grids = morse._support_grid, []
+
+    def counted(traj, lo, hi, intervals):
+        grids.append((len(lo), intervals))
+        return support_grid(traj, lo, hi, intervals)
+
+    monkeypatch.setattr(morse, "_support_grid", counted)
+    integrand = morse._frozen_integrand(homothetic_traj, mu1_direction, stacked_rows(bumps))
+    morse._reports(homothetic_traj, integrand, [b.support for b in bumps], 1e-8)
+    assert grids[:2] == [(2, 64), (1, 86)]
