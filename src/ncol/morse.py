@@ -245,25 +245,23 @@ def _support_grid(traj: Trajectory, lo, hi, intervals: int):
     return grid
 
 
-def _refine_until(integral_fns, traj, supports, tol, narrowest=None):
+def _refine_until(fn, traj, supports, tol, narrowest=None):
     """Composite-Simpson integrals on a stack of supports, refined together by grid doubling.
 
-    supports is one (lo, hi) pair or a sequence of them, one per member.
-    Each of integral_fns maps (grid, members), a (G, K) grid whose rows span
-    the supports of the members in the index array members, to values of
-    shape (G, ..., K); each row is integrated, and the tolerance applies to
-    the sum of a member's rows.  Each integral of each member stops at its
-    own tolerance (or at its first non-finite estimate) and leaves the stack
-    while the others go on refining.  A level builds one grid for the running
-    members that share an interval count, so an integrand may reuse what
-    another computed on that same grid object.  A member's first level is the
-    first whose grid differs from the next one's: on a support narrower than
-    2 the coarser levels are all the same 64-interval grid, and comparing two
-    of them would check nothing.  Where an integrand is made of pieces
-    narrower than its support, narrowest (their least width) sets that level
-    in place of the support's width, so the pieces are resolved as finely as
-    they would be alone.  Returns the row estimates of each integral, one per
-    member, in the order given.
+    supports is one (lo, hi) pair or a sequence of them, one per member.  fn
+    maps (grid, members), a (G, K) grid whose rows span the supports of the
+    members in the index array members, to values of shape (G, ..., K); each
+    row is integrated, and the tolerance applies to the sum of a member's
+    rows.  Each member stops at its own tolerance (or at its first non-finite
+    estimate) and leaves the stack while the others go on refining; a level
+    builds one grid for the running members that share an interval count.  A
+    member's first level is the first whose grid differs from the next one's:
+    on a support narrower than 2 the coarser levels are all the same
+    64-interval grid, and comparing two of them would check nothing.  Where an
+    integrand is made of pieces narrower than its support, narrowest (their
+    least width) sets that level in place of the support's width, so the
+    pieces are resolved as finely as they would be alone.  Returns the row
+    estimates, one per member, in the order given.
     """
     lo, hi = np.reshape(np.asarray(supports, dtype=float), (-1, 2)).T
     widths = (hi - lo).tolist()
@@ -274,44 +272,33 @@ def _refine_until(integral_fns, traj, supports, tol, narrowest=None):
         while _intervals(feature, 2.0 * rate) == _intervals(feature, rate):
             rate *= 2.0
         ppu.append(rate)
-    results = [None] * len(integral_fns)
-    prev = [{} for _ in integral_fns]
-    running = [set(range(len(widths))) for _ in integral_fns]
+    result, prev, running = None, {}, set(range(len(widths)))
     for _ in range(8):
         groups = {}
-        for m in sorted(set().union(*running)):
+        for m in sorted(running):
             groups.setdefault(_intervals(widths[m], ppu[m]), []).append(m)
         for n, group in sorted(groups.items()):
-            group = np.array(group)
-            grid = _support_grid(traj, lo[group], hi[group], n)
-            step = grid[:, 1] - grid[:, 0]
-            for k, fn in enumerate(integral_fns):
-                rows = [m in running[k] for m in group.tolist()]
-                if all(rows):  # the level's own grid object, which integrands may cache on
-                    members, g, h = group, grid, step
-                elif any(rows):
-                    members, g, h = group[rows], grid[rows], step[rows]
-                else:
-                    continue
-                vals = fn(g, members)
-                h = (h / 3.0).reshape((-1,) + (1,) * (vals.ndim - 2))
-                simpson = h * (vals[..., 0] + vals[..., -1]
-                               + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
-                               + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
-                if results[k] is None:
-                    results[k] = np.empty((len(widths),) + simpson.shape[1:])
-                results[k][members] = simpson
-                totals = simpson.reshape(members.size, -1).sum(axis=-1).tolist()
-                for m, total in zip(members.tolist(), totals):
-                    last = prev[k].get(m)
-                    if not math.isfinite(total) or (
-                            last is not None and abs(total - last) <= tol * (1.0 + abs(total))):
-                        running[k].discard(m)
-                    prev[k][m] = total
-        if not any(running):
+            members = np.array(group)
+            grid = _support_grid(traj, lo[members], hi[members], n)
+            vals = fn(grid, members)
+            h = ((grid[:, 1] - grid[:, 0]) / 3.0).reshape((-1,) + (1,) * (vals.ndim - 2))
+            simpson = h * (vals[..., 0] + vals[..., -1]
+                           + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
+                           + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
+            if result is None:
+                result = np.empty((len(widths),) + simpson.shape[1:])
+            result[members] = simpson
+            totals = simpson.reshape(members.size, -1).sum(axis=-1).tolist()
+            for m, total in zip(group, totals):
+                last = prev.get(m)
+                if not math.isfinite(total) or (
+                        last is not None and abs(total - last) <= tol * (1.0 + abs(total))):
+                    running.discard(m)
+                prev[m] = total
+        if not running:
             break
         ppu = [2.0 * rate for rate in ppu]
-    return results
+    return result
 
 
 def _mdot(m, a, b):
@@ -331,7 +318,7 @@ def second_variation_s(traj: Trajectory, variation, quad_tol: float = 1e-8) -> f
         hess = traj.potential_scale * nbody.hessian_on_ellipsoid_stack(s, m, traj.alpha, v)
         return (rho**2 * (kin + hess)).reshape(grid.shape)
 
-    return float(_refine_until([integrand], traj, variation.support, quad_tol)[0][0])
+    return float(_refine_until(integrand, traj, variation.support, quad_tol)[0])
 
 
 def _sampled_integrand(traj: Trajectory, fields):
@@ -392,8 +379,8 @@ def _reports(traj: Trajectory, integrand, supports, quad_tol: float, narrowest=N
         def chunk(grid, members, start=start):
             return integrand(grid, members + start)
 
-        parts, = _refine_until([chunk], traj, supports[start:start + _STACK_ROWS], quad_tol,
-                               narrowest)
+        parts = _refine_until(chunk, traj, supports[start:start + _STACK_ROWS], quad_tol,
+                              narrowest)
         reports += [SecondVariationReport(value=float(p.sum()), kinetic=float(p[0]),
                                           rho_term=float(p[1]), cross=float(p[2]),
                                           hessian=float(p[3])) for p in parts]
@@ -544,33 +531,21 @@ def homographic_blocks(traj: Trajectory, zeta, variation, quad_tol: float = 1e-8
     n_m, hess = _frozen_pairings(traj, variation.xi)
     support = (min(zeta.support[0], variation.support[0]),
                max(zeta.support[1], variation.support[1]))
-    cache = {}
 
-    def on(grid, name, fn):
-        # the integrals refine on shared grids: rho and each profile once per grid
-        if cache.get("grid") is not grid:
-            cache.clear()
-            cache["grid"] = grid
-        if name not in cache:
-            cache[name] = fn(grid)
-        return cache[name]
+    def integrand(grid, members):
+        # the blocks are members on one support, so every row of grid is the
+        # same: zeta, phi and rho are taken once, rho only for the mixed and
+        # shape blocks
+        t = grid[0]
+        z, dz = zeta.scalar_and_deriv(t)
+        phi, dphi = variation.scalar_and_deriv(t)
+        rho = traj.rho_at(t) if members[-1] > 0 else None
+        blocks = (lambda: coef * dz**2 + z**2 * two_u,
+                  lambda: 2.0 * rho * z * (phi * force),
+                  lambda: rho**2 * (n_m * dphi**2 + hess * phi**2))
+        return np.stack([blocks[k]() for k in members.tolist()])
 
-    def rho_integrand(grid, members):
-        z, dz = on(grid, "zeta", zeta.scalar_and_deriv)
-        return coef * dz**2 + z**2 * two_u
-
-    def mixed_integrand(grid, members):
-        z = on(grid, "zeta", zeta.scalar_and_deriv)[0]
-        phi = on(grid, "phi", variation.scalar_and_deriv)[0]
-        return 2.0 * on(grid, "rho", traj.rho_at) * z * (phi * force)
-
-    def shape_integrand(grid, members):
-        phi, dphi = on(grid, "phi", variation.scalar_and_deriv)
-        return on(grid, "rho", traj.rho_at) ** 2 * (n_m * dphi**2 + hess * phi**2)
-
-    d2_rho, d2_mixed, d2_shape = _refine_until(
-        [rho_integrand, mixed_integrand, shape_integrand], traj, support, quad_tol)
-    return float(d2_rho[0]), float(d2_mixed[0]), float(d2_shape[0])
+    return tuple(_refine_until(integrand, traj, [support] * 3, quad_tol).tolist())
 
 
 @dataclass(frozen=True)

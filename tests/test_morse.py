@@ -221,7 +221,7 @@ def test_refinement_stops_at_first_nonfinite_estimate(homothetic_traj, mu1_direc
         grids.append(grid.size)
         return np.full(grid.shape, np.nan)
 
-    assert np.isnan(morse._refine_until([nan_rows], homothetic_traj, (1.0, 5.0), 1e-8)[0][0])
+    assert np.isnan(morse._refine_until(nan_rows, homothetic_traj, (1.0, 5.0), 1e-8)[0])
     assert len(grids) == 1
 
     bump = morse.BumpVariation(l1=0.5, l2=4.0, shift=1.0, xi=mu1_direction)
@@ -384,7 +384,7 @@ def separate_blocks(traj, zeta, variation, quad_tol=1e-8):
     for fn in integrands:
         grids = []
         counted = (lambda fn: lambda grid, _: grids.append(grid.size) or fn(grid[0])[None])(fn)
-        blocks.append(float(morse._refine_until([counted], traj, support, quad_tol)[0][0]))
+        blocks.append(float(morse._refine_until(counted, traj, support, quad_tol)[0]))
         levels.append(len(grids))
     return tuple(blocks), levels
 
@@ -469,22 +469,23 @@ def test_narrow_blocks_meet_their_tolerance(alpha, h):
 
 
 def test_refinement_stops_each_integral_at_its_own_tolerance(homothetic_traj):
-    calls = {}
+    # three members on one support, each its own integrand row
+    ks, levels = (0.5, 2.0, 9.0), []
 
-    def row(k):
-        def fn(grid, members):
-            calls[k] = calls.get(k, 0) + 1
-            return np.exp(-k * grid) * np.sin(3.0 * k * grid) + 0.1 * k
-        return fn
+    def rows(grid, members):
+        levels.append(members.tolist())
+        return np.stack([np.exp(-ks[m] * row) * np.sin(3.0 * ks[m] * row) + 0.1 * ks[m]
+                         for m, row in zip(members.tolist(), grid)])
 
-    fns = [row(k) for k in (0.5, 2.0, 9.0)]
-    together = morse._refine_until(fns, homothetic_traj, (1.0, 30.0), 1e-12)
-    shared_calls, calls = calls, {}
-    for k, fn, got in zip((0.5, 2.0, 9.0), fns, together):
-        alone = morse._refine_until([fn], homothetic_traj, (1.0, 30.0), 1e-12)[0]
-        assert got.tobytes() == alone.tobytes()
-        assert shared_calls[k] == calls[k]
-    assert len(set(calls.values())) > 1  # they converge at different levels
+    together = morse._refine_until(rows, homothetic_traj, [(1.0, 30.0)] * 3, 1e-12)
+    shared = [sum(m in members for members in levels) for m in range(3)]
+    for m in range(3):
+        levels.clear()
+        alone = morse._refine_until(lambda grid, _: rows(grid, np.array([m])),
+                                    homothetic_traj, (1.0, 30.0), 1e-12)
+        assert together[m].tobytes() == alone[0].tobytes()
+        assert shared[m] == len(levels)
+    assert len(set(shared)) > 1  # they converge at different levels
 
 
 def test_homographic_blocks_reject_moving_shape(coll1):
