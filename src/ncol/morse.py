@@ -281,7 +281,9 @@ def _refine_until(fn, traj, supports, tol, narrowest=None):
             members = np.array(group)
             grid = _support_grid(traj, lo[members], hi[members], n)
             vals = fn(grid, members)
-            h = ((grid[:, 1] - grid[:, 0]) / 3.0).reshape((-1,) + (1,) * (vals.ndim - 2))
+            # the step _support_grid builds its rows from; grid[:, 1] - grid[:, 0]
+            # would lose digits on a support far from tau = 0
+            h = ((hi[members] - lo[members]) / n / 3.0).reshape((-1,) + (1,) * (vals.ndim - 2))
             simpson = h * (vals[..., 0] + vals[..., -1]
                            + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
                            + 2.0 * vals[..., 2:-1:2].sum(axis=-1))

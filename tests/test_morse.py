@@ -441,20 +441,29 @@ def fine_simpson(fn, support, intervals=1 << 14):
                          + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
 
 
-@pytest.mark.parametrize("alpha,h", [(1.0, 0.0), (0.05, 1.0)])
-def test_narrow_blocks_meet_their_tolerance(alpha, h):
-    # below width 2 the first grids share the 64-interval floor; refinement
-    # must still compare two different grids before it stops, so a block and
-    # Q at quad_tol 1e-8 match both the 1e-14 values and one fine grid
+def narrow_cases(alpha, h):
+    """A frozen-shape collinear3 trajectory and (zeta, bump) pairs of widths 0.3 to 1.9."""
     cc = central.collinear3(1.0, 1.0, alpha)
     traj = mcgehee.homothetic_oracle(cc, h=h, tau_max=30.0, phi_min=1e-6)
     rng = np.random.default_rng(8)
+    cases = []
     for width in (0.3, 0.7, 1.2, 1.9):
         l1 = 0.3 + rng.uniform(0.0, 1.0)
         sh = rng.uniform(0.0, traj.tau_end - l1 - width - 0.3)
         v = morse.BumpVariation(l1=l1, l2=l1 + width, shift=sh,
                                 xi=admissible_direction(cc, rng), profile_kind="bump")
         z = morse.ScalarBump(l1=l1, l2=l1 + width, shift=sh, amplitude=rng.uniform(0.2, 2.0))
+        cases.append((z, v))
+    return traj, cases
+
+
+@pytest.mark.parametrize("alpha,h", [(1.0, 0.0), (0.05, 1.0)])
+def test_narrow_blocks_meet_their_tolerance(alpha, h):
+    # below width 2 the first grids share the 64-interval floor; refinement
+    # must still compare two different grids before it stops, so a block and
+    # Q at quad_tol 1e-8 match both the 1e-14 values and one fine grid
+    traj, cases = narrow_cases(alpha, h)
+    for z, v in cases:
         support, integrands = block_integrands(traj, z, v)
         fine = [fine_simpson(fn, support) for fn in integrands]
         tight = morse.homographic_blocks(traj, z, v, quad_tol=1e-14)
@@ -466,6 +475,28 @@ def test_narrow_blocks_meet_their_tolerance(alpha, h):
         tight_q = morse.quadratic_Q(traj, v, quad_tol=1e-14).value
         assert abs(morse.quadratic_Q(traj, v).value - tight_q) <= 1e-8 * (1.0 + abs(tight_q))
         assert tight_q == pytest.approx(fine_q, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha,h", [(1.0, 0.0), (0.05, 1.0)])
+def test_narrow_refinements_stop_before_the_last_level(alpha, h, monkeypatch):
+    # a Simpson step of grid[1] - grid[0] loses about eps * lo / h of its
+    # digits on a support at tau = lo, so a tight quad_tol was never met and
+    # these refinements ran all 8 levels; the step (hi - lo) / n meets 1e-14
+    traj, cases = narrow_cases(alpha, h)
+    support_grid, grids = morse._support_grid, []
+
+    def counted(*args):
+        grids.append(args[-1])
+        return support_grid(*args)
+
+    monkeypatch.setattr(morse, "_support_grid", counted)
+    for z, v in cases:
+        for refine in (lambda: morse.homographic_blocks(traj, z, v, quad_tol=1e-14),
+                       lambda: morse.quadratic_Q(traj, v, quad_tol=1e-14)):
+            grids.clear()
+            refine()
+            # the blocks share one grid per level, so each grid is one level
+            assert len(grids) < 8, grids
 
 
 def test_refinement_stops_each_integral_at_its_own_tolerance(homothetic_traj):
