@@ -56,12 +56,6 @@ class Profile:
     kind: str = "flattop"
     flat_fraction: float = 0.8
 
-    def value(self, u):
-        return self.value_and_deriv(u)[0]
-
-    def deriv(self, u):
-        return self.value_and_deriv(u)[1]
-
     def value_and_deriv(self, u):
         """The profile and its slope at u, from one pass over the exponentials."""
         u = np.asarray(u, dtype=float)
@@ -112,22 +106,14 @@ class BumpVariation:
     def support(self):
         return (self.l1 + self.shift, self.l2 + self.shift)
 
-    def scalar(self, t):
-        return self.profile.value(np.asarray(t) - self.l1 - self.shift)
-
-    def scalar_deriv(self, t):
-        return self.profile.deriv(np.asarray(t) - self.l1 - self.shift)
-
     def scalar_and_deriv(self, t):
         return self.profile.value_and_deriv(np.asarray(t) - self.l1 - self.shift)
 
     def value(self, t):
-        t = np.atleast_1d(t)
-        return self.scalar(t)[:, None, None] * self.xi
+        return self.scalar_and_deriv(np.atleast_1d(t))[0][:, None, None] * self.xi
 
     def deriv(self, t):
-        t = np.atleast_1d(t)
-        return self.scalar_deriv(t)[:, None, None] * self.xi
+        return self.scalar_and_deriv(np.atleast_1d(t))[1][:, None, None] * self.xi
 
 
 class CombinedVariation:
@@ -172,12 +158,6 @@ class CombinedVariation:
 
     def scalar_and_deriv(self, t):
         return self._sum(lambda b, pts: b.scalar_and_deriv(pts), t)
-
-    def scalar(self, t):
-        return self.scalar_and_deriv(t)[0]
-
-    def scalar_deriv(self, t):
-        return self.scalar_and_deriv(t)[1]
 
     def value(self, t):
         return self._sum(lambda b, pts: (b.value(pts),), np.atleast_1d(t))[0]
@@ -484,7 +464,7 @@ def projected_bump(traj: Trajectory, bump: BumpVariation):
         def value(self, t):
             t = np.atleast_1d(t)
             _, _, s, _ = traj.evaluate(t)
-            phi = bump.scalar(t)[:, None, None]
+            phi = bump.scalar_and_deriv(t)[0][:, None, None]
             xi = bump.xi
             coef = np.einsum("j,jd,kjd->k", m, xi, s)[:, None, None]
             return phi * (xi - coef * s)
@@ -568,12 +548,6 @@ class ScalarBump:
     @property
     def support(self):
         return (self.l1 + self.shift, self.l2 + self.shift)
-
-    def scalar(self, t):
-        return self.amplitude * self.profile.value(np.asarray(t) - self.l1 - self.shift)
-
-    def scalar_deriv(self, t):
-        return self.amplitude * self.profile.deriv(np.asarray(t) - self.l1 - self.shift)
 
     def scalar_and_deriv(self, t):
         phi, dphi = self.profile.value_and_deriv(np.asarray(t) - self.l1 - self.shift)

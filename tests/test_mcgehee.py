@@ -65,7 +65,7 @@ def test_mcgehee_roundtrip(seed):
 
 
 def test_to_mcgehee_rejects_zero():
-    with pytest.raises((ZeroConfiguration, Exception)):
+    with pytest.raises(ZeroConfiguration):
         mcgehee.to_mcgehee(np.zeros((2, 2)), np.zeros((2, 2)), np.ones(2), 1.0)
 
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,15 +28,15 @@ def test_profiles_are_compactly_supported():
     for kind in ("bump", "flattop"):
         p = morse.Profile(width=4.0, kind=kind)
         u = np.linspace(-1.0, 5.0, 1201)
-        vals = p.value(u)
+        vals = p.value_and_deriv(u)[0]
         assert np.all(vals[u <= 0.0] == 0.0)
         assert np.all(vals[u >= 4.0] == 0.0)
         assert vals.max() > 0.9
         # derivative consistent with finite differences
         h = 1e-6
         mid = np.linspace(0.2, 3.8, 101)
-        fd = (p.value(mid + h) - p.value(mid - h)) / (2 * h)
-        assert np.max(np.abs(fd - p.deriv(mid))) < 1e-5
+        fd = (p.value_and_deriv(mid + h)[0] - p.value_and_deriv(mid - h)[0]) / (2 * h)
+        assert np.max(np.abs(fd - p.value_and_deriv(mid)[1])) < 1e-5
 
 
 def test_flattop_dirichlet_ratio_scales_inversely_with_width():
@@ -58,16 +60,47 @@ def test_quadratic_Q_breakdown_sums(homothetic_traj, mu1_direction):
     assert rep.value == pytest.approx(total, abs=1e-10)
 
 
-def test_quadratic_Q_matches_exact_homothetic_form(coll1, homothetic_traj, mu1_direction):
-    # on the frozen-shape collapse: Q = int phi'^2 + margin * phi^2 (cross = 0)
-    rep_s = spectral.smallest_eigenvalue(coll1)
-    bump = morse.BumpVariation(l1=1e-9, l2=20.0, shift=100.0, xi=mu1_direction)
-    q = morse.quadratic_Q(homothetic_traj, bump)
-    grid = np.linspace(100.0, 120.0, 20001)
-    phi = bump.scalar(grid)
-    dphi = bump.scalar_deriv(grid)
-    expect = np.trapezoid(dphi**2 + (rep_s.margin) * phi**2, grid)
-    assert q.value == pytest.approx(expect, rel=1e-6)
+@functools.lru_cache(maxsize=None)
+def exact_collapse(family, alpha):
+    """Exact zero-energy collapse data, the constrained eigenpairs and the decay rate c."""
+    if family == "collinear3":
+        cc = central.collinear3(1.0, 1.0, alpha)
+    else:
+        cc = central.embed_in_3d(central.ngon(4, alpha))
+    rep = spectral.smallest_eigenvalue(cc)
+    return (mcgehee.homothetic_oracle(cc, h=0.0, tau_max=250.0), rep.eigenvalues,
+            rep.eigenvectors, mcgehee.homothetic_decay_rate(cc))
+
+
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(["collinear3", "ngon4"]),
+       alpha=st.floats(min_value=0.05, max_value=1.95),
+       pick=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       kind=st.sampled_from(["flattop", "bump"]),
+       frac=st.floats(min_value=0.0, max_value=0.95),
+       width=st.floats(min_value=0.3, max_value=20.0),
+       place=st.floats(min_value=0.0, max_value=1.0))
+def test_quadratic_Q_matches_exact_homothetic_form(family, alpha, pick, kind, frac, width, place):
+    # on the exact collapse rho'/rho = -c, the cross term integrates away and
+    # Q(phi xi) = int phi'^2 + (mu_j + c^2) phi^2 for a constrained eigenvector
+    # xi of eigenvalue mu_j (unit masses, so |xi|_M = |xi| = 1)
+    traj, mus, xis, c = exact_collapse(family, alpha)
+    j = int(pick * len(mus))
+    shift = place * (traj.tau_end - width - 1.0)
+    bump = morse.BumpVariation(l1=0.5, l2=0.5 + width, shift=shift, xi=xis[j],
+                               profile_kind=kind, flat_fraction=frac)
+    quad_tol = 1e-8
+    q = morse.quadratic_Q(traj, bump, quad_tol)
+
+    def exact_form(t):
+        phi, dphi = bump.scalar_and_deriv(t)
+        return dphi**2 + (mus[j] + c * c) * phi**2
+
+    expect = fine_simpson(exact_form, bump.support)
+    # refinement stops once two estimates differ by at most quad_tol (1 + |Q|),
+    # and Simpson's error is then about a fifteenth of that difference; the
+    # fine grid itself is converged to rounding
+    assert abs(q.value - expect) <= quad_tol * (1.0 + abs(expect))
     assert abs(q.cross) < 1e-10
 
 
@@ -259,11 +292,14 @@ def test_combined_variation_matches_naive_sum(mu1_direction):
     grid = np.sort(np.concatenate([np.linspace(-1.0, 11.0, 2401), edges,
                                    np.nextafter(edges, -np.inf),
                                    np.nextafter(edges, np.inf)]))
-    for part in ("scalar", "scalar_deriv", "value", "deriv"):
-        naive = sum(c * getattr(b, part)(grid) for c, b in zip(coeffs, bumps))
-        got = getattr(combo, part)(grid)
-        assert got.shape == naive.shape
-        assert got.tobytes() == naive.tobytes(), part
+    def parts(v):
+        return (*v.scalar_and_deriv(grid), v.value(grid), v.deriv(grid))
+
+    naive = [sum(c * part for c, part in zip(coeffs, column))
+             for column in zip(*(parts(b) for b in bumps))]
+    for name, got, want in zip(("scalar", "scalar_deriv", "value", "deriv"), parts(combo), naive):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_projected_bump_on_homothetic_is_exact(homothetic_traj, mu1_direction):
@@ -355,13 +391,13 @@ def block_integrands(traj, zeta, variation):
 
     def rho_integrand(grid):
         _, _, s, sp = traj.evaluate(grid)
-        z, dz = zeta.scalar(grid), zeta.scalar_deriv(grid)
+        z, dz = zeta.scalar_and_deriv(grid)
         u = scale * nbody.potential_stack(s, m, alpha)
         return coef * dz**2 + z**2 * (morse._mdot(m, sp, sp) + 2.0 * u)
 
     def mixed_integrand(grid):
         rho, _, _, sp = traj.evaluate(grid)
-        z, v, dv = zeta.scalar(grid), variation.value(grid), variation.deriv(grid)
+        z, v, dv = zeta.scalar_and_deriv(grid)[0], variation.value(grid), variation.deriv(grid)
         force = np.einsum("jd,kjd->k", grad_vec, v)
         return 2.0 * rho * z * (morse._mdot(m, sp, dv) + force)
 
@@ -604,8 +640,6 @@ def test_value_and_deriv_equals_the_two_pass_profile(kind, width, frac, u):
     with np.errstate(all="ignore"):
         got = p.value_and_deriv(pts)
         want = reference_profile(p, pts)
-        alone = p.value(pts), p.deriv(pts)
-    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, alone))
     for g, w in zip(got, want):
         # bitwise, signed zeros included; a NaN is matched by a NaN
         assert np.array_equal(np.isnan(g), np.isnan(w))
