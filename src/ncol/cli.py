@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import central, mcgehee, morse, nbody, spectral, weakforce
-from .errors import NcolError, NonCollapsing
+from .errors import InvalidMass, NcolError, NonCollapsing
 
 SWEEP_HEADER = "alpha,family,N,lhs,rhs,holds,mu1,margin"
 WEAKFORCE_HEADER = "alpha,tau_eps,inf_disotto,tail_integral,phi_min"
@@ -45,7 +45,17 @@ def _emit(text: str, out: str | None) -> None:
         os.close(devnull)
 
 
+def _valid_alphas(option: str, values) -> list:
+    """Each value as a float exponent in (0, 2), or a usage error naming option."""
+    try:
+        return [nbody.validate_alpha(float(v)) for v in values]
+    except ValueError as exc:
+        raise UsageError(f"{option}: {exc}") from exc
+
+
 def _build_family(args) -> central.CentralConfiguration:
+    if args.alpha is not None:
+        _valid_alphas("--alpha", [args.alpha])
     alpha = args.alpha if args.alpha is not None else 1.0
     if args.family == "collinear3":
         return central.collinear3(args.m1, args.m1, alpha)
@@ -57,7 +67,13 @@ def _build_family(args) -> central.CentralConfiguration:
         if not args.file:
             raise UsageError("--family file requires --file")
         with open(args.file) as fh:
-            x, m, file_alpha, payload = nbody.config_from_json(fh.read())
+            text = fh.read()
+        try:
+            x, m, file_alpha, _ = nbody.config_from_json(text)
+        except json.JSONDecodeError:
+            raise
+        except (KeyError, TypeError, ValueError, InvalidMass) as exc:
+            raise UsageError(f"--file {args.file} is not a configuration: {exc!r}") from exc
         # the file's own alpha wins unless one was passed explicitly
         return central.solve_central(x, m, args.alpha if args.alpha is not None
                                      else file_alpha)
@@ -187,7 +203,9 @@ def cmd_morse(args) -> int:
 
 
 def cmd_weakforce(args) -> int:
-    alphas = tuple(float(a) for a in args.grid.split(","))
+    alphas = tuple(_valid_alphas("--grid", args.grid.split(",")))
+    if not (np.isfinite(args.eps) and args.eps > 0.0):
+        raise UsageError("--eps must be positive and finite")
     cc = central.collinear3(args.m1, args.m2, alphas[0])
     fam = weakforce.build_H_family(cc, alphas=alphas, tau_max=args.tau_max)
     rows = weakforce.family_report_rows(fam, args.eps)
@@ -215,7 +233,7 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("spectral", help="smallest constrained eigenvalue and criterion margin")
     _family_args(s)
-    s.add_argument("--dim", type=int, default=None)
+    s.add_argument("--dim", type=int, default=None, choices=[2, 3])
     s.set_defaults(fn=cmd_spectral)
 
     s = sub.add_parser("threshold", help="criterion crossing in alpha for a family")

@@ -269,6 +269,43 @@ def test_morse_rejects_invalid_probe_arguments(capsys, option, value):
     assert out == "" and err.startswith("usage error: ") and option in err
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["weakforce", "--grid", "0.5,abc"], "--grid"), (["weakforce", "--grid", ","], "--grid"),
+    (["weakforce", "--grid", "0.5,2.5"], "--grid"), (["weakforce", "--eps", "0"], "--eps"),
+    (["weakforce", "--eps", "nan"], "--eps"),
+    *[([cmd, "--family", "collinear3", "--alpha", "3"], "--alpha")
+      for cmd in ("central", "spectral", "simulate", "morse")],
+    (["central", "--family", "ngon", "--alpha", "0"], "--alpha"),
+    (["spectral", "--family", "collinear3", "--dim", "5"], "--dim")])
+def test_invalid_arguments_are_usage_errors(capsys, argv, option):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == "" and err.startswith("usage error: ") and option in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"positions": [[0, 0], [1, 0]], "masses": [1, 1], "dim": 3, "alpha": 1},
+    {"positions": [[0, 0], [1, 0]], "masses": [1, -1], "dim": 2, "alpha": 1},
+    {"positions": [[0, 0], [1, 0]], "masses": [1, 1], "dim": 2},
+    {"positions": [[0, 0], [1, 0]], "masses": [1, 1], "dim": 2, "alpha": 3},
+    {"positions": "abc", "masses": [1, 1], "dim": 2, "alpha": 1},
+    [1, 2]])
+def test_invalid_configuration_file_is_usage_error(tmp_path, capsys, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    rc, out, err = run(capsys, "central", "--family", "file", "--file", str(cfg))
+    assert rc == 1
+    assert out == "" and err.startswith("usage error: ") and "--file" in err
+
+
+def test_malformed_configuration_file_is_io_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{not json")
+    rc, out, err = run(capsys, "central", "--family", "file", "--file", str(cfg))
+    assert rc == 1
+    assert out == "" and err.startswith("io error")
+
+
 def test_morse_accepts_the_argument_bounds(capsys):
     rc, out, _ = run(capsys, "morse", "--family", "collinear3", "--alpha", "1",
                      "--bumps", "1", "--width", "5", "--flat-fraction", "0")
