@@ -515,17 +515,19 @@ def homographic_blocks(traj: Trajectory, zeta, variation, quad_tol: float = 1e-8
                max(zeta.support[1], variation.support[1]))
 
     def integrand(grid, members):
-        # the blocks are members on one support, so every row of grid is the
-        # same: zeta, phi and rho are taken once, rho only for the mixed and
-        # shape blocks
-        t = grid[0]
-        z, dz = zeta.scalar_and_deriv(t)
-        phi, dphi = variation.scalar_and_deriv(t)
-        rho = traj.rho_at(t) if members[-1] > 0 else None
+        # the blocks are members 0, 1, 2 on one support, so every row of grid
+        # is the same; each path is taken once, and only for a running block
+        # that needs it
+        t, ks = grid[0], members.tolist()
+        if ks[0] < 2:  # radial or mixed
+            z, dz = zeta.scalar_and_deriv(t)
+        if ks[-1] > 0:  # mixed or shape
+            phi, dphi = variation.scalar_and_deriv(t)
+            rho = traj.rho_at(t)
         blocks = (lambda: coef * dz**2 + z**2 * two_u,
                   lambda: 2.0 * rho * z * (phi * force),
                   lambda: rho**2 * (n_m * dphi**2 + hess * phi**2))
-        return np.stack([blocks[k]() for k in members.tolist()])
+        return np.stack([blocks[k]() for k in ks])
 
     return tuple(_refine_until(integrand, traj, [support] * 3, quad_tol).tolist())
 
