@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,6 @@ class CentralConfiguration:
     b: float
     residual: float
     family: str = "numeric"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.s0.setflags(write=False)
@@ -49,8 +48,7 @@ class CentralConfiguration:
             return self
         alpha = nbody.validate_alpha(alpha)
         return replace(self, alpha=alpha, b=nbody.potential(self.s0, self.masses, alpha),
-                       residual=nbody.central_residual(self.s0, self.masses, alpha),
-                       meta=dict(self.meta))
+                       residual=nbody.central_residual(self.s0, self.masses, alpha))
 
     def to_json(self) -> str:
         return nbody.config_to_json(
@@ -61,19 +59,19 @@ class CentralConfiguration:
         )
 
 
-def _verify(s0, m, alpha, family, residual_tol=nbody.RESIDUAL_TOL, meta=None) -> CentralConfiguration:
+def _verify(s0, m, alpha, family) -> CentralConfiguration:
     s0 = nbody.as_positions(s0)
     m = nbody.as_masses(m)
     inertia = nbody.moment_of_inertia(s0, m)
     if abs(inertia - 1.0) > 1e-12:
         raise NotCentral(f"moment of inertia {inertia} is off the unit ellipsoid")
     res = nbody.central_residual(s0, m, alpha)
-    tol = max(residual_tol, 100 * np.finfo(float).eps * nbody.residual_scale(s0, m, alpha))
+    tol = max(nbody.RESIDUAL_TOL, 100 * np.finfo(float).eps * nbody.residual_scale(s0, m, alpha))
     if res > tol:
         raise NotCentral(f"centrality residual {res:.3e} exceeds {tol:.3e}")
     b = nbody.potential(s0, m, alpha)
     return CentralConfiguration(s0=s0, masses=m, alpha=float(alpha), b=b, residual=res,
-                                family=family, meta=meta or {})
+                                family=family)
 
 
 def collinear3(m1: float, m2: float, alpha: float) -> CentralConfiguration:
@@ -92,25 +90,23 @@ def collinear3(m1: float, m2: float, alpha: float) -> CentralConfiguration:
     return _verify(s0, m, alpha, family)
 
 
-def ngon(n: int, alpha: float, dim: int = 2) -> CentralConfiguration:
-    """Regular n-gon of unit masses inscribed in a circle of radius 1/sqrt(n).
+def ngon(n: int, alpha: float) -> CentralConfiguration:
+    """Planar regular n-gon of unit masses inscribed in a circle of radius 1/sqrt(n).
 
     Stated for n >= 4; n in {2, 3} is allowed with a warning since the
-    construction stays central there too.
+    construction stays central there too.  embed_in_3d lifts it to space.
     """
     if n < 2:
         raise InvalidN(f"need at least two vertices, got {n}")
     if n < 4:
         warnings.warn(f"ngon with n={n} is outside the stated range n >= 4", stacklevel=2)
     nbody.validate_alpha(alpha)
-    if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3")
     k = np.arange(n)
-    s0 = np.zeros((n, dim))
+    s0 = np.zeros((n, 2))
     s0[:, 0] = np.cos(2.0 * np.pi * k / n) / np.sqrt(n)
     s0[:, 1] = np.sin(2.0 * np.pi * k / n) / np.sqrt(n)
     m = np.ones(n)
-    return _verify(s0, m, alpha, "ngon", meta={"n": n})
+    return _verify(s0, m, alpha, "ngon")
 
 
 def ngon_distance(n: int, k: int) -> float:
@@ -124,7 +120,7 @@ def embed_in_3d(cc: CentralConfiguration) -> CentralConfiguration:
         return cc
     s0 = np.hstack([cc.s0, np.zeros((cc.n, 1))])
     return CentralConfiguration(s0=s0, masses=cc.masses.copy(), alpha=cc.alpha, b=cc.b,
-                                residual=cc.residual, family=cc.family, meta=dict(cc.meta))
+                                residual=cc.residual, family=cc.family)
 
 
 def canonicalize(x, m) -> np.ndarray:
@@ -173,10 +169,11 @@ def canonicalize(x, m) -> np.ndarray:
     return y
 
 
-def solve_central(initial, m, alpha, max_iter: int = 200, residual_tol: float = 1e-11,
-                  collision_floor: float = 1e-8) -> CentralConfiguration:
+def solve_central(initial, m, alpha, max_iter: int = 200) -> CentralConfiguration:
     """Damped Gauss-Newton solve of grad U(x) + alpha U(x) M x = 0.
 
+    Stops at a residual of 1e-11 times residual_scale; an iterate closer
+    than 1e-8 to a collision raises ConvergedToCollision.
     Roots of this square system automatically satisfy I(x) = 1 and a zero
     center of mass, so no explicit constraint handling is needed; iterates are
     still re-projected for conditioning.  The target points are saddles of the
@@ -210,12 +207,12 @@ def solve_central(initial, m, alpha, max_iter: int = 200, residual_tol: float = 
         return rows
 
     for _ in range(max_iter):
-        if nbody.min_distance(x) < collision_floor:
+        if nbody.min_distance(x) < 1e-8:
             raise ConvergedToCollision("iterate entered the collision neighborhood")
         f = nbody.central_residual_vector(x, m, alpha).ravel()
         res = np.linalg.norm(f)
         scale = nbody.residual_scale(x, m, alpha)
-        if res <= residual_tol * scale:
+        if res <= 1e-11 * scale:
             return _verify(x, m, alpha, "numeric")
         u = nbody.potential(x, m, alpha)
         g = nbody.gradient(x, m, alpha).ravel()
@@ -231,7 +228,7 @@ def solve_central(initial, m, alpha, max_iter: int = 200, residual_tol: float = 
         t = 1.0
         for _ in range(40):
             trial = project(x + t * step.reshape(n, d))
-            if nbody.min_distance(trial) > collision_floor and \
+            if nbody.min_distance(trial) > 1e-8 and \
                     nbody.central_residual(trial, m, alpha) < res:
                 x = trial
                 break

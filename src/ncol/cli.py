@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import central, mcgehee, morse, nbody, spectral, weakforce
-from .errors import InvalidMass, NcolError, NonCollapsing
+from .errors import InvalidMass, InvalidN, NcolError, NonCollapsing
 
 SWEEP_HEADER = "alpha,family,N,lhs,rhs,holds,mu1,margin"
 WEAKFORCE_HEADER = "alpha,tau_eps,inf_disotto,tail_integral,phi_min"
@@ -53,16 +53,29 @@ def _valid_alphas(option: str, values) -> list:
         raise UsageError(f"{option}: {exc}") from exc
 
 
+def _positive(args, *options) -> None:
+    """A usage error naming the first of options whose value is not positive and finite."""
+    for option in options:
+        value = getattr(args, option[2:].replace("-", "_"))
+        if not (np.isfinite(value) and value > 0.0):
+            raise UsageError(f"{option} must be positive and finite")
+
+
 def _build_family(args) -> central.CentralConfiguration:
     if args.alpha is not None:
         _valid_alphas("--alpha", [args.alpha])
     alpha = args.alpha if args.alpha is not None else 1.0
     if args.family == "collinear3":
+        _positive(args, "--m1")
         return central.collinear3(args.m1, args.m1, alpha)
     if args.family == "collinear3-m2":
+        _positive(args, "--m1", "--m2")
         return central.collinear3(args.m1, args.m2, alpha)
     if args.family == "ngon":
-        return central.ngon(args.n, alpha)
+        try:
+            return central.ngon(args.n, alpha)
+        except InvalidN as exc:
+            raise UsageError(f"--n: {exc}") from exc
     if args.family == "file":
         if not args.file:
             raise UsageError("--family file requires --file")
@@ -97,8 +110,16 @@ def cmd_central(args) -> int:
     return 0 if cc.residual < 1e-9 else 2
 
 
+def _out_of_plane(cc: central.CentralConfiguration, dim) -> central.CentralConfiguration:
+    """cc embedded in 3d for --dim 3, and a polygon also when dim is None: its
+    bottom eigenvector leaves the plane."""
+    if dim == 3 or (dim is None and cc.family == "ngon"):
+        return central.embed_in_3d(cc)
+    return cc
+
+
 def cmd_spectral(args) -> int:
-    rep = spectral.check_rel_eigen(_build_family(args), dim=args.dim or None)
+    rep = spectral.smallest_eigenvalue(_out_of_plane(_build_family(args), args.dim))
     _emit(json.dumps(rep.to_dict(), indent=2), args.out)
     return 0
 
@@ -107,7 +128,10 @@ def cmd_threshold(args) -> int:
     if args.family == "collinear3":
         res = spectral.collinear_threshold()
     elif args.family == "ngon":
-        res = spectral.ngon_threshold(args.n)
+        try:
+            res = spectral.ngon_threshold(args.n)
+        except InvalidN as exc:
+            raise UsageError(f"--n: {exc}") from exc
     else:
         raise UsageError("threshold supports families collinear3 and ngon")
     payload = {"family": res.family, "alpha_star": res.alpha_star,
@@ -148,6 +172,7 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _positive(args, "--tau-max", "--rtol", "--max-step", "--rho-min")
     cc = _build_family(args)
     # an energy with no collapse at all is a numeric failure (exit 2), a
     # perturbation too large for it a usage error (exit 1)
@@ -186,10 +211,7 @@ def cmd_morse(args) -> int:
         raise UsageError(f"--width must be finite and above {l1:g}")
     if not 0.0 <= args.flat_fraction < 1.0:
         raise UsageError("--flat-fraction must lie in [0, 1)")
-    cc = _build_family(args)
-    if cc.family == "ngon":
-        # polygon probes live out of plane
-        cc = central.embed_in_3d(cc)
+    cc = _out_of_plane(_build_family(args), None)
     rep = spectral.smallest_eigenvalue(cc)
     tau_need = args.bumps * 2.0 * width + 2.0 * width
     traj = mcgehee.homothetic_oracle(cc, h=0.0, tau_max=tau_need)
@@ -204,8 +226,7 @@ def cmd_morse(args) -> int:
 
 def cmd_weakforce(args) -> int:
     alphas = tuple(_valid_alphas("--grid", args.grid.split(",")))
-    if not (np.isfinite(args.eps) and args.eps > 0.0):
-        raise UsageError("--eps must be positive and finite")
+    _positive(args, "--eps", "--tau-max", "--m1", "--m2")
     cc = central.collinear3(args.m1, args.m2, alphas[0])
     fam = weakforce.build_H_family(cc, alphas=alphas, tau_max=args.tau_max)
     rows = weakforce.family_report_rows(fam, args.eps)

@@ -35,7 +35,6 @@ class McGeheeState:
     rho_prime: float
     s: np.ndarray
     s_prime: np.ndarray
-    tau: float = 0.0
 
     def validated(self, m) -> "McGeheeState":
         if self.rho <= 0.0:
@@ -103,7 +102,6 @@ def _energy_stack(rho, rho_prime, s, s_prime, m, alpha, potential_scale):
 @dataclass(frozen=True)
 class IntegratorOptions:
     rtol: float = 1e-10
-    atol: float = 1e-12
     max_step: float = 0.1
     first_step: float = 1e-3
     rho_min: float = 1e-8
@@ -235,7 +233,7 @@ class Trajectory:
         """Interpolated rho at tau values t, as evaluate gives it, without the shape."""
         t = self._checked_tau(t)
         if self.exact_homothetic:
-            return self.meta["rho0"] * np.exp(-self.meta["decay_rate"] * t)
+            return np.exp(-self.meta["decay_rate"] * t)
         idx, w, _ = self._hermite(t)
         return np.exp(self._log_rho(idx, w))
 
@@ -421,9 +419,9 @@ def integrate_el(initial: McGeheeState, m, alpha, tau_max: float,
         return y
 
     y0 = np.concatenate([[state.rho, state.rho_prime], state.s.ravel(), state.s_prime.ravel()])
-    taus, ys = _dp54(f, state.tau, y0, min(opts.first_step, opts.max_step),
+    taus, ys = _dp54(f, 0.0, y0, min(opts.first_step, opts.max_step),
                      lambda tau, y: tau < tau_max and y[0] > opts.rho_min,
-                     rtol=opts.rtol, atol=opts.atol, max_step=opts.max_step,
+                     rtol=opts.rtol, atol=1e-12, max_step=opts.max_step,
                      floor=lambda tau: 1e-14 * max(1.0, tau), t_end=tau_max,
                      project=reproject, max_steps=opts.max_steps)
     return Trajectory(
@@ -435,9 +433,9 @@ def integrate_el(initial: McGeheeState, m, alpha, tau_max: float,
     )
 
 
-def homothetic_initial_state(cc, h: float = 0.0, rho0: float = 1.0,
-                             potential_scale: float = 1.0, kick=None) -> McGeheeState:
-    """Collapsing initial data at shape cc.s0 and energy h.
+def homothetic_initial_state(cc, h: float = 0.0, potential_scale: float = 1.0,
+                             kick=None) -> McGeheeState:
+    """Collapsing initial data at rho = 1, shape cc.s0 and energy h.
 
     kick is the shape velocity, an admissible tangent at cc.s0 (see
     nbody.tangent_part), zero when None; the inward radial velocity is solved
@@ -446,49 +444,46 @@ def homothetic_initial_state(cc, h: float = 0.0, rho0: float = 1.0,
     alpha = cc.alpha
     s_prime = np.zeros_like(cc.s0) if kick is None else np.array(kick, dtype=float)
     sp2 = float(np.sum(cc.masses * np.sum(s_prime * s_prime, axis=1)))
-    rhs = (h * rho0 ** beta_exponent(alpha) + rho0**2 * (potential_scale * cc.b)
-           - 0.5 * rho0**2 * sp2)
+    rhs = h + potential_scale * cc.b - 0.5 * sp2
     if rhs <= 0.0:
         raise NonCollapsing("no real inward radial velocity at this energy")
     rho_prime = -(2.0 - alpha) / 4.0 * np.sqrt(2.0 * rhs)
-    return McGeheeState(rho=rho0, rho_prime=float(rho_prime), s=cc.s0.copy(), s_prime=s_prime)
+    return McGeheeState(rho=1.0, rho_prime=float(rho_prime), s=cc.s0.copy(), s_prime=s_prime)
 
 
-def homothetic_decay_rate(cc, potential_scale: float = 1.0) -> float:
+def homothetic_decay_rate(cc) -> float:
     """Asymptotic rate c = ((2-alpha)/4) sqrt(2 U(s0)) of the zero-energy collapse."""
-    return (2.0 - cc.alpha) / 4.0 * np.sqrt(2.0 * potential_scale * cc.b)
+    return (2.0 - cc.alpha) / 4.0 * np.sqrt(2.0 * cc.b)
 
 
-def homothetic_collapse_constant(cc, potential_scale: float = 1.0) -> float:
+def homothetic_collapse_constant(cc) -> float:
     """k with r(t) = k (T - t)^(2/(2+alpha)) for the zero-energy collapse."""
-    return (potential_scale * cc.b * (2.0 + cc.alpha) ** 2 / 2.0) ** (1.0 / (2.0 + cc.alpha))
+    return (cc.b * (2.0 + cc.alpha) ** 2 / 2.0) ** (1.0 / (2.0 + cc.alpha))
 
 
-# step budget of the oracle's radial problem; its runs take at most a few
-# thousand steps
+# tolerance and step budget of the oracle's radial problem; its runs take at
+# most a few thousand steps
+_ORACLE_RTOL = 1e-11
 _ORACLE_MAX_STEPS = 50_000
 
 
-def homothetic_oracle(cc, alpha: float | None = None, h: float = 0.0,
-                      tau_max: float = 30.0, phi_min: float = 1e-6,
-                      rtol: float = 1e-11, validate_tol: float = 1e-8,
-                      potential_scale: float = 1.0) -> Trajectory:
+def homothetic_oracle(cc, h: float = 0.0, tau_max: float = 30.0,
+                      phi_min: float = 1e-6) -> Trajectory:
     """Reference trajectory from the scalar radial problem in physical time.
 
     Integrates phidd = -alpha U(s0) phi^(-(alpha+1)) together with the clock
     dtau/dt = phi^(-(2+alpha)/2), then transforms.  Physical time is well
     conditioned near the collapse, so this route reaches depths the tau-flow
-    cannot.  For h = 0 the samples are validated against the closed collapse
-    law r(t) = k (T-t)^(2/(2+alpha)) and the returned trajectory is backed by
-    the exact exponential form, which extends to arbitrary tau_max (double
-    precision limits the integrated samples to a finite tau window; the
-    closed form has no such limit).  More than _ORACLE_MAX_STEPS attempted
-    steps of the radial problem raise StepFailure.
+    cannot.  For h = 0 the samples are validated, to 1e-8 relative, against
+    the closed collapse law r(t) = k (T-t)^(2/(2+alpha)) and the returned
+    trajectory is backed by the exact exponential form, which extends to
+    arbitrary tau_max (double precision limits the integrated samples to a
+    finite tau window; the closed form has no such limit).  The radial
+    problem runs at _ORACLE_RTOL, and more than _ORACLE_MAX_STEPS attempted
+    steps of it raise StepFailure.
     """
-    if alpha is not None:
-        cc = cc.at_alpha(alpha)
     alpha = cc.alpha
-    b = potential_scale * cc.b
+    b = cc.b
     phidot0_sq = 2.0 * (h + b)
     if phidot0_sq <= 0.0:
         raise NonCollapsing(f"energy {h} admits no inward velocity from phi = 1")
@@ -501,7 +496,7 @@ def homothetic_oracle(cc, alpha: float | None = None, h: float = 0.0,
     phi_floor = 0.5 * phi_min
     ts, ys = _dp54(f, 0.0, np.array([1.0, -np.sqrt(phidot0_sq), 0.0]), 1e-4,
                    lambda _t, y: y[0] > phi_min and y[2] < tau_max,
-                   rtol=rtol, atol=1e-300, floor=lambda _t: 1e-18,
+                   rtol=_ORACLE_RTOL, atol=1e-300, floor=lambda _t: 1e-18,
                    admissible=lambda y: y[0] > phi_floor, max_steps=_ORACLE_MAX_STEPS)
     phi, phidot, taus = ys[:, 0], ys[:, 1], ys[:, 2]
     if phi[-1] >= phi[0]:
@@ -510,8 +505,8 @@ def homothetic_oracle(cc, alpha: float | None = None, h: float = 0.0,
     rho_p = (2.0 - alpha) / 4.0 * phidot * phi ** ((2.0 + alpha) / 4.0)
 
     if h == 0.0:
-        c = homothetic_decay_rate(cc, potential_scale)
-        k = homothetic_collapse_constant(cc, potential_scale)
+        c = homothetic_decay_rate(cc)
+        k = homothetic_collapse_constant(cc)
         t_coll = 2.0 / ((2.0 + alpha) * np.sqrt(2.0 * b))
         worst_rho = np.max(np.abs(rho - np.exp(-c * taus)) / np.exp(-c * taus))
         # the power law is phase sensitive near the collapse endpoint, so it
@@ -519,25 +514,24 @@ def homothetic_oracle(cc, alpha: float | None = None, h: float = 0.0,
         mask = phi >= 1e-2
         closed_r = k * (t_coll - ts[mask]) ** (2.0 / (2.0 + alpha))
         worst_r = np.max(np.abs(phi[mask] - closed_r) / phi[mask])
-        if worst_rho > validate_tol or worst_r > validate_tol:
+        if worst_rho > 1e-8 or worst_r > 1e-8:
             raise StepFailure(
                 f"closed-form validation failed: rho err {worst_rho:.2e}, r err {worst_r:.2e}")
         grid = np.linspace(0.0, tau_max, max(64, int(tau_max * 16) + 1))
         rho_g = np.exp(-c * grid)
         return _frozen_trajectory(
-            cc, grid, rho_g, -c * rho_g, 0.0, potential_scale, exact_homothetic=True,
-            meta={"decay_rate": c, "rho0": 1.0, "collapse_time": t_coll,
-                  "collapse_constant": k, "validation_err": float(max(worst_rho, worst_r))})
-    return _frozen_trajectory(cc, taus, rho, rho_p, h, potential_scale,
-                              meta={"physical_time": ts, "rtol": rtol})
+            cc, grid, rho_g, -c * rho_g, 0.0, exact_homothetic=True,
+            meta={"decay_rate": c, "collapse_constant": k,
+                  "validation_err": float(max(worst_rho, worst_r))})
+    return _frozen_trajectory(cc, taus, rho, rho_p, h, meta={"rtol": _ORACLE_RTOL})
 
 
-def _frozen_trajectory(cc, tau, rho, rho_prime, h, potential_scale, **kwargs) -> Trajectory:
+def _frozen_trajectory(cc, tau, rho, rho_prime, h, **kwargs) -> Trajectory:
     """Trajectory pinned at the shape cc.s0 with zero shape velocity."""
     s = np.broadcast_to(cc.s0, (tau.size,) + cc.s0.shape).copy()
     return Trajectory(alpha=cc.alpha, masses=cc.masses.copy(), tau=tau, rho=rho,
                       rho_prime=rho_prime, s=s, s_prime=np.zeros_like(s), h=float(h),
-                      potential_scale=potential_scale, **kwargs)
+                      **kwargs)
 
 
 _QUAD_CHUNK = 1 << 14
@@ -545,7 +539,6 @@ _QUAD_CHUNK = 1 << 14
 
 def homothetic_quadrature_trajectory(cc, h: float, tau_max: float,
                                      potential_scale: float = 1.0,
-                                     sigma_step: float = 2e-4,
                                      keep_every: int = 64) -> Trajectory:
     """Frozen-shape trajectory built from the energy relation alone.
 
@@ -555,19 +548,21 @@ def homothetic_quadrature_trajectory(cc, h: float, tau_max: float,
 
         tau(sigma) = int_0^sigma dq / [((2-alpha)/4) sqrt(2 (h e^(-(beta-2)q) + U))].
 
-    No ODE is integrated, so there is no conditioning wall; any depth and any
-    alpha are reachable.  Requires collapsing data: h + U(s0) > 0.
+    No ODE is integrated (the trapezoid rule runs on a sigma grid of step
+    2e-4), so there is no conditioning wall; any depth and any alpha are
+    reachable.  Requires h + U(s0) > 0 (collapsing data) and a finite tau_max >= 0.
     """
+    if not 0.0 <= tau_max < np.inf:
+        raise ValueError(f"tau_max must be finite and non-negative, got {tau_max}")
     alpha = cc.alpha
     beta = beta_exponent(alpha)
     b = potential_scale * cc.b
     if h + b <= 0.0:
         raise NonCollapsing("energy admits no inward velocity from rho = 1")
     coef = (2.0 - alpha) / 4.0
-    c_inf = coef * np.sqrt(2.0 * b)
     # generous sigma horizon: tau(sigma) >= sigma / max-speed
     sigma_end = tau_max * coef * np.sqrt(2.0 * (max(h, 0.0) + b)) + 5.0
-    n = int(np.ceil(sigma_end / sigma_step)) + 1
+    n = int(np.ceil(sigma_end / 2e-4)) + 1
     # The grid is np.linspace(0, sigma_end, n), walked in chunks of
     # _QUAD_CHUNK intervals so that the fine grid (540,000 points for the
     # alpha = 0.02 member of `ncol weakforce`) is never held whole.  The
@@ -610,8 +605,7 @@ def homothetic_quadrature_trajectory(cc, h: float, tau_max: float,
             break
     sigma, tau, speed = (np.concatenate(parts) for parts in zip(*kept))
     rho = np.exp(-sigma)
-    return _frozen_trajectory(cc, tau, rho, -rho * speed, h, potential_scale,
-                              meta={"decay_rate_tail": float(c_inf)})
+    return _frozen_trajectory(cc, tau, rho, -rho * speed, h, potential_scale=potential_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +633,9 @@ class AsymptoticReport:
             "dissipation_partial", "tau_end", "rho_final")}
 
 
-def _aitken_limit(values: np.ndarray, converge_tol: float = 1e-4):
-    """Tail limit by repeated Aitken extrapolation over equally spaced samples."""
+def _aitken_limit(values: np.ndarray):
+    """Tail limit by repeated Aitken extrapolation over equally spaced samples;
+    converged when two estimates agree to 1e-4 relative."""
     est = [values[-1]]
     v = values
     while v.size >= 3:
@@ -649,12 +644,12 @@ def _aitken_limit(values: np.ndarray, converge_tol: float = 1e-4):
         safe = np.abs(d2) > 1e-300
         acc = np.where(safe, v[2:] - (v[2:] - v[1:-1]) ** 2 / np.where(safe, d2, 1.0), v[2:])
         est.append(acc[-1])
-        if len(est) >= 2 and abs(est[-1] - est[-2]) < converge_tol * (1.0 + abs(est[-1])):
+        if len(est) >= 2 and abs(est[-1] - est[-2]) < 1e-4 * (1.0 + abs(est[-1])):
             return float(est[-1]), True
         v = acc[-min(len(acc), 12):]
         if v.size < 3:
             break
-    return float(est[-1]), len(est) >= 2 and abs(est[-1] - est[-2]) < converge_tol * (1.0 + abs(est[-1]))
+    return float(est[-1]), len(est) >= 2 and abs(est[-1] - est[-2]) < 1e-4 * (1.0 + abs(est[-1]))
 
 
 def procrustes_distance(s, s_ref, m) -> float:
@@ -667,9 +662,8 @@ def procrustes_distance(s, s_ref, m) -> float:
     return float(np.sqrt(np.sum(m * np.sum(diff * diff, axis=1))))
 
 
-def asymptotic_report(traj: Trajectory, cc_set, n_tail: int = 200,
-                      converge_tol: float = 1e-4) -> AsymptoticReport:
-    """Measure the collapse asymptotics on the last decade of tau samples.
+def asymptotic_report(traj: Trajectory, cc_set) -> AsymptoticReport:
+    """Measure the collapse asymptotics on 200 points over the last decade of tau.
 
     Checks the limits of U(s), rho'/rho against -((2-alpha)/4) sqrt(2b), the
     decay of |s'| and the distance to the provided central configurations;
@@ -679,12 +673,12 @@ def asymptotic_report(traj: Trajectory, cc_set, n_tail: int = 200,
         raise InsufficientHorizon("too few samples for tail extrapolation")
     tau_end = traj.tau_end
     tail_start = max(traj.tau[0], tau_end - max(0.9 * tau_end, traj.tau[0] + 1e-9))
-    grid = np.linspace(tail_start, tau_end, n_tail)
+    grid = np.linspace(tail_start, tau_end, 200)
     _, _, s, s_p = traj.evaluate(grid)
     u_vals = traj.potential_scale * nbody.potential_stack(s, traj.masses, traj.alpha)
-    b_limit, b_conv = _aitken_limit(u_vals, converge_tol)
+    b_limit, b_conv = _aitken_limit(u_vals)
     ratio = traj.log_rate(grid)
-    ratio_limit, ratio_conv = _aitken_limit(ratio, converge_tol)
+    ratio_limit, ratio_conv = _aitken_limit(ratio)
     predicted = -(2.0 - traj.alpha) / 4.0 * np.sqrt(2.0 * max(b_limit, 0.0))
     sp_norm = np.sqrt(np.einsum("j,kjd,kjd->k", traj.masses, s_p, s_p))
     dists = [procrustes_distance(s[-1], cc.s0, traj.masses) for cc in cc_set]

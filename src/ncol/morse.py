@@ -73,9 +73,9 @@ class Profile:
         down, ddown = _transition((self.width - u) / ramp)
         return up * down, dup / ramp * down + up * (-ddown / ramp)
 
-    def dirichlet_ratio(self, n: int = 4001) -> float:
-        """int phi'^2 / int phi^2, the kinetic cost of the profile."""
-        u = np.linspace(0.0, self.width, n)
+    def dirichlet_ratio(self) -> float:
+        """int phi'^2 / int phi^2, the kinetic cost of the profile, on 4001 points."""
+        u = np.linspace(0.0, self.width, 4001)
         phi, dphi = self.value_and_deriv(u)
         num = np.trapezoid(dphi**2, u)
         den = np.trapezoid(phi**2, u)
@@ -180,7 +180,6 @@ class SecondVariationReport:
     hessian: float
     q_values: tuple = ()
     witnesses: int | None = None
-    projection_correction: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -200,6 +199,9 @@ class SecondVariationReport:
 # Members of one stack of supports refined together; a chunk bounds the memory
 # of morse_witnesses whatever the number of bumps.
 _STACK_ROWS = 16
+
+# Relative change between two refinement levels at which an integral stops.
+QUAD_TOL = 1e-8
 
 
 def _intervals(width: float, points_per_unit: float) -> int:
@@ -287,7 +289,7 @@ def _mdot(m, a, b):
     return np.einsum("j,kjd,kjd->k", m, a, b)
 
 
-def second_variation_s(traj: Trajectory, variation, quad_tol: float = 1e-8) -> float:
+def second_variation_s(traj: Trajectory, variation) -> float:
     """int rho^2 (|v'|_M^2 + D2U_E(s)(v, v)) dtau for a compactly supported v."""
     m = traj.masses
 
@@ -300,7 +302,7 @@ def second_variation_s(traj: Trajectory, variation, quad_tol: float = 1e-8) -> f
         hess = traj.potential_scale * nbody.hessian_on_ellipsoid_stack(s, m, traj.alpha, v)
         return (rho**2 * (kin + hess)).reshape(grid.shape)
 
-    return float(_refine_until(integrand, traj, variation.support, quad_tol)[0])
+    return float(_refine_until(integrand, traj, variation.support, QUAD_TOL)[0])
 
 
 def _sampled_integrand(traj: Trajectory, fields):
@@ -369,7 +371,7 @@ def _reports(traj: Trajectory, integrand, supports, quad_tol: float, narrowest=N
     return reports
 
 
-def quadratic_Q(traj: Trajectory, variation, quad_tol: float = 1e-8) -> SecondVariationReport:
+def quadratic_Q(traj: Trajectory, variation, quad_tol: float = QUAD_TOL) -> SecondVariationReport:
     """Evaluate Q(w) with its kinetic / radial / cross / Hessian breakdown.
 
     rho'/rho comes from Trajectory.log_rate, so Q stays finite past rho
@@ -398,8 +400,7 @@ def default_shifts(count: int, l1: float, l2: float, start: float | None = None)
 
 
 def morse_witnesses(traj: Trajectory, xi, shifts, l1: float = 0.0, l2: float = 20.0,
-                    profile: str = "flattop", flat_fraction: float = 0.8,
-                    quad_tol: float = 1e-8, combo_seed: int = 0) -> SecondVariationReport:
+                    profile: str = "flattop", flat_fraction: float = 0.8) -> SecondVariationReport:
     """Count negative values of Q over a family of disjointly supported bumps.
 
     Also verifies on a random coefficient vector that disjoint supports make Q
@@ -434,13 +435,13 @@ def morse_witnesses(traj: Trajectory, xi, shifts, l1: float = 0.0, l2: float = 2
             return phi.reshape(-1, 1, 1) * xi, dphi.reshape(-1, 1, 1) * xi
 
         integrand = _sampled_integrand(traj, fields)
-    reports = _reports(traj, integrand, [b.support for b in bumps], quad_tol)
+    reports = _reports(traj, integrand, [b.support for b in bumps], QUAD_TOL)
     q_vals = tuple(r.value for r in reports)
     witnesses = int(sum(1 for q in q_vals if q < 0.0))
-    rng = np.random.default_rng(combo_seed)
+    rng = np.random.default_rng(0)
     coeffs = rng.standard_normal(len(bumps))
     combo = CombinedVariation(bumps, coeffs)
-    q_combo = quadratic_Q(traj, combo, quad_tol).value
+    q_combo = quadratic_Q(traj, combo).value
     q_expected = float(np.sum(coeffs**2 * np.array(q_vals)))
     scale = 1.0 + abs(q_expected)
     if not abs(q_combo - q_expected) <= 1e-8 * scale:
@@ -489,7 +490,7 @@ def projected_bump(traj: Trajectory, bump: BumpVariation):
 # homographic second-variation blocks
 
 
-def homographic_blocks(traj: Trajectory, zeta, variation, quad_tol: float = 1e-8):
+def homographic_blocks(traj: Trajectory, zeta, variation, quad_tol: float = QUAD_TOL):
     """The radial, mixed and shape blocks of the second variation on frozen-shape data.
 
     zeta is a scalar path (scalar_and_deriv), variation a bump phi(tau) xi
@@ -534,18 +535,16 @@ def homographic_blocks(traj: Trajectory, zeta, variation, quad_tol: float = 1e-8
 
 @dataclass(frozen=True)
 class ScalarBump:
-    """Scalar compactly supported path for the radial direction."""
+    """Scalar compactly supported path for the radial direction, on the 'bump' profile."""
 
     l1: float
     l2: float
     shift: float = 0.0
     amplitude: float = 1.0
-    profile_kind: str = "bump"
     profile: Profile = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "profile", Profile(width=self.l2 - self.l1,
-                                                    kind=self.profile_kind))
+        object.__setattr__(self, "profile", Profile(width=self.l2 - self.l1, kind="bump"))
 
     @property
     def support(self):

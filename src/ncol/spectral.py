@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nbody
-from .central import CentralConfiguration, embed_in_3d
+from .central import CentralConfiguration
 from .errors import BracketFailure, InvalidN, NoConvergence, NotCentral
 
 ALPHA_FLOOR = 1e-6
@@ -122,7 +122,7 @@ class SpectralSweep:
                               eigenvectors=self.eigenvectors[k])
 
 
-def spectral_sweep(cc: CentralConfiguration, alphas, dim: int | None = None) -> SpectralSweep:
+def spectral_sweep(cc: CentralConfiguration, alphas) -> SpectralSweep:
     """Smallest constrained Hessian eigenvalue of the shape cc.s0 at each alpha.
 
     The shape is not re-solved: b and the centrality residual are recomputed
@@ -130,8 +130,9 @@ def spectral_sweep(cc: CentralConfiguration, alphas, dim: int | None = None) -> 
     cc.at_alpha does), and NotCentral names the first alpha where the residual
     fails its gate.  One admissible basis, one (K, N*d, N*d) Hessian stack and
     one batched eigh serve all alphas.  Eigenvectors are Euclidean-normalized;
-    for unequal masses the value depends on this normalization choice.  dim=3
-    embeds a planar shape so out-of-plane variations are admissible.
+    for unequal masses the value depends on this normalization choice.
+    Variations leave the plane of a planar shape only once the caller has
+    embedded it (central.embed_in_3d).
     """
     alphas = nbody.validate_alpha(np.array(alphas, dtype=float).reshape(-1))
     x = np.broadcast_to(cc.s0, alphas.shape + cc.s0.shape)
@@ -145,8 +146,6 @@ def spectral_sweep(cc: CentralConfiguration, alphas, dim: int | None = None) -> 
         k = bad[0]
         raise NotCentral(f"configuration residual {residual[k]:.3e} too large "
                          f"at alpha = {alphas[k]:.12g}")
-    if dim == 3 and cc.dim == 2:
-        cc = embed_in_3d(cc)
     basis = admissible_basis(cc.s0, cc.masses)
     proj = basis @ constrained_hessian_matrix(cc, alphas, b) @ basis.T
     vals, vecs = np.linalg.eigh(proj)
@@ -159,21 +158,13 @@ def spectral_sweep(cc: CentralConfiguration, alphas, dim: int | None = None) -> 
                          family=cc.family, eigenvalues=vals, eigenvectors=full)
 
 
-def smallest_eigenvalue(cc: CentralConfiguration, alpha: float | None = None,
-                        dim: int | None = None) -> SpectralReport:
+def smallest_eigenvalue(cc: CentralConfiguration, alpha: float | None = None) -> SpectralReport:
     """Smallest eigenvalue of the constrained Hessian over admissible tangents.
 
-    spectral_sweep at the one exponent alpha, cc.alpha when None.
+    spectral_sweep at the one exponent alpha, cc.alpha when None; the report
+    is satisfied iff mu1 < -(2-alpha)^2/8 * U(s0).
     """
-    return spectral_sweep(cc, [cc.alpha if alpha is None else alpha], dim=dim).report(0)
-
-
-def check_rel_eigen(cc: CentralConfiguration, alpha: float | None = None,
-                    dim: int | None = None) -> SpectralReport:
-    """Evaluate mu1 < -(2-alpha)^2/8 * U(s0); satisfied iff the margin is negative."""
-    if dim is None:
-        dim = 3 if cc.family == "ngon" else cc.dim
-    return smallest_eigenvalue(cc, alpha, dim=dim)
+    return spectral_sweep(cc, [cc.alpha if alpha is None else alpha]).report(0)
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +344,16 @@ def psi_from_matrix(n: int, alpha: float, pair: int = 0) -> float:
     return 2.0 / n * quad / np.sum(dist_row ** (-alpha))
 
 
-def ngon_threshold(n: int, grid_points: int = 4096) -> ThresholdResult:
-    """Crossing of Psi_n with (alpha+2)^2/(8 alpha) on (0, 1]; below 1 for n >= 4."""
+def ngon_threshold(n: int) -> ThresholdResult:
+    """Crossing of Psi_n with (alpha+2)^2/(8 alpha) on (0, 1]; below 1 for n >= 4.
+
+    The first sign change on a 4096-point grid brackets the bisection.
+    """
     def f(a):
         return psi_phi(n, a)[0] - rhs_factor(a)
 
     lo, hi = ALPHA_FLOOR, 1.0
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, 4096)
     vals = f(grid)
     sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     if sign_change.size == 0:

@@ -77,7 +77,6 @@ class ScaledFamily:
     cc: CentralConfiguration
     alphas: tuple
     trajectories: tuple
-    perturbation: float = 0.0
 
     def __iter__(self):
         return iter(zip(self.alphas, self.trajectories))
@@ -102,8 +101,7 @@ class ScaledFamily:
 
 
 def build_H_family(cc: CentralConfiguration, alphas=DEFAULT_ALPHA_GRID,
-                   s_perturb: np.ndarray | None = None, tau_max: float = 8.0,
-                   opts: IntegratorOptions | None = None) -> ScaledFamily:
+                   s_perturb: np.ndarray | None = None, tau_max: float = 8.0) -> ScaledFamily:
     """Per-alpha rescaled trajectories with hhat = 0 initial data.
 
     rho(0) = 1, shape at cc.s0; the radial velocity is solved from the energy
@@ -131,17 +129,15 @@ def build_H_family(cc: CentralConfiguration, alphas=DEFAULT_ALPHA_GRID,
         except NonCollapsing as exc:
             raise NonCollapsing(f"alpha={alpha}: {exc} under the energy normalization") from exc
         if kick is not None:
-            run_opts = opts or IntegratorOptions(rtol=1e-11, max_step=0.01, rho_min=1e-4)
             c_rate = (2.0 - alpha) / 4.0 * np.sqrt(2.0 * cca.b / alpha)
             safe_tau = min(tau_max, 9.0 / c_rate)
-            traj = integrate_el(state, m, alpha, tau_max=safe_tau, opts=run_opts,
+            opts = IntegratorOptions(rtol=1e-11, max_step=0.01, rho_min=1e-4)
+            traj = integrate_el(state, m, alpha, tau_max=safe_tau, opts=opts,
                                 potential_scale=scale)
         if not np.all(traj.rho_prime < 0.0):
             raise NonCollapsing(f"alpha={alpha}: radial velocity changed sign")
         trajs.append(traj)
-    pert = 0.0 if s_perturb is None else float(np.linalg.norm(s_perturb))
-    return ScaledFamily(cc=cc, alphas=tuple(float(a) for a in alphas),
-                        trajectories=tuple(trajs), perturbation=pert)
+    return ScaledFamily(cc=cc, alphas=tuple(float(a) for a in alphas), trajectories=tuple(trajs))
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +153,7 @@ class GammaTrace:
     identity_error: float
 
 
-def gamma_trace(traj: Trajectory, alpha: float | None = None,
-                resample_step: float | None = None) -> GammaTrace:
+def gamma_trace(traj: Trajectory, resample_step: float | None = None) -> GammaTrace:
     """Gamma = |s'|_M^2 / 2 - Uhat(s) along a rescaled trajectory.
 
     Its tau-derivative equals -2 (rho'/rho) |s'|_M^2; the trace reports the
@@ -166,8 +161,7 @@ def gamma_trace(traj: Trajectory, alpha: float | None = None,
     partial sum of the dissipation integral.  A uniform resample step keeps
     the finite-difference truncation below the comparison tolerance.
     """
-    alpha = nbody.validate_alpha(traj.alpha if alpha is None else alpha)
-    m = traj.masses
+    alpha, m = traj.alpha, traj.masses
     if resample_step is not None:
         tau = np.arange(traj.tau[0], traj.tau_end, resample_step)
         rho, rho_p, s, s_p = traj.evaluate(tau)

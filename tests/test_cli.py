@@ -276,11 +276,38 @@ def test_morse_rejects_invalid_probe_arguments(capsys, option, value):
     *[([cmd, "--family", "collinear3", "--alpha", "3"], "--alpha")
       for cmd in ("central", "spectral", "simulate", "morse")],
     (["central", "--family", "ngon", "--alpha", "0"], "--alpha"),
-    (["spectral", "--family", "collinear3", "--dim", "5"], "--dim")])
+    (["spectral", "--family", "collinear3", "--dim", "5"], "--dim"),
+    *[(["simulate", "--family", "collinear3", option, value], option) for option, value in (
+        ("--tau-max", "-1"), ("--tau-max", "nan"), ("--rtol", "0"), ("--max-step", "inf"),
+        ("--rho-min", "nan"))],
+    *[(["weakforce", option, value], option)
+      for option, value in (("--tau-max", "-1"), ("--tau-max", "nan"), ("--m1", "0"))],
+    (["central", "--family", "ngon", "--n", "1"], "--n"),
+    (["spectral", "--family", "ngon", "--n", "0"], "--n"),
+    (["central", "--family", "collinear3", "--m1", "0"], "--m1"),
+    (["morse", "--family", "collinear3-m2", "--m2", "-1"], "--m2"),
+    (["threshold", "--family", "ngon", "--n", "3"], "--n")])
 def test_invalid_arguments_are_usage_errors(capsys, argv, option):
     rc, out, err = run(capsys, *argv)
     assert rc == 1
     assert out == "" and err.startswith("usage error: ") and option in err
+
+
+def test_spectral_probes_polygons_out_of_plane(capsys):
+    def spectral_json(*argv):
+        rc, out, _ = run(capsys, "spectral", *argv)
+        assert rc == 0
+        return json.loads(out)
+
+    # a polygon is embedded in 3d unless --dim 2 keeps it planar
+    square = ("--family", "ngon", "--n", "4", "--alpha", "1")
+    cc = central.ngon(4, 1.0)
+    assert spectral_json(*square) == spectral_json(*square, "--dim", "3")
+    assert spectral_json(*square, "--dim", "2") == spectral.smallest_eigenvalue(cc).to_dict()
+    # --dim 3 embeds any planar family
+    coll = central.embed_in_3d(central.collinear3(1.0, 1.0, 1.0))
+    assert spectral_json("--family", "collinear3", "--dim", "3") == \
+        spectral.smallest_eigenvalue(coll).to_dict()
 
 
 @pytest.mark.parametrize("payload", [

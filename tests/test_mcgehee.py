@@ -306,6 +306,12 @@ def test_quadrature_chunks_keep_the_whole_grid_samples(tau_max, keep_every, chun
     np.testing.assert_array_equal(qt.rho_prime, -np.exp(-sigma[keep]) * speed[keep])
 
 
+@pytest.mark.parametrize("tau_max", [-1.0, np.nan, np.inf])
+def test_quadrature_trajectory_rejects_a_bad_horizon(coll1, tau_max):
+    with pytest.raises(ValueError, match="tau_max must be finite and non-negative"):
+        mcgehee.homothetic_quadrature_trajectory(coll1, h=0.5, tau_max=tau_max)
+
+
 def test_quadrature_trajectory_never_holds_the_whole_grid():
     # the alpha = 0.02 member of `ncol weakforce`: a 540,000-point grid, 4.1 MB
     # per whole-grid array
