@@ -173,6 +173,11 @@ def cmd_figure1(args) -> int:
 
 def cmd_simulate(args) -> int:
     _positive(args, "--tau-max", "--rtol", "--max-step", "--rho-min")
+    for option in ("--energy", "--perturb"):
+        if not np.isfinite(getattr(args, option[2:])):
+            raise UsageError(f"{option} must be finite")
+    if args.seed < 0:
+        raise UsageError("--seed must not be negative")
     cc = _build_family(args)
     # an energy with no collapse at all is a numeric failure (exit 2), a
     # perturbation too large for it a usage error (exit 1)

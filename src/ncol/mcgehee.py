@@ -165,15 +165,11 @@ class Trajectory:
 
         Reconstructing h cancels terms of size rho^2 against a rho^beta
         residue, and state rounding feeds an unstable mode of the conserved
-        quantity, so the noise floor grows like eps * (rho0/rho)^beta; data
-        integrated at a finite rtol adds rtol * (rho0/rho)^(beta-2).
+        quantity, so the noise floor grows like eps * (rho0/rho)^beta.
         """
         scale = 8.0 * max(1.0, abs(self.h)) * max(
             1.0, self.potential_scale * nbody.potential(self.s[0], self.masses, self.alpha))
-        decay = self.rho / self.rho[0]
-        noise = np.finfo(float).eps * decay ** (-self.beta)
-        rtol = self.meta.get("rtol", 0.0)
-        noise = np.maximum(noise, rtol * decay ** (2.0 - self.beta)) * scale
+        noise = np.finfo(float).eps * (self.rho / self.rho[0]) ** (-self.beta) * scale
         return noise < tol / 5.0
 
     # -- interpolation -----------------------------------------------------
@@ -300,16 +296,14 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 
 
-def _dp54(f, t, y, hstep, running, *, rtol, atol, floor, max_step=np.inf,
-          t_end=np.inf, admissible=None, project=None, max_steps=np.inf):
+def _dp54(f, t, y, hstep, running, *, rtol, atol, floor, project, max_step=np.inf,
+          t_end=np.inf, max_steps=np.inf):
     """Dormand-Prince 5(4) pair with standard error control (Hairer, Norsett &
     Wanner, Solving ODEs I, II.4); returns the accepted times and states.
 
-    Steps while running(t, y), each step clipped to max_step and to t_end.  A
-    step whose stage or solution fails admissible(y) is halved and retried; an
-    accepted solution passes through project(t, y) before it is stored.
-    Without project the last stage of an accepted step is the next step's
-    first (FSAL); a projected state gets a fresh f(t, y).
+    Steps while running(t, y), each step clipped to max_step and to t_end.  An
+    accepted solution passes through project(t, y) before it is stored, and
+    the next step starts from a fresh f(t, y).
     Raises StepFailure when the step falls below floor(t), and when running
     still holds after max_steps attempted steps, accepted or rejected.
     """
@@ -325,34 +319,21 @@ def _dp54(f, t, y, hstep, running, *, rtol, atol, floor, max_step=np.inf,
         hstep = min(hstep, t_end - t)
         if hstep < floor(t):
             raise StepFailure(f"step size underflow at t = {t}")
-        ok = True
         for i in range(1, 7):
             # summed row by row in tableau order, as a Python sum would; a matrix
             # product rounds differently and would move the trajectories
             yi = y + hstep * np.add.reduce(_DP_A[i, :i, None] * ks[:i])
-            ok = admissible is None or admissible(yi)
-            if not ok:
-                break
             ks[i] = f(t + _DP_C[i] * hstep, yi)
-        if ok:
-            y5 = y + hstep * (_DP_B5 @ ks)
-            y4 = y + hstep * (_DP_B4 @ ks)
-            ok = admissible is None or admissible(y5)
-        if not ok:
-            hstep *= 0.5
-            continue
+        y5 = y + hstep * (_DP_B5 @ ks)
+        y4 = y + hstep * (_DP_B4 @ ks)
         sc = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         q = (y5 - y4) / sc
         err = np.sqrt(np.add.reduce(q * q) / q.size)  # np.mean's arithmetic
         if err <= 1.0:
             t += hstep
             ts.append(t)
-            if project is None:
-                y = y5
-                ks[0] = ks[6]
-            else:
-                y = project(t, y5)
-                ks[0] = f(t, y)
+            y = project(t, y5)
+            ks[0] = f(t, y)
             ys.append(y.copy())
         factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
         hstep = min(max_step, hstep * min(5.0, max(0.2, factor)))
@@ -456,74 +437,59 @@ def homothetic_decay_rate(cc) -> float:
     return (2.0 - cc.alpha) / 4.0 * np.sqrt(2.0 * cc.b)
 
 
-def homothetic_collapse_constant(cc) -> float:
-    """k with r(t) = k (T - t)^(2/(2+alpha)) for the zero-energy collapse."""
-    return (cc.b * (2.0 + cc.alpha) ** 2 / 2.0) ** (1.0 / (2.0 + cc.alpha))
-
-
-# tolerance and step budget of the oracle's radial problem; its runs take at
-# most a few thousand steps
-_ORACLE_RTOL = 1e-11
-_ORACLE_MAX_STEPS = 50_000
+# bound on the cubic Hermite error of log rho between two oracle samples
+_HERMITE_TOL = 1e-11
 
 
 def homothetic_oracle(cc, h: float = 0.0, tau_max: float = 30.0,
                       phi_min: float = 1e-6) -> Trajectory:
-    """Reference trajectory from the scalar radial problem in physical time.
+    """Frozen-shape collapse at energy h from the energy relation in closed form.
 
-    Integrates phidd = -alpha U(s0) phi^(-(alpha+1)) together with the clock
-    dtau/dt = phi^(-(2+alpha)/2), then transforms.  Physical time is well
-    conditioned near the collapse, so this route reaches depths the tau-flow
-    cannot.  For h = 0 the samples are validated, to 1e-8 relative, against
-    the closed collapse law r(t) = k (T-t)^(2/(2+alpha)) and the returned
-    trajectory is backed by the exact exponential form, which extends to
-    arbitrary tau_max (double precision limits the integrated samples to a
-    finite tau window; the closed form has no such limit).  The radial
-    problem runs at _ORACLE_RTOL, and more than _ORACLE_MAX_STEPS attempted
-    steps of it raise StepFailure.
+    With the shape pinned at cc.s0, sigma = -log rho moves at
+    dsigma/dtau = c v(sigma), where c = homothetic_decay_rate(cc),
+    v = sqrt(1 + a e^(-k sigma)), a = h / U(s0) and k = beta - 2, so the clock is
+
+        tau(sigma) = [sigma + (2/k) log((1 + v(sigma)) / (1 + v(0)))] / c.
+
+    For h = 0, v = 1 and the returned trajectory is backed by the exact form
+    rho = exp(-c tau), which extends to any tau_max.  Otherwise the samples
+    sit on a uniform sigma grid from rho = 1 down to the physical radius
+    phi = phi_min, cut at the first sample at or past tau_max, each with its
+    exact rho' = -c v rho.  No ODE is integrated.
     """
-    alpha = cc.alpha
-    b = cc.b
-    phidot0_sq = 2.0 * (h + b)
-    if phidot0_sq <= 0.0:
+    if not (0.0 < tau_max < np.inf and 0.0 < phi_min < 1.0):
+        raise ValueError(f"need 0 < tau_max < inf and 0 < phi_min < 1, "
+                         f"got {tau_max} and {phi_min}")
+    alpha, b = cc.alpha, cc.b
+    if h + b <= 0.0:
         raise NonCollapsing(f"energy {h} admits no inward velocity from phi = 1")
-
-    def f(_t, y):
-        phi, v, _ = y
-        return np.array([v, -alpha * b * phi ** (-(alpha + 1.0)), phi ** (-(2.0 + alpha) / 2.0)])
-
-    # a step may not carry phi below half of phi_min, so no stage meets phi <= 0
-    phi_floor = 0.5 * phi_min
-    ts, ys = _dp54(f, 0.0, np.array([1.0, -np.sqrt(phidot0_sq), 0.0]), 1e-4,
-                   lambda _t, y: y[0] > phi_min and y[2] < tau_max,
-                   rtol=_ORACLE_RTOL, atol=1e-300, floor=lambda _t: 1e-18,
-                   admissible=lambda y: y[0] > phi_floor, max_steps=_ORACLE_MAX_STEPS)
-    phi, phidot, taus = ys[:, 0], ys[:, 1], ys[:, 2]
-    if phi[-1] >= phi[0]:
-        raise NonCollapsing("radial variable failed to decrease")
-    rho = phi ** ((2.0 - alpha) / 4.0)
-    rho_p = (2.0 - alpha) / 4.0 * phidot * phi ** ((2.0 + alpha) / 4.0)
-
+    c = homothetic_decay_rate(cc)
     if h == 0.0:
-        c = homothetic_decay_rate(cc)
-        k = homothetic_collapse_constant(cc)
-        t_coll = 2.0 / ((2.0 + alpha) * np.sqrt(2.0 * b))
-        worst_rho = np.max(np.abs(rho - np.exp(-c * taus)) / np.exp(-c * taus))
-        # the power law is phase sensitive near the collapse endpoint, so it
-        # is validated away from it; the exponential check covers the tail
-        mask = phi >= 1e-2
-        closed_r = k * (t_coll - ts[mask]) ** (2.0 / (2.0 + alpha))
-        worst_r = np.max(np.abs(phi[mask] - closed_r) / phi[mask])
-        if worst_rho > 1e-8 or worst_r > 1e-8:
-            raise StepFailure(
-                f"closed-form validation failed: rho err {worst_rho:.2e}, r err {worst_r:.2e}")
         grid = np.linspace(0.0, tau_max, max(64, int(tau_max * 16) + 1))
         rho_g = np.exp(-c * grid)
-        return _frozen_trajectory(
-            cc, grid, rho_g, -c * rho_g, 0.0, exact_homothetic=True,
-            meta={"decay_rate": c, "collapse_constant": k,
-                  "validation_err": float(max(worst_rho, worst_r))})
-    return _frozen_trajectory(cc, taus, rho, rho_p, h, meta={"rtol": _ORACLE_RTOL})
+        return _frozen_trajectory(cc, grid, rho_g, -c * rho_g, 0.0, exact_homothetic=True,
+                                  meta={"decay_rate": c})
+    a, k = h / b, beta_exponent(alpha) - 2.0
+    v0 = np.sqrt(1.0 + a)
+    # Trajectory.evaluate interpolates log rho = -sigma with cubic Hermites in
+    # tau.  With w = a e^(-k sigma) between a and 0, d^4 sigma / dtau^4 is
+    # -c^4 k^3 w (1 + 3w/2) / 2, so a tau step dt keeps that error below
+    # (c dt)^4 k^3 |a| max(1, 1 + 3a/2) / 768; dt is also at most the 1/16 of
+    # the h = 0 grid.
+    c_dt = min(c / 16.0, (768.0 * _HERMITE_TOL
+                          / (k**3 * abs(a) * max(1.0, 1.0 + 1.5 * a))) ** 0.25)
+    # v lies between v0 and 1, so a sigma step of c dt min(1, v0) keeps every
+    # tau step below dt, and tau(sigma) >= sigma / (c max(1, v0)) passes
+    # tau_max by sigma = c max(1, v0) tau_max
+    sigma_end = min(-(2.0 - alpha) / 4.0 * np.log(phi_min), c * max(1.0, v0) * tau_max)
+    sigma = np.linspace(0.0, sigma_end, int(np.ceil(sigma_end / (c_dt * min(1.0, v0)))) + 1)
+    v = np.sqrt(1.0 + a * np.exp(-k * sigma))
+    # log((1 + v) / (1 + v0)), with v - v0 = a (e^(-k sigma) - 1) / (v + v0)
+    # formed without cancellation
+    tau = (sigma + 2.0 / k * np.log1p(a * np.expm1(-k * sigma) / ((v + v0) * (1.0 + v0)))) / c
+    stop = int(np.searchsorted(tau, tau_max)) + 1
+    rho = np.exp(-sigma[:stop])
+    return _frozen_trajectory(cc, tau[:stop], rho, -c * v[:stop] * rho, h)
 
 
 def _frozen_trajectory(cc, tau, rho, rho_prime, h, **kwargs) -> Trajectory:

@@ -106,8 +106,8 @@ def build_H_family(cc: CentralConfiguration, alphas=DEFAULT_ALPHA_GRID,
 
     rho(0) = 1, shape at cc.s0; the radial velocity is solved from the energy
     normalization and runs with no real inward root are rejected.  The frozen
-    shape family rides the scalar radial problem in physical time, which stays
-    well conditioned at depths where the tau-flow would have bounced; a
+    shape family comes from the energy-relation quadrature, which integrates
+    no ODE and so reaches depths where the tau-flow would have bounced; a
     nonzero tangent perturbation switches to the full flow, whose reliable
     horizon shrinks like sqrt(alpha) (collapse rate ~ sqrt(U/alpha)).
     """

@@ -286,11 +286,17 @@ def test_morse_rejects_invalid_probe_arguments(capsys, option, value):
     (["spectral", "--family", "ngon", "--n", "0"], "--n"),
     (["central", "--family", "collinear3", "--m1", "0"], "--m1"),
     (["morse", "--family", "collinear3-m2", "--m2", "-1"], "--m2"),
-    (["threshold", "--family", "ngon", "--n", "3"], "--n")])
-def test_invalid_arguments_are_usage_errors(capsys, argv, option):
+    (["threshold", "--family", "ngon", "--n", "3"], "--n"),
+    *[(["simulate", "--family", "collinear3", "--tau-max", "1", option, value], option)
+      for option, value in (("--energy", "nan"), ("--perturb", "nan"), ("--energy", "inf"))],
+    (["simulate", "--family", "collinear3", "--perturb", "1e-6", "--seed", "-1"], "--seed")])
+def test_invalid_arguments_are_usage_errors(capsys, monkeypatch, argv, option):
+    integrated = []
+    monkeypatch.setattr(mcgehee, "integrate_el", lambda *a, **k: integrated.append(a))
     rc, out, err = run(capsys, *argv)
     assert rc == 1
     assert out == "" and err.startswith("usage error: ") and option in err
+    assert integrated == []
 
 
 def test_spectral_probes_polygons_out_of_plane(capsys):
