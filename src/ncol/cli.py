@@ -216,6 +216,12 @@ def cmd_morse(args) -> int:
         raise UsageError(f"--width must be finite and above {l1:g}")
     if not 0.0 <= args.flat_fraction < 1.0:
         raise UsageError("--flat-fraction must lie in [0, 1)")
+    # the bumps need the frozen-shape oracle out to tau = 2 (bumps + 1) width;
+    # the test takes --bumps as the integer it is, which may not fit a float
+    if args.bumps + 1 > mcgehee.ORACLE_MAX_TAU / (2.0 * width):
+        raise UsageError(f"--bumps {args.bumps} with --width {width:g} reach past tau = "
+                         f"{mcgehee.ORACLE_MAX_TAU:g}, the oracle's cap of "
+                         f"{mcgehee.ORACLE_MAX_SAMPLES} samples")
     cc = _out_of_plane(_build_family(args), None)
     rep = spectral.smallest_eigenvalue(cc)
     tau_need = args.bumps * 2.0 * width + 2.0 * width

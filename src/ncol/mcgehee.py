@@ -14,6 +14,7 @@ noise sits below their tolerance (see Trajectory.trusted_prefix).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -296,6 +297,11 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 
 
+# the stage rows A[i, :i] shaped to weight the stages ks[:i], and the nodes
+_DP_ROWS = [_DP_A[i, :i, None] for i in range(7)]
+_DP_NODES = _DP_C.tolist()
+
+
 def _dp54(f, t, y, hstep, running, *, rtol, atol, floor, project, max_step=np.inf,
           t_end=np.inf, max_steps=np.inf):
     """Dormand-Prince 5(4) pair with standard error control (Hairer, Norsett &
@@ -321,14 +327,24 @@ def _dp54(f, t, y, hstep, running, *, rtol, atol, floor, project, max_step=np.in
             raise StepFailure(f"step size underflow at t = {t}")
         for i in range(1, 7):
             # summed row by row in tableau order, as a Python sum would; a matrix
-            # product rounds differently and would move the trajectories
-            yi = y + hstep * np.add.reduce(_DP_A[i, :i, None] * ks[:i])
-            ks[i] = f(t + _DP_C[i] * hstep, yi)
-        y5 = y + hstep * (_DP_B5 @ ks)
-        y4 = y + hstep * (_DP_B4 @ ks)
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        q = (y5 - y4) / sc
-        err = np.sqrt(np.add.reduce(q * q) / q.size)  # np.mean's arithmetic
+            # product rounds differently and would move the trajectories.  The
+            # in-place scaling forms y + hstep * sum with the same roundings.
+            yi = np.add.reduce(_DP_ROWS[i] * ks[:i])
+            yi *= hstep
+            yi += y
+            ks[i] = f(t + _DP_NODES[i] * hstep, yi)
+        y5 = _DP_B5 @ ks
+        y5 *= hstep
+        y5 += y
+        y4 = _DP_B4 @ ks
+        y4 *= hstep
+        y4 += y
+        sc = np.maximum(np.abs(y), np.abs(y5))
+        sc *= rtol
+        sc += atol
+        q = y5 - y4
+        q /= sc
+        err = math.sqrt(np.add.reduce(q * q).item() / q.size)  # np.mean's arithmetic
         if err <= 1.0:
             t += hstep
             ts.append(t)
@@ -346,18 +362,27 @@ def _flow(alpha, m, h, scale, d):
     n = m.size
     nd = n * d
     m_col = m[:, None]
+    # the pair constants of nbody.potential_gradient_stack, formed once
+    ii, jj = nbody.pair_indices(n)
+    mm = m[ii] * m[jj]
+    amm = -alpha * mm
+    exponent = -(alpha + 2.0)
+    gather = nbody._pair_gather_index(n)
+    beta_h, beta_m1 = beta * h, beta - 1.0
 
     def f(_tau, y):
-        rho, p = y[0], y[1]
+        rho, p = y[:2].tolist()
         s = y[2:2 + nd].reshape(n, d)
         u = y[2 + nd:].reshape(n, d)
-        pot, grad = nbody.potential_gradient_stack(s, m, alpha)
-        pot = scale * pot
+        _, _, diff, dist = nbody.pair_separations(s)
+        nbody._require_separated(dist)
+        pot = scale * nbody._potential_from(alpha, mm, dist).item()
+        grad = nbody._gradient_from(amm, exponent, diff, dist, gather)
         grad *= scale
-        sp2 = (m * (u * u).sum(axis=1)).sum()
+        sp2 = np.add.reduce(m * np.add.reduce(u * u, axis=1)).item()
         out = np.empty(y.size)
         out[0] = p
-        out[1] = coef * (rho * (sp2 + 2.0 * pot) + beta * h * rho ** (beta - 1.0))
+        out[1] = coef * (rho * (sp2 + 2.0 * pot) + beta_h * rho ** beta_m1)
         out[2:2 + nd] = y[2 + nd:]
         # shape equation with the multiplier eliminated: the tangential gradient
         # M^-1 grad U + alpha U s vanishes identically at central shapes
@@ -388,15 +413,16 @@ def integrate_el(initial: McGeheeState, m, alpha, tau_max: float,
     n, d = state.s.shape
     h_energy = energy(state, m, alpha, potential_scale)
     f = _flow(alpha, m, h_energy, potential_scale, d)
+    m_col = m[:, None]
 
     def reproject(tau, y):
         s = y[2:2 + n * d].reshape(n, d)
         u = y[2 + n * d:].reshape(n, d)
-        inertia = float((m * (s * s).sum(axis=1)).sum())
+        inertia = (m * (s * s).sum(axis=1)).sum().item()
         if abs(inertia - 1.0) > opts.drift_abort:
             raise EllipsoidDrift(f"|I(s) - 1| = {abs(inertia - 1.0):.3e} at tau = {tau}")
-        s /= np.sqrt(inertia)
-        u -= float(np.sum(m[:, None] * s * u)) * s
+        s /= math.sqrt(inertia)
+        u -= (m_col * s * u).sum().item() * s
         return y
 
     y0 = np.concatenate([[state.rho, state.rho_prime], state.s.ravel(), state.s_prime.ravel()])
@@ -439,6 +465,17 @@ def homothetic_decay_rate(cc) -> float:
 
 # bound on the cubic Hermite error of log rho between two oracle samples
 _HERMITE_TOL = 1e-11
+# the most samples one oracle trajectory holds, and the horizon that fills
+# them at the 16 samples per unit tau of the h = 0 grid
+ORACLE_MAX_SAMPLES = 1 << 20
+ORACLE_MAX_TAU = (ORACLE_MAX_SAMPLES - 1) / 16.0
+
+
+def _capped_samples(count: int, tau_max: float) -> int:
+    if count > ORACLE_MAX_SAMPLES:
+        raise ValueError(f"tau_max = {tau_max:g} needs {count} oracle samples, "
+                         f"more than the cap of {ORACLE_MAX_SAMPLES}")
+    return count
 
 
 def homothetic_oracle(cc, h: float = 0.0, tau_max: float = 30.0,
@@ -455,7 +492,8 @@ def homothetic_oracle(cc, h: float = 0.0, tau_max: float = 30.0,
     rho = exp(-c tau), which extends to any tau_max.  Otherwise the samples
     sit on a uniform sigma grid from rho = 1 down to the physical radius
     phi = phi_min, cut at the first sample at or past tau_max, each with its
-    exact rho' = -c v rho.  No ODE is integrated.
+    exact rho' = -c v rho.  No ODE is integrated.  A horizon that needs more
+    than ORACLE_MAX_SAMPLES samples raises ValueError.
     """
     if not (0.0 < tau_max < np.inf and 0.0 < phi_min < 1.0):
         raise ValueError(f"need 0 < tau_max < inf and 0 < phi_min < 1, "
@@ -465,7 +503,7 @@ def homothetic_oracle(cc, h: float = 0.0, tau_max: float = 30.0,
         raise NonCollapsing(f"energy {h} admits no inward velocity from phi = 1")
     c = homothetic_decay_rate(cc)
     if h == 0.0:
-        grid = np.linspace(0.0, tau_max, max(64, int(tau_max * 16) + 1))
+        grid = np.linspace(0.0, tau_max, _capped_samples(max(64, int(tau_max * 16) + 1), tau_max))
         rho_g = np.exp(-c * grid)
         return _frozen_trajectory(cc, grid, rho_g, -c * rho_g, 0.0, exact_homothetic=True,
                                   meta={"decay_rate": c})
@@ -482,7 +520,8 @@ def homothetic_oracle(cc, h: float = 0.0, tau_max: float = 30.0,
     # tau step below dt, and tau(sigma) >= sigma / (c max(1, v0)) passes
     # tau_max by sigma = c max(1, v0) tau_max
     sigma_end = min(-(2.0 - alpha) / 4.0 * np.log(phi_min), c * max(1.0, v0) * tau_max)
-    sigma = np.linspace(0.0, sigma_end, int(np.ceil(sigma_end / (c_dt * min(1.0, v0)))) + 1)
+    count = int(np.ceil(sigma_end / (c_dt * min(1.0, v0)))) + 1
+    sigma = np.linspace(0.0, sigma_end, _capped_samples(count, tau_max))
     v = np.sqrt(1.0 + a * np.exp(-k * sigma))
     # log((1 + v) / (1 + v0)), with v - v0 = a (e^(-k sigma) - 1) / (v + v0)
     # formed without cancellation

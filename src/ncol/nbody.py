@@ -11,6 +11,11 @@ Two layers: the core (pair_separations, pair_terms and the ``*_stack``
 kernels) works unchecked on stacks (..., N, d), one value per configuration;
 the boundary (potential, gradient, the Hessians, matrix_A) validates one
 configuration and calls the core.
+
+The gradient gathers each body's pair terms through a cached index and adds
+them in the order a scatter of the pair forces would, so it rounds as that
+scatter does.  The tau-flow right-hand side in mcgehee calls the core's
+private helpers with its pair constants formed once per integration.
 """
 
 from __future__ import annotations
@@ -85,9 +90,34 @@ def pair_indices(n: int):
 def pair_separations(x: np.ndarray):
     """Pair indices (i, j), separations x_i - x_j and distances of a stack (..., N, d)."""
     ii, jj = pair_indices(x.shape[-2])
-    diff = x.take(ii, axis=-2) - x.take(jj, axis=-2)
-    dist = np.sqrt((diff * diff).sum(axis=-1))
+    diff = x.take(ii, axis=-2)
+    diff -= x.take(jj, axis=-2)
+    # np.add.reduce is the sum method without its Python wrapper; the tau-flow
+    # right-hand side comes here once per call
+    dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
     return ii, jj, diff, dist
+
+
+@functools.cache
+def _pair_gather_index(n: int):
+    """(n-1, n) index into the pair terms [f; -f] of n bodies, read-only, one copy per n.
+
+    Body i takes +f of its pairs (i, j) and -f of its pairs (k, i).  Column i
+    lists the first, then the second, each in pair order: the order in which
+    a scatter of +f and then of -f adds them.
+    """
+    ii, jj = pair_indices(n)
+    # a stable sort by the body each term belongs to keeps that order
+    idx = np.argsort(np.concatenate([ii, jj]), kind="stable").reshape(n, n - 1).T.copy()
+    idx.flags.writeable = False
+    return idx
+
+
+def _require_separated(dist) -> None:
+    """Raise CollisionConfiguration when a pair distance is below COLLISION_THRESHOLD."""
+    # an empty stack has no close pair
+    if np.minimum.reduce(dist, axis=None, initial=np.inf) < COLLISION_THRESHOLD:
+        raise CollisionConfiguration(f"minimum pair distance {dist.min():.3e} below threshold")
 
 
 def pair_terms(x, m):
@@ -97,30 +127,34 @@ def pair_terms(x, m):
     than COLLISION_THRESHOLD.
     """
     ii, jj, diff, dist = pair_separations(x)
-    # an empty stack has no close pair
-    if dist.min(initial=np.inf) < COLLISION_THRESHOLD:
-        raise CollisionConfiguration(f"minimum pair distance {dist.min():.3e} below threshold")
+    _require_separated(dist)
     return ii, jj, m[ii] * m[jj], diff, dist
 
 
 def _potential_from(alpha, mm, dist):
-    return (mm * dist ** (-alpha)).sum(axis=-1)
+    return np.add.reduce(mm * dist ** (-alpha), axis=-1)
 
 
-def _gradient_from(x, alpha, ii, jj, mm, diff, dist):
-    w = -alpha * mm * dist ** (-(alpha + 2.0))
-    force = w[..., None] * diff
-    grad = np.zeros(force.shape[:-2] + x.shape[-2:])
-    # each body sums its pairs in pair order
-    np.add.at(grad, (..., ii, slice(None)), force)
-    np.add.at(grad, (..., jj, slice(None)), -force)
-    return grad
+def _gradient_from(amm, exponent, diff, dist, gather):
+    """grad U of a stack from amm = -alpha m_i m_j and exponent = -(alpha + 2).
+
+    Each body sums its pair forces f = amm r^exponent (x_i - x_j), gathered
+    through gather = _pair_gather_index(N), in the order and with the
+    roundings of a scatter of +f onto each i and then -f onto each j.
+    """
+    force = (amm * dist ** exponent)[..., None] * diff
+    terms = np.concatenate([force, -force], axis=-2).take(gather, axis=-2)
+    # the summed axis lies outside the (N, d) block, so the blocks are added
+    # one after another, never pairwise; the sum starts from 0.0 as the
+    # scatter starts from zeros, so that a zero sum has the scatter's sign
+    return np.add.reduce(terms, axis=-3, initial=0.0)
 
 
 def potential_gradient_stack(x, m, alpha):
     """(U, grad U) of a stack (..., N, d) from one pair_terms call."""
-    ii, jj, mm, diff, dist = pair_terms(x, m)
-    return _potential_from(alpha, mm, dist), _gradient_from(x, alpha, ii, jj, mm, diff, dist)
+    _, _, mm, diff, dist = pair_terms(x, m)
+    return _potential_from(alpha, mm, dist), _gradient_from(
+        -alpha * mm, -(alpha + 2.0), diff, dist, _pair_gather_index(x.shape[-2]))
 
 
 def potential_stack(x, m, alpha) -> np.ndarray:
@@ -136,7 +170,7 @@ def potential_stack(x, m, alpha) -> np.ndarray:
 
 def gradient_stack(x, m, alpha) -> np.ndarray:
     """Euclidean gradient of U, shape (..., N, d)."""
-    return _gradient_from(x, alpha, *pair_terms(x, m))
+    return potential_gradient_stack(x, m, alpha)[1]
 
 
 def hessian_quadratic_stack(x, m, alpha, v) -> np.ndarray:

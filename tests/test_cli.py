@@ -261,7 +261,8 @@ def test_morse_command_ngon(tmp_path, capsys):
     ("--bumps", "0"), ("--bumps", "-1"), ("--width", "0"), ("--width", "-5"),
     ("--width", "1e-9"), ("--width", "inf"), ("--width", "nan"),
     ("--flat-fraction", "1.0"), ("--flat-fraction", "1.5"), ("--flat-fraction", "-0.1"),
-    ("--flat-fraction", "nan")])
+    ("--flat-fraction", "nan"), ("--width", "1e300"), ("--width", "1e7"),
+    ("--bumps", "10000000"), pytest.param("--bumps", "1" + "0" * 400, id="--bumps-1e400")])
 def test_morse_rejects_invalid_probe_arguments(capsys, option, value):
     rc, out, err = run(capsys, "morse", "--family", "collinear3", "--alpha", "1",
                        option, value)

@@ -316,6 +316,15 @@ def test_homothetic_oracle_rejects_a_bad_horizon(coll1, h, tau_max, phi_min):
         mcgehee.homothetic_oracle(coll1, h=h, tau_max=tau_max, phi_min=phi_min)
 
 
+def test_homothetic_oracle_caps_its_samples(coll1):
+    # one sample past the cap on the h = 0 grid, and a near-marginal energy
+    # whose sigma grid would need about 10^8 samples
+    for h, tau_max in ((0.0, mcgehee.ORACLE_MAX_TAU + 1.0 / 16.0),
+                       (-coll1.b * (1.0 - 1e-10), 1e4)):
+        with pytest.raises(ValueError, match=f"more than the cap of {mcgehee.ORACLE_MAX_SAMPLES}"):
+            mcgehee.homothetic_oracle(coll1, h=h, tau_max=tau_max)
+
+
 def test_quadrature_trajectory_never_holds_the_whole_grid():
     # the alpha = 0.02 member of `ncol weakforce`: a 540,000-point grid, 4.1 MB
     # per whole-grid array
@@ -640,6 +649,60 @@ def reference_flow(alpha, m, h, scale, d):
     return f
 
 
+def reference_integrate(state, m, alpha, tau_max, opts):
+    """integrate_el's run on the reference route: reference_dp54 stepping
+    reference_flow, with the reprojection written out with np.sum."""
+    n, d = state.s.shape
+
+    def project(_tau, y):
+        s = y[2:2 + n * d].reshape(n, d)
+        u = y[2 + n * d:].reshape(n, d)
+        s /= np.sqrt(float(np.sum(m * np.sum(s * s, axis=1))))
+        u -= float(np.sum(m[:, None] * s * u)) * s
+        return y
+
+    f = reference_flow(alpha, m, mcgehee.energy(state, m, alpha), 1.0, d)
+    y0 = np.concatenate([[state.rho, state.rho_prime], state.s.ravel(), state.s_prime.ravel()])
+    return reference_dp54(f, 0.0, y0, min(opts.first_step, opts.max_step),
+                          lambda tau, y: tau < tau_max and y[0] > opts.rho_min,
+                          rtol=opts.rtol, atol=1e-12, floor=lambda tau: 1e-14 * max(1.0, tau),
+                          max_step=opts.max_step, t_end=tau_max, project=project)
+
+
+KICKED = mcgehee.IntegratorOptions(rtol=1e-11, max_step=0.05)
+
+
+@pytest.mark.parametrize("run", ["kicked alpha 1", "kicked alpha 0.05", "ngon 8 in 3d",
+                                 "rho_min floor", "unequal masses"])
+def test_integrate_el_matches_the_reference_route(run):
+    # the README's contract: integrate_el's trajectories are bitwise those of
+    # the stepper and right-hand side written out term by term
+    if run.startswith("kicked"):
+        cc = central.collinear3(1.0, 1.0, float(run.split()[-1]))
+        state, tau_max, opts = zero_energy_state(cc, normal_kick(cc, 1e-3)), 3.0, KICKED
+    elif run == "unequal masses":
+        # masses that round m_i s_i, so the reprojection's association shows
+        cc = central.collinear3(3.0, 0.5, 0.8)
+        kick = nbody.tangent_part(cc.s0, cc.masses, np.random.default_rng(2).normal(size=(3, 2)))
+        state = mcgehee.homothetic_initial_state(cc, kick=1e-3 * kick / np.linalg.norm(kick))
+        tau_max, opts = 1.0, mcgehee.IntegratorOptions()
+    elif run == "ngon 8 in 3d":
+        cc = central.embed_in_3d(central.ngon(8, 1.0))
+        state, tau_max, opts = mcgehee.homothetic_initial_state(cc), 1.0, mcgehee.IntegratorOptions()
+    else:
+        cc = central.collinear3(1.0, 1.0, 1.0)
+        state, tau_max, opts = zero_energy_state(cc), 80.0, mcgehee.IntegratorOptions()
+    traj = mcgehee.integrate_el(state, cc.masses, cc.alpha, tau_max, opts)
+    taus, ys = reference_integrate(state, cc.masses, cc.alpha, tau_max, opts)
+    n, d = cc.s0.shape
+    assert traj.n_samples > 50
+    np.testing.assert_array_equal(traj.tau, taus)
+    np.testing.assert_array_equal(traj.rho, ys[:, 0])
+    np.testing.assert_array_equal(traj.rho_prime, ys[:, 1])
+    np.testing.assert_array_equal(traj.s, ys[:, 2:2 + n * d].reshape(-1, n, d))
+    np.testing.assert_array_equal(traj.s_prime, ys[:, 2 + n * d:].reshape(-1, n, d))
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(2, 9),
        d=st.sampled_from([1, 2, 3]), alpha=st.floats(0.01, 1.99),
@@ -655,9 +718,10 @@ def test_flow_rhs_matches_reference_and_sums_pairs_once(seed, n, d, alpha, h, sc
                         rng.standard_normal(n * d)])
     want = reference_flow(alpha, m, h, scale, d)(0.0, y)
     calls = []
-    pair_terms = nbody.pair_terms
+    check = nbody._require_separated
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nbody, "pair_terms", lambda *a: calls.append(1) or pair_terms(*a))
+        mp.setattr(nbody, "_require_separated", lambda dist: calls.append(1) or check(dist))
         got = mcgehee._flow(alpha, m, h, scale, d)(0.0, y)
     np.testing.assert_array_equal(got, want)
+    # one collision check, so one pass over the pairs, per call
     assert len(calls) == 1

@@ -454,6 +454,41 @@ def test_boundary_validates_masses_alpha_and_shape(name):
         fn(np.stack([COLLINEAR_S0, COLLINEAR_S0]), ONES3, 1.0)
 
 
+def reference_scatter_gradient(x, m, alpha):
+    """grad U as two np.add.at scatters of the pair forces: +f onto each body i
+    of a pair (i, j), then -f onto each j, in pair order."""
+    ii, jj, mm, diff, dist = nbody.pair_terms(x, m)
+    w = -alpha * mm * dist ** (-(alpha + 2.0))
+    force = w[..., None] * diff
+    grad = np.zeros(force.shape[:-2] + x.shape[-2:])
+    np.add.at(grad, (..., ii, slice(None)), force)
+    np.add.at(grad, (..., jj, slice(None)), -force)
+    return grad
+
+
+@settings(max_examples=80, deadline=None)
+@given(lead=st.sampled_from([(), (0,), (1,), (5,), (2, 0), (2, 3), (3, 4)]),
+       n=st.integers(2, 16), d=st.integers(1, 3), per_configuration=st.booleans(),
+       flat=st.booleans(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_gathered_gradient_equals_the_scatter(lead, n, d, per_configuration, flat, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=lead + (n, d))
+    if flat and d > 1:
+        x[..., -1] = 0.0  # zero force components, whose signs a sum can flip
+    if x.size and nbody.pair_separations(x)[3].min() < nbody.COLLISION_THRESHOLD:
+        return
+    m = rng.uniform(0.5, 2.0, size=n)
+    if per_configuration and lead:
+        alpha = rng.uniform(1e-6, 2.0, size=lead[-1])[:, None]
+    else:
+        alpha = float(rng.uniform(1e-6, 2.0))
+    want = reference_scatter_gradient(x, m, alpha)
+    for got in (nbody.gradient_stack(x, m, alpha), nbody.potential_gradient_stack(x, m, alpha)[1]):
+        assert got.shape == want.shape == x.shape
+        # the bytes, so that the sign of every zero matches as well
+        assert got.tobytes() == want.tobytes()
+
+
 def test_pair_indices_cached_and_read_only():
     ii, jj = nbody.pair_indices(5)
     assert nbody.pair_indices(5)[0] is ii
