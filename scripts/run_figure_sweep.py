@@ -9,10 +9,7 @@ import argparse
 import json
 from pathlib import Path
 
-import numpy as np
-
-from ncol import spectral
-from ncol.cli import _run_sweep
+from ncol import cli, spectral
 
 
 def main():
@@ -22,9 +19,11 @@ def main():
     args = ap.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    alphas = np.linspace(0.05, 2.0 - 1e-9, args.steps)
     csv_path = args.outdir / "figure_sweep.csv"
-    csv_path.write_text(_run_sweep(alphas) + "\n")
+    # cli.main has reported any failure on stderr; exit with its code
+    rc = cli.main(["figure1", "--steps", str(args.steps), "--out", str(csv_path)])
+    if rc:
+        raise SystemExit(rc)
 
     th_coll = spectral.collinear_threshold()
     thresholds = {"collinear3-equal": th_coll.alpha_star}

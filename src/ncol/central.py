@@ -47,8 +47,8 @@ class CentralConfiguration:
         if abs(alpha - self.alpha) <= 1e-14:
             return self
         alpha = nbody.validate_alpha(alpha)
-        return replace(self, alpha=alpha, b=nbody.potential(self.s0, self.masses, alpha),
-                       residual=nbody.central_residual(self.s0, self.masses, alpha))
+        u, residual, _ = nbody.central_residual_stack(self.s0, self.masses, alpha)
+        return replace(self, alpha=alpha, b=float(u), residual=float(nbody.norm_stack(residual)))
 
     def to_json(self) -> str:
         return nbody.config_to_json(
@@ -60,17 +60,16 @@ class CentralConfiguration:
 
 
 def _verify(s0, m, alpha, family) -> CentralConfiguration:
-    s0 = nbody.as_positions(s0)
-    m = nbody.as_masses(m)
+    s0, m, alpha = nbody.checked(s0, m, alpha)
     inertia = nbody.moment_of_inertia(s0, m)
     if abs(inertia - 1.0) > 1e-12:
         raise NotCentral(f"moment of inertia {inertia} is off the unit ellipsoid")
-    res = nbody.central_residual(s0, m, alpha)
-    tol = max(nbody.RESIDUAL_TOL, 100 * np.finfo(float).eps * nbody.residual_scale(s0, m, alpha))
+    u, residual, scale = nbody.central_residual_stack(s0, m, alpha)
+    res = float(nbody.norm_stack(residual))
+    tol = max(nbody.RESIDUAL_TOL, 100 * np.finfo(float).eps * float(scale))
     if res > tol:
         raise NotCentral(f"centrality residual {res:.3e} exceeds {tol:.3e}")
-    b = nbody.potential(s0, m, alpha)
-    return CentralConfiguration(s0=s0, masses=m, alpha=float(alpha), b=b, residual=res,
+    return CentralConfiguration(s0=s0, masses=m, alpha=alpha, b=float(u), residual=res,
                                 family=family)
 
 
@@ -123,52 +122,6 @@ def embed_in_3d(cc: CentralConfiguration) -> CentralConfiguration:
                                 residual=cc.residual, family=cc.family)
 
 
-def canonicalize(x, m) -> np.ndarray:
-    """Rotate to a deterministic body-anchored frame for comparisons.
-
-    Principal axes degenerate on symmetric shapes (a regular polygon has an
-    isotropic inertia tensor), so the frame is anchored instead on labeled
-    bodies: the farthest body goes on the positive first axis, the next
-    independent one fixes the remaining orientation, and reflections are
-    normalized by sign conventions.  Bodies keep their labels.
-    """
-    x = nbody.as_positions(x)
-    m = nbody.as_masses(m)
-    y = x - nbody.center_of_mass(x, m)
-    n, d = y.shape
-    norms = np.linalg.norm(y, axis=1)
-    anchor = int(np.argmax(np.round(norms, 9)))
-    e1 = y[anchor] / norms[anchor]
-    basis = [e1]
-    for j in range(n):
-        if len(basis) == d:
-            break
-        v = y[j].copy()
-        for e in basis:
-            v -= (v @ e) * e
-        nv = np.linalg.norm(v)
-        if nv > 1e-9 * max(1.0, norms.max()):
-            basis.append(v / nv)
-    while len(basis) < d:
-        # complete with coordinate directions for degenerate point sets
-        for k in range(d):
-            v = np.zeros(d)
-            v[k] = 1.0
-            for e in basis:
-                v -= (v @ e) * e
-            nv = np.linalg.norm(v)
-            if nv > 1e-9:
-                basis.append(v / nv)
-                break
-    y = y @ np.array(basis).T
-    for c in range(1, d):
-        col = y[:, c]
-        k = np.argmax(np.abs(np.round(col, 9)))
-        if col[k] < 0:
-            y[:, c] = -col
-    return y
-
-
 def solve_central(initial, m, alpha, max_iter: int = 200) -> CentralConfiguration:
     """Damped Gauss-Newton solve of grad U(x) + alpha U(x) M x = 0.
 
@@ -209,16 +162,15 @@ def solve_central(initial, m, alpha, max_iter: int = 200) -> CentralConfiguratio
     for _ in range(max_iter):
         if nbody.min_distance(x) < 1e-8:
             raise ConvergedToCollision("iterate entered the collision neighborhood")
-        f = nbody.central_residual_vector(x, m, alpha).ravel()
+        u, f, scale = nbody.central_residual_stack(x, m, alpha)
+        f = f.ravel()
         res = np.linalg.norm(f)
-        scale = nbody.residual_scale(x, m, alpha)
         if res <= 1e-11 * scale:
             return _verify(x, m, alpha, "numeric")
-        u = nbody.potential(x, m, alpha)
         g = nbody.gradient(x, m, alpha).ravel()
         jac = nbody.hessian_full(x, m, alpha)
         jac += alpha * np.outer(mdiag * x.ravel(), g)
-        jac += alpha * u * np.diag(mdiag)
+        jac += alpha * float(u) * np.diag(mdiag)
         rot = rotation_rows(x)
         weight = max(1.0, np.linalg.norm(jac))
         aug = np.vstack([jac] + [weight * r[None, :] for r in rot])

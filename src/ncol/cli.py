@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -45,31 +46,45 @@ def _emit(text: str, out: str | None) -> None:
         os.close(devnull)
 
 
-def _valid_alphas(option: str, values) -> list:
-    """Each value as a float exponent in (0, 2), or a usage error naming option."""
-    try:
-        return [nbody.validate_alpha(float(v)) for v in values]
-    except ValueError as exc:
-        raise UsageError(f"{option}: {exc}") from exc
+def _option_type(what, parse, ok):
+    """An argparse type: parse(text) if ok holds of it, else a usage error
+    saying that the value must be what.  parse and ok may also reject a value
+    by raising ValueError."""
+    def convert(text):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+
+    return convert
 
 
-def _positive(args, *options) -> None:
-    """A usage error naming the first of options whose value is not positive and finite."""
-    for option in options:
-        value = getattr(args, option[2:].replace("-", "_"))
-        if not (np.isfinite(value) and value > 0.0):
-            raise UsageError(f"{option} must be positive and finite")
+# each bump starts just past tau = 0 and has support (_BUMP_START, --width)
+_BUMP_START = 1e-9
+
+# nbody.validate_alpha returns an exponent in (0, 2), which is true, or raises
+_ALPHA = _option_type("an exponent in (0, 2)", float, nbody.validate_alpha)
+_ALPHA_GRID = _option_type("comma-separated exponents in (0, 2)",
+                           lambda text: tuple(float(v) for v in text.split(",")),
+                           lambda alphas: all(map(nbody.validate_alpha, alphas)))
+_POSITIVE = _option_type("positive and finite", float,
+                         lambda v: math.isfinite(v) and v > 0.0)
+_FINITE = _option_type("finite", float, math.isfinite)
+_COUNT = _option_type("a non-negative integer", int, lambda v: v >= 0)
+_POSITIVE_COUNT = _option_type("a positive integer", int, lambda v: v > 0)
+_FRACTION = _option_type("in [0, 1)", float, lambda v: 0.0 <= v < 1.0)
+_WIDTH = _option_type(f"finite and above {_BUMP_START:g}", float,
+                      lambda v: math.isfinite(v) and v > _BUMP_START)
 
 
 def _build_family(args) -> central.CentralConfiguration:
-    if args.alpha is not None:
-        _valid_alphas("--alpha", [args.alpha])
     alpha = args.alpha if args.alpha is not None else 1.0
     if args.family == "collinear3":
-        _positive(args, "--m1")
         return central.collinear3(args.m1, args.m1, alpha)
     if args.family == "collinear3-m2":
-        _positive(args, "--m1", "--m2")
         return central.collinear3(args.m1, args.m2, alpha)
     if args.family == "ngon":
         try:
@@ -96,9 +111,9 @@ def _build_family(args) -> central.CentralConfiguration:
 def _family_args(sub):
     sub.add_argument("--family", required=True,
                      choices=["collinear3", "collinear3-m2", "ngon", "file"])
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--m1", type=float, default=1.0)
-    sub.add_argument("--m2", type=float, default=1.0)
+    sub.add_argument("--alpha", type=_ALPHA, default=None)
+    sub.add_argument("--m1", type=_POSITIVE, default=1.0)
+    sub.add_argument("--m2", type=_POSITIVE, default=1.0)
     sub.add_argument("--n", type=int, default=4)
     sub.add_argument("--file", type=str, default=None)
     sub.add_argument("--out", type=str, default=None)
@@ -164,20 +179,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_figure1(args) -> int:
-    if args.steps < 0:
-        raise UsageError("--steps must not be negative")
     alphas = np.linspace(0.05, 2.0 - 1e-9, args.steps)
     _emit(_run_sweep(alphas), args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    _positive(args, "--tau-max", "--rtol", "--max-step", "--rho-min")
-    for option in ("--energy", "--perturb"):
-        if not np.isfinite(getattr(args, option[2:])):
-            raise UsageError(f"{option} must be finite")
-    if args.seed < 0:
-        raise UsageError("--seed must not be negative")
     cc = _build_family(args)
     # an energy with no collapse at all is a numeric failure (exit 2), a
     # perturbation too large for it a usage error (exit 1)
@@ -208,14 +215,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_morse(args) -> int:
-    # each bump starts just past tau = 0 and has support (l1, width)
-    l1, width = 1e-9, args.width
-    if args.bumps < 1:
-        raise UsageError("--bumps must be at least 1")
-    if not (np.isfinite(width) and width > l1):
-        raise UsageError(f"--width must be finite and above {l1:g}")
-    if not 0.0 <= args.flat_fraction < 1.0:
-        raise UsageError("--flat-fraction must lie in [0, 1)")
+    width = args.width
     # the bumps need the frozen-shape oracle out to tau = 2 (bumps + 1) width;
     # the test takes --bumps as the integer it is, which may not fit a float
     if args.bumps + 1 > mcgehee.ORACLE_MAX_TAU / (2.0 * width):
@@ -227,7 +227,7 @@ def cmd_morse(args) -> int:
     tau_need = args.bumps * 2.0 * width + 2.0 * width
     traj = mcgehee.homothetic_oracle(cc, h=0.0, tau_max=tau_need)
     shifts = morse.default_shifts(args.bumps, 0.0, width)
-    wrep = morse.morse_witnesses(traj, rep.eigvec, shifts, l1=l1, l2=width,
+    wrep = morse.morse_witnesses(traj, rep.eigvec, shifts, l1=_BUMP_START, l2=width,
                                  flat_fraction=args.flat_fraction)
     _emit(json.dumps(wrep.to_dict(), indent=2), args.out)
     print(f"witnesses={wrep.witnesses} of {args.bumps}; criterion margin={rep.margin:.6g}",
@@ -236,10 +236,8 @@ def cmd_morse(args) -> int:
 
 
 def cmd_weakforce(args) -> int:
-    alphas = tuple(_valid_alphas("--grid", args.grid.split(",")))
-    _positive(args, "--eps", "--tau-max", "--m1", "--m2")
-    cc = central.collinear3(args.m1, args.m2, alphas[0])
-    fam = weakforce.build_H_family(cc, alphas=alphas, tau_max=args.tau_max)
+    cc = central.collinear3(args.m1, args.m2, args.grid[0])
+    fam = weakforce.build_H_family(cc, alphas=args.grid, tau_max=args.tau_max)
     rows = weakforce.family_report_rows(fam, args.eps)
     lines = [WEAKFORCE_HEADER]
     for row in rows:
@@ -282,34 +280,34 @@ def build_parser() -> _Parser:
     s.set_defaults(fn=cmd_sweep)
 
     s = sub.add_parser("figure1", help="preset sweep on [0.05, 2] comparing both criteria")
-    s.add_argument("--steps", type=int, default=400)
+    s.add_argument("--steps", type=_COUNT, default=400)
     s.add_argument("--out", type=str, default=None)
     s.set_defaults(fn=cmd_figure1)
 
     s = sub.add_parser("simulate", help="integrate the collision flow and dump a CSV")
     _family_args(s)
-    s.add_argument("--energy", type=float, default=0.0)
-    s.add_argument("--tau-max", type=float, default=5.0)
-    s.add_argument("--perturb", type=float, default=0.0)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--rtol", type=float, default=1e-10)
-    s.add_argument("--max-step", type=float, default=0.1)
-    s.add_argument("--rho-min", type=float, default=1e-8)
+    s.add_argument("--energy", type=_FINITE, default=0.0)
+    s.add_argument("--tau-max", type=_POSITIVE, default=5.0)
+    s.add_argument("--perturb", type=_FINITE, default=0.0)
+    s.add_argument("--seed", type=_COUNT, default=0)
+    s.add_argument("--rtol", type=_POSITIVE, default=1e-10)
+    s.add_argument("--max-step", type=_POSITIVE, default=0.1)
+    s.add_argument("--rho-min", type=_POSITIVE, default=1e-8)
     s.set_defaults(fn=cmd_simulate)
 
     s = sub.add_parser("morse", help="bump-probe witness counts along the collapse")
     _family_args(s)
-    s.add_argument("--bumps", type=int, default=10)
-    s.add_argument("--width", type=float, default=20.0)
-    s.add_argument("--flat-fraction", type=float, default=0.8)
+    s.add_argument("--bumps", type=_POSITIVE_COUNT, default=10)
+    s.add_argument("--width", type=_WIDTH, default=20.0)
+    s.add_argument("--flat-fraction", type=_FRACTION, default=0.8)
     s.set_defaults(fn=cmd_morse)
 
     s = sub.add_parser("weakforce", help="small-alpha family diagnostics (CSV)")
-    s.add_argument("--grid", type=str, default="0.5,0.3,0.2,0.1,0.05,0.02")
-    s.add_argument("--eps", type=float, default=0.1)
-    s.add_argument("--tau-max", type=float, default=12.0)
-    s.add_argument("--m1", type=float, default=1.0)
-    s.add_argument("--m2", type=float, default=1.0)
+    s.add_argument("--grid", type=_ALPHA_GRID, default="0.5,0.3,0.2,0.1,0.05,0.02")
+    s.add_argument("--eps", type=_POSITIVE, default=0.1)
+    s.add_argument("--tau-max", type=_POSITIVE, default=12.0)
+    s.add_argument("--m1", type=_POSITIVE, default=1.0)
+    s.add_argument("--m2", type=_POSITIVE, default=1.0)
     s.add_argument("--out", type=str, default=None)
     s.set_defaults(fn=cmd_weakforce)
     return p

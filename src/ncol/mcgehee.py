@@ -15,7 +15,7 @@ noise sits below their tolerance (see Trajectory.trusted_prefix).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -632,10 +632,7 @@ class AsymptoticReport:
     rho_final: float = float("nan")
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "b_limit", "b_converged", "rho_ratio_limit", "rho_ratio_predicted",
-            "rho_ratio_converged", "dist_to_central", "sprime_final", "sprime_initial",
-            "dissipation_partial", "tau_end", "rho_final")}
+        return asdict(self)
 
 
 def _aitken_limit(values: np.ndarray):

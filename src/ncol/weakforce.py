@@ -233,7 +233,7 @@ def check_esplode1(family: ScaledFamily, eps: float) -> GridCheck:
                      table=crossings, note="no grid prefix crossed the threshold")
 
 
-def disotto_bound(traj: Trajectory, m) -> np.ndarray:
+def disotto_bound(traj: Trajectory) -> np.ndarray:
     """2 Utilde(s) + beta htilde rho^(beta-2) along a rescaled trajectory."""
     alpha = traj.alpha
     beta = beta_exponent(alpha)
@@ -260,7 +260,7 @@ def check_disotto(family: ScaledFamily, eps: float, tau_eps: float,
         if not mask.any():
             return GridCheck(satisfied=False, tau_eps=tau_eps, alpha_eps=alpha_eps, eps=eps,
                              note=f"alpha={alpha} has no samples past tau_eps")
-        vals = disotto_bound(traj, family.cc.masses)[mask]
+        vals = disotto_bound(traj)[mask]
         ingredient = (1.0 - 2.0**alpha) / (alpha * 2.0**alpha)
         table[alpha] = {"inf": float(vals.min()), "ingredient": ingredient}
         worst = min(worst, float(vals.min()))
@@ -328,7 +328,7 @@ def family_report_rows(family: ScaledFamily, eps: float):
     rows = []
     for alpha, traj in family:
         tau_a = e1.table[alpha]
-        vals = disotto_bound(traj, family.cc.masses)
+        vals = disotto_bound(traj)
         mask = traj.tau >= (tau_a if tau_a is not None else traj.tau[0])
         sp2 = np.einsum("j,kjd,kjd->k", traj.masses, traj.s_prime, traj.s_prime)
         tail = float(np.trapezoid(sp2[mask], traj.tau[mask])) if mask.any() else float("nan")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncol import central, nbody, spectral
+from ncol import central, mcgehee, nbody, spectral
 from ncol.errors import InvalidMass, InvalidN, NoConvergence
 
 
@@ -90,8 +90,7 @@ def test_solve_central_fixed_point():
     cc = central.ngon(5, 1.0)
     out = central.solve_central(cc.s0, cc.masses, 1.0)
     assert out.residual < 1e-9
-    assert np.allclose(central.canonicalize(out.s0, out.masses),
-                       central.canonicalize(cc.s0, cc.masses), atol=1e-9)
+    assert mcgehee.procrustes_distance(out.s0, cc.s0, cc.masses) < 1e-9
 
 
 def test_solve_central_recovers_collinear_from_perturbation():
@@ -101,8 +100,7 @@ def test_solve_central_recovers_collinear_from_perturbation():
     out = central.solve_central(x0, cc.masses, 1.0)
     assert out.residual < 1e-9
     assert out.b == pytest.approx(cc.b, rel=1e-10)
-    assert np.allclose(central.canonicalize(out.s0, out.masses),
-                       central.canonicalize(cc.s0, cc.masses), atol=1e-6)
+    assert mcgehee.procrustes_distance(out.s0, cc.s0, cc.masses) < 1e-6
 
 
 def test_solve_central_equilateral():
@@ -118,17 +116,8 @@ def test_solve_central_equilateral():
 def test_solve_central_no_convergence_on_hopeless_start():
     # two nearly coincident bodies head toward collision
     x0 = np.array([[1e-6, 0.0], [0.0, 1e-6], [1.0, 1.0]])
-    with pytest.raises((NoConvergence, Exception)):
+    with pytest.raises(NoConvergence, match="no convergence after 5 iterations"):
         central.solve_central(x0, np.ones(3), 1.0, max_iter=5)
-
-
-def test_canonicalize_rotation_invariance():
-    cc = central.ngon(5, 1.0)
-    th = 0.7
-    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    a = central.canonicalize(cc.s0, cc.masses)
-    b = central.canonicalize(cc.s0 @ rot.T, cc.masses)
-    assert np.allclose(a, b, atol=1e-10)
 
 
 @st.composite

@@ -290,7 +290,11 @@ def test_morse_rejects_invalid_probe_arguments(capsys, option, value):
     (["threshold", "--family", "ngon", "--n", "3"], "--n"),
     *[(["simulate", "--family", "collinear3", "--tau-max", "1", option, value], option)
       for option, value in (("--energy", "nan"), ("--perturb", "nan"), ("--energy", "inf"))],
-    (["simulate", "--family", "collinear3", "--perturb", "1e-6", "--seed", "-1"], "--seed")])
+    (["simulate", "--family", "collinear3", "--perturb", "1e-6", "--seed", "-1"], "--seed"),
+    # checked in the parser, so also where the family ignores the mass
+    (["central", "--family", "ngon", "--m1", "0"], "--m1"),
+    (["spectral", "--family", "collinear3", "--m2", "-1"], "--m2"),
+    (["weakforce", "--grid", "0.5,abc"], "--grid: must be comma-separated exponents in (0, 2)")])
 def test_invalid_arguments_are_usage_errors(capsys, monkeypatch, argv, option):
     integrated = []
     monkeypatch.setattr(mcgehee, "integrate_el", lambda *a, **k: integrated.append(a))

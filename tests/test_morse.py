@@ -279,6 +279,25 @@ def test_additivity_check_rejects_nan(monkeypatch, homothetic_traj, mu1_directio
         morse.morse_witnesses(homothetic_traj, mu1_direction, [10.0, 40.0], l1=1e-9, l2=20.0)
 
 
+def test_witness_memory_does_not_grow_with_the_bump_count(coll1, mu1_direction):
+    # 200 tiny bumps: the additivity check must combine one stack at a time,
+    # since one combination of all of them is refined at a bump's density
+    # across the whole span
+    import tracemalloc
+
+    width = 1e-6
+    traj = mcgehee.homothetic_oracle(coll1, h=0.0, tau_max=2.0 * width * 201)
+    shifts = morse.default_shifts(200, 0.0, width)
+    tracemalloc.start()
+    try:
+        rep = morse.morse_witnesses(traj, mu1_direction, shifts, l1=1e-9, l2=width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.q_values) == 200
+    assert peak < 2**23
+
+
 def test_combined_variation_matches_naive_sum(mu1_direction):
     bumps = [morse.BumpVariation(l1=0.5, l2=3.0, shift=0.0, xi=mu1_direction),
              morse.BumpVariation(l1=0.5, l2=3.0, shift=2.5, xi=mu1_direction,

@@ -530,7 +530,7 @@ def test_traces_never_reach_the_scalar_boundary(monkeypatch):
         assert np.all(np.isfinite(traj.energy_trace()))
         mcgehee.asymptotic_report(traj, [cc])
         weakforce.gamma_trace(traj)
-        weakforce.disotto_bound(traj, cc.masses)
+        weakforce.disotto_bound(traj)
     xi = np.zeros((3, 2))
     xi[:, 1] = np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)
     bump = morse.BumpVariation(l1=0.5, l2=2.5, shift=1.0, xi=xi, profile_kind="bump")
