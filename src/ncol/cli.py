@@ -7,6 +7,7 @@ CI can gate on mathematical regressions.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -91,21 +92,20 @@ def _build_family(args) -> central.CentralConfiguration:
             return central.ngon(args.n, alpha)
         except InvalidN as exc:
             raise UsageError(f"--n: {exc}") from exc
-    if args.family == "file":
-        if not args.file:
-            raise UsageError("--family file requires --file")
-        with open(args.file) as fh:
-            text = fh.read()
-        try:
-            x, m, file_alpha, _ = nbody.config_from_json(text)
-        except json.JSONDecodeError:
-            raise
-        except (KeyError, TypeError, ValueError, InvalidMass) as exc:
-            raise UsageError(f"--file {args.file} is not a configuration: {exc!r}") from exc
-        # the file's own alpha wins unless one was passed explicitly
-        return central.solve_central(x, m, args.alpha if args.alpha is not None
-                                     else file_alpha)
-    raise UsageError(f"unknown family {args.family}")
+    # "file", the last of the parser's choices
+    if not args.file:
+        raise UsageError("--family file requires --file")
+    with open(args.file) as fh:
+        text = fh.read()
+    try:
+        x, m, file_alpha, _ = nbody.config_from_json(text)
+    except json.JSONDecodeError:
+        raise
+    except (KeyError, TypeError, ValueError, InvalidMass) as exc:
+        raise UsageError(f"--file {args.file} is not a configuration: {exc!r}") from exc
+    # the file's own alpha wins unless one was passed explicitly
+    return central.solve_central(x, m, args.alpha if args.alpha is not None
+                                 else file_alpha)
 
 
 def _family_args(sub):
@@ -142,13 +142,11 @@ def cmd_spectral(args) -> int:
 def cmd_threshold(args) -> int:
     if args.family == "collinear3":
         res = spectral.collinear_threshold()
-    elif args.family == "ngon":
+    else:  # "ngon", the parser's other choice
         try:
             res = spectral.ngon_threshold(args.n)
         except InvalidN as exc:
             raise UsageError(f"--n: {exc}") from exc
-    else:
-        raise UsageError("threshold supports families collinear3 and ngon")
     payload = {"family": res.family, "alpha_star": res.alpha_star,
                "bracket": list(res.bracket), "residual": res.residual}
     _emit(json.dumps(payload, indent=2), args.out)
@@ -253,36 +251,37 @@ def cmd_weakforce(args) -> int:
     return 0 if ok else 2
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ncol parser, built on the first call and shared by every later one.
+
+    It names no command function: main looks up cmd_<command> in this module
+    at call time, so a function replaced after the parser was built (a test's
+    monkeypatch, a tracer's wrapper) is the one that runs."""
     p = _Parser(prog="ncol", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("central", help="construct or solve a central configuration")
     _family_args(s)
-    s.set_defaults(fn=cmd_central)
 
     s = sub.add_parser("spectral", help="smallest constrained eigenvalue and criterion margin")
     _family_args(s)
     s.add_argument("--dim", type=int, default=None, choices=[2, 3])
-    s.set_defaults(fn=cmd_spectral)
 
     s = sub.add_parser("threshold", help="criterion crossing in alpha for a family")
     s.add_argument("--family", required=True, choices=["collinear3", "ngon"])
     s.add_argument("--n", type=int, default=4)
     s.add_argument("--out", type=str, default=None)
-    s.set_defaults(fn=cmd_threshold)
 
     s = sub.add_parser("sweep", help="criterion sweep over an alpha range (CSV)")
     s.add_argument("--alpha-min", type=float, required=True)
     s.add_argument("--alpha-max", type=float, required=True)
     s.add_argument("--steps", type=int, required=True)
     s.add_argument("--out", type=str, default=None)
-    s.set_defaults(fn=cmd_sweep)
 
     s = sub.add_parser("figure1", help="preset sweep on [0.05, 2] comparing both criteria")
     s.add_argument("--steps", type=_COUNT, default=400)
     s.add_argument("--out", type=str, default=None)
-    s.set_defaults(fn=cmd_figure1)
 
     s = sub.add_parser("simulate", help="integrate the collision flow and dump a CSV")
     _family_args(s)
@@ -293,14 +292,12 @@ def build_parser() -> _Parser:
     s.add_argument("--rtol", type=_POSITIVE, default=1e-10)
     s.add_argument("--max-step", type=_POSITIVE, default=0.1)
     s.add_argument("--rho-min", type=_POSITIVE, default=1e-8)
-    s.set_defaults(fn=cmd_simulate)
 
     s = sub.add_parser("morse", help="bump-probe witness counts along the collapse")
     _family_args(s)
     s.add_argument("--bumps", type=_POSITIVE_COUNT, default=10)
     s.add_argument("--width", type=_WIDTH, default=20.0)
     s.add_argument("--flat-fraction", type=_FRACTION, default=0.8)
-    s.set_defaults(fn=cmd_morse)
 
     s = sub.add_parser("weakforce", help="small-alpha family diagnostics (CSV)")
     s.add_argument("--grid", type=_ALPHA_GRID, default="0.5,0.3,0.2,0.1,0.05,0.02")
@@ -309,15 +306,13 @@ def build_parser() -> _Parser:
     s.add_argument("--m1", type=_POSITIVE, default=1.0)
     s.add_argument("--m2", type=_POSITIVE, default=1.0)
     s.add_argument("--out", type=str, default=None)
-    s.set_defaults(fn=cmd_weakforce)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

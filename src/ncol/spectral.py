@@ -401,28 +401,6 @@ def hiphop_condition(n: int, alpha: float):
 
 
 # ---------------------------------------------------------------------------
-# monotone ratio helpers
-
-
-def ratio_f(bases: np.ndarray, x: float) -> float:
-    """sum b_j^(x+2) / sum b_j^x for a decreasing family b_j > 1."""
-    bases = np.asarray(bases, dtype=float)
-    return float(np.sum(bases ** (x + 2.0)) / np.sum(bases**x))
-
-
-def ratio_g(bases: np.ndarray, x: float) -> float:
-    """(1 + sum b_j^(x+2)) / (1 + sum b_j^x), the variant absorbing a unit term."""
-    bases = np.asarray(bases, dtype=float)
-    return float((1.0 + np.sum(bases ** (x + 2.0))) / (1.0 + np.sum(bases**x)))
-
-
-def ngon_ratio_bases(n: int) -> np.ndarray:
-    """Distinct inverse chords 1/sin(j pi / n) > 1 feeding the monotone ratios."""
-    j = np.arange(1, (n + 1) // 2 if n % 2 else n // 2)
-    return 1.0 / np.sin(j * np.pi / n)
-
-
-# ---------------------------------------------------------------------------
 # root finding
 
 

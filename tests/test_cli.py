@@ -1,3 +1,4 @@
+import argparse
 import functools
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncol import central, mcgehee, spectral
+from ncol import central, cli, mcgehee, spectral
 from ncol.cli import SWEEP_HEADER, WEAKFORCE_HEADER, main
 
 
@@ -401,6 +402,48 @@ def test_unknown_family_is_usage_error(capsys):
     rc, _, err = run(capsys, "central", "--family", "nonsense")
     assert rc == 1
     assert "usage error" in err
+
+
+def test_repeated_calls_are_independent(capsys):
+    # main builds its parser once per process; no call may see another's options
+    rc, out, _ = run(capsys, "weakforce", "--grid", "0.5,0.3")
+    assert rc in (0, 2) and len(out.splitlines()) == 3
+    rc, out, _ = run(capsys, "weakforce")
+    rows = out.splitlines()
+    assert rc in (0, 2) and rows[0] == WEAKFORCE_HEADER
+    assert [float(r.split(",")[0]) for r in rows[1:]] == [0.5, 0.3, 0.2, 0.1, 0.05, 0.02]
+
+    a = ("spectral", "--family", "collinear3-m2", "--m2", "2", "--alpha", "0.5", "--dim", "3")
+    b = ("spectral", "--family", "collinear3")
+    first = run(capsys, *a)
+    assert run(capsys, *b)[0] == 0
+    assert run(capsys, *a) == first and first[0] == 0
+
+    assert run(capsys, "figure1", "--steps", "-3")[0] == 1
+    rc, out, err = run(capsys, "figure1", "--steps", "2")
+    assert (rc, err, len(out.splitlines())) == (0, "", 5)
+
+
+def test_commands_are_looked_up_when_called(capsys, monkeypatch):
+    assert run(capsys, "threshold", "--family", "collinear3")[0] == 0
+    seen = []
+
+    def fake(args):
+        seen.append((args.family, args.n))
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_threshold", fake)
+    assert main(["threshold", "--family", "ngon", "--n", "5"]) == 7
+    assert seen == [("ngon", 5)]
+
+
+def test_every_command_has_its_function():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert all(callable(getattr(cli, f"cmd_{name}", None)) for name in commands)
+    assert {name[4:] for name in vars(cli) if name.startswith("cmd_")} == set(commands)
 
 
 def test_missing_file_is_io_error(capsys):

@@ -438,8 +438,9 @@ def reference_dp54(f, t, y, hstep, running, *, rtol, atol, floor, max_step=np.in
                    t_end=np.inf, admissible=None, project=None, fsal=False):
     """The stepper with its stages summed one by one in Python.
 
-    fsal=False is a fresh f(t, y) after every accepted step; fsal=True reuses
-    the last stage when no projection moved the state, as _dp54 does.
+    fsal=False is a fresh f(t, y) after every accepted step, as _dp54 takes;
+    fsal=True reuses the last stage when no projection moved the state, which
+    only reference_physical_time asks for.
     """
     ts, ys = [t], [y.copy()]
     k1 = f(t, y)

