@@ -10,7 +10,7 @@ import argparse
 from pathlib import Path
 
 from ncol import central, weakforce
-from ncol.cli import WEAKFORCE_HEADER
+from ncol.cli import weakforce_csv
 
 
 def main():
@@ -28,20 +28,15 @@ def main():
     print("measured uniform collapse times:", fam.uniform_collapse())
 
     for eps in (float(e) for e in args.eps.split(",")):
-        rows = weakforce.family_report_rows(fam, eps)
+        rep = weakforce.family_report(fam, eps)
         path = args.outdir / f"weakforce_eps{eps}.csv"
-        with open(path, "w") as fh:
-            fh.write(WEAKFORCE_HEADER + "\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
-        e1 = weakforce.check_esplode1(fam, eps)
+        path.write_text(weakforce_csv(rep) + "\n")
+        e1, d = rep.esplode1, rep.disotto
         msg = f"eps={eps}: esplode1 satisfied={e1.satisfied}"
         if e1.satisfied:
-            d = weakforce.check_disotto(fam, eps, e1.tau_eps, e1.alpha_eps)
-            e2 = weakforce.check_esplode2(fam, eps)
             msg += (f" (tau_eps={e1.tau_eps:.3f}, alpha_eps={e1.alpha_eps});"
                     f" disotto inf={d.table['infimum']:.2f} req={d.table['required']:.2f};"
-                    f" esplode2={e2.satisfied}")
+                    f" esplode2={rep.esplode2.satisfied}")
         print(msg, "->", path)
 
 

@@ -233,22 +233,21 @@ def cmd_morse(args) -> int:
     return 0
 
 
+def weakforce_csv(report: weakforce.FamilyReport) -> str:
+    """The weakforce CSV of a family report, without a final newline."""
+    return "\n".join([WEAKFORCE_HEADER] + [",".join(f"{v:.10g}" for v in row)
+                                           for row in report.rows])
+
+
 def cmd_weakforce(args) -> int:
     cc = central.collinear3(args.m1, args.m2, args.grid[0])
     fam = weakforce.build_H_family(cc, alphas=args.grid, tau_max=args.tau_max)
-    rows = weakforce.family_report_rows(fam, args.eps)
-    lines = [WEAKFORCE_HEADER]
-    for row in rows:
-        lines.append(",".join(f"{v:.10g}" for v in row))
-    _emit("\n".join(lines), args.out)
-    e1 = weakforce.check_esplode1(fam, args.eps)
-    e2 = weakforce.check_esplode2(fam, args.eps)
-    ok = e1.satisfied and e2.satisfied
-    if e1.satisfied:
-        d = weakforce.check_disotto(fam, args.eps, e1.tau_eps, e1.alpha_eps)
-        ok = ok and d.satisfied
+    rep = weakforce.family_report(fam, args.eps)
+    _emit(weakforce_csv(rep), args.out)
+    e1, e2 = rep.esplode1, rep.esplode2
     print(f"esplode1={e1.satisfied} esplode2={e2.satisfied} eps={args.eps}", file=sys.stderr)
-    return 0 if ok else 2
+    # the Disotto check exists where esplode1 holds
+    return 0 if e1.satisfied and e2.satisfied and rep.disotto.satisfied else 2
 
 
 @functools.cache

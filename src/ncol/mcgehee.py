@@ -641,17 +641,14 @@ def _aitken_limit(values: np.ndarray):
     est = [values[-1]]
     v = values
     while v.size >= 3:
-        d1 = v[1:-1] - v[:-2]
         d2 = v[2:] - 2 * v[1:-1] + v[:-2]
         safe = np.abs(d2) > 1e-300
         acc = np.where(safe, v[2:] - (v[2:] - v[1:-1]) ** 2 / np.where(safe, d2, 1.0), v[2:])
         est.append(acc[-1])
-        if len(est) >= 2 and abs(est[-1] - est[-2]) < 1e-4 * (1.0 + abs(est[-1])):
+        if abs(est[-1] - est[-2]) < 1e-4 * (1.0 + abs(est[-1])):
             return float(est[-1]), True
-        v = acc[-min(len(acc), 12):]
-        if v.size < 3:
-            break
-    return float(est[-1]), len(est) >= 2 and abs(est[-1] - est[-2]) < 1e-4 * (1.0 + abs(est[-1]))
+        v = acc[-12:]
+    return float(est[-1]), False
 
 
 def procrustes_distance(s, s_ref, m) -> float:

@@ -337,13 +337,17 @@ def _frozen_pairings(traj: Trajectory, xi):
     return n_m, hess
 
 
-def _frozen_integrand(traj: Trajectory, xi, scalars):
-    """Rows of Q for w = phi(tau) xi on frozen-shape data, in scalars.
+def _bump_integrand(traj: Trajectory, xi, scalars):
+    """Rows of Q for w = phi(tau) xi, where scalars(grid, members) gives phi and phi' on grid.
 
-    scalars(grid, members) gives phi and phi' on grid.  With s = s0 the
-    pairings are constants: |w'|^2 = nM phi'^2, |w|^2 = nM phi^2,
-    <w', w> = nM phi phi' and D2U_E(s0)(w, w) = H phi^2.
+    On frozen-shape data, s = s0 makes the pairings constants and the rows
+    scalars: |w'|^2 = nM phi'^2, |w|^2 = nM phi^2, <w', w> = nM phi phi' and
+    D2U_E(s0)(w, w) = H phi^2.  Elsewhere w and w' go through the per-sample
+    stacks.
     """
+    if not traj.frozen_shape:
+        return _sampled_integrand(traj, lambda grid, members: tuple(
+            p.reshape(-1, 1, 1) * xi for p in scalars(grid, members)))
     n_m, hess = _frozen_pairings(traj, xi)
 
     def integrand(grid, members):
@@ -375,15 +379,16 @@ def quadratic_Q(traj: Trajectory, variation, quad_tol: float = QUAD_TOL) -> Seco
     """Evaluate Q(w) with its kinetic / radial / cross / Hessian breakdown.
 
     rho'/rho comes from Trajectory.log_rate, so Q stays finite past rho
-    underflow.  Bumps phi(tau) xi on frozen-shape data are integrated in
-    scalars; other variations go through the per-sample (K, N, d) stacks.
+    underflow.  A bump phi(tau) xi is read through phi alone: in scalars on
+    frozen-shape data, as phi xi in the per-sample (K, N, d) stacks
+    elsewhere; other variations go through the stacks.
     This is the one-member case of the stacks morse_witnesses refines.  A
     combination of bumps starts its refinement where its narrowest bump's
     own would start.
     """
-    if traj.frozen_shape and _is_scalar_bump(variation):
-        integrand = _frozen_integrand(traj, variation.xi,
-                                      lambda grid, members: variation.scalar_and_deriv(grid))
+    if _is_scalar_bump(variation):
+        integrand = _bump_integrand(traj, variation.xi,
+                                    lambda grid, members: variation.scalar_and_deriv(grid))
     else:
         integrand = _sampled_integrand(traj, lambda grid, members: (
             variation.value(grid.ravel()), variation.deriv(grid.ravel())))
@@ -428,15 +433,8 @@ def morse_witnesses(traj: Trajectory, xi, shifts, l1: float = 0.0, l2: float = 2
     def scalars(grid, members):
         return bumps[0].profile.value_and_deriv(grid - l1 - shift_col[members])
 
-    if traj.frozen_shape:
-        integrand = _frozen_integrand(traj, xi, scalars)
-    else:
-        def fields(grid, members):
-            phi, dphi = scalars(grid, members)
-            return phi.reshape(-1, 1, 1) * xi, dphi.reshape(-1, 1, 1) * xi
-
-        integrand = _sampled_integrand(traj, fields)
-    reports = _reports(traj, integrand, [b.support for b in bumps], QUAD_TOL)
+    reports = _reports(traj, _bump_integrand(traj, xi, scalars), [b.support for b in bumps],
+                       QUAD_TOL)
     q_vals = tuple(r.value for r in reports)
     witnesses = int(sum(1 for q in q_vals if q < 0.0))
     # one combination per stack, so that its refinement, which starts at the

@@ -2,8 +2,11 @@
 
 The rescaled bodies xtilde = alpha^(-1/(alpha+2)) x solve the system driven by
 Utilde = U/alpha, whose collapse trajectories stay nondegenerate as alpha -> 0.
-All checks here are finite-grid diagnostics: they exhibit the claimed uniform
-bounds on a sampled alpha family, they do not prove the limit statements.
+build_H_family builds the frozen-shape family from the energy relation, and
+family_report walks it once per tolerance for the CSV rows and the uniform
+bound checks.  All checks here are finite-grid diagnostics: they exhibit the
+claimed uniform bounds on a sampled alpha family, they do not prove the limit
+statements.
 """
 
 from __future__ import annotations
@@ -15,9 +18,7 @@ import numpy as np
 from . import nbody
 from .central import CentralConfiguration
 from .errors import NonCollapsing
-from .mcgehee import (IntegratorOptions, Trajectory, beta_exponent,
-                      homothetic_initial_state, homothetic_quadrature_trajectory,
-                      integrate_el)
+from .mcgehee import Trajectory, beta_exponent, homothetic_quadrature_trajectory
 
 DEFAULT_ALPHA_GRID = (0.5, 0.3, 0.2, 0.1, 0.05, 0.02)
 
@@ -101,39 +102,28 @@ class ScaledFamily:
 
 
 def build_H_family(cc: CentralConfiguration, alphas=DEFAULT_ALPHA_GRID,
-                   s_perturb: np.ndarray | None = None, tau_max: float = 8.0) -> ScaledFamily:
+                   tau_max: float = 8.0) -> ScaledFamily:
     """Per-alpha rescaled trajectories with hhat = 0 initial data.
 
-    rho(0) = 1, shape at cc.s0; the radial velocity is solved from the energy
-    normalization and runs with no real inward root are rejected.  The frozen
-    shape family comes from the energy-relation quadrature, which integrates
-    no ODE and so reaches depths where the tau-flow would have bounced; a
-    nonzero tangent perturbation switches to the full flow, whose reliable
-    horizon shrinks like sqrt(alpha) (collapse rate ~ sqrt(U/alpha)).
+    rho(0) = 1 and the shape stays at cc.s0; the radial velocity is solved
+    from the energy normalization and runs with no real inward root are
+    rejected.  Every member comes from the energy-relation quadrature
+    (homothetic_quadrature_trajectory), which integrates no ODE and so
+    reaches depths where the tau-flow would have bounced.  A kicked member
+    is a tau-flow run (homothetic_initial_state with a kick, then
+    integrate_el), whose reliable horizon shrinks like sqrt(alpha) (collapse
+    rate ~ sqrt(U/alpha)); this family has none.
     """
     m = cc.masses
-    kick = None if s_perturb is None else nbody.tangent_part(cc.s0, m, s_perturb)
     trajs = []
     for alpha in alphas:
         alpha = nbody.validate_alpha(alpha)
-        cca = cc.at_alpha(alpha)
-        h_tilde = scaled_energy_for_H(m, alpha)
-        scale = 1.0 / alpha
         try:
-            if kick is None:
-                traj = homothetic_quadrature_trajectory(cca, h=h_tilde, tau_max=tau_max,
-                                                        potential_scale=scale)
-            else:
-                state = homothetic_initial_state(cca, h=h_tilde, potential_scale=scale,
-                                                 kick=kick)
+            traj = homothetic_quadrature_trajectory(
+                cc.at_alpha(alpha), h=scaled_energy_for_H(m, alpha), tau_max=tau_max,
+                potential_scale=1.0 / alpha)
         except NonCollapsing as exc:
             raise NonCollapsing(f"alpha={alpha}: {exc} under the energy normalization") from exc
-        if kick is not None:
-            c_rate = (2.0 - alpha) / 4.0 * np.sqrt(2.0 * cca.b / alpha)
-            safe_tau = min(tau_max, 9.0 / c_rate)
-            opts = IntegratorOptions(rtol=1e-11, max_step=0.01, rho_min=1e-4)
-            traj = integrate_el(state, m, alpha, tau_max=safe_tau, opts=opts,
-                                potential_scale=scale)
         if not np.all(traj.rho_prime < 0.0):
             raise NonCollapsing(f"alpha={alpha}: radial velocity changed sign")
         trajs.append(traj)
@@ -181,123 +171,6 @@ def gamma_trace(traj: Trajectory, resample_step: float | None = None) -> GammaTr
 
 
 # ---------------------------------------------------------------------------
-# uniform-bound finders (finite-grid diagnostics)
-
-
-@dataclass(frozen=True)
-class GridCheck:
-    satisfied: bool
-    tau_eps: float | None
-    alpha_eps: float | None
-    eps: float
-    table: dict = field(default_factory=dict)
-    note: str = ""
-
-
-def blowup_quantity(traj: Trajectory) -> np.ndarray:
-    """((2-alpha)/(4 alpha)) (1 - rho^(4 alpha/(2-alpha))), increasing along collapse."""
-    alpha = traj.alpha
-    gamma = 4.0 * alpha / (2.0 - alpha)
-    return (1.0 - traj.rho**gamma) / gamma
-
-
-def _grid_prefix(alphas, first_tau):
-    """(tau_eps, alpha_eps) for the largest grid alpha_eps below which every
-    member has a first_tau; tau_eps is the latest of those.  None when no
-    grid alpha qualifies."""
-    for cand in sorted(alphas, reverse=True):
-        members = [a for a in alphas if a < cand]
-        if members and all(first_tau[a] is not None for a in members):
-            return max(first_tau[a] for a in members), cand
-    return None
-
-
-def check_esplode1(family: ScaledFamily, eps: float) -> GridCheck:
-    """Find (tau_eps, alpha_eps) with the blow-up quantity >= 1/eps on the grid.
-
-    For each grid candidate alpha_eps, members below it must cross 1/eps at a
-    finite tau; the reported tau_eps is the worst crossing.  A finite grid can
-    fail to exhibit the pair without refuting the limit statement.
-    """
-    target = 1.0 / eps
-    crossings = {}
-    for alpha, traj in family:
-        q = blowup_quantity(traj)
-        above = q >= target
-        crossings[alpha] = float(traj.tau[np.argmax(above)]) if above.any() else None
-    found = _grid_prefix(family.alphas, crossings)
-    if found:
-        return GridCheck(satisfied=True, tau_eps=found[0], alpha_eps=found[1], eps=eps,
-                         table=crossings)
-    return GridCheck(satisfied=False, tau_eps=None, alpha_eps=None, eps=eps,
-                     table=crossings, note="no grid prefix crossed the threshold")
-
-
-def disotto_bound(traj: Trajectory) -> np.ndarray:
-    """2 Utilde(s) + beta htilde rho^(beta-2) along a rescaled trajectory."""
-    alpha = traj.alpha
-    beta = beta_exponent(alpha)
-    h_tilde = traj.h
-    u_tilde = traj.potential_trace()
-    return 2.0 * u_tilde + beta * h_tilde * traj.rho ** (beta - 2.0)
-
-
-def disotto_constant(m) -> float:
-    """Lower-bound constant -2 S (1 + log 2) extracted from the proof ingredients."""
-    return -2.0 * pair_mass_sum(m) * (1.0 + np.log(2.0))
-
-
-def check_disotto(family: ScaledFamily, eps: float, tau_eps: float,
-                  alpha_eps: float) -> GridCheck:
-    """Verify the forcing lower bound on the region located by check_esplode1."""
-    target = disotto_constant(family.cc.masses) + 1.0 / eps
-    table = {}
-    worst = np.inf
-    for alpha, traj in family:
-        if alpha >= alpha_eps:
-            continue
-        mask = traj.tau >= tau_eps
-        if not mask.any():
-            return GridCheck(satisfied=False, tau_eps=tau_eps, alpha_eps=alpha_eps, eps=eps,
-                             note=f"alpha={alpha} has no samples past tau_eps")
-        vals = disotto_bound(traj)[mask]
-        ingredient = (1.0 - 2.0**alpha) / (alpha * 2.0**alpha)
-        table[alpha] = {"inf": float(vals.min()), "ingredient": ingredient}
-        worst = min(worst, float(vals.min()))
-    ok = worst >= target
-    return GridCheck(satisfied=bool(ok), tau_eps=tau_eps, alpha_eps=alpha_eps, eps=eps,
-                     table={"per_alpha": table, "infimum": worst, "required": target})
-
-
-def check_esplode2(family: ScaledFamily, eps: float) -> GridCheck:
-    """Tail shape-velocity integral below eps, plus positivity of -rho'/rho."""
-    c_const = disotto_constant(family.cc.masses)
-    tails = {}
-    phi_ok = True
-    for alpha, traj in family:
-        sp2 = np.einsum("j,kjd,kjd->k", traj.masses, traj.s_prime, traj.s_prime)
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (sp2[1:] + sp2[:-1]) * np.diff(traj.tau))])
-        total = cum[-1]
-        remaining = total - cum
-        below = remaining < eps
-        phi = -traj.rho_prime / traj.rho
-        phi_ok &= bool(np.all(phi > 0.0))
-        tails[alpha] = {
-            "first_tau": float(traj.tau[np.argmax(below)]) if below.any() else None,
-            "tail_total": float(total),
-            "phi_min": float(phi.min()),
-            "phi_sq_min": float((phi**2).min()),
-            "phi_sq_required": c_const + 1.0 / eps,
-        }
-    found = _grid_prefix(family.alphas, {a: t["first_tau"] for a, t in tails.items()})
-    if found:
-        return GridCheck(satisfied=phi_ok, tau_eps=found[0], alpha_eps=found[1], eps=eps,
-                         table=tails, note="" if phi_ok else "-rho'/rho failed positivity")
-    return GridCheck(satisfied=False, tau_eps=None, alpha_eps=None, eps=eps, table=tails,
-                     note="tail integral never fell below eps on the grid")
-
-
-# ---------------------------------------------------------------------------
 # action scaling
 
 
@@ -322,20 +195,122 @@ def rescale_path(path: np.ndarray, alpha: float) -> np.ndarray:
     return alpha ** (-1.0 / (alpha + 2.0)) * np.asarray(path, dtype=float)
 
 
-def family_report_rows(family: ScaledFamily, eps: float):
-    """Rows (alpha, tau_eps, inf_disotto, tail_integral, phi_min) for the CSV."""
-    e1 = check_esplode1(family, eps)
-    rows = []
+# ---------------------------------------------------------------------------
+# uniform-bound checks (finite-grid diagnostics), one pass over the family
+
+
+@dataclass(frozen=True)
+class GridCheck:
+    satisfied: bool
+    tau_eps: float | None
+    alpha_eps: float | None
+    eps: float
+    table: dict = field(default_factory=dict)
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class FamilyReport:
+    """The weakforce CSV rows, (alpha, tau_eps, inf_disotto, tail_integral,
+    phi_min) per member, and the uniform-bound checks at one eps; disotto is
+    None where esplode1 located no (tau_eps, alpha_eps)."""
+
+    rows: list
+    esplode1: GridCheck
+    esplode2: GridCheck
+    disotto: GridCheck | None
+
+
+def blowup_quantity(traj: Trajectory) -> np.ndarray:
+    """((2-alpha)/(4 alpha)) (1 - rho^(4 alpha/(2-alpha))), increasing along collapse."""
+    gamma = 4.0 * traj.alpha / (2.0 - traj.alpha)
+    return (1.0 - traj.rho**gamma) / gamma
+
+
+def disotto_bound(traj: Trajectory) -> np.ndarray:
+    """2 Utilde(s) + beta htilde rho^(beta-2) along a rescaled trajectory."""
+    beta = beta_exponent(traj.alpha)
+    return 2.0 * traj.potential_trace() + beta * traj.h * traj.rho ** (beta - 2.0)
+
+
+def disotto_constant(m) -> float:
+    """Lower-bound constant -2 S (1 + log 2) extracted from the proof ingredients."""
+    return -2.0 * pair_mass_sum(m) * (1.0 + np.log(2.0))
+
+
+def _grid_check(alphas, first_tau, eps, table, ok, notes) -> GridCheck:
+    """(tau_eps, alpha_eps) for the largest grid alpha_eps below which every
+    member has a first_tau; tau_eps is the latest of those.  The note is
+    notes[0] when no grid alpha qualifies, notes[1] when one does but ok is
+    false."""
+    for cand in sorted(alphas, reverse=True):
+        members = [a for a in alphas if a < cand]
+        if members and all(first_tau[a] is not None for a in members):
+            return GridCheck(satisfied=ok, tau_eps=max(first_tau[a] for a in members),
+                             alpha_eps=cand, eps=eps, table=table, note="" if ok else notes[1])
+    return GridCheck(satisfied=False, tau_eps=None, alpha_eps=None, eps=eps, table=table,
+                     note=notes[0])
+
+
+def family_report(family: ScaledFamily, eps: float) -> FamilyReport:
+    """The CSV rows and the esplode1, esplode2 and Disotto checks, visiting each member once.
+
+    A member's blow-up crossing (its first sample where blowup_quantity
+    reaches 1/eps), Disotto trace, |s'|_M^2 tail and -rho'/rho are each
+    formed once.  Its row reads the trace and the tail from the crossing on
+    (from the start when there is none).  esplode1 locates (tau_eps,
+    alpha_eps) from the crossings; esplode2 from the first samples past
+    which the remaining |s'|_M^2 integral is below eps, and needs
+    -rho'/rho > 0.  Where esplode1 holds, the Disotto bound must reach
+    disotto_constant + 1/eps past tau_eps below alpha_eps.  A finite grid
+    can fail to exhibit a pair without refuting the limit statement.
+    """
+    c_const = disotto_constant(family.cc.masses)
+    crossings, tails, traces, rows = {}, {}, [], []
+    phi_ok = True
     for alpha, traj in family:
-        tau_a = e1.table[alpha]
-        vals = disotto_bound(traj)
-        mask = traj.tau >= (tau_a if tau_a is not None else traj.tau[0])
+        tau = traj.tau
+        above = blowup_quantity(traj) >= 1.0 / eps
+        crossing = float(tau[np.argmax(above)]) if above.any() else None
+        crossings[alpha] = crossing
+        traces.append(disotto_bound(traj))
         sp2 = np.einsum("j,kjd,kjd->k", traj.masses, traj.s_prime, traj.s_prime)
-        tail = float(np.trapezoid(sp2[mask], traj.tau[mask])) if mask.any() else float("nan")
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (sp2[1:] + sp2[:-1]) * np.diff(tau))])
+        below = cum[-1] - cum < eps
         phi = -traj.rho_prime / traj.rho
-        rows.append((alpha,
-                     tau_a if tau_a is not None else float("nan"),
-                     float(vals[mask].min()) if mask.any() else float("nan"),
-                     tail,
+        phi_ok &= bool(np.all(phi > 0.0))
+        tails[alpha] = {"first_tau": float(tau[np.argmax(below)]) if below.any() else None,
+                        "tail_total": float(cum[-1]), "phi_min": float(phi.min()),
+                        "phi_sq_min": float((phi**2).min()),
+                        "phi_sq_required": c_const + 1.0 / eps}
+        past = tau >= (tau[0] if crossing is None else crossing)
+        rows.append((alpha, float("nan") if crossing is None else crossing,
+                     float(traces[-1][past].min()), float(np.trapezoid(sp2[past], tau[past])),
                      float(phi.min())))
-    return rows
+    e1 = _grid_check(family.alphas, crossings, eps, crossings, True,
+                     ("no grid prefix crossed the threshold", ""))
+    e2 = _grid_check(family.alphas, {a: t["first_tau"] for a, t in tails.items()}, eps, tails,
+                     phi_ok, ("tail integral never fell below eps on the grid",
+                              "-rho'/rho failed positivity"))
+    disotto = (_disotto_check(family, traces, eps, e1.tau_eps, e1.alpha_eps)
+               if e1.satisfied else None)
+    return FamilyReport(rows=rows, esplode1=e1, esplode2=e2, disotto=disotto)
+
+
+def _disotto_check(family: ScaledFamily, traces, eps: float, tau_eps: float,
+                   alpha_eps: float) -> GridCheck:
+    """The Disotto bound on the region esplode1 located, from each member's trace."""
+    target = disotto_constant(family.cc.masses) + 1.0 / eps
+    table, worst = {}, np.inf
+    for (alpha, traj), trace in zip(family, traces):
+        if alpha >= alpha_eps:
+            continue
+        past = traj.tau >= tau_eps
+        if not past.any():
+            return GridCheck(satisfied=False, tau_eps=tau_eps, alpha_eps=alpha_eps, eps=eps,
+                             note=f"alpha={alpha} has no samples past tau_eps")
+        table[alpha] = {"inf": float(trace[past].min()),
+                        "ingredient": (1.0 - 2.0**alpha) / (alpha * 2.0**alpha)}
+        worst = min(worst, table[alpha]["inf"])
+    return GridCheck(satisfied=bool(worst >= target), tau_eps=tau_eps, alpha_eps=alpha_eps,
+                     eps=eps, table={"per_alpha": table, "infimum": worst, "required": target})

@@ -305,7 +305,7 @@ def test_criterion_09_homographic_blocks():
 # -- 10 ----------------------------------------------------------------------
 
 
-def test_criterion_10_weak_force_suite():
+def test_criterion_10_weak_force_suite(kicked_member):
     t0 = time.perf_counter()
     cc = central.collinear3(1.0, 1.0, 0.5)
     fam = weakforce.build_H_family(cc, tau_max=12.0)
@@ -314,8 +314,8 @@ def test_criterion_10_weak_force_suite():
     xi = np.zeros((3, 2))
     xi[:, 1] = np.array([1.0, -2.0, 1.0]) / np.sqrt(6)
     cc3 = central.collinear3(1.0, 1.0, 0.3)
-    fam_p = weakforce.build_H_family(cc3, alphas=(0.3,), s_perturb=1e-2 * xi, tau_max=1.2)
-    gt = weakforce.gamma_trace(fam_p.trajectories[0], resample_step=1e-3)
+    gt = weakforce.gamma_trace(kicked_member(cc3, 0.3, 1e-2 * xi, tau_max=1.2),
+                               resample_step=1e-3)
     assert gt.identity_error < 1e-6
 
     # pointwise logarithmic limit
@@ -332,11 +332,10 @@ def test_criterion_10_weak_force_suite():
     # finite localization pairs for both tolerance levels
     summary = []
     for eps in (0.5, 0.1):
-        e1 = weakforce.check_esplode1(fam, eps)
+        rep = weakforce.family_report(fam, eps)
+        e1, d, e2 = rep.esplode1, rep.disotto, rep.esplode2
         assert e1.satisfied and e1.tau_eps is not None and e1.alpha_eps is not None
-        d = weakforce.check_disotto(fam, eps, e1.tau_eps, e1.alpha_eps)
         assert d.satisfied
-        e2 = weakforce.check_esplode2(fam, eps)
         assert e2.satisfied and e2.tau_eps is not None
         summary.append(f"eps={eps}: (tau_eps={e1.tau_eps:.3f}, alpha_eps={e1.alpha_eps}), "
                        f"inf={d.table['infimum']:.2f}")

@@ -805,11 +805,7 @@ def test_stack_members_refine_alone(name, widths, kinds, gap, nan_member, witnes
                                  profile_kind=k) for w, lo, k in zip(widths, lows, kinds)]
     calls = []
     scalars = stacked_rows(bumps, nan_member, calls)
-    if traj.frozen_shape:
-        integrand = morse._frozen_integrand(traj, mu1_direction, scalars)
-    else:
-        integrand = morse._sampled_integrand(traj, lambda g, m: tuple(
-            x.reshape(-1, 1, 1) * mu1_direction for x in scalars(g, m)))
+    integrand = morse._bump_integrand(traj, mu1_direction, scalars)
     got = morse._reports(traj, integrand, [b.support for b in bumps], 1e-8)
     for k, (rep, bump) in enumerate(zip(got, bumps)):
         if k == nan_member:
@@ -830,6 +826,6 @@ def test_stack_shares_a_grid_per_interval_count(monkeypatch, homothetic_traj, mu
         return support_grid(traj, lo, hi, intervals)
 
     monkeypatch.setattr(morse, "_support_grid", counted)
-    integrand = morse._frozen_integrand(homothetic_traj, mu1_direction, stacked_rows(bumps))
+    integrand = morse._bump_integrand(homothetic_traj, mu1_direction, stacked_rows(bumps))
     morse._reports(homothetic_traj, integrand, [b.support for b in bumps], 1e-8)
     assert grids[:2] == [(2, 64), (1, 86)]

@@ -42,3 +42,13 @@ def test_figure_sweep_script_matches_cli(tmp_path, capsys):
     assert main(["figure1", "--steps", "8", "--out", str(tmp_path / "figure1.csv")]) == 0
     assert (tmp_path / "figure_sweep.csv").read_text() == \
         (tmp_path / "figure1.csv").read_text()
+
+
+def test_weakforce_suite_writes_the_command_csv(tmp_path, capsys):
+    from ncol.cli import main
+
+    proc = run_script("run_weakforce_suite.py", ["--eps", "0.1"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["weakforce", "--eps", "0.1"]) == 0
+    assert (tmp_path / "weakforce_eps0.1.csv").read_bytes() == \
+        capsys.readouterr().out.encode()

@@ -75,7 +75,7 @@ def test_uniform_collapse_measured(family):
 
 @pytest.mark.parametrize("eps", [0.5, 0.1])
 def test_esplode1_finder(family, eps):
-    res = weakforce.check_esplode1(family, eps)
+    res = weakforce.family_report(family, eps).esplode1
     assert res.satisfied
     assert res.tau_eps is not None and res.tau_eps > 0.0
     assert res.alpha_eps is not None
@@ -95,7 +95,7 @@ def test_blowup_quantity_monotone(family):
 
 def test_blowup_alpha_eps_structure(family):
     # the quantity is capped by (2-a)/(4a): for eps = 0.1 only alpha < 2/41 works
-    res = weakforce.check_esplode1(family, 0.1)
+    res = weakforce.family_report(family, 0.1).esplode1
     for alpha, traj in family:
         cap = (2.0 - alpha) / (4.0 * alpha)
         q_end = weakforce.blowup_quantity(traj)[-1]
@@ -114,8 +114,7 @@ def test_log_limit_of_blowup():
 
 @pytest.mark.parametrize("eps", [0.5, 0.1])
 def test_disotto_bound_on_located_region(family, eps):
-    e1 = weakforce.check_esplode1(family, eps)
-    res = weakforce.check_disotto(family, eps, e1.tau_eps, e1.alpha_eps)
+    res = weakforce.family_report(family, eps).disotto
     assert res.satisfied
     assert res.table["infimum"] >= res.table["required"]
     # the proof ingredient tends to -log 2
@@ -145,18 +144,17 @@ def test_ellipsoid_diameter_bound(family):
 def test_disotto_infimum_grows_with_shrinking_eps(family):
     infs = []
     for eps in (0.5, 0.2, 0.1):
-        e1 = weakforce.check_esplode1(family, eps)
-        if not e1.satisfied:
+        rep = weakforce.family_report(family, eps)
+        if not rep.esplode1.satisfied:
             continue
-        res = weakforce.check_disotto(family, eps, e1.tau_eps, e1.alpha_eps)
-        infs.append(res.table["infimum"])
+        infs.append(rep.disotto.table["infimum"])
     assert len(infs) >= 2
     assert infs == sorted(infs)
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.1])
 def test_esplode2_finder(family, eps):
-    res = weakforce.check_esplode2(family, eps)
+    res = weakforce.family_report(family, eps).esplode2
     assert res.satisfied          # includes positivity of -rho'/rho
     assert res.tau_eps is not None
     for alpha, entry in res.table.items():
@@ -174,12 +172,11 @@ def test_gamma_constant_on_homothetic_family(family):
         assert gt.dissipation_partial == pytest.approx(0.0, abs=1e-14)
 
 
-def test_gamma_identity_on_perturbed_run():
+def test_gamma_identity_on_perturbed_run(kicked_member):
     cc = central.collinear3(1.0, 1.0, 0.3)
     xi = np.zeros((3, 2))
     xi[:, 1] = np.array([1.0, -2.0, 1.0]) / np.sqrt(6)
-    fam = weakforce.build_H_family(cc, alphas=(0.3,), s_perturb=1e-2 * xi, tau_max=1.2)
-    traj = fam.trajectories[0]
+    traj = kicked_member(cc, 0.3, 1e-2 * xi, tau_max=1.2)
     gt = weakforce.gamma_trace(traj, resample_step=1e-3)
     assert gt.identity_error < 1e-6
     assert np.max(np.abs(gt.derivative_rhs)) > 1e-5  # non-vacuous comparison
@@ -191,7 +188,7 @@ def test_dissipation_partial_sums_bounded_across_grid(family):
     assert max(map(abs, partials)) < 1e-10  # frozen shape: exactly zero drift
 
 
-def test_dissipation_uniformly_bounded_on_perturbed_grid():
+def test_dissipation_uniformly_bounded_on_perturbed_grid(kicked_member):
     # perturbed members across the grid keep bounded dissipation partial sums;
     # horizons are capped below the kick-amplification time per alpha
     xi = np.zeros((3, 2))
@@ -204,20 +201,18 @@ def test_dissipation_uniformly_bounded_on_perturbed_grid():
         mu1 = alpha * (cc.b - 3 * 2 ** ((alpha + 2) / 2))
         growth = c_rate + np.sqrt(max(c_rate**2 + mu1 / alpha, 0.0))
         tau_cap = np.log(0.1 / 1e-3) / growth
-        fam = weakforce.build_H_family(cc, alphas=(alpha,), s_perturb=1e-3 * xi,
-                                       tau_max=tau_cap)
-        gt = weakforce.gamma_trace(fam.trajectories[0])
+        gt = weakforce.gamma_trace(kicked_member(cc, alpha, 1e-3 * xi, tau_max=tau_cap))
         partials.append(gt.dissipation_partial)
         assert gt.dissipation_partial >= 0.0
     assert max(partials) < 0.5
 
 
-def test_family_rejects_infeasible_perturbation():
+def test_family_rejects_infeasible_perturbation(kicked_member):
     cc = central.collinear3(1.0, 1.0, 0.5)
     huge = np.zeros((3, 2))
     huge[:, 1] = 100.0 * np.array([1.0, -2.0, 1.0])
     with pytest.raises(NonCollapsing):
-        weakforce.build_H_family(cc, alphas=(0.5,), s_perturb=huge)
+        kicked_member(cc, 0.5, huge)
 
 
 def test_action_scaling_identity():
@@ -235,7 +230,7 @@ def test_action_scaling_identity():
 
 
 def test_family_report_rows(family):
-    rows = weakforce.family_report_rows(family, 0.1)
+    rows = weakforce.family_report(family, 0.1).rows
     assert len(rows) == len(family.alphas)
     alphas = [r[0] for r in rows]
     assert alphas == sorted(alphas, reverse=True)
