@@ -289,7 +289,9 @@ def build_parser() -> _Parser:
     s.add_argument("--perturb", type=_FINITE, default=0.0)
     s.add_argument("--seed", type=_COUNT, default=0)
     s.add_argument("--rtol", type=_POSITIVE, default=1e-10)
-    s.add_argument("--max-step", type=_POSITIVE, default=0.1)
+    s.add_argument("--max-step", type=_POSITIVE, default=0.1,
+                   help="bound on the tau gap between CSV rows, which lie at most "
+                        "max-step/2 apart; the tolerance alone sets the integrator's steps")
     s.add_argument("--rho-min", type=_POSITIVE, default=1e-8)
 
     s = sub.add_parser("morse", help="bump-probe witness counts along the collapse")

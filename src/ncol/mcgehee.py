@@ -102,6 +102,16 @@ def _energy_stack(rho, rho_prime, s, s_prime, m, alpha, potential_scale):
 
 @dataclass(frozen=True)
 class IntegratorOptions:
+    """Settings of the tau-flow integrator (integrate_el).
+
+    The error control runs at 1/16 of the tolerance, rtol / 16 with atol
+    1e-12 / 16: controlled at rtol itself, DOP853's long steps let a kicked
+    collinear run at rtol 1e-11 drift past a 1e-8 gate on lambda1.  max_step
+    caps no step; it bounds the samples, which lie no more than max_step / 2
+    apart in tau.  first_step is the first step tried; rho_min, drift_abort
+    and max_steps end a run (see integrate_el).
+    """
+
     rtol: float = 1e-10
     max_step: float = 0.1
     first_step: float = 1e-3
@@ -282,39 +292,185 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # flow field and integration
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+# DOP853, the Dormand-Prince 8(5,3) pair with its 7th-order continuous
+# extension, as published in dop853.f (Hairer, Norsett & Wanner, Solving ODEs
+# I, II.5 and II.10).  Stages 0-11 make the step, stage 12 is f at its end
+# (the next step's first stage) and stages 13-15 feed only the dense output.
+# Each row lists the nonzero a_ij of one stage by column j.
+_DOP_C = np.array([
+    0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0,
+    0.1, 0.2, 0.777777777777777777777777777778])
+_DOP_ROWS = (
+    {},
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+     3: 9.24834003261792003115737966543e-1},
+    {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+     4: 1.25467687566822425016691814123e-1},
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+     4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+     6: 8.27378916381402288758473766002e-3},
+    {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+     4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+     6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+    {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+     4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+     6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+     8: -2.03312017085086261358222928593e-2},
+    {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+     4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+     6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+     8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+    {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+     4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+     6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+     8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+     10: 6.43392746015763530355970484046e-1},
+    # stage 12 sits at the 8th-order solution: its row is the weights b
+    {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+     6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+     8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+     10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
+    {0: 5.61675022830479523392909219681e-2, 6: 2.53500210216624811088794765333e-1,
+     7: -2.46239037470802489917441475441e-1, 8: -1.24191423263816360469010140626e-1,
+     9: 1.5329179827876569731206322685e-1, 10: 8.20105229563468988491666602057e-3,
+     11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
+    {0: 3.18346481635021405060768473261e-2, 5: 2.83009096723667755288322961402e-2,
+     6: 5.35419883074385676223797384372e-2, 7: -5.49237485713909884646569340306e-2,
+     10: -1.08347328697249322858509316994e-4, 11: 3.82571090835658412954920192323e-4,
+     12: -3.40465008687404560802977114492e-4, 13: 1.41312443674632500278074618366e-1},
+    {0: -4.28896301583791923408573538692e-1, 5: -4.69762141536116384314449447206,
+     6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
+     8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
+     13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
+)
+_DOP_A = np.array([[row.get(j, 0.0) for j in range(16)] for row in _DOP_ROWS])
+_DOP_B = _DOP_A[12, :12]
+# the 5th-order error weights, and the 3rd-order ones as b minus bhh
+_DOP_E5 = np.zeros(12)
+_DOP_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1]
+_DOP_E3 = _DOP_B.copy()
+_DOP_E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                        0.220588235294117647058823529412e-1]
+# the dense-output rows d4..d7 over all 16 stages
+_DOP_D = np.zeros((4, 16))
+_DOP_D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
+    [-0.84289382761090128651353491142e1, 0.56671495351937776962531783590,
+     -0.30689499459498916912797304727e1, 0.23846676565120698287728149680e1,
+     0.21170345824450282767155149946e1, -0.87139158377797299206789907490,
+     0.22404374302607882758541771650e1, 0.63157877876946881815570249290,
+     -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e2,
+     -0.91946323924783554000451984436e1, -0.44360363875948939664310572000e1],
+    [0.10427508642579134603413151009e2, 0.24228349177525818288430175319e3,
+     0.16520045171727028198505394887e3, -0.37454675472269020279518312152e3,
+     -0.22113666853125306036270938578e2, 0.77334326684722638389603898808e1,
+     -0.30674084731089398182061213626e2, -0.93321305264302278729567221706e1,
+     0.15697238121770843886131091075e2, -0.31139403219565177677282850411e2,
+     -0.93529243588444783865713862664e1, 0.35816841486394083752465898540e2],
+    [0.19985053242002433820987653617e2, -0.38703730874935176555105901742e3,
+     -0.18917813819516756882830838328e3, 0.52780815920542364900561016686e3,
+     -0.11573902539959630126141871134e2, 0.68812326946963000169666922661e1,
+     -0.10006050966910838403183860980e1, 0.77771377980534432092869265740,
+     -0.27782057523535084065932004339e1, -0.60196695231264120758267380846e2,
+     0.84320405506677161018159903784e2, 0.11992291136182789328035130030e2],
+    [-0.25693933462703749003312586129e2, -0.15418974869023643374053993627e3,
+     -0.23152937917604549567536039109e3, 0.35763911791061412378285349910e3,
+     0.93405324183624310003907691704e2, -0.37458323136451633156875139351e2,
+     0.10409964950896230045147246184e3, 0.29840293426660503123344363579e2,
+     -0.43533456590011143754432175058e2, 0.96324553959188282948394950600e2,
+     -0.39177261675615439165231486172e2, -0.14972683625798562581422125276e3]]
+
+# the stage rows A[i, :i] shaped to weight the stages ks[:i]; b, e5 and e3
+# stacked to weight ks[:12] in one product; the nodes as floats
+_DOP_STAGE_ROWS = [_DOP_A[i, :i, None] for i in range(16)]
+_DOP_WEIGHTS = np.stack([_DOP_B, _DOP_E5, _DOP_E3])[:, :, None]
+_DOP_NODES = _DOP_C.tolist()
 
 
-# the stage rows A[i, :i] shaped to weight the stages ks[:i], and the nodes
-_DP_ROWS = [_DP_A[i, :i, None] for i in range(7)]
-_DP_NODES = _DP_C.tolist()
+def _weighted_sum(weights, ks):
+    """sum_j weights[..., j] ks[j], added one stage after another.
+
+    np.add.accumulate adds in stage order whatever the state size, as a
+    Python sum would; np.add.reduce switches to pairwise sums once the stage
+    axis is the contiguous one (a one-component state), and a matrix product
+    rounds as its BLAS pleases.
+    """
+    return np.add.accumulate(weights * ks, axis=-2)[..., -1, :]
 
 
-def _dp54(f, t, y, hstep, running, *, rtol, atol, floor, project, max_step=np.inf,
-          t_end=np.inf, max_steps=np.inf):
-    """Dormand-Prince 5(4) pair with standard error control (Hairer, Norsett &
-    Wanner, Solving ODEs I, II.4); returns the accepted times and states.
+def _stage(y, hstep, row, ks):
+    yi = _weighted_sum(row, ks)
+    yi *= hstep
+    yi += y
+    return yi
 
-    Steps while running(t, y), each step clipped to max_step and to t_end.  An
-    accepted solution passes through project(t, y) before it is stored, and
-    the next step starts from a fresh f(t, y).
+
+def _step_stages(f, t, y, hstep, ks):
+    """Fill ks[1:12] for a step of size hstep from (t, y), with ks[0] = f(t, y);
+    returns the 8th-order increment sum_j b_j k_j and the 5th- and 3rd-order
+    error sums, one row each."""
+    for i in range(1, 12):
+        ks[i] = f(t + _DOP_NODES[i] * hstep, _stage(y, hstep, _DOP_STAGE_ROWS[i], ks[:i]))
+    return _weighted_sum(_DOP_WEIGHTS, ks[:12])
+
+
+def _dense_coefficients(f, t, y_old, y_new, hstep, ks):
+    """The seven coefficient vectors of DOP853's 7th-order continuous extension
+    over an accepted step from (t, y_old) to (t + hstep, y_new).
+
+    ks[:12] hold the step's stages and ks[12] = f(t + hstep, y_new); the three
+    extra stages are written into ks[13:16] (three more RHS calls).
+    """
+    for i in range(13, 16):
+        ks[i] = f(t + _DOP_NODES[i] * hstep, _stage(y_old, hstep, _DOP_STAGE_ROWS[i], ks[:i]))
+    coef = np.empty((7, y_old.size))
+    coef[0] = y_new - y_old
+    coef[1] = hstep * ks[0] - coef[0]
+    coef[2] = coef[0] - hstep * ks[12] - coef[1]
+    coef[3:] = _weighted_sum(_DOP_D[:, :, None], ks)
+    coef[3:] *= hstep
+    return coef
+
+
+def _dense_values(coef, y_old, x):
+    """The continuous extension at step fractions x (shape (p, 1)): rows of
+    y_old + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + x (F4 + (1-x) (F5 + x F6))))))."""
+    out = coef[6] * x
+    for r in range(5, -1, -1):
+        out += coef[r]
+        out *= x if r % 2 == 0 else 1.0 - x
+    out += y_old
+    return out
+
+
+def _dop853(f, t, y, hstep, running, *, rtol, atol, floor, project, sample_gap=np.inf,
+            t_end=np.inf, max_steps=np.inf):
+    """DOP853 with dop853.f's error control and step-size rule; returns the
+    stored times and states.
+
+    Steps while running(t, y), each step clipped to t_end alone: the error
+    control sets its size.  An accepted solution passes through project(t, y)
+    before it is stored, and the next step starts from a fresh f(t, y).  An
+    accepted step longer than sample_gap is cut into the fewest equal pieces
+    no longer than it; the continuous extension gives the state at each
+    interior cut, which is projected and stored like a step end.  The run
+    ends at the first stored sample where running fails.
     Raises StepFailure when the step falls below floor(t), and when running
     still holds after max_steps attempted steps, accepted or rejected.
     """
     ts, ys = [t], [y.copy()]
-    ks = np.empty((7, y.size))
+    ks = np.empty((16, y.size))
     ks[0] = f(t, y)
     attempts = 0
     while running(t, y):
@@ -325,34 +481,41 @@ def _dp54(f, t, y, hstep, running, *, rtol, atol, floor, project, max_step=np.in
         hstep = min(hstep, t_end - t)
         if hstep < floor(t):
             raise StepFailure(f"step size underflow at t = {t}")
-        for i in range(1, 7):
-            # summed row by row in tableau order, as a Python sum would; a matrix
-            # product rounds differently and would move the trajectories.  The
-            # in-place scaling forms y + hstep * sum with the same roundings.
-            yi = np.add.reduce(_DP_ROWS[i] * ks[:i])
-            yi *= hstep
-            yi += y
-            ks[i] = f(t + _DP_NODES[i] * hstep, yi)
-        y5 = _DP_B5 @ ks
-        y5 *= hstep
-        y5 += y
-        y4 = _DP_B4 @ ks
-        y4 *= hstep
-        y4 += y
-        sc = np.maximum(np.abs(y), np.abs(y5))
+        incr, e5, e3 = _step_stages(f, t, y, hstep, ks)
+        y8 = incr * hstep
+        y8 += y
+        sc = np.maximum(np.abs(y), np.abs(y8))
         sc *= rtol
         sc += atol
-        q = y5 - y4
-        q /= sc
-        err = math.sqrt(np.add.reduce(q * q).item() / q.size)  # np.mean's arithmetic
+        e5 /= sc
+        e3 /= sc
+        err5 = np.add.reduce(e5 * e5).item()
+        err3 = np.add.reduce(e3 * e3).item()
+        deno = err5 + 0.01 * err3
+        # a nan error norm stays nan, so the step is rejected
+        err = hstep * err5 / math.sqrt(y.size * (deno if deno > 0.0 else 1.0))
         if err <= 1.0:
+            t_old, y_old = t, y
             t += hstep
+            y = project(t, y8)
+            ks[12] = f(t, y)
+            pieces = math.ceil(hstep / sample_gap)
+            if pieces > 1:
+                x = (np.arange(1.0, pieces) / pieces)[:, None]
+                cuts = _dense_values(_dense_coefficients(f, t_old, y_old, y, hstep, ks),
+                                     y_old, x)
+                for xk, yk in zip(x[:, 0].tolist(), cuts):
+                    tk = t_old + xk * hstep
+                    yk = project(tk, yk)
+                    ts.append(tk)
+                    ys.append(yk)
+                    if not running(tk, yk):
+                        return np.array(ts), np.array(ys)
             ts.append(t)
-            y = project(t, y5)
-            ks[0] = f(t, y)
-            ys.append(y.copy())
-        factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
-        hstep = min(max_step, hstep * min(5.0, max(0.2, factor)))
+            ys.append(y)
+            ks[0] = ks[12]
+        factor = 0.9 * err ** -0.125 if err > 0 else 6.0
+        hstep *= min(6.0, max(1.0 / 3.0, factor))
     return np.array(ts), np.array(ys)
 
 
@@ -400,11 +563,15 @@ def _flow(alpha, m, h, scale, d):
 def integrate_el(initial: McGeheeState, m, alpha, tau_max: float,
                  opts: IntegratorOptions = IntegratorOptions(),
                  potential_scale: float = 1.0) -> Trajectory:
-    """Integrate the reduced flow with an embedded 5(4) pair in tau.
+    """Integrate the reduced flow in tau with the DOP853 pair.
 
-    The shape point is renormalized to the ellipsoid and its velocity
-    re-projected after every accepted step; corrections beyond drift_abort
-    raise EllipsoidDrift.  Stops at rho < rho_min or tau_max; raises
+    The error control at opts.rtol / 16 sets every step.  A step longer than
+    opts.max_step / 2 also stores states from DOP853's 7th-order dense output
+    at equal tau spacing inside it, so no two samples lie more than
+    opts.max_step / 2 apart.  The shape point of every stored state, step end
+    or interior, is renormalized to the ellipsoid and its velocity
+    re-projected; corrections beyond drift_abort raise EllipsoidDrift.  The
+    run stops at tau_max or at the first sample with rho < rho_min; it raises
     StepFailure when neither is reached within opts.max_steps attempted steps.
     """
     m = nbody.as_masses(m)
@@ -426,11 +593,11 @@ def integrate_el(initial: McGeheeState, m, alpha, tau_max: float,
         return y
 
     y0 = np.concatenate([[state.rho, state.rho_prime], state.s.ravel(), state.s_prime.ravel()])
-    taus, ys = _dp54(f, 0.0, y0, min(opts.first_step, opts.max_step),
-                     lambda tau, y: tau < tau_max and y[0] > opts.rho_min,
-                     rtol=opts.rtol, atol=1e-12, max_step=opts.max_step,
-                     floor=lambda tau: 1e-14 * max(1.0, tau), t_end=tau_max,
-                     project=reproject, max_steps=opts.max_steps)
+    taus, ys = _dop853(f, 0.0, y0, opts.first_step,
+                       lambda tau, y: tau < tau_max and y[0] > opts.rho_min,
+                       rtol=opts.rtol / 16.0, atol=1e-12 / 16.0, sample_gap=0.5 * opts.max_step,
+                       floor=lambda tau: 1e-14 * max(1.0, tau), t_end=tau_max,
+                       project=reproject, max_steps=opts.max_steps)
     return Trajectory(
         alpha=alpha, masses=m, tau=taus,
         rho=ys[:, 0], rho_prime=ys[:, 1],

@@ -112,7 +112,8 @@ def build_H_family(cc: CentralConfiguration, alphas=DEFAULT_ALPHA_GRID,
     reaches depths where the tau-flow would have bounced.  A kicked member
     is a tau-flow run (homothetic_initial_state with a kick, then
     integrate_el), whose reliable horizon shrinks like sqrt(alpha) (collapse
-    rate ~ sqrt(U/alpha)); this family has none.
+    rate ~ sqrt(U/alpha)); this family has none.  A member whose rho
+    underflows to 0.0 before tau_max is rejected, naming the tau.
     """
     m = cc.masses
     trajs = []
@@ -124,6 +125,11 @@ def build_H_family(cc: CentralConfiguration, alphas=DEFAULT_ALPHA_GRID,
                 potential_scale=1.0 / alpha)
         except NonCollapsing as exc:
             raise NonCollapsing(f"alpha={alpha}: {exc} under the energy normalization") from exc
+        if traj.rho[-1] == 0.0:
+            # past double range rho' = -rho * speed is -0.0, not a sign change
+            tau0 = traj.tau[np.argmax(traj.rho == 0.0)]
+            raise NonCollapsing(f"alpha={alpha}: rho underflows to 0.0 at tau = {tau0:.6g}, "
+                                f"inside the horizon tau_max = {tau_max:g}")
         if not np.all(traj.rho_prime < 0.0):
             raise NonCollapsing(f"alpha={alpha}: radial velocity changed sign")
         trajs.append(traj)

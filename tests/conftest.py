@@ -37,3 +37,46 @@ def kicked_member():
         return traj
 
     return build
+
+
+@pytest.fixture
+def sampling_contract():
+    """Checker of integrate_el's stored samples.
+
+    check(tau, rho, s, s_prime, masses, max_step, tau_max, rho_min): the taus
+    increase, no two lie more than max_step / 2 apart, every sample sits on
+    the ellipsoid I(s) = 1 with a tangent velocity to 1e-14, every sample
+    before the last has rho > rho_min, and the last sits at tau_max or below
+    rho_min.
+    """
+    def check(tau, rho, s, s_prime, masses, max_step, tau_max, rho_min):
+        gaps = np.diff(tau)
+        assert np.all(gaps > 0.0)
+        assert gaps.max() <= 0.5 * max_step * (1.0 + 1e-12)
+        inertia = np.einsum("j,kjd,kjd->k", masses, s, s)
+        assert np.max(np.abs(inertia - 1.0)) <= 1e-14
+        radial = np.einsum("j,kjd,kjd->k", masses, s, s_prime)
+        assert np.max(np.abs(radial)) <= 1e-14
+        assert np.all(rho[:-1] > rho_min)
+        assert tau[-1] == pytest.approx(tau_max, rel=1e-14, abs=0.0) or rho[-1] <= rho_min
+
+    return check
+
+
+@pytest.fixture
+def read_trajectory_csv():
+    """Reader of a trajectory CSV (ncol simulate, the collapse probe): returns
+    tau, rho, s and s' of its rows, which hold the stored samples exactly."""
+    def read(path):
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        col = {name: k for k, name in enumerate(header)}
+        bodies = [name.split("_")[1:] for name in header if name.startswith("s_")]
+        n, d = (max(int(b[k]) for b in bodies) for k in (0, 1))
+        s = data[:, [col[f"s_{i}_{c}"] for i in range(1, n + 1) for c in range(1, d + 1)]]
+        sp = data[:, [col[f"sp_{i}_{c}"] for i in range(1, n + 1) for c in range(1, d + 1)]]
+        return (data[:, col["tau"]], data[:, col["rho"]], s.reshape(-1, n, d),
+                sp.reshape(-1, n, d))
+
+    return read

@@ -215,6 +215,25 @@ def test_simulate_command(tmp_path, capsys):
     assert np.max(np.abs(lam1 - lam1[0])) < 1e-7
 
 
+@pytest.mark.parametrize("argv,tau_max,max_step", [
+    # h = 0 at alpha = 1 ends at the rho_min wall near tau 27.6
+    (["--tau-max", "50"], 50.0, 0.1),
+    (["--perturb", "1e-6", "--seed", "5", "--tau-max", "2", "--max-step", "0.3"], 2.0, 0.3),
+    (["--perturb", "1e-4", "--tau-max", "1.5", "--max-step", "0.02", "--rtol", "1e-8"],
+     1.5, 0.02),
+])
+def test_simulate_rows_keep_the_sampling_contract(tmp_path, capsys, sampling_contract,
+                                                  read_trajectory_csv, argv, tau_max,
+                                                  max_step):
+    out_path = tmp_path / "traj.csv"
+    rc, _, err = run(capsys, "simulate", "--family", "collinear3", "--alpha", "1", *argv,
+                     "--out", str(out_path))
+    assert rc == 0, err
+    tau, rho, s, s_prime = read_trajectory_csv(out_path)
+    assert f"samples={tau.size} " in err
+    sampling_contract(tau, rho, s, s_prime, np.ones(3), max_step, tau_max, 1e-8)
+
+
 def test_simulate_rejects_oversized_perturbation(capsys):
     rc, _, err = run(capsys, "simulate", "--family", "collinear3", "--alpha", "1",
                      "--energy", "-3.4", "--perturb", "3.0")
@@ -383,6 +402,15 @@ def test_figure1_into_a_closed_pipe_exits_zero():
     # more than 64 KiB, so the child is still writing when the reader goes
     rc, err = run_with_closed_reader(1, "figure1", "--steps", "2000")
     assert (rc, err) == (0, "")
+
+
+def test_weakforce_names_the_underflow_of_rho(capsys):
+    # rho of the alpha = 0.02 member leaves double range at tau ~ 90.53, where
+    # rho' = -rho * speed becomes -0.0; the radial velocity never changes sign
+    rc, out, err = run(capsys, "weakforce", "--tau-max", "100")
+    assert rc == 2 and out == ""
+    assert "numeric failure: alpha=0.02: rho underflows to 0.0 at tau = 90.53" in err
+    assert "changed sign" not in err
 
 
 def test_weakforce_into_a_closed_pipe_keeps_its_verdict(capsys):

@@ -417,7 +417,226 @@ def test_trajectory_csv_columns(tmp_path, coll1):
 
 
 # ---------------------------------------------------------------------------
-# the DP5(4) stepper and the tau-flow RHS against their plain forms
+# the DOP853 stepper and the tau-flow RHS against their plain forms
+
+
+def test_dop853_tableau_order_conditions():
+    a, c = mcgehee._DOP_A, mcgehee._DOP_C
+    # every stage, the dense-output ones included, sits at its node
+    np.testing.assert_allclose(a.sum(axis=1), c, rtol=0.0, atol=2e-15)
+    assert np.all(a[np.triu_indices(16)] == 0.0)
+    b = mcgehee._DOP_B
+    for q in range(1, 9):
+        assert abs(np.sum(b * c[:12] ** (q - 1)) - 1.0 / q) < 1e-14
+    # the embedded estimates vanish on a constant right-hand side
+    assert abs(mcgehee._DOP_E5.sum()) < 1e-14
+    assert abs(mcgehee._DOP_E3.sum()) < 1e-14
+    # and on the bushy trees of their own orders
+    for q in range(1, 6):
+        assert abs(np.sum(mcgehee._DOP_E5 * c[:12] ** (q - 1))) < 1e-13
+    for q in range(1, 4):
+        assert abs(np.sum(mcgehee._DOP_E3 * c[:12] ** (q - 1))) < 1e-13
+
+
+def dop853_step(f, t, y, hstep):
+    """One DOP853 step: its end and the dense-output coefficients over it."""
+    ks = np.empty((16, y.size))
+    ks[0] = f(t, y)
+    incr = mcgehee._step_stages(f, t, y, hstep, ks)[0]
+    y_new = y + hstep * incr
+    ks[12] = f(t + hstep, y_new)
+    return y_new, ks, mcgehee._dense_coefficients(f, t, y, y_new, hstep, ks)
+
+
+def test_dense_output_meets_the_step_ends_with_their_slopes():
+    a = np.array([[0.0, 1.0, 0.2], [-1.0, 0.1, 0.0], [0.3, 0.0, -0.5]])
+
+    def f(t, y):
+        return a @ np.tanh(y) + np.cos(t)
+
+    y0, t0, hstep = np.array([0.4, -1.2, 0.7]), 0.3, 0.6
+    y1, ks, coef = dop853_step(f, t0, y0, hstep)
+    ends = mcgehee._dense_values(coef, y0, np.array([[0.0], [1.0]]))
+    np.testing.assert_array_equal(ends[0], y0)
+    np.testing.assert_allclose(ends[1], y1, rtol=1e-15, atol=1e-15)
+    # slopes in the step fraction x: the nested form expanded per component
+    x = np.polynomial.Polynomial([0.0, 1.0])
+    for i in range(y0.size):
+        p = coef[6, i] * x
+        for r in range(5, -1, -1):
+            p = (p + coef[r, i]) * (x if r % 2 == 0 else 1.0 - x)
+        dp = p.deriv()
+        assert dp(0.0) == pytest.approx(hstep * ks[0, i], rel=1e-13, abs=1e-15)
+        assert dp(1.0) == pytest.approx(hstep * ks[12, i], rel=1e-13, abs=1e-15)
+
+
+def test_dense_output_is_seventh_order():
+    # exact on y' = t^k for k <= 6, and not for k = 7
+    def poly(t, y):
+        return t ** np.arange(8.0)
+
+    t0, hstep = 0.3, 0.7
+    y0 = np.zeros(8)
+    _, _, coef = dop853_step(poly, t0, y0, hstep)
+    x = np.linspace(0.05, 0.95, 7)[:, None]
+    t = t0 + x * hstep
+    k = np.arange(8.0)
+    exact = (t ** (k + 1) - t0 ** (k + 1)) / (k + 1)
+    err = np.abs(mcgehee._dense_values(coef, y0, x) - exact).max(axis=0)
+    assert np.all(err[:7] < 1e-15)
+    assert err[7] > 1e-9
+    # on y' = -y + sin(t) the error between the step ends falls like h^8
+    def f(t, y):
+        return -y + np.sin(t)
+
+    def exact_sol(t):  # y(0) = 1
+        return 1.5 * np.exp(-t) + 0.5 * (np.sin(t) - np.cos(t))
+
+    errs = []
+    for hstep in (0.8, 0.4):
+        _, _, coef = dop853_step(f, 0.0, np.array([1.0]), hstep)
+        x = np.array([[0.3], [0.5], [0.7]])
+        got = mcgehee._dense_values(coef, np.array([1.0]), x)[:, 0]
+        errs.append(np.abs(got - exact_sol(x[:, 0] * hstep)).max())
+    assert errs[0] / errs[1] > 2.0 ** 7
+
+
+def _ref_sum(weights, ks):
+    """sum_j w_j k_j added one stage after another, from the first term."""
+    terms = [w * k for w, k in zip(weights, ks)]
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = acc + term
+    return acc
+
+
+_REF_DOP_A = mcgehee._DOP_A.tolist()
+_REF_DOP_C = mcgehee._DOP_C.tolist()
+_REF_DOP_B = mcgehee._DOP_B.tolist()
+_REF_DOP_E5 = mcgehee._DOP_E5.tolist()
+_REF_DOP_E3 = mcgehee._DOP_E3.tolist()
+_REF_DOP_D = mcgehee._DOP_D.tolist()
+
+
+def reference_dop853(f, t, y, hstep, running, *, rtol, atol, floor, project,
+                     sample_gap=np.inf, t_end=np.inf, max_steps=np.inf):
+    """The DOP853 stepper with its stages summed one by one in Python."""
+    ts, ys = [t], [y.copy()]
+    k1 = f(t, y)
+    attempts = 0
+    while running(t, y):
+        if attempts >= max_steps:
+            raise StepFailure(f"step budget spent: {attempts} attempted steps, "
+                              f"{len(ts) - 1} accepted, at t = {t}")
+        attempts += 1
+        hstep = min(hstep, t_end - t)
+        if hstep < floor(t):
+            raise StepFailure(f"step size underflow at t = {t}")
+        ks = [k1]
+        for i in range(1, 12):
+            ks.append(f(t + _REF_DOP_C[i] * hstep, y + hstep * _ref_sum(_REF_DOP_A[i][:i], ks)))
+        y8 = y + hstep * _ref_sum(_REF_DOP_B, ks)
+        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y8))
+        err5 = np.sum((_ref_sum(_REF_DOP_E5, ks) / sc) ** 2)
+        err3 = np.sum((_ref_sum(_REF_DOP_E3, ks) / sc) ** 2)
+        deno = err5 + 0.01 * err3
+        if deno <= 0.0:
+            deno = 1.0
+        err = hstep * err5 / np.sqrt(y.size * deno)
+        if err <= 1.0:
+            t_old, y_old = t, y
+            t += hstep
+            y = project(t, y8)
+            ks.append(f(t, y))
+            pieces = int(np.ceil(hstep / sample_gap))
+            if pieces > 1:
+                for i in range(13, 16):
+                    ks.append(f(t_old + _REF_DOP_C[i] * hstep,
+                                y_old + hstep * _ref_sum(_REF_DOP_A[i][:i], ks)))
+                f0 = y - y_old
+                f1 = hstep * ks[0] - f0
+                f2 = f0 - hstep * ks[12] - f1
+                f3, f4, f5, f6 = (hstep * _ref_sum(row, ks) for row in _REF_DOP_D)
+                for k in range(1, pieces):
+                    x = k / pieces
+                    yk = y_old + x * (f0 + (1 - x) * (f1 + x * (f2 + (1 - x) * (
+                        f3 + x * (f4 + (1 - x) * (f5 + x * f6))))))
+                    tk = t_old + x * hstep
+                    yk = project(tk, yk)
+                    ts.append(tk)
+                    ys.append(yk.copy())
+                    if not running(tk, yk):
+                        return np.array(ts), np.array(ys)
+            ts.append(t)
+            ys.append(y.copy())
+            k1 = ks[12]
+        factor = 0.9 * err ** -0.125 if err > 0 else 6.0
+        hstep *= min(6.0, max(1.0 / 3.0, factor))
+    return np.array(ts), np.array(ys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(1, 6))
+def test_dop853_matches_reference_stepper(seed, n):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    c = rng.standard_normal(n)
+    y0 = rng.standard_normal(n)
+    bound = np.max(np.abs(y0)) + 0.5
+
+    def f(t, y):
+        return a @ np.tanh(y) + c * np.cos(t)
+
+    def project(_t, y):
+        y -= 1e-3 * np.tanh(y)  # in place, as the tau-flow's reprojection
+        return y
+
+    kwargs = dict(rtol=10.0 ** rng.uniform(-11, -6), atol=1e-12, floor=lambda t: 1e-14,
+                  sample_gap=0.1, t_end=3.0, project=project)
+
+    def running(t, y):
+        return t < 3.0 and np.max(np.abs(y)) < bound - 0.05  # steps often overshoot bound
+
+    def solve(stepper):
+        try:
+            return stepper(f, 0.0, y0.copy(), 1e-3, running, **kwargs)
+        except StepFailure as exc:
+            return str(exc)
+
+    got = solve(mcgehee._dop853)
+    want = solve(reference_dop853)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+
+
+def test_dop853_step_budget():
+    def f(t, y):
+        return np.array([y[1], -y[0]])
+
+    checks = [0]
+
+    def running(t, y):
+        checks[0] += 1
+        return t < 10.0
+
+    def solve(**budget):
+        # a first step of 1 fails the error test, so some attempts are rejected
+        return mcgehee._dop853(f, 0.0, np.array([1.0, 0.0]), 1.0, running, rtol=1e-10,
+                               atol=1e-12, floor=lambda t: 1e-14, project=lambda t, y: y,
+                               t_end=10.0, **budget)
+
+    ts, ys = solve()
+    steps = checks[0] - 1  # accepted and rejected steps
+    assert steps > ts.size - 1
+    for t_got, t_want in zip(solve(max_steps=steps), (ts, ys)):
+        np.testing.assert_array_equal(t_got, t_want)
+    with pytest.raises(StepFailure, match=f"budget spent: {steps - 1} attempted steps"):
+        solve(max_steps=steps - 1)
+
 
 _REF_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
 _REF_A = [
@@ -434,25 +653,20 @@ _REF_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                     1 / 40])
 
 
-def reference_dp54(f, t, y, hstep, running, *, rtol, atol, floor, max_step=np.inf,
-                   t_end=np.inf, admissible=None, project=None, fsal=False):
-    """The stepper with its stages summed one by one in Python.
-
-    fsal=False is a fresh f(t, y) after every accepted step, as _dp54 takes;
-    fsal=True reuses the last stage when no projection moved the state, which
-    only reference_physical_time asks for.
-    """
+def reference_dp54(f, t, y, hstep, running, *, rtol, atol, floor, admissible):
+    """Dormand-Prince 5(4) with its stages summed one by one in Python, for
+    reference_physical_time: a stage or solution that is not admissible
+    halves the step, and an accepted step reuses its last stage (FSAL)."""
     ts, ys = [t], [y.copy()]
     k1 = f(t, y)
     while running(t, y):
-        hstep = min(hstep, t_end - t)
         if hstep < floor(t):
             raise StepFailure(f"step size underflow at t = {t}")
         ks = [k1]
         ok = True
         for i in range(1, 7):
             yi = y + hstep * sum(a * k for a, k in zip(_REF_A[i], ks))
-            ok = admissible is None or admissible(yi)
+            ok = admissible(yi)
             if not ok:
                 break
             ks.append(f(t + _REF_C[i] * hstep, yi))
@@ -460,7 +674,7 @@ def reference_dp54(f, t, y, hstep, running, *, rtol, atol, floor, max_step=np.in
             ks = np.array(ks)
             y5 = y + hstep * (_REF_B5 @ ks)
             y4 = y + hstep * (_REF_B4 @ ks)
-            ok = admissible is None or admissible(y5)
+            ok = admissible(y5)
         if not ok:
             hstep *= 0.5
             continue
@@ -468,75 +682,13 @@ def reference_dp54(f, t, y, hstep, running, *, rtol, atol, floor, max_step=np.in
         err = np.sqrt(np.mean(((y5 - y4) / sc) ** 2))
         if err <= 1.0:
             t += hstep
-            y = y5 if project is None else project(t, y5)
+            y = y5
             ts.append(t)
             ys.append(y.copy())
-            k1 = ks[6] if fsal and project is None else f(t, y)
+            k1 = ks[6]
         factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
-        hstep = min(max_step, hstep * min(5.0, max(0.2, factor)))
+        hstep *= min(5.0, max(0.2, factor))
     return np.array(ts), np.array(ys)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(1, 6))
-def test_dp54_matches_reference_stepper(seed, n):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n))
-    c = rng.standard_normal(n)
-    y0 = rng.standard_normal(n)
-    bound = np.max(np.abs(y0)) + 0.5
-
-    def f(t, y):
-        return a @ np.tanh(y) + c * np.cos(t)
-
-    def project(_t, y):
-        y -= 1e-3 * np.tanh(y)  # in place, as the tau-flow's reprojection
-        return y
-
-    kwargs = dict(rtol=10.0 ** rng.uniform(-11, -6), atol=1e-12, floor=lambda t: 1e-14,
-                  max_step=0.5, t_end=3.0, project=project)
-
-    def running(t, y):
-        return t < 3.0 and np.max(np.abs(y)) < bound - 0.05  # steps often overshoot bound
-
-    def solve(stepper):
-        try:
-            return stepper(f, 0.0, y0.copy(), 1e-3, running, **kwargs)
-        except StepFailure as exc:
-            return str(exc)
-
-    got = solve(mcgehee._dp54)
-    want = solve(reference_dp54)
-    if isinstance(want, str):
-        assert got == want
-    else:
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
-            np.testing.assert_array_equal(g, w)
-
-
-def test_dp54_step_budget():
-    def f(t, y):
-        return np.array([y[1], -y[0]])
-
-    checks = [0]
-
-    def running(t, y):
-        checks[0] += 1
-        return t < 10.0
-
-    def solve(**budget):
-        return mcgehee._dp54(f, 0.0, np.array([1.0, 0.0]), 1e-3, running, rtol=1e-10,
-                             atol=1e-12, floor=lambda t: 1e-14, project=lambda t, y: y,
-                             t_end=10.0, **budget)
-
-    ts, ys = solve()
-    steps = checks[0] - 1  # accepted and rejected steps
-    assert steps > ts.size - 1
-    for t_got, t_want in zip(solve(max_steps=steps), (ts, ys)):
-        np.testing.assert_array_equal(t_got, t_want)
-    with pytest.raises(StepFailure, match=f"budget spent: {steps - 1} attempted steps"):
-        solve(max_steps=steps - 1)
 
 
 def reference_physical_time(cc, h, tau_max, phi_min):
@@ -557,7 +709,7 @@ def reference_physical_time(cc, h, tau_max, phi_min):
     ts, ys = reference_dp54(f, 0.0, np.array([1.0, -np.sqrt(2.0 * (h + b)), 0.0]), 1e-4,
                             lambda _t, y: y[0] > phi_min and y[2] < tau_max,
                             rtol=1e-11, atol=1e-300, floor=lambda _t: 1e-18,
-                            admissible=lambda y: y[0] > 0.5 * phi_min, fsal=True)
+                            admissible=lambda y: y[0] > 0.5 * phi_min)
     phi, phidot, tau = ys.T
     rho = phi ** ((2.0 - alpha) / 4.0)
     rho_p = (2.0 - alpha) / 4.0 * phidot * phi ** ((2.0 + alpha) / 4.0)
@@ -620,9 +772,9 @@ def test_oracle_interpolant_matches_the_closed_form_between_samples(alpha, a):
 
 def test_frozen_shape_routes_take_no_ode_step(coll1, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a frozen-shape route called the DP5(4) stepper")
+        raise AssertionError("a frozen-shape route called the DOP853 stepper")
 
-    monkeypatch.setattr(mcgehee, "_dp54", refuse)
+    monkeypatch.setattr(mcgehee, "_dop853", refuse)
     assert mcgehee.homothetic_oracle(coll1, h=0.0, tau_max=30.0).exact_homothetic
     for h in (-1.0, 1.0):
         assert mcgehee.homothetic_oracle(coll1, h=h, tau_max=30.0).n_samples > 1
@@ -651,7 +803,7 @@ def reference_flow(alpha, m, h, scale, d):
 
 
 def reference_integrate(state, m, alpha, tau_max, opts):
-    """integrate_el's run on the reference route: reference_dp54 stepping
+    """integrate_el's run on the reference route: reference_dop853 stepping
     reference_flow, with the reprojection written out with np.sum."""
     n, d = state.s.shape
 
@@ -664,10 +816,11 @@ def reference_integrate(state, m, alpha, tau_max, opts):
 
     f = reference_flow(alpha, m, mcgehee.energy(state, m, alpha), 1.0, d)
     y0 = np.concatenate([[state.rho, state.rho_prime], state.s.ravel(), state.s_prime.ravel()])
-    return reference_dp54(f, 0.0, y0, min(opts.first_step, opts.max_step),
-                          lambda tau, y: tau < tau_max and y[0] > opts.rho_min,
-                          rtol=opts.rtol, atol=1e-12, floor=lambda tau: 1e-14 * max(1.0, tau),
-                          max_step=opts.max_step, t_end=tau_max, project=project)
+    return reference_dop853(f, 0.0, y0, opts.first_step,
+                            lambda tau, y: tau < tau_max and y[0] > opts.rho_min,
+                            rtol=opts.rtol / 16.0, atol=1e-12 / 16.0,
+                            floor=lambda tau: 1e-14 * max(1.0, tau),
+                            sample_gap=0.5 * opts.max_step, t_end=tau_max, project=project)
 
 
 KICKED = mcgehee.IntegratorOptions(rtol=1e-11, max_step=0.05)
@@ -689,7 +842,7 @@ def test_integrate_el_matches_the_reference_route(run):
         tau_max, opts = 1.0, mcgehee.IntegratorOptions()
     elif run == "ngon 8 in 3d":
         cc = central.embed_in_3d(central.ngon(8, 1.0))
-        state, tau_max, opts = mcgehee.homothetic_initial_state(cc), 1.0, mcgehee.IntegratorOptions()
+        state, tau_max, opts = mcgehee.homothetic_initial_state(cc), 1.5, mcgehee.IntegratorOptions()
     else:
         cc = central.collinear3(1.0, 1.0, 1.0)
         state, tau_max, opts = zero_energy_state(cc), 80.0, mcgehee.IntegratorOptions()

@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ncol import central, mcgehee, spectral
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,6 +36,22 @@ def test_script_runs(tmp_path, name, args, outputs):
     assert proc.returncode == 0, proc.stderr
     for out in outputs:
         assert (tmp_path / out).stat().st_size > 0
+
+
+def test_collapse_probe_runs_keep_the_sampling_contract(tmp_path, sampling_contract,
+                                                       read_trajectory_csv):
+    proc = run_script("run_collapse_probe.py", ["--alphas", "1.0,0.05", "--bumps", "2",
+                                                "--width", "5"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    for alpha in (1.0, 0.05):
+        # the script's horizon: capped at 8, and before a kick of 1e-6 grows
+        # to 0.02 along the unstable mode
+        cc = central.collinear3(1.0, 1.0, alpha)
+        c = mcgehee.homothetic_decay_rate(cc)
+        rate = c + np.sqrt(max(c**2 + spectral.smallest_eigenvalue(cc).mu1, 0.0))
+        tau_cap = min(8.0, np.log(0.02 / 1e-6) / rate)
+        tau, rho, s, s_prime = read_trajectory_csv(tmp_path / f"trajectory_alpha{alpha}.csv")
+        sampling_contract(tau, rho, s, s_prime, cc.masses, 0.05, tau_cap, 1e-8)
 
 
 def test_figure_sweep_script_matches_cli(tmp_path, capsys):
