@@ -108,11 +108,6 @@ def ngon(n: int, alpha: float) -> CentralConfiguration:
     return _verify(s0, m, alpha, "ngon")
 
 
-def ngon_distance(n: int, k: int) -> float:
-    """Chord distance r_1k = (2/sqrt(n)) sin((k-1) pi / n) between vertex 1 and k."""
-    return 2.0 / np.sqrt(n) * np.sin((k - 1) * np.pi / n)
-
-
 def embed_in_3d(cc: CentralConfiguration) -> CentralConfiguration:
     """Pad a planar configuration with a zero third coordinate."""
     if cc.dim == 3:

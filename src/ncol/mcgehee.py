@@ -109,7 +109,8 @@ class IntegratorOptions:
     collinear run at rtol 1e-11 drift past a 1e-8 gate on lambda1.  max_step
     caps no step; it bounds the samples, which lie no more than max_step / 2
     apart in tau.  first_step is the first step tried; rho_min, drift_abort
-    and max_steps end a run (see integrate_el).
+    and max_steps, a budget of both attempted steps and max_steps + 1 stored
+    samples, end a run (see integrate_el).
     """
 
     rtol: float = 1e-10
@@ -160,9 +161,6 @@ class Trajectory:
     def energy_trace(self) -> np.ndarray:
         return _energy_stack(self.rho, self.rho_prime, self.s, self.s_prime, self.masses,
                              self.alpha, self.potential_scale)
-
-    def lambda1_trace(self) -> np.ndarray:
-        return -self.beta * self.energy_trace()
 
     def lambda2_trace(self) -> np.ndarray:
         sp2 = np.einsum("j,kjd,kjd->k", self.masses, self.s_prime, self.s_prime)
@@ -466,8 +464,9 @@ def _dop853(f, t, y, hstep, running, *, rtol, atol, floor, project, sample_gap=n
     no longer than it; the continuous extension gives the state at each
     interior cut, which is projected and stored like a step end.  The run
     ends at the first stored sample where running fails.
-    Raises StepFailure when the step falls below floor(t), and when running
-    still holds after max_steps attempted steps, accepted or rejected.
+    Raises StepFailure when the step falls below floor(t), when running
+    still holds after max_steps attempted steps, accepted or rejected, and,
+    before forming its cuts, when a step would take the samples past max_steps + 1.
     """
     ts, ys = [t], [y.copy()]
     ks = np.empty((16, y.size))
@@ -495,11 +494,15 @@ def _dop853(f, t, y, hstep, running, *, rtol, atol, floor, project, sample_gap=n
         # a nan error norm stays nan, so the step is rejected
         err = hstep * err5 / math.sqrt(y.size * (deno if deno > 0.0 else 1.0))
         if err <= 1.0:
+            # the step stores pieces samples; divide only when that fits (sample_gap may be 0)
+            room = max_steps + 1 - len(ts)
+            pieces = math.ceil(hstep / sample_gap) if hstep <= room * sample_gap else room + 1
+            if pieces > room:
+                raise StepFailure(f"sample budget spent: {len(ts)} samples stored at t = {t}")
             t_old, y_old = t, y
             t += hstep
             y = project(t, y8)
             ks[12] = f(t, y)
-            pieces = math.ceil(hstep / sample_gap)
             if pieces > 1:
                 x = (np.arange(1.0, pieces) / pieces)[:, None]
                 cuts = _dense_values(_dense_coefficients(f, t_old, y_old, y, hstep, ks),
@@ -572,7 +575,8 @@ def integrate_el(initial: McGeheeState, m, alpha, tau_max: float,
     or interior, is renormalized to the ellipsoid and its velocity
     re-projected; corrections beyond drift_abort raise EllipsoidDrift.  The
     run stops at tau_max or at the first sample with rho < rho_min; it raises
-    StepFailure when neither is reached within opts.max_steps attempted steps.
+    StepFailure when neither is reached within opts.max_steps attempted steps,
+    and when a step would store more than opts.max_steps + 1 samples in all.
     """
     m = nbody.as_masses(m)
     alpha = nbody.validate_alpha(alpha)

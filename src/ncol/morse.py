@@ -73,14 +73,6 @@ class Profile:
         down, ddown = _transition((self.width - u) / ramp)
         return up * down, dup / ramp * down + up * (-ddown / ramp)
 
-    def dirichlet_ratio(self) -> float:
-        """int phi'^2 / int phi^2, the kinetic cost of the profile, on 4001 points."""
-        u = np.linspace(0.0, self.width, 4001)
-        phi, dphi = self.value_and_deriv(u)
-        num = np.trapezoid(dphi**2, u)
-        den = np.trapezoid(phi**2, u)
-        return float(num / den)
-
 
 @dataclass(frozen=True)
 class BumpVariation:
@@ -289,22 +281,6 @@ def _mdot(m, a, b):
     return np.einsum("j,kjd,kjd->k", m, a, b)
 
 
-def second_variation_s(traj: Trajectory, variation) -> float:
-    """int rho^2 (|v'|_M^2 + D2U_E(s)(v, v)) dtau for a compactly supported v."""
-    m = traj.masses
-
-    def integrand(grid, members):
-        t = grid.ravel()
-        rho, _, s, _ = traj.evaluate(t)
-        v = variation.value(t)
-        dv = variation.deriv(t)
-        kin = _mdot(m, dv, dv)
-        hess = traj.potential_scale * nbody.hessian_on_ellipsoid_stack(s, m, traj.alpha, v)
-        return (rho**2 * (kin + hess)).reshape(grid.shape)
-
-    return float(_refine_until(integrand, traj, variation.support, QUAD_TOL)[0])
-
-
 def _sampled_integrand(traj: Trajectory, fields):
     """Rows of Q from the per-sample (K, N, d) stacks; any variation, any data.
 
@@ -450,41 +426,6 @@ def morse_witnesses(traj: Trajectory, xi, shifts, l1: float = 0.0, l2: float = 2
                 f"disjoint-support additivity violated: {q_combo} vs {q_expected}")
     worst = min(reports, key=lambda r: r.value)
     return replace(worst, q_values=q_vals, witnesses=witnesses)
-
-
-def projected_bump(traj: Trajectory, bump: BumpVariation):
-    """Re-project a bump direction onto the moving tangent space.
-
-    Returns a variation object and the largest projection correction
-    |<M xi, s(tau)>| met on the support; zero on exact homothetic data.
-    """
-    m = traj.masses
-
-    class _Projected:
-        support = bump.support
-
-        def value(self, t):
-            t = np.atleast_1d(t)
-            _, _, s, _ = traj.evaluate(t)
-            phi = bump.scalar_and_deriv(t)[0][:, None, None]
-            xi = bump.xi
-            coef = np.einsum("j,jd,kjd->k", m, xi, s)[:, None, None]
-            return phi * (xi - coef * s)
-
-        def deriv(self, t):
-            t = np.atleast_1d(t)
-            _, _, s, sp = traj.evaluate(t)
-            phi, dphi = bump.scalar_and_deriv(t)
-            phi, dphi = phi[:, None, None], dphi[:, None, None]
-            xi = bump.xi
-            coef = np.einsum("j,jd,kjd->k", m, xi, s)[:, None, None]
-            dcoef = np.einsum("j,jd,kjd->k", m, xi, sp)[:, None, None]
-            return dphi * (xi - coef * s) - phi * (dcoef * s + coef * sp)
-
-    grid = np.linspace(bump.support[0], bump.support[1], 257)
-    _, _, s, _ = traj.evaluate(grid)
-    corr = float(np.max(np.abs(np.einsum("j,jd,kjd->k", m, bump.xi, s))))
-    return _Projected(), corr
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import json
 
 import numpy as np
 
-from .errors import CollisionConfiguration, InvalidMass, NotCentral
+from .errors import CollisionConfiguration, InvalidMass
 
 COLLISION_THRESHOLD = 1e-12
 RESIDUAL_TOL = 1e-9
@@ -349,24 +349,6 @@ def tangent_part(s, m, v) -> np.ndarray:
     v = np.asarray(v, dtype=float).reshape(s.shape)
     v = v - (m @ v)[None, :] / m.sum()
     return v - float(np.sum(m[:, None] * s * v)) * s
-
-
-def hessian_constrained(s, m, alpha, v) -> float:
-    """Second derivative of U restricted to the ellipsoid {I = 1} at a central s.
-
-    Equals hessian_quadratic(s, v) + alpha U(s) <Mv, v> for tangent v with
-    vanishing mass-weighted sum.  Raises NotCentral when the centrality
-    residual of s exceeds 1e-8 times residual_scale.
-    """
-    s, m, alpha = checked(s, m, alpha)
-    res = central_residual(s, m, alpha)
-    if res > 1e-8 * residual_scale(s, m, alpha):
-        raise NotCentral(f"centrality residual {res:.3e} exceeds tolerance")
-    v = np.asarray(v, dtype=float).reshape(s.shape)
-    if np.allclose(v, 0.0):
-        return 0.0
-    check_tangent(s, m, v)
-    return hessian_on_ellipsoid(s, m, alpha, v)
 
 
 def hessian_on_ellipsoid(s, m, alpha, v) -> float:

@@ -263,13 +263,6 @@ def _gamma(alpha):
     return 2.0 ** ((alpha + 2.0) / 2.0)
 
 
-def collinear_B_matrix(alpha: float) -> np.ndarray:
-    """Interaction matrix of the equal-mass collinear family restricted to zero-sum
-    directions, in the basis (1,0,-1), (0,1,-1); gamma = 2^((alpha+2)/2)."""
-    g = _gamma(alpha)
-    return np.array([[2.0 * g + 4.0 / g, g + 2.0 / g], [g + 2.0 / g, 5.0 * g + 1.0 / g]])
-
-
 def collinear_B_eigenvalues(alpha):
     """Closed-form eigenvalues (7g + 5/g +- sqrt(13 g^2 - 2 + 25/g^2)) / 2."""
     g = _gamma(_alpha_array(alpha))
@@ -307,10 +300,10 @@ def psi_phi(n: int, alpha):
     """The normalized quadratic form Psi_n and its mean-field part Phi_n.
 
     Built from the normalized chords; the probe concentrates on one adjacent
-    pair for n >= 5 (any adjacent pair gives the same value by symmetry, see
-    psi_from_matrix(pair=...)) and alternates over all four vertices for
-    n = 4.  Valid for alpha in [0, 2] including the endpoints; alpha is a
-    scalar or an array, as for the collinear closed forms.
+    pair for n >= 5 (any adjacent pair gives the same value by symmetry) and
+    alternates over all four vertices for n = 4.  Valid for alpha in [0, 2]
+    including the endpoints; alpha is a scalar or an array, as for the
+    collinear closed forms.
     """
     a = np.atleast_1d(np.asarray(alpha, dtype=float))
     if not np.all((0.0 <= a) & (a <= 2.0)):
@@ -324,24 +317,6 @@ def psi_phi(n: int, alpha):
     else:
         psi = phi + 0.5 * pow_a2[..., 0] / s_a
     return _as_called(alpha, psi, phi)
-
-
-def psi_from_matrix(n: int, alpha: float, pair: int = 0) -> float:
-    """Oracle route for Psi_n through the actual interaction matrix."""
-    from .central import ngon
-
-    cc = ngon(n, max(alpha, ALPHA_FLOOR)) if alpha > 0 else ngon(n, 0.5)
-    # distances are alpha independent; the core takes any alpha, also alpha <= 0
-    a_mat = nbody.matrix_A_stack(cc.s0, cc.masses, alpha)
-    if n == 4:
-        wvec = np.array([0.5, -0.5, 0.5, -0.5])
-    else:
-        wvec = np.zeros(n)
-        wvec[pair % n] = 1.0 / np.sqrt(2.0)
-        wvec[(pair + 1) % n] = -1.0 / np.sqrt(2.0)
-    quad = float(wvec @ a_mat @ wvec)
-    dist_row = np.array([np.linalg.norm(cc.s0[0] - cc.s0[k]) for k in range(1, n)])
-    return 2.0 / n * quad / np.sum(dist_row ** (-alpha))
 
 
 def ngon_threshold(n: int) -> ThresholdResult:
@@ -381,23 +356,6 @@ def hiphop_g(n: int, alpha: float) -> float:
         total += 2.0 * np.sum((-1.0) ** j * np.sin((j - 1) * np.pi / n) ** (-(alpha + 2.0)))
     total += (-1.0) ** (n // 2 + 1)
     return float(total)
-
-
-def hiphop_condition(n: int, alpha: float):
-    """Direct evaluation of the alternating-probe inequality from the matrix.
-
-    lhs = (1/n) sum_{ij} (-1)^(i+j) a_ij, rhs = (alpha+2)^2/(8 alpha) U(s0).
-    """
-    from .central import ngon
-
-    if n < 6 or n % 2 != 0:
-        raise InvalidN(f"even n >= 6 required, got {n}")
-    cc = ngon(n, alpha)
-    A = nbody.matrix_A(cc.s0, cc.masses, alpha)
-    signs = (-1.0) ** (np.arange(n) + 1)
-    lhs = float(signs @ A @ signs) / n
-    rhs = rhs_factor(alpha) * cc.b
-    return lhs, rhs, lhs > rhs
 
 
 # ---------------------------------------------------------------------------

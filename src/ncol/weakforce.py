@@ -46,16 +46,6 @@ def _scaled_potentials_stack(x, m, alpha):
     return u_tilde, u_hat, u_log
 
 
-def energy_H(m, alpha) -> float:
-    """Magnitude of the normalized energy, sum m_i m_j / alpha^(alpha/(alpha+2)).
-
-    The trajectory construction fixes Uhat-energy zero, which makes the signed
-    plain energy the negative of this value; see scaled_energy_for_H.
-    """
-    alpha = nbody.validate_alpha(alpha)
-    return pair_mass_sum(m) / alpha ** (alpha / (alpha + 2.0))
-
-
 def scaled_energy_for_H(m, alpha) -> float:
     """Energy htilde of the rescaled system under the zero-Uhat normalization.
 
@@ -64,11 +54,6 @@ def scaled_energy_for_H(m, alpha) -> float:
     """
     alpha = nbody.validate_alpha(alpha)
     return -pair_mass_sum(m) / alpha
-
-
-def plain_from_scaled_energy(h_tilde: float, alpha: float) -> float:
-    """h = alpha^(2/(alpha+2)) htilde, the inverse of the body rescaling."""
-    return alpha ** (2.0 / (alpha + 2.0)) * h_tilde
 
 
 @dataclass(frozen=True)
@@ -177,31 +162,6 @@ def gamma_trace(traj: Trajectory, resample_step: float | None = None) -> GammaTr
 
 
 # ---------------------------------------------------------------------------
-# action scaling
-
-
-def action_functional(path: np.ndarray, dt: float, m, alpha, scaled: bool = False) -> float:
-    """Discrete action int |xdot|_M^2/2 + U dt on a sampled path (T, N, d).
-
-    With scaled=True the potential is Utilde = U/alpha (the rescaled system's
-    action); velocities by central differences, trapezoid in time.
-    """
-    path = np.asarray(path, dtype=float)
-    _, m, alpha = nbody.checked(path[0], m, alpha)
-    vel = np.gradient(path, dt, axis=0, edge_order=2)
-    kin = 0.5 * np.einsum("j,tjd,tjd->t", m, vel, vel)
-    pots = nbody.potential_stack(path, m, alpha)
-    if scaled:
-        pots = pots / alpha
-    return float(np.trapezoid(kin + pots, dx=dt))
-
-
-def rescale_path(path: np.ndarray, alpha: float) -> np.ndarray:
-    """xtilde = alpha^(-1/(alpha+2)) x applied along a sampled path."""
-    return alpha ** (-1.0 / (alpha + 2.0)) * np.asarray(path, dtype=float)
-
-
-# ---------------------------------------------------------------------------
 # uniform-bound checks (finite-grid diagnostics), one pass over the family
 
 
@@ -267,9 +227,11 @@ def family_report(family: ScaledFamily, eps: float) -> FamilyReport:
     (from the start when there is none).  esplode1 locates (tau_eps,
     alpha_eps) from the crossings; esplode2 from the first samples past
     which the remaining |s'|_M^2 integral is below eps, and needs
-    -rho'/rho > 0.  Where esplode1 holds, the Disotto bound must reach
-    disotto_constant + 1/eps past tau_eps below alpha_eps.  A finite grid
-    can fail to exhibit a pair without refuting the limit statement.
+    -rho'/rho > 0; on build_H_family members s' = 0, so that integral is 0
+    and esplode2 reduces to -rho'/rho > 0.  Where esplode1 holds, the Disotto
+    bound must reach disotto_constant + 1/eps past tau_eps below alpha_eps.
+    A finite grid can fail to exhibit a pair without refuting the limit
+    statement.
     """
     c_const = disotto_constant(family.cc.masses)
     crossings, tails, traces, rows = {}, {}, [], []

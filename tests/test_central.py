@@ -53,6 +53,11 @@ def test_ngon_basic():
     assert cc.b == pytest.approx(2 + 4 * np.sqrt(2), rel=1e-13)
 
 
+def reference_ngon_distance(n: int, k: int) -> float:
+    """Chord distance r_1k = (2/sqrt(n)) sin((k-1) pi / n) between vertex 1 and k."""
+    return 2.0 / np.sqrt(n) * np.sin((k - 1) * np.pi / n)
+
+
 @pytest.mark.parametrize("n", [4, 5, 8, 16, 64])
 def test_ngon_distances_depend_on_index_gap(n):
     cc = central.ngon(n, 1.0)
@@ -60,14 +65,14 @@ def test_ngon_distances_depend_on_index_gap(n):
         for j in range(i + 1, min(i + 4, n)):
             k = abs(i - j) + 1
             assert np.linalg.norm(cc.s0[i] - cc.s0[j]) == pytest.approx(
-                central.ngon_distance(n, k), rel=1e-12)
+                reference_ngon_distance(n, k), rel=1e-12)
 
 
 def test_ngon_potential_closed_form():
     for n in (4, 6, 11):
         for alpha in (0.5, 1.0, 1.5):
             cc = central.ngon(n, alpha)
-            dists = np.array([central.ngon_distance(n, k) for k in range(2, n + 1)])
+            dists = np.array([reference_ngon_distance(n, k) for k in range(2, n + 1)])
             assert cc.b == pytest.approx(n / 2 * np.sum(dists ** (-alpha)), rel=1e-12)
 
 

