@@ -118,44 +118,58 @@ class CombinedVariation:
         if all(np.array_equal(b.xi, bumps[0].xi) for b in bumps):
             self.xi = bumps[0].xi
 
-    def _pieces(self, t):
-        """Each bump with the indices of the points of the flat t on its support.
-
-        One sort of t locates every support by bisection, so the cost does
-        not grow as the number of bumps times the number of points.
-        """
-        order = np.argsort(t, kind="stable")
-        ts = t[order]
-        for c, b in zip(self.coeffs, self.bumps):
-            lo, hi = b.support
-            yield c, b, order[np.searchsorted(ts, lo, "left"):np.searchsorted(ts, hi, "right")]
-
     def _sum(self, parts, t):
-        """sum_n c_n parts(bump_n, t), evaluating each bump only on its own support.
+        """sum_n c_n parts(bump_n, phi_n, phi_n'), evaluating each bump only on its own support.
 
         parts returns a tuple of arrays whose leading axis runs over the
-        points.  Profiles vanish exactly off their supports, so the skipped
-        terms are zeros and each sum is bitwise that of the full evaluation.
+        points.  Points already in order, as every refinement grid is, are
+        used as they are; others are sorted and the sums put back in their
+        order.  Each support is then a slice of the sorted points, found by
+        bisection.  Bumps that share a profile and l1 take phi and phi' from
+        one value_and_deriv call on their shifted support points together,
+        and the c_n terms are added bump by bump in the order given.
+        Profiles vanish exactly off their supports, so the skipped terms are
+        zeros and each sum is bitwise that of the full evaluation.
         """
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
+        # a NaN fails every comparison, so points with a NaN take the sort,
+        # which puts the NaN last and outside every support
+        order = None if np.all(flat[1:] >= flat[:-1]) else np.argsort(flat, kind="stable")
+        ts = flat if order is None else flat[order]
+        spans = [(np.searchsorted(ts, b.support[0], "left"),
+                  np.searchsorted(ts, b.support[1], "right")) for b in self.bumps]
+        groups = {}
+        for n, b in enumerate(self.bumps):
+            groups.setdefault((b.profile, b.l1), []).append(n)
+        scalars = [None] * len(self.bumps)
+        for (profile, l1), group in groups.items():
+            u = np.concatenate([ts[spans[n][0]:spans[n][1]] - l1 - self.bumps[n].shift
+                                for n in group])
+            cuts = np.cumsum([spans[n][1] - spans[n][0] for n in group])[:-1]
+            phi, dphi = (np.split(a, cuts) for a in profile.value_and_deriv(u))
+            for n, p, dp in zip(group, phi, dphi):
+                scalars[n] = (p, dp)
         sums = None
-        for c, b, idx in self._pieces(flat):
-            vals = parts(b, flat[idx])
+        for c, b, (lo, hi), (phi, dphi) in zip(self.coeffs, self.bumps, spans, scalars):
+            vals = parts(b, phi, dphi)
             if sums is None:
                 sums = [np.zeros(flat.shape + v.shape[1:]) for v in vals]
             for total, v in zip(sums, vals):
-                total[idx] += c * v
+                total[lo:hi] += c * v
+        if order is not None:
+            for total in sums:
+                total[order] = total.copy()
         return tuple(total.reshape(t.shape + total.shape[1:]) for total in sums)
 
     def scalar_and_deriv(self, t):
-        return self._sum(lambda b, pts: b.scalar_and_deriv(pts), t)
+        return self._sum(lambda b, phi, dphi: (phi, dphi), t)
 
     def value(self, t):
-        return self._sum(lambda b, pts: (b.value(pts),), np.atleast_1d(t))[0]
+        return self._sum(lambda b, phi, dphi: (phi[:, None, None] * b.xi,), np.atleast_1d(t))[0]
 
     def deriv(self, t):
-        return self._sum(lambda b, pts: (b.deriv(pts),), np.atleast_1d(t))[0]
+        return self._sum(lambda b, phi, dphi: (dphi[:, None, None] * b.xi,), np.atleast_1d(t))[0]
 
 
 def _is_scalar_bump(variation) -> bool:
@@ -318,8 +332,11 @@ def _bump_integrand(traj: Trajectory, xi, scalars):
 
     On frozen-shape data, s = s0 makes the pairings constants and the rows
     scalars: |w'|^2 = nM phi'^2, |w|^2 = nM phi^2, <w', w> = nM phi phi' and
-    D2U_E(s0)(w, w) = H phi^2.  Elsewhere w and w' go through the per-sample
-    stacks.
+    D2U_E(s0)(w, w) = H phi^2.  On exact data rho'/rho is the constant -c,
+    taken as a scalar; the grids come from _support_grid, which checks the
+    horizon that Trajectory.log_rate would.  The rows are written into one
+    (..., 4, K) array with each element formed as in the expressions above.
+    Elsewhere w and w' go through the per-sample stacks.
     """
     if not traj.frozen_shape:
         return _sampled_integrand(traj, lambda grid, members: tuple(
@@ -327,10 +344,18 @@ def _bump_integrand(traj: Trajectory, xi, scalars):
     n_m, hess = _frozen_pairings(traj, xi)
 
     def integrand(grid, members):
-        ratio = traj.log_rate(grid)
+        rate = -traj.meta["decay_rate"] if traj.exact_homothetic else traj.log_rate(grid)
         phi, dphi = scalars(grid, members)
-        return np.stack([n_m * dphi**2, ratio**2 * n_m * phi**2,
-                         -2.0 * ratio * n_m * phi * dphi, hess * phi**2], axis=-2)
+        rows = np.empty(grid.shape[:-1] + (4, grid.shape[-1]))
+        kin, radial, cross, hessian = np.moveaxis(rows, -2, 0)
+        np.square(dphi, out=kin)
+        kin *= n_m
+        np.square(phi, out=hessian)
+        np.multiply(rate * rate * n_m, hessian, out=radial)
+        np.multiply(-2.0 * rate * n_m, phi, out=cross)
+        cross *= dphi
+        hessian *= hess
+        return rows
 
     return integrand
 

@@ -323,7 +323,26 @@ def test_witness_memory_does_not_grow_with_the_bump_count(coll1, mu1_direction):
     assert peak < 2**23
 
 
-def test_combined_variation_matches_naive_sum(mu1_direction):
+def combination_parts(v, grid):
+    """scalar, scalar_deriv, value and deriv of a variation at the points of grid."""
+    return (*v.scalar_and_deriv(grid), v.value(grid), v.deriv(grid))
+
+
+def naive_combination(bumps, coeffs, grid):
+    """The combination's parts summed over every bump on the whole grid, in bump order."""
+    return [sum(c * part for c, part in zip(coeffs, column))
+            for column in zip(*(combination_parts(b, grid) for b in bumps))]
+
+
+def support_edge_grid(bumps, lo, hi, count):
+    """A sorted grid on [lo, hi] with every support edge and its two neighbours."""
+    edges = np.array([e for b in bumps for e in b.support])
+    return np.sort(np.concatenate([np.linspace(lo, hi, count), edges,
+                                   np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]))
+
+
+@pytest.fixture
+def mixed_combination(mu1_direction):
     bumps = [morse.BumpVariation(l1=0.5, l2=3.0, shift=0.0, xi=mu1_direction),
              morse.BumpVariation(l1=0.5, l2=3.0, shift=2.5, xi=mu1_direction,
                                  profile_kind="bump"),
@@ -331,19 +350,82 @@ def test_combined_variation_matches_naive_sum(mu1_direction):
              morse.BumpVariation(l1=1.0, l2=2.0, shift=8.0, xi=mu1_direction,
                                  profile_kind="bump")]
     coeffs = [1.3, -0.7, 0.0, -2.1]
-    combo = morse.CombinedVariation(bumps, coeffs)
-    edges = np.array([e for b in bumps for e in b.support])
-    grid = np.sort(np.concatenate([np.linspace(-1.0, 11.0, 2401), edges,
-                                   np.nextafter(edges, -np.inf),
-                                   np.nextafter(edges, np.inf)]))
-    def parts(v):
-        return (*v.scalar_and_deriv(grid), v.value(grid), v.deriv(grid))
+    return bumps, coeffs, support_edge_grid(bumps, -1.0, 11.0, 2401)
 
-    naive = [sum(c * part for c, part in zip(coeffs, column))
-             for column in zip(*(parts(b) for b in bumps))]
-    for name, got, want in zip(("scalar", "scalar_deriv", "value", "deriv"), parts(combo), naive):
+
+def test_combined_variation_matches_naive_sum(mixed_combination):
+    bumps, coeffs, grid = mixed_combination
+    combo = morse.CombinedVariation(bumps, coeffs)
+    naive = naive_combination(bumps, coeffs, grid)
+    for name, got, want in zip(("scalar", "scalar_deriv", "value", "deriv"),
+                               combination_parts(combo, grid), naive):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), name
+
+
+def test_combined_variation_puts_unsorted_points_back(mixed_combination):
+    bumps, coeffs, grid = mixed_combination
+    combo = morse.CombinedVariation(bumps, coeffs)
+    sorted_parts = combination_parts(combo, grid)
+    # NaN points lie on no support, so every part is zero there; in an
+    # otherwise sorted grid they must not pass for sorted points
+    nan_at = np.array([0, 17, 1200, grid.size + 2])
+    for perm in (np.random.default_rng(5).permutation(grid.size), np.arange(grid.size)):
+        points = np.insert(grid[perm], nan_at - np.arange(nan_at.size), np.nan)
+        assert np.flatnonzero(np.isnan(points)).tolist() == nan_at.tolist()
+        keep = ~np.isnan(points)
+        for name, got, part in zip(("scalar", "scalar_deriv", "value", "deriv"),
+                                   combination_parts(combo, points), sorted_parts):
+            want = np.zeros((points.size,) + part.shape[1:])
+            want[keep] = part[perm]
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+
+
+def test_combined_variation_adds_in_bump_order_across_profiles(mu1_direction):
+    # the bumps alternate between two profiles on overlapping supports: adding
+    # the terms profile by profile would round the overlaps differently
+    kinds = ["flattop", "bump"] * 4
+    bumps = [morse.BumpVariation(l1=0.3, l2=4.3, shift=0.7 * k, xi=mu1_direction,
+                                 profile_kind=kind) for k, kind in enumerate(kinds)]
+    scales = np.tile([1.0, 1e3, 1e-3, 7.0], 2)
+    coeffs = np.random.default_rng(11).standard_normal(len(bumps)) * scales
+    combo = morse.CombinedVariation(bumps, coeffs)
+    grid = support_edge_grid(bumps, 0.0, 10.0, 4001)
+    naive = naive_combination(bumps, coeffs, grid)
+    for name, got, want in zip(("scalar", "scalar_deriv", "value", "deriv"),
+                               combination_parts(combo, grid), naive):
+        assert got.tobytes() == want.tobytes(), name
+
+
+def reference_bump_rows(ratio, n_m, hess, phi, dphi):
+    """The frozen-shape bump rows as four whole-array expressions stacked at axis -2."""
+    return np.stack([n_m * dphi**2, ratio**2 * n_m * phi**2,
+                     -2.0 * ratio * n_m * phi * dphi, hess * phi**2], axis=-2)
+
+
+@pytest.mark.parametrize("name", ["exact", "quadrature"])
+def test_bump_rows_equal_the_stacked_expressions(name, frozen_trajs, mu1_direction,
+                                                 monkeypatch):
+    traj = frozen_trajs[name]
+    profile = morse.Profile(width=5.0)
+    lo = np.array([1.0, 12.0, 80.0])
+    grid = morse._support_grid(traj, lo, lo + profile.width, 128)
+
+    def scalars(grid, members):
+        return profile.value_and_deriv(grid - lo[members][:, None])
+
+    members = np.arange(lo.size)
+    want = reference_bump_rows(traj.log_rate(grid), *morse._frozen_pairings(traj, mu1_direction),
+                               *scalars(grid, members))
+    if traj.exact_homothetic:
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("exact data must take rho'/rho as the constant -c")
+
+        monkeypatch.setattr(mcgehee.Trajectory, "log_rate", refuse)
+    got = morse._bump_integrand(traj, mu1_direction, scalars)(grid, members)
+    assert got.shape == want.shape == (lo.size, 4, grid.shape[-1])
+    assert got.tobytes() == want.tobytes()
 
 
 def reference_projected_bump(traj, bump):
