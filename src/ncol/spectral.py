@@ -16,6 +16,8 @@ from .central import CentralConfiguration
 from .errors import BracketFailure, InvalidN, NoConvergence, NotCentral
 
 ALPHA_FLOOR = 1e-6
+BISECT_DEPTH = 6  # halvings per call of f in bisect
+SCAN_BLOCK = 256  # grid intervals per block of ngon_threshold's bracket scan
 
 
 @dataclass(frozen=True)
@@ -322,18 +324,25 @@ def psi_phi(n: int, alpha):
 def ngon_threshold(n: int) -> ThresholdResult:
     """Crossing of Psi_n with (alpha+2)^2/(8 alpha) on (0, 1]; below 1 for n >= 4.
 
-    The first sign change on a 4096-point grid brackets the bisection.
+    The first sign change on a 4096-point grid brackets the bisection.  The
+    grid is evaluated from the low end in blocks of SCAN_BLOCK intervals,
+    neighbouring blocks sharing their end point, and the scan stops at the
+    first block that holds a sign change; the bracket is the one a scan of
+    the whole grid finds.
     """
     def f(a):
         return psi_phi(n, a)[0] - rhs_factor(a)
 
     lo, hi = ALPHA_FLOOR, 1.0
     grid = np.linspace(lo, hi, 4096)
-    vals = f(grid)
-    sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-    if sign_change.size == 0:
+    for start in range(0, grid.size - 1, SCAN_BLOCK):
+        vals = f(grid[start:start + SCAN_BLOCK + 1])
+        sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
+        if sign_change.size:
+            break
+    else:
         raise BracketFailure(f"no sign change for n={n} on ({lo}, {hi}]")
-    k = sign_change[0]
+    k = start + sign_change[0]
     root = bisect(f, grid[k], grid[k + 1], tol=1e-14)
     return ThresholdResult(alpha_star=root, bracket=(float(grid[k]), float(grid[k + 1])),
                            residual=abs(f(root)), family=f"ngon-{n}")
@@ -364,23 +373,45 @@ def hiphop_g(n: int, alpha: float) -> float:
 
 def bisect(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
     """Plain bisection; raises BracketFailure without a sign change and
-    NoConvergence when max_iter halvings leave the bracket wider than tol."""
-    flo, fhi = f(lo), f(hi)
+    NoConvergence when max_iter halvings leave the bracket wider than tol.
+
+    f takes a 1-D array of points and returns their values.  One call covers
+    both ends, and then each call covers the next BISECT_DEPTH halvings: the
+    2^BISECT_DEPTH - 1 midpoints they can reach, each formed as 0.5*(lo+hi)
+    of its bracket.  The halvings then walk those values one by one, with the
+    exits and the max_iter count of a loop that calls f once per midpoint, so
+    the root is bitwise the one that loop returns whenever f's array entries
+    equal its scalar values.
+    """
+    flo, fhi = f(np.array([lo, hi], dtype=float))
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if np.sign(flo) == np.sign(fhi):
         raise BracketFailure(f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0 or (hi - lo) < tol:
-            return mid
-        if np.sign(fm) == np.sign(flo):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
+    left = max_iter
+    while left > 0:
+        depth = min(BISECT_DEPTH, left)
+        # level d's 2^d midpoints start at index 2^d - 1 of points, in order
+        edges, points = [lo, hi], []
+        for _ in range(depth):
+            mids = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
+            points += mids
+            edges = [x for pair in zip(edges, mids) for x in pair] + [hi]
+        vals = f(np.array(points))
+        j = 0
+        for d in range(depth):
+            mid, fm = points[2**d - 1 + j], vals[2**d - 1 + j]
+            if fm == 0.0 or (hi - lo) < tol:
+                return mid
+            if np.sign(fm) == np.sign(flo):
+                lo, flo = mid, fm
+                j = 2 * j + 1
+            else:
+                hi = mid
+                j = 2 * j
+        left -= depth
     if hi - lo < tol:
         return 0.5 * (lo + hi)
     raise NoConvergence(f"bracket [{lo}, {hi}] still wider than {tol} after {max_iter} halvings")

@@ -51,8 +51,9 @@ def test_criterion_02_unequal_mass_boundary_and_newtonian_case():
     lhs30, rhs30, holds30 = spectral.collinear_unequal_condition(30.0, 1.0)
     assert holds30
     m1_threshold = spectral.bisect(
-        lambda m: spectral.collinear_unequal_condition(m, 1.0)[0]
-        - spectral.collinear_unequal_condition(m, 1.0)[1], 1.0, 100.0, tol=1e-12)
+        lambda ms: np.array([spectral.collinear_unequal_condition(m, 1.0)[0]
+                             - spectral.collinear_unequal_condition(m, 1.0)[1] for m in ms]),
+        1.0, 100.0, tol=1e-12)
     quad_root = (269 + np.sqrt(269**2 + 4 * 8 * 52)) / 16
     assert abs(m1_threshold - quad_root) < 1e-9
 
@@ -66,8 +67,9 @@ def test_criterion_02_unequal_mass_boundary_and_newtonian_case():
     lhs_o, rhs_o, holds_o = spectral.collinear_unequal_oracle(30.0, 1.0)
     if holds_o != holds30:
         m1_oracle = spectral.bisect(
-            lambda m: spectral.collinear_unequal_oracle(m, 1.0)[0]
-            - spectral.collinear_unequal_oracle(m, 1.0)[1], 1.0, 100.0, tol=1e-10)
+            lambda ms: np.array([spectral.collinear_unequal_oracle(m, 1.0)[0]
+                                 - spectral.collinear_unequal_oracle(m, 1.0)[1] for m in ms]),
+            1.0, 100.0, tol=1e-10)
         notes.append(
             f"independent matrix evaluation of the same criterion disagrees with the "
             f"published simplification: at alpha=1 it holds iff m1 < {m1_oracle:.4f} "

@@ -1,12 +1,17 @@
-"""`ncol figure1` and `ncol weakforce` reproduce the benchmark's reference CSVs.
+"""`ncol figure1`, `ncol weakforce` and `ncol threshold` reproduce the benchmark's references.
 
-The files under perfbench/ref/ are only read.  The comparison is the
+The files under perfbench/ref/ are only read.  The CSV comparison is the
 benchmark's rule: numbers agree to 1e-8 relative plus 1e-12 absolute, a
 `nan` reference needs a `nan`, and text columns and `holds` match exactly.
+Threshold roots agree with refs.json's `alpha_star` to the benchmark's 1e-10
+absolute.
 """
 
+import json
 import math
 from pathlib import Path
+
+import pytest
 
 from ncol.cli import main
 
@@ -45,3 +50,14 @@ def test_weakforce_matches_reference(capsys):
     captured = capsys.readouterr()
     assert captured.err == "esplode1=True esplode2=True eps=0.1\n"
     assert_matches_reference(captured.out, "weakforce.csv")
+
+
+@pytest.mark.parametrize("args, key", [(["--family", "collinear3"], "collinear3-equal")]
+                         + [(["--family", "ngon", "--n", str(n)], f"ngon-{n}")
+                            for n in (4, 6, 8, 12, 24, 64)])
+def test_threshold_matches_reference(capsys, args, key):
+    want = json.loads((REF_DIR / "refs.json").read_text())["alpha_star"][key]
+    assert main(["threshold"] + args) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["family"] == key
+    assert abs(got["alpha_star"] - want) <= 1e-10

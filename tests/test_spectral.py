@@ -540,6 +540,64 @@ def test_ngon_threshold_bracket_matches_scalar_scan(n):
     assert spectral.ngon_threshold(n).bracket == (float(grid[k]), float(grid[k + 1]))
 
 
+def _patched_ngon_scan(monkeypatch, g):
+    """Make ngon_threshold's f equal g, in sign, and record the scan's blocks.
+
+    psi_phi is replaced by rhs_factor + g, so f = psi - rhs_factor has g's
+    sign at every grid point (g takes the values -1, 0 and 1).  Arrays longer
+    than one bisection round are the scan's blocks; their sizes are recorded.
+    """
+    blocks = []
+
+    def fake_psi_phi(n, alpha):
+        if np.size(alpha) > 2**spectral.BISECT_DEPTH:
+            blocks.append(np.size(alpha))
+        return spectral.rhs_factor(alpha) + g(alpha), None
+
+    monkeypatch.setattr(spectral, "psi_phi", fake_psi_phi)
+    return blocks
+
+
+@pytest.mark.parametrize("kind, at", [("step", 0), ("step", 255), ("step", 256), ("step", 511),
+                                      ("step", 3839), ("step", 4094), ("zero", 256), ("zero", 257),
+                                      ("zero", 4095)])
+def test_ngon_threshold_scan_block_edges(monkeypatch, kind, at):
+    grid = np.linspace(spectral.ALPHA_FLOOR, 1.0, 4096)
+    if kind == "step":  # the sign changes between grid[at] and grid[at + 1]
+        cut = 0.5 * (grid[at] + grid[at + 1])
+
+        def g(a):
+            return np.where(a > cut, 1.0, -1.0)
+    else:  # zero on grid[at] and nowhere else on the grid
+
+        def g(a):
+            return np.sign(a - grid[at])
+
+    blocks = _patched_ngon_scan(monkeypatch, g)
+    vals = spectral.psi_phi(4, grid)[0] - spectral.rhs_factor(grid)
+    k = np.nonzero(np.diff(np.sign(vals)) != 0)[0][0]
+    assert k == (at if kind == "step" else at - 1)
+    blocks.clear()
+    res = spectral.ngon_threshold(4)
+    assert res.bracket == (float(grid[k]), float(grid[k + 1]))
+    assert grid[k] <= res.alpha_star <= grid[k + 1]
+    # the scan stopped at the block holding interval k; blocks share end points
+    b = k // spectral.SCAN_BLOCK
+    assert blocks == [spectral.SCAN_BLOCK + 1] * b \
+        + [min(spectral.SCAN_BLOCK + 1, grid.size - b * spectral.SCAN_BLOCK)]
+
+
+def test_ngon_threshold_scan_without_sign_change(monkeypatch):
+    blocks = _patched_ngon_scan(monkeypatch, lambda a: np.ones_like(a))
+    grid = np.linspace(spectral.ALPHA_FLOOR, 1.0, 4096)
+    vals = spectral.psi_phi(4, grid)[0] - spectral.rhs_factor(grid)
+    assert np.nonzero(np.diff(np.sign(vals)) != 0)[0].size == 0
+    blocks.clear()
+    with pytest.raises(BracketFailure):
+        spectral.ngon_threshold(4)
+    assert sum(blocks) - (len(blocks) - 1) == grid.size
+
+
 def test_rhs_factor_on_arrays_keeps_the_floor():
     alphas = np.array([0.25, 1.0, 1.75])
     assert np.array_equal(spectral.rhs_factor(alphas),
@@ -693,6 +751,99 @@ def test_hiphop_condition_consistency():
                 assert holds
 
 
+def reference_bisect(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+    """Plain bisection with one scalar call of f per midpoint, as spectral.bisect
+    was before it took BISECT_DEPTH halvings per call; kept as its oracle."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if np.sign(flo) == np.sign(fhi):
+        raise BracketFailure(f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0 or (hi - lo) < tol:
+            return mid
+        if np.sign(fm) == np.sign(flo):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+    if hi - lo < tol:
+        return 0.5 * (lo + hi)
+    raise NoConvergence(f"bracket [{lo}, {hi}] still wider than {tol} after {max_iter} halvings")
+
+
+@st.composite
+def bisect_problems(draw):
+    """A bracket, a tolerance, an iteration budget and an array-valued f.
+
+    The root r is drawn inside or around the bracket, or placed exactly on
+    lo, on hi or on a midpoint that the halvings can reach.
+    """
+    lo = draw(st.floats(-10.0, 10.0))
+    # one bracket in five is reversed, which the first halving exits
+    hi = lo + draw(st.sampled_from([1.0, 1.0, 1.0, 1.0, -1.0])) * 10.0 ** draw(st.floats(-9.0, 1.3))
+    where = draw(st.sampled_from(["inside"] * 3 + ["outside", "lo", "hi"] + ["midpoint"] * 2))
+    if where == "inside":
+        # lo and hi themselves are their own cases below
+        r = lo + draw(st.floats(0.01, 0.99)) * (hi - lo)
+    elif where == "outside":
+        r = draw(st.sampled_from([min(lo, hi), max(lo, hi)])) + draw(st.floats(-1.0, 1.0))
+    elif where == "midpoint":
+        a, b = lo, hi
+        depth = draw(st.integers(1, 60))
+        for right in draw(st.lists(st.booleans(), min_size=depth, max_size=depth)):
+            m = 0.5 * (a + b)
+            a, b = (m, b) if right else (a, m)
+        r = 0.5 * (a + b)
+    else:
+        r = lo if where == "lo" else hi
+    kind = draw(st.sampled_from(["monotone", "step", "polynomial"]))
+    if kind == "monotone":
+        scale = draw(st.sampled_from([1.0, -3.0, 1e-3]))
+
+        def f(x):
+            return scale * (x - r)
+    elif kind == "step":
+        def f(x):
+            return np.where(x > r, 1.0, np.where(x < r, -1.0, 0.0))
+    else:
+        r2, r3 = draw(st.floats(-12.0, 12.0)), draw(st.floats(-12.0, 12.0))
+
+        def f(x):
+            return (x - r) * (x - r2) * (x - r3)
+    tol = draw(st.sampled_from([0.0, 1e-20, 1e-14, 1e-12, 1e-9, 1e-6, 0.1, 50.0]))
+    max_iter = draw(st.integers(1, 200))
+    return f, lo, hi, tol, max_iter
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=bisect_problems())
+def test_bisect_matches_reference_bitwise(problem):
+    f, lo, hi, tol, max_iter = problem
+    calls = {"ref": 0, "new": 0}
+
+    def counted(name, array_in):
+        def g(x):
+            calls[name] += 1
+            assert np.ndim(x) == (1 if array_in else 0)
+            return f(x)
+        return g
+
+    outcome = {}
+    for name, fn in (("ref", reference_bisect), ("new", spectral.bisect)):
+        try:
+            outcome[name] = float(fn(counted(name, name == "new"), lo, hi, tol=tol,
+                                     max_iter=max_iter)).hex()
+        except (BracketFailure, NoConvergence) as exc:
+            outcome[name] = type(exc)
+    assert outcome["new"] == outcome["ref"]
+    halvings = calls["ref"] - 2
+    assert calls["new"] <= -(-halvings // spectral.BISECT_DEPTH) + 1
+
+
 def test_bisect_bracket_failure():
     with pytest.raises(BracketFailure):
         spectral.bisect(lambda x: x * x + 1.0, -1.0, 1.0)
@@ -703,7 +854,7 @@ def test_bisect_raises_when_iterations_run_out():
         spectral.bisect(lambda x: x - 0.3, 0.0, 1.0, max_iter=3)
     # a tolerance below the spacing of doubles near the root cannot be met
     with pytest.raises(NoConvergence):
-        spectral.bisect(lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0, tol=1e-20)
+        spectral.bisect(lambda x: np.where(x > 0.3, 1.0, -1.0), 0.0, 1.0, tol=1e-20)
     assert spectral.bisect(lambda x: x - 0.3, 0.0, 1.0) == pytest.approx(0.3, abs=1e-12)
     # the last halving may meet the tolerance: that answer is returned
     assert spectral.bisect(lambda x: x - 0.3, 0.0, 1.0, tol=0.2, max_iter=3) \
