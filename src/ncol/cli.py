@@ -169,8 +169,8 @@ def _run_sweep(alphas) -> str:
 
 
 def cmd_sweep(args) -> int:
-    if args.steps < 1 or not (0.0 < args.alpha_min < args.alpha_max < 2.0):
-        raise UsageError("empty or invalid alpha range")
+    if args.steps < 1 or not (spectral.ALPHA_FLOOR <= args.alpha_min < args.alpha_max < 2.0):
+        raise UsageError(f"empty or invalid alpha range (alpha floor {spectral.ALPHA_FLOOR:g})")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
     _emit(_run_sweep(alphas), args.out)
     return 0

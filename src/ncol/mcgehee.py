@@ -127,7 +127,8 @@ class Trajectory:
 
     lambda1 is the measured multiplier trace -beta * h(tau); lambda2 the trace
     rho^2 |s'|_M^2.  exact_homothetic marks trajectories backed by the closed
-    zero-energy collapse formula rho = exp(-c tau), s const.
+    zero-energy collapse formula rho = exp(-c tau), s const.  Frozen shapes
+    hold s and s' as read-only stride-0 views of one row (_frozen_trajectory).
     """
 
     alpha: float
@@ -251,11 +252,9 @@ class Trajectory:
         """
         t = self._checked_tau(t)
         if self.exact_homothetic:
-            rho = self.rho_at(t)
-            rho_p = -self.meta["decay_rate"] * rho
-            s = np.broadcast_to(self.s[0], (t.size,) + self.s[0].shape).copy()
-            s_p = np.zeros_like(s)
-            return rho, rho_p, s, s_p
+            rho, shape = self.rho_at(t), (t.size,) + self.s[0].shape
+            return (rho, -self.meta["decay_rate"] * rho, np.broadcast_to(self.s[0], shape),
+                    np.broadcast_to(self.s_prime[0], shape))
         idx, w, dw = self._hermite(t)
         rho = np.exp(self._log_rho(idx, w))
         rho_p = rho * self._log_rho(idx, dw)
@@ -703,10 +702,11 @@ def homothetic_oracle(cc, h: float = 0.0, tau_max: float = 30.0,
 
 
 def _frozen_trajectory(cc, tau, rho, rho_prime, h, **kwargs) -> Trajectory:
-    """Trajectory pinned at the shape cc.s0 with zero shape velocity."""
-    s = np.broadcast_to(cc.s0, (tau.size,) + cc.s0.shape).copy()
+    """Trajectory pinned at cc.s0; s and s' are read-only stride-0 views of one row each."""
+    shape = (tau.size,) + cc.s0.shape
     return Trajectory(alpha=cc.alpha, masses=cc.masses.copy(), tau=tau, rho=rho,
-                      rho_prime=rho_prime, s=s, s_prime=np.zeros_like(s), h=float(h),
+                      rho_prime=rho_prime, s=np.broadcast_to(cc.s0.copy(), shape),
+                      s_prime=np.broadcast_to(np.zeros_like(cc.s0), shape), h=float(h),
                       **kwargs)
 
 

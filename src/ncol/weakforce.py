@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nbody
 from .central import CentralConfiguration
-from .errors import NonCollapsing
+from .errors import NonCollapsing, NotHomographic
 from .mcgehee import Trajectory, beta_exponent, homothetic_quadrature_trajectory
 
 DEFAULT_ALPHA_GRID = (0.5, 0.3, 0.2, 0.1, 0.05, 0.02)
@@ -94,11 +94,12 @@ def build_H_family(cc: CentralConfiguration, alphas=DEFAULT_ALPHA_GRID,
     from the energy normalization and runs with no real inward root are
     rejected.  Every member comes from the energy-relation quadrature
     (homothetic_quadrature_trajectory), which integrates no ODE and so
-    reaches depths where the tau-flow would have bounced.  A kicked member
-    is a tau-flow run (homothetic_initial_state with a kick, then
-    integrate_el), whose reliable horizon shrinks like sqrt(alpha) (collapse
-    rate ~ sqrt(U/alpha)); this family has none.  A member whose rho
-    underflows to 0.0 before tau_max is rejected, naming the tau.
+    reaches depths where the tau-flow would have bounced, and holds s and s'
+    as one row each.  A kicked member is a tau-flow run (integrate_el from
+    homothetic_initial_state with a kick), whose reliable horizon shrinks
+    like sqrt(alpha) (collapse rate ~ sqrt(U/alpha)); this family has none,
+    and family_report refuses one.  A member whose rho underflows to 0.0
+    before tau_max is rejected, naming the tau.
     """
     m = cc.masses
     trajs = []
@@ -221,40 +222,38 @@ def _grid_check(alphas, first_tau, eps, table, ok, notes) -> GridCheck:
 def family_report(family: ScaledFamily, eps: float) -> FamilyReport:
     """The CSV rows and the esplode1, esplode2 and Disotto checks, visiting each member once.
 
-    A member's blow-up crossing (its first sample where blowup_quantity
-    reaches 1/eps), Disotto trace, |s'|_M^2 tail and -rho'/rho are each
-    formed once.  Its row reads the trace and the tail from the crossing on
-    (from the start when there is none).  esplode1 locates (tau_eps,
-    alpha_eps) from the crossings; esplode2 from the first samples past
-    which the remaining |s'|_M^2 integral is below eps, and needs
-    -rho'/rho > 0; on build_H_family members s' = 0, so that integral is 0
-    and esplode2 reduces to -rho'/rho > 0.  Where esplode1 holds, the Disotto
-    bound must reach disotto_constant + 1/eps past tau_eps below alpha_eps.
-    A finite grid can fail to exhibit a pair without refuting the limit
-    statement.
+    Members must hold a frozen shape (NotHomographic otherwise).  A member's
+    blow-up crossing (its first sample where blowup_quantity reaches 1/eps),
+    Disotto trace and -rho'/rho are each formed once; its row reads the
+    trace from the crossing on (from the start when there is none).
+    esplode1 locates (tau_eps, alpha_eps) from the crossings; esplode2 from
+    the first samples past which the remaining |s'|_M^2 integral is below
+    eps, and needs -rho'/rho > 0.  With s' = 0 that integral (the row's
+    tail) is 0 by construction, so esplode2 reduces to -rho'/rho > 0.  Where
+    esplode1 holds, the Disotto bound must reach disotto_constant + 1/eps
+    past tau_eps below alpha_eps.  A finite grid can fail to exhibit a pair
+    without refuting the limit statement.
     """
     c_const = disotto_constant(family.cc.masses)
     crossings, tails, traces, rows = {}, {}, [], []
     phi_ok = True
     for alpha, traj in family:
+        if not traj.frozen_shape:
+            raise NotHomographic(f"alpha={alpha}: member shape is not frozen")
         tau = traj.tau
         above = blowup_quantity(traj) >= 1.0 / eps
         crossing = float(tau[np.argmax(above)]) if above.any() else None
         crossings[alpha] = crossing
         traces.append(disotto_bound(traj))
-        sp2 = np.einsum("j,kjd,kjd->k", traj.masses, traj.s_prime, traj.s_prime)
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (sp2[1:] + sp2[:-1]) * np.diff(tau))])
-        below = cum[-1] - cum < eps
         phi = -traj.rho_prime / traj.rho
         phi_ok &= bool(np.all(phi > 0.0))
-        tails[alpha] = {"first_tau": float(tau[np.argmax(below)]) if below.any() else None,
-                        "tail_total": float(cum[-1]), "phi_min": float(phi.min()),
+        tails[alpha] = {"first_tau": float(tau[0]) if 0.0 < eps else None,
+                        "tail_total": 0.0, "phi_min": float(phi.min()),
                         "phi_sq_min": float((phi**2).min()),
                         "phi_sq_required": c_const + 1.0 / eps}
         past = tau >= (tau[0] if crossing is None else crossing)
         rows.append((alpha, float("nan") if crossing is None else crossing,
-                     float(traces[-1][past].min()), float(np.trapezoid(sp2[past], tau[past])),
-                     float(phi.min())))
+                     float(traces[-1][past].min()), 0.0, float(phi.min())))
     e1 = _grid_check(family.alphas, crossings, eps, crossings, True,
                      ("no grid prefix crossed the threshold", ""))
     e2 = _grid_check(family.alphas, {a: t["first_tau"] for a, t in tails.items()}, eps, tails,

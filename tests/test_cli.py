@@ -135,6 +135,15 @@ def test_sweep_empty_range_exits_one(capsys):
     assert "usage error" in err
 
 
+def test_sweep_below_the_criterion_floor_is_usage_error():
+    # the closed-form criteria are evaluated from spectral.ALPHA_FLOOR up
+    rc, err = run_with_closed_reader(0, "sweep", "--alpha-min", "1e-7", "--alpha-max", "0.5",
+                                     "--steps", "3")
+    assert rc == 1
+    assert err.startswith("usage error: ") and "1e-06" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_names_the_first_non_central_alpha(monkeypatch, capsys):
     # a shape central at alpha = 1 only, in place of the collinear family
     solved = central.solve_central(np.array([[-0.6, 0.0], [0.05, 0.0], [0.5, 0.0]]),

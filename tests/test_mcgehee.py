@@ -195,6 +195,44 @@ def test_frozen_shape_is_read_from_the_data(coll1):
     assert not dataclasses.replace(quad, s=moved).frozen_shape
 
 
+def assert_one_read_only_row(arr, row):
+    assert arr.strides[0] == 0 and not arr.flags.writeable
+    assert np.array_equal(arr[0], row)
+
+
+def test_frozen_trajectories_hold_one_read_only_row(coll1):
+    zero = np.zeros_like(coll1.s0)
+    routes = [mcgehee.homothetic_oracle(coll1, h=h, tau_max=5.0) for h in (0.0, -1.0, 2.0)]
+    routes.append(mcgehee.homothetic_quadrature_trajectory(coll1, h=0.5, tau_max=5.0))
+    for traj in routes:
+        assert traj.s.shape == traj.s_prime.shape == (traj.n_samples,) + coll1.s0.shape
+        assert_one_read_only_row(traj.s, coll1.s0)
+        assert_one_read_only_row(traj.s_prime, zero)
+        with pytest.raises(ValueError, match="read-only"):
+            traj.s[0, 0, 0] = 1.0
+    t = np.linspace(0.0, 5.0, 101)
+    _, _, s, s_p = routes[0].evaluate(t)
+    assert s.shape == s_p.shape == (t.size,) + coll1.s0.shape
+    assert_one_read_only_row(s, coll1.s0)
+    assert_one_read_only_row(s_p, zero)
+
+
+def test_probe_oracle_stores_no_copies_of_the_shape():
+    # the `ncol morse --family ngon --n 8` oracle: 7,041 samples to tau = 440,
+    # where K copies of s0 and K zero rows would take 2 x 1.35 MB
+    import tracemalloc
+
+    cc = central.embed_in_3d(central.ngon(8, 1.0))
+    tracemalloc.start()
+    try:
+        traj = mcgehee.homothetic_oracle(cc, h=0.0, tau_max=440.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.n_samples == 7041
+    assert peak < 2**19
+
+
 def test_homothetic_oracle_agrees_with_flow(coll1):
     # dual check: independent physical-time route vs the tau-flow
     traj_o = mcgehee.homothetic_oracle(coll1, h=0.0, tau_max=3.0)

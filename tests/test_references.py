@@ -1,10 +1,11 @@
-"""`ncol figure1`, `ncol weakforce` and `ncol threshold` reproduce the benchmark's references.
+"""`ncol figure1`, `weakforce`, `threshold` and `morse` reproduce the benchmark's references.
 
 The files under perfbench/ref/ are only read.  The CSV comparison is the
 benchmark's rule: numbers agree to 1e-8 relative plus 1e-12 absolute, a
 `nan` reference needs a `nan`, and text columns and `holds` match exactly.
 Threshold roots agree with refs.json's `alpha_star` to the benchmark's 1e-10
-absolute.
+absolute.  Each bump of the `probe` families' `ncol morse` runs, with the
+CLI defaults, has the sign refs.json's `bump_verdicts` gives it.
 """
 
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from ncol import morse
 from ncol.cli import main
 
 REF_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "ref"
@@ -61,3 +63,29 @@ def test_threshold_matches_reference(capsys, args, key):
     got = json.loads(capsys.readouterr().out)
     assert got["family"] == key
     assert abs(got["alpha_star"] - want) <= 1e-10
+
+
+@pytest.mark.parametrize("key, args", [
+    ("collinear3-a1", ["--family", "collinear3", "--alpha", "1"]),
+    ("collinear3-a0.05", ["--family", "collinear3", "--alpha", "0.05"]),
+    ("ngon4", ["--family", "ngon", "--n", "4", "--alpha", "1"]),
+    ("ngon8", ["--family", "ngon", "--n", "8", "--alpha", "1"]),
+])
+def test_morse_bump_verdicts_match_reference(capsys, monkeypatch, key, args):
+    # the command prints only the worst Q, so the per-bump values are read off
+    # the report that morse_witnesses returns to it
+    reports = []
+    inner = morse.morse_witnesses
+
+    def capture(*a, **kw):
+        reports.append(inner(*a, **kw))
+        return reports[-1]
+
+    monkeypatch.setattr(morse, "morse_witnesses", capture)
+    want = json.loads((REF_DIR / "refs.json").read_text())["bump_verdicts"][key]
+    assert main(["morse"] + args) == 0
+    capsys.readouterr()
+    assert len(reports) == 1
+    q_values = reports[0].q_values
+    assert all(math.isfinite(q) for q in q_values)
+    assert ["negative" if q < 0 else "positive" for q in q_values] == want

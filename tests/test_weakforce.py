@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ncol import central, nbody, weakforce
-from ncol.errors import NonCollapsing
+from ncol.errors import NonCollapsing, NotHomographic
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +228,18 @@ def test_family_rejects_infeasible_perturbation(kicked_member):
     huge[:, 1] = 100.0 * np.array([1.0, -2.0, 1.0])
     with pytest.raises(NonCollapsing):
         kicked_member(cc, 0.5, huge)
+
+
+def test_family_report_refuses_a_moving_member(family, kicked_member):
+    cc = central.collinear3(1.0, 1.0, 0.5)
+    xi = np.zeros((3, 2))
+    xi[:, 1] = np.array([1.0, -2.0, 1.0]) / np.sqrt(6)
+    kicked = kicked_member(cc, 0.4, 1e-3 * xi, tau_max=1.0)
+    alphas = family.alphas + (0.4,)
+    mixed = weakforce.ScaledFamily(cc=cc, alphas=alphas,
+                                   trajectories=family.trajectories + (kicked,))
+    with pytest.raises(NotHomographic, match="alpha=0.4"):
+        weakforce.family_report(mixed, 0.1)
 
 
 def reference_action_functional(path: np.ndarray, dt: float, m, alpha,
