@@ -64,9 +64,8 @@ def _verify(s0, m, alpha, family) -> CentralConfiguration:
     inertia = nbody.moment_of_inertia(s0, m)
     if abs(inertia - 1.0) > 1e-12:
         raise NotCentral(f"moment of inertia {inertia} is off the unit ellipsoid")
-    u, residual, scale = nbody.central_residual_stack(s0, m, alpha)
+    u, residual, tol = nbody.central_gate_stack(s0, m, alpha, nbody.RESIDUAL_TOL, 100.0)
     res = float(nbody.norm_stack(residual))
-    tol = max(nbody.RESIDUAL_TOL, 100 * np.finfo(float).eps * float(scale))
     if res > tol:
         raise NotCentral(f"centrality residual {res:.3e} exceeds {tol:.3e}")
     return CentralConfiguration(s0=s0, masses=m, alpha=alpha, b=float(u), residual=res,

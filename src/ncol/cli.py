@@ -2,13 +2,20 @@
 
 Exit codes: 0 success, 1 usage or I/O error, 2 numeric invariant failure, so
 CI can gate on mathematical regressions.
+
+Each command runs on one BLAS thread and puts the caller's thread count back
+when it returns, unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import functools
+import glob
 import json
+import logging
 import math
 import os
 import sys
@@ -20,6 +27,17 @@ from .errors import InvalidMass, InvalidN, NcolError, NonCollapsing
 
 SWEEP_HEADER = "alpha,family,N,lhs,rhs,holds,mu1,margin"
 WEAKFORCE_HEADER = "alpha,tau_eps,inf_disotto,tail_integral,phi_min"
+# the most vertices --n may ask for: the 3072-coordinate eigen-solve of
+# `spectral --family ngon --n 1024` peaks near 0.55 GB
+MAX_N = 1024
+
+_log = logging.getLogger(__name__)
+
+# the OpenBLAS that numpy's wheels bundle, and the thread variables that mean
+# the user has chosen a BLAS thread count
+_OPENBLAS_GLOB = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                              "libscipy_openblas*")
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class UsageError(Exception):
@@ -79,6 +97,8 @@ _POSITIVE_COUNT = _option_type("a positive integer", int, lambda v: v > 0)
 _FRACTION = _option_type("in [0, 1)", float, lambda v: 0.0 <= v < 1.0)
 _WIDTH = _option_type(f"finite and above {_BUMP_START:g}", float,
                       lambda v: math.isfinite(v) and v > _BUMP_START)
+_N = _option_type(f"an integer from 2 to {MAX_N}", int, lambda v: 2 <= v <= MAX_N)
+_N_HELP = f"polygon vertices, at most {MAX_N}, which bounds the memory of a run"
 
 
 def _build_family(args) -> central.CentralConfiguration:
@@ -88,10 +108,7 @@ def _build_family(args) -> central.CentralConfiguration:
     if args.family == "collinear3-m2":
         return central.collinear3(args.m1, args.m2, alpha)
     if args.family == "ngon":
-        try:
-            return central.ngon(args.n, alpha)
-        except InvalidN as exc:
-            raise UsageError(f"--n: {exc}") from exc
+        return central.ngon(args.n, alpha)
     # "file", the last of the parser's choices
     if not args.file:
         raise UsageError("--family file requires --file")
@@ -114,15 +131,16 @@ def _family_args(sub):
     sub.add_argument("--alpha", type=_ALPHA, default=None)
     sub.add_argument("--m1", type=_POSITIVE, default=1.0)
     sub.add_argument("--m2", type=_POSITIVE, default=1.0)
-    sub.add_argument("--n", type=int, default=4)
+    sub.add_argument("--n", type=_N, default=4, help=_N_HELP)
     sub.add_argument("--file", type=str, default=None)
     sub.add_argument("--out", type=str, default=None)
 
 
 def cmd_central(args) -> int:
-    cc = _build_family(args)
-    _emit(cc.to_json(), args.out)
-    return 0 if cc.residual < 1e-9 else 2
+    # every family is built through central's centrality gate, which raises
+    # NotCentral (exit 2) on a residual above it
+    _emit(_build_family(args).to_json(), args.out)
+    return 0
 
 
 def _out_of_plane(cc: central.CentralConfiguration, dim) -> central.CentralConfiguration:
@@ -269,7 +287,7 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("threshold", help="criterion crossing in alpha for a family")
     s.add_argument("--family", required=True, choices=["collinear3", "ngon"])
-    s.add_argument("--n", type=int, default=4)
+    s.add_argument("--n", type=_N, default=4, help=_N_HELP)
     s.add_argument("--out", type=str, default=None)
 
     s = sub.add_parser("sweep", help="criterion sweep over an alpha range (CSV)")
@@ -310,19 +328,60 @@ def build_parser() -> _Parser:
     return p
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    Looked up on the first command rather than at import.  Opening the
+    library again returns the copy numpy has loaded.  Another BLAS, or a wheel
+    that lays its libraries out otherwise, gives None and one DEBUG record.
+    """
+    for path in sorted(glob.glob(_OPENBLAS_GLOB)):
+        try:
+            lib = ctypes.CDLL(path)
+            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+    _log.debug("no OpenBLAS thread control matches %s; BLAS threads left as they are",
+               _OPENBLAS_GLOB)
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one BLAS thread and put the caller's count back after.
+
+    On a few cores a second thread buys the small dense solves nothing but a
+    worker that spins for CPU.  A user who sets OPENBLAS_NUM_THREADS or
+    OMP_NUM_THREADS keeps that choice.
+    """
+    control = None if any(os.environ.get(v) for v in _THREAD_VARS) else _openblas_threads()
+    if control is None:
+        yield
+        return
+    get, set_threads = control
+    before = get()
+    set_threads(1)
     try:
-        args = build_parser().parse_args(argv)
-        return globals()[f"cmd_{args.command}"](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 1
-    except (NcolError, AssertionError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
+        yield
+    finally:
+        set_threads(before)
+
+
+def main(argv=None) -> int:
+    with _one_blas_thread():
+        try:
+            args = build_parser().parse_args(argv)
+            return globals()[f"cmd_{args.command}"](args)
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"io error: {exc}", file=sys.stderr)
+            return 1
+        except (NcolError, AssertionError) as exc:
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -223,16 +223,41 @@ def norm_stack(v) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))
 
 
+def _central_residual_from(x, m, alpha, mm, diff, dist):
+    u = _potential_from(alpha, mm, dist)
+    grad = _gradient_from(-alpha * mm, -(alpha + 2.0), diff, dist,
+                          _pair_gather_index(x.shape[-2]))
+    au = (alpha * u[..., None])[..., 0]  # alpha U, one per configuration
+    residual = grad + au[..., None, None] * m[:, None] * x
+    return u, residual, 1.0 + au * norm_stack(m[:, None] * x)
+
+
 def central_residual_stack(x, m, alpha):
     """(U, grad U + alpha U M x, 1 + alpha U |M x|) of a stack (..., N, d).
 
     The residual of the central-configuration identity, shape (..., N, d),
     and the magnitude of the terms cancelling in it, shape (...).
     """
-    u, grad = potential_gradient_stack(x, m, alpha)
-    au = (alpha * u[..., None])[..., 0]  # alpha U, one per configuration
-    residual = grad + au[..., None, None] * m[:, None] * x
-    return u, residual, 1.0 + au * norm_stack(m[:, None] * x)
+    _, _, mm, diff, dist = pair_terms(x, m)
+    return _central_residual_from(x, m, alpha, mm, diff, dist)
+
+
+def central_gate_stack(x, m, alpha, floor, rel):
+    """(U, residual, tol): central_residual_stack with the bound on its norm.
+
+    tol = max(floor, rel eps scale, eps |x| sum_{i<j} alpha (alpha+1) m_i m_j / r_ij^(alpha+2)),
+    shape (...).  The last term is what rounding the positions to float64
+    leaves in the residual: a relative error eps in x, carried through the
+    pair Hessian, whose largest block eigenvalue is alpha (alpha+1) m_i m_j /
+    r^(alpha+2).  It is the one that grows with N on a regular polygon, whose
+    nearest neighbours close in as 1/N^1.5.
+    """
+    _, _, mm, diff, dist = pair_terms(x, m)
+    u, residual, scale = _central_residual_from(x, m, alpha, mm, diff, dist)
+    eps = np.finfo(float).eps
+    curvature = np.add.reduce(alpha * (alpha + 1.0) * mm * dist ** -(alpha + 2.0), axis=-1)
+    tol = np.maximum(np.maximum(floor, rel * eps * scale), eps * norm_stack(x) * curvature)
+    return u, residual, tol
 
 
 def matrix_A_stack(x, m, alpha) -> np.ndarray:

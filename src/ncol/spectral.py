@@ -138,11 +138,10 @@ def spectral_sweep(cc: CentralConfiguration, alphas) -> SpectralSweep:
     """
     alphas = nbody.validate_alpha(np.array(alphas, dtype=float).reshape(-1))
     x = np.broadcast_to(cc.s0, alphas.shape + cc.s0.shape)
-    b, res_vec, scale = nbody.central_residual_stack(x, cc.masses, alphas[:, None])
+    b, res_vec, tol = nbody.central_gate_stack(x, cc.masses, alphas[:, None], 1e-8, 1e3)
     own = np.abs(alphas - cc.alpha) <= 1e-14
     b = np.where(own, cc.b, b)
     residual = np.where(own, cc.residual, nbody.norm_stack(res_vec))
-    tol = np.maximum(1e-8, 1e3 * np.finfo(float).eps * scale)
     bad = np.flatnonzero(residual > tol)
     if bad.size:
         k = bad[0]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncol import central, mcgehee, nbody, spectral
-from ncol.errors import InvalidMass, InvalidN, NoConvergence
+from ncol.errors import InvalidMass, InvalidN, NoConvergence, NotCentral
 
 
 def test_collinear3_equal_masses_geometry():
@@ -179,3 +179,37 @@ def test_at_alpha_matches_fresh_family(alpha):
     direct, via = spectral.smallest_eigenvalue(cc, alpha=alpha), spectral.smallest_eigenvalue(moved)
     assert (direct.mu1, direct.margin, direct.b) == (via.mu1, via.margin, via.b)
     assert cc.at_alpha(1.0) is cc
+
+
+GATE_ALPHAS = [0.5, 1.0, 1.5, 1.9]
+
+
+@pytest.mark.parametrize("alpha", GATE_ALPHAS)
+def test_regular_polygons_pass_the_centrality_gate(alpha):
+    # the gate allows for the rounding of s0 to float64 carried through the
+    # pair Hessian; without that term N = 67 failed at alpha = 1 and N = 31
+    # at alpha = 1.9
+    for n in range(4, 129):
+        cc = central.ngon(n, alpha)
+        assert cc.residual == nbody.central_residual(cc.s0, cc.masses, alpha)
+    # spectral_sweep holds each alpha of a swept shape to the same kind of gate
+    for n in (31, 67, 128):
+        sweep = spectral.spectral_sweep(central.ngon(n, 1.0), GATE_ALPHAS)
+        assert np.all(np.isfinite(sweep.mu1))
+
+
+@pytest.mark.parametrize("alpha", GATE_ALPHAS)
+def test_a_polygon_moved_off_centre_is_not_central(alpha):
+    rng = np.random.default_rng(22)
+    for n in (4, 16, 64, 128):
+        cc = central.ngon(n, alpha)
+        v = nbody.tangent_part(cc.s0, cc.masses, rng.standard_normal(cc.s0.shape))
+        x = cc.s0 + 1e-7 * v / np.linalg.norm(v)
+        x /= np.sqrt(nbody.moment_of_inertia(x, cc.masses))
+        with pytest.raises(NotCentral, match="centrality residual"):
+            central._verify(x, cc.masses, alpha, "ngon")
+        moved = central.CentralConfiguration(
+            s0=x, masses=cc.masses.copy(), alpha=alpha, b=nbody.potential(x, cc.masses, alpha),
+            residual=nbody.central_residual(x, cc.masses, alpha), family="ngon")
+        with pytest.raises(NotCentral, match="too large"):
+            spectral.smallest_eigenvalue(moved)

@@ -1,6 +1,7 @@
 import argparse
 import functools
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 from ncol import central, cli, mcgehee, spectral
 from ncol.cli import SWEEP_HEADER, WEAKFORCE_HEADER, main
+from ncol.errors import NotCentral
 
 
 def run(capsys, *argv):
@@ -397,17 +399,25 @@ def test_weakforce_command(tmp_path, capsys):
     assert len(lines) == 7
 
 
+def child_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+NCOL_MAIN = "import sys; from ncol.cli import main; sys.exit(main())"
+
+
 def run_with_closed_reader(lines, *argv):
     """Run ncol in a child whose stdout reader closes after `lines` lines.
 
     Returns the child's exit code and stderr.
     """
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.Popen(
-        [sys.executable, "-c", "import sys; from ncol.cli import main; sys.exit(main())", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+        [sys.executable, "-c", NCOL_MAIN, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(), text=True)
     for _ in range(lines):
         proc.stdout.readline()
     proc.stdout.close()
@@ -496,18 +506,167 @@ def test_missing_file_is_io_error(capsys):
     assert rc == 1
 
 
-def test_threads_env_cap(capsys):
+def test_sweep_prints_its_header(capsys):
     rc, out, _ = run(capsys, "sweep", "--alpha-min", "0.5", "--alpha-max", "1.5",
                      "--steps", "3")
     assert rc == 0
     assert out.splitlines()[0] == SWEEP_HEADER
 
 
-def test_parallel_sweep_deterministic(capsys):
-    rc, serial, _ = run(capsys, "sweep", "--alpha-min", "0.2", "--alpha-max", "1.8",
+def test_repeated_sweeps_are_identical(capsys):
+    rc, first, _ = run(capsys, "sweep", "--alpha-min", "0.2", "--alpha-max", "1.8",
+                       "--steps", "9")
+    assert rc == 0
+    rc, second, _ = run(capsys, "sweep", "--alpha-min", "0.2", "--alpha-max", "1.8",
                         "--steps", "9")
     assert rc == 0
-    rc, threaded, _ = run(capsys, "sweep", "--alpha-min", "0.2", "--alpha-max", "1.8",
-                          "--steps", "9")
-    assert rc == 0
-    assert threaded == serial  # rows merged in alpha order regardless of workers
+    assert second == first
+
+
+def test_huge_n_is_a_usage_error(capsys, monkeypatch):
+    # the parser bounds --n, so no polygon is built: 10**6 vertices would ask
+    # numpy for 931 GiB of pair indices
+    built = []
+    monkeypatch.setattr(central, "ngon", lambda *a: built.append(a))
+    monkeypatch.setattr(spectral, "ngon_threshold", lambda *a: built.append(a))
+    for argv in (["spectral", "--family", "ngon", "--n", "1000000"],
+                 ["threshold", "--family", "ngon", "--n", "1000000"],
+                 ["central", "--family", "ngon", "--n", str(cli.MAX_N + 1)]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "") and err.startswith("usage error: argument --n: ")
+        assert f"from 2 to {cli.MAX_N}" in err
+    assert built == []
+    proc = subprocess.run(
+        [sys.executable, "-c", NCOL_MAIN, "spectral", "--family", "ngon", "--n", "1000000"],
+        capture_output=True, env=child_env(), text=True, timeout=300)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    # --help states the bound
+    with pytest.raises(SystemExit):
+        main(["spectral", "--help"])
+    assert f"at most {cli.MAX_N}" in " ".join(capsys.readouterr().out.split())
+
+
+def test_polygons_past_the_old_gate_are_central(capsys):
+    # the centrality gate allows for rounding the polygon to float64, which
+    # grows with N; N = 67 at alpha = 1 exited 2 without it
+    for argv in (["central", "--family", "ngon", "--n", "67"],
+                 ["spectral", "--family", "ngon", "--n", "48", "--alpha", "1.5"]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
+        assert json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# the BLAS thread count inside and around a command
+
+
+def blas_threads():
+    """(get, set) of numpy's OpenBLAS thread count; skips where they are absent."""
+    control = cli._openblas_threads()
+    if control is None:
+        pytest.skip("numpy's BLAS exports no scipy_openblas thread-count functions here")
+    return control
+
+
+@pytest.fixture
+def caller_threads(monkeypatch):
+    """A caller's BLAS thread count of 3, with no thread variable set; the
+    count found before is put back after the test."""
+    for var in cli._THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    get, set_threads = blas_threads()
+    before = get()
+    set_threads(3)
+    yield get
+    set_threads(before)
+
+
+def test_a_command_runs_on_one_blas_thread(capsys, monkeypatch, caller_threads):
+    seen = []
+
+    def fake(args):
+        seen.append(caller_threads())
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_figure1", fake)
+    assert main(["figure1"]) == 0
+    assert seen == [1] and caller_threads() == 3
+
+
+class _Raised(Exception):
+    pass
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("body,argv,want", [
+    (lambda args: 0, ["figure1"], 0),
+    (lambda args: 0, ["figure1", "--steps", "-1"], 1),
+    (lambda args: _raise(OSError("disk full")), ["figure1"], 1),
+    (lambda args: _raise(NotCentral("off")), ["figure1"], 2),
+    (lambda args: _raise(BrokenPipeError()), ["figure1"], 1),
+    (lambda args: _raise(_Raised()), ["figure1"], _Raised),
+    (lambda args: 0, ["--help"], SystemExit)], ids=[
+    "exit-0", "usage-error", "io-error", "numeric-failure", "broken-pipe", "raised",
+    "help"])
+def test_the_callers_blas_threads_come_back(capsys, monkeypatch, caller_threads,
+                                            body, argv, want):
+    inside = []
+    monkeypatch.setattr(cli, "cmd_figure1", lambda args: inside.append(caller_threads())
+                        or body(args))
+    if isinstance(want, int):
+        assert main(argv) == want
+    else:
+        with pytest.raises(want):
+            main(argv)
+    assert caller_threads() == 3
+    assert inside in ([], [1])
+
+
+@pytest.mark.parametrize("var", cli._THREAD_VARS)
+def test_a_thread_variable_keeps_the_users_blas_threads(capsys, monkeypatch,
+                                                        caller_threads, var):
+    monkeypatch.setenv(var, "3")
+    looked_up, seen = [], []
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: looked_up.append(1))
+
+    def fake(args):
+        seen.append(caller_threads())
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_figure1", fake)
+    assert main(["figure1"]) == 0
+    assert (looked_up, seen, caller_threads()) == ([], [3], 3)
+
+
+@pytest.fixture
+def fresh_lookup():
+    cli._openblas_threads.cache_clear()
+    yield
+    cli._openblas_threads.cache_clear()
+
+
+def test_no_blas_thread_control_leaves_commands_unchanged(capsys, monkeypatch, caplog,
+                                                          tmp_path, fresh_lookup):
+    for var in cli._THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    argv = ("spectral", "--family", "ngon", "--n", "6")
+    want = run(capsys, *argv)
+    assert want[0] == 0
+    cli._openblas_threads.cache_clear()
+    monkeypatch.setattr(cli, "_OPENBLAS_GLOB", str(tmp_path / "libscipy_openblas*"))
+    caplog.set_level(logging.DEBUG, logger="ncol.cli")
+    assert run(capsys, *argv) == want
+    assert run(capsys, *argv) == want
+    records = [r for r in caplog.records if r.name == "ncol.cli"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    assert "no OpenBLAS thread control" in records[0].getMessage()
+
+
+def test_importing_ncol_looks_up_no_blas_library():
+    code = ("import sys, ncol, ncol.cli; "
+            "sys.exit(ncol.cli._openblas_threads.cache_info().misses)")
+    assert subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          timeout=300).returncode == 0

@@ -418,6 +418,28 @@ def test_alpha_arrays_equal_a_loop_over_alphas(k, n, d, one_shape, seed):
             == 1.0 + alpha * pot[s] * float(np.linalg.norm(m[:, None] * x[s]))
 
 
+def test_central_gate_adds_the_rounding_of_the_positions():
+    rng = np.random.default_rng(22)
+    x = np.stack([random_config(rng, n=5) for _ in range(3)])
+    m = rng.uniform(0.5, 2.0, size=5)
+    alphas = np.array([0.3, 1.0, 1.8])
+    u, res, tol = nbody.central_gate_stack(x, m, alphas[:, None], 1e-9, 100.0)
+    want_u, want_res, scale = nbody.central_residual_stack(x, m, alphas[:, None])
+    np.testing.assert_array_equal(u, want_u)
+    np.testing.assert_array_equal(res, want_res)
+    eps = np.finfo(float).eps
+    rounding_only = nbody.central_gate_stack(x, m, alphas[:, None], 0.0, 0.0)[2]
+    for k, alpha in enumerate(alphas):
+        ii, jj = np.triu_indices(5, k=1)
+        r = np.linalg.norm(x[k, ii] - x[k, jj], axis=-1)
+        rounding = eps * np.linalg.norm(x[k]) * np.sum(
+            alpha * (alpha + 1.0) * m[ii] * m[jj] / r ** (alpha + 2.0))
+        assert rounding_only[k] == pytest.approx(rounding, rel=1e-12)
+        assert tol[k] == max(1e-9, 100.0 * eps * scale[k], rounding_only[k])
+    # the floor holds where both other terms are smaller
+    assert nbody.central_gate_stack(x, m, alphas[:, None], 1.0, 100.0)[2].tolist() == [1.0] * 3
+
+
 def test_fixed_configuration_broadcasts_against_directions():
     rng = np.random.default_rng(9)
     x = random_config(rng, n=5)
