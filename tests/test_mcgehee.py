@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncol import central, mcgehee, nbody
-from ncol.errors import EllipsoidDrift, NonCollapsing, StepFailure, ZeroConfiguration
+from ncol.errors import (EllipsoidDrift, InsufficientHorizon, NonCollapsing, StepFailure,
+                         ZeroConfiguration)
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +184,21 @@ def test_log_rate_matches_evaluate_and_survives_underflow(coll1):
         exact.log_rate(1501.0)
 
 
+def test_one_sample_trajectory_refuses_to_interpolate(coll1):
+    # `ncol weakforce --tau-max 1e-9` builds such members; interpolating one
+    # sample read the index -1 and returned NaN
+    one = mcgehee.homothetic_quadrature_trajectory(coll1, h=0.5, tau_max=0.0)
+    assert one.n_samples == 1
+    for method in (one.evaluate, one.rho_at, one.log_rate):
+        with pytest.raises(InsufficientHorizon, match="needs two samples, the trajectory has 1"):
+            method(0.0)
+    exact = mcgehee.homothetic_oracle(coll1, h=0.0, tau_max=1.0)
+    exact = dataclasses.replace(exact, tau=exact.tau[:1], rho=exact.rho[:1],
+                                rho_prime=exact.rho_prime[:1])
+    assert exact.rho_at(0.0)[0] == exact.evaluate(0.0)[0][0] == 1.0
+    assert exact.log_rate(0.0)[0] == -exact.meta["decay_rate"]
+
+
 def test_frozen_shape_is_read_from_the_data(coll1):
     assert mcgehee.homothetic_oracle(coll1, h=0.0, tau_max=5.0).frozen_shape
     assert mcgehee.homothetic_oracle(coll1, h=2.0, tau_max=5.0).frozen_shape
@@ -297,47 +313,179 @@ def test_quadrature_trajectory_matches_oracle(coll1):
     assert np.max(np.abs(rp1 - rp2) / np.abs(rp2)) < 1e-5
 
 
-@pytest.mark.parametrize("alpha,h,scale", [(1.0, -1.0, 1.0), (1.0, 0.7, 1.0),
-                                             (0.05, -60.0, 20.0), (1.6, 0.0, 1.0)])
-def test_quadrature_clock_equals_out_of_place_formula(alpha, h, scale):
-    # the in-place trapezoid sums keep the operation order of the plain formula
-    cc = central.collinear3(1.0, 1.0, alpha)
-    qt = mcgehee.homothetic_quadrature_trajectory(cc, h=h, tau_max=3.0, potential_scale=scale,
-                                                  keep_every=1)
-    beta, b, coef = mcgehee.beta_exponent(alpha), scale * cc.b, (2.0 - alpha) / 4.0
-    sigma_end = 3.0 * coef * np.sqrt(2.0 * (max(h, 0.0) + b)) + 5.0
-    sigma = np.linspace(0.0, sigma_end, int(np.ceil(sigma_end / 2e-4)) + 1)
-    speed = coef * np.sqrt(2.0 * (h * np.exp(-(beta - 2.0) * sigma) + b))
-    inv = 1.0 / speed
-    tau = np.concatenate([[0.0], np.cumsum(0.5 * (inv[1:] + inv[:-1]) * np.diff(sigma))])
-    k = qt.n_samples
-    np.testing.assert_array_equal(qt.tau, tau[:k])
-    np.testing.assert_array_equal(qt.rho_prime, -np.exp(-sigma[:k]) * speed[:k])
+def reference_quadrature_trajectory(cc, h, tau_max, potential_scale=1.0, keep_every=64,
+                                    chunk=1 << 14):
+    """The trapezoid walk that homothetic_quadrature_trajectory replaced with
+    its closed form; sigma, tau and speed at the kept grid points.
 
-
-@pytest.mark.parametrize("tau_max,keep_every,chunk", [
-    (3.0, 64, 1 << 14), (3.0, 7, 1 << 14), (0.01, 5, 1 << 14), (12.0, 64, 1000),
-    (12.0, 1, 999), (2.0, 3, 64), (1e-4, 4, 64)])
-def test_quadrature_chunks_keep_the_whole_grid_samples(tau_max, keep_every, chunk,
-                                                       monkeypatch):
-    # the chunked walk keeps, bitwise, the samples of one pass over the whole grid
-    alpha, h, scale = 0.05, -40.0, 20.0
-    cc = central.collinear3(1.0, 1.0, alpha)
-    monkeypatch.setattr(mcgehee, "_QUAD_CHUNK", chunk)
-    qt = mcgehee.homothetic_quadrature_trajectory(cc, h=h, tau_max=tau_max,
-                                                  potential_scale=scale,
-                                                  keep_every=keep_every)
-    beta, b, coef = mcgehee.beta_exponent(alpha), scale * cc.b, (2.0 - alpha) / 4.0
+    The grid is np.linspace(0, sigma_end, n), walked in chunks of chunk
+    intervals so that the fine grid (540,000 points for the alpha = 0.02
+    member of `ncol weakforce`) is never held whole.  The trapezoid sums of
+    1/speed are written in place, and the running clock is carried into the
+    first sum of the next chunk, which adds in the order of one cumsum over
+    the whole grid.  Every keep_every-th point is kept, and the last one at
+    or before tau_max; the walk ends with the chunk that passes tau_max.
+    """
+    if not 0.0 <= tau_max < np.inf:
+        raise ValueError(f"tau_max must be finite and non-negative, got {tau_max}")
+    alpha = cc.alpha
+    beta = mcgehee.beta_exponent(alpha)
+    b = potential_scale * cc.b
+    if h + b <= 0.0:
+        raise NonCollapsing("energy admits no inward velocity from rho = 1")
+    coef = (2.0 - alpha) / 4.0
     sigma_end = tau_max * coef * np.sqrt(2.0 * (max(h, 0.0) + b)) + 5.0
-    sigma = np.linspace(0.0, sigma_end, int(np.ceil(sigma_end / 2e-4)) + 1)
+    n = int(np.ceil(sigma_end / 2e-4)) + 1
+    dsigma = sigma_end / (n - 1)
+    kept = []
+    carry, stop = 0.0, n
+    for i0 in range(0, n - 1, chunk):
+        i1 = min(i0 + chunk, n - 1)
+        sigma = np.arange(i0, i1 + 1, dtype=float) * dsigma
+        if i1 == n - 1:
+            sigma[-1] = sigma_end
+        speed = coef * np.sqrt(2.0 * (h * np.exp(-(beta - 2.0) * sigma) + b))
+        inv = 1.0 / speed
+        tau = np.empty_like(sigma)
+        tau[0] = carry
+        steps = tau[1:]
+        np.add(inv[1:], inv[:-1], out=steps)
+        steps *= 0.5
+        steps *= np.subtract(sigma[1:], sigma[:-1], out=inv[1:])
+        steps[0] += carry
+        np.cumsum(steps, out=steps)
+        carry = tau[-1]
+        count = int(np.searchsorted(tau, tau_max, side="right"))
+        if count <= i1 - i0:
+            stop = i0 + count
+        # kept points of this chunk past its first, which the previous chunk kept
+        first = 0 if i0 == 0 else i0 + 1 + (-(i0 + 1)) % keep_every
+        local = np.arange(first, min(i1, stop - 1) + 1, keep_every) - i0
+        done = stop < n or i1 == n - 1
+        last = max(stop - 1, 0)
+        if done and (last % keep_every or stop == 0):
+            local = np.append(local, last - i0)
+        kept.append((sigma[local], tau[local], speed[local]))
+        if done:
+            break
+    return tuple(np.concatenate(parts) for parts in zip(*kept))
+
+
+def walk_grid(cc, h, tau_max, scale):
+    """The walk's grid: its point count n, its end sigma_end and its step."""
+    coef = (2.0 - cc.alpha) / 4.0
+    sigma_end = tau_max * coef * np.sqrt(2.0 * (max(h, 0.0) + scale * cc.b)) + 5.0
+    n = int(np.ceil(sigma_end / 2e-4)) + 1
+    return n, sigma_end, sigma_end / (n - 1)
+
+
+def whole_grid_walk(cc, h, tau_max, scale, keep_every=64):
+    """The trapezoid clock as one cumsum over the whole grid, out of place:
+    sigma, tau and speed at every keep_every-th point and at the last point
+    at or before tau_max."""
+    alpha = cc.alpha
+    beta, b, coef = mcgehee.beta_exponent(alpha), scale * cc.b, (2.0 - alpha) / 4.0
+    n, sigma_end, _ = walk_grid(cc, h, tau_max, scale)
+    sigma = np.linspace(0.0, sigma_end, n)
     speed = coef * np.sqrt(2.0 * (h * np.exp(-(beta - 2.0) * sigma) + b))
     inv = 1.0 / speed
     tau = np.concatenate([[0.0], np.cumsum(0.5 * (inv[1:] + inv[:-1]) * np.diff(sigma))])
     stop = np.searchsorted(tau, tau_max, side="right")
     keep = np.unique(np.concatenate([np.arange(0, stop, keep_every), [max(stop - 1, 0)]]))
-    np.testing.assert_array_equal(qt.tau, tau[keep])
-    np.testing.assert_array_equal(qt.rho, np.exp(-sigma[keep]))
-    np.testing.assert_array_equal(qt.rho_prime, -np.exp(-sigma[keep]) * speed[keep])
+    return sigma[keep], tau[keep], speed[keep]
+
+
+def assert_matches_the_walk(qt, sigma, tau, speed, rtol=1e-10, next_term=0.0):
+    """The walk's sample count, rho and rho' bitwise, and tau to rtol once
+    next_term, what the closed form leaves out of the walk's clock, is added."""
+    assert qt.n_samples == tau.size
+    np.testing.assert_array_equal(qt.rho, np.exp(-sigma))
+    np.testing.assert_array_equal(qt.rho_prime, -np.exp(-sigma) * speed)
+    np.testing.assert_allclose(qt.tau + next_term, tau, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha,h,scale", [(1.0, -1.0, 1.0), (1.0, 0.7, 1.0),
+                                             (0.05, -60.0, 20.0), (1.6, 0.0, 1.0)])
+def test_quadrature_clock_equals_out_of_place_formula(alpha, h, scale):
+    # the closed-form clock with its trapezoid term against one cumsum over the whole grid
+    cc = central.collinear3(1.0, 1.0, alpha)
+    qt = mcgehee.homothetic_quadrature_trajectory(cc, h=h, tau_max=3.0, potential_scale=scale)
+    assert_matches_the_walk(qt, *whole_grid_walk(cc, h, 3.0, scale))
+
+
+@pytest.mark.parametrize("tau_max,keep_every,chunk", [
+    (3.0, 64, 1 << 14), (3.0, 7, 1 << 14), (0.01, 5, 1 << 14), (12.0, 64, 1000),
+    (12.0, 1, 999), (2.0, 3, 64), (1e-4, 4, 64)])
+def test_quadrature_chunks_keep_the_whole_grid_samples(tau_max, keep_every, chunk):
+    # the reference walk keeps, bitwise, the samples of one pass over the whole grid
+    alpha, h, scale = 0.05, -40.0, 20.0
+    cc = central.collinear3(1.0, 1.0, alpha)
+    got = reference_quadrature_trajectory(cc, h, tau_max, scale, keep_every, chunk)
+    for a, b in zip(got, whole_grid_walk(cc, h, tau_max, scale, keep_every)):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("tau_max", [0.0, 1e-4, 0.01, 2.0, 3.0, 12.0])
+def test_quadrature_trajectory_matches_the_walk(tau_max):
+    alpha, h, scale = 0.05, -40.0, 20.0
+    cc = central.collinear3(1.0, 1.0, alpha)
+    qt = mcgehee.homothetic_quadrature_trajectory(cc, h=h, tau_max=tau_max, potential_scale=scale)
+    assert_matches_the_walk(qt, *reference_quadrature_trajectory(cc, h, tau_max, scale))
+
+
+def slope_changes(cc, h, scale, sigma):
+    """f'(sigma) - f'(0) and f'''(sigma) - f'''(0) for f = 1/speed, the
+    integrand of the frozen-shape clock.
+
+    f = (1 + x)^(-1/2) / c with x = (h/b) e^(-k sigma), so dx/dsigma = -k x;
+    b = scale U(s0) and c = ((2-alpha)/4) sqrt(2b).
+    """
+    k = mcgehee.beta_exponent(cc.alpha) - 2.0
+    b = scale * cc.b
+    c = (2.0 - cc.alpha) / 4.0 * np.sqrt(2.0 * b)
+    x = h / b * np.exp(-k * np.append(0.0, sigma))
+    d1 = k / (2.0 * c) * x * (1.0 + x) ** -1.5
+    d3 = k**3 / (2.0 * c) * x * (1.0 - 2.5 * x + 0.25 * x**2) * (1.0 + x) ** -3.5
+    return d1[1:] - d1[0], d3[1:] - d3[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(min_value=1e-4, max_value=1.9),
+       masses=st.sampled_from([(1.0, 1.0), (10.0, 0.1), (3.0, 1.0)]),
+       tau_max=st.floats(min_value=0.0, max_value=40.0))
+def test_quadrature_trajectory_matches_the_walk_on_H_members(alpha, masses, tau_max):
+    # (H)-normalised members as `ncol weakforce` builds them, on collapsing mass pairs
+    from ncol import weakforce
+
+    cc = central.collinear3(*masses, alpha)
+    h, scale = weakforce.scaled_energy_for_H(cc.masses, alpha), 1.0 / alpha
+    qt = mcgehee.homothetic_quadrature_trajectory(cc, h=h, tau_max=tau_max, potential_scale=scale)
+    sigma, tau, speed = reference_quadrature_trajectory(cc, h, tau_max, scale)
+    # Past 1e-10 relative, the gap is the walk's running-sum rounding, at most
+    # n 2^-53 relative over its n points (3.1e-10 with n = 2.5e7), and the next
+    # Euler-Maclaurin term -dsigma^4/720 (f'''(sigma) - f'''(0)), which passes
+    # 1e-10 only where 1/speed is steep (3e-9 at masses (1, 1) and alpha 1.9)
+    n, _, dsigma = walk_grid(cc, h, tau_max, scale)
+    next_term = -dsigma**4 / 720.0 * slope_changes(cc, h, scale, sigma)[1]
+    assert_matches_the_walk(qt, sigma, tau, speed, 1e-10 + n * 2.0**-53, next_term)
+
+
+@pytest.mark.parametrize("alpha,gap", [(0.5, "7.03e-07"), (0.02, "6.16e-07")])
+def test_trapezoid_term_is_the_gap_to_the_exact_clock(alpha, gap):
+    # README's figure for `ncol weakforce`: the walk's clock is off the exact
+    # one by dsigma^2/12 (f'(sigma) - f'(0)) alone, worst at the first sample
+    from ncol import weakforce
+
+    cc = central.collinear3(1.0, 1.0, alpha)
+    h, scale = weakforce.scaled_energy_for_H(cc.masses, alpha), 1.0 / alpha
+    sigma, tau, _ = reference_quadrature_trajectory(cc, h, 12.0, scale)
+    exact = closed_form_clock(cc, h, sigma[1:], scale)
+    dsigma = walk_grid(cc, h, 12.0, scale)[2]
+    term = dsigma**2 / 12.0 * slope_changes(cc, h, scale, sigma[1:])[0]
+    assert f"{np.max(np.abs(term) / exact):.2e}" == gap
+    assert f"{np.max(np.abs(tau[1:] - exact) / exact):.2e}" == gap
+    # the next term is 1.2e-12 relative at alpha = 0.5
+    np.testing.assert_allclose(tau[1:], exact + term, rtol=1e-11)
 
 
 @pytest.mark.parametrize("tau_max", [-1.0, np.nan, np.inf])
@@ -365,7 +513,7 @@ def test_homothetic_oracle_caps_its_samples(coll1):
 
 def test_quadrature_trajectory_never_holds_the_whole_grid():
     # the alpha = 0.02 member of `ncol weakforce`: a 540,000-point grid, 4.1 MB
-    # per whole-grid array
+    # per whole-grid array; the clock is evaluated at every 64th point only
     import tracemalloc
 
     from ncol import weakforce
@@ -381,7 +529,8 @@ def test_quadrature_trajectory_never_holds_the_whole_grid():
     finally:
         tracemalloc.stop()
     assert qt.n_samples > 5000
-    assert peak < 2**21
+    # 610,144 bytes measured: about nine arrays of the 8,438 points every 64th
+    assert peak < 700_000
 
 
 def test_asymptotic_report_needs_samples(coll1):
@@ -754,13 +903,15 @@ def reference_physical_time(cc, h, tau_max, phi_min):
     return ts, tau, rho, rho_p
 
 
-def closed_form_clock(cc, h, sigma):
+def closed_form_clock(cc, h, sigma, scale=1.0):
     """tau(sigma) = [sigma + (2/k) ln((1 + v(sigma)) / (1 + v(0)))] / c along the
-    frozen-shape collapse, with v = sqrt(1 + (h/U) e^(-k sigma)) and k = beta - 2."""
-    k = mcgehee.beta_exponent(cc.alpha) - 2.0
-    v = np.sqrt(1.0 + h / cc.b * np.exp(-k * sigma))
-    v0 = np.sqrt(1.0 + h / cc.b)
-    return (sigma + 2.0 / k * np.log((1.0 + v) / (1.0 + v0))) / mcgehee.homothetic_decay_rate(cc)
+    frozen-shape collapse, with v = sqrt(1 + (h/b) e^(-k sigma)), b = scale U,
+    k = beta - 2 and c = ((2-alpha)/4) sqrt(2b)."""
+    k, b = mcgehee.beta_exponent(cc.alpha) - 2.0, scale * cc.b
+    v = np.sqrt(1.0 + h / b * np.exp(-k * sigma))
+    v0 = np.sqrt(1.0 + h / b)
+    c = (2.0 - cc.alpha) / 4.0 * np.sqrt(2.0 * b)
+    return (sigma + 2.0 / k * np.log((1.0 + v) / (1.0 + v0))) / c
 
 
 def test_zero_energy_collapse_matches_physical_time(coll1):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncol import central, nbody, weakforce
+from ncol import central, mcgehee, nbody, weakforce
 from ncol.errors import NonCollapsing, NotHomographic
 
 
@@ -86,6 +86,19 @@ def test_uniform_collapse_measured(family):
     uc = family.uniform_collapse(sigmas=(0.5, 0.1, 0.01))
     assert all(v is not None for v in uc.values())
     assert uc[0.5] < uc[0.1] < uc[0.01]
+
+
+@pytest.mark.parametrize("rho,sigma,want", [
+    ([1.0, 0.4, 0.6, 0.3, 0.2], 0.5, 3.0),  # below 0.5 at tau = 1, back above at 2
+    ([0.3, 0.6], 0.5, None),  # ends above sigma
+    ([1.0, 0.9], 0.5, None),  # never below
+    ([0.3, 0.2], 0.5, 0.0)])  # below from the start
+def test_uniform_collapse_on_a_member_that_is_not_monotone(rho, sigma, want):
+    cc = central.collinear3(1.0, 1.0, 0.5)
+    tau = np.arange(float(len(rho)))
+    member = mcgehee._frozen_trajectory(cc, tau, np.array(rho), -np.ones(tau.size), 0.0)
+    fam = weakforce.ScaledFamily(cc=cc, alphas=(0.5,), trajectories=(member,))
+    assert fam.uniform_collapse(sigmas=(sigma,)) == {sigma: want}
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.1])
