@@ -14,8 +14,11 @@ configuration and calls the core.
 
 The gradient gathers each body's pair terms through a cached index and adds
 them in the order a scatter of the pair forces would, so it rounds as that
-scatter does.  The tau-flow right-hand side in mcgehee calls the core's
-private helpers with its pair constants formed once per integration.
+scatter does.  Beyond mcgehee.FLOAT_RHS_MAX_N bodies the tau-flow
+right-hand side in mcgehee calls the core's private helpers with its pair
+constants formed once per integration.  Up to that count it loops over the
+pairs on Python floats instead, with the same COLLISION_THRESHOLD check, and
+rounds differently from these kernels (scalar against array pow).
 """
 
 from __future__ import annotations

@@ -43,13 +43,14 @@ def kicked_member():
 def sampling_contract():
     """Checker of integrate_el's stored samples.
 
-    check(tau, rho, s, s_prime, masses, max_step, tau_max, rho_min): the taus
-    increase, no two lie more than max_step / 2 apart, every sample sits on
-    the ellipsoid I(s) = 1 with a tangent velocity to 1e-14, every sample
-    before the last has rho > rho_min, and the last sits at tau_max or below
-    rho_min.
+    check(tau, rho, rho_prime, s, s_prime, masses, max_step, tau_max, rho_min):
+    the taus increase, no two lie more than max_step / 2 apart, every sample
+    sits on the ellipsoid I(s) = 1 with a tangent velocity to 1e-14, every
+    sample before the last has rho > rho_min and is no bounce (rho' >= 0
+    right after rho' < 0), and the last sits at tau_max, below rho_min or at
+    the first bounce, integrate_el's three stop reasons.
     """
-    def check(tau, rho, s, s_prime, masses, max_step, tau_max, rho_min):
+    def check(tau, rho, rho_prime, s, s_prime, masses, max_step, tau_max, rho_min):
         gaps = np.diff(tau)
         assert np.all(gaps > 0.0)
         assert gaps.max() <= 0.5 * max_step * (1.0 + 1e-12)
@@ -58,7 +59,10 @@ def sampling_contract():
         radial = np.einsum("j,kjd,kjd->k", masses, s, s_prime)
         assert np.max(np.abs(radial)) <= 1e-14
         assert np.all(rho[:-1] > rho_min)
-        assert tau[-1] == pytest.approx(tau_max, rel=1e-14, abs=0.0) or rho[-1] <= rho_min
+        bounces = (rho_prime[1:] >= 0.0) & (rho_prime[:-1] < 0.0)
+        assert not bounces[:-1].any()
+        assert (tau[-1] == pytest.approx(tau_max, rel=1e-14, abs=0.0) or rho[-1] <= rho_min
+                or bounces[-1])
 
     return check
 
@@ -66,7 +70,7 @@ def sampling_contract():
 @pytest.fixture
 def read_trajectory_csv():
     """Reader of a trajectory CSV (ncol simulate, the collapse probe): returns
-    tau, rho, s and s' of its rows, which hold the stored samples exactly."""
+    tau, rho, rho', s and s' of its rows, which hold the stored samples exactly."""
     def read(path):
         with open(path) as fh:
             header = fh.readline().strip().split(",")
@@ -76,7 +80,7 @@ def read_trajectory_csv():
         n, d = (max(int(b[k]) for b in bodies) for k in (0, 1))
         s = data[:, [col[f"s_{i}_{c}"] for i in range(1, n + 1) for c in range(1, d + 1)]]
         sp = data[:, [col[f"sp_{i}_{c}"] for i in range(1, n + 1) for c in range(1, d + 1)]]
-        return (data[:, col["tau"]], data[:, col["rho"]], s.reshape(-1, n, d),
-                sp.reshape(-1, n, d))
+        return (data[:, col["tau"]], data[:, col["rho"]], data[:, col["rho_prime"]],
+                s.reshape(-1, n, d), sp.reshape(-1, n, d))
 
     return read

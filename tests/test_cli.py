@@ -227,7 +227,7 @@ def test_simulate_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,tau_max,max_step", [
-    # h = 0 at alpha = 1 ends at the rho_min wall near tau 27.6
+    # h = 0 at alpha = 1 ends at the rho_min wall, or turns back just above it, near tau 27.5
     (["--tau-max", "50"], 50.0, 0.1),
     (["--perturb", "1e-6", "--seed", "5", "--tau-max", "2", "--max-step", "0.3"], 2.0, 0.3),
     (["--perturb", "1e-4", "--tau-max", "1.5", "--max-step", "0.02", "--rtol", "1e-8"],
@@ -240,9 +240,9 @@ def test_simulate_rows_keep_the_sampling_contract(tmp_path, capsys, sampling_con
     rc, _, err = run(capsys, "simulate", "--family", "collinear3", "--alpha", "1", *argv,
                      "--out", str(out_path))
     assert rc == 0, err
-    tau, rho, s, s_prime = read_trajectory_csv(out_path)
+    tau, rho, rho_prime, s, s_prime = read_trajectory_csv(out_path)
     assert f"samples={tau.size} " in err
-    sampling_contract(tau, rho, s, s_prime, np.ones(3), max_step, tau_max, 1e-8)
+    sampling_contract(tau, rho, rho_prime, s, s_prime, np.ones(3), max_step, tau_max, 1e-8)
 
 
 def test_simulate_rejects_oversized_perturbation(capsys):

@@ -50,8 +50,9 @@ def test_collapse_probe_runs_keep_the_sampling_contract(tmp_path, sampling_contr
         c = mcgehee.homothetic_decay_rate(cc)
         rate = c + np.sqrt(max(c**2 + spectral.smallest_eigenvalue(cc).mu1, 0.0))
         tau_cap = min(8.0, np.log(0.02 / 1e-6) / rate)
-        tau, rho, s, s_prime = read_trajectory_csv(tmp_path / f"trajectory_alpha{alpha}.csv")
-        sampling_contract(tau, rho, s, s_prime, cc.masses, 0.05, tau_cap, 1e-8)
+        path = tmp_path / f"trajectory_alpha{alpha}.csv"
+        tau, rho, rho_prime, s, s_prime = read_trajectory_csv(path)
+        sampling_contract(tau, rho, rho_prime, s, s_prime, cc.masses, 0.05, tau_cap, 1e-8)
 
 
 def test_figure_sweep_script_matches_cli(tmp_path, capsys):
