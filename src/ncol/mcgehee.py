@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +101,10 @@ def _energy_stack(rho, rho_prime, s, s_prime, m, alpha, potential_scale):
     return rho ** (-beta) * (kin + rho**2 * (0.5 * sp2 - u))
 
 
+# the first step integrate_el tries
+FIRST_STEP = 1e-3
+
+
 @dataclass(frozen=True)
 class IntegratorOptions:
     """Settings of the tau-flow integrator (integrate_el).
@@ -108,14 +113,13 @@ class IntegratorOptions:
     1e-12 / 16: controlled at rtol itself, DOP853's long steps let a kicked
     collinear run at rtol 1e-11 drift past a 1e-8 gate on lambda1.  max_step
     caps no step; it bounds the samples, which lie no more than max_step / 2
-    apart in tau.  first_step is the first step tried; rho_min, drift_abort
-    and max_steps, a budget of both attempted steps and max_steps + 1 stored
-    samples, end a run (see integrate_el).
+    apart in tau.  rho_min, drift_abort and max_steps, a budget of both
+    attempted steps and max_steps + 1 stored samples, end a run (see
+    integrate_el).  Every run tries FIRST_STEP first.
     """
 
     rtol: float = 1e-10
     max_step: float = 0.1
-    first_step: float = 1e-3
     rho_min: float = 1e-8
     drift_abort: float = 1e-6
     max_steps: int = 100_000
@@ -129,6 +133,9 @@ class Trajectory:
     rho^2 |s'|_M^2.  exact_homothetic marks trajectories backed by the closed
     zero-energy collapse formula rho = exp(-c tau), s const.  Frozen shapes
     hold s and s' as read-only stride-0 views of one row (_frozen_trajectory).
+    Sampled data read rho through a per-interval cubic of log rho, tabled on
+    first use and cached (_log_rho_table); the samples are not to be changed
+    in place after that.
     """
 
     alpha: float
@@ -199,58 +206,63 @@ class Trajectory:
             raise ValueError(f"tau range [{t.min()}, {t.max()}] outside trajectory horizon")
         return t
 
-    def _hermite(self, t: np.ndarray):
-        """Sample index with the cubic Hermite weights and their tau-derivatives."""
-        idx, h, u = self._locate(t)
-        h00 = (1 + 2 * u) * (1 - u) ** 2
-        h10 = u * (1 - u) ** 2
-        h01 = u**2 * (3 - 2 * u)
-        h11 = u**2 * (u - 1)
-        dh00 = 6 * u * (u - 1) / h
-        dh10 = (1 - u) * (1 - 3 * u) / h
-        dh01 = -6 * u * (u - 1) / h
-        dh11 = u * (3 * u - 2) / h
-        return idx, (h00, h10 * h, h01, h11 * h), (dh00, dh10 * h, dh01, dh11 * h)
+    @cached_property
+    def _log_rho_table(self) -> np.ndarray:
+        """The cubic Hermite of log rho on each sample interval, built once per
+        trajectory: rows tau0, h and c0-c3 of c0 + c1 u + c2 u^2 + c3 u^3 in
+        u = (t - tau0) / h, one column per interval, with the slopes rho'/rho
+        at both ends.  Field-major, so that one take gathers each field as a
+        contiguous row."""
+        lr = np.log(self.rho)
+        h = np.diff(self.tau)
+        slope = self.rho_prime / self.rho
+        m0, m1 = slope[:-1] * h, slope[1:] * h
+        rise = lr[1:] - lr[:-1]
+        return np.stack([self.tau[:-1], h, lr[:-1], m0, 3.0 * rise - 2.0 * m0 - m1,
+                         m0 + m1 - 2.0 * rise])
 
-    def _log_rho(self, idx, w) -> np.ndarray:
-        lr0, lr1 = np.log(self.rho[idx]), np.log(self.rho[idx + 1])
-        sl0 = self.rho_prime[idx] / self.rho[idx]
-        sl1 = self.rho_prime[idx + 1] / self.rho[idx + 1]
-        return w[0] * lr0 + w[1] * sl0 + w[2] * lr1 + w[3] * sl1
+    def _log_rho_cubic(self, t: np.ndarray):
+        """Interval index, h, u and the cubic's c0-c3 at tau values t."""
+        # the interval whose start is the last sample at or before t, clipped
+        # to the first and last intervals
+        idx = np.searchsorted(self.tau[1:-1], t, side="right")
+        tau0, h, *c = self._log_rho_table.take(idx, axis=1)
+        return idx, h, (t - tau0) / h, c
+
+    @staticmethod
+    def _cubic(u, c):
+        return c[0] + u * (c[1] + u * (c[2] + u * c[3]))
+
+    @staticmethod
+    def _cubic_slope(u, h, c):
+        return (c[1] + u * (2.0 * c[2] + u * (3.0 * c[3]))) / h
 
     def log_rate(self, t) -> np.ndarray:
         """rho'/rho at tau values t, formed without dividing rho' by rho.
 
         The ratio stays finite where rho itself underflows (c tau > ~745 on
         the exact collapse): exact data returns -c, sampled data the
-        derivative of the Hermite interpolant of log rho used by evaluate.
+        derivative of the cubic of log rho used by evaluate.
         """
         t = self._checked_tau(t)
         if self.exact_homothetic:
             return np.full(t.shape, -self.meta["decay_rate"])
-        idx, _, dw = self._hermite(t)
-        return self._log_rho(idx, dw)
-
-    def _locate(self, t: np.ndarray):
-        idx = np.clip(np.searchsorted(self.tau, t, side="right") - 1, 0, self.n_samples - 2)
-        t0, t1 = self.tau[idx], self.tau[idx + 1]
-        h = t1 - t0
-        u = (t - t0) / h
-        return idx, h, u
+        _, h, u, c = self._log_rho_cubic(t)
+        return self._cubic_slope(u, h, c)
 
     def rho_at(self, t) -> np.ndarray:
         """Interpolated rho at tau values t, as evaluate gives it, without the shape."""
         t = self._checked_tau(t)
         if self.exact_homothetic:
             return np.exp(-self.meta["decay_rate"] * t)
-        idx, w, _ = self._hermite(t)
-        return np.exp(self._log_rho(idx, w))
+        _, _, u, c = self._log_rho_cubic(t)
+        return np.exp(self._cubic(u, c))
 
     def evaluate(self, t):
         """Interpolated (rho, rho', s, s') at tau values t (scalar or array).
 
-        rho is interpolated through its logarithm with Hermite cubics (log rho
-        is nearly linear along a collapse, so this preserves relative
+        rho comes from the per-interval cubic of log rho (_log_rho_table; log
+        rho is nearly linear along a collapse, so this preserves relative
         accuracy); s uses Hermite cubics with the stored velocities.
         """
         t = self._checked_tau(t)
@@ -258,16 +270,20 @@ class Trajectory:
             rho, shape = self.rho_at(t), (t.size,) + self.s[0].shape
             return (rho, -self.meta["decay_rate"] * rho, np.broadcast_to(self.s[0], shape),
                     np.broadcast_to(self.s_prime[0], shape))
-        idx, w, dw = self._hermite(t)
-        rho = np.exp(self._log_rho(idx, w))
-        rho_p = rho * self._log_rho(idx, dw)
+        idx, h, u, c = self._log_rho_cubic(t)
+        rho = np.exp(self._cubic(u, c))
+        # the cubic Hermite weights of s, s', and their tau-derivatives
+        w = ((1 + 2 * u) * (1 - u) ** 2, u * (1 - u) ** 2 * h, u**2 * (3 - 2 * u),
+             u**2 * (u - 1) * h)
+        dw = (6 * u * (u - 1) / h, (1 - u) * (1 - 3 * u) / h * h, -6 * u * (u - 1) / h,
+              u * (3 * u - 2) / h * h)
         shape = self.s[0].shape
         bc = (slice(None),) + (None,) * len(shape)
         s0v, s1v = self.s[idx], self.s[idx + 1]
         sp0, sp1 = self.s_prime[idx], self.s_prime[idx + 1]
         s = w[0][bc] * s0v + w[1][bc] * sp0 + w[2][bc] * s1v + w[3][bc] * sp1
         s_p = dw[0][bc] * s0v + dw[1][bc] * sp0 + dw[2][bc] * s1v + dw[3][bc] * sp1
-        return rho, rho_p, s, s_p
+        return rho, rho * self._cubic_slope(u, h, c), s, s_p
 
     def to_csv(self, path) -> None:
         n, d = self.s.shape[1], self.s.shape[2]
@@ -284,9 +300,11 @@ class Trajectory:
             self.s.reshape(self.n_samples, -1), self.s_prime.reshape(self.n_samples, -1),
             u_tr, h_tr, lam1, lam2,
         ])
+        # the bytes of np.savetxt(fh, rows, delimiter=","), formatted in one call
+        row = ",".join(["%.18e"] * rows.shape[1]) + "\n"
         with open(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
-            np.savetxt(fh, rows, delimiter=",")
+            fh.write(row * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -443,30 +461,38 @@ def _dense_values(coef, y_old, x):
     return out
 
 
-def _dop853(f, t, y, hstep, running, *, rtol, atol, floor, project, sample_gap=np.inf,
+def _dop853(f, t, y, hstep, *, rtol, atol, floor, project, stop, sample_gap=np.inf,
             t_end=np.inf, max_steps=np.inf):
     """DOP853 with dop853.f's error control and step-size rule; returns the
     stored times and states.
 
-    Steps while running(t, y), each step clipped to t_end alone: the error
-    control sets its size.  An accepted solution passes through project(t, y)
-    before it is stored, and the next step starts from a fresh f(t, y).  An
-    accepted step longer than sample_gap is cut into the fewest equal pieces
-    no longer than it; the continuous extension gives the state at each
-    interior cut, which is projected and stored like a step end.  The run
-    ends at the first stored sample where running fails.
-    Raises StepFailure when the step falls below floor(t), when running
-    still holds after max_steps attempted steps, accepted or rejected, and,
-    before forming its cuts, when a step would take the samples past max_steps + 1.
+    Each step is clipped to t_end alone: the error control sets its size, and
+    a nan error norm rejects the step and shrinks it by the least factor, 1/3.
+    project(ts, ys) works in place on a block of states, one row per time in
+    ts.  An accepted solution passes through it as a one-row block, and the
+    next step starts from a fresh f(t, y).  An accepted step longer than
+    sample_gap is cut into the fewest equal pieces no longer than it; the
+    continuous extension gives the states at the interior cuts, which are
+    projected as one block.  stop(ts, ys) returns the index of the first row
+    of a block at which the run ends, or None.  It sees the initial state as
+    a one-row block, then each accepted step's cuts and end as one block, and
+    the run ends with that row stored.
+    Raises StepFailure when the step falls below floor(t), when no row has
+    stopped the run after max_steps attempted steps, accepted or rejected,
+    and, before forming its cuts, when a step would take the samples past
+    max_steps + 1.
     """
-    ts, ys = [t], [y.copy()]
+    ts, ys = [np.array([t])], [y[None].copy()]
+    if stop(ts[0], ys[0]) is not None:
+        return ts[0], ys[0]
+    stored = 1
     ks = np.empty((16, y.size))
     ks[0] = f(t, y)
     attempts = 0
-    while running(t, y):
+    while True:
         if attempts >= max_steps:
             raise StepFailure(f"step budget spent: {attempts} attempted steps, "
-                              f"{len(ts) - 1} accepted, at t = {t}")
+                              f"{stored - 1} accepted, at t = {t}")
         attempts += 1
         hstep = min(hstep, t_end - t)
         if hstep < floor(t):
@@ -486,31 +512,38 @@ def _dop853(f, t, y, hstep, running, *, rtol, atol, floor, project, sample_gap=n
         err = hstep * err5 / math.sqrt(y.size * (deno if deno > 0.0 else 1.0))
         if err <= 1.0:
             # the step stores pieces samples; divide only when that fits (sample_gap may be 0)
-            room = max_steps + 1 - len(ts)
+            room = max_steps + 1 - stored
             pieces = math.ceil(hstep / sample_gap) if hstep <= room * sample_gap else room + 1
             if pieces > room:
-                raise StepFailure(f"sample budget spent: {len(ts)} samples stored at t = {t}")
+                raise StepFailure(f"sample budget spent: {stored} samples stored at t = {t}")
             t_old, y_old = t, y
             t += hstep
-            y = project(t, y8)
+            y = project([t], y8[None])[0]
             ks[12] = f(t, y)
             if pieces > 1:
-                x = (np.arange(1.0, pieces) / pieces)[:, None]
-                cuts = _dense_values(_dense_coefficients(f, t_old, y_old, y, hstep, ks),
-                                     y_old, x)
-                for xk, yk in zip(x[:, 0].tolist(), cuts):
-                    tk = t_old + xk * hstep
-                    yk = project(tk, yk)
-                    ts.append(tk)
-                    ys.append(yk)
-                    if not running(tk, yk):
-                        return np.array(ts), np.array(ys)
-            ts.append(t)
-            ys.append(y)
+                # the step fractions of the cuts and of the end, where x = 1 gives t
+                x = np.arange(1.0, pieces + 1.0) / pieces
+                block_t = t_old + x * hstep
+                block = np.empty((pieces, y.size))
+                block[:-1] = _dense_values(_dense_coefficients(f, t_old, y_old, y, hstep, ks),
+                                           y_old, x[:-1, None])
+                project(block_t, block[:-1])
+                block[-1] = y
+            else:
+                block_t, block = np.array([t]), y[None]
+            end = stop(block_t, block)
+            if end is not None:
+                ts.append(block_t[:end + 1])
+                ys.append(block[:end + 1])
+                break
+            ts.append(block_t)
+            ys.append(block)
+            stored += pieces
             ks[0] = ks[12]
-        factor = 0.9 * err ** -0.125 if err > 0 else 6.0
+        # a nan error norm fails both tests and takes the least factor
+        factor = 0.9 * err ** -0.125 if err > 0.0 else 6.0 if err == 0.0 else 0.0
         hstep *= min(6.0, max(1.0 / 3.0, factor))
-    return np.array(ts), np.array(ys)
+    return np.concatenate(ts), np.concatenate(ys)
 
 
 # the most bodies whose tau-flow right-hand side runs on Python floats (see _flow)
@@ -550,6 +583,8 @@ def _array_flow(alpha, m, h, scale, d):
 
     def f(_tau, y):
         rho, p = y[:2].tolist()
+        if rho <= 0.0:
+            return np.full(y.size, np.nan)
         s = y[2:2 + nd].reshape(n, d)
         u = y[2 + nd:].reshape(n, d)
         _, _, diff, dist = nbody.pair_separations(s)
@@ -592,6 +627,8 @@ def _float_flow(alpha, m, h, scale, d):
     def f(_tau, y):
         v = y.tolist()
         rho, p = v[0], v[1]
+        if rho <= 0.0:
+            return np.full(y.size, np.nan)
         s, u = v[2:2 + nd], v[2 + nd:]
         # pot sums m_i m_j r^-alpha, g the pair terms m_i m_j r^-(alpha+2) (s_i - s_j),
         # so that grad U = -alpha scale g
@@ -631,11 +668,12 @@ def integrate_el(initial: McGeheeState, m, alpha, tau_max: float,
     The error control at opts.rtol / 16 sets every step.  A step longer than
     opts.max_step / 2 also stores states from DOP853's 7th-order dense output
     at equal tau spacing inside it, so no two samples lie more than
-    opts.max_step / 2 apart.  The shape point of every stored state, step end
-    or interior, is renormalized to the ellipsoid and its velocity
-    re-projected; corrections beyond drift_abort raise EllipsoidDrift.  The
-    run stops at the first stored sample that meets one of these, and
-    records it in meta["stop"], checked in this order:
+    opts.max_step / 2 apart.  The shape point of every stored state is
+    renormalized to the ellipsoid and its velocity re-projected, the step end
+    as one row and a step's interior states as one block
+    (_ellipsoid_projection); corrections beyond drift_abort raise
+    EllipsoidDrift.  The run stops at the first stored sample that meets one
+    of these, and records it in meta["stop"], checked in this order:
 
     * "tau_max": tau has reached tau_max;
     * "rho_min": rho <= opts.rho_min;
@@ -652,48 +690,67 @@ def integrate_el(initial: McGeheeState, m, alpha, tau_max: float,
     n, d = state.s.shape
     h_energy = energy(state, m, alpha, potential_scale)
     f = _flow(alpha, m, h_energy, potential_scale, d)
-    m_col = m[:, None]
+    reason, collapsing = None, False
 
-    def reproject(tau, y):
-        s = y[2:2 + n * d].reshape(n, d)
-        u = y[2 + n * d:].reshape(n, d)
-        inertia = (m * (s * s).sum(axis=1)).sum().item()
-        if abs(inertia - 1.0) > opts.drift_abort:
-            raise EllipsoidDrift(f"|I(s) - 1| = {abs(inertia - 1.0):.3e} at tau = {tau}")
-        s /= math.sqrt(inertia)
-        u -= (m_col * s * u).sum().item() * s
-        return y
-
-    collapsing = False
-
-    def stop_reason(tau, y):
-        """Why the run ends at this stored sample, or None while it goes on."""
-        nonlocal collapsing
-        if not tau < tau_max:
-            return "tau_max"
-        if not y[0] > opts.rho_min:
-            return "rho_min"
-        # samples come in order, and a rejected step asks again about the same one
-        if y[1] < 0.0:
-            collapsing = True
-        elif y[1] >= 0.0 and collapsing:
-            return "bounce"
+    def stop(taus, ys):
+        """The first row of a stored block at which the run ends, or None; records why."""
+        nonlocal reason, collapsing
+        for i, (tau, rho, rho_p) in enumerate(zip(taus.tolist(), ys[:, 0].tolist(),
+                                                   ys[:, 1].tolist())):
+            if not tau < tau_max:
+                reason = "tau_max"
+            elif not rho > opts.rho_min:
+                reason = "rho_min"
+            elif rho_p >= 0.0 and collapsing:
+                reason = "bounce"
+            else:
+                collapsing = collapsing or rho_p < 0.0
+                continue
+            return i
         return None
 
     y0 = np.concatenate([[state.rho, state.rho_prime], state.s.ravel(), state.s_prime.ravel()])
-    taus, ys = _dop853(f, 0.0, y0, opts.first_step,
-                       lambda tau, y: stop_reason(tau, y) is None,
-                       rtol=opts.rtol / 16.0, atol=1e-12 / 16.0, sample_gap=0.5 * opts.max_step,
-                       floor=lambda tau: 1e-14 * max(1.0, tau), t_end=tau_max,
-                       project=reproject, max_steps=opts.max_steps)
+    taus, ys = _dop853(f, 0.0, y0, FIRST_STEP, rtol=opts.rtol / 16.0, atol=1e-12 / 16.0,
+                       sample_gap=0.5 * opts.max_step, floor=lambda tau: 1e-14 * max(1.0, tau),
+                       t_end=tau_max, project=_ellipsoid_projection(m, d, opts.drift_abort),
+                       stop=stop, max_steps=opts.max_steps)
     return Trajectory(
         alpha=alpha, masses=m, tau=taus,
         rho=ys[:, 0], rho_prime=ys[:, 1],
         s=ys[:, 2:2 + n * d].reshape(-1, n, d),
         s_prime=ys[:, 2 + n * d:].reshape(-1, n, d),
         h=h_energy, potential_scale=potential_scale,
-        meta={"stop": stop_reason(taus[-1], ys[-1])},
+        meta={"stop": reason},
     )
+
+
+def _ellipsoid_projection(m, d, drift_abort):
+    """project(taus, ys) for blocks of tau-flow states: in place, each row's
+    shape point renormalized to the ellipsoid I(s) = 1 and its velocity made
+    tangent, <M s, s'> = 0.  A row whose |I(s) - 1| exceeds drift_abort
+    raises EllipsoidDrift naming its tau, the first such row of the block;
+    no row is changed then.  Each row comes out bitwise as it would from the
+    same projection of that row alone.
+    """
+    n = m.size
+    nd = n * d
+    m_col = m[:, None]
+
+    def project(taus, ys):
+        k = len(ys)
+        s = ys[:, 2:2 + nd].reshape(k, n, d)
+        u = ys[:, 2 + nd:].reshape(k, n, d)
+        inertia = np.add.reduce(m * np.add.reduce(s * s, axis=2), axis=1)
+        drift = np.abs(inertia - 1.0)
+        # fmax passes over a NaN row, which the check lets through
+        if np.fmax.reduce(drift) > drift_abort:
+            i = np.flatnonzero(drift > drift_abort)[0]
+            raise EllipsoidDrift(f"|I(s) - 1| = {float(drift[i]):.3e} at tau = {float(taus[i])}")
+        s /= np.sqrt(inertia)[:, None, None]
+        u -= np.add.reduce((m_col * s * u).reshape(k, nd), axis=1)[:, None, None] * s
+        return ys
+
+    return project
 
 
 def homothetic_initial_state(cc, h: float = 0.0, potential_scale: float = 1.0,

@@ -216,10 +216,12 @@ def _intervals(width: float, points_per_unit: float) -> int:
     return n + n % 2
 
 
-def _support_grid(traj: Trajectory, lo, hi, intervals: int):
+def _support_grid(traj: Trajectory, lo, hi, intervals: int, midpoints: bool = False):
     """A (G, intervals + 1) grid whose row i spans the support (lo[i], hi[i]).
 
-    Each row is bitwise np.linspace(lo[i], hi[i], intervals + 1).
+    Each row is bitwise np.linspace(lo[i], hi[i], intervals + 1).  With
+    midpoints, only its odd points are formed, the (G, intervals / 2) points
+    that split each interval of the grid with half as many intervals.
     """
     outside = (lo < traj.tau[0] - 1e-12) | (hi > traj.tau_end + 1e-12)
     if outside.any():
@@ -227,6 +229,10 @@ def _support_grid(traj: Trajectory, lo, hi, intervals: int):
         raise SupportOutOfRange(
             f"support ({lo[i]}, {hi[i]}) exceeds horizon [{traj.tau[0]}, {traj.tau_end}]")
     step = (hi - lo) / intervals
+    if midpoints:
+        grid = np.arange(1.0, intervals, 2.0) * step[:, None]
+        grid += lo[:, None]
+        return grid
     grid = np.arange(intervals + 1.0) * step[:, None]
     grid += lo[:, None]
     grid[:, -1] = hi
@@ -234,60 +240,70 @@ def _support_grid(traj: Trajectory, lo, hi, intervals: int):
 
 
 def _refine_until(fn, traj, supports, tol, narrowest=None):
-    """Composite-Simpson integrals on a stack of supports, refined together by grid doubling.
+    """Composite-Simpson integrals on a stack of supports, refined together on nested grids.
 
     supports is one (lo, hi) pair or a sequence of them, one per member.  fn
-    maps (grid, members), a (G, K) grid whose rows span the supports of the
-    members in the index array members, to values of shape (G, ..., K); each
-    row is integrated, and the tolerance applies to the sum of a member's
-    rows.  Each member stops at its own tolerance (or at its first non-finite
-    estimate) and leaves the stack while the others go on refining; a level
-    builds one grid for the running members that share an interval count.  A
-    member's first level is the first whose grid differs from the next one's:
-    on a support narrower than 2 the coarser levels are all the same
-    64-interval grid, and comparing two of them would check nothing.  Where an
-    integrand is made of pieces narrower than its support, narrowest (their
-    least width) sets that level in place of the support's width, so the
-    pieces are resolved as finely as they would be alone.  Returns the row
-    estimates, one per member, in the order given.
+    maps (grid, members), a (G, K) grid whose rows hold points of the
+    supports of the members in the index array members, to values of shape
+    (G, ..., K); each row is integrated, and the tolerance applies to the
+    sum of a member's rows.  A member's level k uses n0 2^k intervals, for
+    at most 8 levels.  Its first count n0 is the first _intervals count, at
+    16, 32, ... points per unit, that differs from the next one: on a
+    support narrower than 2 the coarser counts are all the 64-interval floor,
+    and comparing two such levels would check nothing.  Where an integrand is
+    made of pieces narrower than its support, narrowest (their least width)
+    sets n0 in place of the support's width, so the pieces are resolved as
+    finely as they would be alone.  Members that share n0 share every grid.
+    Their first evaluation is the grid of 2 n0 intervals, whose even points
+    are level 0 and which is level 1; each later level evaluates only its
+    new midpoints and interleaves them with the values it keeps, so no point
+    is evaluated twice.  Each member stops at its own tolerance (or at its
+    first non-finite estimate) and leaves the stack while the others go on
+    refining.  Returns the row estimates, one per member, in the order given.
     """
     lo, hi = np.reshape(np.asarray(supports, dtype=float), (-1, 2)).T
-    widths = (hi - lo).tolist()
-    ppu = []
-    for width in widths:
+    starts = {}
+    for m, width in enumerate((hi - lo).tolist()):
         feature = width if narrowest is None else min(width, narrowest)
         rate = 16.0
         while _intervals(feature, 2.0 * rate) == _intervals(feature, rate):
             rate *= 2.0
-        ppu.append(rate)
-    result, prev, running = None, {}, set(range(len(widths)))
-    for _ in range(8):
-        groups = {}
-        for m in sorted(running):
-            groups.setdefault(_intervals(widths[m], ppu[m]), []).append(m)
-        for n, group in sorted(groups.items()):
-            members = np.array(group)
-            grid = _support_grid(traj, lo[members], hi[members], n)
-            vals = fn(grid, members)
+        starts.setdefault(_intervals(width, rate), []).append(m)
+    result = None
+    for n, group in sorted(starts.items()):
+        members = np.array(group)
+        first = fn(_support_grid(traj, lo[members], hi[members], 2 * n), members)
+        vals, last = np.ascontiguousarray(first[..., ::2]), None
+        for level in range(8):
+            if level == 1:
+                vals, first, n = first, None, 2 * n
+            elif level > 1:
+                n *= 2
+                mids = fn(_support_grid(traj, lo[members], hi[members], n, midpoints=True),
+                          members)
+                vals, kept = np.empty(mids.shape[:-1] + (n + 1,)), vals
+                vals[..., ::2] = kept
+                vals[..., 1::2] = mids
+                # the next level's evaluation needs neither
+                del kept, mids
             # the step _support_grid builds its rows from; grid[:, 1] - grid[:, 0]
             # would lose digits on a support far from tau = 0
             h = ((hi[members] - lo[members]) / n / 3.0).reshape((-1,) + (1,) * (vals.ndim - 2))
-            simpson = h * (vals[..., 0] + vals[..., -1]
-                           + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
+            simpson = h * (vals[..., 0] + vals[..., -1] + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
                            + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
             if result is None:
-                result = np.empty((len(widths),) + simpson.shape[1:])
+                result = np.empty((lo.size,) + simpson.shape[1:])
             result[members] = simpson
-            totals = simpson.reshape(members.size, -1).sum(axis=-1).tolist()
-            for m, total in zip(group, totals):
-                last = prev.get(m)
-                if not math.isfinite(total) or (
-                        last is not None and abs(total - last) <= tol * (1.0 + abs(total))):
-                    running.discard(m)
-                prev[m] = total
-        if not running:
-            break
-        ppu = [2.0 * rate for rate in ppu]
+            totals = simpson.reshape(members.size, -1).sum(axis=-1)
+            done = ~np.isfinite(totals)
+            if last is not None:
+                done |= np.abs(totals - last) <= tol * (1.0 + np.abs(totals))
+            if done.all() or level == 7:
+                break
+            going = ~done
+            members, vals, last = members[going], vals[going], totals[going]
+            if level == 0:
+                first = first[going]
     return result
 
 

@@ -1,11 +1,13 @@
 import dataclasses
+import io
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncol import central, mcgehee, nbody
+from ncol import central, cli, mcgehee, nbody
 from ncol.errors import (CollisionConfiguration, EllipsoidDrift, InsufficientHorizon,
                          NonCollapsing, StepFailure, ZeroConfiguration)
 
@@ -142,7 +144,7 @@ def test_integrator_stops_at_rho_floor(coll1):
     assert_stopped_once(traj, 80.0, 1e-8)
 
 
-def test_integrator_stops_at_a_bounce(coll1):
+def test_integrator_stops_at_a_bounce(coll1, monkeypatch):
     # a planar kick with angular momentum forbids total collapse, so rho turns
     # back well above rho_min whatever the rounding
     spin = np.zeros_like(coll1.s0)
@@ -153,10 +155,10 @@ def test_integrator_stops_at_a_bounce(coll1):
         assert traj.meta == {"stop": "bounce"}
         assert traj.rho[-1] > 1e-3 and traj.tau_end < 10.0
         assert_stopped_once(traj, 80.0, 1e-8)
-    # the run at the rho_min wall with first_step 2e-3 once bottomed out near
-    # 2e-8 and went on to rho = 14.5 at tau = 80 with no reason recorded
-    traj = mcgehee.integrate_el(zero_energy_state(coll1), coll1.masses, 1.0, tau_max=80.0,
-                                opts=mcgehee.IntegratorOptions(first_step=2e-3))
+    # the run at the rho_min wall with a first step of 2e-3 once bottomed out
+    # near 2e-8 and went on to rho = 14.5 at tau = 80 with no reason recorded
+    monkeypatch.setattr(mcgehee, "FIRST_STEP", 2e-3)
+    traj = mcgehee.integrate_el(zero_energy_state(coll1), coll1.masses, 1.0, tau_max=80.0)
     assert traj.meta["stop"] in ("rho_min", "bounce")
     assert traj.rho[-1] < 1e-7 and traj.tau_end < 30.0
     assert_stopped_once(traj, 80.0, 1e-8)
@@ -178,6 +180,98 @@ def test_reprojection_uses_the_mass_weighted_inertia():
     assert np.max(np.abs(inertia - 1.0)) < 1e-14
     radial = np.einsum("j,kjd,kjd->k", cc.masses, traj.s, traj.s_prime)
     assert np.max(np.abs(radial)) < 1e-14
+
+
+@pytest.mark.parametrize("alpha,tau_end", [(0.2, 16.005), (0.1, 15.33)])
+def test_small_alpha_runs_stop_at_the_rho_min_wall(alpha, tau_end, tmp_path):
+    # near the wall a trial stage carries rho below 0, where rho ** (beta - 1)
+    # is complex: `ncol simulate --alpha 0.2 --tau-max 50` died with a
+    # TypeError.  The right-hand side now returns NaN there, the stepper
+    # rejects the step and shrinks it, and the run stops at the wall
+    cc = central.collinear3(1.0, 1.0, alpha)
+    traj = mcgehee.integrate_el(mcgehee.homothetic_initial_state(cc), cc.masses, alpha,
+                                tau_max=50.0)
+    assert traj.meta == {"stop": "rho_min"}
+    assert traj.tau_end == pytest.approx(tau_end, abs=0.01)
+    assert np.all(np.isfinite(traj.rho)) and 0.0 < traj.rho[-1] <= 1e-8
+    assert_stopped_once(traj, 50.0, 1e-8)
+    argv = ["simulate", "--family", "collinear3", "--alpha", str(alpha), "--tau-max", "50",
+            "--out", str(tmp_path / "traj.csv")]
+    assert cli.main(argv) == 0
+
+
+def reference_reproject(m, d, drift_abort):
+    """The one-sample projection the block projection replaced, as a
+    project(tau, y) that works on one flattened state in place."""
+    n = m.size
+    m_col = m[:, None]
+
+    def reproject(tau, y):
+        s = y[2:2 + n * d].reshape(n, d)
+        u = y[2 + n * d:].reshape(n, d)
+        inertia = (m * (s * s).sum(axis=1)).sum().item()
+        if abs(inertia - 1.0) > drift_abort:
+            raise EllipsoidDrift(f"|I(s) - 1| = {abs(inertia - 1.0):.3e} at tau = {tau}")
+        s /= math.sqrt(inertia)
+        u -= (m_col * s * u).sum().item() * s
+        return y
+
+    return reproject
+
+
+def drifted_block(seed, k, n, d, drift):
+    """Masses, k taus and a (k, 2 + 2Nd) block of states whose shapes lie off
+    the ellipsoid by up to drift, and whose velocities are not tangent."""
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.5, 2.0, size=n)
+    taus = np.sort(rng.uniform(0.0, 30.0, size=k))
+    ys = rng.standard_normal((k, 2 + 2 * n * d))
+    for y in ys:
+        s = y[2:2 + n * d].reshape(n, d)
+        s /= np.sqrt(nbody.moment_of_inertia(s, m))
+        s *= np.sqrt(1.0 + rng.uniform(-drift, drift))
+    return m, taus, ys
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), k=st.integers(1, 12),
+       n=st.integers(2, 9), d=st.integers(1, 3))
+def test_block_projection_matches_the_one_sample_route(seed, k, n, d):
+    m, taus, ys = drifted_block(seed, k, n, d, 1e-7)
+    want = ys.copy()
+    one = reference_reproject(m, d, 1e-6)
+    for tau, y in zip(taus.tolist(), want):
+        one(tau, y)
+    got = ys.copy()
+    block = mcgehee._ellipsoid_projection(m, d, 1e-6)
+    # in place, row by row bitwise the one-sample route
+    assert block(taus, got) is got
+    assert got.tobytes() == want.tobytes()
+    # a one-row block, as the stepper passes a step end
+    end = ys[-1:].copy()
+    block(taus[-1:].tolist(), end)
+    assert end.tobytes() == want[-1:].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), k=st.integers(1, 12),
+       n=st.integers(2, 9), d=st.integers(1, 3), data=st.data())
+def test_block_projection_raises_at_the_first_drifted_row(seed, k, n, d, data):
+    m, taus, ys = drifted_block(seed, k, n, d, 1e-9)
+    bad = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=1)))
+    for i in bad:
+        ys[i, 2:2 + n * d] *= 1.0 + 1e-5 * (i + 1)
+    with pytest.raises(EllipsoidDrift) as want:
+        one = reference_reproject(m, d, 1e-6)
+        for tau, y in zip(taus.tolist(), ys.copy()):
+            one(tau, y)
+    before = ys.copy()
+    with pytest.raises(EllipsoidDrift) as got:
+        mcgehee._ellipsoid_projection(m, d, 1e-6)(taus, ys)
+    # today's message, with the tau of the first drifted row
+    assert str(got.value) == str(want.value)
+    assert f"at tau = {taus[bad[0]].item()}" in str(got.value)
+    np.testing.assert_array_equal(ys, before)
 
 
 def test_integrator_drift_abort(coll1):
@@ -228,6 +322,94 @@ def test_log_rate_matches_evaluate_and_survives_underflow(coll1):
     assert np.all(exact.log_rate(t) == -c)
     with pytest.raises(ValueError):
         exact.log_rate(1501.0)
+
+
+def reference_log_rho(traj, t, derivative=False):
+    """The weight route the log-rho table replaced: log rho, or its
+    tau-derivative, from eight Hermite weights and two logarithms per call."""
+    idx = np.clip(np.searchsorted(traj.tau, t, side="right") - 1, 0, traj.n_samples - 2)
+    t0, t1 = traj.tau[idx], traj.tau[idx + 1]
+    h = t1 - t0
+    u = (t - t0) / h
+    if derivative:
+        w = (6 * u * (u - 1) / h, (1 - u) * (1 - 3 * u) / h * h, -6 * u * (u - 1) / h,
+             u * (3 * u - 2) / h * h)
+    else:
+        w = ((1 + 2 * u) * (1 - u) ** 2, u * (1 - u) ** 2 * h, u**2 * (3 - 2 * u),
+             u**2 * (u - 1) * h)
+    lr0, lr1 = np.log(traj.rho[idx]), np.log(traj.rho[idx + 1])
+    sl0 = traj.rho_prime[idx] / traj.rho[idx]
+    sl1 = traj.rho_prime[idx + 1] / traj.rho[idx + 1]
+    return w[0] * lr0 + w[1] * sl0 + w[2] * lr1 + w[3] * sl1
+
+
+def reference_rho_at(traj, t):
+    return np.exp(reference_log_rho(traj, t))
+
+
+def hermite_term_sizes(traj, t):
+    """|log rho| at both ends plus |h rho'/rho| at both ends, and h, of the
+    interval holding each t: the sizes of the terms both routes sum."""
+    idx = np.clip(np.searchsorted(traj.tau, t, side="right") - 1, 0, traj.n_samples - 2)
+    h = traj.tau[idx + 1] - traj.tau[idx]
+    log_rho, rate = np.log(traj.rho), traj.rho_prime / traj.rho
+    return (np.abs(log_rho[idx]) + np.abs(log_rho[idx + 1])
+            + h * (np.abs(rate[idx]) + np.abs(rate[idx + 1]))), h
+
+
+# the table route against the weight route, in eps of the Hermite term sizes:
+# at most 1.06 for log rho and 1.52 for its derivative over 20,000 random points
+# on each of 15 trajectories (collinear3 at alpha 1, 0.5 and 0.05: the h = 0
+# oracle's samples, the h = 1 and h = -0.5 oracles, a kicked run and a
+# quadrature trajectory); both routes round their logarithms alike, and the
+# table route is the closer of the two to the long-double Hermite
+LOG_RHO_GAP = 4.0 * np.finfo(float).eps
+
+
+@pytest.fixture(scope="module")
+def sampled_trajs(coll1):
+    exact = mcgehee.homothetic_oracle(coll1, h=0.0, tau_max=30.0)
+    return {
+        "oracle h = 0": dataclasses.replace(exact, exact_homothetic=False, meta={}),
+        "oracle h = 1": mcgehee.homothetic_oracle(coll1, h=1.0, tau_max=30.0, phi_min=1e-6),
+        "kicked": mcgehee.integrate_el(zero_energy_state(coll1, normal_kick(coll1, 1e-3)),
+                                       coll1.masses, 1.0, 3.0, KICKED),
+    }
+
+
+@pytest.mark.parametrize("name", ["oracle h = 0", "oracle h = 1", "kicked"])
+def test_log_rho_table_matches_the_weight_route(name, sampled_trajs):
+    traj = sampled_trajs[name]
+    t = np.sort(np.random.default_rng(9).uniform(traj.tau[0], traj.tau_end, 5000))
+    size, h = hermite_term_sizes(traj, t)
+    want_rho, want_rate = reference_rho_at(traj, t), reference_log_rho(traj, t, True)
+    rho, rate = traj.rho_at(t), traj.log_rate(t)
+    assert np.all(np.abs(np.log(rho) - np.log(want_rho)) <= LOG_RHO_GAP * size
+                  + 2.0 * np.finfo(float).eps)
+    assert np.all(np.abs(rate - want_rate) <= LOG_RHO_GAP * size / h)
+    # evaluate's rho and rho' are rho_at and rho_at * log_rate
+    got = traj.evaluate(t)
+    assert got[0].tobytes() == rho.tobytes()
+    assert got[1].tobytes() == (rho * rate).tobytes()
+    # exact at the samples, where the weights are 0 and 1
+    assert traj.rho_at(traj.tau).tobytes() == reference_rho_at(traj, traj.tau).tobytes()
+    # the shape part keeps its Hermite weights, so a grid in two dimensions
+    # reads the same values row by row
+    grid = t[:4000].reshape(2, -1)
+    np.testing.assert_array_equal(traj.rho_at(grid), rho[:4000].reshape(2, -1))
+    np.testing.assert_array_equal(traj.log_rate(grid), rate[:4000].reshape(2, -1))
+
+
+def test_log_rho_table_is_built_once(sampled_trajs, monkeypatch):
+    traj = dataclasses.replace(sampled_trajs["kicked"])
+    logs = []
+    log = np.log
+    monkeypatch.setattr(np, "log", lambda x: logs.append(np.size(x)) or log(x))
+    t = np.linspace(0.5, 2.5, 7)
+    for _ in range(3):
+        traj.rho_at(t), traj.log_rate(t), traj.evaluate(t)
+    # one logarithm of the samples, none per call
+    assert logs == [traj.n_samples]
 
 
 def test_one_sample_trajectory_refuses_to_interpolate(coll1):
@@ -649,6 +831,25 @@ def test_trajectory_csv_columns(tmp_path, coll1):
     assert len(header) == 3 + 2 * 6 + 4
 
 
+def test_trajectory_csv_bytes_match_savetxt(tmp_path, coll1):
+    traj = mcgehee.integrate_el(zero_energy_state(coll1, normal_kick(coll1, 1e-3)),
+                                coll1.masses, 1.0, tau_max=1.0)
+    # non-finite and signed-zero fields format as savetxt formats them
+    traj = dataclasses.replace(traj, rho_prime=np.concatenate(
+        [[-0.0, np.nan, np.inf, -np.inf, 5e-324], traj.rho_prime[5:]]))
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    want = io.StringIO()
+    rows = np.column_stack([traj.tau, traj.rho, traj.rho_prime,
+                            traj.s.reshape(traj.n_samples, -1),
+                            traj.s_prime.reshape(traj.n_samples, -1), traj.potential_trace(),
+                            traj.energy_trace(), -traj.beta * traj.energy_trace(),
+                            traj.lambda2_trace()])
+    np.savetxt(want, rows, delimiter=",")
+    got = path.read_text().split("\n", 1)[1]
+    assert got == want.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # the DOP853 stepper and the tau-flow RHS against their plain forms
 
@@ -862,11 +1063,17 @@ def test_dop853_matches_reference_stepper(seed, n):
     def running(t, y):
         return t < 3.0 and np.max(np.abs(y)) < bound
 
-    def solve(stepper):
-        return stepper(f, 0.0, y0.copy(), 1e-3, running, rtol=rtol, atol=1e-12,
-                       floor=lambda t: 1e-14, sample_gap=0.1, t_end=3.0, project=project)
+    def project_block(ts, ys):
+        for t, y in zip(ts, ys):
+            project(t, y)
+        return ys
 
-    got, want = solve(mcgehee._dop853), solve(reference_dop853)
+    def stop(ts, ys):
+        return next((i for i, (t, y) in enumerate(zip(ts, ys)) if not running(t, y)), None)
+
+    kw = dict(rtol=rtol, atol=1e-12, floor=lambda t: 1e-14, sample_gap=0.1, t_end=3.0)
+    got = mcgehee._dop853(f, 0.0, y0.copy(), 1e-3, project=project_block, stop=stop, **kw)
+    want = reference_dop853(f, 0.0, y0.copy(), 1e-3, running, project=project, **kw)
     assert np.all(np.diff(got[0]) <= 0.1 * (1.0 + 1e-12))
     # the same stop: the horizon, or the first sample past the bound
     assert (got[0][-1] >= 3.0) == (want[0][-1] >= 3.0)
@@ -875,29 +1082,52 @@ def test_dop853_matches_reference_stepper(seed, n):
     assert err_got <= 10.0 * rtol * max(1.0, r0)
 
 
+def horizon_stop(t_stop):
+    """A stop(ts, ys) for _dop853 that ends the run at the first row at or past t_stop."""
+    return lambda ts, ys: next((i for i, t in enumerate(ts) if not t < t_stop), None)
+
+
 def test_dop853_step_budget():
+    calls = [0]
+
     def f(t, y):
+        calls[0] += 1
         return np.array([y[1], -y[0]])
-
-    checks = [0]
-
-    def running(t, y):
-        checks[0] += 1
-        return t < 10.0
 
     def solve(**budget):
         # a first step of 1 fails the error test, so some attempts are rejected
-        return mcgehee._dop853(f, 0.0, np.array([1.0, 0.0]), 1.0, running, rtol=1e-10,
-                               atol=1e-12, floor=lambda t: 1e-14, project=lambda t, y: y,
-                               t_end=10.0, **budget)
+        calls[0] = 0
+        return mcgehee._dop853(f, 0.0, np.array([1.0, 0.0]), 1.0, rtol=1e-10, atol=1e-12,
+                               floor=lambda t: 1e-14, project=lambda ts, ys: ys,
+                               stop=horizon_stop(10.0), t_end=10.0, **budget)
 
     ts, ys = solve()
-    steps = checks[0] - 1  # accepted and rejected steps
+    # accepted and rejected steps: one right-hand side to start, 11 stages an
+    # attempt and one fresh f(t, y) an accepted step (no step is cut)
+    steps, rest = divmod(calls[0] - 1 - (ts.size - 1), 11)
+    assert rest == 0
     assert steps > ts.size - 1
     for t_got, t_want in zip(solve(max_steps=steps), (ts, ys)):
         np.testing.assert_array_equal(t_got, t_want)
     with pytest.raises(StepFailure, match=f"budget spent: {steps - 1} attempted steps"):
         solve(max_steps=steps - 1)
+
+
+def test_dop853_shrinks_a_step_with_a_nan_error_norm():
+    # f is NaN past t = 0.5, so the first step of 1 has a NaN error norm; it
+    # is rejected and retried at 1/3 (a factor of 6 grew it without end)
+    stages = []
+
+    def f(t, y):
+        stages.append(t)
+        return np.array([np.nan if t > 0.5 else 1.0])
+
+    ts, ys = mcgehee._dop853(f, 0.0, np.array([0.0]), 1.0, rtol=1e-10, atol=1e-12,
+                             floor=lambda t: 1e-14, project=lambda ts, ys: ys,
+                             stop=horizon_stop(0.1))
+    assert max(stages[1:12]) == 1.0 and max(stages[12:23]) == 1.0 / 3.0
+    np.testing.assert_array_equal(ts, [0.0, 1.0 / 3.0])
+    assert ys[-1, 0] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 _REF_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
@@ -1091,7 +1321,7 @@ def reference_integrate(state, m, alpha, tau_max, opts):
 
     f = reference_flow(alpha, m, mcgehee.energy(state, m, alpha), 1.0, d)
     y0 = np.concatenate([[state.rho, state.rho_prime], state.s.ravel(), state.s_prime.ravel()])
-    taus, ys = reference_dop853(f, 0.0, y0, opts.first_step, running,
+    taus, ys = reference_dop853(f, 0.0, y0, mcgehee.FIRST_STEP, running,
                                 rtol=opts.rtol / 16.0, atol=1e-12 / 16.0,
                                 floor=lambda tau: 1e-14 * max(1.0, tau),
                                 sample_gap=0.5 * opts.max_step, t_end=tau_max, project=project)
@@ -1156,7 +1386,7 @@ def test_integrate_el_matches_the_reference_route(run):
         # the first near-binary passage: the unequal-mass run passes within
         # 7e-6 of one at tau = 0.73, where s' changes by 10 in 1e-9 of tau,
         # so an error at fixed tau measures the phase of the passage (one-ulp
-        # changes of first_step moved the error ratio there up to 4.4)
+        # changes of the first step moved the error ratio there up to 4.4)
         keep = (tau <= fine.tau_end) & dataclasses.replace(
             traj, tau=tau, rho=y[:, 0]).trusted_prefix(1e-8)
         closest = nbody.pair_separations(y[:, 2:2 + n * d].reshape(-1, n, d))[3].min(axis=1)
@@ -1259,3 +1489,13 @@ def test_both_rhs_routes_refuse_a_close_pair(n):
     for route in (mcgehee._float_flow, mcgehee._array_flow, mcgehee._flow):
         with pytest.raises(CollisionConfiguration, match="minimum pair distance 5.000e-13"):
             route(1.0, m, 0.0, 1.0, 2)(0.0, y)
+
+
+@pytest.mark.parametrize("n", [3, mcgehee.FLOAT_RHS_MAX_N + 1])
+def test_both_rhs_routes_return_nan_where_rho_is_not_positive(n):
+    m, y = random_flow_point(5, n, 2)
+    for rho in (0.0, -1e-9, -0.3):
+        y[0] = rho
+        for route in (mcgehee._float_flow, mcgehee._array_flow):
+            out = route(0.2, m, 0.0, 1.0, 2)(0.0, y)
+            assert out.shape == y.shape and np.all(np.isnan(out))

@@ -602,12 +602,13 @@ def test_homographic_blocks_evaluate_each_grid_once(alpha, h, monkeypatch):
     rho_at, support_grid, seen = mcgehee.Trajectory.rho_at, morse._support_grid, []
 
     def counted(self, t):
-        seen.append("rho")
+        seen.append(("rho", t.size))
         return rho_at(self, t)
 
-    def counted_grid(*args):
-        seen.append("grid")
-        return support_grid(*args)
+    def counted_grid(traj, lo, hi, intervals, midpoints=False):
+        grid = support_grid(traj, lo, hi, intervals, midpoints)
+        seen.append(("mids" if midpoints else "grid", grid.shape[1]))
+        return grid
 
     monkeypatch.setattr(mcgehee.Trajectory, "rho_at", counted)
     monkeypatch.setattr(morse, "_support_grid", counted_grid)
@@ -616,11 +617,18 @@ def test_homographic_blocks_evaluate_each_grid_once(alpha, h, monkeypatch):
         got = morse.homographic_blocks(traj, z, v)
         # constants read once at s0 round differently from the per-sample pairings
         assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
-        # one grid per level, as many levels as the slowest integral, and one rho
-        # interpolation per level of the mixed and shape integrals (the radial
-        # integrand needs no rho)
-        with_rho = max(levels[1:])
-        assert seen == ["grid", "rho"] * with_rho + ["grid"] * (max(levels) - with_rho)
+        # one evaluation per grid, as many grids as the slowest integral, and
+        # one rho interpolation per grid of the mixed and shape integrals (the
+        # radial integrand needs no rho).  The grids nest: the first spans
+        # the first two levels, each later one holds only the midpoints of
+        # the level before, as many points as that level has intervals
+        with_rho, first = max(levels[1:]), seen[0][1]
+        sizes = [first] + [(first - 1) << k for k in range(max(levels) - 1)]
+        kinds = ["grid"] + ["mids"] * (max(levels) - 1)
+        expect = []
+        for k, (kind, size) in enumerate(zip(kinds, sizes)):
+            expect += [(kind, size)] + [("rho", size)] * (k < with_rho)
+        assert seen == expect
 
 
 def fine_simpson(fn, support, intervals=1 << 14):
@@ -679,9 +687,9 @@ def test_narrow_refinements_stop_before_the_last_level(alpha, h, monkeypatch):
     traj, cases = narrow_cases(alpha, h)
     support_grid, grids = morse._support_grid, []
 
-    def counted(*args):
-        grids.append(args[-1])
-        return support_grid(*args)
+    def counted(*args, **kwargs):
+        grids.append(args[3])
+        return support_grid(*args, **kwargs)
 
     monkeypatch.setattr(morse, "_support_grid", counted)
     for z, v in cases:
@@ -689,8 +697,9 @@ def test_narrow_refinements_stop_before_the_last_level(alpha, h, monkeypatch):
                        lambda: morse.quadratic_Q(traj, v, quad_tol=1e-14)):
             grids.clear()
             refine()
-            # the blocks share one grid per level, so each grid is one level
-            assert len(grids) < 8, grids
+            # the blocks share one grid per level; the first grid holds the
+            # first two levels, so all 8 levels take 7 grids
+            assert len(grids) < 7, grids
 
 
 def test_refinement_stops_each_integral_at_its_own_tolerance(homothetic_traj):
@@ -960,11 +969,67 @@ def test_stack_shares_a_grid_per_interval_count(monkeypatch, homothetic_traj, mu
              for w, lo in ((0.7, 1.0), (5.3, 3.0), (2.9, 10.0))]
     support_grid, grids = morse._support_grid, []
 
-    def counted(traj, lo, hi, intervals):
-        grids.append((len(lo), intervals))
-        return support_grid(traj, lo, hi, intervals)
+    def counted(traj, lo, hi, intervals, midpoints=False):
+        grids.append((len(lo), intervals, midpoints))
+        return support_grid(traj, lo, hi, intervals, midpoints)
 
     monkeypatch.setattr(morse, "_support_grid", counted)
     integrand = morse._bump_integrand(homothetic_traj, mu1_direction, stacked_rows(bumps))
     morse._reports(homothetic_traj, integrand, [b.support for b in bumps], 1e-8)
-    assert grids[:2] == [(2, 64), (1, 86)]
+    # each start count's members share one grid a level: first the grid of
+    # twice the count (levels 0 and 1), then the midpoints of each doubling
+    starts = [k for k, (_, _, mids) in enumerate(grids) if not mids]
+    assert [grids[k] for k in starts] == [(2, 128, False), (1, 172, False)]
+    for run in (grids[starts[0]:starts[1]], grids[starts[1]:]):
+        counts = [intervals for _, intervals, _ in run]
+        assert counts == [counts[0] << k for k in range(len(counts))]
+        assert all(mids for _, _, mids in run[1:])
+        assert [rows for rows, _, _ in run] == sorted((rows for rows, _, _ in run), reverse=True)
+    assert grids[starts[0] + 1][0] == 2  # both 64-interval members refine past level 1
+
+
+@pytest.mark.parametrize("widths", [(1.37,), (0.3, 0.7, 5.3, 2.9), (20.0, 1.37, 0.05)])
+def test_nested_grids_evaluate_each_point_once(widths, homothetic_traj, monkeypatch):
+    # a negative tolerance is never met, so every member runs all 8 levels;
+    # each evaluated point
+    # is new to its member, the points of a member are exactly the final
+    # level's grid, and every grid is bitwise part of np.linspace
+    lows = 1.0 + np.cumsum((0.0,) + widths[:-1])
+    supports = [(lo, lo + w) for lo, w in zip(lows.tolist(), widths)]
+    seen = {m: [] for m in range(len(widths))}
+    support_grid = morse._support_grid
+
+    def checked(traj, lo, hi, intervals, midpoints=False):
+        grid = support_grid(traj, lo, hi, intervals, midpoints)
+        for row, a, b in zip(grid, lo, hi):
+            full = np.linspace(a, b, intervals + 1)
+            assert row.tobytes() == (full[1::2] if midpoints else full).tobytes()
+        return grid
+
+    def rows(grid, members):
+        for m, row in zip(members.tolist(), grid):
+            seen[m].append(row)
+        return np.sin(grid)
+
+    monkeypatch.setattr(morse, "_support_grid", checked)
+    got = morse._refine_until(rows, homothetic_traj, supports, -1.0)
+    for m, (lo, hi) in enumerate(supports):
+        points = np.sort(np.concatenate(seen[m]))
+        n = points.size - 1
+        assert n % 128 == 0 and len(seen[m]) == 7
+        assert points.tobytes() == np.linspace(lo, hi, n + 1).tobytes()
+        # the last level's Simpson sum of all of them
+        assert got[m] == fine_simpson(np.sin, (lo, hi), n)
+
+
+def test_nested_counts_double_where_the_old_schedule_did_not(homothetic_traj):
+    # width 1.37 used to run 64, 88, 176, 352, 702 ... intervals; the levels
+    # are now 64 2^k, so each level's grid holds the last one's points
+    counts = []
+
+    def rows(grid, members):
+        counts.append(grid.shape[1])
+        return np.cos(grid)
+
+    morse._refine_until(rows, homothetic_traj, (2.0, 3.37), -1.0)
+    assert counts == [129] + [64 << k for k in range(1, 7)]
