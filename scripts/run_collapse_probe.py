@@ -20,7 +20,7 @@ def run_one(alpha: float, bumps: int, width: float, outdir: Path) -> dict:
     rep = spectral.smallest_eigenvalue(cc)
     traj = mcgehee.homothetic_oracle(cc, h=0.0, tau_max=bumps * 2 * width + 2 * width)
     shifts = morse.default_shifts(bumps, 0.0, width)
-    wit = morse.morse_witnesses(traj, rep.eigvec, shifts, l1=1e-9, l2=width)
+    wit = morse.morse_witnesses(traj, rep.eigvec, shifts, l1=morse.BUMP_START, l2=width)
 
     # perturbed run with measured asymptotics; the kick grows along the
     # collapse at rate c + sqrt(c^2 + mu1), so the horizon is capped before

@@ -81,9 +81,6 @@ def _option_type(what, parse, ok):
     return convert
 
 
-# each bump starts just past tau = 0 and has support (_BUMP_START, --width)
-_BUMP_START = 1e-9
-
 # nbody.validate_alpha returns an exponent in (0, 2), which is true, or raises
 _ALPHA = _option_type("an exponent in (0, 2)", float, nbody.validate_alpha)
 _ALPHA_GRID = _option_type("comma-separated exponents in (0, 2)",
@@ -95,8 +92,8 @@ _FINITE = _option_type("finite", float, math.isfinite)
 _COUNT = _option_type("a non-negative integer", int, lambda v: v >= 0)
 _POSITIVE_COUNT = _option_type("a positive integer", int, lambda v: v > 0)
 _FRACTION = _option_type("in [0, 1)", float, lambda v: 0.0 <= v < 1.0)
-_WIDTH = _option_type(f"finite and above {_BUMP_START:g}", float,
-                      lambda v: math.isfinite(v) and v > _BUMP_START)
+_WIDTH = _option_type(f"finite and above {morse.BUMP_START:g}", float,
+                      lambda v: math.isfinite(v) and v > morse.BUMP_START)
 _N = _option_type(f"an integer from 2 to {MAX_N}", int, lambda v: 2 <= v <= MAX_N)
 _N_HELP = f"polygon vertices, at most {MAX_N}, which bounds the memory of a run"
 
@@ -243,7 +240,7 @@ def cmd_morse(args) -> int:
     tau_need = args.bumps * 2.0 * width + 2.0 * width
     traj = mcgehee.homothetic_oracle(cc, h=0.0, tau_max=tau_need)
     shifts = morse.default_shifts(args.bumps, 0.0, width)
-    wrep = morse.morse_witnesses(traj, rep.eigvec, shifts, l1=_BUMP_START, l2=width,
+    wrep = morse.morse_witnesses(traj, rep.eigvec, shifts, l1=morse.BUMP_START, l2=width,
                                  flat_fraction=args.flat_fraction)
     _emit(json.dumps(wrep.to_dict(), indent=2), args.out)
     print(f"witnesses={wrep.witnesses} of {args.bumps}; criterion margin={rep.margin:.6g}",

@@ -88,21 +88,24 @@ def from_mcgehee(state: McGeheeState, m, alpha):
 def energy(state: McGeheeState, m, alpha, potential_scale: float = 1.0) -> float:
     """Conserved energy h = rho^(-beta) (1/2 (4/(2-a))^2 rho'^2 + rho^2 (1/2 |s'|_M^2 - U(s)))."""
     s, m, alpha = nbody.checked(state.s, m, alpha)
-    return float(_energy_stack(state.rho, state.rho_prime, s, state.s_prime, m, alpha,
-                               potential_scale))
+    return float(_energy_stack(state.rho, state.rho_prime, state.s_prime, m, alpha,
+                               potential_scale * nbody.potential_stack(s, m, alpha)))
 
 
-def _energy_stack(rho, rho_prime, s, s_prime, m, alpha, potential_scale):
-    """energy over stacks of samples: rho (...,), s and s' (..., N, d)."""
+def _energy_stack(rho, rho_prime, s_prime, m, alpha, u):
+    """energy over stacks: rho and the scaled potential u (...,), s' (..., N, d)."""
     beta = beta_exponent(alpha)
     kin = 0.5 * (4.0 / (2.0 - alpha)) ** 2 * rho_prime**2
     sp2 = np.sum(m * np.sum(s_prime**2, axis=-1), axis=-1)
-    u = potential_scale * nbody.potential_stack(s, m, alpha)
     return rho ** (-beta) * (kin + rho**2 * (0.5 * sp2 - u))
 
 
-# the first step integrate_el tries
+# the first step integrate_el tries, the largest |I(s) - 1| its projection
+# corrects (EllipsoidDrift past it), and its budget of attempted steps and
+# of MAX_STEPS + 1 stored samples (StepFailure past it)
 FIRST_STEP = 1e-3
+DRIFT_ABORT = 1e-6
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -113,16 +116,13 @@ class IntegratorOptions:
     1e-12 / 16: controlled at rtol itself, DOP853's long steps let a kicked
     collinear run at rtol 1e-11 drift past a 1e-8 gate on lambda1.  max_step
     caps no step; it bounds the samples, which lie no more than max_step / 2
-    apart in tau.  rho_min, drift_abort and max_steps, a budget of both
-    attempted steps and max_steps + 1 stored samples, end a run (see
-    integrate_el).  Every run tries FIRST_STEP first.
+    apart in tau.  A run stops at rho_min (see integrate_el); its other
+    limits are the module constants FIRST_STEP, DRIFT_ABORT and MAX_STEPS.
     """
 
     rtol: float = 1e-10
     max_step: float = 0.1
     rho_min: float = 1e-8
-    drift_abort: float = 1e-6
-    max_steps: int = 100_000
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,8 @@ class Trajectory:
     zero-energy collapse formula rho = exp(-c tau), s const.  Frozen shapes
     hold s and s' as read-only stride-0 views of one row (_frozen_trajectory).
     Sampled data read rho through a per-interval cubic of log rho, tabled on
-    first use and cached (_log_rho_table); the samples are not to be changed
-    in place after that.
+    first use and cached (_log_rho_table), as is the potential trace
+    (_potential); the samples are not to be changed in place after that.
     """
 
     alpha: float
@@ -163,12 +163,19 @@ class Trajectory:
         return float(self.tau[-1])
 
     # -- traces ------------------------------------------------------------
+    @cached_property
+    def _potential(self) -> np.ndarray:
+        """potential_scale U(s) at every sample, formed once per trajectory, read-only."""
+        u = self.potential_scale * nbody.potential_stack(self.s, self.masses, self.alpha)
+        u.flags.writeable = False
+        return u
+
     def potential_trace(self) -> np.ndarray:
-        return self.potential_scale * nbody.potential_stack(self.s, self.masses, self.alpha)
+        return self._potential
 
     def energy_trace(self) -> np.ndarray:
-        return _energy_stack(self.rho, self.rho_prime, self.s, self.s_prime, self.masses,
-                             self.alpha, self.potential_scale)
+        return _energy_stack(self.rho, self.rho_prime, self.s_prime, self.masses, self.alpha,
+                             self._potential)
 
     def lambda2_trace(self) -> np.ndarray:
         sp2 = np.einsum("j,kjd,kjd->k", self.masses, self.s_prime, self.s_prime)
@@ -554,11 +561,11 @@ def _flow(alpha, m, h, scale, d):
     """The tau-flow right-hand side f(tau, y), y = (rho, rho', s, s') flattened.
 
     Up to FLOAT_RHS_MAX_N bodies it runs on Python floats, one loop over the
-    pairs; beyond that on numpy arrays with nbody's pair helpers.  Per call,
+    pairs; beyond that on numpy arrays with nbody's pair kernel.  Per call,
     numpy route against float route, on a 2-vCPU VM (Python 3.11.7, numpy
-    2.4.6), d = 2 unless named: N = 3 22 and 5.5 us, N = 4 22 and 8.1 us,
-    N = 6 22 and 15 us (23 and 19 us at d = 3), N = 7 23 and 19 us, N = 8 23
-    and 24 us.  The routes round differently (a scalar pow and numpy's array
+    2.4.6), d = 2 unless named: N = 3 18 and 4.2 us, N = 4 18 and 6.0 us,
+    N = 6 18 and 11 us (18 and 14 us at d = 3), N = 7 18 and 14 us, N = 8 18
+    and 18 us.  The routes round differently (a scalar pow and numpy's array
     pow disagree in the last bit on a few percent of arguments): a component
     moves by at most 10 eps of the sizes of its terms over 50,000 draws.  Both
     raise CollisionConfiguration on a pair closer than nbody.COLLISION_THRESHOLD.
@@ -567,18 +574,12 @@ def _flow(alpha, m, h, scale, d):
 
 
 def _array_flow(alpha, m, h, scale, d):
-    """_flow on numpy arrays, with the pair helpers of nbody."""
+    """_flow on numpy arrays, with nbody.potential_gradient_stack."""
     beta = beta_exponent(alpha)
     coef = ((2.0 - alpha) / 4.0) ** 2
     n = m.size
     nd = n * d
     m_col = m[:, None]
-    # the pair constants of nbody.potential_gradient_stack, formed once
-    ii, jj = nbody.pair_indices(n)
-    mm = m[ii] * m[jj]
-    amm = -alpha * mm
-    exponent = -(alpha + 2.0)
-    gather = nbody._pair_gather_index(n)
     beta_h, beta_m1 = beta * h, beta - 1.0
 
     def f(_tau, y):
@@ -587,10 +588,8 @@ def _array_flow(alpha, m, h, scale, d):
             return np.full(y.size, np.nan)
         s = y[2:2 + nd].reshape(n, d)
         u = y[2 + nd:].reshape(n, d)
-        _, _, diff, dist = nbody.pair_separations(s)
-        nbody._require_separated(dist)
-        pot = scale * nbody._potential_from(alpha, mm, dist).item()
-        grad = nbody._gradient_from(amm, exponent, diff, dist, gather)
+        pot, grad = nbody.potential_gradient_stack(s, m, alpha)
+        pot = scale * pot.item()
         grad *= scale
         sp2 = np.add.reduce(m * np.add.reduce(u * u, axis=1)).item()
         out = np.empty(y.size)
@@ -671,7 +670,7 @@ def integrate_el(initial: McGeheeState, m, alpha, tau_max: float,
     opts.max_step / 2 apart.  The shape point of every stored state is
     renormalized to the ellipsoid and its velocity re-projected, the step end
     as one row and a step's interior states as one block
-    (_ellipsoid_projection); corrections beyond drift_abort raise
+    (_ellipsoid_projection); corrections beyond DRIFT_ABORT raise
     EllipsoidDrift.  The run stops at the first stored sample that meets one
     of these, and records it in meta["stop"], checked in this order:
 
@@ -680,9 +679,8 @@ def integrate_el(initial: McGeheeState, m, alpha, tau_max: float,
     * "bounce": rho' >= 0 after a sample with rho' < 0, so the collapse has
       turned back (near the rho_min wall this turns on last-bit rounding).
 
-    It raises StepFailure when none is reached within opts.max_steps
-    attempted steps, and when a step would store more than opts.max_steps + 1
-    samples in all.
+    It raises StepFailure when none is reached within MAX_STEPS attempted
+    steps, and when a step would store more than MAX_STEPS + 1 samples in all.
     """
     m = nbody.as_masses(m)
     alpha = nbody.validate_alpha(alpha)
@@ -712,8 +710,8 @@ def integrate_el(initial: McGeheeState, m, alpha, tau_max: float,
     y0 = np.concatenate([[state.rho, state.rho_prime], state.s.ravel(), state.s_prime.ravel()])
     taus, ys = _dop853(f, 0.0, y0, FIRST_STEP, rtol=opts.rtol / 16.0, atol=1e-12 / 16.0,
                        sample_gap=0.5 * opts.max_step, floor=lambda tau: 1e-14 * max(1.0, tau),
-                       t_end=tau_max, project=_ellipsoid_projection(m, d, opts.drift_abort),
-                       stop=stop, max_steps=opts.max_steps)
+                       t_end=tau_max, project=_ellipsoid_projection(m, d, DRIFT_ABORT),
+                       stop=stop, max_steps=MAX_STEPS)
     return Trajectory(
         alpha=alpha, masses=m, tau=taus,
         rho=ys[:, 0], rho_prime=ys[:, 1],

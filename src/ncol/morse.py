@@ -206,8 +206,14 @@ class SecondVariationReport:
 # of morse_witnesses whatever the number of bumps.
 _STACK_ROWS = 16
 
-# Relative change between two refinement levels at which an integral stops.
+# Relative change between two refinement levels at which an integral stops;
+# the change before it must be within _SETTLED times that bound, since
+# Simpson's change shrinks about 16x a level (two levels of that).
 QUAD_TOL = 1e-8
+_SETTLED = 256.0
+
+# Where each witness bump starts, just past tau = 0.
+BUMP_START = 1e-9
 
 
 def _intervals(width: float, points_per_unit: float) -> int:
@@ -257,9 +263,11 @@ def _refine_until(fn, traj, supports, tol, narrowest=None):
     Their first evaluation is the grid of 2 n0 intervals, whose even points
     are level 0 and which is level 1; each later level evaluates only its
     new midpoints and interleaves them with the values it keeps, so no point
-    is evaluated twice.  Each member stops at its own tolerance (or at its
-    first non-finite estimate) and leaves the stack while the others go on
-    refining.  Returns the row estimates, one per member, in the order given.
+    is evaluated twice.  A member stops at its first non-finite estimate, or
+    at a level whose change is within tol (1 + |T|) of its estimate T and
+    whose previous change is within _SETTLED times that, and leaves the stack;
+    level 0 changes from 0, so a member stops at level 1 only near 0.
+    Returns the row estimates, one per member, in the order given.
     """
     lo, hi = np.reshape(np.asarray(supports, dtype=float), (-1, 2)).T
     starts = {}
@@ -273,7 +281,9 @@ def _refine_until(fn, traj, supports, tol, narrowest=None):
     for n, group in sorted(starts.items()):
         members = np.array(group)
         first = fn(_support_grid(traj, lo[members], hi[members], 2 * n), members)
-        vals, last = np.ascontiguousarray(first[..., ::2]), None
+        vals = np.ascontiguousarray(first[..., ::2])
+        # the estimate before level 0 counts as 0, and no change precedes it
+        last, change = np.zeros(members.size), np.full(members.size, np.inf)
         for level in range(8):
             if level == 1:
                 vals, first, n = first, None, 2 * n
@@ -295,13 +305,13 @@ def _refine_until(fn, traj, supports, tol, narrowest=None):
                 result = np.empty((lo.size,) + simpson.shape[1:])
             result[members] = simpson
             totals = simpson.reshape(members.size, -1).sum(axis=-1)
-            done = ~np.isfinite(totals)
-            if last is not None:
-                done |= np.abs(totals - last) <= tol * (1.0 + np.abs(totals))
+            bound = tol * (1.0 + np.abs(totals))
+            previous, change = change, np.abs(totals - last)
+            done = ~np.isfinite(totals) | ((change <= bound) & (previous <= _SETTLED * bound))
             if done.all() or level == 7:
                 break
             going = ~done
-            members, vals, last = members[going], vals[going], totals[going]
+            members, vals, last, change = members[going], vals[going], totals[going], change[going]
             if level == 0:
                 first = first[going]
     return result
@@ -421,7 +431,7 @@ def default_shifts(count: int, l1: float, l2: float, start: float | None = None)
     return [start + 2.0 * width * k for k in range(count)]
 
 
-def morse_witnesses(traj: Trajectory, xi, shifts, l1: float = 0.0, l2: float = 20.0,
+def morse_witnesses(traj: Trajectory, xi, shifts, l1: float = BUMP_START, l2: float = 20.0,
                     profile: str = "flattop", flat_fraction: float = 0.8) -> SecondVariationReport:
     """Count negative values of Q over a family of disjointly supported bumps.
 
@@ -429,8 +439,6 @@ def morse_witnesses(traj: Trajectory, xi, shifts, l1: float = 0.0, l2: float = 2
     additive, i.e. Q(sum c_n w_n) = sum c_n^2 Q(w_n), on each stack of
     _STACK_ROWS bumps.
     """
-    if l1 <= 0.0:
-        l1 = 1e-9
     shifts = list(shifts)
     if any(b >= a for a, b in zip(shifts[1:], shifts[:-1])):
         raise ValueError("shifts must be strictly increasing")

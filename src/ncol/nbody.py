@@ -14,11 +14,7 @@ configuration and calls the core.
 
 The gradient gathers each body's pair terms through a cached index and adds
 them in the order a scatter of the pair forces would, so it rounds as that
-scatter does.  Beyond mcgehee.FLOAT_RHS_MAX_N bodies the tau-flow
-right-hand side in mcgehee calls the core's private helpers with its pair
-constants formed once per integration.  Up to that count it loops over the
-pairs on Python floats instead, with the same COLLISION_THRESHOLD check, and
-rounds differently from these kernels (scalar against array pow).
+scatter does.
 """
 
 from __future__ import annotations
@@ -116,13 +112,6 @@ def _pair_gather_index(n: int):
     return idx
 
 
-def _require_separated(dist) -> None:
-    """Raise CollisionConfiguration when a pair distance is below COLLISION_THRESHOLD."""
-    # an empty stack has no close pair
-    if np.minimum.reduce(dist, axis=None, initial=np.inf) < COLLISION_THRESHOLD:
-        raise CollisionConfiguration(f"minimum pair distance {dist.min():.3e} below threshold")
-
-
 def pair_terms(x, m):
     """pair_separations with the pair masses m_i m_j: (i, j, m_i m_j, x_i - x_j, r_ij).
 
@@ -130,7 +119,9 @@ def pair_terms(x, m):
     than COLLISION_THRESHOLD.
     """
     ii, jj, diff, dist = pair_separations(x)
-    _require_separated(dist)
+    # an empty stack has no close pair
+    if np.minimum.reduce(dist, axis=None, initial=np.inf) < COLLISION_THRESHOLD:
+        raise CollisionConfiguration(f"minimum pair distance {dist.min():.3e} below threshold")
     return ii, jj, m[ii] * m[jj], diff, dist
 
 

@@ -1,5 +1,4 @@
 import argparse
-import functools
 import json
 import logging
 import os
@@ -254,8 +253,7 @@ def test_simulate_rejects_oversized_perturbation(capsys):
 def test_simulate_stops_at_its_step_budget(tmp_path, monkeypatch, capsys):
     # this perturbed run creeps towards a near-binary passage with ever
     # smaller steps; without a budget it ran for minutes
-    monkeypatch.setattr(mcgehee, "IntegratorOptions",
-                        functools.partial(mcgehee.IntegratorOptions, max_steps=500))
+    monkeypatch.setattr(mcgehee, "MAX_STEPS", 500)
     rc, _, err = run(capsys, "simulate", "--family", "collinear3", "--perturb", "1e-3",
                      "--seed", "2", "--energy", "0.7", "--out", str(tmp_path / "t.csv"))
     assert rc == 2

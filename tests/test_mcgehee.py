@@ -274,11 +274,11 @@ def test_block_projection_raises_at_the_first_drifted_row(seed, k, n, d, data):
     np.testing.assert_array_equal(ys, before)
 
 
-def test_integrator_drift_abort(coll1):
+def test_integrator_drift_abort(coll1, monkeypatch):
     state = zero_energy_state(coll1)
+    monkeypatch.setattr(mcgehee, "DRIFT_ABORT", 1e-18)
     with pytest.raises(EllipsoidDrift):
-        mcgehee.integrate_el(state, coll1.masses, 1.0, tau_max=3.0,
-                             opts=mcgehee.IntegratorOptions(drift_abort=1e-18))
+        mcgehee.integrate_el(state, coll1.masses, 1.0, tau_max=3.0)
 
 
 def test_trajectory_interpolation_accuracy(coll1):
@@ -410,6 +410,23 @@ def test_log_rho_table_is_built_once(sampled_trajs, monkeypatch):
         traj.rho_at(t), traj.log_rate(t), traj.evaluate(t)
     # one logarithm of the samples, none per call
     assert logs == [traj.n_samples]
+
+
+def test_potential_trace_is_formed_once(sampled_trajs, monkeypatch, tmp_path):
+    traj = dataclasses.replace(sampled_trajs["kicked"])
+    want = traj.potential_scale * nbody.potential_stack(traj.s, traj.masses, traj.alpha)
+    rows = []
+    stack = nbody.potential_stack
+    monkeypatch.setattr(nbody, "potential_stack",
+                        lambda x, m, alpha: rows.append(x.shape[:-2]) or stack(x, m, alpha))
+    for _ in range(2):
+        traj.to_csv(tmp_path / "t.csv")
+        u, h = traj.potential_trace(), traj.energy_trace()
+    # one potential of all the samples, none per call, and it is not to be changed
+    assert rows == [(traj.n_samples,)]
+    assert u.tobytes() == want.tobytes() and not u.flags.writeable
+    assert h.tobytes() == mcgehee._energy_stack(traj.rho, traj.rho_prime, traj.s_prime,
+                                                traj.masses, traj.alpha, want).tobytes()
 
 
 def test_one_sample_trajectory_refuses_to_interpolate(coll1):
@@ -1425,12 +1442,12 @@ def test_flow_rhs_matches_reference_and_sums_pairs_once(seed, n, d, alpha, h, sc
     m, y = point
     want = reference_flow(alpha, m, h, scale, d)(0.0, y)
     calls = []
-    check = nbody._require_separated
+    separations = nbody.pair_separations
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nbody, "_require_separated", lambda dist: calls.append(1) or check(dist))
+        mp.setattr(nbody, "pair_separations", lambda x: calls.append(1) or separations(x))
         got = mcgehee._flow(alpha, m, h, scale, d)(0.0, y)
     np.testing.assert_array_equal(got, want)
-    # one collision check, so one pass over the pairs, per call
+    # one pass over the pairs per call
     assert len(calls) == 1
 
 

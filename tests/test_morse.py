@@ -194,6 +194,16 @@ def test_morse_witnesses_overlap_rejected(homothetic_traj, mu1_direction):
         morse.morse_witnesses(homothetic_traj, mu1_direction, [5.0, 15.0], l1=1e-9, l2=20.0)
 
 
+def test_morse_witnesses_refuse_a_bump_starting_at_zero(homothetic_traj, mu1_direction):
+    shifts = morse.default_shifts(2, 0.0, 20.0)
+    # l1 defaults to BUMP_START; a bump starting at tau = 0 is not rewritten to it
+    with pytest.raises(ValueError, match="need 0 < l1 < l2"):
+        morse.morse_witnesses(homothetic_traj, mu1_direction, shifts, l1=0.0, l2=20.0)
+    got = morse.morse_witnesses(homothetic_traj, mu1_direction, shifts, l2=20.0)
+    want = morse.morse_witnesses(homothetic_traj, mu1_direction, shifts, l1=1e-9, l2=20.0)
+    assert got.q_values == want.q_values
+
+
 def test_support_out_of_range(homothetic_traj, mu1_direction):
     bump = morse.BumpVariation(l1=1.0, l2=5.0, shift=449.0, xi=mu1_direction)
     with pytest.raises(SupportOutOfRange):
@@ -722,6 +732,23 @@ def test_refinement_stops_each_integral_at_its_own_tolerance(homothetic_traj):
     assert len(set(shared)) > 1  # they converge at different levels
 
 
+def test_refinement_stops_on_two_small_changes(homothetic_traj):
+    # members 0, 1, 2 integrate 0, 1e-9 and 1 on (1, 5); Simpson is exact on
+    # each, so every change after level 0 is 0 (or rounding)
+    heights, levels = (0.0, 2.5e-10, 0.25), []
+
+    def rows(grid, members):
+        levels.append(members.tolist())
+        return np.stack([np.full(row.shape, heights[m]) for m, row in zip(members.tolist(), grid)])
+
+    got = morse._refine_until(rows, homothetic_traj, [(1.0, 5.0)] * 3, 1e-8)
+    assert got.tolist() == pytest.approx([0.0, 1e-9, 1.0], rel=1e-14)
+    # level 0 changes from 0: members whose first estimate is within 256 tol
+    # of 0 stop at level 1, on the first grid; the other stops at level 2,
+    # after one small change from level 1 and one before it
+    assert levels == [[0, 1, 2], [2]]
+
+
 def test_homographic_blocks_reject_moving_shape(coll1):
     kick = np.zeros((3, 2))
     kick[:, 1] = 1e-4 * np.array([1.0, -2.0, 1.0]) / np.sqrt(6)
@@ -819,6 +846,10 @@ def test_value_and_deriv_equals_the_two_pass_profile(kind, width, frac, u):
        kind=st.sampled_from(["flattop", "bump"]),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 @example(n=5, width=0.5, kind="flattop", seed=0)
+# the four bumps' combination is refined on 334 2^k intervals; its change
+# from 1,336 to 2,672 is 9e-9 relative while its error grows from 7.3e-8 to
+# 1.1e-7, so a stop on that one change alone is 3.2e-8 off
+@example(n=4, width=1.0629047648615189, kind="flattop", seed=1)
 def test_disjoint_supports_make_Q_additive(n, width, kind, seed, homothetic_traj, mu1_direction):
     # flat fractions up to 0.95: steeper ramps on narrow supports are not
     # resolved within 8 doublings, and Q comes back unconverged without a
