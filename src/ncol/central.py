@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -99,12 +100,22 @@ def ngon(n: int, alpha: float) -> CentralConfiguration:
     if n < 4:
         warnings.warn(f"ngon with n={n} is outside the stated range n >= 4", stacklevel=2)
     nbody.validate_alpha(alpha)
-    k = np.arange(n)
-    s0 = np.zeros((n, 2))
-    s0[:, 0] = np.cos(2.0 * np.pi * k / n) / np.sqrt(n)
-    s0[:, 1] = np.sin(2.0 * np.pi * k / n) / np.sqrt(n)
-    m = np.ones(n)
-    return _verify(s0, m, alpha, "ngon")
+    return _verify(ngon_vertices(n), np.ones(n), alpha, "ngon")
+
+
+@functools.cache
+def ngon_vertices(n: int) -> np.ndarray:
+    """The rows of ngon(n), read-only, one copy per n: the n-th roots of unity
+    (unit_circle) over sqrt(n)."""
+    rows = unit_circle(n) / np.sqrt(n)
+    rows.flags.writeable = False
+    return rows
+
+
+def unit_circle(n: int) -> np.ndarray:
+    """(cos, sin) of 2 pi k / n for k = 0..n-1, shape (n, 2): the n-th roots of unity."""
+    angle = 2.0 * np.pi * np.arange(n) / n
+    return np.stack([np.cos(angle), np.sin(angle)], axis=1)
 
 
 def embed_in_3d(cc: CentralConfiguration) -> CentralConfiguration:

@@ -165,7 +165,13 @@ class Trajectory:
     # -- traces ------------------------------------------------------------
     @cached_property
     def _potential(self) -> np.ndarray:
-        """potential_scale U(s) at every sample, formed once per trajectory, read-only."""
+        """potential_scale U(s) at every sample, formed once per trajectory, read-only.
+
+        A frozen shape has one value, formed at s[0] and broadcast over the samples.
+        """
+        if self.frozen_shape:
+            u = self.potential_scale * nbody.potential_stack(self.s[:1], self.masses, self.alpha)
+            return np.broadcast_to(u, self.tau.shape)
         u = self.potential_scale * nbody.potential_stack(self.s, self.masses, self.alpha)
         u.flags.writeable = False
         return u

@@ -184,21 +184,32 @@ def hessian_on_ellipsoid_stack(s, m, alpha, v) -> np.ndarray:
     return hessian_quadratic_stack(s, m, alpha, v) + alpha * potential_stack(s, m, alpha) * mv
 
 
+def pair_hessian_blocks(alpha, mm, diff, dist) -> np.ndarray:
+    """Per-pair Hessian blocks B, shape (..., P, d, d), of pairs (..., P) with
+    pair masses mm, separations diff = u = x_i - x_j and distances dist = r:
+
+        B = alpha m_i m_j [(alpha+2) u u^T / r^(alpha+4) - I / r^(alpha+2)].
+
+    alpha broadcasts against the blocks, as in hessian_full_stack.
+    """
+    r = dist[..., None, None]
+    outer = diff[..., :, None] * diff[..., None, :]
+    return alpha * mm[..., None, None] * (
+        (alpha + 2.0) * outer / r ** (alpha + 4.0) - np.eye(diff.shape[-1]) / r ** (alpha + 2.0))
+
+
 def hessian_full_stack(x, m, alpha) -> np.ndarray:
     """Hessian of U on the full space, shape (..., N*d, N*d).
 
-    Per-pair block: B = alpha*m_i*m_j*[(alpha+2) u u^T / r^(alpha+4) - I / r^(alpha+2)]
-    with u = x_i - x_j.  A difference coupling puts -B at (i, j) and (j, i);
-    each diagonal block is minus the sum of the off-diagonal blocks of its row.
-    alpha broadcasts against the blocks (..., P, d, d): a scalar, or
-    alphas[:, None, None, None] for one alpha per configuration of a (K, N, d) stack.
+    A difference coupling puts minus the pair block B (pair_hessian_blocks) at
+    (i, j) and (j, i); each diagonal block is minus the sum of the
+    off-diagonal blocks of its row.  alpha broadcasts against the blocks
+    (..., P, d, d): a scalar, or alphas[:, None, None, None] for one alpha per
+    configuration of a (K, N, d) stack.
     """
     ii, jj, mm, diff, dist = pair_terms(x, m)
     n, d = x.shape[-2:]
-    r = dist[..., None, None]
-    outer = diff[..., :, None] * diff[..., None, :]
-    block = alpha * mm[..., None, None] * (
-        (alpha + 2.0) * outer / r ** (alpha + 4.0) - np.eye(d) / r ** (alpha + 2.0))
+    block = pair_hessian_blocks(alpha, mm, diff, dist)
     H = np.zeros(x.shape[:-2] + (n, n, d, d))
     H[..., ii, jj, :, :] = -block
     H[..., jj, ii, :, :] = -block

@@ -7,12 +7,13 @@ difference, negative when the criterion holds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nbody
-from .central import CentralConfiguration
+from .central import CentralConfiguration, ngon_vertices, unit_circle
 from .errors import BracketFailure, InvalidN, NoConvergence, NotCentral
 
 ALPHA_FLOOR = 1e-6
@@ -130,11 +131,14 @@ def spectral_sweep(cc: CentralConfiguration, alphas) -> SpectralSweep:
     The shape is not re-solved: b and the centrality residual are recomputed
     at every alpha (an alpha within 1e-14 of cc.alpha keeps cc's own, as
     cc.at_alpha does), and NotCentral names the first alpha where the residual
-    fails its gate.  One admissible basis, one (K, N*d, N*d) Hessian stack and
-    one batched eigh serve all alphas.  Eigenvectors are Euclidean-normalized;
-    for unequal masses the value depends on this normalization choice.
-    Variations leave the plane of a planar shape only once the caller has
-    embedded it (central.embed_in_3d).
+    fails its gate.  A regular polygon as central.ngon builds it (is_cyclic)
+    is solved mode by mode in d x d blocks (_cyclic_spectrum); every other
+    shape by one admissible basis, one (K, N*d, N*d) Hessian stack and one
+    batched eigh of order N*d - d - 1 (_dense_spectrum).  Either way the
+    eigenvalues come in ascending order and the eigenvectors are
+    Euclidean-normalized; for unequal masses the value depends on this
+    normalization choice.  Variations leave the plane of a planar shape only
+    once the caller has embedded it (central.embed_in_3d).
     """
     alphas = nbody.validate_alpha(np.array(alphas, dtype=float).reshape(-1))
     x = np.broadcast_to(cc.s0, alphas.shape + cc.s0.shape)
@@ -147,16 +151,164 @@ def spectral_sweep(cc: CentralConfiguration, alphas) -> SpectralSweep:
         k = bad[0]
         raise NotCentral(f"configuration residual {residual[k]:.3e} too large "
                          f"at alpha = {alphas[k]:.12g}")
+    solve = _cyclic_spectrum if is_cyclic(cc) else _dense_spectrum
+    vals, vecs = solve(cc, alphas, b)
+    mu1 = vals[:, 0]
+    margin = mu1 + (2.0 - alphas) ** 2 / 8.0 * b
+    return SpectralSweep(alphas=alphas, b=b, residual=residual, mu1=mu1, margin=margin,
+                         family=cc.family, eigenvalues=vals, eigenvectors=vecs)
+
+
+def _dense_spectrum(cc: CentralConfiguration, alphas, b):
+    """(eigenvalues (K, k), eigenvectors (K, k, N, d)) of H + alpha b M on the
+    admissible basis: one batched eigh of order k = N*d - d - 1."""
     basis = admissible_basis(cc.s0, cc.masses)
     proj = basis @ constrained_hessian_matrix(cc, alphas, b) @ basis.T
     vals, vecs = np.linalg.eigh(proj)
     kdim = basis.shape[0]
     full = np.swapaxes(basis.T @ vecs, -1, -2).reshape(alphas.size, kdim, *cc.s0.shape)
     full /= np.linalg.norm(full.reshape(alphas.size, kdim, cc.s0.size), axis=-1)[..., None, None]
-    mu1 = vals[:, 0]
-    margin = mu1 + (2.0 - alphas) ** 2 / 8.0 * b
-    return SpectralSweep(alphas=alphas, b=b, residual=residual, mu1=mu1, margin=margin,
-                         family=cc.family, eigenvalues=vals, eigenvectors=full)
+    return vals, full
+
+
+def is_cyclic(cc: CentralConfiguration) -> bool:
+    """True when spectral_sweep solves cc mode by mode (_cyclic_spectrum).
+
+    That is the polygon central.ngon builds: n >= 3 equal masses, rows
+    bitwise its vertices, planar or with the zero third column embed_in_3d
+    adds.  Any other shape, a moved or solved polygon among them, goes dense.
+    """
+    n, d = cc.s0.shape
+    return (n >= 3 and d in (2, 3) and not cc.s0[:, 2:].any()
+            and bool(np.all(cc.masses == cc.masses[0]))
+            and np.array_equal(cc.s0[:, :2], ngon_vertices(n)))
+
+
+def _read_only(*arrays):
+    for t in arrays:
+        t.flags.writeable = False
+    return arrays
+
+
+@functools.cache
+def _polygon_tables(n: int):
+    """Read-only tables of the n-gon, one copy per n, with omega = exp(2 pi i / n).
+
+    turns (n - 1, 2, 2): R^l, the turn by 2 pi l / n, for l = 1..n-1; roots
+    (n,): omega^j; cos and sin (n//2 + 1, n): the parts of omega^(k j) for
+    the modes k = 0..n//2.
+    """
+    circle = unit_circle(n)
+    c, s = circle[1:, 0], circle[1:, 1]
+    kj = np.arange(n // 2 + 1)[:, None] * np.arange(n) % n
+    return _read_only(np.stack([c, -s, s, c], axis=-1).reshape(n - 1, 2, 2),
+                      circle[:, 0] + 1j * circle[:, 1], circle[kj, 0], circle[kj, 1])
+
+
+@functools.cache
+def _mode_pool(n: int, d: int):
+    """Where each eigenpair of _cyclic_spectrum comes from, one copy per (n, d).
+
+    The modes' eigenpairs are pooled in a fixed order: the normal ones of
+    modes 1..n//2 (d = 3 only), then the planar ones of modes 0, 1, 2, 2, 3,
+    3, .., (n-1)//2, (n-1)//2 and, for even n, n/2 twice.  A planar
+    eigenvector w is held as beta_+ = w_x - i w_y and beta_- = w_x + i w_y,
+    sqrt(2) times its parts along e_+ = (1, i)/sqrt(2) and e_- = (1, -i)/sqrt(2);
+    beta (2, P) has those of the pooled w that do not depend on alpha, e_y
+    of mode 0 and e_- of mode 1.  Each pooled pair gives one real
+    eigenvector, with the factor c = 1, and one of a mode 1 <= k <= (n-1)//2
+    a second, with c = -i: eigenpair e is pooled pair src[e] of mode
+    modes[e] with factor cf[e], and cz[e] is cf[e] for a normal one and 0
+    for a planar one.
+    """
+    half, pairs = n // 2, (n - 1) // 2
+    normal = np.arange(1, half + 1) if d == 3 else np.arange(0)
+    pool_modes = np.concatenate([normal, [0, 1], np.repeat(np.arange(2, pairs + 1), 2),
+                                 [half] * (2 - 2 * (n % 2))]).astype(int)
+    pooled = np.arange(pool_modes.size)
+    src = np.concatenate([pooled, pooled[(1 <= pool_modes) & (pool_modes <= pairs)]])
+    cf = np.where(np.arange(src.size) < pooled.size, 1.0 + 0j, -1j)
+    beta = np.zeros((2, pooled.size), dtype=complex)
+    beta[:, normal.size] = [-1j, 1j]
+    beta[1, normal.size + 1] = np.sqrt(2.0)
+    return _read_only(beta, src, pool_modes[src], cf, np.where(src < normal.size, cf, 0.0))
+
+
+def _cyclic_spectrum(cc: CentralConfiguration, alphas, b):
+    """_dense_spectrum's eigenpairs of a regular polygon (is_cyclic), mode by mode.
+
+    Body j of the polygon is body 0 turned by R^j, so in the co-rotating
+    frame dx_j = R^j a_j the matrix H + alpha b M is block circulant: block
+    (i, j) is C_(j-i), with C_0 = sum_l A_l + alpha b m I and C_l = -A_l R^l,
+    A_l the pair block (nbody.pair_hessian_blocks) of bodies 0 and l.  A mode
+    a_j = omega^(k j) w, omega = exp(2 pi i / n), sees the d x d Hermitian
+    block H_k = sum_l C_l omega^(k l).  The real and imaginary parts of a
+    mode vector are real eigenvectors with the eigenvalue of w, and modes k
+    and n - k give the same ones, so k runs over 0..n//2.  The plane and its
+    normal decouple, and each constraint falls on one mode: of the plane,
+    mode 0 keeps only the tangent e_y (the radial row drops e_x) and mode 1
+    only e_- = (1, -i)/sqrt(2) (the in-plane mass sums drop e_+), and the
+    normal mass sum drops mode 0's normal.  So modes 0 and 1 and every
+    normal part are 1 x 1 blocks read off H_k; the planar 2 x 2 blocks of
+    modes 2..(n-1)//2 go through one complex eigh and that of mode n/2, for
+    even n, through a real one.
+    """
+    n, d = cc.s0.shape
+    K, half, pairs = alphas.size, n // 2, (n - 1) // 2
+    turns, roots, cos_kj, sin_kj = _polygon_tables(n)
+    beta0, src, modes, cf, cz = _mode_pool(n, d)
+    m0 = cc.masses[0]
+    diff = cc.s0[0] - cc.s0[1:]
+    a = nbody.pair_hessian_blocks(alphas[:, None, None, None], np.full(n - 1, m0 * m0), diff,
+                                  np.sqrt(np.add.reduce(diff * diff, axis=-1)))
+    blocks = np.empty((K, n, d, d))  # C_l
+    blocks[:, 0] = a.sum(axis=1) + (alphas * b * m0)[:, None, None] * np.eye(d)
+    blocks[:, 1:] = -a
+    blocks[:, 1:, :, :2] = -a[..., :2] @ turns
+    blocks = blocks.reshape(K, n, d * d)
+    hr = (cos_kj @ blocks).reshape(K, half + 1, d, d)  # H_k, real and imaginary parts
+    hi = (sin_kj @ blocks).reshape(K, half + 1, d, d)
+
+    nz = half if d == 3 else 0
+    pool = np.empty((K, beta0.shape[1]))  # the pooled eigenvalues
+    if d == 3:
+        pool[:, :nz] = hr[:, 1:, 2, 2]
+    pool[:, nz] = hr[:, 0, 1, 1]  # e_y^T H_0 e_y
+    pool[:, nz + 1] = 0.5 * (hr[:, 1, 0, 0] + hr[:, 1, 1, 1]) - hi[:, 1, 1, 0]  # e_-^H H_1 e_-
+    beta = np.empty((2, K, beta0.shape[1]), dtype=complex)
+    beta[:] = beta0[:, None]
+    signs = np.array([-1j, 1j])[:, None, None, None]
+    if pairs > 1:
+        vals, vecs = np.linalg.eigh(hr[:, 2:pairs + 1, :2, :2] + 1j * hi[:, 2:pairs + 1, :2, :2])
+        pool[:, nz + 2:nz + 2 * pairs] = vals.reshape(K, 2 * pairs - 2)
+        beta[..., nz + 2:nz + 2 * pairs] = (vecs[:, :, 0] + signs * vecs[:, :, 1]).reshape(
+            2, K, 2 * pairs - 2)
+    if n % 2 == 0:
+        vals, vecs = np.linalg.eigh(hr[:, half, :2, :2])
+        pool[:, -2:] = vals
+        beta[..., -2:] = vecs[:, 0] + signs[..., 0] * vecs[:, 1]
+
+    # eigenpair e, sorted, is v_j = R^j Re(c omega^(k j) w).  In the plane, as
+    # x + i y, that is omega^j (p cos(2 pi k j / n) + q sin(2 pi k j / n)),
+    # with p = conj(c beta_+) + c beta_- and q = i (c beta_- - conj(c beta_+)),
+    # over sqrt(2), which the normalization takes; along the normal it is
+    # Re(c omega^(k j)).
+    rows = np.arange(K)[:, None]
+    vals = pool[:, src]
+    order = np.argsort(vals, axis=1, kind="stable")
+    vals = vals[rows, order]
+    pick, k, c = src[order], modes[order], cf[order]
+    cos_e, sin_e = cos_kj[k], sin_kj[k]  # (K, k, n)
+    out = np.empty(vals.shape + (n, d))
+    if d == 3:
+        out[..., 2] = cz.real[order][..., None] * cos_e - cz.imag[order][..., None] * sin_e
+    plus, minus = np.conj(c * beta[0][rows, pick]), c * beta[1][rows, pick]
+    planar = (plus + minus)[..., None] * cos_e
+    planar += (1j * (minus - plus))[..., None] * sin_e
+    planar *= roots
+    out[..., :2] = planar.view(float).reshape(vals.shape + (n, 2))
+    out /= nbody.norm_stack(out)[..., None, None]
+    return vals, out
 
 
 def smallest_eigenvalue(cc: CentralConfiguration, alpha: float | None = None) -> SpectralReport:

@@ -196,6 +196,26 @@ def test_figure1_matches_the_benchmark_reference(capsys):
     assert_same_text(out, ref.read_text())
 
 
+@pytest.mark.parametrize("steps", [1, 2, 37, 400])
+def test_figure1_rows_are_those_of_numpy_scalars(capsys, steps):
+    # the rows are formatted from Python floats; numpy's scalars of the same
+    # sweep give the same bytes
+    rc, out, _ = run(capsys, "figure1", "--steps", str(steps))
+    assert rc == 0
+    sweep = spectral.spectral_sweep(central.collinear3(1.0, 1.0, 1.0),
+                                    np.linspace(0.05, 2.0 - 1e-9, steps))
+    lhs_eq, rhs, holds_eq = spectral.collinear_equal_condition(sweep.alphas)
+    lhs_b, _, holds_b = spectral.collinear_B_eigen_condition(sweep.alphas)
+    rows = [SWEEP_HEADER]
+    for a, le, r, he, lb, hb, mu1, margin in zip(sweep.alphas, lhs_eq, rhs, holds_eq,
+                                                lhs_b, holds_b, sweep.mu1, sweep.margin):
+        assert isinstance(a, np.float64) and isinstance(he, np.bool_)
+        tail = f"{mu1:.12g},{margin:.12g}"
+        rows.append(f"{a:.12g},collinear3-equal,3,{le:.12g},{r:.12g},{int(he)},{tail}")
+        rows.append(f"{a:.12g},collinear3-B,3,{lb:.12g},{r:.12g},{int(hb)},{tail}")
+    assert_same_text(out, "\n".join(rows) + "\n")
+
+
 def test_figure1_negative_steps_is_usage_error(capsys):
     rc, out, err = run(capsys, "figure1", "--steps", "-3")
     assert rc == 1

@@ -429,6 +429,26 @@ def test_potential_trace_is_formed_once(sampled_trajs, monkeypatch, tmp_path):
                                                 traj.masses, traj.alpha, want).tobytes()
 
 
+def test_frozen_potential_trace_is_formed_at_one_row(coll1, monkeypatch):
+    cc = central.embed_in_3d(central.ngon(5, 0.7))
+    routes = [mcgehee.homothetic_oracle(coll1, h=0.0, tau_max=5.0),
+              mcgehee.homothetic_oracle(cc, h=-1.0, tau_max=5.0),
+              mcgehee.homothetic_quadrature_trajectory(coll1, h=0.5, tau_max=5.0,
+                                                       potential_scale=1.0 / 0.3)]
+    # the per-sample evaluation, of every row of a writable copy of the samples
+    wants = [t.potential_scale * nbody.potential_stack(t.s.copy(), t.masses, t.alpha)
+             for t in routes]
+    rows = []
+    stack = nbody.potential_stack
+    monkeypatch.setattr(nbody, "potential_stack",
+                        lambda x, m, alpha: rows.append(x.shape[:-2]) or stack(x, m, alpha))
+    for traj, want in zip(routes, wants):
+        u = traj.potential_trace()
+        assert u.shape == (traj.n_samples,) and not u.flags.writeable
+        assert u.tobytes() == want.tobytes()
+    assert rows == [(1,)] * len(routes)
+
+
 def test_one_sample_trajectory_refuses_to_interpolate(coll1):
     # `ncol weakforce --tau-max 1e-9` builds such members; interpolating one
     # sample read the index -1 and returned NaN

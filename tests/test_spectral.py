@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -262,21 +263,115 @@ def test_spectral_sweep_equals_a_loop_over_alphas(cc, dim, alphas):
         cc = central.embed_in_3d(cc)
     sweep = spectral.spectral_sweep(cc, alphas)
     assert sweep.mu1.shape == sweep.margin.shape == sweep.b.shape == (len(alphas),)
+    cyclic = spectral.is_cyclic(cc)
     for k, alpha in enumerate(alphas):
         want = reference_smallest_eigenvalue(cc, alpha)
         rep = spectral.smallest_eigenvalue(cc, alpha)
         got = (sweep.mu1[k], sweep.margin[k], sweep.b[k], sweep.residual[k])
+        # a polygon's spectrum comes from the cyclic route, the oracle's from
+        # one dense eigh: they agree to rounding of the largest eigenvalue, or
+        # of the smallest normal float for a subnormal alpha, where no
+        # relative digit is left
+        bound = 1e-12 * np.max(np.abs(rep.eigenvalues)) + np.finfo(float).tiny
         if alpha == 1.0 or alpha + 2.0 == 2.0:
             # numpy raises an array to a scalar power of -1 or 2 with a
             # reciprocal or a square, but to the same power taken from an
             # array of exponents with pow, which can differ in the last bit
-            assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * want[2])
-            assert np.allclose((rep.mu1, rep.margin, rep.b), want[:3],
-                               rtol=1e-13, atol=1e-13 * want[2])
+            atol = max(1e-13 * want[2], bound if cyclic else 0.0)
+            assert np.allclose(got, want, rtol=1e-13, atol=atol)
+            assert np.allclose((rep.mu1, rep.margin, rep.b), want[:3], rtol=1e-13, atol=atol)
             continue
-        assert got == want
-        assert (rep.mu1, rep.margin, rep.b) == want[:3]
+        if cyclic:
+            assert abs(got[0] - want[0]) <= bound and abs(got[1] - want[1]) <= bound
+            assert got[2:] == want[2:]
+            assert (rep.mu1, rep.margin, rep.b) == got[:3]
+        else:
+            assert got == want
+            assert (rep.mu1, rep.margin, rep.b) == want[:3]
         np.testing.assert_array_equal(rep.eigenvectors, sweep.eigenvectors[k])
+
+
+def _quiet_ngon(n, alpha=1.0):
+    """central.ngon, without its warning for n < 4."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return central.ngon(n, alpha)
+
+
+def _check_against_the_dense_route(cc, alphas):
+    """The cyclic route's eigenpairs of cc at alphas against _dense_spectrum's."""
+    sweep = spectral.spectral_sweep(cc, alphas)
+    vals, vecs = spectral._dense_spectrum(cc, sweep.alphas, sweep.b)
+    h = spectral.constrained_hessian_matrix(cc, sweep.alphas, sweep.b)
+    for k in range(sweep.alphas.size):
+        got = sweep.eigenvalues[k]
+        scale = np.max(np.abs(vals[k]))
+        assert np.all(np.diff(got) >= 0.0)
+        assert np.max(np.abs(got - vals[k])) <= 1e-12 * scale
+        v = sweep.eigenvectors[k].reshape(got.size, cc.s0.size)
+        assert _null_space_defect(v, cc.s0, cc.masses, got.size) <= 1e-12
+        assert np.max(np.linalg.norm(v @ h[k] - got[:, None] * v, axis=1)) <= 1e-12 * scale
+        # the bottom eigenspace as a whole, where a gap sets it apart
+        bottom = sweep.report(k).bottom_eigenspace().reshape(-1, cc.s0.size)
+        size = bottom.shape[0]
+        if size < got.size and vals[k][size] - vals[k][size - 1] > 1e-6 * scale:
+            ref = vecs[k, :size].reshape(bottom.shape)
+            assert np.max(np.abs(bottom.T @ bottom - ref.T @ ref)) <= 1e-10
+
+
+def _check_the_dense_route(cc, alphas):
+    sweep = spectral.spectral_sweep(cc, alphas)
+    vals, vecs = spectral._dense_spectrum(cc, sweep.alphas, sweep.b)
+    np.testing.assert_array_equal(sweep.eigenvalues, vals)
+    np.testing.assert_array_equal(sweep.eigenvectors, vecs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 40), dim=st.sampled_from([2, 3]),
+       alphas=st.lists(st.floats(spectral.ALPHA_FLOOR, 2.0, exclude_max=True),
+                       min_size=1, max_size=3))
+def test_cyclic_route_matches_the_dense_route(n, dim, alphas):
+    cc = _quiet_ngon(n)
+    if dim == 3:
+        cc = central.embed_in_3d(cc)
+    # two bodies have one mode past 0, which both in-plane mass sums fall on,
+    # and stay on the dense route
+    assert spectral.is_cyclic(cc) == (n >= 3)
+    if n >= 3:
+        _check_against_the_dense_route(cc, alphas)
+    else:
+        _check_the_dense_route(cc, alphas)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_two_and_three_bodies_take_their_routes(n, dim):
+    cc = _quiet_ngon(n, 0.7)
+    if dim == 3:
+        cc = central.embed_in_3d(cc)
+    assert spectral.spectral_sweep(cc, [0.7]).eigenvalues.shape == (1, n * dim - dim - 1)
+    if n == 2:
+        _check_the_dense_route(cc, [0.7, 1.3])
+    else:
+        _check_against_the_dense_route(cc, [0.7, 1.3])
+
+
+def test_only_the_built_polygon_takes_the_cyclic_route():
+    cc = central.ngon(8, 1.0)
+    assert spectral.is_cyclic(cc) and spectral.is_cyclic(central.embed_in_3d(cc))
+    x, m, alpha, _ = nbody.config_from_json(cc.to_json())
+    moved = replace(cc, s0=cc.s0 + 1e-9 * np.eye(8, 2))
+    lifted = replace(central.embed_in_3d(cc), s0=central.embed_in_3d(cc).s0 + [0, 0, 1e-300])
+    dense = [
+        central.solve_central(x, m, alpha),  # what `--family file` builds from it
+        moved,
+        lifted,
+        replace(cc, masses=np.array([1.0] * 7 + [1.0 + 1e-15])),
+        central.collinear3(1.0, 1.0, 1.0),
+    ]
+    for shape in dense:
+        assert not spectral.is_cyclic(shape)
+    _check_the_dense_route(dense[0], [0.5, 1.0])
 
 
 def test_smallest_eigenvalue_keeps_the_configurations_own_b(coll1):
