@@ -9,7 +9,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nbody
-from .errors import ConvergedToCollision, InvalidMass, InvalidN, NoConvergence, NotCentral
+from .errors import (ConvergedToCollision, InvalidMass, InvalidN, NoConvergence, NotCentral,
+                     ZeroConfiguration)
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,8 @@ def _verify(s0, m, alpha, family) -> CentralConfiguration:
     if abs(inertia - 1.0) > 1e-12:
         raise NotCentral(f"moment of inertia {inertia} is off the unit ellipsoid")
     u, residual, tol = nbody.central_gate_stack(s0, m, alpha, nbody.RESIDUAL_TOL, 100.0)
+    if not 0.0 < u < np.inf:
+        raise NotCentral(f"potential {float(u)} is not finite and positive")
     res = float(nbody.norm_stack(residual))
     if res > tol:
         raise NotCentral(f"centrality residual {res:.3e} exceeds {tol:.3e}")
@@ -147,6 +150,8 @@ def solve_central(initial, m, alpha, max_iter: int = 200) -> CentralConfiguratio
         y = y - nbody.center_of_mass(y, m)
         return y / np.sqrt(nbody.moment_of_inertia(y, m))
 
+    if nbody.moment_of_inertia(x - nbody.center_of_mass(x, m), m) == 0.0:
+        raise ZeroConfiguration("zero moment of inertia about the center of mass")
     x = project(x)
     mdiag = nbody.mass_matrix_diag(m, d)
 

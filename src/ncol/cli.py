@@ -2,20 +2,13 @@
 
 Exit codes: 0 success, 1 usage or I/O error, 2 numeric invariant failure, so
 CI can gate on mathematical regressions.
-
-Each command runs on one BLAS thread and puts the caller's thread count back
-when it returns, unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import functools
-import glob
 import json
-import logging
 import math
 import os
 import sys
@@ -30,14 +23,6 @@ WEAKFORCE_HEADER = "alpha,tau_eps,inf_disotto,tail_integral,phi_min"
 # the most vertices --n may ask for: `spectral --family ngon --n 1024`, with
 # its 523,776 pairs and 3,068 eigenvectors of 3,072 coordinates, peaks near 0.28 GB
 MAX_N = 1024
-
-_log = logging.getLogger(__name__)
-
-# the OpenBLAS that numpy's wheels bundle, and the thread variables that mean
-# the user has chosen a BLAS thread count
-_OPENBLAS_GLOB = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                              "libscipy_openblas*")
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class UsageError(Exception):
@@ -326,60 +311,19 @@ def build_parser() -> _Parser:
     return p
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
-
-    Looked up on the first command rather than at import.  Opening the
-    library again returns the copy numpy has loaded.  Another BLAS, or a wheel
-    that lays its libraries out otherwise, gives None and one DEBUG record.
-    """
-    for path in sorted(glob.glob(_OPENBLAS_GLOB)):
-        try:
-            lib = ctypes.CDLL(path)
-            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-    _log.debug("no OpenBLAS thread control matches %s; BLAS threads left as they are",
-               _OPENBLAS_GLOB)
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body on one BLAS thread and put the caller's count back after.
-
-    On a few cores a second thread buys the small dense solves nothing but a
-    worker that spins for CPU.  A user who sets OPENBLAS_NUM_THREADS or
-    OMP_NUM_THREADS keeps that choice.
-    """
-    control = None if any(os.environ.get(v) for v in _THREAD_VARS) else _openblas_threads()
-    if control is None:
-        yield
-        return
-    get, set_threads = control
-    before = get()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(before)
-
-
 def main(argv=None) -> int:
-    with _one_blas_thread():
-        try:
-            args = build_parser().parse_args(argv)
-            return globals()[f"cmd_{args.command}"](args)
-        except UsageError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 1
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"io error: {exc}", file=sys.stderr)
-            return 1
-        except (NcolError, AssertionError) as exc:
-            print(f"numeric failure: {exc}", file=sys.stderr)
-            return 2
+    try:
+        args = build_parser().parse_args(argv)
+        return globals()[f"cmd_{args.command}"](args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return 1
+    except (NcolError, AssertionError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -894,10 +894,13 @@ def homothetic_quadrature_trajectory(cc, h: float, tau_max: float,
         raise NonCollapsing("energy admits no inward velocity from rho = 1")
     coef = (2.0 - alpha) / 4.0
     # generous sigma horizon: tau(sigma) >= sigma / max-speed, so the clock
-    # passes tau_max before the grid ends
-    sigma_end = tau_max * coef * np.sqrt(2.0 * (max(h, 0.0) + b)) + 5.0
+    # passes tau_max before the grid ends (capped so that n converts to an int)
+    sigma_end = min(tau_max * coef * np.sqrt(2.0 * (max(h, 0.0) + b)) + 5.0,
+                    2e-4 * np.finfo(float).max)
     n = int(np.ceil(sigma_end / 2e-4)) + 1
     dsigma = sigma_end / (n - 1)
+    # but no grid point lies over one unit past the underflow of rho = e^(-sigma)
+    n = min(n, int((1.0 - np.log(np.finfo(float).smallest_subnormal)) / dsigma) + 1)
     a, c = h / b, coef * np.sqrt(2.0 * b)
 
     def samples(index):

@@ -52,8 +52,8 @@ def as_masses(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 1 or m.size < 2:
         raise InvalidMass("need a flat vector of at least two masses")
-    if np.any(m <= 0.0):
-        raise InvalidMass(f"all masses must be positive, got {m}")
+    if not np.all((m > 0.0) & (m < np.inf)):
+        raise InvalidMass(f"all masses must be positive and finite, got {m}")
     return m
 
 
@@ -204,18 +204,19 @@ def hessian_full_stack(x, m, alpha) -> np.ndarray:
     A difference coupling puts minus the pair block B (pair_hessian_blocks) at
     (i, j) and (j, i); each diagonal block is minus the sum of the
     off-diagonal blocks of its row.  alpha broadcasts against the blocks
-    (..., P, d, d): a scalar, or alphas[:, None, None, None] for one alpha per
-    configuration of a (K, N, d) stack.
+    (..., P, d, d), whose batch shape the result takes: a scalar, or
+    alphas[:, None, None, None] for K alphas on a (K, N, d) stack or one shape.
     """
     ii, jj, mm, diff, dist = pair_terms(x, m)
     n, d = x.shape[-2:]
     block = pair_hessian_blocks(alpha, mm, diff, dist)
-    H = np.zeros(x.shape[:-2] + (n, n, d, d))
+    batch = block.shape[:-3]
+    H = np.zeros(batch + (n, n, d, d))
     H[..., ii, jj, :, :] = -block
     H[..., jj, ii, :, :] = -block
     diag = np.arange(n)
     H[..., diag, diag, :, :] = -H.sum(axis=-3)
-    return np.swapaxes(H, -3, -2).reshape(x.shape[:-2] + (n * d, n * d))
+    return np.swapaxes(H, -3, -2).reshape(batch + (n * d, n * d))
 
 
 def norm_stack(v) -> np.ndarray:
@@ -410,6 +411,8 @@ def config_from_json(text: str):
     """Parse the configuration schema; returns (x, m, alpha, full payload)."""
     payload = json.loads(text)
     x = as_positions(payload["positions"])
+    if not np.isfinite(x).all():
+        raise ValueError("positions must be finite")
     if x.shape[1] != int(payload["dim"]):
         raise ValueError("dim field does not match position width")
     m = as_masses(payload["masses"])

@@ -94,8 +94,7 @@ def constrained_hessian_matrix(cc: CentralConfiguration, alphas, b=None) -> np.n
     """
     alphas = np.asarray(alphas, dtype=float)
     b = cc.b if b is None else b
-    x = np.broadcast_to(cc.s0, alphas.shape + cc.s0.shape)
-    h = nbody.hessian_full_stack(x, cc.masses, alphas[..., None, None, None])
+    h = nbody.hessian_full_stack(cc.s0, cc.masses, alphas[..., None, None, None])
     mdiag = nbody.mass_matrix_diag(cc.masses, cc.dim)
     return h + (alphas * b)[..., None, None] * np.diag(mdiag)
 
@@ -141,8 +140,7 @@ def spectral_sweep(cc: CentralConfiguration, alphas) -> SpectralSweep:
     once the caller has embedded it (central.embed_in_3d).
     """
     alphas = nbody.validate_alpha(np.array(alphas, dtype=float).reshape(-1))
-    x = np.broadcast_to(cc.s0, alphas.shape + cc.s0.shape)
-    b, res_vec, tol = nbody.central_gate_stack(x, cc.masses, alphas[:, None], 1e-8, 1e3)
+    b, res_vec, tol = nbody.central_gate_stack(cc.s0, cc.masses, alphas[:, None], 1e-8, 1e3)
     own = np.abs(alphas - cc.alpha) <= 1e-14
     b = np.where(own, cc.b, b)
     residual = np.where(own, cc.residual, nbody.norm_stack(res_vec))

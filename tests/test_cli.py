@@ -1,6 +1,5 @@
 import argparse
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -11,7 +10,6 @@ import pytest
 
 from ncol import central, cli, mcgehee, spectral
 from ncol.cli import SWEEP_HEADER, WEAKFORCE_HEADER, main
-from ncol.errors import NotCentral
 
 
 def run(capsys, *argv):
@@ -393,6 +391,34 @@ def test_invalid_configuration_file_is_usage_error(tmp_path, capsys, payload):
     assert out == "" and err.startswith("usage error: ") and "--file" in err
 
 
+_LINE3 = [[-0.7, 0.0], [0.0, 0.0], [0.7, 0.0]]
+
+
+@pytest.mark.parametrize("positions,masses,want", [
+    ([[-0.7, 0.0], [np.nan, 0.0], [0.7, 0.0]], [1, 1, 1], 1),
+    ([[-0.7, 0.0], [np.inf, 0.0], [0.7, 0.0]], [1, 1, 1], 1),
+    (_LINE3, [1, np.nan, 1], 1),
+    (_LINE3, [1, np.inf, 1], 1),
+    ([[0.0, 0.0]] * 3, [1, 1, 1], 2),
+    # U underflows to 0 on the unit ellipsoid, which would read as central
+    (_LINE3, [1e-300] * 3, 2)], ids=[
+    "nan-position", "inf-position", "nan-mass", "inf-mass", "all-at-origin", "tiny-masses"])
+def test_unusable_configuration_file_fails_in_one_line(tmp_path, capsys, positions, masses,
+                                                       want):
+    # json writes NaN and Infinity, which it reads back; an uncaught error
+    # would escape main and fail the test with its traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"positions": positions, "masses": masses, "dim": 2,
+                               "alpha": 1.0}))
+    for command in ("central", "spectral", "morse", "simulate"):
+        rc, out, err = run(capsys, command, "--family", "file", "--file", str(cfg),
+                           "--out", str(tmp_path / "out"))
+        assert (rc, out) == (want, "")
+        assert err.startswith(("usage error: ", "numeric failure: "))
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_configuration_file_is_io_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
@@ -456,6 +482,20 @@ def test_weakforce_names_the_underflow_of_rho(capsys):
     assert rc == 2 and out == ""
     assert "numeric failure: alpha=0.02: rho underflows to 0.0 at tau = 90.53" in err
     assert "changed sign" not in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("argv", [("--tau-max", "1e300"), ("--tau-max", "1.7e308"),
+                                  ("--m2", "1e300")], ids=["tau-max", "largest-tau-max", "m2"])
+def test_weakforce_grid_stops_where_rho_underflows(capsys, argv):
+    # the sigma grid ends one unit past the underflow of rho = e^(-sigma),
+    # not at a depth that grows with the horizon or the masses; a grid sized
+    # by either asked numpy for more points than it can allocate
+    rc, out, err = run(capsys, "weakforce", *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("numeric failure: alpha=0.5: rho underflows to 0.0 at tau = ")
+    assert err.count("\n") == 1
 
 
 def test_weakforce_into_a_closed_pipe_keeps_its_verdict(capsys):
@@ -574,117 +614,21 @@ def test_polygons_past_the_old_gate_are_central(capsys):
         assert json.loads(out)
 
 
-# ---------------------------------------------------------------------------
-# the BLAS thread count inside and around a command
-
-
-def blas_threads():
-    """(get, set) of numpy's OpenBLAS thread count; skips where they are absent."""
-    control = cli._openblas_threads()
-    if control is None:
-        pytest.skip("numpy's BLAS exports no scipy_openblas thread-count functions here")
-    return control
-
-
-@pytest.fixture
-def caller_threads(monkeypatch):
-    """A caller's BLAS thread count of 3, with no thread variable set; the
-    count found before is put back after the test."""
-    for var in cli._THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    get, set_threads = blas_threads()
-    before = get()
-    set_threads(3)
-    yield get
-    set_threads(before)
-
-
-def test_a_command_runs_on_one_blas_thread(capsys, monkeypatch, caller_threads):
-    seen = []
-
-    def fake(args):
-        seen.append(caller_threads())
-        return 0
-
-    monkeypatch.setattr(cli, "cmd_figure1", fake)
-    assert main(["figure1"]) == 0
-    assert seen == [1] and caller_threads() == 3
-
-
-class _Raised(Exception):
-    pass
-
-
-def _raise(exc):
-    raise exc
-
-
-@pytest.mark.parametrize("body,argv,want", [
-    (lambda args: 0, ["figure1"], 0),
-    (lambda args: 0, ["figure1", "--steps", "-1"], 1),
-    (lambda args: _raise(OSError("disk full")), ["figure1"], 1),
-    (lambda args: _raise(NotCentral("off")), ["figure1"], 2),
-    (lambda args: _raise(BrokenPipeError()), ["figure1"], 1),
-    (lambda args: _raise(_Raised()), ["figure1"], _Raised),
-    (lambda args: 0, ["--help"], SystemExit)], ids=[
-    "exit-0", "usage-error", "io-error", "numeric-failure", "broken-pipe", "raised",
-    "help"])
-def test_the_callers_blas_threads_come_back(capsys, monkeypatch, caller_threads,
-                                            body, argv, want):
-    inside = []
-    monkeypatch.setattr(cli, "cmd_figure1", lambda args: inside.append(caller_threads())
-                        or body(args))
-    if isinstance(want, int):
-        assert main(argv) == want
-    else:
-        with pytest.raises(want):
-            main(argv)
-    assert caller_threads() == 3
-    assert inside in ([], [1])
-
-
-@pytest.mark.parametrize("var", cli._THREAD_VARS)
-def test_a_thread_variable_keeps_the_users_blas_threads(capsys, monkeypatch,
-                                                        caller_threads, var):
-    monkeypatch.setenv(var, "3")
-    looked_up, seen = [], []
-    monkeypatch.setattr(cli, "_openblas_threads", lambda: looked_up.append(1))
-
-    def fake(args):
-        seen.append(caller_threads())
-        return 0
-
-    monkeypatch.setattr(cli, "cmd_figure1", fake)
-    assert main(["figure1"]) == 0
-    assert (looked_up, seen, caller_threads()) == ([], [3], 3)
-
-
-@pytest.fixture
-def fresh_lookup():
-    cli._openblas_threads.cache_clear()
-    yield
-    cli._openblas_threads.cache_clear()
-
-
-def test_no_blas_thread_control_leaves_commands_unchanged(capsys, monkeypatch, caplog,
-                                                          tmp_path, fresh_lookup):
-    for var in cli._THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    argv = ("spectral", "--family", "ngon", "--n", "6")
-    want = run(capsys, *argv)
-    assert want[0] == 0
-    cli._openblas_threads.cache_clear()
-    monkeypatch.setattr(cli, "_OPENBLAS_GLOB", str(tmp_path / "libscipy_openblas*"))
-    caplog.set_level(logging.DEBUG, logger="ncol.cli")
-    assert run(capsys, *argv) == want
-    assert run(capsys, *argv) == want
-    records = [r for r in caplog.records if r.name == "ncol.cli"]
-    assert len(records) == 1 and records[0].levelno == logging.DEBUG
-    assert "no OpenBLAS thread control" in records[0].getMessage()
-
-
-def test_importing_ncol_looks_up_no_blas_library():
-    code = ("import sys, ncol, ncol.cli; "
-            "sys.exit(ncol.cli._openblas_threads.cache_info().misses)")
-    assert subprocess.run([sys.executable, "-c", code], env=child_env(),
-                          timeout=300).returncode == 0
+def test_benchmark_commands_do_not_depend_on_the_blas_threads():
+    # the commands run on numpy's default BLAS threads; these, whose dense
+    # solves are small or go through the polygon's d x d blocks, print the
+    # same bytes on one OpenBLAS thread as on two
+    commands = [["figure1", "--steps", "50"], ["spectral", "--family", "ngon", "--n", "64"],
+                ["morse", "--family", "ngon", "--n", "8"],
+                ["threshold", "--family", "ngon", "--n", "64"]]
+    code = ("import json, sys; from ncol.cli import main; "
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    outputs = []
+    for threads in ("1", "2"):
+        env = child_env() | {"OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                              capture_output=True, env=env, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].count("\n") > 100
+    assert_same_text(outputs[1], outputs[0])

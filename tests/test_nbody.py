@@ -50,6 +50,9 @@ def test_bad_masses_rejected():
         nbody.as_masses([1.0, -2.0])
     with pytest.raises(InvalidMass):
         nbody.as_masses([1.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidMass, match="positive and finite"):
+            nbody.as_masses([1.0, bad])
 
 
 @settings(max_examples=30, deadline=None)

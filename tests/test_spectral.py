@@ -291,6 +291,28 @@ def test_spectral_sweep_equals_a_loop_over_alphas(cc, dim, alphas):
         np.testing.assert_array_equal(rep.eigenvectors, sweep.eigenvectors[k])
 
 
+@pytest.mark.parametrize("cc", [
+    central.collinear3(1.0, 1.0, 1.0), central.collinear3(0.3, 4.0, 1.0),
+    central.embed_in_3d(central.ngon(7, 1.0))], ids=["collinear3", "unequal", "ngon7-3d"])
+@pytest.mark.parametrize("k", [0, 1, 9])
+def test_one_shape_equals_its_stack_over_alphas(cc, k):
+    # the gate and the Hessian take the shape once with K alphas, as
+    # spectral_sweep and constrained_hessian_matrix pass it, and give bitwise
+    # what they give on the shape broadcast to a (K, N, d) stack
+    alphas = np.linspace(0.1, 1.9, k)
+    stack = np.broadcast_to(cc.s0, (k,) + cc.s0.shape)
+    for one, many in zip(nbody.central_gate_stack(cc.s0, cc.masses, alphas[:, None], 1e-8, 1e3),
+                         nbody.central_gate_stack(stack, cc.masses, alphas[:, None], 1e-8, 1e3)):
+        np.testing.assert_array_equal(one, many, strict=True)
+    a4 = alphas[:, None, None, None]
+    np.testing.assert_array_equal(nbody.hessian_full_stack(cc.s0, cc.masses, a4),
+                                  nbody.hessian_full_stack(stack, cc.masses, a4), strict=True)
+    h = spectral.constrained_hessian_matrix(cc, alphas, cc.b)
+    assert h.shape == (k, cc.s0.size, cc.s0.size)
+    for j, alpha in enumerate(alphas):
+        np.testing.assert_array_equal(h[j], spectral.constrained_hessian_matrix(cc, alpha))
+
+
 def _quiet_ngon(n, alpha=1.0):
     """central.ngon, without its warning for n < 4."""
     with warnings.catch_warnings():
