@@ -66,11 +66,12 @@ def _verify(s0, m, alpha, family) -> CentralConfiguration:
     inertia = nbody.moment_of_inertia(s0, m)
     if abs(inertia - 1.0) > 1e-12:
         raise NotCentral(f"moment of inertia {inertia} is off the unit ellipsoid")
-    u, residual, tol = nbody.central_gate_stack(s0, m, alpha, nbody.RESIDUAL_TOL, 100.0)
+    u, res, tol = nbody.central_gate_stack(s0, m, alpha, nbody.RESIDUAL_TOL, 100.0)
     if not 0.0 < u < np.inf:
         raise NotCentral(f"potential {float(u)} is not finite and positive")
-    res = float(nbody.norm_stack(residual))
-    if res > tol:
+    res = float(res)
+    # written so that a NaN residual fails it
+    if not res <= tol:
         raise NotCentral(f"centrality residual {res:.3e} exceeds {tol:.3e}")
     return CentralConfiguration(s0=s0, masses=m, alpha=alpha, b=float(u), residual=res,
                                 family=family)

@@ -208,7 +208,7 @@ def cmd_simulate(args) -> int:
     print(f"samples={traj.n_samples} tau_end={traj.tau_end:.4g} "
           f"energy_drift={drift:.3e} (over {int(trusted.sum())} trusted samples)",
           file=sys.stderr)
-    if not trusted.any() or drift > tol or not lam2_ok:
+    if not (trusted.any() and drift <= tol and lam2_ok):
         return 2
     return 0
 

@@ -134,8 +134,9 @@ class Trajectory:
     zero-energy collapse formula rho = exp(-c tau), s const.  Frozen shapes
     hold s and s' as read-only stride-0 views of one row (_frozen_trajectory).
     Sampled data read rho through a per-interval cubic of log rho, tabled on
-    first use and cached (_log_rho_table), as is the potential trace
-    (_potential); the samples are not to be changed in place after that.
+    first use and cached (_log_rho_table), as are the potential trace
+    (_potential) and whether the shape is frozen (frozen_shape); the samples
+    are not to be changed in place after that.
     """
 
     alpha: float
@@ -203,9 +204,9 @@ class Trajectory:
         return noise < tol / 5.0
 
     # -- interpolation -----------------------------------------------------
-    @property
+    @cached_property
     def frozen_shape(self) -> bool:
-        """True when every sample sits at s[0] with zero shape velocity."""
+        """True when every sample sits at s[0] with zero shape velocity; read once."""
         if self.exact_homothetic:
             return True
         return not np.any(self.s_prime) and bool(np.all(self.s == self.s[0]))
@@ -429,19 +430,16 @@ _DOP_WEIGHTS = np.stack([_DOP_B, _DOP_E5, _DOP_E3])
 _DOP_NODES = _DOP_C.tolist()
 
 
-def _stage(y, hstep, row, ks):
-    yi = row @ ks
-    yi *= hstep
-    yi += y
-    return yi
-
-
 def _step_stages(f, t, y, hstep, ks):
     """Fill ks[1:12] for a step of size hstep from (t, y), with ks[0] = f(t, y);
     returns the 8th-order increment sum_j b_j k_j and the 5th- and 3rd-order
     error sums, one row each."""
     for i in range(1, 12):
-        ks[i] = f(t + _DOP_NODES[i] * hstep, _stage(y, hstep, _DOP_STAGE_ROWS[i], ks[:i]))
+        # the stage state y + hstep sum_j a_ij k_j
+        yi = _DOP_STAGE_ROWS[i] @ ks[:i]
+        yi *= hstep
+        yi += y
+        ks[i] = f(t + _DOP_NODES[i] * hstep, yi)
     return _DOP_WEIGHTS @ ks[:12]
 
 
@@ -453,7 +451,10 @@ def _dense_coefficients(f, t, y_old, y_new, hstep, ks):
     extra stages are written into ks[13:16] (three more RHS calls).
     """
     for i in range(13, 16):
-        ks[i] = f(t + _DOP_NODES[i] * hstep, _stage(y_old, hstep, _DOP_STAGE_ROWS[i], ks[:i]))
+        yi = _DOP_STAGE_ROWS[i] @ ks[:i]
+        yi *= hstep
+        yi += y_old
+        ks[i] = f(t + _DOP_NODES[i] * hstep, yi)
     coef = np.empty((7, y_old.size))
     coef[0] = y_new - y_old
     coef[1] = hstep * ks[0] - coef[0]
@@ -467,9 +468,10 @@ def _dense_values(coef, y_old, x):
     """The continuous extension at step fractions x (shape (p, 1)): rows of
     y_old + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + x (F4 + (1-x) (F5 + x F6))))))."""
     out = coef[6] * x
+    rest = 1.0 - x
     for r in range(5, -1, -1):
         out += coef[r]
-        out *= x if r % 2 == 0 else 1.0 - x
+        out *= x if r % 2 == 0 else rest
     out += y_old
     return out
 
@@ -510,16 +512,16 @@ def _dop853(f, t, y, hstep, *, rtol, atol, floor, project, stop, sample_gap=np.i
         hstep = min(hstep, t_end - t)
         if hstep < floor(t):
             raise StepFailure(f"step size underflow at t = {t}")
-        incr, e5, e3 = _step_stages(f, t, y, hstep, ks)
-        y8 = incr * hstep
+        sums = _step_stages(f, t, y, hstep, ks)
+        y8 = sums[0] * hstep
         y8 += y
         sc = np.maximum(np.abs(y), np.abs(y8))
         sc *= rtol
         sc += atol
-        e5 /= sc
-        e3 /= sc
-        err5 = np.add.reduce(e5 * e5).item()
-        err3 = np.add.reduce(e3 * e3).item()
+        # the 5th- and 3rd-order error rows scaled and squared, summed row by row
+        e = sums[1:]
+        e /= sc
+        err5, err3 = np.add.reduce(e * e, axis=1).tolist()
         deno = err5 + 0.01 * err3
         # a nan error norm stays nan, so the step is rejected
         err = hstep * err5 / math.sqrt(y.size * (deno if deno > 0.0 else 1.0))
@@ -559,7 +561,9 @@ def _dop853(f, t, y, hstep, *, rtol, atol, floor, project, stop, sample_gap=np.i
     return np.concatenate(ts), np.concatenate(ys)
 
 
-# the most bodies whose tau-flow right-hand side runs on Python floats (see _flow)
+# the most bodies whose tau-flow right-hand side runs on Python floats (see
+# _flow).  The float route is the faster one up to N = 8 at d = 2, but the
+# routes round differently, so a higher bound changes the ngon-8 output.
 FLOAT_RHS_MAX_N = 6
 
 
@@ -569,9 +573,9 @@ def _flow(alpha, m, h, scale, d):
     Up to FLOAT_RHS_MAX_N bodies it runs on Python floats, one loop over the
     pairs; beyond that on numpy arrays with nbody's pair kernel.  Per call,
     numpy route against float route, on a 2-vCPU VM (Python 3.11.7, numpy
-    2.4.6), d = 2 unless named: N = 3 18 and 4.2 us, N = 4 18 and 6.0 us,
-    N = 6 18 and 11 us (18 and 14 us at d = 3), N = 7 18 and 14 us, N = 8 18
-    and 18 us.  The routes round differently (a scalar pow and numpy's array
+    2.4.6), d = 2 unless named: N = 3 16.4 and 3.8 us (16.6 and 4.5 us at
+    d = 3), N = 6 16.8 and 9.5 us, N = 7 16.9 and 12.3 us, N = 8 17.2 and
+    15.1 us (17.6 and 18.4 us at d = 3).  The routes round differently (a scalar pow and numpy's array
     pow disagree in the last bit on a few percent of arguments): a component
     moves by at most 10 eps of the sizes of its terms over 50,000 draws.  Both
     raise CollisionConfiguration on a pair closer than nbody.COLLISION_THRESHOLD.
@@ -580,13 +584,14 @@ def _flow(alpha, m, h, scale, d):
 
 
 def _array_flow(alpha, m, h, scale, d):
-    """_flow on numpy arrays, with nbody.potential_gradient_stack."""
+    """_flow on numpy arrays, with nbody's pair kernel (potential_gradient_kernel)."""
     beta = beta_exponent(alpha)
     coef = ((2.0 - alpha) / 4.0) ** 2
     n = m.size
     nd = n * d
     m_col = m[:, None]
     beta_h, beta_m1 = beta * h, beta - 1.0
+    kernel = nbody.potential_gradient_kernel(m, alpha)
 
     def f(_tau, y):
         rho, p = y[:2].tolist()
@@ -594,7 +599,7 @@ def _array_flow(alpha, m, h, scale, d):
             return np.full(y.size, np.nan)
         s = y[2:2 + nd].reshape(n, d)
         u = y[2 + nd:].reshape(n, d)
-        pot, grad = nbody.potential_gradient_stack(s, m, alpha)
+        pot, grad = kernel(s)
         pot = scale * pot.item()
         grad *= scale
         sp2 = np.add.reduce(m * np.add.reduce(u * u, axis=1)).item()
@@ -621,13 +626,16 @@ def _float_flow(alpha, m, h, scale, d):
     coef = ((2.0 - alpha) / 4.0) ** 2
     nd = m.size * d
     ii, jj = nbody.pair_indices(m.size)
-    # each pair as the offsets of its two bodies in s and its m_i m_j
-    pairs = list(zip((ii * d).tolist(), (jj * d).tolist(), (m[ii] * m[jj]).tolist()))
-    dims = range(d)
+    # each pair as the slices of its two bodies in s, the index pairs of
+    # their components and its m_i m_j, built once per run
+    pairs = [(slice(a, a + d), slice(b, b + d), [(a + k, b + k) for k in range(d)], mm)
+             for a, b, mm in zip((ii * d).tolist(), (jj * d).tolist(),
+                                 (m[ii] * m[jj]).tolist())]
     m_flat = np.repeat(m, d).tolist()
     inv_m = (1.0 / np.repeat(m, d)).tolist()
     beta_h, beta_m1 = beta * h, beta - 1.0
-    alpha_scale = alpha * scale
+    alpha_scale, neg_alpha = alpha * scale, -alpha
+    threshold = nbody.COLLISION_THRESHOLD
 
     def f(_tau, y):
         v = y.tolist()
@@ -639,18 +647,18 @@ def _float_flow(alpha, m, h, scale, d):
         # so that grad U = -alpha scale g
         pot = 0.0
         g = [0.0] * nd
-        for a, b, mm in pairs:
-            r = math.dist(s[a:a + d], s[b:b + d])
-            if r < nbody.COLLISION_THRESHOLD:
-                low = min(math.dist(s[i:i + d], s[j:j + d]) for i, j, _ in pairs)
+        for sa, sb, comps, mm in pairs:
+            r = math.dist(s[sa], s[sb])
+            if r < threshold:
+                low = min(math.dist(s[ia], s[ib]) for ia, ib, _, _ in pairs)
                 raise CollisionConfiguration(f"minimum pair distance {low:.3e} below threshold")
-            q = mm * r ** -alpha
+            q = mm * r ** neg_alpha
             pot += q
             q /= r * r
-            for k in dims:
-                fk = q * (s[a + k] - s[b + k])
-                g[a + k] += fk
-                g[b + k] -= fk
+            for a, b in comps:
+                fk = q * (s[a] - s[b])
+                g[a] += fk
+                g[b] -= fk
         sp2 = 0.0
         for mk, uk in zip(m_flat, u):
             sp2 += mk * uk * uk

@@ -64,9 +64,10 @@ class Profile:
             val, der = np.zeros_like(z), np.zeros_like(z)
             inside = np.abs(z) < 1.0
             zi = z[inside]
-            e = np.exp(-1.0 / (1.0 - zi**2) + 1.0)
+            w = 1.0 - zi**2
+            e = np.exp(-1.0 / w + 1.0)
             val[inside] = e
-            der[inside] = e * (-2.0 * zi / (1.0 - zi**2) ** 2) * (2.0 / self.width)
+            der[inside] = e * (-2.0 * zi / w**2) * (2.0 / self.width)
             return val, der
         ramp = 0.5 * (1.0 - self.flat_fraction) * self.width
         up, dup = _transition(u / ramp)

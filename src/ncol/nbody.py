@@ -119,10 +119,14 @@ def pair_terms(x, m):
     than COLLISION_THRESHOLD.
     """
     ii, jj, diff, dist = pair_separations(x)
+    _check_separations(dist)
+    return ii, jj, m[ii] * m[jj], diff, dist
+
+
+def _check_separations(dist):
     # an empty stack has no close pair
     if np.minimum.reduce(dist, axis=None, initial=np.inf) < COLLISION_THRESHOLD:
         raise CollisionConfiguration(f"minimum pair distance {dist.min():.3e} below threshold")
-    return ii, jj, m[ii] * m[jj], diff, dist
 
 
 def _potential_from(alpha, mm, dist):
@@ -144,11 +148,25 @@ def _gradient_from(amm, exponent, diff, dist, gather):
     return np.add.reduce(terms, axis=-3, initial=0.0)
 
 
+def potential_gradient_kernel(m, alpha):
+    """x -> (U, grad U) of a stack (..., N, d) of the bodies of masses m, with
+    the pair masses and the gather index formed once: pair_terms' check, then
+    one pass over the pairs."""
+    ii, jj = pair_indices(m.size)
+    mm = m[ii] * m[jj]
+    amm, exponent, gather = -alpha * mm, -(alpha + 2.0), _pair_gather_index(m.size)
+
+    def kernel(x):
+        _, _, diff, dist = pair_separations(x)
+        _check_separations(dist)
+        return _potential_from(alpha, mm, dist), _gradient_from(amm, exponent, diff, dist, gather)
+
+    return kernel
+
+
 def potential_gradient_stack(x, m, alpha):
-    """(U, grad U) of a stack (..., N, d) from one pair_terms call."""
-    _, _, mm, diff, dist = pair_terms(x, m)
-    return _potential_from(alpha, mm, dist), _gradient_from(
-        -alpha * mm, -(alpha + 2.0), diff, dist, _pair_gather_index(x.shape[-2]))
+    """(U, grad U) of a stack (..., N, d) from one pass over the pairs."""
+    return potential_gradient_kernel(m, alpha)(x)
 
 
 def potential_stack(x, m, alpha) -> np.ndarray:
@@ -249,21 +267,23 @@ def central_residual_stack(x, m, alpha):
 
 
 def central_gate_stack(x, m, alpha, floor, rel):
-    """(U, residual, tol): central_residual_stack with the bound on its norm.
+    """(U, |residual|, tol): the norm of central_residual_stack's residual and its bound.
 
     tol = max(floor, rel eps scale, eps |x| sum_{i<j} alpha (alpha+1) m_i m_j / r_ij^(alpha+2)),
     shape (...).  The last term is what rounding the positions to float64
     leaves in the residual: a relative error eps in x, carried through the
     pair Hessian, whose largest block eigenvalue is alpha (alpha+1) m_i m_j /
     r^(alpha+2).  It is the one that grows with N on a regular polygon, whose
-    nearest neighbours close in as 1/N^1.5.
+    nearest neighbours close in as 1/N^1.5.  Terms that overflow leave a NaN
+    or infinite norm without numpy's warnings, for the gates to reject.
     """
     _, _, mm, diff, dist = pair_terms(x, m)
-    u, residual, scale = _central_residual_from(x, m, alpha, mm, diff, dist)
-    eps = np.finfo(float).eps
-    curvature = np.add.reduce(alpha * (alpha + 1.0) * mm * dist ** -(alpha + 2.0), axis=-1)
-    tol = np.maximum(np.maximum(floor, rel * eps * scale), eps * norm_stack(x) * curvature)
-    return u, residual, tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, residual, scale = _central_residual_from(x, m, alpha, mm, diff, dist)
+        eps = np.finfo(float).eps
+        curvature = np.add.reduce(alpha * (alpha + 1.0) * mm * dist ** -(alpha + 2.0), axis=-1)
+        tol = np.maximum(np.maximum(floor, rel * eps * scale), eps * norm_stack(x) * curvature)
+        return u, norm_stack(residual), tol
 
 
 def matrix_A_stack(x, m, alpha) -> np.ndarray:
@@ -363,7 +383,7 @@ def check_tangent(s, m, v, tol: float = 1e-8) -> None:
     v = np.asarray(v, dtype=float).reshape(s.shape)
     radial = float(np.sum(m[:, None] * s * v))
     drift = float(np.linalg.norm(m @ v))
-    if abs(radial) > tol or drift > tol:
+    if not (abs(radial) <= tol and drift <= tol):
         raise ValueError(
             f"direction is not an admissible tangent: <v,Ms>={radial:.3e}, |sum m_i v_i|={drift:.3e}"
         )

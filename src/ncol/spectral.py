@@ -140,11 +140,11 @@ def spectral_sweep(cc: CentralConfiguration, alphas) -> SpectralSweep:
     once the caller has embedded it (central.embed_in_3d).
     """
     alphas = nbody.validate_alpha(np.array(alphas, dtype=float).reshape(-1))
-    b, res_vec, tol = nbody.central_gate_stack(cc.s0, cc.masses, alphas[:, None], 1e-8, 1e3)
+    b, res_norm, tol = nbody.central_gate_stack(cc.s0, cc.masses, alphas[:, None], 1e-8, 1e3)
     own = np.abs(alphas - cc.alpha) <= 1e-14
     b = np.where(own, cc.b, b)
-    residual = np.where(own, cc.residual, nbody.norm_stack(res_vec))
-    bad = np.flatnonzero(residual > tol)
+    residual = np.where(own, cc.residual, res_norm)
+    bad = np.flatnonzero(~(residual <= tol))
     if bad.size:
         k = bad[0]
         raise NotCentral(f"configuration residual {residual[k]:.3e} too large "

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +420,20 @@ def test_unusable_configuration_file_fails_in_one_line(tmp_path, capsys, positio
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["central", "spectral", "morse"])
+def test_a_nan_centrality_residual_fails_the_gate_in_one_line(capsys, command):
+    # alpha U M x overflows at m2 = 1e300, so the residual is NaN: the gate
+    # must reject it (a NaN passed `res > tol`), and without numpy's
+    # overflow warnings, which the filter turns into errors here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, command, "--family", "collinear3-m2", "--m2", "1e300")
+    assert rc == 2
+    assert err.startswith("numeric failure: centrality residual nan")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "nan" not in out.lower()
+
+
 def test_malformed_configuration_file_is_io_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
@@ -487,11 +502,12 @@ def test_weakforce_names_the_underflow_of_rho(capsys):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("argv", [("--tau-max", "1e300"), ("--tau-max", "1.7e308"),
-                                  ("--m2", "1e300")], ids=["tau-max", "largest-tau-max", "m2"])
+                                  ("--m2", "1e150")], ids=["tau-max", "largest-tau-max", "m2"])
 def test_weakforce_grid_stops_where_rho_underflows(capsys, argv):
     # the sigma grid ends one unit past the underflow of rho = e^(-sigma),
     # not at a depth that grows with the horizon or the masses; a grid sized
-    # by either asked numpy for more points than it can allocate
+    # by either asked numpy for more points than it can allocate.  (At m2 =
+    # 1e300 the centrality residual is NaN, which the gate now rejects.)
     rc, out, err = run(capsys, "weakforce", *argv)
     assert (rc, out) == (2, "")
     assert err.startswith("numeric failure: alpha=0.5: rho underflows to 0.0 at tau = ")

@@ -476,6 +476,18 @@ def test_frozen_shape_is_read_from_the_data(coll1):
     assert not dataclasses.replace(quad, s=moved).frozen_shape
 
 
+def test_frozen_shape_is_read_once_per_trajectory(coll1):
+    quad = mcgehee.homothetic_quadrature_trajectory(coll1, h=0.5, tau_max=5.0)
+    assert "frozen_shape" not in vars(quad)
+    assert quad.frozen_shape
+    assert vars(quad)["frozen_shape"] is True
+    # a replaced trajectory reads its own samples, not the original's answer
+    moved = quad.s.copy()
+    moved[-1] = moved[-1, ::-1]
+    assert not dataclasses.replace(quad, s=moved).frozen_shape
+    assert "frozen_shape" in mcgehee.Trajectory.__doc__
+
+
 def assert_one_read_only_row(arr, row):
     assert arr.strides[0] == 0 and not arr.flags.writeable
     assert np.array_equal(arr[0], row)
@@ -1547,3 +1559,99 @@ def test_both_rhs_routes_return_nan_where_rho_is_not_positive(n):
         for route in (mcgehee._float_flow, mcgehee._array_flow):
             out = route(0.2, m, 0.0, 1.0, 2)(0.0, y)
             assert out.shape == y.shape and np.all(np.isnan(out))
+
+
+def reference_float_flow(alpha, m, h, scale, d):
+    """_float_flow as it was before its per-run pair table: each pair's slices,
+    component indices, -alpha and the collision threshold formed per call."""
+    beta = mcgehee.beta_exponent(alpha)
+    coef = ((2.0 - alpha) / 4.0) ** 2
+    nd = m.size * d
+    ii, jj = nbody.pair_indices(m.size)
+    # each pair as the offsets of its two bodies in s and its m_i m_j
+    pairs = list(zip((ii * d).tolist(), (jj * d).tolist(), (m[ii] * m[jj]).tolist()))
+    dims = range(d)
+    m_flat = np.repeat(m, d).tolist()
+    inv_m = (1.0 / np.repeat(m, d)).tolist()
+    beta_h, beta_m1 = beta * h, beta - 1.0
+    alpha_scale = alpha * scale
+
+    def f(_tau, y):
+        v = y.tolist()
+        rho, p = v[0], v[1]
+        if rho <= 0.0:
+            return np.full(y.size, np.nan)
+        s, u = v[2:2 + nd], v[2 + nd:]
+        # pot sums m_i m_j r^-alpha, g the pair terms m_i m_j r^-(alpha+2) (s_i - s_j),
+        # so that grad U = -alpha scale g
+        pot = 0.0
+        g = [0.0] * nd
+        for a, b, mm in pairs:
+            r = math.dist(s[a:a + d], s[b:b + d])
+            if r < nbody.COLLISION_THRESHOLD:
+                low = min(math.dist(s[i:i + d], s[j:j + d]) for i, j, _ in pairs)
+                raise CollisionConfiguration(f"minimum pair distance {low:.3e} below threshold")
+            q = mm * r ** -alpha
+            pot += q
+            q /= r * r
+            for k in dims:
+                fk = q * (s[a + k] - s[b + k])
+                g[a + k] += fk
+                g[b + k] -= fk
+        sp2 = 0.0
+        for mk, uk in zip(m_flat, u):
+            sp2 += mk * uk * uk
+        pot *= scale
+        dp = coef * (rho * (sp2 + 2.0 * pot) + beta_h * rho ** beta_m1)
+        # the shape equation of the numpy route: -2 (p/rho) u + M^-1 grad U + alpha U s - sp2 s
+        damp, pull = -2.0 * (p / rho), alpha * pot - sp2
+        du = [damp * uk + pull * sk - alpha_scale * gk * im
+              for uk, sk, gk, im in zip(u, s, g, inv_m)]
+        return np.array([p, dp, *u, *du], dtype=float)
+
+    return f
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(2, mcgehee.FLOAT_RHS_MAX_N), d=st.integers(1, 3),
+       alpha=st.floats(0.01, 1.99), h=st.floats(-2.0, 2.0),
+       scale=st.sampled_from([1.0, 0.3, 7.0]),
+       case=st.sampled_from(["point", "close pair", "rho <= 0"]))
+def test_float_rhs_is_bitwise_its_reference_loop(seed, n, d, alpha, h, scale, case):
+    # the pair table built once per run does the arithmetic of the loop that
+    # formed it per call, in the same order
+    point = random_flow_point(seed, n, d)
+    if point is None:
+        return
+    m, y = point
+    if case == "close pair":
+        # the last body a hair from the first
+        y[2 + d * (n - 1):2 + d * n] = y[2:2 + d] + 3e-13
+    elif case == "rho <= 0":
+        y[0] = -y[0] if seed % 2 else 0.0
+    want = reference_float_flow(alpha, m, h, scale, d)
+    got = mcgehee._float_flow(alpha, m, h, scale, d)
+    if case == "close pair":
+        with pytest.raises(CollisionConfiguration) as want_exc:
+            want(0.0, y)
+        with pytest.raises(CollisionConfiguration, match="below threshold") as got_exc:
+            got(0.0, y)
+        assert str(got_exc.value) == str(want_exc.value)
+        return
+    out = got(0.0, y)
+    np.testing.assert_array_equal(out, want(0.0, y))
+    assert out.shape == y.shape
+    if case == "rho <= 0":
+        assert np.all(np.isnan(out))
+
+
+@pytest.mark.parametrize("run", ["kicked alpha 1", "kicked alpha 0.05", "unequal masses"])
+def test_integrate_el_is_bitwise_on_the_reference_pair_loop(run, monkeypatch):
+    cc, state, tau_max, opts = reference_run(run)
+    got = mcgehee.integrate_el(state, cc.masses, cc.alpha, tau_max, opts)
+    monkeypatch.setattr(mcgehee, "_float_flow", reference_float_flow)
+    want = mcgehee.integrate_el(state, cc.masses, cc.alpha, tau_max, opts)
+    assert got.n_samples > 50 and got.meta == want.meta
+    for name in ("tau", "rho", "rho_prime", "s", "s_prime"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), strict=True)
