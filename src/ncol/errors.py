@@ -45,8 +45,12 @@ class EllipsoidDrift(NcolError):
     """Per-step constraint correction exceeded its bound."""
 
 
+class NotTangent(NcolError, ValueError):
+    """Direction is not an admissible tangent at the shape, up to round-off."""
+
+
 class SupportOutOfRange(NcolError):
-    """Variation support exceeds the integrated horizon."""
+    """Variation support exceeds the integrated horizon, or is too narrow to refine."""
 
 
 class OverlappingSupports(NcolError):

@@ -72,7 +72,15 @@ class Profile:
         ramp = 0.5 * (1.0 - self.flat_fraction) * self.width
         up, dup = _transition(u / ramp)
         down, ddown = _transition((self.width - u) / ramp)
-        return up * down, dup / ramp * down + up * (-ddown / ramp)
+        # up down and dup / ramp down + up (-ddown / ramp), formed in place
+        dup /= ramp
+        dup *= down
+        np.negative(ddown, out=ddown)
+        ddown /= ramp
+        ddown *= up
+        dup += ddown
+        up *= down
+        return up, dup
 
 
 @dataclass(frozen=True)
@@ -252,56 +260,73 @@ def _refine_until(fn, traj, supports, tol, narrowest=None):
     supports is one (lo, hi) pair or a sequence of them, one per member.  fn
     maps (grid, members), a (G, K) grid whose rows hold points of the
     supports of the members in the index array members, to values of shape
-    (G, ..., K); each row is integrated, and the tolerance applies to the
-    sum of a member's rows.  A member's level k uses n0 2^k intervals, for
-    at most 8 levels.  Its first count n0 is the first _intervals count, at
-    16, 32, ... points per unit, that differs from the next one: on a
-    support narrower than 2 the coarser counts are all the 64-interval floor,
-    and comparing two such levels would check nothing.  Where an integrand is
-    made of pieces narrower than its support, narrowest (their least width)
-    sets n0 in place of the support's width, so the pieces are resolved as
-    finely as they would be alone.  Members that share n0 share every grid.
-    Their first evaluation is the grid of 2 n0 intervals, whose even points
-    are level 0 and which is level 1; each later level evaluates only its
-    new midpoints and interleaves them with the values it keeps, so no point
-    is evaluated twice.  A member stops at its first non-finite estimate, or
-    at a level whose change is within tol (1 + |T|) of its estimate T and
-    whose previous change is within _SETTLED times that, and leaves the stack;
-    level 0 changes from 0, so a member stops at level 1 only near 0.
-    Returns the row estimates, one per member, in the order given.
+    (G, ..., K); members on one support get copies of one row, built once.
+    Each row is integrated, and the tolerance applies to the sum of a
+    member's rows.  A member's level k uses n0 2^k intervals, for at most 8
+    levels.  Its first count n0 is the first _intervals count, at 16, 32, ...
+    points per unit, that differs from the next one: on a support narrower
+    than 2 the coarser counts are all the 64-interval floor, and comparing
+    two such levels would check nothing.  Where an integrand is made of
+    pieces narrower than its support, narrowest (their least width) sets n0
+    in place of the support's width, so the pieces are resolved as finely as
+    they would be alone.  A support whose feature would split into steps
+    below the spacing of floats at its position raises SupportOutOfRange.
+    Members that share n0 share every grid.  Their first evaluation is the
+    grid of 2 n0 intervals, whose even points are level 0 and which is
+    level 1; each later level evaluates only its new midpoints, so no point
+    is evaluated twice.  A level's Simpson sum takes its end points and the
+    sum of its even interior points from the previous level's values, and
+    the sum of its odd points from the new midpoints; strided views of the
+    first grid serve levels 0 and 1.  Only members that go on to another
+    level have the midpoints interleaved with the values they kept.  A
+    member stops at its first non-finite estimate, or at a level whose
+    change is within tol (1 + |T|) of its estimate T and whose previous
+    change is within _SETTLED times that, and leaves the stack; level 0
+    changes from 0, so a member stops at level 1 only near 0.  Returns the
+    row estimates, one per member, in the order given.
     """
     lo, hi = np.reshape(np.asarray(supports, dtype=float), (-1, 2)).T
+    bounds = list(zip(lo.tolist(), hi.tolist()))
     starts = {}
-    for m, width in enumerate((hi - lo).tolist()):
+    for m, (a, b) in enumerate(bounds):
+        width = b - a
         feature = width if narrowest is None else min(width, narrowest)
+        # the last level splits the feature into at least about 2^13 steps;
+        # below the spacing of floats there its points would repeat
+        if not feature > 8192.0 * math.ulp(max(abs(a), abs(b))):
+            raise SupportOutOfRange(f"support ({a}, {b}) is too narrow to refine at its position")
         rate = 16.0
         while _intervals(feature, 2.0 * rate) == _intervals(feature, rate):
             rate *= 2.0
         starts.setdefault(_intervals(width, rate), []).append(m)
+
+    def grid(members, intervals, shared, midpoints=False):
+        rows = members[:1] if shared else members
+        points = _support_grid(traj, lo[rows], hi[rows], intervals, midpoints)
+        return np.repeat(points, members.size, axis=0) if shared else points
+
     result = None
     for n, group in sorted(starts.items()):
         members = np.array(group)
-        first = fn(_support_grid(traj, lo[members], hi[members], 2 * n), members)
-        vals = np.ascontiguousarray(first[..., ::2])
+        # members on one support, such as the homographic blocks, share one row
+        shared = len(group) > 1 and len({bounds[m] for m in group}) == 1
+        first = fn(grid(members, 2 * n, shared), members)
+        lead = (-1,) + (1,) * (first.ndim - 2)
         # the estimate before level 0 counts as 0, and no change precedes it
         last, change = np.zeros(members.size), np.full(members.size, np.inf)
         for level in range(8):
-            if level == 1:
-                vals, first, n = first, None, 2 * n
-            elif level > 1:
+            if level > 0:
                 n *= 2
-                mids = fn(_support_grid(traj, lo[members], hi[members], n, midpoints=True),
-                          members)
-                vals, kept = np.empty(mids.shape[:-1] + (n + 1,)), vals
-                vals[..., ::2] = kept
-                vals[..., 1::2] = mids
-                # the next level's evaluation needs neither
-                del kept, mids
             # the step _support_grid builds its rows from; grid[:, 1] - grid[:, 0]
             # would lose digits on a support far from tau = 0
-            h = ((hi[members] - lo[members]) / n / 3.0).reshape((-1,) + (1,) * (vals.ndim - 2))
-            simpson = h * (vals[..., 0] + vals[..., -1] + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
-                           + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
+            h = ((hi[members] - lo[members]) / n / 3.0).reshape(lead)
+            if level == 0:
+                simpson = _simpson(h, first, first[..., 2:-1:4], first[..., 4:-1:4])
+            elif level == 1:
+                simpson = _simpson(h, first, first[..., 1:-1:2], first[..., 2:-1:2])
+            else:
+                mids = fn(grid(members, n, shared, midpoints=True), members)
+                simpson = _simpson(h, kept, mids, kept[..., 1:-1])
             if result is None:
                 result = np.empty((lo.size,) + simpson.shape[1:])
             result[members] = simpson
@@ -309,13 +334,37 @@ def _refine_until(fn, traj, supports, tol, narrowest=None):
             bound = tol * (1.0 + np.abs(totals))
             previous, change = change, np.abs(totals - last)
             done = ~np.isfinite(totals) | ((change <= bound) & (previous <= _SETTLED * bound))
-            if done.all() or level == 7:
+            stopped = np.count_nonzero(done)
+            if stopped == done.size or level == 7:
                 break
             going = ~done
-            members, vals, last, change = members[going], vals[going], totals[going], change[going]
-            if level == 0:
-                first = first[going]
+            if level > 1:
+                # this level's values in grid order, row by row for the members
+                # that go on, so that kept[going] is never copied whole
+                vals = np.empty((done.size - stopped,) + mids.shape[1:-1] + (n + 1,))
+                for row, member in enumerate(np.flatnonzero(going).tolist()):
+                    vals[row, ..., ::2] = kept[member]
+                    vals[row, ..., 1::2] = mids[member]
+                # the next level's evaluation needs neither the old values nor mids
+                kept, mids = vals, None
+            if not stopped:
+                last = totals
+            else:
+                members, last, change = members[going], totals[going], change[going]
+                if level < 2:
+                    first = first[going]
+            if level == 1:
+                kept, first = first, None
     return result
+
+
+def _simpson(h, ends, odd, even):
+    """h (f_0 + f_n + 4 (f_1 + f_3 + ...) + 2 (f_2 + f_4 + ...)) over the last axis.
+
+    ends holds f_0 and f_n as its first and last points; odd and even hold the
+    odd and the even interior points.
+    """
+    return h * (ends[..., 0] + ends[..., -1] + 4.0 * odd.sum(axis=-1) + 2.0 * even.sum(axis=-1))
 
 
 def _mdot(m, a, b):
@@ -508,9 +557,9 @@ def homographic_blocks(traj: Trajectory, zeta, variation, quad_tol: float = QUAD
                max(zeta.support[1], variation.support[1]))
 
     def integrand(grid, members):
-        # the blocks are members 0, 1, 2 on one support, so every row of grid
-        # is the same; each path is taken once, and only for a running block
-        # that needs it
+        # the blocks are members 0, 1, 2 on one support, so the rows of grid
+        # are copies of one row; each path is taken once, and only for a
+        # running block that needs it
         t, ks = grid[0], members.tolist()
         if ks[0] < 2:  # radial or mixed
             z, dz = zeta.scalar_and_deriv(t)

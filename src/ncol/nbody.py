@@ -24,7 +24,7 @@ import json
 
 import numpy as np
 
-from .errors import CollisionConfiguration, InvalidMass
+from .errors import CollisionConfiguration, InvalidMass, NotTangent
 
 COLLISION_THRESHOLD = 1e-12
 RESIDUAL_TOL = 1e-9
@@ -377,14 +377,21 @@ def residual_scale(x, m, alpha) -> float:
 
 
 def check_tangent(s, m, v, tol: float = 1e-8) -> None:
-    """Require <v, Ms> = 0 and sum_i m_i v_i = 0 within tolerance."""
+    """Require <v, Ms> = 0 and sum_i m_i v_i = 0 within tol of the sums of their terms' sizes.
+
+    The bounds scale with the masses, so a direction that is tangent up to
+    round-off passes at masses of 1e12 as at masses of 1.
+    """
     s = as_positions(s)
     m = as_masses(m)
     v = np.asarray(v, dtype=float).reshape(s.shape)
-    radial = float(np.sum(m[:, None] * s * v))
-    drift = float(np.linalg.norm(m @ v))
-    if not (abs(radial) <= tol and drift <= tol):
-        raise ValueError(
+    terms = m[:, None] * v
+    radial_terms = terms * s
+    radial = float(np.sum(radial_terms))
+    drift = float(np.linalg.norm(np.sum(terms, axis=0)))
+    if not (abs(radial) <= tol * float(np.sum(np.abs(radial_terms)))
+            and drift <= tol * float(np.sum(np.abs(terms)))):
+        raise NotTangent(
             f"direction is not an admissible tangent: <v,Ms>={radial:.3e}, |sum m_i v_i|={drift:.3e}"
         )
 

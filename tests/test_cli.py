@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncol import central, cli, mcgehee, spectral
+from ncol import central, cli, mcgehee, morse, spectral
 from ncol.cli import SWEEP_HEADER, WEAKFORCE_HEADER, main
 
 
@@ -648,3 +653,65 @@ def test_benchmark_commands_do_not_depend_on_the_blas_threads():
         outputs.append(proc.stdout)
     assert outputs[0].count("\n") > 100
     assert_same_text(outputs[1], outputs[0])
+
+
+@st.composite
+def morse_arguments(draw):
+    """An `ncol morse` command line over the ranges its options accept."""
+    family = draw(st.sampled_from(["collinear3", "collinear3-m2", "ngon"]))
+    argv = ["morse", "--family", family]
+    if family == "ngon":
+        # n = 3 is outside the polygon family's range and warns on every run
+        argv += ["--n", str(draw(st.integers(min_value=4, max_value=12)))]
+    alpha = draw(st.floats(min_value=spectral.ALPHA_FLOOR, max_value=2.0, exclude_max=True))
+    # masses from 1e-300 to 1e300, the ends included
+    masses = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+    bumps = draw(st.integers(min_value=1, max_value=20))
+    # just above the bump start up to just past the oracle's cap of tau
+    cap = mcgehee.ORACLE_MAX_TAU / (2.0 * (bumps + 1))
+    width = draw(st.one_of(
+        st.floats(min_value=np.nextafter(morse.BUMP_START, 1.0), max_value=2e-9),
+        st.floats(min_value=math.log(morse.BUMP_START), max_value=math.log(cap * 1.001))
+        .map(math.exp).filter(lambda w: w > morse.BUMP_START)))
+    return argv + ["--alpha", repr(alpha), "--m1", repr(draw(masses)), "--m2", repr(draw(masses)),
+                   "--bumps", str(bumps), "--width", repr(width),
+                   "--flat-fraction", repr(draw(st.floats(min_value=0.0, max_value=0.999999)))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=morse_arguments())
+def test_morse_fails_in_one_line_whatever_its_options(argv):
+    out, err = io.StringIO(), io.StringIO()
+    # numpy's overflow warnings at masses far apart (from the pair Hessians
+    # and the norms of spectral's basis) are not counted
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(argv)
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 1, 2)
+    if rc:
+        assert len(lines) == 1 and "Traceback" not in lines[0], lines
+    assert "nan" not in out.getvalue().lower()
+
+
+@pytest.mark.parametrize("extra,code,line", [
+    # the bump's support rounds to one point at tau = 2e-9: this died with
+    # "ValueError: cannot convert float NaN to integer"
+    (["--family", "collinear3", "--width", "1.0000000000000003e-09"], 2,
+     "numeric failure: support (2.0000000000000005e-09, 2.0000000000000005e-09) is too narrow "
+     "to refine at its position"),
+    # a support of a few float spacings asked for an array of 1e17 points
+    (["--family", "collinear3", "--width", "1.0000000000000005e-09", "--bumps", "3"], 2,
+     "is too narrow to refine at its position"),
+    # the eigenvector's round-off, 4e-4 in sum m_i v_i at masses near 1e12,
+    # failed an absolute bound of 1e-8 with a traceback
+    (["--family", "collinear3-m2", "--m1", "1e12", "--m2", "3e12"], 0, "witnesses=10 of 10"),
+    # at a mass ratio of 1e20 the eigenvector is not tangent to working precision
+    (["--family", "collinear3-m2", "--m1", "1", "--m2", "1e20"], 2,
+     "numeric failure: direction is not an admissible tangent"),
+])
+def test_morse_edge_inputs_end_in_one_line(capsys, extra, code, line):
+    rc, _, err = run(capsys, "morse", *extra)
+    assert rc == code
+    assert len(err.splitlines()) == 1 and line in err

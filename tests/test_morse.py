@@ -1,4 +1,5 @@
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from ncol import central, mcgehee, morse, nbody, spectral
 from ncol.errors import NotHomographic, OverlappingSupports, SupportOutOfRange
+from ncol.morse import _SETTLED, _intervals, _support_grid
 
 
 @pytest.fixture(scope="module")
@@ -1064,3 +1066,182 @@ def test_nested_counts_double_where_the_old_schedule_did_not(homothetic_traj):
 
     morse._refine_until(rows, homothetic_traj, (2.0, 3.37), -1.0)
     assert counts == [129] + [64 << k for k in range(1, 7)]
+
+
+# The refinement as it was before its levels were summed from their pieces,
+# copied verbatim: it interleaves every level and copies the running members'
+# values at each level.  It is the oracle of the refinement below.
+def reference_refine_until(fn, traj, supports, tol, narrowest=None):
+    """Composite-Simpson integrals on a stack of supports, refined together on nested grids.
+
+    supports is one (lo, hi) pair or a sequence of them, one per member.  fn
+    maps (grid, members), a (G, K) grid whose rows hold points of the
+    supports of the members in the index array members, to values of shape
+    (G, ..., K); each row is integrated, and the tolerance applies to the
+    sum of a member's rows.  A member's level k uses n0 2^k intervals, for
+    at most 8 levels.  Its first count n0 is the first _intervals count, at
+    16, 32, ... points per unit, that differs from the next one: on a
+    support narrower than 2 the coarser counts are all the 64-interval floor,
+    and comparing two such levels would check nothing.  Where an integrand is
+    made of pieces narrower than its support, narrowest (their least width)
+    sets n0 in place of the support's width, so the pieces are resolved as
+    finely as they would be alone.  Members that share n0 share every grid.
+    Their first evaluation is the grid of 2 n0 intervals, whose even points
+    are level 0 and which is level 1; each later level evaluates only its
+    new midpoints and interleaves them with the values it keeps, so no point
+    is evaluated twice.  A member stops at its first non-finite estimate, or
+    at a level whose change is within tol (1 + |T|) of its estimate T and
+    whose previous change is within _SETTLED times that, and leaves the stack;
+    level 0 changes from 0, so a member stops at level 1 only near 0.
+    Returns the row estimates, one per member, in the order given.
+    """
+    lo, hi = np.reshape(np.asarray(supports, dtype=float), (-1, 2)).T
+    starts = {}
+    for m, width in enumerate((hi - lo).tolist()):
+        feature = width if narrowest is None else min(width, narrowest)
+        rate = 16.0
+        while _intervals(feature, 2.0 * rate) == _intervals(feature, rate):
+            rate *= 2.0
+        starts.setdefault(_intervals(width, rate), []).append(m)
+    result = None
+    for n, group in sorted(starts.items()):
+        members = np.array(group)
+        first = fn(_support_grid(traj, lo[members], hi[members], 2 * n), members)
+        vals = np.ascontiguousarray(first[..., ::2])
+        # the estimate before level 0 counts as 0, and no change precedes it
+        last, change = np.zeros(members.size), np.full(members.size, np.inf)
+        for level in range(8):
+            if level == 1:
+                vals, first, n = first, None, 2 * n
+            elif level > 1:
+                n *= 2
+                mids = fn(_support_grid(traj, lo[members], hi[members], n, midpoints=True),
+                          members)
+                vals, kept = np.empty(mids.shape[:-1] + (n + 1,)), vals
+                vals[..., ::2] = kept
+                vals[..., 1::2] = mids
+                # the next level's evaluation needs neither
+                del kept, mids
+            # the step _support_grid builds its rows from; grid[:, 1] - grid[:, 0]
+            # would lose digits on a support far from tau = 0
+            h = ((hi[members] - lo[members]) / n / 3.0).reshape((-1,) + (1,) * (vals.ndim - 2))
+            simpson = h * (vals[..., 0] + vals[..., -1] + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
+                           + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
+            if result is None:
+                result = np.empty((lo.size,) + simpson.shape[1:])
+            result[members] = simpson
+            totals = simpson.reshape(members.size, -1).sum(axis=-1)
+            bound = tol * (1.0 + np.abs(totals))
+            previous, change = change, np.abs(totals - last)
+            done = ~np.isfinite(totals) | ((change <= bound) & (previous <= _SETTLED * bound))
+            if done.all() or level == 7:
+                break
+            going = ~done
+            members, vals, last, change = members[going], vals[going], totals[going], change[going]
+            if level == 0:
+                first = first[going]
+    return result
+
+
+
+# _support_grid reads only the horizon of a trajectory
+HORIZON = SimpleNamespace(tau=np.zeros(1), tau_end=2000.0)
+
+
+@st.composite
+def refinement_cases(draw):
+    """A stack of supports and one integrand parameter set per member."""
+    count = draw(st.integers(min_value=1, max_value=20))
+    widths = draw(st.lists(st.floats(min_value=0.05, max_value=50.0), min_size=count,
+                           max_size=count))
+    lows = draw(st.lists(st.floats(min_value=0.0, max_value=900.0), min_size=count,
+                         max_size=count))
+    if draw(st.booleans()):  # one support for every member, as homographic_blocks has
+        widths, lows = widths[:1] * count, lows[:1] * count
+    narrow = draw(st.one_of(st.none(), st.floats(min_value=0.05, max_value=50.0)))
+    # pieces at most 50 times narrower than the widest support keep the
+    # finest grid near 400,000 points
+    narrowest = None if narrow is None else max(narrow, max(widths) / 50.0)
+    # amplitude 0 integrates to 0 and stops at level 1; higher frequencies
+    # stop later
+    amps = draw(st.lists(st.sampled_from([0.0, 1.0, -3.0, 1e-9, 250.0]), min_size=count,
+                         max_size=count))
+    freqs = draw(st.lists(st.floats(min_value=0.0, max_value=40.0), min_size=count,
+                          max_size=count))
+    members = st.one_of(st.none(), st.integers(min_value=0, max_value=count - 1))
+    return dict(supports=[(lo, lo + w) for lo, w in zip(lows, widths)], narrowest=narrowest,
+                amps=np.array(amps), freqs=np.array(freqs),
+                phases=np.array(draw(st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                                              min_size=count, max_size=count))),
+                nan_member=draw(members), nan_call=draw(st.integers(min_value=0, max_value=6)),
+                rough_member=draw(members), two_rows=draw(st.booleans()),
+                tol=draw(st.sampled_from([1e-8, 1e-11, 1e-6])))
+
+
+def sine_rows(case, calls):
+    """a sin(f t + p) per member, and a cos(f t) row with two_rows.
+
+    The rough member is the count of evaluations so far, so its new midpoints
+    never agree with the values it kept and it runs all 8 levels; the NaN
+    member is NaN from evaluation nan_call on.  calls collects the members of
+    each evaluation.
+    """
+    def rows(grid, members):
+        calls.append(members.tolist())
+        a, f = case["amps"][members, None], case["freqs"][members, None]
+        vals = a * np.sin(f * grid + case["phases"][members, None])
+        if case["two_rows"]:
+            vals = np.stack([vals, a * np.cos(f * grid)], axis=1)
+        vals[members == case["rough_member"]] = len(calls)
+        if len(calls) > case["nan_call"]:
+            vals[members == case["nan_member"]] = np.nan
+        return vals
+
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=refinement_cases())
+@example(case=dict(supports=[(3.0, 53.0), (60.0, 60.05), (61.0, 61.3), (70.0, 72.0)],
+                   narrowest=1.0, amps=np.array([1.0, -3.0, 0.0, 250.0]),
+                   freqs=np.array([0.5, 0.0, 2.0, 40.0]), phases=np.array([0.1, 1.0, 0.0, -2.0]),
+                   nan_member=3, nan_call=2, rough_member=0, two_rows=True, tol=1e-8))
+def test_refinement_is_bitwise_its_reference(case):
+    got_calls, want_calls = [], []
+    got = morse._refine_until(sine_rows(case, got_calls), HORIZON, case["supports"],
+                              case["tol"], case["narrowest"])
+    want = reference_refine_until(sine_rows(case, want_calls), HORIZON, case["supports"],
+                                  case["tol"], case["narrowest"])
+    np.testing.assert_array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+    assert got_calls == want_calls
+    # the rough member runs all 8 levels: one first grid and 6 midpoint grids
+    if case["rough_member"] not in (None, case["nan_member"]):
+        assert sum(case["rough_member"] in members for members in got_calls) == 7
+
+
+def test_homographic_blocks_build_one_grid_row(monkeypatch):
+    # the three blocks share one support: each level builds one row, and the
+    # blocks are bitwise those of the reference, which built three
+    cc = central.collinear3(1.0, 1.0, 0.05)
+    traj = mcgehee.homothetic_oracle(cc, h=1.0, tau_max=30.0, phi_min=1e-6)
+    rng = np.random.default_rng(32)
+    support_grid, rows = morse._support_grid, []
+
+    def counted(traj, lo, hi, intervals, midpoints=False):
+        rows.append(len(lo))
+        return support_grid(traj, lo, hi, intervals, midpoints)
+
+    for width in (0.05, 0.4, 1.3, 3.0):
+        v = morse.BumpVariation(l1=0.5, l2=0.5 + width, shift=1.0,
+                                xi=admissible_direction(cc, rng), profile_kind="bump")
+        z = morse.ScalarBump(l1=0.5, l2=0.5 + width, shift=1.0, amplitude=0.7)
+        rows.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(morse, "_support_grid", counted)
+            got = morse.homographic_blocks(traj, z, v)
+        assert rows and set(rows) == {1}
+        with monkeypatch.context() as patch:
+            patch.setattr(morse, "_refine_until", reference_refine_until)
+            want = morse.homographic_blocks(traj, z, v)
+        assert [repr(b) for b in got] == [repr(b) for b in want]

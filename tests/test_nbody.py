@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncol import central, mcgehee, morse, nbody, weakforce
-from ncol.errors import CollisionConfiguration, InvalidMass, NotCentral
+from ncol.errors import CollisionConfiguration, InvalidMass, NotCentral, NotTangent
 
 SQ2 = np.sqrt(2.0)
 COLLINEAR_S0 = np.array([[-1 / SQ2, 0.0], [0.0, 0.0], [1 / SQ2, 0.0]])
@@ -577,3 +577,22 @@ def test_traces_never_reach_the_scalar_boundary(monkeypatch):
     bump = morse.BumpVariation(l1=0.5, l2=2.5, shift=1.0, xi=xi, profile_kind="bump")
     morse.homographic_blocks(frozen, morse.ScalarBump(l1=0.5, l2=2.5, shift=1.0), bump)
     assert np.isfinite(morse.quadratic_Q(moving, bump).value)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_check_tangent_bounds_scale_with_the_masses(scale):
+    # masses m k on the shape s / sqrt(k) keep I = 1; a tangent direction
+    # passes and a radial or drifting one fails at every k
+    rng = np.random.default_rng(3)
+    m = np.array([1.0, 2.0, 3.0]) * scale
+    x = COLLINEAR_S0 - (m @ COLLINEAR_S0) / m.sum()
+    s = x / np.sqrt(nbody.moment_of_inertia(x, m))
+    v = nbody.tangent_part(s, m, rng.standard_normal(s.shape))
+    v /= np.linalg.norm(v)
+    nbody.check_tangent(s, m, v)
+    for bad in (v + 1e-6 * s / np.linalg.norm(s), v + 1e-6):
+        with pytest.raises(NotTangent, match="not an admissible tangent"):
+            nbody.check_tangent(s, m, bad)
+    # NotTangent is still the ValueError library callers caught before
+    with pytest.raises(ValueError):
+        nbody.check_tangent(s, m, s)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ncol import central, nbody, spectral
@@ -136,6 +136,44 @@ def reference_admissible_basis(s0, m):
     return np.array(basis).reshape(-1, n * d)
 
 
+def reorthogonalised_admissible_basis(s0, m):
+    """reference_admissible_basis with every Gram-Schmidt sweep done twice.
+
+    One sweep of modified Gram-Schmidt leaves a vector orthogonal to the rows
+    before it only up to round-off amplified by the cancellation; a second
+    sweep of the remainder takes that out ("twice is enough"), so this oracle
+    agrees with the exact projector to round-off where the single sweep can
+    be 1e-12 away.  It drops the round-off row the single sweep keeps (see
+    test_gram_schmidt_reference_keeps_a_round_off_row).
+    """
+    n, d = s0.shape
+    cons = [(m[:, None] * s0).ravel()]
+    for c in range(d):
+        row = np.zeros((n, d))
+        row[:, c] = m
+        cons.append(row.ravel())
+    cons = [r / np.linalg.norm(r) for r in cons]
+    ortho_cons = []
+    for r in cons:
+        for _ in range(2):
+            for q in ortho_cons:
+                r = r - (q @ r) * q
+        nr = np.linalg.norm(r)
+        if nr > 1e-12:
+            ortho_cons.append(r / nr)
+    basis = []
+    for k in range(n * d):
+        v = np.zeros(n * d)
+        v[k] = 1.0
+        for _ in range(2):
+            for q in ortho_cons + basis:
+                v = v - (q @ v) * q
+        nv = np.linalg.norm(v)
+        if nv > 1e-10:
+            basis.append(v / nv)
+    return np.array(basis).reshape(-1, n * d)
+
+
 def _null_space_defect(basis, s0, m, rows):
     """Largest departure of basis from an orthonormal (rows, N d) basis of the
     admissible directions; inf for the wrong shape."""
@@ -154,13 +192,27 @@ def _exact_projector(s0, m):
     return np.eye(n * d) - np.linalg.pinv(cons) @ cons
 
 
+@st.composite
+def _masses_and_positions(draw):
+    """n masses in [0.1, 10] and an (n, d) position array in [-1, 1], n in 2..16, d in 1..3."""
+    n, d = draw(st.integers(2, 16)), draw(st.integers(1, 3))
+    m = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    x = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * d,
+                               max_size=n * d))).reshape(n, d)
+    return m, x
+
+
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(2, 16), d=st.integers(1, 3))
-def test_admissible_basis_is_the_gram_schmidt_null_space(data, n, d):
-    m = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
-    x = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n * d,
-                                    max_size=n * d))).reshape(n, d)
-    x -= (m @ x) / m.sum()
+@given(case=_masses_and_positions())
+# a draw on which a single Gram-Schmidt sweep lands 2.34e-12 from the exact
+# projector while the basis is 5.0e-16 from it
+@example(case=(np.array([0.171875, 1.0]),
+               np.array([[0.7091464468989463, 0.0, 2.8128206891322044e-07],
+                         [0.0, 0.125, 6.103515625e-05]])))
+def test_admissible_basis_is_the_gram_schmidt_null_space(case):
+    m, x = case
+    n, d = x.shape
+    x = x - (m @ x) / m.sum()
     inertia = nbody.moment_of_inertia(x, m)
     assume(inertia > 1e-6)
     s0 = x / np.sqrt(inertia)
@@ -168,10 +220,11 @@ def test_admissible_basis_is_the_gram_schmidt_null_space(data, n, d):
     basis = spectral.admissible_basis(s0, m)
     assert _null_space_defect(basis, s0, m, rows) <= 1e-12
     assert np.max(np.abs(basis.T @ basis - _exact_projector(s0, m))) <= 1e-12
-    # the Gram-Schmidt oracle can keep a row of amplified round-off (see
-    # test_gram_schmidt_reference_keeps_a_round_off_row); it is compared
-    # wherever it returned a clean basis
-    ref = reference_admissible_basis(s0, m)
+    # the oracle sweeps twice: a single sweep can keep a row of amplified
+    # round-off (test_gram_schmidt_reference_keeps_a_round_off_row) or, on the
+    # example above, be 2.34e-12 off; it is compared wherever it returned a
+    # clean basis
+    ref = reorthogonalised_admissible_basis(s0, m)
     if _null_space_defect(ref, s0, m, rows) <= 1e-12:
         assert np.max(np.abs(basis.T @ basis - ref.T @ ref)) <= 1e-12
 
