@@ -12,6 +12,11 @@ from . import nbody
 from .errors import (ConvergedToCollision, InvalidMass, InvalidN, NoConvergence, NotCentral,
                      ZeroConfiguration)
 
+# an alpha within this of a configuration's own keeps its b and residual:
+# CentralConfiguration.at_alpha returns the configuration itself, and
+# spectral.spectral_sweep reads them off it
+SAME_ALPHA_TOL = 1e-14
+
 
 @dataclass(frozen=True)
 class CentralConfiguration:
@@ -44,9 +49,10 @@ class CentralConfiguration:
         """The same shape and masses at exponent alpha, with b and residual recomputed.
 
         The shape is not re-solved, so residual measures how far it is from
-        central at the new exponent.  Returns self when alpha is unchanged.
+        central at the new exponent.  Returns self when alpha is within
+        SAME_ALPHA_TOL of its own.
         """
-        if abs(alpha - self.alpha) <= 1e-14:
+        if abs(alpha - self.alpha) <= SAME_ALPHA_TOL:
             return self
         alpha = nbody.validate_alpha(alpha)
         u, residual, _ = nbody.central_residual_stack(self.s0, self.masses, alpha)
@@ -134,8 +140,9 @@ def embed_in_3d(cc: CentralConfiguration) -> CentralConfiguration:
 def solve_central(initial, m, alpha, max_iter: int = 200) -> CentralConfiguration:
     """Damped Gauss-Newton solve of grad U(x) + alpha U(x) M x = 0.
 
-    Stops at a residual of 1e-11 times residual_scale; an iterate closer
-    than 1e-8 to a collision raises ConvergedToCollision.
+    Stops at a residual of 1e-11 times 1 + alpha U |M x|, the size of the
+    terms cancelling in it (central_residual_stack's scale); an iterate
+    closer than 1e-8 to a collision raises ConvergedToCollision.
     Roots of this square system automatically satisfy I(x) = 1 and a zero
     center of mass, so no explicit constraint handling is needed; iterates are
     still re-projected for conditioning.  The target points are saddles of the

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import nbody
 from .errors import (CollisionConfiguration, EllipsoidDrift, InsufficientHorizon,
-                     NonCollapsing, StepFailure, ZeroConfiguration)
+                     NonCollapsing, NotTangent, StepFailure, ZeroConfiguration)
 
 
 def beta_exponent(alpha: float) -> float:
@@ -45,44 +45,13 @@ class McGeheeState:
         inertia = nbody.moment_of_inertia(self.s, m)
         if abs(inertia - 1.0) > 1e-10:
             raise ValueError(f"shape point off the ellipsoid: I = {inertia}")
-        radial = float(np.sum(m[:, None] * self.s * self.s_prime))
-        if abs(radial) > 1e-10:
-            raise ValueError(f"shape velocity not tangent: <Ms, s'> = {radial:.3e}")
+        radial_terms = m[:, None] * self.s * self.s_prime
+        radial = float(np.sum(radial_terms))
+        # bounded by the sizes of its terms, as nbody.check_tangent does, so
+        # that a tangent up to round-off passes at any masses and kick
+        if not abs(radial) <= 1e-10 * float(np.sum(np.abs(radial_terms))):
+            raise NotTangent(f"shape velocity not tangent: <Ms, s'> = {radial:.3e}")
         return self
-
-
-def to_mcgehee(x, xdot, m, alpha) -> McGeheeState:
-    """Map Cartesian positions and velocities to (rho, rho', s, s')."""
-    x = nbody.as_positions(x)
-    xdot = np.asarray(xdot, dtype=float).reshape(x.shape)
-    m = nbody.as_masses(m)
-    alpha = nbody.validate_alpha(alpha)
-    inertia = nbody.moment_of_inertia(x, m)
-    if inertia <= 0.0:
-        raise ZeroConfiguration("zero moment of inertia")
-    r = np.sqrt(inertia)
-    s = x / r
-    rdot = float(np.sum(m[:, None] * x * xdot)) / r
-    sdot = (xdot - rdot * s) / r
-    time_factor = r ** ((2.0 + alpha) / 2.0)
-    r_prime = rdot * time_factor
-    rho = r ** ((2.0 - alpha) / 4.0)
-    rho_prime = (2.0 - alpha) / 4.0 * r ** (-(2.0 + alpha) / 4.0) * r_prime
-    s_prime = sdot * time_factor
-    return McGeheeState(rho=rho, rho_prime=rho_prime, s=s, s_prime=s_prime).validated(m)
-
-
-def from_mcgehee(state: McGeheeState, m, alpha):
-    """Inverse map back to Cartesian positions and velocities."""
-    alpha = nbody.validate_alpha(alpha)
-    r = state.rho ** (4.0 / (2.0 - alpha))
-    x = r * state.s
-    time_factor = r ** (-(2.0 + alpha) / 2.0)
-    r_prime = 4.0 / (2.0 - alpha) * state.rho ** ((2.0 + alpha) / (2.0 - alpha)) * state.rho_prime
-    rdot = r_prime * time_factor
-    sdot = state.s_prime * time_factor
-    xdot = rdot * state.s + r * sdot
-    return x, xdot
 
 
 def energy(state: McGeheeState, m, alpha, potential_scale: float = 1.0) -> float:
@@ -775,9 +744,12 @@ def homothetic_initial_state(cc, h: float = 0.0, potential_scale: float = 1.0,
     """
     alpha = cc.alpha
     s_prime = np.zeros_like(cc.s0) if kick is None else np.array(kick, dtype=float)
-    sp2 = float(np.sum(cc.masses * np.sum(s_prime * s_prime, axis=1)))
+    # a kick too large to square gives sp2 = inf, and a radicand of -inf or
+    # NaN fails the gate below, without numpy's overflow warning
+    with np.errstate(over="ignore"):
+        sp2 = float(np.sum(cc.masses * np.sum(s_prime * s_prime, axis=1)))
     rhs = h + potential_scale * cc.b - 0.5 * sp2
-    if rhs <= 0.0:
+    if not rhs > 0.0:
         raise NonCollapsing("no real inward radial velocity at this energy")
     rho_prime = -(2.0 - alpha) / 4.0 * np.sqrt(2.0 * rhs)
     return McGeheeState(rho=1.0, rho_prime=float(rho_prime), s=cc.s0.copy(), s_prime=s_prime)
@@ -897,14 +869,20 @@ def homothetic_quadrature_trajectory(cc, h: float, tau_max: float,
         raise ValueError(f"tau_max must be finite and non-negative, got {tau_max}")
     alpha = cc.alpha
     k = beta_exponent(alpha) - 2.0
+    if k == 0.0:
+        # beta = 2 (2 + alpha) / (2 - alpha) rounds to 2 below alpha ~ 1.1e-16
+        raise NonCollapsing("beta - 2 rounds to 0 at this alpha, so the energy relation has "
+                            "no decaying term to clock")
     b = potential_scale * cc.b
     if h + b <= 0.0:
         raise NonCollapsing("energy admits no inward velocity from rho = 1")
     coef = (2.0 - alpha) / 4.0
     # generous sigma horizon: tau(sigma) >= sigma / max-speed, so the clock
-    # passes tau_max before the grid ends (capped so that n converts to an int)
-    sigma_end = min(tau_max * coef * np.sqrt(2.0 * (max(h, 0.0) + b)) + 5.0,
-                    2e-4 * np.finfo(float).max)
+    # passes tau_max before the grid ends (capped so that n converts to an
+    # int, an overflow to inf included)
+    with np.errstate(over="ignore"):
+        sigma_end = min(tau_max * coef * np.sqrt(2.0 * (max(h, 0.0) + b)) + 5.0,
+                        2e-4 * np.finfo(float).max)
     n = int(np.ceil(sigma_end / 2e-4)) + 1
     dsigma = sigma_end / (n - 1)
     # but no grid point lies over one unit past the underflow of rho = e^(-sigma)

@@ -9,8 +9,8 @@ metric enters only through explicit factors of M = diag(m_i).
 
 Two layers: the core (pair_separations, pair_terms and the ``*_stack``
 kernels) works unchecked on stacks (..., N, d), one value per configuration;
-the boundary (potential, gradient, the Hessians, matrix_A) validates one
-configuration and calls the core.
+the boundary (potential, gradient, hessian_full, the centrality residual)
+validates one configuration and calls the core.
 
 The gradient gathers each body's pair terms through a cached index and adds
 them in the order a scatter of the pair forces would, so it rounds as that
@@ -197,7 +197,12 @@ def hessian_quadratic_stack(x, m, alpha, v) -> np.ndarray:
 
 
 def hessian_on_ellipsoid_stack(s, m, alpha, v) -> np.ndarray:
-    """hessian_quadratic + alpha U <Mv, v>, shape (...); see hessian_on_ellipsoid."""
+    """Second derivative of the degree-zero extension of U at ellipsoid points s, shape (...).
+
+    For tangent v the extension terms proportional to <Ms, v> vanish and the
+    value reduces to hessian_quadratic_stack + alpha U <Mv, v>; no centrality
+    needed.
+    """
     mv = (m * (v * v).sum(axis=-1)).sum(axis=-1)
     return hessian_quadratic_stack(s, m, alpha, v) + alpha * potential_stack(s, m, alpha) * mv
 
@@ -286,19 +291,6 @@ def central_gate_stack(x, m, alpha, floor, rel):
         return u, norm_stack(residual), tol
 
 
-def matrix_A_stack(x, m, alpha) -> np.ndarray:
-    """Interaction matrix A of each configuration, shape (..., N, N); see matrix_A."""
-    ii, jj, _, _, dist = pair_terms(x, m)
-    n = x.shape[-2]
-    A = np.zeros(x.shape[:-2] + (n, n))
-    w = dist ** (-(alpha + 2.0))
-    A[..., ii, jj] = -m[jj] * w
-    A[..., jj, ii] = -m[ii] * w
-    diag = np.arange(n)
-    A[..., diag, diag] = -A.sum(axis=-1)
-    return A
-
-
 # ---------------------------------------------------------------------------
 # the boundary: validated functions of one configuration (N, d)
 
@@ -345,23 +337,6 @@ def hessian_full(x, m, alpha) -> np.ndarray:
     return hessian_full_stack(*checked(x, m, alpha))
 
 
-def hessian_quadratic(x, m, alpha, v) -> float:
-    """Evaluate the second derivative of U at x on the direction v, shape (N, d)."""
-    x, m, alpha = checked(x, m, alpha)
-    v = np.asarray(v, dtype=float).reshape(x.shape)
-    return float(hessian_quadratic_stack(x, m, alpha, v))
-
-
-def matrix_A(x, m, alpha) -> np.ndarray:
-    """Interaction matrix of inverse distance powers, shape (N, N).
-
-    a_ii = sum_{k != i} m_k / r_ik^(alpha+2),  a_ij = -m_j / r_ij^(alpha+2).
-    Symmetric for equal masses; in general M A is symmetric.  On directions
-    normal to the configuration span the Hessian reduces to -alpha <v, M A v>.
-    """
-    return matrix_A_stack(*checked(x, m, alpha))
-
-
 def central_residual_vector(x, m, alpha) -> np.ndarray:
     """Residual of the central-configuration identity grad U(x) + alpha U(x) M x."""
     return central_residual_stack(*checked(x, m, alpha))[1]
@@ -369,11 +344,6 @@ def central_residual_vector(x, m, alpha) -> np.ndarray:
 
 def central_residual(x, m, alpha) -> float:
     return float(norm_stack(central_residual_vector(x, m, alpha)))
-
-
-def residual_scale(x, m, alpha) -> float:
-    """Magnitude of the terms cancelling in the centrality identity."""
-    return float(central_residual_stack(*checked(x, m, alpha))[2])
 
 
 def check_tangent(s, m, v, tol: float = 1e-8) -> None:
@@ -407,17 +377,6 @@ def tangent_part(s, m, v) -> np.ndarray:
     v = np.asarray(v, dtype=float).reshape(s.shape)
     v = v - (m @ v)[None, :] / m.sum()
     return v - float(np.sum(m[:, None] * s * v)) * s
-
-
-def hessian_on_ellipsoid(s, m, alpha, v) -> float:
-    """Second derivative of the degree-zero extension of U at any ellipsoid point.
-
-    For tangent v the extension terms proportional to <Ms, v> vanish and the
-    value reduces to hessian_quadratic + alpha U <Mv, v>; no centrality needed.
-    """
-    s, m, alpha = checked(s, m, alpha)
-    v = np.asarray(v, dtype=float).reshape(s.shape)
-    return float(hessian_on_ellipsoid_stack(s, m, alpha, v))
 
 
 def config_to_json(x, m, alpha, extra: dict | None = None) -> str:

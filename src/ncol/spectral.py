@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nbody
-from .central import CentralConfiguration, ngon_vertices, unit_circle
+from .central import SAME_ALPHA_TOL, CentralConfiguration, ngon_vertices, unit_circle
 from .errors import BracketFailure, InvalidN, NoConvergence, NotCentral
 
 ALPHA_FLOOR = 1e-6
@@ -128,20 +128,21 @@ def spectral_sweep(cc: CentralConfiguration, alphas) -> SpectralSweep:
     """Smallest constrained Hessian eigenvalue of the shape cc.s0 at each alpha.
 
     The shape is not re-solved: b and the centrality residual are recomputed
-    at every alpha (an alpha within 1e-14 of cc.alpha keeps cc's own, as
-    cc.at_alpha does), and NotCentral names the first alpha where the residual
-    fails its gate.  A regular polygon as central.ngon builds it (is_cyclic)
-    is solved mode by mode in d x d blocks (_cyclic_spectrum); every other
-    shape by one admissible basis, one (K, N*d, N*d) Hessian stack and one
-    batched eigh of order N*d - d - 1 (_dense_spectrum).  Either way the
-    eigenvalues come in ascending order and the eigenvectors are
-    Euclidean-normalized; for unequal masses the value depends on this
-    normalization choice.  Variations leave the plane of a planar shape only
-    once the caller has embedded it (central.embed_in_3d).
+    at every alpha (an alpha within central.SAME_ALPHA_TOL of cc.alpha keeps
+    cc's own, as cc.at_alpha does), and NotCentral names the first alpha
+    where the residual fails its gate.  A regular polygon as central.ngon
+    builds it (is_cyclic) is solved mode by mode in d x d blocks
+    (_cyclic_spectrum); every other shape by one admissible basis, one
+    (K, N*d, N*d) Hessian stack and one batched eigh of order N*d - d - 1
+    (_dense_spectrum).  Either way the eigenvalues come in ascending order
+    and the eigenvectors are Euclidean-normalized; for unequal masses the
+    value depends on this normalization choice.  Variations leave the plane
+    of a planar shape only once the caller has embedded it
+    (central.embed_in_3d).
     """
     alphas = nbody.validate_alpha(np.array(alphas, dtype=float).reshape(-1))
     b, res_norm, tol = nbody.central_gate_stack(cc.s0, cc.masses, alphas[:, None], 1e-8, 1e3)
-    own = np.abs(alphas - cc.alpha) <= 1e-14
+    own = np.abs(alphas - cc.alpha) <= SAME_ALPHA_TOL
     b = np.where(own, cc.b, b)
     residual = np.where(own, cc.residual, res_norm)
     bad = np.flatnonzero(~(residual <= tol))
@@ -361,54 +362,6 @@ def collinear_threshold() -> ThresholdResult:
                            family="collinear3-equal")
 
 
-def collinear_unequal_condition(m1: float, alpha: float):
-    """Published simplification of the unequal-mass condition (m2 normalized to 1).
-
-    lhs = (2^a (16 m1 + 4) - m1^2 + 2 m1) / (2^(a+1) + m1), rhs = 3(2-a)^2/(8a).
-    See collinear_unequal_oracle for the independent matrix-based evaluation,
-    which disagrees with this simplification; both are exposed.
-    """
-    if m1 <= 0:
-        raise ValueError("m1 must be positive")
-    alpha = nbody.validate_alpha(alpha)
-    lhs = (2.0**alpha * (16.0 * m1 + 4.0) - m1**2 + 2.0 * m1) / (2.0 ** (alpha + 1.0) + m1)
-    rhs = 3.0 * (2.0 - alpha) ** 2 / (8.0 * alpha)
-    return lhs, rhs, lhs > rhs
-
-
-def collinear_unequal_oracle(m1: float, alpha: float):
-    """Direct matrix evaluation of the unequal-mass normal-variation condition.
-
-    Assembles the interaction matrix at the symmetric collinear configuration
-    with masses (m1, 1, m1), applies the normal direction (1, -2, 1) and
-    normalizes exactly as the closed form does:
-    lhs = <v, M A v> / (2 U) - (m1 + 2), rhs = 3(2-a)^2/(8a).
-    """
-    from .central import collinear3
-
-    cc = collinear3(m1, 1.0, alpha)
-    A = nbody.matrix_A(cc.s0, cc.masses, alpha)
-    c = np.array([1.0, -2.0, 1.0])
-    vmav = float(c @ (cc.masses * (A @ c)))
-    lhs = vmav / (2.0 * cc.b) - (m1 + 2.0)
-    rhs = 3.0 * (2.0 - alpha) ** 2 / (8.0 * alpha)
-    return lhs, rhs, lhs > rhs
-
-
-def unequal_existence_boundary() -> ThresholdResult:
-    """Largest outer mass admitting some threshold alpha*, from the published form.
-
-    Root in m1 of lhs(m1, alpha->2) = 0, i.e. of -m1^2 + 66 m1 + 16; the
-    condition holds for m1 below the root and fails above it.
-    """
-    def f2(m1):
-        return (-m1**2 + 66.0 * m1 + 16.0) / (m1 + 8.0)
-
-    root = bisect(f2, 1.0, 200.0)
-    return ThresholdResult(alpha_star=root, bracket=(1.0, 200.0), residual=abs(f2(root)),
-                           family="collinear3-m2-boundary")
-
-
 def _gamma(alpha):
     """gamma = 2^((alpha+2)/2) of the equal-mass collinear family."""
     return 2.0 ** ((alpha + 2.0) / 2.0)
@@ -495,25 +448,6 @@ def ngon_threshold(n: int) -> ThresholdResult:
     root = bisect(f, grid[k], grid[k + 1], tol=1e-14)
     return ThresholdResult(alpha_star=root, bracket=(float(grid[k]), float(grid[k + 1])),
                            residual=abs(f(root)), family=f"ngon-{n}")
-
-
-def hiphop_g(n: int, alpha: float) -> float:
-    """Alternating vertical-variation sum for even polygons.
-
-    g(n, a) = sin^(-a-2)(pi/n) + 2 sum_{j=3}^{n/2} (-1)^j sin^(-a-2)((j-1)pi/n)
-              + (-1)^(n/2+1); positive g certifies the criterion for the
-    alternating out-of-plane probe.
-    """
-    if n < 6 or n % 2 != 0:
-        raise InvalidN(f"hip-hop condition needs even n >= 6, got {n}")
-    if not 0.0 <= alpha <= 2.0:
-        raise ValueError("alpha must lie in [0, 2]")
-    total = np.sin(np.pi / n) ** (-(alpha + 2.0))
-    j = np.arange(3, n // 2 + 1)
-    if j.size:
-        total += 2.0 * np.sum((-1.0) ** j * np.sin((j - 1) * np.pi / n) ** (-(alpha + 2.0)))
-    total += (-1.0) ** (n // 2 + 1)
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

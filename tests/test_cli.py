@@ -274,6 +274,18 @@ def test_simulate_rejects_oversized_perturbation(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("perturb", ["1e200", "1e300"])
+def test_simulate_rejects_a_kick_too_large_to_square_in_one_line(tmp_path, perturb):
+    # the kick's |s'|^2 overflowed with numpy's warning, two lines on stderr
+    # before the usage error
+    proc = subprocess.run(
+        [sys.executable, "-c", NCOL_MAIN, "simulate", "--family", "collinear3", "--alpha", "1",
+         "--perturb", perturb, "--tau-max", "1", "--out", str(tmp_path / "t.csv")],
+        capture_output=True, text=True, env=child_env(), timeout=300)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "usage error: perturbation too large for the requested energy\n"
+
+
 def test_simulate_stops_at_its_step_budget(tmp_path, monkeypatch, capsys):
     # this perturbed run creeps towards a near-binary passage with ever
     # smaller steps; without a budget it ran for minutes
@@ -714,4 +726,109 @@ def test_morse_fails_in_one_line_whatever_its_options(argv):
 def test_morse_edge_inputs_end_in_one_line(capsys, extra, code, line):
     rc, _, err = run(capsys, "morse", *extra)
     assert rc == code
+    assert len(err.splitlines()) == 1 and line in err
+
+
+def magnitudes(lo=-300.0, hi=300.0):
+    """Positive floats from 10^lo to 10^hi, drawn by their exponent, half of
+    them within 10^(+-3) of 1 where the range allows."""
+    near_one = st.floats(min_value=max(lo, -3.0), max_value=min(hi, 3.0))
+    return st.one_of(st.floats(min_value=lo, max_value=hi), near_one).map(lambda e: 10.0**e)
+
+
+ALPHAS = st.one_of(st.floats(min_value=1e-300, max_value=math.nextafter(2.0, 0.0)),
+                   magnitudes(hi=0.3).filter(lambda a: a < 2.0))
+SIGNED = st.one_of(st.just(0.0), magnitudes(), magnitudes().map(lambda v: -v))
+
+
+@st.composite
+def command_arguments(draw, out):
+    """An ncol command line, any subcommand but morse, over the ranges its
+    options accept; simulate writes its CSV to out.  The bounds on --n,
+    --steps, simulate's --tau-max and --max-step keep every run short."""
+    command = draw(st.sampled_from(["central", "spectral", "threshold", "sweep", "figure1",
+                                    "simulate", "weakforce"]))
+    argv = [command]
+    if command in ("central", "spectral", "simulate"):
+        family = draw(st.sampled_from(["collinear3", "collinear3-m2", "ngon"]))
+        argv += ["--family", family, f"--alpha={draw(ALPHAS)!r}",
+                 f"--m1={draw(magnitudes())!r}", f"--m2={draw(magnitudes())!r}"]
+        if family == "ngon":
+            # n = 3 is outside the polygon family's range and warns on every run
+            argv += ["--n", str(draw(st.integers(min_value=4, max_value=12)))]
+    if command == "spectral":
+        argv += draw(st.sampled_from([[], ["--dim", "2"], ["--dim", "3"]]))
+    elif command == "threshold":
+        argv += ["--family", draw(st.sampled_from(["collinear3", "ngon"])),
+                 "--n", str(draw(st.integers(min_value=2, max_value=12)))]
+    elif command == "sweep":
+        argv += [f"--alpha-min={draw(ALPHAS)!r}", f"--alpha-max={draw(ALPHAS)!r}",
+                 f"--steps={draw(st.integers(min_value=-1, max_value=50))}"]
+    elif command == "figure1":
+        argv += ["--steps", str(draw(st.integers(min_value=0, max_value=50)))]
+    elif command == "simulate":
+        argv += [f"--energy={draw(SIGNED)!r}", f"--perturb={draw(SIGNED)!r}",
+                 f"--tau-max={min(draw(magnitudes(hi=math.log10(5.0))), 5.0)!r}",
+                 f"--rtol={draw(magnitudes())!r}", f"--rho-min={draw(magnitudes())!r}",
+                 f"--max-step={draw(magnitudes(lo=-3.0))!r}",
+                 "--seed", str(draw(st.integers(min_value=0, max_value=2**32 - 1))),
+                 "--out", str(out)]
+    elif command == "weakforce":
+        grid = draw(st.lists(ALPHAS, min_size=1, max_size=3))
+        argv += [f"--grid={','.join(map(repr, grid))}", f"--eps={draw(magnitudes())!r}",
+                 f"--tau-max={draw(magnitudes())!r}",
+                 f"--m1={draw(magnitudes())!r}", f"--m2={draw(magnitudes())!r}"]
+    return argv
+
+
+def run_recording_warnings(argv):
+    """main(argv): its exit code, stdout, stderr and the warnings it raised,
+    each as a fresh process would print it, once per place."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("default")
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+def assert_exits_cleanly(argv):
+    """Exit 0, 1 or 2; a failure prints one stderr line, no traceback and no
+    warning; stdout holds no nan but weakforce's documented tau_eps."""
+    rc, text, err, caught = run_recording_warnings(argv)
+    lines = err.splitlines()
+    assert rc in (0, 1, 2)
+    if rc:
+        assert len(lines) == 1 and "Traceback" not in lines[0], lines
+        assert not caught, caught
+    if argv[0] == "weakforce" and text:
+        rows = [row.split(",") for row in text.splitlines()]
+        text = "\n".join(",".join(row[:1] + row[2:]) for row in rows)
+    assert "nan" not in text.lower()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_other_command_fails_in_one_line_whatever_its_options(tmp_path_factory, data):
+    out = tmp_path_factory.getbasetemp() / "fuzz-trajectory.csv"
+    assert_exits_cleanly(data.draw(command_arguments(out)))
+
+
+@pytest.mark.parametrize("argv,code,line", [
+    # the kick's radial part, round-off of 1e-8 at this size, failed an
+    # absolute bound of 1e-10 with a ValueError traceback
+    (["simulate", "--family", "collinear3", "--energy", "1e20", "--perturb", "1e9",
+      "--tau-max", "1"], 0, "samples=25 tau_end=5.596e-10 "),
+    # beta - 2 rounds to 0 below alpha ~ 1.1e-16: a ZeroDivisionError
+    # traceback from the frozen clock
+    (["weakforce", "--grid", "1e-300", "--m2", "4.3729221831331345e+160"], 2,
+     "numeric failure: alpha=1e-300: beta - 2 rounds to 0 at this alpha"),
+    # tau_max times the speed overflowed, with numpy's warning before the line
+    (["weakforce", "--grid", "0.5", "--tau-max", "1.7e308"], 2,
+     "numeric failure: alpha=0.5: rho underflows to 0.0 at tau = 554.24"),
+], ids=["simulate-large-kick", "weakforce-tiny-alpha", "weakforce-huge-tau-max"])
+def test_fuzz_findings_end_in_one_line(tmp_path, argv, code, line):
+    out = ["--out", str(tmp_path / "t.csv")] if argv[0] == "simulate" else []
+    rc, _, err, caught = run_recording_warnings(argv + out)
+    assert rc == code and not caught, caught
     assert len(err.splitlines()) == 1 and line in err

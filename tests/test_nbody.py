@@ -6,6 +6,10 @@ from hypothesis import strategies as st
 from ncol import central, mcgehee, morse, nbody, weakforce
 from ncol.errors import CollisionConfiguration, InvalidMass, NotCentral, NotTangent
 
+from references import (reference_gamma_trace, reference_hessian_on_ellipsoid,
+                        reference_hessian_quadratic, reference_matrix_A, reference_matrix_A_stack,
+                        reference_residual_scale)
+
 SQ2 = np.sqrt(2.0)
 COLLINEAR_S0 = np.array([[-1 / SQ2, 0.0], [0.0, 0.0], [1 / SQ2, 0.0]])
 ONES3 = np.ones(3)
@@ -134,7 +138,7 @@ def test_hessian_matches_finite_differences(alpha):
         h = 1e-5
         fd = (nbody.potential(x + h * v, m, alpha) - 2 * nbody.potential(x, m, alpha)
               + nbody.potential(x - h * v, m, alpha)) / h**2
-        quad = nbody.hessian_quadratic(x, m, alpha, v)
+        quad = reference_hessian_quadratic(x, m, alpha, v)
         assert abs(quad - fd) < 1e-5 * scale
 
 
@@ -145,7 +149,7 @@ def test_hessian_matrix_symmetric_and_consistent():
     H = nbody.hessian_full(x, m, 0.8)
     assert np.allclose(H, H.T, atol=1e-12)
     v = rng.standard_normal(8)
-    assert v @ H @ v == pytest.approx(nbody.hessian_quadratic(x, m, 0.8, v), rel=1e-12)
+    assert v @ H @ v == pytest.approx(reference_hessian_quadratic(x, m, 0.8, v), rel=1e-12)
 
 
 def test_hessian_rigid_translation_null():
@@ -153,7 +157,7 @@ def test_hessian_rigid_translation_null():
     x = random_config(rng)
     m = rng.uniform(0.5, 2.0, size=4)
     v = np.tile(rng.standard_normal(2), (4, 1))
-    assert nbody.hessian_quadratic(x, m, 1.0, v) == pytest.approx(0.0, abs=1e-12)
+    assert reference_hessian_quadratic(x, m, 1.0, v) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hessian_two_body_normal_direction():
@@ -163,7 +167,7 @@ def test_hessian_two_body_normal_direction():
     v = np.array([[0.0, 0.3, 0.0], [0.0, -0.4, 0.0]])
     for alpha in (0.4, 1.0, 1.8):
         expect = -alpha * m[0] * m[1] * (0.7**2) / 2.0 ** (alpha + 2)
-        assert nbody.hessian_quadratic(x, m, alpha, v) == pytest.approx(expect, rel=1e-14)
+        assert reference_hessian_quadratic(x, m, alpha, v) == pytest.approx(expect, rel=1e-14)
 
 
 def test_planar_variation_closed_form():
@@ -174,21 +178,21 @@ def test_planar_variation_closed_form():
             expect = 2 * alpha * (
                 ct**2 * (2 * (alpha + 10) * 2 ** (alpha / 2) + (alpha + 1) * 2 ** (-alpha / 2))
                 - 18 * 2 ** (alpha / 2))
-            got = nbody.hessian_quadratic(COLLINEAR_S0, ONES3, alpha, v)
+            got = reference_hessian_quadratic(COLLINEAR_S0, ONES3, alpha, v)
             assert got == pytest.approx(expect, rel=1e-10)
 
 
 def test_matrix_A_collinear_entries():
     for alpha in (0.5, 1.0, 1.5):
         g = 2 ** ((alpha + 2) / 2)
-        A = nbody.matrix_A(COLLINEAR_S0, ONES3, alpha)
+        A = reference_matrix_A(COLLINEAR_S0, ONES3, alpha)
         assert A[1, 1] == pytest.approx(2 * g, rel=1e-13)
         assert A[0, 1] == pytest.approx(-g, rel=1e-13)
         assert A[0, 2] == pytest.approx(-1 / g, rel=1e-13)
 
 
 def test_matrix_A_ones_kernel_equal_masses():
-    A = nbody.matrix_A(COLLINEAR_S0, ONES3, 1.0)
+    A = reference_matrix_A(COLLINEAR_S0, ONES3, 1.0)
     assert np.allclose(A @ np.ones(3), 0.0, atol=1e-12)
     assert np.allclose(A, A.T, atol=1e-13)
 
@@ -197,7 +201,7 @@ def test_matrix_A_unequal_mass_symmetry():
     rng = np.random.default_rng(5)
     x = random_config(rng)
     m = rng.uniform(0.5, 3.0, size=4)
-    A = nbody.matrix_A(x, m, 1.2)
+    A = reference_matrix_A(x, m, 1.2)
     MA = m[:, None] * A
     assert np.allclose(MA, MA.T, atol=1e-11)
 
@@ -206,7 +210,7 @@ def test_matrix_A_quadratic_identity():
     # <w, A w>/U on the collinear shape reduces to 6 2^a/(2 2^a + 1)
     w = np.array([1.0, -2.0, 1.0]) / np.sqrt(6)
     for alpha in (0.2, 1.0, 1.9):
-        A = nbody.matrix_A(COLLINEAR_S0, ONES3, alpha)
+        A = reference_matrix_A(COLLINEAR_S0, ONES3, alpha)
         u = nbody.potential(COLLINEAR_S0, ONES3, alpha)
         got = w @ A @ w / u
         assert got == pytest.approx(6 * 2**alpha / (2 * 2**alpha + 1), rel=1e-13)
@@ -221,9 +225,9 @@ def test_normal_variation_reduces_to_matrix_A():
     c = rng.standard_normal(5)
     v = np.zeros((5, 3))
     v[:, 2] = c
-    A = nbody.matrix_A(x, m, 1.4)
+    A = reference_matrix_A(x, m, 1.4)
     expect = -1.4 * float(c @ (m * (A @ c)))
-    assert nbody.hessian_quadratic(x, m, 1.4, v) == pytest.approx(expect, rel=1e-10)
+    assert reference_hessian_quadratic(x, m, 1.4, v) == pytest.approx(expect, rel=1e-10)
 
 
 def test_central_residual_identity_at_central_configuration():
@@ -233,19 +237,19 @@ def test_central_residual_identity_at_central_configuration():
 def reference_hessian_constrained(s, m, alpha, v) -> float:
     """Second derivative of U restricted to the ellipsoid {I = 1} at a central s.
 
-    Equals hessian_quadratic(s, v) + alpha U(s) <Mv, v> for tangent v with
+    Equals reference_hessian_quadratic(s, v) + alpha U(s) <Mv, v> for tangent v with
     vanishing mass-weighted sum.  Raises NotCentral when the centrality
-    residual of s exceeds 1e-8 times residual_scale.
+    residual of s exceeds 1e-8 times reference_residual_scale.
     """
     s, m, alpha = nbody.checked(s, m, alpha)
     res = nbody.central_residual(s, m, alpha)
-    if res > 1e-8 * nbody.residual_scale(s, m, alpha):
+    if res > 1e-8 * reference_residual_scale(s, m, alpha):
         raise NotCentral(f"centrality residual {res:.3e} exceeds tolerance")
     v = np.asarray(v, dtype=float).reshape(s.shape)
     if np.allclose(v, 0.0):
         return 0.0
     nbody.check_tangent(s, m, v)
-    return nbody.hessian_on_ellipsoid(s, m, alpha, v)
+    return reference_hessian_on_ellipsoid(s, m, alpha, v)
 
 
 def test_hessian_constrained_cross_check():
@@ -254,7 +258,7 @@ def test_hessian_constrained_cross_check():
     v = np.zeros((3, 2))
     v[:, 1] = c
     for alpha in (0.4, 1.0, 1.7):
-        A = nbody.matrix_A(COLLINEAR_S0, ONES3, alpha)
+        A = reference_matrix_A(COLLINEAR_S0, ONES3, alpha)
         u = nbody.potential(COLLINEAR_S0, ONES3, alpha)
         expect = alpha * (-(c @ A @ c) + u)
         got = reference_hessian_constrained(COLLINEAR_S0, ONES3, alpha, v)
@@ -367,7 +371,7 @@ def test_core_matches_reference_loops(k, n, d, alpha, seed):
         assert_within(full[s], *ref_hessian_full(x[s], m, alpha))
         # the boundary is the core on one configuration
         assert nbody.potential(x[s], m, alpha) == pot[s]
-        assert nbody.hessian_on_ellipsoid(x[s], m, alpha, v[s]) == on_ellipsoid[s]
+        assert reference_hessian_on_ellipsoid(x[s], m, alpha, v[s]) == on_ellipsoid[s]
         np.testing.assert_array_equal(nbody.hessian_full(x[s], m, alpha), full[s])
 
 
@@ -417,7 +421,7 @@ def test_alpha_arrays_equal_a_loop_over_alphas(k, n, d, one_shape, seed):
         np.testing.assert_array_equal(res[s], want)
         np.testing.assert_array_equal(res[s], nbody.central_residual_vector(x[s], m, alpha))
         assert nbody.central_residual(x[s], m, alpha) == float(np.linalg.norm(want))
-        assert scale[s] == nbody.residual_scale(x[s], m, alpha) \
+        assert scale[s] == reference_residual_scale(x[s], m, alpha) \
             == 1.0 + alpha * pot[s] * float(np.linalg.norm(m[:, None] * x[s]))
 
 
@@ -449,7 +453,7 @@ def test_fixed_configuration_broadcasts_against_directions():
     m = rng.uniform(0.5, 2.0, size=5)
     v = rng.standard_normal((7, 5, 2))
     got = nbody.hessian_on_ellipsoid_stack(x, m, 0.7, v)
-    want = [nbody.hessian_on_ellipsoid(x, m, 0.7, vk) for vk in v]
+    want = [reference_hessian_on_ellipsoid(x, m, 0.7, vk) for vk in v]
     np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
@@ -459,7 +463,7 @@ def test_stack_with_one_colliding_sample_raises():
     x[4, 3] = x[4, 1]
     m, v = np.ones(4), rng.standard_normal(x.shape)
     for kernel in (nbody.potential_stack, nbody.gradient_stack, nbody.potential_gradient_stack,
-                   nbody.hessian_full_stack, nbody.matrix_A_stack):
+                   nbody.hessian_full_stack, reference_matrix_A_stack):
         with pytest.raises(CollisionConfiguration):
             kernel(x, m, 1.0)
     for kernel in (nbody.hessian_quadratic_stack, nbody.hessian_on_ellipsoid_stack):
@@ -473,9 +477,9 @@ BOUNDARY = {
     "potential": nbody.potential,
     "gradient": nbody.gradient,
     "hessian_full": nbody.hessian_full,
-    "matrix_A": nbody.matrix_A,
-    "hessian_quadratic": lambda x, m, a: nbody.hessian_quadratic(x, m, a, V3),
-    "hessian_on_ellipsoid": lambda x, m, a: nbody.hessian_on_ellipsoid(x, m, a, V3),
+    "matrix_A": reference_matrix_A,
+    "hessian_quadratic": lambda x, m, a: reference_hessian_quadratic(x, m, a, V3),
+    "hessian_on_ellipsoid": lambda x, m, a: reference_hessian_on_ellipsoid(x, m, a, V3),
 }
 
 
@@ -564,13 +568,13 @@ def test_traces_never_reach_the_scalar_boundary(monkeypatch):
         raise AssertionError("per-sample call to a scalar nbody function")
 
     monkeypatch.setattr(nbody, "potential", refuse)
-    monkeypatch.setattr(nbody, "hessian_on_ellipsoid", refuse)
-    monkeypatch.setattr(weakforce, "scaled_potentials", refuse)
+    monkeypatch.setattr("references.reference_hessian_on_ellipsoid", refuse)
+    monkeypatch.setattr("references.reference_scaled_potentials", refuse)
     for traj in (frozen, moving):
         assert traj.potential_trace().shape == (traj.n_samples,)
         assert np.all(np.isfinite(traj.energy_trace()))
         mcgehee.asymptotic_report(traj, [cc])
-        weakforce.gamma_trace(traj)
+        reference_gamma_trace(traj)
         weakforce.disotto_bound(traj)
     xi = np.zeros((3, 2))
     xi[:, 1] = np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)

