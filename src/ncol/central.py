@@ -141,26 +141,39 @@ def solve_central(initial, m, alpha, max_iter: int = 200) -> CentralConfiguratio
     """Damped Gauss-Newton solve of grad U(x) + alpha U(x) M x = 0.
 
     Stops at a residual of 1e-11 times 1 + alpha U |M x|, the size of the
-    terms cancelling in it (central_residual_stack's scale); an iterate
-    closer than 1e-8 to a collision raises ConvergedToCollision.
+    terms cancelling in it (nbody.central_residual_from's scale).  A start
+    with a coordinate that is not finite raises ValueError, and one whose
+    projection has a pair closer than 1e-8 raises ConvergedToCollision.  A
+    line-search trial that close is rejected like one that does not lower
+    the residual: the step is halved, and 40 halvings end in NoConvergence
+    ("line search stalled ...").
     Roots of this square system automatically satisfy I(x) = 1 and a zero
     center of mass, so no explicit constraint handling is needed; iterates are
     still re-projected for conditioning.  The target points are saddles of the
     constrained potential, which is why the solver works on the residual
-    rather than descending U itself.
+    rather than descending U itself.  Each configuration visited is evaluated
+    in one pass over its pairs, and an accepted trial's evaluation is the
+    next iteration's.
     """
-    x = nbody.as_positions(initial).copy()
+    x = nbody.as_positions(initial)
     m = nbody.as_masses(m)
     alpha = nbody.validate_alpha(alpha)
+    if not np.isfinite(x).all():
+        raise ValueError("positions must be finite")
     n, d = x.shape
 
     def project(y):
-        y = y - nbody.center_of_mass(y, m)
+        y = y - m @ y / m.sum()
         return y / np.sqrt(nbody.moment_of_inertia(y, m))
 
-    if nbody.moment_of_inertia(x - nbody.center_of_mass(x, m), m) == 0.0:
+    if nbody.moment_of_inertia(x - m @ x / m.sum(), m) == 0.0:
         raise ZeroConfiguration("zero moment of inertia about the center of mass")
     x = project(x)
+    _, _, diff, dist = nbody.pair_separations(x)
+    if dist.min() < 1e-8:
+        raise ConvergedToCollision("iterate entered the collision neighborhood")
+    u, g, f, scale = nbody.central_residual_from(x, m, alpha, diff, dist)
+    res = nbody.norm_stack(f)
     mdiag = nbody.mass_matrix_diag(m, d)
 
     def rotation_rows(y):
@@ -178,30 +191,27 @@ def solve_central(initial, m, alpha, max_iter: int = 200) -> CentralConfiguratio
         return rows
 
     for _ in range(max_iter):
-        if nbody.min_distance(x) < 1e-8:
-            raise ConvergedToCollision("iterate entered the collision neighborhood")
-        u, f, scale = nbody.central_residual_stack(x, m, alpha)
-        f = f.ravel()
-        res = np.linalg.norm(f)
         if res <= 1e-11 * scale:
             return _verify(x, m, alpha, "numeric")
-        g = nbody.gradient(x, m, alpha).ravel()
         jac = nbody.hessian_full(x, m, alpha)
-        jac += alpha * np.outer(mdiag * x.ravel(), g)
+        jac += alpha * np.outer(mdiag * x.ravel(), g.ravel())
         jac += alpha * float(u) * np.diag(mdiag)
         rot = rotation_rows(x)
         weight = max(1.0, np.linalg.norm(jac))
         aug = np.vstack([jac] + [weight * r[None, :] for r in rot])
-        rhs = np.concatenate([-f, np.zeros(len(rot))])
+        rhs = np.concatenate([-f.ravel(), np.zeros(len(rot))])
         step, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
         # backtracking on the residual norm
         t = 1.0
         for _ in range(40):
             trial = project(x + t * step.reshape(n, d))
-            if nbody.min_distance(trial) > 1e-8 and \
-                    nbody.central_residual(trial, m, alpha) < res:
-                x = trial
-                break
+            _, _, diff, dist = nbody.pair_separations(trial)
+            if dist.min() > 1e-8:
+                parts = nbody.central_residual_from(trial, m, alpha, diff, dist)
+                trial_res = nbody.norm_stack(parts[2])
+                if trial_res < res:
+                    x, (u, g, f, scale), res = trial, parts, trial_res
+                    break
             t *= 0.5
         else:
             raise NoConvergence(f"line search stalled at residual {res:.3e}")

@@ -7,10 +7,11 @@ Positions are (N, d) arrays, masses (N,) arrays.  The pair potential is
 and all inner products written ``<.,.>`` are plain Euclidean; the mass
 metric enters only through explicit factors of M = diag(m_i).
 
-Two layers: the core (pair_separations, pair_terms and the ``*_stack``
-kernels) works unchecked on stacks (..., N, d), one value per configuration;
-the boundary (potential, gradient, hessian_full, the centrality residual)
-validates one configuration and calls the core.
+Two layers: the core (pair_separations, pair_terms, potential_gradient_kernel,
+central_residual_from and the ``*_stack`` kernels) works unchecked on stacks
+(..., N, d), one value per configuration; the boundary (checked, potential,
+moment_of_inertia, hessian_full, check_tangent, tangent_part and the JSON
+schema) validates one configuration and calls the core.
 
 The gradient gathers each body's pair terms through a cached index and adds
 them in the order a scatter of the pair forces would, so it rounds as that
@@ -164,25 +165,15 @@ def potential_gradient_kernel(m, alpha):
     return kernel
 
 
-def potential_gradient_stack(x, m, alpha):
-    """(U, grad U) of a stack (..., N, d) from one pass over the pairs."""
-    return potential_gradient_kernel(m, alpha)(x)
-
-
 def potential_stack(x, m, alpha) -> np.ndarray:
     """U = sum over pairs of m_i m_j / |x_i - x_j|^alpha, shape (...).
 
     alpha broadcasts against the pair distances (..., P): a scalar, or
-    alphas[:, None] for one alpha per configuration; so for gradient_stack,
-    potential_gradient_stack and central_residual_stack.
+    alphas[:, None] for one alpha per configuration; so for
+    potential_gradient_kernel and the centrality residual.
     """
     _, _, mm, _, dist = pair_terms(x, m)
     return _potential_from(alpha, mm, dist)
-
-
-def gradient_stack(x, m, alpha) -> np.ndarray:
-    """Euclidean gradient of U, shape (..., N, d)."""
-    return potential_gradient_stack(x, m, alpha)[1]
 
 
 def hessian_quadratic_stack(x, m, alpha, v) -> np.ndarray:
@@ -252,23 +243,30 @@ def norm_stack(v) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))
 
 
-def _central_residual_from(x, m, alpha, mm, diff, dist):
+def central_residual_from(x, m, alpha, diff, dist):
+    """(U, grad U, grad U + alpha U M x, 1 + alpha U |M x|) of a stack (..., N, d)
+    from its pair separations diff and distances dist (pair_separations).
+
+    The residual of the central-configuration identity, shape (..., N, d),
+    and the magnitude of the terms cancelling in it, shape (...).  The
+    distances are not checked: the caller has kept them off zero.
+    """
+    ii, jj = pair_indices(x.shape[-2])
+    mm = m[ii] * m[jj]
     u = _potential_from(alpha, mm, dist)
     grad = _gradient_from(-alpha * mm, -(alpha + 2.0), diff, dist,
                           _pair_gather_index(x.shape[-2]))
     au = (alpha * u[..., None])[..., 0]  # alpha U, one per configuration
     residual = grad + au[..., None, None] * m[:, None] * x
-    return u, residual, 1.0 + au * norm_stack(m[:, None] * x)
+    return u, grad, residual, 1.0 + au * norm_stack(m[:, None] * x)
 
 
 def central_residual_stack(x, m, alpha):
-    """(U, grad U + alpha U M x, 1 + alpha U |M x|) of a stack (..., N, d).
-
-    The residual of the central-configuration identity, shape (..., N, d),
-    and the magnitude of the terms cancelling in it, shape (...).
-    """
-    _, _, mm, diff, dist = pair_terms(x, m)
-    return _central_residual_from(x, m, alpha, mm, diff, dist)
+    """(U, grad U + alpha U M x, 1 + alpha U |M x|) of a stack (..., N, d):
+    central_residual_from after pair_terms' check."""
+    _, _, _, diff, dist = pair_terms(x, m)
+    u, _, residual, scale = central_residual_from(x, m, alpha, diff, dist)
+    return u, residual, scale
 
 
 def central_gate_stack(x, m, alpha, floor, rel):
@@ -284,7 +282,7 @@ def central_gate_stack(x, m, alpha, floor, rel):
     """
     _, _, mm, diff, dist = pair_terms(x, m)
     with np.errstate(over="ignore", invalid="ignore"):
-        u, residual, scale = _central_residual_from(x, m, alpha, mm, diff, dist)
+        u, _, residual, scale = central_residual_from(x, m, alpha, diff, dist)
         eps = np.finfo(float).eps
         curvature = np.add.reduce(alpha * (alpha + 1.0) * mm * dist ** -(alpha + 2.0), axis=-1)
         tol = np.maximum(np.maximum(floor, rel * eps * scale), eps * norm_stack(x) * curvature)
@@ -304,19 +302,9 @@ def checked(x, m, alpha):
     return x, m, validate_alpha(alpha)
 
 
-def min_distance(x) -> float:
-    _, _, _, dist = pair_separations(as_positions(x))
-    return float(dist.min())
-
-
 def potential(x, m, alpha) -> float:
     """U(x) = sum over pairs of m_i m_j / |x_i - x_j|^alpha."""
     return float(potential_stack(*checked(x, m, alpha)))
-
-
-def gradient(x, m, alpha) -> np.ndarray:
-    """Euclidean gradient of U, shape (N, d)."""
-    return gradient_stack(*checked(x, m, alpha))
 
 
 def moment_of_inertia(x, m) -> float:
@@ -326,24 +314,9 @@ def moment_of_inertia(x, m) -> float:
     return float(np.sum(m * np.sum(x * x, axis=1)))
 
 
-def center_of_mass(x, m) -> np.ndarray:
-    x = as_positions(x)
-    m = as_masses(m)
-    return m @ x / m.sum()
-
-
 def hessian_full(x, m, alpha) -> np.ndarray:
     """Hessian of U on the full space, as an (N*d, N*d) symmetric matrix."""
     return hessian_full_stack(*checked(x, m, alpha))
-
-
-def central_residual_vector(x, m, alpha) -> np.ndarray:
-    """Residual of the central-configuration identity grad U(x) + alpha U(x) M x."""
-    return central_residual_stack(*checked(x, m, alpha))[1]
-
-
-def central_residual(x, m, alpha) -> float:
-    return float(norm_stack(central_residual_vector(x, m, alpha)))
 
 
 def check_tangent(s, m, v, tol: float = 1e-8) -> None:

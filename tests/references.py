@@ -4,10 +4,12 @@ Each one was the package function of the same name without `reference_`
 (`reference_scaled_potentials_stack` was weakforce's private
 `_scaled_potentials_stack`, `ReferenceGammaTrace` its `GammaTrace`), moved
 here unchanged apart from its module qualifiers: the validated
-single-configuration Hessians and interaction matrix of nbody, the paper's
-unequal-mass and hip-hop conditions of spectral, and weakforce's scaled
-potentials and Gamma bookkeeping.  No command, script or benchmark runs
-them; the test modules import them by name.
+single-configuration Hessians, interaction matrix and centrality residual
+of nbody (`reference_central_residual` with the `central_residual_vector`
+it called written in), the paper's unequal-mass and hip-hop conditions of
+spectral, and weakforce's scaled potentials and Gamma bookkeeping.  No
+command, script or benchmark runs them; the test modules import them by
+name.
 """
 
 from __future__ import annotations
@@ -68,6 +70,11 @@ def reference_hessian_on_ellipsoid(s, m, alpha, v) -> float:
     s, m, alpha = nbody.checked(s, m, alpha)
     v = np.asarray(v, dtype=float).reshape(s.shape)
     return float(nbody.hessian_on_ellipsoid_stack(s, m, alpha, v))
+
+
+def reference_central_residual(x, m, alpha) -> float:
+    """Norm of the residual of the central-configuration identity grad U(x) + alpha U(x) M x."""
+    return float(nbody.norm_stack(nbody.central_residual_stack(*nbody.checked(x, m, alpha))[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncol import central, mcgehee, nbody, spectral
-from ncol.errors import InvalidMass, InvalidN, NoConvergence, NotCentral
+from ncol.errors import (ConvergedToCollision, InvalidMass, InvalidN, NoConvergence, NotCentral,
+                         ZeroConfiguration)
 
-from references import reference_residual_scale
+from references import reference_central_residual, reference_residual_scale
 
 
 def test_collinear3_equal_masses_geometry():
@@ -152,6 +153,168 @@ def test_solve_central_is_invariant_under_rotation_and_relabelling(start, theta,
     assert np.allclose(moved.s0, out.s0[perm] @ rot.T, rtol=0.0, atol=1e-9)
 
 
+def test_solve_central_rejects_a_start_at_a_collision():
+    # the projected start has a pair 1.2e-9 apart, inside the 1e-8 neighbourhood
+    x0 = np.array([[0.0, 0.0], [1e-9, 0.0], [0.0, 1.0]])
+    with pytest.raises(ConvergedToCollision,
+                       match="^iterate entered the collision neighborhood$"):
+        central.solve_central(x0, np.ones(3), 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_central_rejects_a_start_that_is_not_finite(bad, capfd):
+    # unchecked, lstsq on the NaN Jacobian prints LAPACK's complaint to stderr
+    # and raises LinAlgError
+    x0 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, bad]])
+    with pytest.raises(ValueError, match="^positions must be finite$"):
+        central.solve_central(x0, np.ones(3), 1.0)
+    assert capfd.readouterr().err == ""
+
+
+def test_the_benchmark_polygon_solve_forms_each_configuration_once(monkeypatch):
+    # the perturbed 7-gon of perfbench's criteria workload at --seed 1, first
+    # pass; each of its four iterations takes the full Gauss-Newton step
+    polygon = central.ngon(7, 1.0)
+    kick = np.random.default_rng([1, 0]).standard_normal((7, 2))
+    start = polygon.s0 + 0.02 * kick / np.linalg.norm(kick)
+    counts = dict.fromkeys(["pair_separations", "central_residual_from", "hessian_full"], 0)
+
+    def counted(name):
+        fn = getattr(nbody, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(nbody, name, wrapper)
+
+    for name in counts:
+        counted(name)
+    cc = central.solve_central(start, polygon.masses, 1.0)
+    # one pass over the pairs per configuration evaluated (the start, one
+    # trial per iteration and the final gate) and one per Jacobian
+    assert counts == {"pair_separations": 10, "central_residual_from": 6, "hessian_full": 4}
+    assert cc.b == reference_solve_central(start, polygon.masses, 1.0).b
+
+
+# ---------------------------------------------------------------------------
+# solve_central as it was when each nbody wrapper it called took its own pass
+# over the pairs: the solver and those wrappers, moved here unchanged apart
+# from their module qualifiers (reference_gradient with the gradient_stack
+# and potential_gradient_stack it went through written in)
+
+
+def reference_min_distance(x) -> float:
+    _, _, _, dist = nbody.pair_separations(nbody.as_positions(x))
+    return float(dist.min())
+
+
+def reference_gradient(x, m, alpha) -> np.ndarray:
+    """Euclidean gradient of U, shape (N, d)."""
+    x, m, alpha = nbody.checked(x, m, alpha)
+    return nbody.potential_gradient_kernel(m, alpha)(x)[1]
+
+
+def reference_center_of_mass(x, m) -> np.ndarray:
+    x = nbody.as_positions(x)
+    m = nbody.as_masses(m)
+    return m @ x / m.sum()
+
+
+def reference_solve_central(initial, m, alpha, max_iter: int = 200):
+    """Damped Gauss-Newton solve of grad U(x) + alpha U(x) M x = 0."""
+    x = nbody.as_positions(initial).copy()
+    m = nbody.as_masses(m)
+    alpha = nbody.validate_alpha(alpha)
+    n, d = x.shape
+
+    def project(y):
+        y = y - reference_center_of_mass(y, m)
+        return y / np.sqrt(nbody.moment_of_inertia(y, m))
+
+    if nbody.moment_of_inertia(x - reference_center_of_mass(x, m), m) == 0.0:
+        raise ZeroConfiguration("zero moment of inertia about the center of mass")
+    x = project(x)
+    mdiag = nbody.mass_matrix_diag(m, d)
+
+    def rotation_rows(y):
+        # rotation generators span the Jacobian null space at roots; deflate
+        rows = []
+        for a in range(d):
+            for b in range(a + 1, d):
+                r = np.zeros((n, d))
+                r[:, a] = -y[:, b]
+                r[:, b] = y[:, a]
+                r = r.ravel()
+                nr = np.linalg.norm(r)
+                if nr > 1e-12:
+                    rows.append(r / nr)
+        return rows
+
+    for _ in range(max_iter):
+        if reference_min_distance(x) < 1e-8:
+            raise ConvergedToCollision("iterate entered the collision neighborhood")
+        u, f, scale = nbody.central_residual_stack(x, m, alpha)
+        f = f.ravel()
+        res = np.linalg.norm(f)
+        if res <= 1e-11 * scale:
+            return central._verify(x, m, alpha, "numeric")
+        g = reference_gradient(x, m, alpha).ravel()
+        jac = nbody.hessian_full(x, m, alpha)
+        jac += alpha * np.outer(mdiag * x.ravel(), g)
+        jac += alpha * float(u) * np.diag(mdiag)
+        rot = rotation_rows(x)
+        weight = max(1.0, np.linalg.norm(jac))
+        aug = np.vstack([jac] + [weight * r[None, :] for r in rot])
+        rhs = np.concatenate([-f, np.zeros(len(rot))])
+        step, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
+        # backtracking on the residual norm
+        t = 1.0
+        for _ in range(40):
+            trial = project(x + t * step.reshape(n, d))
+            if reference_min_distance(trial) > 1e-8 and \
+                    reference_central_residual(trial, m, alpha) < res:
+                x = trial
+                break
+            t *= 0.5
+        else:
+            raise NoConvergence(f"line search stalled at residual {res:.3e}")
+    raise NoConvergence(f"no convergence after {max_iter} iterations")
+
+
+@st.composite
+def solver_start(draw):
+    """A start for solve_central, its unequal masses and alpha: 3 to 8 bodies
+    in the plane or in space, a regular polygon kicked by up to half its
+    radius or a uniform draw from the unit cube."""
+    n, d = draw(st.integers(3, 8)), draw(st.sampled_from([2, 3]))
+    alpha = draw(st.floats(0.05, 1.95, exclude_min=True, exclude_max=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.uniform(0.2, 5.0, size=n)
+    if draw(st.booleans()):
+        x = np.zeros((n, d))
+        x[:, :2] = central.unit_circle(n)
+        x += draw(st.floats(0.0, 0.5)) * rng.standard_normal((n, d))
+    else:
+        x = rng.uniform(-1.0, 1.0, size=(n, d))
+    return x, m, alpha
+
+
+def solve_outcome(solve, x, m, alpha):
+    """The bytes of s0, b and residual of a solve, or its exception's class and message."""
+    try:
+        cc = solve(x, m, alpha)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return cc.s0.tobytes(), cc.b, cc.residual
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=solver_start())
+def test_solve_central_is_bitwise_the_solver_with_a_pass_per_wrapper(start):
+    assert solve_outcome(central.solve_central, *start) \
+        == solve_outcome(reference_solve_central, *start)
+
+
 def test_embed_in_3d():
     cc = central.ngon(4, 1.0)
     cc3 = central.embed_in_3d(cc)
@@ -193,7 +356,7 @@ def test_regular_polygons_pass_the_centrality_gate(alpha):
     # at alpha = 1.9
     for n in range(4, 129):
         cc = central.ngon(n, alpha)
-        assert cc.residual == nbody.central_residual(cc.s0, cc.masses, alpha)
+        assert cc.residual == reference_central_residual(cc.s0, cc.masses, alpha)
     # spectral_sweep holds each alpha of a swept shape to the same kind of gate
     for n in (31, 67, 128):
         sweep = spectral.spectral_sweep(central.ngon(n, 1.0), GATE_ALPHAS)
@@ -212,6 +375,6 @@ def test_a_polygon_moved_off_centre_is_not_central(alpha):
             central._verify(x, cc.masses, alpha, "ngon")
         moved = central.CentralConfiguration(
             s0=x, masses=cc.masses.copy(), alpha=alpha, b=nbody.potential(x, cc.masses, alpha),
-            residual=nbody.central_residual(x, cc.masses, alpha), family="ngon")
+            residual=reference_central_residual(x, cc.masses, alpha), family="ngon")
         with pytest.raises(NotCentral, match="too large"):
             spectral.smallest_eigenvalue(moved)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncol import central, cli, mcgehee, morse, spectral
+from ncol import central, cli, mcgehee, morse, nbody, spectral
 from ncol.cli import SWEEP_HEADER, WEAKFORCE_HEADER, main
 
 
@@ -65,6 +65,14 @@ def test_central_file_roundtrip(tmp_path, capsys):
     rc, out, _ = run(capsys, "central", "--family", "file", "--file", str(cfg))
     assert rc == 0
     assert json.loads(out)["b"] == pytest.approx(3.5355339, abs=1e-6)
+
+
+def test_central_file_at_a_collision_exits_two_in_one_line(tmp_path, capsys):
+    # the projected start has a pair 1.2e-9 apart, inside the solver's 1e-8
+    cfg = tmp_path / "collision.json"
+    cfg.write_text(nbody.config_to_json([[0.0, 0.0], [1e-9, 0.0], [0.0, 1.0]], np.ones(3), 1.0))
+    rc, out, err = run(capsys, "central", "--family", "file", "--file", str(cfg))
+    assert (rc, out, err) == (2, "", "numeric failure: iterate entered the collision neighborhood\n")
 
 
 def test_file_config_accepted_by_other_commands(tmp_path, capsys):

@@ -554,7 +554,7 @@ def block_integrands(traj, zeta, variation):
     m, alpha, scale = traj.masses, traj.alpha, traj.potential_scale
     coef = (4.0 / (2.0 - alpha)) ** 2
     s0 = traj.s[0]
-    grad_vec = scale * (nbody.gradient_stack(s0, m, alpha)
+    grad_vec = scale * (nbody.potential_gradient_kernel(m, alpha)(s0)[1]
                         + alpha * nbody.potential_stack(s0, m, alpha) * m[:, None] * s0)
     support = (min(zeta.support[0], variation.support[0]),
                max(zeta.support[1], variation.support[1]))

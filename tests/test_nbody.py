@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from ncol import central, mcgehee, morse, nbody, weakforce
 from ncol.errors import CollisionConfiguration, InvalidMass, NotCentral, NotTangent
 
-from references import (reference_gamma_trace, reference_hessian_on_ellipsoid,
-                        reference_hessian_quadratic, reference_matrix_A, reference_matrix_A_stack,
-                        reference_residual_scale)
+from references import (reference_central_residual, reference_gamma_trace,
+                        reference_hessian_on_ellipsoid, reference_hessian_quadratic,
+                        reference_matrix_A, reference_matrix_A_stack, reference_residual_scale)
 
 SQ2 = np.sqrt(2.0)
 COLLINEAR_S0 = np.array([[-1 / SQ2, 0.0], [0.0, 0.0], [1 / SQ2, 0.0]])
@@ -18,7 +18,7 @@ ONES3 = np.ones(3)
 def random_config(rng, n=4, d=2, min_dist=0.3):
     while True:
         x = rng.uniform(-1.5, 1.5, size=(n, d))
-        if nbody.min_distance(x) > min_dist:
+        if nbody.pair_separations(x)[3].min() > min_dist:
             return x
 
 
@@ -114,7 +114,7 @@ def test_gradient_matches_finite_differences():
     x = random_config(rng)
     m = rng.uniform(0.5, 2.0, size=4)
     alpha = 1.3
-    g = nbody.gradient(x, m, alpha)
+    g = nbody.potential_gradient_kernel(m, alpha)(x)[1]
     h = 1e-6
     for i in range(4):
         for c in range(2):
@@ -231,7 +231,7 @@ def test_normal_variation_reduces_to_matrix_A():
 
 
 def test_central_residual_identity_at_central_configuration():
-    assert nbody.central_residual(COLLINEAR_S0, ONES3, 1.0) < 1e-9
+    assert nbody.norm_stack(nbody.central_residual_stack(COLLINEAR_S0, ONES3, 1.0)[1]) < 1e-9
 
 
 def reference_hessian_constrained(s, m, alpha, v) -> float:
@@ -242,7 +242,7 @@ def reference_hessian_constrained(s, m, alpha, v) -> float:
     residual of s exceeds 1e-8 times reference_residual_scale.
     """
     s, m, alpha = nbody.checked(s, m, alpha)
-    res = nbody.central_residual(s, m, alpha)
+    res = reference_central_residual(s, m, alpha)
     if res > 1e-8 * reference_residual_scale(s, m, alpha):
         raise NotCentral(f"centrality residual {res:.3e} exceeds tolerance")
     v = np.asarray(v, dtype=float).reshape(s.shape)
@@ -269,7 +269,7 @@ def test_hessian_constrained_cross_check():
 def test_hessian_constrained_requires_central():
     rng = np.random.default_rng(8)
     x = random_config(rng, n=3)
-    x -= nbody.center_of_mass(x, ONES3)
+    x -= ONES3 @ x / ONES3.sum()
     x /= np.sqrt(nbody.moment_of_inertia(x, ONES3))
     with pytest.raises(NotCentral):
         reference_hessian_constrained(x, ONES3, 1.0, np.zeros((3, 2)))
@@ -354,7 +354,7 @@ def test_core_matches_reference_loops(k, n, d, alpha, seed):
     v = rng.standard_normal((k, n, d))
     m = rng.uniform(0.5, 2.0, size=n)
     pot = nbody.potential_stack(x, m, alpha)
-    grad = nbody.gradient_stack(x, m, alpha)
+    grad = nbody.potential_gradient_kernel(m, alpha)(x)[1]
     quad = nbody.hessian_quadratic_stack(x, m, alpha, v)
     on_ellipsoid = nbody.hessian_on_ellipsoid_stack(x, m, alpha, v)
     full = nbody.hessian_full_stack(x, m, alpha)
@@ -379,15 +379,20 @@ def test_core_matches_reference_loops(k, n, d, alpha, seed):
 @given(k=st.integers(0, 6), n=st.integers(2, 12), d=st.sampled_from([1, 2, 3]),
        alpha=st.floats(1e-6, 2.0, exclude_max=True),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_potential_gradient_stack_is_both_kernels(k, n, d, alpha, seed):
+def test_potential_gradient_kernel_is_both_kernels(k, n, d, alpha, seed):
+    # U and grad U from one pass are potential_stack's U and the gradient
+    # that the centrality residual forms
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=(k, n, d) if k else (n, d))
     m = rng.uniform(0.5, 2.0, size=n)
     if nbody.pair_separations(x)[3].min() < nbody.COLLISION_THRESHOLD:
         return
-    pot, grad = nbody.potential_gradient_stack(x, m, alpha)
+    pot, grad = nbody.potential_gradient_kernel(m, alpha)(x)
+    u, residual_grad, _, _ = nbody.central_residual_from(x, m, alpha,
+                                                         *nbody.pair_separations(x)[2:])
     np.testing.assert_array_equal(pot, nbody.potential_stack(x, m, alpha))
-    np.testing.assert_array_equal(grad, nbody.gradient_stack(x, m, alpha))
+    np.testing.assert_array_equal(pot, u)
+    np.testing.assert_array_equal(grad, residual_grad)
     assert np.shape(pot) == x.shape[:-2] and grad.shape == x.shape
 
 
@@ -407,20 +412,21 @@ def test_alpha_arrays_equal_a_loop_over_alphas(k, n, d, one_shape, seed):
     alphas = rng.uniform(1e-6, 2.0, size=k)
     full = nbody.hessian_full_stack(x, m, alphas[:, None, None, None])
     pot = nbody.potential_stack(x, m, alphas[:, None])
-    grad = nbody.gradient_stack(x, m, alphas[:, None])
+    grad = nbody.potential_gradient_kernel(m, alphas[:, None])(x)[1]
     u, res, scale = nbody.central_residual_stack(x, m, alphas[:, None])
     assert full.shape == (k, n * d, n * d) and pot.shape == u.shape == scale.shape == (k,)
     assert grad.shape == res.shape == (k, n, d)
     for s, alpha in enumerate(alphas.tolist()):
         np.testing.assert_array_equal(full[s], nbody.hessian_full_stack(x[s], m, alpha))
         assert pot[s] == u[s] == nbody.potential_stack(x[s], m, alpha)
-        np.testing.assert_array_equal(grad[s], nbody.gradient_stack(x[s], m, alpha))
+        np.testing.assert_array_equal(grad[s], nbody.potential_gradient_kernel(m, alpha)(x[s])[1])
         # the centrality identity and its scale as the boundary wrote them out
         # before central_residual_stack
         want = grad[s] + alpha * pot[s] * m[:, None] * x[s]
         np.testing.assert_array_equal(res[s], want)
-        np.testing.assert_array_equal(res[s], nbody.central_residual_vector(x[s], m, alpha))
-        assert nbody.central_residual(x[s], m, alpha) == float(np.linalg.norm(want))
+        np.testing.assert_array_equal(res[s], nbody.central_residual_stack(x[s], m, alpha)[1])
+        # norm_stack is np.linalg.norm's arithmetic; solve_central relies on it
+        assert float(nbody.norm_stack(res[s])) == float(np.linalg.norm(want))
         assert scale[s] == reference_residual_scale(x[s], m, alpha) \
             == 1.0 + alpha * pot[s] * float(np.linalg.norm(m[:, None] * x[s]))
 
@@ -462,8 +468,9 @@ def test_stack_with_one_colliding_sample_raises():
     x = rng.uniform(-1.0, 1.0, size=(6, 4, 3))
     x[4, 3] = x[4, 1]
     m, v = np.ones(4), rng.standard_normal(x.shape)
-    for kernel in (nbody.potential_stack, nbody.gradient_stack, nbody.potential_gradient_stack,
-                   nbody.hessian_full_stack, reference_matrix_A_stack):
+    for kernel in (nbody.potential_stack, lambda x, m, a: nbody.potential_gradient_kernel(m, a)(x),
+                   nbody.central_residual_stack, nbody.hessian_full_stack,
+                   reference_matrix_A_stack):
         with pytest.raises(CollisionConfiguration):
             kernel(x, m, 1.0)
     for kernel in (nbody.hessian_quadratic_stack, nbody.hessian_on_ellipsoid_stack):
@@ -475,7 +482,6 @@ def test_stack_with_one_colliding_sample_raises():
 V3 = np.array([[0.1, 0.2], [-0.3, 0.1], [0.2, -0.3]])
 BOUNDARY = {
     "potential": nbody.potential,
-    "gradient": nbody.gradient,
     "hessian_full": nbody.hessian_full,
     "matrix_A": reference_matrix_A,
     "hessian_quadratic": lambda x, m, a: reference_hessian_quadratic(x, m, a, V3),
@@ -528,7 +534,8 @@ def test_gathered_gradient_equals_the_scatter(lead, n, d, per_configuration, fla
     else:
         alpha = float(rng.uniform(1e-6, 2.0))
     want = reference_scatter_gradient(x, m, alpha)
-    for got in (nbody.gradient_stack(x, m, alpha), nbody.potential_gradient_stack(x, m, alpha)[1]):
+    residual_grad = nbody.central_residual_from(x, m, alpha, *nbody.pair_separations(x)[2:])[1]
+    for got in (nbody.potential_gradient_kernel(m, alpha)(x)[1], residual_grad):
         assert got.shape == want.shape == x.shape
         # the bytes, so that the sign of every zero matches as well
         assert got.tobytes() == want.tobytes()

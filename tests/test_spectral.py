@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from ncol import central, nbody, spectral
 from ncol.errors import BracketFailure, InvalidN, NoConvergence, NotCentral
 
-from references import (reference_collinear_unequal_condition, reference_collinear_unequal_oracle,
-                        reference_hessian_on_ellipsoid, reference_hiphop_g, reference_matrix_A,
-                        reference_matrix_A_stack, reference_residual_scale,
-                        reference_unequal_existence_boundary)
+from references import (reference_central_residual, reference_collinear_unequal_condition,
+                        reference_collinear_unequal_oracle, reference_hessian_on_ellipsoid,
+                        reference_hiphop_g, reference_matrix_A, reference_matrix_A_stack,
+                        reference_residual_scale, reference_unequal_existence_boundary)
 
 ALPHA_BAR_CAP = 6 - 4 * np.sqrt(2)  # 0.3431457...
 
@@ -63,7 +63,7 @@ def test_smallest_eigenvalue_rotation_invariance(coll1):
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     cc_rot = central.CentralConfiguration(
         s0=coll1.s0 @ rot.T, masses=coll1.masses.copy(), alpha=1.0, b=coll1.b,
-        residual=nbody.central_residual(coll1.s0 @ rot.T, coll1.masses, 1.0),
+        residual=reference_central_residual(coll1.s0 @ rot.T, coll1.masses, 1.0),
         family="collinear3-equal")
     rep = spectral.smallest_eigenvalue(coll1)
     rep_rot = spectral.smallest_eigenvalue(cc_rot)
@@ -464,7 +464,7 @@ def test_smallest_eigenvalue_keeps_the_configurations_own_b(coll1):
     assert sweep.b[0] == cc.b and sweep.residual[0] == cc.residual
     assert sweep.margin[0] == sweep.mu1[0] + 1.0 / 8.0 * cc.b
     assert sweep.b[1] == pytest.approx(nbody.potential(cc.s0, cc.masses, 0.5), rel=1e-13)
-    assert sweep.residual[1] == pytest.approx(nbody.central_residual(cc.s0, cc.masses, 0.5),
+    assert sweep.residual[1] == pytest.approx(reference_central_residual(cc.s0, cc.masses, 0.5),
                                               abs=1e-15)
 
 
