@@ -10,7 +10,7 @@ import numpy as np
 
 from . import nbody
 from .errors import (ConvergedToCollision, InvalidMass, InvalidN, NoConvergence, NotCentral,
-                     ZeroConfiguration)
+                     OverflowingConfiguration, ZeroConfiguration)
 
 # an alpha within this of a configuration's own keeps its b and residual:
 # CentralConfiguration.at_alpha returns the configuration itself, and
@@ -142,8 +142,10 @@ def solve_central(initial, m, alpha, max_iter: int = 200) -> CentralConfiguratio
 
     Stops at a residual of 1e-11 times 1 + alpha U |M x|, the size of the
     terms cancelling in it (nbody.central_residual_from's scale).  A start
-    with a coordinate that is not finite raises ValueError, and one whose
-    projection has a pair closer than 1e-8 raises ConvergedToCollision.  A
+    with a coordinate that is not finite raises ValueError, one whose moment
+    of inertia about its center of mass overflows (coordinates near 1e308)
+    OverflowingConfiguration, and one whose projection has a pair closer
+    than 1e-8 ConvergedToCollision.  A
     line-search trial that close is rejected like one that does not lower
     the residual: the step is halved, and 40 halvings end in NoConvergence
     ("line search stalled ...").
@@ -166,8 +168,12 @@ def solve_central(initial, m, alpha, max_iter: int = 200) -> CentralConfiguratio
         y = y - m @ y / m.sum()
         return y / np.sqrt(nbody.moment_of_inertia(y, m))
 
-    if nbody.moment_of_inertia(x - m @ x / m.sum(), m) == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        inertia = nbody.moment_of_inertia(x - m @ x / m.sum(), m)
+    if inertia == 0.0:
         raise ZeroConfiguration("zero moment of inertia about the center of mass")
+    if not inertia < np.inf:
+        raise OverflowingConfiguration("moment of inertia about the center of mass overflows")
     x = project(x)
     _, _, diff, dist = nbody.pair_separations(x)
     if dist.min() < 1e-8:

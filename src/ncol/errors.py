@@ -13,6 +13,10 @@ class ZeroConfiguration(NcolError):
     """Configuration with zero moment of inertia."""
 
 
+class OverflowingConfiguration(NcolError):
+    """Configuration whose moment of inertia about its center of mass overflows."""
+
+
 class InvalidMass(NcolError):
     """Nonpositive mass."""
 

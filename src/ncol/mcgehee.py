@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -283,11 +283,187 @@ class Trajectory:
             self.s.reshape(self.n_samples, -1), self.s_prime.reshape(self.n_samples, -1),
             u_tr, h_tr, lam1, lam2,
         ])
-        # the bytes of np.savetxt(fh, rows, delimiter=","), formatted in one call
-        row = ",".join(["%.18e"] * rows.shape[1]) + "\n"
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            fh.write(row * rows.shape[0] % tuple(rows.ravel().tolist()))
+        # the bytes of np.savetxt(fh, rows, delimiter=","), a block of rows at a time
+        per_block = max(1, _E18_BLOCK // rows.shape[1])
+        sep_words = np.full(rows.shape[1], ord(","), dtype=np.uint32)
+        sep_words[-1] = ord("\n")
+        sep_words = np.tile(sep_words << 16, per_block)
+        with open(path, "wb") as fh:
+            fh.write((",".join(cols) + "\n").encode())
+            for i in range(0, rows.shape[0], per_block):
+                block = rows[i:i + per_block].ravel()
+                fh.write(_e18_fields(block, sep_words[:block.size]))
+
+
+# ---------------------------------------------------------------------------
+# '%.18e' fields, formed by numpy instead of by Python's bignum route
+
+# the kernel takes the fields with 10^-KMAX <= |x| < 10^(KMAX+1); there the
+# Veltkamp splits of |x| and of 10^(18-k) neither overflow nor underflow
+_E18_KMAX = 280
+# fields a block: bounds the kernel's temporaries at about 100 bytes a field
+_E18_BLOCK = 4096
+
+
+@cache
+def _e18_tables():
+    """The kernel's tables, built on first use from Python ints.
+
+    pow10[:, k + _E18_KMAX] holds 10^(18-k) as hi and lo, hi + lo within
+    half a unit in the last place of lo, and the Veltkamp halves of hi.
+    digits[v] holds the four ASCII digits of v < 10^4 as a little-endian
+    uint32; lead[v] for v < 100 a zero (sign) byte, its first digit, '.' and
+    its second digit; expo[:, k + _E18_KMAX] the bytes that follow the
+    last digit, 'e', the sign and the hundreds of k (a zero byte below 100),
+    and the tens and units of k.
+    """
+    hi, lo = [], []
+    n = 1
+    for _ in range(19 + _E18_KMAX):
+        hi.append(float(n))
+        lo.append(float(n - int(hi[-1])))
+        n *= 10
+    hi.reverse()
+    lo.reverse()
+    n = 10
+    for _ in range(_E18_KMAX - 18):
+        h = 1 / n
+        num, den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((den - num * n) / (n * den))
+        n *= 10
+    hi, lo = np.array(hi), np.array(lo)
+    c = hi * 134217729.0
+    hi_hi = c - (c - hi)
+    pow10 = np.stack([hi, lo, hi_hi, hi - hi_hi])
+
+    v = np.arange(10000, dtype=np.uint32)
+    digits = (48 + v // 1000) | (48 + v // 100 % 10) << 8 | (48 + v // 10 % 10) << 16 \
+        | (48 + v % 10) << 24
+    v = v[:100]
+    lead = (48 + v // 10) << 8 | ord(".") << 16 | (48 + v % 10) << 24
+    k = np.arange(-_E18_KMAX, _E18_KMAX + 1)
+    mag = np.abs(k).astype(np.uint32)
+    sign = np.where(k < 0, ord("-"), ord("+")).astype(np.uint32)
+    hundreds = np.where(mag >= 100, 48 + mag // 100, 0).astype(np.uint32)
+    expo = np.stack([ord("e") << 8 | sign << 16 | hundreds << 24,
+                     (48 + mag // 10 % 10) | (48 + mag % 10) << 8])
+    return pow10, digits, lead, expo
+
+
+def _e18_significands(x):
+    """(q, index, bad): |x| = q 10^(k-18) with q the nearest integer,
+    index = k + _E18_KMAX, and bad marking the fields left to '%'.
+
+    k is floor(log10|x|), and |x| 10^(18-k) is formed as the double-double
+    hi + lo: Dekker's exact product (1971) of |x| and the hi of 10^(18-k),
+    plus |x| times its lo, to within 1e-12 below 10^19.  Bad are NaN, the
+    infinities, |k| > _E18_KMAX, a fraction within 1e-6 of one half (a tie
+    is rounded half-even by '%'), hi at 10^19 (q would reach it, k one too
+    small) and hi + lo not clear of 10^18 (k one too large), judged on the
+    pair: just below a power of ten that is not a double, hi alone rounds
+    up to 10^18.  A zero gives q = 0 and k = 0, as '%' writes it.
+    """
+    pow10 = _e18_tables()[0]
+    a = np.abs(x)
+    zero = a == 0.0
+    with np.errstate(divide="ignore"):
+        k = np.log10(a)
+    np.floor(k, out=k)
+    f = np.abs(k)
+    outside = ~(f <= _E18_KMAX)
+    k[outside] = 0.0
+    a[outside] = 0.0
+    index = k.astype(np.intp)
+    index += _E18_KMAX
+    # Veltkamp's split of a into halves of 26 bits, a_hi + a_lo
+    a_hi = np.multiply(a, 134217729.0, out=f)
+    a_lo = np.subtract(a_hi, a, out=k)
+    a_hi -= a_lo
+    np.subtract(a, a_hi, out=a_lo)
+    # Dekker's product, p + e = a hi(10^(18-k)) exactly (the halves of the
+    # power taken first, as in the product with the factors swapped), then
+    # e += a lo(10^(18-k))
+    g = np.empty_like(a)
+    p = a * pow10[0].take(index, out=g)
+    pow10[2].take(index, out=g)
+    e = a_hi * g
+    e -= p
+    e += np.multiply(a_lo, g, out=g)
+    pow10[3].take(index, out=g)
+    a_hi *= g
+    e += a_hi
+    a_lo *= g
+    e += a_lo
+    pow10[1].take(index, out=g)
+    a *= g
+    e += a
+    hi = np.add(p, e, out=a)
+    lo = e
+    lo -= np.subtract(hi, p, out=g)
+    r = np.rint(lo, out=p)
+    np.subtract(lo, r, out=g)
+    bad = np.abs(g, out=g) > 0.5 - 1e-6
+    np.subtract(hi, 1e18, out=g)
+    g += lo
+    bad |= g < 1e-6
+    # hi = 10^19 is the one way for q to reach 10^19: below it, |lo| is at
+    # most half of hi's 2048-spaced doubles
+    bad |= hi >= 1e19
+    bad &= ~zero
+    hi[bad] = 0.0
+    r[bad] = 0.0
+    q = k.view(np.uint64)
+    np.copyto(q, hi, casting="unsafe")
+    r_int = f.view(np.int64)
+    np.copyto(r_int, r, casting="unsafe")
+    q += r_int.view(np.uint64)
+    return q, index, bad
+
+
+def _e18_fields(x, sep_words):
+    """The bytes of '%.18e' % v and a separator for every v of the 1-D
+    float64 array x; sep_words holds each field's separator byte shifted
+    left by 16 bits, the place it takes in the field's last word."""
+    # the words go once they are bytes, before the copy without zero bytes
+    return _e18_words(x, sep_words).tobytes().translate(None, b"\0")
+
+
+def _e18_words(x, sep_words):
+    """The fields of _e18_fields as rows of seven little-endian uint32 words.
+
+    A row holds a sign byte (zero when positive), the 19 digits of q with
+    '.' after the first, the exponent with a zero byte for absent hundreds,
+    the separator and a zero byte.  The fields that _e18_significands
+    leaves are formatted by '%' one by one.
+    """
+    _, digits, lead, expo = _e18_tables()
+    q, index, bad = _e18_significands(x)
+    w = np.empty((x.size, 7), dtype="<u4")
+    # q = top 10^17 + high 10^9 + low: the leading two digits, the next
+    # eight and the last nine
+    top = q // 10**17
+    w[:, 0] = lead.take(top)
+    w[:, 0] += np.signbit(x).astype(np.uint32) * ord("-")
+    q -= np.multiply(top, 10**17, out=top)
+    high = np.floor_divide(q, 10**9, out=top)
+    q -= high * 10**9
+    high, low = high.astype(np.uint32), q.astype(np.uint32)
+    part = high // 10**4
+    w[:, 1] = digits.take(part)
+    w[:, 2] = digits.take(high - part * 10**4)
+    part = low // 10**5
+    w[:, 3] = digits.take(part)
+    tens = low // 10
+    w[:, 4] = digits.take(tens - part * 10**4)
+    w[:, 5] = expo[0].take(index) + 48 + low - tens * 10
+    w[:, 6] = expo[1].take(index) + sep_words
+    out = w.view(np.uint8)
+    for i in np.flatnonzero(bad):
+        field = b"%.18e%c" % (x[i], sep_words[i] >> 16)
+        out[i] = 0
+        out[i, :len(field)] = np.frombuffer(field, dtype=np.uint8)
+    return w
 
 
 # ---------------------------------------------------------------------------

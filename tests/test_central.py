@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from ncol import central, mcgehee, nbody, spectral
 from ncol.errors import (ConvergedToCollision, InvalidMass, InvalidN, NoConvergence, NotCentral,
-                         ZeroConfiguration)
+                         OverflowingConfiguration, ZeroConfiguration)
 
 from references import reference_central_residual, reference_residual_scale
 
@@ -168,6 +170,19 @@ def test_solve_central_rejects_a_start_that_is_not_finite(bad, capfd):
     x0 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, bad]])
     with pytest.raises(ValueError, match="^positions must be finite$"):
         central.solve_central(x0, np.ones(3), 1.0)
+    assert capfd.readouterr().err == ""
+
+
+def test_solve_central_rejects_a_start_whose_inertia_overflows(capfd):
+    # the center-of-mass shift m @ x overflows at 1e308 though every
+    # coordinate is finite; unchecked, numpy warned, the projected start was
+    # NaN, LAPACK printed its complaint and lstsq raised LinAlgError
+    x0 = np.array([[1e308, 0.0], [1e308, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowingConfiguration,
+                           match="^moment of inertia about the center of mass overflows$"):
+            central.solve_central(x0, np.ones(3), 1.0)
     assert capfd.readouterr().err == ""
 
 

@@ -427,8 +427,11 @@ _LINE3 = [[-0.7, 0.0], [0.0, 0.0], [0.7, 0.0]]
     (_LINE3, [1, np.inf, 1], 1),
     ([[0.0, 0.0]] * 3, [1, 1, 1], 2),
     # U underflows to 0 on the unit ellipsoid, which would read as central
-    (_LINE3, [1e-300] * 3, 2)], ids=[
-    "nan-position", "inf-position", "nan-mass", "inf-mass", "all-at-origin", "tiny-masses"])
+    (_LINE3, [1e-300] * 3, 2),
+    # finite, but the moment of inertia about the center of mass overflows
+    ([[1e308, 0.0], [1e308, 0.0], [0.0, 1.0]], [1, 1, 1], 2)], ids=[
+    "nan-position", "inf-position", "nan-mass", "inf-mass", "all-at-origin", "tiny-masses",
+    "overflowing-inertia"])
 def test_unusable_configuration_file_fails_in_one_line(tmp_path, capsys, positions, masses,
                                                        want):
     # json writes NaN and Infinity, which it reads back; an uncaught error

@@ -944,6 +944,122 @@ def test_trajectory_csv_bytes_match_savetxt(tmp_path, coll1):
     assert got == want.getvalue()
 
 
+def reference_to_csv(self, path) -> None:
+    """Trajectory.to_csv as it was when it formatted every row with one '%'."""
+    n, d = self.s.shape[1], self.s.shape[2]
+    cols = ["tau", "rho", "rho_prime"]
+    cols += [f"s_{i+1}_{c+1}" for i in range(n) for c in range(d)]
+    cols += [f"sp_{i+1}_{c+1}" for i in range(n) for c in range(d)]
+    cols += ["U_s", "h", "lambda1", "lambda2"]
+    u_tr = self.potential_trace()
+    h_tr = self.energy_trace()
+    lam1 = -self.beta * h_tr
+    lam2 = self.lambda2_trace()
+    rows = np.column_stack([
+        self.tau, self.rho, self.rho_prime,
+        self.s.reshape(self.n_samples, -1), self.s_prime.reshape(self.n_samples, -1),
+        u_tr, h_tr, lam1, lam2,
+    ])
+    # the bytes of np.savetxt(fh, rows, delimiter=","), formatted in one call
+    row = ",".join(["%.18e"] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        fh.write(row * rows.shape[0] % tuple(rows.ravel().tolist()))
+
+
+def test_to_csv_is_bytewise_the_percent_writer(tmp_path, coll1):
+    kicked = mcgehee.integrate_el(zero_energy_state(coll1, normal_kick(coll1, 1e-3)),
+                                  coll1.masses, 1.0, tau_max=1.0)
+    # the exact collapse has s' = 0, zeros in 6 of its 19 columns, and 337
+    # rows: two blocks of whole rows, the second one short
+    exact = mcgehee.homothetic_oracle(central.collinear3(1.0, 1.0, 0.05), h=0.0,
+                                      tau_max=30.0)
+    assert exact.n_samples * 19 > mcgehee._E18_BLOCK
+    polygon = central.embed_in_3d(central.ngon(5, 1.0))
+    kick = nbody.tangent_part(polygon.s0, polygon.masses,
+                              np.random.default_rng(5).standard_normal((5, 3)))
+    spatial = mcgehee.integrate_el(
+        mcgehee.homothetic_initial_state(polygon, kick=1e-3 * kick / np.linalg.norm(kick)),
+        polygon.masses, 1.0, tau_max=0.5)
+    for traj in (kicked, exact, spatial):
+        traj.to_csv(tmp_path / "got.csv")
+        reference_to_csv(traj, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _e18_ties():
+    """Exact ties of the 19-digit rounding: odd multiples of 2^(k-19) in
+    [10^k, 10^(k+1)) have 20 significant digits, the last a 5, and exist for
+    k = -9 to 14."""
+    rng = np.random.default_rng(35)
+    ties = []
+    for k in range(-9, 15):
+        lo, hi = (-(-2**19 // 5**-k), -(-10 * 2**19 // 5**-k)) if k < 0 else \
+            (2**19 * 5**k, min(10 * 2**19 * 5**k, 2**53))
+        odd = rng.integers(lo // 2, hi // 2, size=40) * 2 + 1
+        ties += [float(v) * 2.0 ** (k - 19) for v in odd.tolist()
+                 if lo <= v < hi]
+    return ties
+
+
+def _e18_adversaries():
+    rng = np.random.default_rng(3535)
+    # random bit patterns: NaNs, infinities, subnormals and both exponent widths
+    bits = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(np.float64)
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+               2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
+               1.0, 10.0, 0.1, 9.999999999999999e22, 1e23, 1 + 2**-19]
+    # every power of ten a double can be near, three neighbours each way
+    powers = []
+    for k in range(-330, 309):
+        p = float(f"1e{k}")
+        powers.append(p)
+        up, down = p, p
+        for _ in range(3):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+            powers += [up, down]
+    # a decade and an exponent drawn uniformly: 1e-99 and 1e-100 both occur
+    spread = rng.uniform(1.0, 10.0, 20000) * 10.0 ** rng.integers(-300, 300, 20000)
+    x = np.concatenate([bits, special, powers, _e18_ties(), spread, rng.standard_normal(5000)])
+    return np.concatenate([x, -x])
+
+
+def _e18_check(x):
+    got = mcgehee._e18_fields(x, np.full(x.size, ord("\n") << 16, dtype=np.uint32))
+    got = got.split(b"\n")[:-1]
+    want = [b"%.18e" % v for v in x.tolist()]
+    assert len(got) == len(want)
+    wrong = [(v, w, g) for v, w, g in zip(x.tolist(), want, got) if w != g]
+    assert wrong[:5] == []
+
+
+def test_e18_kernel_is_percent_field_by_field():
+    x = _e18_adversaries()
+    _e18_check(x)
+    # an exact tie rounds half-even: ...28125 gives ...2812
+    assert mcgehee._e18_fields(np.array([1 + 2**-19]), np.array([0], dtype=np.uint32)) \
+        == b"1.000001907348632812e+00"
+    assert all(("%.19e" % v).split("e")[0][-1] == "5" for v in _e18_ties())
+    # no double rounds up to 10^19 at 19 digits: the largest one below each
+    # power of ten keeps a mantissa of 9.99... (9.999999999999999997 below
+    # 10^153 is the closest), so only a k one too small makes q reach it
+    for k in range(-307, 309):
+        v = float(f"1e{k}")
+        num, den = v.as_integer_ratio()
+        if (num * 10**-k >= den) if k < 0 else (num >= 10**k * den):
+            v = math.nextafter(v, 0.0)
+        assert (b"%.18e" % v).startswith(b"9.")
+
+
+@pytest.mark.parametrize("off", [-1.0, 1.0])
+def test_e18_kernel_leaves_every_field_to_percent_when_k_is_off(monkeypatch, off):
+    # k one too small puts |x| 10^(18-k) at or above 10^19 (q would reach
+    # it), one too large below 10^18: both must go to '%', field by field
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + off)
+    _e18_check(_e18_adversaries()[::7])
+
+
 # ---------------------------------------------------------------------------
 # the DOP853 stepper and the tau-flow RHS against their plain forms
 
