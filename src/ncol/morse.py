@@ -118,67 +118,56 @@ class BumpVariation:
 
 
 class CombinedVariation:
-    """Linear combination sum_n c_n w_n of bump variations."""
+    """Linear combination sum_n c_n w_n of translates w_n of one bump variation.
+
+    One coefficient per bump, and supports in increasing order that at most
+    touch: OverlappingSupports where two overlap, ValueError for the rest.
+    """
 
     def __init__(self, bumps, coeffs):
         self.bumps = list(bumps)
         self.coeffs = np.asarray(coeffs, dtype=float)
-        self.support = (min(b.support[0] for b in bumps), max(b.support[1] for b in bumps))
-        if all(np.array_equal(b.xi, bumps[0].xi) for b in bumps):
-            self.xi = bumps[0].xi
+        if not self.bumps or self.coeffs.shape != (len(self.bumps),):
+            raise ValueError("need one coefficient per bump, and at least one bump")
+        first = self.bumps[0]
+        if any((b.l1, b.l2, b.profile) != (first.l1, first.l2, first.profile)
+               or b.xi is not first.xi and not np.array_equal(b.xi, first.xi)
+               for b in self.bumps):
+            raise ValueError("bumps must be translates of one bump: one l1, l2, profile and xi")
+        for b1, b2 in zip(self.bumps[:-1], self.bumps[1:]):
+            if b1.support[1] > b2.support[0]:
+                raise OverlappingSupports(f"supports {b1.support} and {b2.support} overlap")
+        self.xi = first.xi
+        self.support = (first.support[0], self.bumps[-1].support[1])
+        self._shifts = np.array([b.shift for b in self.bumps])
+        self._later_starts = np.array([b.support[0] for b in self.bumps[1:]])
 
-    def _sum(self, parts, t):
-        """sum_n c_n parts(bump_n, phi_n, phi_n'), evaluating each bump only on its own support.
+    def _owned(self, t):
+        """c_n, phi_n and phi_n' at the points of t, from the bump n that owns each.
 
-        parts returns a tuple of arrays whose leading axis runs over the
-        points.  Points already in order, as every refinement grid is, are
-        used as they are; others are sorted and the sums put back in their
-        order.  Each support is then a slice of the sorted points, found by
-        bisection.  Bumps that share a profile and l1 take phi and phi' from
-        one value_and_deriv call on their shifted support points together,
-        and the c_n terms are added bump by bump in the order given.
-        Profiles vanish exactly off their supports, so the skipped terms are
-        zeros and each sum is bitwise that of the full evaluation.
+        Bump n owns the points from its support's start to the next one's, and
+        the first bump those before it; every other profile vanishes there.
         """
-        t = np.asarray(t, dtype=float)
-        flat = t.ravel()
-        # a NaN fails every comparison, so points with a NaN take the sort,
-        # which puts the NaN last and outside every support
-        order = None if np.all(flat[1:] >= flat[:-1]) else np.argsort(flat, kind="stable")
-        ts = flat if order is None else flat[order]
-        spans = [(np.searchsorted(ts, b.support[0], "left"),
-                  np.searchsorted(ts, b.support[1], "right")) for b in self.bumps]
-        groups = {}
-        for n, b in enumerate(self.bumps):
-            groups.setdefault((b.profile, b.l1), []).append(n)
-        scalars = [None] * len(self.bumps)
-        for (profile, l1), group in groups.items():
-            u = np.concatenate([ts[spans[n][0]:spans[n][1]] - l1 - self.bumps[n].shift
-                                for n in group])
-            cuts = np.cumsum([spans[n][1] - spans[n][0] for n in group])[:-1]
-            phi, dphi = (np.split(a, cuts) for a in profile.value_and_deriv(u))
-            for n, p, dp in zip(group, phi, dphi):
-                scalars[n] = (p, dp)
-        sums = None
-        for c, b, (lo, hi), (phi, dphi) in zip(self.coeffs, self.bumps, spans, scalars):
-            vals = parts(b, phi, dphi)
-            if sums is None:
-                sums = [np.zeros(flat.shape + v.shape[1:]) for v in vals]
-            for total, v in zip(sums, vals):
-                total[lo:hi] += c * v
-        if order is not None:
-            for total in sums:
-                total[order] = total.copy()
-        return tuple(total.reshape(t.shape + total.shape[1:]) for total in sums)
+        # a NaN lies on no support; as -inf it lies before all of them
+        t = np.fmax(t, -np.inf)
+        owner = np.searchsorted(self._later_starts, t, "right")
+        first = self.bumps[0]
+        phi, dphi = first.profile.value_and_deriv(t - first.l1 - self._shifts[owner])
+        return self.coeffs[owner], phi, dphi
 
+    # each sum is 0.0 + its owner's term, as a sum begun at zero would be: a
+    # negative coefficient times a zero profile gives 0.0, not -0.0
     def scalar_and_deriv(self, t):
-        return self._sum(lambda b, phi, dphi: (phi, dphi), t)
+        c, phi, dphi = self._owned(t)
+        return 0.0 + c * phi, 0.0 + c * dphi
 
     def value(self, t):
-        return self._sum(lambda b, phi, dphi: (phi[:, None, None] * b.xi,), np.atleast_1d(t))[0]
+        c, phi, _ = self._owned(np.atleast_1d(t))
+        return 0.0 + c[..., None, None] * (phi[..., None, None] * self.xi)
 
     def deriv(self, t):
-        return self._sum(lambda b, phi, dphi: (dphi[:, None, None] * b.xi,), np.atleast_1d(t))[0]
+        c, _, dphi = self._owned(np.atleast_1d(t))
+        return 0.0 + c[..., None, None] * (dphi[..., None, None] * self.xi)
 
 
 def _is_scalar_bump(variation) -> bool:
@@ -498,9 +487,9 @@ def morse_witnesses(traj: Trajectory, xi, shifts, l1: float = BUMP_START, l2: fl
         raise ValueError("probe direction must have unit norm")
     bumps = [BumpVariation(l1=l1, l2=l2, shift=sh, xi=xi, profile_kind=profile,
                            flat_fraction=flat_fraction) for sh in shifts]
-    for b1, b2 in zip(bumps[:-1], bumps[1:]):
-        if b1.support[1] > b2.support[0] + 1e-12:
-            raise OverlappingSupports(f"supports {b1.support} and {b2.support} overlap")
+    coeffs = np.random.default_rng(0).standard_normal(len(bumps))
+    # built only to refuse overlapping supports before any quadrature
+    CombinedVariation(bumps, coeffs)
     # the bumps differ only by their shifts: each stack row evaluates the one
     # profile shifted to its own member, as BumpVariation.scalar_and_deriv does
     shift_col = np.asarray(shifts, dtype=float)[:, None]
@@ -514,12 +503,10 @@ def morse_witnesses(traj: Trajectory, xi, shifts, l1: float = BUMP_START, l2: fl
     witnesses = int(sum(1 for q in q_vals if q < 0.0))
     # one combination per stack, so that its refinement, which starts at the
     # narrowest bump's density, spans _STACK_ROWS supports and not all of them
-    rng = np.random.default_rng(0)
     for start in range(0, len(bumps), _STACK_ROWS):
-        stack = bumps[start:start + _STACK_ROWS]
-        coeffs = rng.standard_normal(len(stack))
-        q_combo = quadratic_Q(traj, CombinedVariation(stack, coeffs)).value
-        q_expected = float(np.sum(coeffs**2 * np.array(q_vals[start:start + _STACK_ROWS])))
+        stack = slice(start, start + _STACK_ROWS)
+        q_combo = quadratic_Q(traj, CombinedVariation(bumps[stack], coeffs[stack])).value
+        q_expected = float(np.sum(coeffs[stack]**2 * np.array(q_vals[stack])))
         if not abs(q_combo - q_expected) <= 1e-8 * (1.0 + abs(q_expected)):
             raise AssertionError(
                 f"disjoint-support additivity violated: {q_combo} vs {q_expected}")

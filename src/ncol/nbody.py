@@ -181,10 +181,16 @@ def hessian_quadratic_stack(x, m, alpha, v) -> np.ndarray:
     ii, jj, mm, diff, dist = pair_terms(x, m)
     dv = v.take(ii, axis=-2) - v.take(jj, axis=-2)
     inner = (diff * dv).sum(axis=-1)
-    return alpha * (mm * (
-        (alpha + 2.0) * inner**2 / dist ** (alpha + 4.0)
-        - (dv * dv).sum(axis=-1) / dist ** (alpha + 2.0)
-    )).sum(axis=-1)
+    with np.errstate(over="ignore"):
+        r4, r2 = dist ** (alpha + 4.0), dist ** (alpha + 2.0)
+    far = np.isinf(r4)
+    if far.any():
+        # <u, dv>^2 / r^(alpha+4) = <u/r, dv>^2 / r^(alpha+2), which does not
+        # overflow; where r^(alpha+2) does, the pair's term is below
+        # alpha (alpha+1) m_i m_j |dv|^2 / DBL_MAX and is taken as 0
+        inner, r4 = np.where(far, inner / dist, inner), np.where(far, r2, r4)
+    return alpha * (mm * ((alpha + 2.0) * inner**2 / r4
+                          - (dv * dv).sum(axis=-1) / r2)).sum(axis=-1)
 
 
 def hessian_on_ellipsoid_stack(s, m, alpha, v) -> np.ndarray:
@@ -204,12 +210,19 @@ def pair_hessian_blocks(alpha, mm, diff, dist) -> np.ndarray:
 
         B = alpha m_i m_j [(alpha+2) u u^T / r^(alpha+4) - I / r^(alpha+2)].
 
-    alpha broadcasts against the blocks, as in hessian_full_stack.
+    alpha broadcasts against the blocks, as in hessian_full_stack.  Where
+    r^(alpha+4) overflows, the first term is formed as (alpha+2) u' u'^T /
+    r^(alpha+2) with u' = u / r, which does not; where r^(alpha+2) overflows
+    too, the block is below alpha (alpha+1) m_i m_j / DBL_MAX and is taken as 0.
     """
     r = dist[..., None, None]
+    with np.errstate(over="ignore"):
+        r4, r2 = r ** (alpha + 4.0), r ** (alpha + 2.0)
+    far = np.isinf(r4)
+    if far.any():
+        diff, r4 = np.where(far[..., 0], diff / r[..., 0], diff), np.where(far, r2, r4)
     outer = diff[..., :, None] * diff[..., None, :]
-    return alpha * mm[..., None, None] * (
-        (alpha + 2.0) * outer / r ** (alpha + 4.0) - np.eye(diff.shape[-1]) / r ** (alpha + 2.0))
+    return alpha * mm[..., None, None] * ((alpha + 2.0) * outer / r4 - np.eye(diff.shape[-1]) / r2)
 
 
 def hessian_full_stack(x, m, alpha) -> np.ndarray:

@@ -75,10 +75,18 @@ def admissible_basis(s0: np.ndarray, m: np.ndarray) -> np.ndarray:
     QR of their transpose.  The d mass-sum rows are mutually orthogonal, so
     only the M s0 row, placed last, can depend on the others; |R_kk| below
     1e-12 drops it, and the columns of Q past the rank span the null space.
+    A row whose norm overflows (masses above about 1e154) is first divided
+    by its largest entry.
     """
     d = s0.shape[1]
     cons = np.vstack([np.kron(m, np.eye(d)), (m[:, None] * s0).ravel()])
-    cons /= np.linalg.norm(cons, axis=1)[:, None]
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(cons, axis=1)
+    huge = np.isinf(norms)
+    if huge.any():
+        cons[huge] /= np.abs(cons[huge]).max(axis=1)[:, None]
+        norms = np.linalg.norm(cons, axis=1)
+    cons /= norms[:, None]
     q, r = np.linalg.qr(cons.T, mode="complete")
     rank = int(np.count_nonzero(np.abs(np.diag(r)) > 1e-12))
     return q[:, rank:].T

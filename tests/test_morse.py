@@ -355,14 +355,162 @@ def support_edge_grid(bumps, lo, hi, count):
 
 @pytest.fixture
 def mixed_combination(mu1_direction):
-    bumps = [morse.BumpVariation(l1=0.5, l2=3.0, shift=0.0, xi=mu1_direction),
-             morse.BumpVariation(l1=0.5, l2=3.0, shift=2.5, xi=mu1_direction,
-                                 profile_kind="bump"),
-             morse.BumpVariation(l1=1e-9, l2=4.0, shift=2.0, xi=mu1_direction),
-             morse.BumpVariation(l1=1.0, l2=2.0, shift=8.0, xi=mu1_direction,
-                                 profile_kind="bump")]
+    # four translates; the first two supports touch at 3.0
+    bumps = [morse.BumpVariation(l1=0.5, l2=3.0, shift=shift, xi=mu1_direction)
+             for shift in (0.0, 2.5, 6.0, 9.0)]
     coeffs = [1.3, -0.7, 0.0, -2.1]
-    return bumps, coeffs, support_edge_grid(bumps, -1.0, 11.0, 2401)
+    return bumps, coeffs, support_edge_grid(bumps, -1.0, 13.0, 2801)
+
+
+# the oracle for morse.CombinedVariation: a sum over any bumps, each bump
+# evaluated on the points of its own support and its term added in bump order
+class ReferenceCombinedVariation:
+    """Linear combination sum_n c_n w_n of bump variations."""
+
+    def __init__(self, bumps, coeffs):
+        self.bumps = list(bumps)
+        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.support = (min(b.support[0] for b in bumps), max(b.support[1] for b in bumps))
+        if all(np.array_equal(b.xi, bumps[0].xi) for b in bumps):
+            self.xi = bumps[0].xi
+
+    def _sum(self, parts, t):
+        """sum_n c_n parts(bump_n, phi_n, phi_n'), evaluating each bump only on its own support.
+
+        parts returns a tuple of arrays whose leading axis runs over the
+        points.  Points already in order, as every refinement grid is, are
+        used as they are; others are sorted and the sums put back in their
+        order.  Each support is then a slice of the sorted points, found by
+        bisection.  Bumps that share a profile and l1 take phi and phi' from
+        one value_and_deriv call on their shifted support points together,
+        and the c_n terms are added bump by bump in the order given.
+        Profiles vanish exactly off their supports, so the skipped terms are
+        zeros and each sum is bitwise that of the full evaluation.
+        """
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        # a NaN fails every comparison, so points with a NaN take the sort,
+        # which puts the NaN last and outside every support
+        order = None if np.all(flat[1:] >= flat[:-1]) else np.argsort(flat, kind="stable")
+        ts = flat if order is None else flat[order]
+        spans = [(np.searchsorted(ts, b.support[0], "left"),
+                  np.searchsorted(ts, b.support[1], "right")) for b in self.bumps]
+        groups = {}
+        for n, b in enumerate(self.bumps):
+            groups.setdefault((b.profile, b.l1), []).append(n)
+        scalars = [None] * len(self.bumps)
+        for (profile, l1), group in groups.items():
+            u = np.concatenate([ts[spans[n][0]:spans[n][1]] - l1 - self.bumps[n].shift
+                                for n in group])
+            cuts = np.cumsum([spans[n][1] - spans[n][0] for n in group])[:-1]
+            phi, dphi = (np.split(a, cuts) for a in profile.value_and_deriv(u))
+            for n, p, dp in zip(group, phi, dphi):
+                scalars[n] = (p, dp)
+        sums = None
+        for c, b, (lo, hi), (phi, dphi) in zip(self.coeffs, self.bumps, spans, scalars):
+            vals = parts(b, phi, dphi)
+            if sums is None:
+                sums = [np.zeros(flat.shape + v.shape[1:]) for v in vals]
+            for total, v in zip(sums, vals):
+                total[lo:hi] += c * v
+        if order is not None:
+            for total in sums:
+                total[order] = total.copy()
+        return tuple(total.reshape(t.shape + total.shape[1:]) for total in sums)
+
+    def scalar_and_deriv(self, t):
+        return self._sum(lambda b, phi, dphi: (phi, dphi), t)
+
+    def value(self, t):
+        return self._sum(lambda b, phi, dphi: (phi[:, None, None] * b.xi,), np.atleast_1d(t))[0]
+
+    def deriv(self, t):
+        return self._sum(lambda b, phi, dphi: (dphi[:, None, None] * b.xi,), np.atleast_1d(t))[0]
+
+
+def translates(xi, count, width, kind, flat, start, gaps):
+    """count translates of one bump of this width, the gap after each as given.
+
+    A zero gap makes the supports touch: the next support starts at the
+    first shift whose start is not before the previous end.
+    """
+    bumps = []
+    for k in range(count):
+        shift = start
+        if bumps:
+            end = bumps[-1].support[1]
+            shift = end - 0.5 + gaps[k - 1]
+            while 0.5 + shift < end:
+                shift = float(np.nextafter(shift, np.inf))
+        bumps.append(morse.BumpVariation(l1=0.5, l2=0.5 + width, shift=shift, xi=xi,
+                                         profile_kind=kind, flat_fraction=flat))
+    return bumps
+
+
+@st.composite
+def translate_combinations(draw):
+    """Translates of one bump with coefficients, zeros and negatives among them."""
+    count = draw(st.integers(min_value=1, max_value=20))
+    gap = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0))
+    coeff = st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=3.0))
+    return dict(count=count,
+                width=draw(st.floats(min_value=0.1, max_value=25.0)),
+                kind=draw(st.sampled_from(["flattop", "bump"])),
+                flat=draw(st.floats(min_value=0.0, max_value=0.99)),
+                gaps=draw(st.lists(gap, min_size=count - 1, max_size=count - 1)),
+                coeffs=draw(st.lists(coeff, min_size=count, max_size=count)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=translate_combinations(),
+       points=st.sampled_from(["sorted", "permuted", "nan"]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(case=dict(count=3, width=2.5, kind="flattop", flat=0.8, gaps=[0.0, 0.0],
+                   coeffs=[-1.0, 0.0, -2.0]), points="nan", seed=0)
+def test_combined_variation_is_bitwise_the_reference(case, points, seed, mu1_direction):
+    bumps = translates(mu1_direction, case["count"], case["width"], case["kind"],
+                       case["flat"], 1.0, case["gaps"])
+    grid = support_edge_grid(bumps, 0.0, bumps[-1].support[1] + 1.0, 1001)
+    rng = np.random.default_rng(seed)
+    if points != "sorted":
+        grid = rng.permutation(grid)
+    if points == "nan":
+        grid = np.insert(grid, rng.integers(0, grid.size + 1, 3), np.nan)
+    got = combination_parts(morse.CombinedVariation(bumps, case["coeffs"]), grid)
+    want = combination_parts(ReferenceCombinedVariation(bumps, case["coeffs"]), grid)
+    for name, g, w in zip(("scalar", "scalar_deriv", "value", "deriv"), got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes(), name
+
+
+def test_combined_variation_takes_translates_of_one_bump(mu1_direction):
+    bump = functools.partial(morse.BumpVariation, l1=0.5, l2=3.0, xi=mu1_direction)
+    with pytest.raises(OverlappingSupports, match="overlap"):
+        morse.CombinedVariation([bump(shift=0.0), bump(shift=2.0)], [1.0, 1.0])
+    with pytest.raises(OverlappingSupports, match="overlap"):
+        morse.CombinedVariation([bump(shift=5.0), bump(shift=0.0)], [1.0, 1.0])
+    for other in (bump(shift=4.0, profile_kind="bump"), bump(shift=4.0, flat_fraction=0.5),
+                  bump(shift=4.0, l2=2.0), bump(shift=4.0, l1=0.4, l2=2.9),
+                  bump(shift=4.0, xi=-mu1_direction)):
+        with pytest.raises(ValueError, match="translates of one bump"):
+            morse.CombinedVariation([bump(shift=0.0), other], [1.0, 1.0])
+    # zip would cut a count of the wrong length to the shorter one
+    for coeffs in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="one coefficient per bump"):
+            morse.CombinedVariation([bump(shift=0.0), bump(shift=4.0)], coeffs)
+    with pytest.raises(ValueError, match="one coefficient per bump"):
+        morse.CombinedVariation([], [])
+    touching = morse.CombinedVariation([bump(shift=0.0), bump(shift=2.5)], [1.0, -1.0])
+    assert touching.support == (0.5, 5.5)
+    # a ramp of 5e-12 is non-zero 2.5e-13 before its support's end, so even
+    # an overlap that small would leave out a tail of the earlier bump
+    narrow = functools.partial(morse.BumpVariation, l1=0.5, l2=0.5 + 1e-9, xi=mu1_direction,
+                               flat_fraction=0.99)
+    first, second = narrow(shift=0.0), narrow(shift=1e-9 - 5e-13)
+    assert 0.0 < first.support[1] - second.support[0] < 1e-12
+    assert first.scalar_and_deriv(np.array([first.support[1] - 2.5e-13]))[0][0] > 0.0
+    with pytest.raises(OverlappingSupports, match="overlap"):
+        morse.CombinedVariation([first, second], [1.0, 1.0])
 
 
 def test_combined_variation_matches_naive_sum(mixed_combination):
@@ -392,22 +540,6 @@ def test_combined_variation_puts_unsorted_points_back(mixed_combination):
             want[keep] = part[perm]
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes(), name
-
-
-def test_combined_variation_adds_in_bump_order_across_profiles(mu1_direction):
-    # the bumps alternate between two profiles on overlapping supports: adding
-    # the terms profile by profile would round the overlaps differently
-    kinds = ["flattop", "bump"] * 4
-    bumps = [morse.BumpVariation(l1=0.3, l2=4.3, shift=0.7 * k, xi=mu1_direction,
-                                 profile_kind=kind) for k, kind in enumerate(kinds)]
-    scales = np.tile([1.0, 1e3, 1e-3, 7.0], 2)
-    coeffs = np.random.default_rng(11).standard_normal(len(bumps)) * scales
-    combo = morse.CombinedVariation(bumps, coeffs)
-    grid = support_edge_grid(bumps, 0.0, 10.0, 4001)
-    naive = naive_combination(bumps, coeffs, grid)
-    for name, got, want in zip(("scalar", "scalar_deriv", "value", "deriv"),
-                               combination_parts(combo, grid), naive):
-        assert got.tobytes() == want.tobytes(), name
 
 
 def reference_bump_rows(ratio, n_m, hess, phi, dphi):
@@ -848,19 +980,20 @@ def test_value_and_deriv_equals_the_two_pass_profile(kind, width, frac, u):
        kind=st.sampled_from(["flattop", "bump"]),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 @example(n=5, width=0.5, kind="flattop", seed=0)
-# the four bumps' combination is refined on 334 2^k intervals; its change
-# from 1,336 to 2,672 is 9e-9 relative while its error grows from 7.3e-8 to
-# 1.1e-7, so a stop on that one change alone is 3.2e-8 off
-@example(n=4, width=1.0629047648615189, kind="flattop", seed=1)
+# the two bumps' combination is refined on 278 2^k intervals; its change
+# from 278 to 556 is 9.7e-9 relative while its error grows from 8.0e-8 to
+# 9.0e-8, so a stop on that one change alone is 9.0e-8 off
+@example(n=2, width=8.607348791535577, kind="flattop", seed=2878095553)
 def test_disjoint_supports_make_Q_additive(n, width, kind, seed, homothetic_traj, mu1_direction):
-    # flat fractions up to 0.95: steeper ramps on narrow supports are not
-    # resolved within 8 doublings, and Q comes back unconverged without a
-    # signal (ROADMAP item 4; CHANGES.md names the cases)
+    # translates of one bump, with flat fractions up to 0.95: steeper ramps
+    # on narrow supports are not resolved within 8 doublings, and Q comes
+    # back unconverged without a signal (ROADMAP item 4; CHANGES.md names
+    # the cases)
     rng = np.random.default_rng(seed)
     starts = np.cumsum(rng.uniform(0.0, 3.0, n) + width) - width
+    flat = rng.uniform(0.0, 0.95)
     bumps = [morse.BumpVariation(l1=0.5, l2=0.5 + width, shift=float(s), xi=mu1_direction,
-                                 profile_kind=kind, flat_fraction=rng.uniform(0.0, 0.95))
-             for s in starts]
+                                 profile_kind=kind, flat_fraction=flat) for s in starts]
     c = rng.standard_normal(n)
     total = float(np.sum(c**2 * [morse.quadratic_Q(homothetic_traj, b).value for b in bumps]))
     q = morse.quadratic_Q(homothetic_traj, morse.CombinedVariation(bumps, c)).value
@@ -947,6 +1080,23 @@ def test_stacked_witnesses_equal_the_per_bump_loop(name, count, width, profile, 
     assert [repr(q) for q in rep.q_values] == [repr(r.value) for r in want]
     assert_same_report(rep, min(want, key=lambda r: r.value))
     assert rep.witnesses == sum(r.value < 0.0 for r in want)
+
+
+@pytest.mark.parametrize("name", ["oracle-h0", "oracle-h1", "kicked"])
+@settings(max_examples=20, deadline=None)
+@given(case=translate_combinations())
+def test_combined_variation_reports_are_the_reference(name, case, witness_trajs,
+                                                      mu1_direction):
+    traj = witness_trajs[name]
+    count = case["count"]
+    # the supports and gaps shrink together to fit the horizon
+    span = count * case["width"] + sum(case["gaps"])
+    scale = min(1.0, (traj.tau_end - 1.0) / span)
+    bumps = translates(mu1_direction, count, case["width"] * scale, case["kind"], case["flat"],
+                       0.0, [g * scale for g in case["gaps"]])
+    got = morse.quadratic_Q(traj, morse.CombinedVariation(bumps, case["coeffs"]))
+    assert_same_report(got, morse.quadratic_Q(
+        traj, ReferenceCombinedVariation(bumps, case["coeffs"])))
 
 
 def stacked_rows(bumps, nan_member=None, calls=None):

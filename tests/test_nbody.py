@@ -83,6 +83,29 @@ def test_potential_homogeneity_pinned_factors(lam):
 
 
 @settings(max_examples=30, deadline=None)
+@given(exponent=st.floats(min_value=80.0, max_value=100.0),
+       alpha=st.floats(min_value=0.05, max_value=1.0),
+       seed=st.integers(min_value=0, max_value=999))
+def test_hessian_homogeneity_where_powers_overflow(exponent, alpha, seed):
+    # at these scales r^(alpha+4) overflows and r^(alpha+2) does not: the
+    # Hessian must still scale as lam^-(alpha+2), with no warning (numpy's
+    # default ignores underflow, which a small term near 1e-300 may meet)
+    lam = 10.0 ** exponent
+    rng = np.random.default_rng(seed)
+    x = random_config(rng)
+    m = rng.uniform(0.5, 2.0, size=4)
+    v = rng.standard_normal(x.shape)
+    factor = lam ** -(alpha + 2.0)
+    with np.errstate(all="raise", under="ignore"):
+        quad = nbody.hessian_quadratic_stack(lam * x, m, alpha, v)
+        full = nbody.hessian_full_stack(lam * x, m, alpha)
+    q, q_size = ref_hessian_quadratic(x, m, alpha, v)
+    assert abs(quad - factor * q) <= 1e-12 * factor * q_size
+    h, h_size = ref_hessian_full(x, m, alpha)
+    assert np.all(np.abs(full - factor * h) <= 1e-12 * factor * h_size)
+
+
+@settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=999))
 def test_potential_translation_invariance(seed):
     rng = np.random.default_rng(seed)
