@@ -13,14 +13,14 @@ from pathlib import Path
 import numpy as np
 
 from ncol import central, mcgehee, morse, spectral
+from ncol.cli import _ALPHA_GRID, _POSITIVE_COUNT, _WIDTH
 
 
 def run_one(alpha: float, bumps: int, width: float, outdir: Path) -> dict:
     cc = central.collinear3(1.0, 1.0, alpha)
     rep = spectral.smallest_eigenvalue(cc)
-    traj = mcgehee.homothetic_oracle(cc, h=0.0, tau_max=bumps * 2 * width + 2 * width)
-    shifts = morse.default_shifts(bumps, 0.0, width)
-    wit = morse.morse_witnesses(traj, rep.eigvec, shifts, l1=morse.BUMP_START, l2=width)
+    traj = mcgehee.homothetic_oracle(cc, h=0.0, tau_max=morse.witness_horizon(bumps, width))
+    wit = morse.morse_witnesses(traj, rep.eigvec, bumps, width)
 
     # perturbed run with measured asymptotics; the kick grows along the
     # collapse at rate c + sqrt(c^2 + mu1), so the horizon is capped before
@@ -47,15 +47,15 @@ def run_one(alpha: float, bumps: int, width: float, outdir: Path) -> dict:
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--alphas", type=str, default="1.0,0.05")
-    ap.add_argument("--bumps", type=int, default=10)
-    ap.add_argument("--width", type=float, default=20.0)
+    # the option types of `ncol morse`, so that a bad value is a usage error
+    ap.add_argument("--alphas", type=_ALPHA_GRID, default="1.0,0.05")
+    ap.add_argument("--bumps", type=_POSITIVE_COUNT, default=10)
+    ap.add_argument("--width", type=_WIDTH, default=20.0)
     ap.add_argument("--outdir", type=Path, default=Path("out"))
     args = ap.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    results = [run_one(float(a), args.bumps, args.width, args.outdir)
-               for a in args.alphas.split(",")]
+    results = [run_one(a, args.bumps, args.width, args.outdir) for a in args.alphas]
     path = args.outdir / "collapse_probe.json"
     path.write_text(json.dumps(results, indent=2) + "\n")
     for r in results:

@@ -12,9 +12,8 @@ from . import nbody
 from .errors import (ConvergedToCollision, InvalidMass, InvalidN, NoConvergence, NotCentral,
                      OverflowingConfiguration, ZeroConfiguration)
 
-# an alpha within this of a configuration's own keeps its b and residual:
-# CentralConfiguration.at_alpha returns the configuration itself, and
-# spectral.spectral_sweep reads them off it
+# an alpha within this of a configuration's own keeps its b and residual
+# (CentralConfiguration.at_alphas)
 SAME_ALPHA_TOL = 1e-14
 
 
@@ -45,18 +44,26 @@ class CentralConfiguration:
     def dim(self) -> int:
         return self.s0.shape[1]
 
-    def at_alpha(self, alpha: float) -> "CentralConfiguration":
-        """The same shape and masses at exponent alpha, with b and residual recomputed.
+    def at_alphas(self, alphas):
+        """(alphas, b, residual, tol) of the same shape and masses at each exponent, ungated.
 
-        The shape is not re-solved, so residual measures how far it is from
-        central at the new exponent.  Returns self when alpha is within
-        SAME_ALPHA_TOL of its own.
+        alphas validated, shape (K,); b, residual and the gate's tol from
+        nbody.central_gate_stack (floor 1e-8, 1e3 eps of scale).  The shape is
+        not re-solved.  An alpha within SAME_ALPHA_TOL of the configuration's
+        own keeps its b and residual.
         """
-        if abs(alpha - self.alpha) <= SAME_ALPHA_TOL:
+        alphas = nbody.validate_alpha(np.array(alphas, dtype=float).reshape(-1))
+        b, residual, tol = nbody.central_gate_stack(self.s0, self.masses, alphas[:, None],
+                                                    1e-8, 1e3)
+        own = np.abs(alphas - self.alpha) <= SAME_ALPHA_TOL
+        return alphas, np.where(own, self.b, b), np.where(own, self.residual, residual), tol
+
+    def at_alpha(self, alpha: float) -> "CentralConfiguration":
+        """The one-alpha case of at_alphas, as a configuration; self at exactly its own alpha."""
+        if alpha == self.alpha:
             return self
-        alpha = nbody.validate_alpha(alpha)
-        u, residual, _ = nbody.central_residual_stack(self.s0, self.masses, alpha)
-        return replace(self, alpha=alpha, b=float(u), residual=float(nbody.norm_stack(residual)))
+        (alpha,), (b,), (residual,), _ = self.at_alphas([alpha])
+        return replace(self, alpha=float(alpha), b=float(b), residual=float(residual))
 
     def to_json(self) -> str:
         return nbody.config_to_json(

@@ -223,11 +223,8 @@ def cmd_morse(args) -> int:
                          f"{mcgehee.ORACLE_MAX_SAMPLES} samples")
     cc = _out_of_plane(_build_family(args), None)
     rep = spectral.smallest_eigenvalue(cc)
-    tau_need = args.bumps * 2.0 * width + 2.0 * width
-    traj = mcgehee.homothetic_oracle(cc, h=0.0, tau_max=tau_need)
-    shifts = morse.default_shifts(args.bumps, 0.0, width)
-    wrep = morse.morse_witnesses(traj, rep.eigvec, shifts, l1=morse.BUMP_START, l2=width,
-                                 flat_fraction=args.flat_fraction)
+    traj = mcgehee.homothetic_oracle(cc, h=0.0, tau_max=morse.witness_horizon(args.bumps, width))
+    wrep = morse.morse_witnesses(traj, rep.eigvec, args.bumps, width, args.flat_fraction)
     _emit(json.dumps(wrep.to_dict(), indent=2), args.out)
     print(f"witnesses={wrep.witnesses} of {args.bumps}; criterion margin={rep.margin:.6g}",
           file=sys.stderr)

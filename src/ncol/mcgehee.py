@@ -99,13 +99,14 @@ class Trajectory:
     """Sampled flow in the collision coordinates, with interpolation helpers.
 
     lambda1 is the measured multiplier trace -beta * h(tau); lambda2 the trace
-    rho^2 |s'|_M^2.  exact_homothetic marks trajectories backed by the closed
-    zero-energy collapse formula rho = exp(-c tau), s const.  Frozen shapes
-    hold s and s' as read-only stride-0 views of one row (_frozen_trajectory).
-    Sampled data read rho through a per-interval cubic of log rho, tabled on
-    first use and cached (_log_rho_table), as are the potential trace
-    (_potential) and whether the shape is frozen (frozen_shape); the samples
-    are not to be changed in place after that.
+    rho^2 |s'|_M^2.  decay_rate is c on trajectories backed by the closed
+    zero-energy collapse formula rho = exp(-c tau), s const, and None
+    elsewhere.  Frozen shapes hold s and s' as read-only stride-0 views of
+    one row (_frozen_trajectory).  Sampled data read rho through a
+    per-interval cubic of log rho, tabled on first use and cached
+    (_log_rho_table), as are the potential trace (_potential) and whether
+    the shape is frozen (frozen_shape); the samples are not to be changed in
+    place after that.
     """
 
     alpha: float
@@ -117,7 +118,7 @@ class Trajectory:
     s_prime: np.ndarray
     h: float
     potential_scale: float = 1.0
-    exact_homothetic: bool = False
+    decay_rate: float | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -176,12 +177,12 @@ class Trajectory:
     @cached_property
     def frozen_shape(self) -> bool:
         """True when every sample sits at s[0] with zero shape velocity; read once."""
-        if self.exact_homothetic:
+        if self.decay_rate is not None:
             return True
         return not np.any(self.s_prime) and bool(np.all(self.s == self.s[0]))
 
     def _checked_tau(self, t) -> np.ndarray:
-        if self.n_samples < 2 and not self.exact_homothetic:
+        if self.n_samples < 2 and self.decay_rate is None:
             raise InsufficientHorizon(f"interpolation needs two samples, the trajectory has "
                                       f"{self.n_samples}")
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -228,16 +229,16 @@ class Trajectory:
         derivative of the cubic of log rho used by evaluate.
         """
         t = self._checked_tau(t)
-        if self.exact_homothetic:
-            return np.full(t.shape, -self.meta["decay_rate"])
+        if self.decay_rate is not None:
+            return np.full(t.shape, -self.decay_rate)
         _, h, u, c = self._log_rho_cubic(t)
         return self._cubic_slope(u, h, c)
 
     def rho_at(self, t) -> np.ndarray:
         """Interpolated rho at tau values t, as evaluate gives it, without the shape."""
         t = self._checked_tau(t)
-        if self.exact_homothetic:
-            return np.exp(-self.meta["decay_rate"] * t)
+        if self.decay_rate is not None:
+            return np.exp(-self.decay_rate * t)
         _, _, u, c = self._log_rho_cubic(t)
         return np.exp(self._cubic(u, c))
 
@@ -249,9 +250,9 @@ class Trajectory:
         accuracy); s uses Hermite cubics with the stored velocities.
         """
         t = self._checked_tau(t)
-        if self.exact_homothetic:
+        if self.decay_rate is not None:
             rho, shape = self.rho_at(t), (t.size,) + self.s[0].shape
-            return (rho, -self.meta["decay_rate"] * rho, np.broadcast_to(self.s[0], shape),
+            return (rho, -self.decay_rate * rho, np.broadcast_to(self.s[0], shape),
                     np.broadcast_to(self.s_prime[0], shape))
         idx, h, u, c = self._log_rho_cubic(t)
         rho = np.exp(self._cubic(u, c))
@@ -840,10 +841,17 @@ def integrate_el(initial: McGeheeState, m, alpha, tau_max: float,
 
     It raises StepFailure when none is reached within MAX_STEPS attempted
     steps, and when a step would store more than MAX_STEPS + 1 samples in all.
+    A start off the reduced phase space raises up front: NotTangent for total
+    momentum, ValueError for a center of mass off the origin, each past 1e-10
+    of the sizes of its terms.
     """
     m = nbody.as_masses(m)
     alpha = nbody.validate_alpha(alpha)
     state = initial.validated(m)
+    nbody.check_tangent(state.s, m, state.s_prime, tol=1e-10)
+    moments = m[:, None] * state.s
+    if not np.linalg.norm(moments.sum(axis=0)) <= 1e-10 * np.abs(moments).sum():
+        raise ValueError("shape point's center of mass is off the origin")
     n, d = state.s.shape
     h_energy = energy(state, m, alpha, potential_scale)
     f = _flow(alpha, m, h_energy, potential_scale, d)
@@ -978,8 +986,7 @@ def homothetic_oracle(cc, h: float = 0.0, tau_max: float = 30.0,
     if h == 0.0:
         grid = np.linspace(0.0, tau_max, _capped_samples(max(64, int(tau_max * 16) + 1), tau_max))
         rho_g = np.exp(-c * grid)
-        return _frozen_trajectory(cc, grid, rho_g, -c * rho_g, 0.0, exact_homothetic=True,
-                                  meta={"decay_rate": c})
+        return _frozen_trajectory(cc, grid, rho_g, -c * rho_g, 0.0, decay_rate=float(c))
     a, k = h / b, beta_exponent(alpha) - 2.0
     v0 = np.sqrt(1.0 + a)
     # Trajectory.evaluate interpolates log rho = -sigma with cubic Hermites in

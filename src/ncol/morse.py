@@ -11,6 +11,7 @@ coefficient, which is what the witness counts probe.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -200,7 +201,7 @@ class SecondVariationReport:
 # quadrature on the trajectory
 
 
-# Members of one stack of supports refined together; a chunk bounds the memory
+# Members of one stack of supports refined together; a stack bounds the memory
 # of morse_witnesses whatever the number of bumps.
 _STACK_ROWS = 16
 
@@ -409,7 +410,7 @@ def _bump_integrand(traj: Trajectory, xi, scalars):
     n_m, hess = _frozen_pairings(traj, xi)
 
     def integrand(grid, members):
-        rate = -traj.meta["decay_rate"] if traj.exact_homothetic else traj.log_rate(grid)
+        rate = traj.log_rate(grid) if traj.decay_rate is None else -traj.decay_rate
         phi, dphi = scalars(grid, members)
         rows = np.empty(grid.shape[:-1] + (4, grid.shape[-1]))
         kin, radial, cross, hessian = np.moveaxis(rows, -2, 0)
@@ -425,20 +426,11 @@ def _bump_integrand(traj: Trajectory, xi, scalars):
     return integrand
 
 
-def _reports(traj: Trajectory, integrand, supports, quad_tol: float, narrowest=None):
-    """One SecondVariationReport per support, refined in stacks of _STACK_ROWS members."""
-    supports = np.reshape(np.asarray(supports, dtype=float), (-1, 2))
-    reports = []
-    for start in range(0, len(supports), _STACK_ROWS):
-        def chunk(grid, members, start=start):
-            return integrand(grid, members + start)
-
-        parts = _refine_until(chunk, traj, supports[start:start + _STACK_ROWS], quad_tol,
-                              narrowest)
-        reports += [SecondVariationReport(value=float(p.sum()), kinetic=float(p[0]),
-                                          rho_term=float(p[1]), cross=float(p[2]),
-                                          hessian=float(p[3])) for p in parts]
-    return reports
+def _report(parts) -> SecondVariationReport:
+    """The report of one member's kinetic, radial, cross and Hessian parts."""
+    return SecondVariationReport(value=float(parts.sum()), kinetic=float(parts[0]),
+                                 rho_term=float(parts[1]), cross=float(parts[2]),
+                                 hessian=float(parts[3]))
 
 
 def quadratic_Q(traj: Trajectory, variation, quad_tol: float = QUAD_TOL) -> SecondVariationReport:
@@ -459,59 +451,60 @@ def quadratic_Q(traj: Trajectory, variation, quad_tol: float = QUAD_TOL) -> Seco
         integrand = _sampled_integrand(traj, lambda grid, members: (
             variation.value(grid.ravel()), variation.deriv(grid.ravel())))
     narrowest = min(b.support[1] - b.support[0] for b in getattr(variation, "bumps", [variation]))
-    return _reports(traj, integrand, variation.support, quad_tol, narrowest)[0]
+    return _report(_refine_until(integrand, traj, variation.support, quad_tol, narrowest)[0])
 
 
-def default_shifts(count: int, l1: float, l2: float, start: float | None = None):
-    """Shifts spacing supports by one extra width, keeping them pairwise disjoint."""
-    width = l2 - l1
-    if start is None:
-        start = width
-    return [start + 2.0 * width * k for k in range(count)]
+def witness_horizon(bumps: int, width: float) -> float:
+    """The tau that morse_witnesses(traj, xi, bumps, width) needs: 2 (bumps + 1) width."""
+    return bumps * 2.0 * width + 2.0 * width
 
 
-def morse_witnesses(traj: Trajectory, xi, shifts, l1: float = BUMP_START, l2: float = 20.0,
-                    profile: str = "flattop", flat_fraction: float = 0.8) -> SecondVariationReport:
-    """Count negative values of Q over a family of disjointly supported bumps.
+def morse_witnesses(traj: Trajectory, xi, bumps: int, width: float,
+                    flat_fraction: float = 0.8) -> SecondVariationReport:
+    """Count negative values of Q over bumps translates of one flat-top bump along xi.
 
-    Also verifies on random coefficients that disjoint supports make Q
-    additive, i.e. Q(sum c_n w_n) = sum c_n^2 Q(w_n), on each stack of
-    _STACK_ROWS bumps.
+    Bump k lies on (BUMP_START + s_k, width + s_k) with s_k = width + 2 width k,
+    so the supports are disjoint and end before witness_horizon(bumps, width).
+    Each stack of _STACK_ROWS bumps is refined together, and then checked on
+    random coefficients for the additivity that disjoint supports give,
+    Q(sum c_n w_n) = sum c_n^2 Q(w_n).
     """
-    shifts = list(shifts)
-    if any(b >= a for a, b in zip(shifts[1:], shifts[:-1])):
-        raise ValueError("shifts must be strictly increasing")
     xi = np.asarray(xi, dtype=float).reshape(traj.s[0].shape)
     nbody.check_tangent(traj.s[0], traj.masses, xi)
     if abs(np.linalg.norm(xi) - 1.0) > 1e-8:
         raise ValueError("probe direction must have unit norm")
-    bumps = [BumpVariation(l1=l1, l2=l2, shift=sh, xi=xi, profile_kind=profile,
-                           flat_fraction=flat_fraction) for sh in shifts]
-    coeffs = np.random.default_rng(0).standard_normal(len(bumps))
-    # built only to refuse overlapping supports before any quadrature
-    CombinedVariation(bumps, coeffs)
-    # the bumps differ only by their shifts: each stack row evaluates the one
-    # profile shifted to its own member, as BumpVariation.scalar_and_deriv does
-    shift_col = np.asarray(shifts, dtype=float)[:, None]
+    if bumps < 1:
+        raise ValueError("need at least one bump")
+    bump = functools.partial(BumpVariation, l1=BUMP_START, l2=width, xi=xi,
+                             flat_fraction=flat_fraction)
+    profile = bump(shift=0.0).profile  # ValueError unless BUMP_START < width
+    shifts = width + 2.0 * width * np.arange(bumps)
+    coeffs = np.random.default_rng(0).standard_normal(bumps)
 
     def scalars(grid, members):
-        return bumps[0].profile.value_and_deriv(grid - l1 - shift_col[members])
+        # each row evaluates the one profile shifted to its member of the
+        # stack being refined, as BumpVariation.scalar_and_deriv does
+        return profile.value_and_deriv(grid - BUMP_START - stack_shifts[members])
 
-    reports = _reports(traj, _bump_integrand(traj, xi, scalars), [b.support for b in bumps],
-                       QUAD_TOL)
-    q_vals = tuple(r.value for r in reports)
-    witnesses = int(sum(1 for q in q_vals if q < 0.0))
-    # one combination per stack, so that its refinement, which starts at the
-    # narrowest bump's density, spans _STACK_ROWS supports and not all of them
-    for start in range(0, len(bumps), _STACK_ROWS):
-        stack = slice(start, start + _STACK_ROWS)
-        q_combo = quadratic_Q(traj, CombinedVariation(bumps[stack], coeffs[stack])).value
-        q_expected = float(np.sum(coeffs[stack]**2 * np.array(q_vals[stack])))
+    integrand = _bump_integrand(traj, xi, scalars)
+    reports = []
+    for start in range(0, bumps, _STACK_ROWS):
+        stack_shifts = shifts[start:start + _STACK_ROWS, None]
+        stack = [bump(shift=sh) for sh in stack_shifts[:, 0].tolist()]
+        q_stack = [_report(p) for p in _refine_until(integrand, traj, [b.support for b in stack],
+                                                     QUAD_TOL)]
+        reports += q_stack
+        # the stack's own combination, so that its refinement, which starts
+        # at the narrowest bump's density, spans _STACK_ROWS supports
+        c = coeffs[start:start + _STACK_ROWS]
+        q_combo = quadratic_Q(traj, CombinedVariation(stack, c)).value
+        q_expected = float(np.sum(c**2 * np.array([r.value for r in q_stack])))
         if not abs(q_combo - q_expected) <= 1e-8 * (1.0 + abs(q_expected)):
             raise AssertionError(
                 f"disjoint-support additivity violated: {q_combo} vs {q_expected}")
+    q_vals = tuple(r.value for r in reports)
     worst = min(reports, key=lambda r: r.value)
-    return replace(worst, q_values=q_vals, witnesses=witnesses)
+    return replace(worst, q_values=q_vals, witnesses=sum(q < 0.0 for q in q_vals))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nbody
-from .central import SAME_ALPHA_TOL, CentralConfiguration, ngon_vertices, unit_circle
+from .central import CentralConfiguration, ngon_vertices, unit_circle
 from .errors import BracketFailure, InvalidN, NoConvergence, NotCentral
 
 ALPHA_FLOOR = 1e-6
@@ -135,24 +135,18 @@ class SpectralSweep:
 def spectral_sweep(cc: CentralConfiguration, alphas) -> SpectralSweep:
     """Smallest constrained Hessian eigenvalue of the shape cc.s0 at each alpha.
 
-    The shape is not re-solved: b and the centrality residual are recomputed
-    at every alpha (an alpha within central.SAME_ALPHA_TOL of cc.alpha keeps
-    cc's own, as cc.at_alpha does), and NotCentral names the first alpha
-    where the residual fails its gate.  A regular polygon as central.ngon
-    builds it (is_cyclic) is solved mode by mode in d x d blocks
-    (_cyclic_spectrum); every other shape by one admissible basis, one
-    (K, N*d, N*d) Hessian stack and one batched eigh of order N*d - d - 1
-    (_dense_spectrum).  Either way the eigenvalues come in ascending order
-    and the eigenvectors are Euclidean-normalized; for unequal masses the
-    value depends on this normalization choice.  Variations leave the plane
-    of a planar shape only once the caller has embedded it
-    (central.embed_in_3d).
+    The shape is not re-solved: b and the centrality residual come from
+    cc.at_alphas, and NotCentral names the first alpha where the residual
+    fails its gate.  A regular polygon as central.ngon builds it (is_cyclic)
+    is solved mode by mode in d x d blocks (_cyclic_spectrum); every other
+    shape by one admissible basis, one (K, N*d, N*d) Hessian stack and one
+    batched eigh of order N*d - d - 1 (_dense_spectrum).  Either way the
+    eigenvalues come in ascending order and the eigenvectors are
+    Euclidean-normalized; for unequal masses the value depends on this
+    normalization choice.  Variations leave the plane of a planar shape only
+    once the caller has embedded it (central.embed_in_3d).
     """
-    alphas = nbody.validate_alpha(np.array(alphas, dtype=float).reshape(-1))
-    b, res_norm, tol = nbody.central_gate_stack(cc.s0, cc.masses, alphas[:, None], 1e-8, 1e3)
-    own = np.abs(alphas - cc.alpha) <= SAME_ALPHA_TOL
-    b = np.where(own, cc.b, b)
-    residual = np.where(own, cc.residual, res_norm)
+    alphas, b, residual, tol = cc.at_alphas(alphas)
     bad = np.flatnonzero(~(residual <= tol))
     if bad.size:
         k = bad[0]

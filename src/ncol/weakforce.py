@@ -174,8 +174,10 @@ def family_report(family: ScaledFamily, eps: float) -> FamilyReport:
     tail) is 0 by construction, so esplode2 reduces to -rho'/rho > 0.  Where
     esplode1 holds, the Disotto bound must reach disotto_constant + 1/eps
     past tau_eps below alpha_eps.  A finite grid can fail to exhibit a pair
-    without refuting the limit statement.
+    without refuting the limit statement.  ValueError unless 0 < eps < inf.
     """
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     c_const = disotto_constant(family.cc.masses)
     crossings, tails, traces, rows = {}, {}, [], []
     phi_ok = True
@@ -189,9 +191,8 @@ def family_report(family: ScaledFamily, eps: float) -> FamilyReport:
         traces.append(disotto_bound(traj))
         phi = -traj.rho_prime / traj.rho
         phi_ok &= bool(np.all(phi > 0.0))
-        tails[alpha] = {"first_tau": float(tau[0]) if 0.0 < eps else None,
-                        "tail_total": 0.0, "phi_min": float(phi.min()),
-                        "phi_sq_min": float((phi**2).min()),
+        tails[alpha] = {"first_tau": float(tau[0]), "tail_total": 0.0,
+                        "phi_min": float(phi.min()), "phi_sq_min": float((phi**2).min()),
                         "phi_sq_required": c_const + 1.0 / eps}
         past = tau >= (tau[0] if crossing is None else crossing)
         rows.append((alpha, float("nan") if crossing is None else crossing,

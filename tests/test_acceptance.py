@@ -237,19 +237,18 @@ def test_criterion_07_mcgehee_dynamics(alpha, tau_max):
 
 def test_criterion_08_morse_witnesses():
     t0 = time.perf_counter()
-    shifts = morse.default_shifts(10, 0.0, 20.0)
 
     cc1 = central.collinear3(1.0, 1.0, 1.0)
     rep1 = spectral.smallest_eigenvalue(cc1)
     traj1 = mcgehee.homothetic_oracle(cc1, h=0.0, tau_max=430.0)
-    w1 = morse.morse_witnesses(traj1, rep1.eigvec, shifts, l1=1e-9, l2=20.0)
+    w1 = morse.morse_witnesses(traj1, rep1.eigvec, 10, 20.0)
     assert w1.witnesses == 10
     assert all(q < 0 for q in w1.q_values)
 
     cc2 = central.collinear3(1.0, 1.0, 0.05)
     rep2 = spectral.smallest_eigenvalue(cc2)
     traj2 = mcgehee.homothetic_oracle(cc2, h=0.0, tau_max=430.0)
-    w2 = morse.morse_witnesses(traj2, rep2.eigvec, shifts, l1=1e-9, l2=20.0)
+    w2 = morse.morse_witnesses(traj2, rep2.eigvec, 10, 20.0)
     assert w2.witnesses == 0
     assert all(q > 0 for q in w2.q_values)
     elapsed = time.perf_counter() - t0

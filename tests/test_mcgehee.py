@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ncol import central, cli, mcgehee, nbody
 from ncol.errors import (CollisionConfiguration, EllipsoidDrift, InsufficientHorizon,
-                         NonCollapsing, StepFailure, ZeroConfiguration)
+                         NonCollapsing, NotTangent, StepFailure, ZeroConfiguration)
 
 
 @pytest.fixture(scope="module")
@@ -328,8 +328,8 @@ def test_trajectory_interpolation_accuracy(coll1):
 
 def test_homothetic_oracle_closed_form(coll1):
     traj = mcgehee.homothetic_oracle(coll1, h=0.0, tau_max=50.0)
-    assert traj.exact_homothetic
     c = mcgehee.homothetic_decay_rate(coll1)
+    assert traj.decay_rate == c and traj.meta == {}
     t = np.linspace(0.0, 50.0, 501)
     rho, rho_p, _, _ = traj.evaluate(t)
     assert np.max(np.abs(rho_p / rho + c)) < 1e-12
@@ -349,7 +349,7 @@ def test_log_rate_matches_evaluate_and_survives_underflow(coll1):
         rho, rho_p, _, _ = traj.evaluate(t)
         assert np.allclose(traj.log_rate(t), rho_p / rho, rtol=1e-13, atol=0.0)
     exact = mcgehee.homothetic_oracle(coll1, h=0.0, tau_max=1500.0)
-    c = exact.meta["decay_rate"]
+    c = exact.decay_rate
     t = np.array([10.0, 745.0 / c + 1.0, 1400.0])
     rho = exact.evaluate(t)[0]
     assert rho[0] > 0.0 and np.all(rho[1:] == 0.0)
@@ -404,7 +404,7 @@ LOG_RHO_GAP = 4.0 * np.finfo(float).eps
 def sampled_trajs(coll1):
     exact = mcgehee.homothetic_oracle(coll1, h=0.0, tau_max=30.0)
     return {
-        "oracle h = 0": dataclasses.replace(exact, exact_homothetic=False, meta={}),
+        "oracle h = 0": dataclasses.replace(exact, decay_rate=None),
         "oracle h = 1": mcgehee.homothetic_oracle(coll1, h=1.0, tau_max=30.0, phi_min=1e-6),
         "kicked": mcgehee.integrate_el(zero_energy_state(coll1, normal_kick(coll1, 1e-3)),
                                        coll1.masses, 1.0, 3.0, KICKED),
@@ -495,7 +495,7 @@ def test_one_sample_trajectory_refuses_to_interpolate(coll1):
     exact = dataclasses.replace(exact, tau=exact.tau[:1], rho=exact.rho[:1],
                                 rho_prime=exact.rho_prime[:1])
     assert exact.rho_at(0.0)[0] == exact.evaluate(0.0)[0][0] == 1.0
-    assert exact.log_rate(0.0)[0] == -exact.meta["decay_rate"]
+    assert exact.log_rate(0.0)[0] == -exact.decay_rate
 
 
 def test_frozen_shape_is_read_from_the_data(coll1):
@@ -573,7 +573,7 @@ def test_homothetic_oracle_agrees_with_flow(coll1):
 
 def test_homothetic_oracle_positive_energy(coll1):
     traj = mcgehee.homothetic_oracle(coll1, h=2.0, tau_max=30.0, phi_min=1e-5)
-    assert not traj.exact_homothetic
+    assert traj.decay_rate is None
     assert np.all(np.diff(traj.rho) < 0.0)
     mask = traj.trusted_prefix(1e-6)
     assert np.max(np.abs(traj.energy_trace()[mask] - 2.0)) < 1e-6 * 3
@@ -606,6 +606,30 @@ def test_homothetic_initial_state_with_kick(coll1):
         assert got == pytest.approx(h, rel=1e-12, abs=1e-12)
     with pytest.raises(NonCollapsing):
         mcgehee.homothetic_initial_state(coll1, h=0.0, kick=10.0 * kick)
+
+
+def test_integrate_el_refuses_a_start_off_the_reduced_phase_space():
+    # s' = 1e-3 y-hat on every body has no radial part, so validated passes
+    # it, but it carries momentum (0, 3e-3); run, the center of mass drifted
+    # to 1.53 by tau_max
+    cc = central.collinear3(1.0, 1.0, 0.5)
+    drifting = np.zeros_like(cc.s0)
+    drifting[:, 1] = 1e-3
+    state = mcgehee.homothetic_initial_state(cc, kick=drifting)
+    state.validated(cc.masses)
+    with pytest.raises(NotTangent, match="sum m_i v_i"):
+        mcgehee.integrate_el(state, cc.masses, 0.5, tau_max=1.0)
+    # a shape point on the ellipsoid whose center of mass is off the origin
+    s = cc.s0 + [0.0, 1e-3]
+    s /= math.sqrt(nbody.moment_of_inertia(s, cc.masses))
+    off = dataclasses.replace(mcgehee.homothetic_initial_state(cc), s=s)
+    off.validated(cc.masses)
+    with pytest.raises(ValueError, match="center of mass"):
+        mcgehee.integrate_el(off, cc.masses, 0.5, tau_max=1.0)
+    # the kicks the commands pass are tangent parts, free of momentum
+    kick = nbody.tangent_part(cc.s0, cc.masses, drifting + 1e-3)
+    start = mcgehee.homothetic_initial_state(cc, kick=kick)
+    assert mcgehee.integrate_el(start, cc.masses, 0.5, tau_max=0.1).meta["stop"] == "tau_max"
 
 
 def test_homothetic_oracle_rejects_bound_energy(coll1):
@@ -1479,7 +1503,7 @@ def test_frozen_shape_routes_take_no_ode_step(coll1, monkeypatch):
         raise AssertionError("a frozen-shape route called the DOP853 stepper")
 
     monkeypatch.setattr(mcgehee, "_dop853", refuse)
-    assert mcgehee.homothetic_oracle(coll1, h=0.0, tau_max=30.0).exact_homothetic
+    assert mcgehee.homothetic_oracle(coll1, h=0.0, tau_max=30.0).decay_rate is not None
     for h in (-1.0, 1.0):
         assert mcgehee.homothetic_oracle(coll1, h=h, tau_max=30.0).n_samples > 1
     assert mcgehee.homothetic_quadrature_trajectory(coll1, h=0.5, tau_max=10.0).n_samples > 1

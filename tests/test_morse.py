@@ -161,8 +161,7 @@ def test_quadratic_scaling(c, homothetic_traj, mu1_direction):
 
 
 def test_morse_witnesses_newtonian(homothetic_traj, mu1_direction):
-    shifts = morse.default_shifts(10, 0.0, 20.0)
-    rep = morse.morse_witnesses(homothetic_traj, mu1_direction, shifts, l1=1e-9, l2=20.0)
+    rep = morse.morse_witnesses(homothetic_traj, mu1_direction, 10, 20.0)
     assert rep.witnesses == 10
     assert all(q < 0.0 for q in rep.q_values)
     # identical bumps on a frozen-shape trajectory give identical values
@@ -174,8 +173,7 @@ def test_morse_witnesses_small_alpha():
     rep_s = spectral.smallest_eigenvalue(cc)
     assert rep_s.margin > 0.0
     traj = mcgehee.homothetic_oracle(cc, h=0.0, tau_max=450.0)
-    shifts = morse.default_shifts(10, 0.0, 20.0)
-    rep = morse.morse_witnesses(traj, rep_s.eigvec, shifts, l1=1e-9, l2=20.0)
+    rep = morse.morse_witnesses(traj, rep_s.eigvec, 10, 20.0)
     assert rep.witnesses == 0
     assert all(q > 0.0 for q in rep.q_values)
 
@@ -191,19 +189,35 @@ def test_morse_witness_sign_matches_margin_for_wide_bumps(homothetic_traj, coll1
     assert np.sign(q.value) == np.sign(rep_s.margin)
 
 
-def test_morse_witnesses_overlap_rejected(homothetic_traj, mu1_direction):
-    with pytest.raises(OverlappingSupports):
-        morse.morse_witnesses(homothetic_traj, mu1_direction, [5.0, 15.0], l1=1e-9, l2=20.0)
+def test_witness_layout_and_horizon(monkeypatch, homothetic_traj, mu1_direction):
+    # bump k lies on (BUMP_START + s_k, width + s_k), s_k = width + 2 width k,
+    # one stack of _STACK_ROWS bumps at a time, and witness_horizon reaches
+    # one gap past the last support
+    supports = []
+    refine_until = morse._refine_until
+
+    def recorded(fn, traj, stack, tol, narrowest=None):
+        if narrowest is None:
+            supports.extend(stack)
+        return refine_until(fn, traj, stack, tol, narrowest)
+
+    monkeypatch.setattr(morse, "_refine_until", recorded)
+    count, width = 2 * morse._STACK_ROWS + 3, 3.0
+    rep = morse.morse_witnesses(homothetic_traj, mu1_direction, count, width)
+    shifts = [width + 2.0 * width * k for k in range(count)]
+    assert supports == [(morse.BUMP_START + s, width + s) for s in shifts]
+    assert len(rep.q_values) == count
+    assert morse.witness_horizon(count, width) == supports[-1][1] + 2.0 * width
+    # a bump needs BUMP_START < width, and there must be one
+    for bumps, bad_width in ((2, morse.BUMP_START), (2, 0.0), (0, width)):
+        with pytest.raises(ValueError):
+            morse.morse_witnesses(homothetic_traj, mu1_direction, bumps, bad_width)
 
 
-def test_morse_witnesses_refuse_a_bump_starting_at_zero(homothetic_traj, mu1_direction):
-    shifts = morse.default_shifts(2, 0.0, 20.0)
-    # l1 defaults to BUMP_START; a bump starting at tau = 0 is not rewritten to it
-    with pytest.raises(ValueError, match="need 0 < l1 < l2"):
-        morse.morse_witnesses(homothetic_traj, mu1_direction, shifts, l1=0.0, l2=20.0)
-    got = morse.morse_witnesses(homothetic_traj, mu1_direction, shifts, l2=20.0)
-    want = morse.morse_witnesses(homothetic_traj, mu1_direction, shifts, l1=1e-9, l2=20.0)
-    assert got.q_values == want.q_values
+def test_bump_variation_refuses_a_start_at_zero(mu1_direction):
+    for l1, l2 in ((0.0, 20.0), (-1.0, 20.0), (5.0, 5.0)):
+        with pytest.raises(ValueError, match="need 0 < l1 < l2"):
+            morse.BumpVariation(l1=l1, l2=l2, shift=1.0, xi=mu1_direction)
 
 
 def test_support_out_of_range(homothetic_traj, mu1_direction):
@@ -231,9 +245,8 @@ def test_morse_witnesses_past_rho_underflow():
     cc = central.embed_in_3d(central.ngon(8, 1.0))
     rep_s = spectral.smallest_eigenvalue(cc)
     traj = mcgehee.homothetic_oracle(cc, h=0.0, tau_max=440.0)
-    shifts = morse.default_shifts(10, 0.0, 20.0)
-    assert traj.evaluate(shifts[-1])[0][0] == 0.0
-    rep = morse.morse_witnesses(traj, rep_s.eigvec, shifts, l1=1e-9, l2=20.0)
+    assert traj.evaluate(20.0 + 2.0 * 20.0 * 9)[0][0] == 0.0
+    rep = morse.morse_witnesses(traj, rep_s.eigvec, 10, 20.0)
     assert rep.witnesses == 10
     assert all(np.isfinite(q) and q < 0.0 for q in rep.q_values)
 
@@ -313,7 +326,7 @@ def test_additivity_check_rejects_nan(monkeypatch, homothetic_traj, mu1_directio
                                              cross=0.0, hessian=0.0)
     monkeypatch.setattr(morse, "quadratic_Q", lambda *args, **kwargs: nan_report)
     with pytest.raises(AssertionError, match="additivity"):
-        morse.morse_witnesses(homothetic_traj, mu1_direction, [10.0, 40.0], l1=1e-9, l2=20.0)
+        morse.morse_witnesses(homothetic_traj, mu1_direction, 2, 20.0)
 
 
 def test_witness_memory_does_not_grow_with_the_bump_count(coll1, mu1_direction):
@@ -323,11 +336,10 @@ def test_witness_memory_does_not_grow_with_the_bump_count(coll1, mu1_direction):
     import tracemalloc
 
     width = 1e-6
-    traj = mcgehee.homothetic_oracle(coll1, h=0.0, tau_max=2.0 * width * 201)
-    shifts = morse.default_shifts(200, 0.0, width)
+    traj = mcgehee.homothetic_oracle(coll1, h=0.0, tau_max=morse.witness_horizon(200, width))
     tracemalloc.start()
     try:
-        rep = morse.morse_witnesses(traj, mu1_direction, shifts, l1=1e-9, l2=width)
+        rep = morse.morse_witnesses(traj, mu1_direction, 200, width)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -562,7 +574,7 @@ def test_bump_rows_equal_the_stacked_expressions(name, frozen_trajs, mu1_directi
     members = np.arange(lo.size)
     want = reference_bump_rows(traj.log_rate(grid), *morse._frozen_pairings(traj, mu1_direction),
                                *scalars(grid, members))
-    if traj.exact_homothetic:
+    if traj.decay_rate is not None:
         def refuse(*_args, **_kwargs):
             raise AssertionError("exact data must take rho'/rho as the constant -c")
 
@@ -898,8 +910,7 @@ def test_homographic_blocks_reject_moving_shape(coll1):
 
 
 def test_report_json_keys(homothetic_traj, mu1_direction):
-    shifts = morse.default_shifts(3, 0.0, 20.0)
-    rep = morse.morse_witnesses(homothetic_traj, mu1_direction, shifts, l1=1e-9, l2=20.0)
+    rep = morse.morse_witnesses(homothetic_traj, mu1_direction, 3, 20.0)
     assert set(rep.to_dict()) == {"Q", "kinetic", "rho_term", "cross", "hessian", "witnesses"}
 
 
@@ -1005,20 +1016,20 @@ def test_narrow_steep_witnesses_pass_the_additivity_check(width, flat, homotheti
                                                           mu1_direction):
     # the combination of the bumps used to start refining where a support as
     # wide as all of them would, ran out of doublings, and failed the check
-    shifts = morse.default_shifts(5, 0.0, width)
-    rep = morse.morse_witnesses(homothetic_traj, mu1_direction, shifts, l1=1e-9, l2=width,
-                                flat_fraction=flat)
+    rep = morse.morse_witnesses(homothetic_traj, mu1_direction, 5, width, flat)
     assert len(rep.q_values) == 5
 
 
-def reference_witness_values(traj, xi, shifts, l1, l2, profile="flattop", flat_fraction=0.8,
-                             quad_tol=1e-8):
+def witness_bumps(xi, count, width, flat_fraction):
+    """The bumps of morse_witnesses: on (BUMP_START + s_k, width + s_k), s_k = width + 2 width k."""
+    return [morse.BumpVariation(l1=morse.BUMP_START, l2=width, shift=width + 2.0 * width * k,
+                                xi=xi, flat_fraction=flat_fraction) for k in range(count)]
+
+
+def reference_witness_values(traj, xi, count, width, flat_fraction):
     """The loop the stacked witness quadrature replaced: one quadratic_Q per bump."""
     xi = np.asarray(xi, dtype=float).reshape(traj.s[0].shape)
-    return [morse.quadratic_Q(traj, morse.BumpVariation(l1=l1, l2=l2, shift=sh, xi=xi,
-                                                        profile_kind=profile,
-                                                        flat_fraction=flat_fraction), quad_tol)
-            for sh in shifts]
+    return [morse.quadratic_Q(traj, b) for b in witness_bumps(xi, count, width, flat_fraction)]
 
 
 REPORT_FIELDS = ("value", "kinetic", "rho_term", "cross", "hessian")
@@ -1051,28 +1062,22 @@ def witness_trajs(coll1, homothetic_traj):
 @given(count=st.integers(min_value=1, max_value=5),
        width=st.one_of(st.floats(min_value=0.1, max_value=1.99),
                        st.floats(min_value=2.0, max_value=25.0)),
-       profile=st.sampled_from(["flattop", "bump"]),
-       flat=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-       place=st.floats(min_value=0.0, max_value=1.0))
-@example(count=3, width=0.3, profile="flattop", flat=0.99, place=0.0)
-def test_stacked_witnesses_equal_the_per_bump_loop(name, count, width, profile, flat, place,
-                                                   witness_trajs, mu1_direction):
+       flat=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+@example(count=3, width=0.3, flat=0.99)
+def test_stacked_witnesses_equal_the_per_bump_loop(name, count, width, flat, witness_trajs,
+                                                   mu1_direction):
     traj = witness_trajs[name]
-    horizon = traj.tau_end - 1e-6
-    width = min(width, horizon / (2 * count))
-    start = place * (horizon - width * (2 * count - 1))
-    shifts = morse.default_shifts(count, 0.0, width, start=start)
-    kw = dict(l1=1e-9, l2=width, profile=profile, flat_fraction=flat)
-    want = reference_witness_values(traj, mu1_direction, shifts, **kw)
+    # the last support ends at 2 count width
+    width = min(width, (traj.tau_end - 1e-6) / (2 * count))
+    want = reference_witness_values(traj, mu1_direction, count, width, flat)
     try:
-        rep = morse.morse_witnesses(traj, mu1_direction, shifts, **kw)
+        rep = morse.morse_witnesses(traj, mu1_direction, count, width, flat)
     except AssertionError:
         # very steep ramps on narrow supports leave Q unconverged after 8
         # doublings (ROADMAP item 4): the additivity check must then fail on
         # the per-bump values as well
         c = np.random.default_rng(0).standard_normal(count)
-        bumps = [morse.BumpVariation(l1=1e-9, l2=width, shift=sh, xi=mu1_direction,
-                                     profile_kind=profile, flat_fraction=flat) for sh in shifts]
+        bumps = witness_bumps(mu1_direction, count, width, flat)
         q_combo = morse.quadratic_Q(traj, morse.CombinedVariation(bumps, c)).value
         expected = float(np.sum(c**2 * np.array([r.value for r in want])))
         assert not abs(q_combo - expected) <= 1e-8 * (1.0 + abs(expected))
@@ -1137,7 +1142,8 @@ def test_stack_members_refine_alone(name, widths, kinds, gap, nan_member, witnes
     calls = []
     scalars = stacked_rows(bumps, nan_member, calls)
     integrand = morse._bump_integrand(traj, mu1_direction, scalars)
-    got = morse._reports(traj, integrand, [b.support for b in bumps], 1e-8)
+    got = [morse._report(p)
+           for p in morse._refine_until(integrand, traj, [b.support for b in bumps], 1e-8)]
     for k, (rep, bump) in enumerate(zip(got, bumps)):
         if k == nan_member:
             assert np.isnan(rep.value)
@@ -1158,7 +1164,7 @@ def test_stack_shares_a_grid_per_interval_count(monkeypatch, homothetic_traj, mu
 
     monkeypatch.setattr(morse, "_support_grid", counted)
     integrand = morse._bump_integrand(homothetic_traj, mu1_direction, stacked_rows(bumps))
-    morse._reports(homothetic_traj, integrand, [b.support for b in bumps], 1e-8)
+    morse._refine_until(integrand, homothetic_traj, [b.support for b in bumps], 1e-8)
     # each start count's members share one grid a level: first the grid of
     # twice the count (levels 0 and 1), then the midpoints of each doubling
     starts = [k for k, (_, _, mids) in enumerate(grids) if not mids]

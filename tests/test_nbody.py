@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncol import central, mcgehee, morse, nbody, weakforce
@@ -86,11 +88,14 @@ def test_potential_homogeneity_pinned_factors(lam):
 @given(exponent=st.floats(min_value=80.0, max_value=100.0),
        alpha=st.floats(min_value=0.05, max_value=1.0),
        seed=st.integers(min_value=0, max_value=999))
+# with lam = 10^80 itself, rounding lam x put this draw 3.7e-12 of the term
+# size off, against 2e-16 at lam = 1: a power of two scales x exactly
+@example(exponent=80.0, alpha=1.0, seed=745)
 def test_hessian_homogeneity_where_powers_overflow(exponent, alpha, seed):
     # at these scales r^(alpha+4) overflows and r^(alpha+2) does not: the
     # Hessian must still scale as lam^-(alpha+2), with no warning (numpy's
     # default ignores underflow, which a small term near 1e-300 may meet)
-    lam = 10.0 ** exponent
+    lam = 2.0 ** round(exponent * math.log2(10.0))
     rng = np.random.default_rng(seed)
     x = random_config(rng)
     m = rng.uniform(0.5, 2.0, size=4)

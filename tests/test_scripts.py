@@ -38,6 +38,25 @@ def test_script_runs(tmp_path, name, args, outputs):
         assert (tmp_path / out).stat().st_size > 0
 
 
+@pytest.mark.parametrize("name,args", [
+    ("run_collapse_probe.py", ["--bumps", "0"]),
+    ("run_collapse_probe.py", ["--width", "-1"]),
+    ("run_collapse_probe.py", ["--alphas", "2.5"]),
+    ("run_collapse_probe.py", ["--alphas", "1.0,x"]),
+    ("run_weakforce_suite.py", ["--eps", "0"]),
+    ("run_weakforce_suite.py", ["--eps", "0.5,-0.1"]),
+    ("run_weakforce_suite.py", ["--eps", "nan"]),
+    ("run_weakforce_suite.py", ["--grid", "0"]),
+    ("run_weakforce_suite.py", ["--tau-max", "inf"]),
+])
+def test_scripts_refuse_bad_options_with_a_usage_message(tmp_path, name, args):
+    proc = run_script(name, args, tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage:") and "Traceback" not in proc.stderr
+    assert f"argument {args[0]}: must be" in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
 def test_collapse_probe_runs_keep_the_sampling_contract(tmp_path, sampling_contract,
                                                        read_trajectory_csv):
     proc = run_script("run_collapse_probe.py", ["--alphas", "1.0,0.05", "--bumps", "2",

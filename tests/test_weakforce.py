@@ -257,6 +257,17 @@ def test_family_report_refuses_a_moving_member(family, kicked_member):
         weakforce.family_report(mixed, 0.1)
 
 
+def test_family_report_refuses_eps_that_is_not_positive_and_finite():
+    # eps = 0 divided by zero, -0.1 passed esplode1 and Disotto, NaN failed
+    # every check and inf passed every one, each without an error
+    fam = weakforce.build_H_family(central.collinear3(1.0, 1.0, 0.5), alphas=(0.5, 0.1),
+                                   tau_max=4.0)
+    for eps in (0.0, -0.1, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            weakforce.family_report(fam, eps)
+    assert weakforce.family_report(fam, 0.5).esplode2.eps == 0.5
+
+
 def reference_action_functional(path: np.ndarray, dt: float, m, alpha,
                                 scaled: bool = False) -> float:
     """Discrete action int |xdot|_M^2/2 + U dt on a sampled path (T, N, d).
