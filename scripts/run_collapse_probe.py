@@ -53,6 +53,10 @@ def main():
     ap.add_argument("--width", type=_WIDTH, default=20.0)
     ap.add_argument("--outdir", type=Path, default=Path("out"))
     args = ap.parse_args()
+    try:
+        morse.witness_horizon(args.bumps, args.width)
+    except ValueError as exc:
+        ap.error(str(exc))
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     results = [run_one(a, args.bumps, args.width, args.outdir) for a in args.alphas]

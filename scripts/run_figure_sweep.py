@@ -10,11 +10,13 @@ import json
 from pathlib import Path
 
 from ncol import cli, spectral
+from ncol.cli import _COUNT
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--steps", type=int, default=400)
+    # the option type of `ncol figure1`, so that a bad value is a usage error
+    ap.add_argument("--steps", type=_COUNT, default=400)
     ap.add_argument("--outdir", type=Path, default=Path("out"))
     args = ap.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)

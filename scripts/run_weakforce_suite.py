@@ -21,9 +21,9 @@ _EPS_LIST = _option_type("comma-separated positive finite numbers",
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     # the option types of `ncol weakforce`, so that a bad value is a usage error
-    ap.add_argument("--grid", type=_ALPHA_GRID, default="0.5,0.3,0.2,0.1,0.05,0.02")
+    ap.add_argument("--grid", type=_ALPHA_GRID, default=weakforce.DEFAULT_ALPHA_GRID)
     ap.add_argument("--eps", type=_EPS_LIST, default="0.5,0.2,0.1")
-    ap.add_argument("--tau-max", type=_POSITIVE, default=12.0)
+    ap.add_argument("--tau-max", type=_POSITIVE, default=weakforce.DEFAULT_TAU_MAX)
     ap.add_argument("--outdir", type=Path, default=Path("out"))
     args = ap.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)

@@ -15,6 +15,8 @@ from .errors import (ConvergedToCollision, InvalidMass, InvalidN, NoConvergence,
 # an alpha within this of a configuration's own keeps its b and residual
 # (CentralConfiguration.at_alphas)
 SAME_ALPHA_TOL = 1e-14
+# Gauss-Newton iterations solve_central takes before NoConvergence
+GN_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,7 @@ def embed_in_3d(cc: CentralConfiguration) -> CentralConfiguration:
                                 residual=cc.residual, family=cc.family)
 
 
-def solve_central(initial, m, alpha, max_iter: int = 200) -> CentralConfiguration:
+def solve_central(initial, m, alpha) -> CentralConfiguration:
     """Damped Gauss-Newton solve of grad U(x) + alpha U(x) M x = 0.
 
     Stops at a residual of 1e-11 times 1 + alpha U |M x|, the size of the
@@ -155,7 +157,7 @@ def solve_central(initial, m, alpha, max_iter: int = 200) -> CentralConfiguratio
     than 1e-8 ConvergedToCollision.  A
     line-search trial that close is rejected like one that does not lower
     the residual: the step is halved, and 40 halvings end in NoConvergence
-    ("line search stalled ...").
+    ("line search stalled ..."), and so do GN_MAX_ITER iterations.
     Roots of this square system automatically satisfy I(x) = 1 and a zero
     center of mass, so no explicit constraint handling is needed; iterates are
     still re-projected for conditioning.  The target points are saddles of the
@@ -203,7 +205,7 @@ def solve_central(initial, m, alpha, max_iter: int = 200) -> CentralConfiguratio
                     rows.append(r / nr)
         return rows
 
-    for _ in range(max_iter):
+    for _ in range(GN_MAX_ITER):
         if res <= 1e-11 * scale:
             return _verify(x, m, alpha, "numeric")
         jac = nbody.hessian_full(x, m, alpha)
@@ -228,4 +230,4 @@ def solve_central(initial, m, alpha, max_iter: int = 200) -> CentralConfiguratio
             t *= 0.5
         else:
             raise NoConvergence(f"line search stalled at residual {res:.3e}")
-    raise NoConvergence(f"no convergence after {max_iter} iterations")
+    raise NoConvergence(f"no convergence after {GN_MAX_ITER} iterations")

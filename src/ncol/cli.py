@@ -214,17 +214,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_morse(args) -> int:
-    width = args.width
-    # the bumps need the frozen-shape oracle out to tau = 2 (bumps + 1) width;
-    # the test takes --bumps as the integer it is, which may not fit a float
-    if args.bumps + 1 > mcgehee.ORACLE_MAX_TAU / (2.0 * width):
-        raise UsageError(f"--bumps {args.bumps} with --width {width:g} reach past tau = "
-                         f"{mcgehee.ORACLE_MAX_TAU:g}, the oracle's cap of "
-                         f"{mcgehee.ORACLE_MAX_SAMPLES} samples")
+    try:
+        horizon = morse.witness_horizon(args.bumps, args.width)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     cc = _out_of_plane(_build_family(args), None)
     rep = spectral.smallest_eigenvalue(cc)
-    traj = mcgehee.homothetic_oracle(cc, h=0.0, tau_max=morse.witness_horizon(args.bumps, width))
-    wrep = morse.morse_witnesses(traj, rep.eigvec, args.bumps, width, args.flat_fraction)
+    traj = mcgehee.homothetic_oracle(cc, h=0.0, tau_max=horizon)
+    wrep = morse.morse_witnesses(traj, rep.eigvec, args.bumps, args.width, args.flat_fraction)
     _emit(json.dumps(wrep.to_dict(), indent=2), args.out)
     print(f"witnesses={wrep.witnesses} of {args.bumps}; criterion margin={rep.margin:.6g}",
           file=sys.stderr)
@@ -286,22 +283,22 @@ def build_parser() -> _Parser:
     s.add_argument("--tau-max", type=_POSITIVE, default=5.0)
     s.add_argument("--perturb", type=_FINITE, default=0.0)
     s.add_argument("--seed", type=_COUNT, default=0)
-    s.add_argument("--rtol", type=_POSITIVE, default=1e-10)
-    s.add_argument("--max-step", type=_POSITIVE, default=0.1,
+    s.add_argument("--rtol", type=_POSITIVE, default=mcgehee.IntegratorOptions.rtol)
+    s.add_argument("--max-step", type=_POSITIVE, default=mcgehee.IntegratorOptions.max_step,
                    help="bound on the tau gap between CSV rows, which lie at most "
                         "max-step/2 apart; the tolerance alone sets the integrator's steps")
-    s.add_argument("--rho-min", type=_POSITIVE, default=1e-8)
+    s.add_argument("--rho-min", type=_POSITIVE, default=mcgehee.IntegratorOptions.rho_min)
 
     s = sub.add_parser("morse", help="bump-probe witness counts along the collapse")
     _family_args(s)
     s.add_argument("--bumps", type=_POSITIVE_COUNT, default=10)
     s.add_argument("--width", type=_WIDTH, default=20.0)
-    s.add_argument("--flat-fraction", type=_FRACTION, default=0.8)
+    s.add_argument("--flat-fraction", type=_FRACTION, default=morse.FLAT_FRACTION)
 
     s = sub.add_parser("weakforce", help="small-alpha family diagnostics (CSV)")
-    s.add_argument("--grid", type=_ALPHA_GRID, default="0.5,0.3,0.2,0.1,0.05,0.02")
+    s.add_argument("--grid", type=_ALPHA_GRID, default=weakforce.DEFAULT_ALPHA_GRID)
     s.add_argument("--eps", type=_POSITIVE, default=0.1)
-    s.add_argument("--tau-max", type=_POSITIVE, default=12.0)
+    s.add_argument("--tau-max", type=_POSITIVE, default=weakforce.DEFAULT_TAU_MAX)
     s.add_argument("--m1", type=_POSITIVE, default=1.0)
     s.add_argument("--m2", type=_POSITIVE, default=1.0)
     s.add_argument("--out", type=str, default=None)

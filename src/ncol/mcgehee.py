@@ -54,7 +54,7 @@ class McGeheeState:
         return self
 
 
-def energy(state: McGeheeState, m, alpha, potential_scale: float = 1.0) -> float:
+def energy(state: McGeheeState, m, alpha, potential_scale: float) -> float:
     """Conserved energy h = rho^(-beta) (1/2 (4/(2-a))^2 rho'^2 + rho^2 (1/2 |s'|_M^2 - U(s)))."""
     s, m, alpha = nbody.checked(state.s, m, alpha)
     return float(_energy_stack(state.rho, state.rho_prime, state.s_prime, m, alpha,
@@ -819,8 +819,7 @@ def _float_flow(alpha, m, h, scale, d):
     return f
 
 
-def integrate_el(initial: McGeheeState, m, alpha, tau_max: float,
-                 opts: IntegratorOptions = IntegratorOptions(),
+def integrate_el(initial: McGeheeState, m, alpha, tau_max: float, opts: IntegratorOptions,
                  potential_scale: float = 1.0) -> Trajectory:
     """Integrate the reduced flow in tau with the DOP853 pair.
 
@@ -959,8 +958,7 @@ def _capped_samples(count: int, tau_max: float) -> int:
     return count
 
 
-def homothetic_oracle(cc, h: float = 0.0, tau_max: float = 30.0,
-                      phi_min: float = 1e-6) -> Trajectory:
+def homothetic_oracle(cc, h: float, tau_max: float, phi_min: float = 1e-6) -> Trajectory:
     """Frozen-shape collapse at energy h from the energy relation in closed form.
 
     With the shape pinned at cc.s0, sigma = -log rho moves at
@@ -1031,7 +1029,7 @@ def _frozen_trajectory(cc, tau, rho, rho_prime, h, **kwargs) -> Trajectory:
 
 
 def homothetic_quadrature_trajectory(cc, h: float, tau_max: float,
-                                     potential_scale: float = 1.0) -> Trajectory:
+                                     potential_scale: float) -> Trajectory:
     """Frozen-shape trajectory from the energy relation, with a trapezoid-rule clock.
 
     With the shape pinned at cc.s0 the energy fixes the radial velocity:

@@ -19,11 +19,14 @@ import numpy as np
 
 from . import nbody
 from .errors import NotHomographic, OverlappingSupports, SupportOutOfRange
-from .mcgehee import Trajectory
+from .mcgehee import ORACLE_MAX_SAMPLES, ORACLE_MAX_TAU, Trajectory
 
 
 # ---------------------------------------------------------------------------
 # smooth compactly supported profiles
+
+# The share of a flat-top profile's width on which it is flat.
+FLAT_FRACTION = 0.8
 
 
 def _transition(u):
@@ -55,7 +58,7 @@ class Profile:
 
     width: float
     kind: str = "flattop"
-    flat_fraction: float = 0.8
+    flat_fraction: float = FLAT_FRACTION
 
     def value_and_deriv(self, u):
         """The profile and its slope at u, from one pass over the exponentials."""
@@ -93,7 +96,7 @@ class BumpVariation:
     shift: float
     xi: np.ndarray
     profile_kind: str = "flattop"
-    flat_fraction: float = 0.8
+    flat_fraction: float = FLAT_FRACTION
     profile: Profile = field(init=False)
 
     def __post_init__(self):
@@ -433,7 +436,7 @@ def _report(parts) -> SecondVariationReport:
                                  hessian=float(parts[3]))
 
 
-def quadratic_Q(traj: Trajectory, variation, quad_tol: float = QUAD_TOL) -> SecondVariationReport:
+def quadratic_Q(traj: Trajectory, variation) -> SecondVariationReport:
     """Evaluate Q(w) with its kinetic / radial / cross / Hessian breakdown.
 
     rho'/rho comes from Trajectory.log_rate, so Q stays finite past rho
@@ -451,16 +454,23 @@ def quadratic_Q(traj: Trajectory, variation, quad_tol: float = QUAD_TOL) -> Seco
         integrand = _sampled_integrand(traj, lambda grid, members: (
             variation.value(grid.ravel()), variation.deriv(grid.ravel())))
     narrowest = min(b.support[1] - b.support[0] for b in getattr(variation, "bumps", [variation]))
-    return _report(_refine_until(integrand, traj, variation.support, quad_tol, narrowest)[0])
+    return _report(_refine_until(integrand, traj, variation.support, QUAD_TOL, narrowest)[0])
 
 
 def witness_horizon(bumps: int, width: float) -> float:
-    """The tau that morse_witnesses(traj, xi, bumps, width) needs: 2 (bumps + 1) width."""
+    """The tau that morse_witnesses(traj, xi, bumps, width) needs: 2 (bumps + 1) width.
+
+    ValueError past ORACLE_MAX_TAU, in the terms of the --bumps and --width
+    options; bumps is compared as the integer it is, which may not fit a float.
+    """
+    if bumps + 1 > ORACLE_MAX_TAU / (2.0 * width):
+        raise ValueError(f"--bumps {bumps} with --width {width:g} reach past tau = "
+                         f"{ORACLE_MAX_TAU:g}, the oracle's cap of {ORACLE_MAX_SAMPLES} samples")
     return bumps * 2.0 * width + 2.0 * width
 
 
 def morse_witnesses(traj: Trajectory, xi, bumps: int, width: float,
-                    flat_fraction: float = 0.8) -> SecondVariationReport:
+                    flat_fraction: float = FLAT_FRACTION) -> SecondVariationReport:
     """Count negative values of Q over bumps translates of one flat-top bump along xi.
 
     Bump k lies on (BUMP_START + s_k, width + s_k) with s_k = width + 2 width k,
@@ -511,7 +521,7 @@ def morse_witnesses(traj: Trajectory, xi, bumps: int, width: float,
 # homographic second-variation blocks
 
 
-def homographic_blocks(traj: Trajectory, zeta, variation, quad_tol: float = QUAD_TOL):
+def homographic_blocks(traj: Trajectory, zeta, variation):
     """The radial, mixed and shape blocks of the second variation on frozen-shape data.
 
     zeta is a scalar path (scalar_and_deriv), variation a bump phi(tau) xi
@@ -551,7 +561,7 @@ def homographic_blocks(traj: Trajectory, zeta, variation, quad_tol: float = QUAD
                   lambda: rho**2 * (n_m * dphi**2 + hess * phi**2))
         return np.stack([blocks[k]() for k in ks])
 
-    return tuple(_refine_until(integrand, traj, [support] * 3, quad_tol).tolist())
+    return tuple(_refine_until(integrand, traj, [support] * 3, QUAD_TOL).tolist())
 
 
 @dataclass(frozen=True)

@@ -365,8 +365,8 @@ def tangent_part(s, m, v) -> np.ndarray:
     return v - float(np.sum(m[:, None] * s * v)) * s
 
 
-def config_to_json(x, m, alpha, extra: dict | None = None) -> str:
-    """Serialize a configuration with the fixed field names."""
+def config_to_json(x, m, alpha, extra: dict) -> str:
+    """Serialize a configuration with the fixed field names, then the fields of extra."""
     x = as_positions(x)
     payload = {
         "alpha": float(alpha),
@@ -374,8 +374,7 @@ def config_to_json(x, m, alpha, extra: dict | None = None) -> str:
         "masses": [float(v) for v in as_masses(m)],
         "positions": [[float(c) for c in row] for row in x],
     }
-    if extra:
-        payload.update(extra)
+    payload.update(extra)
     return json.dumps(payload, indent=2)
 
 

@@ -18,6 +18,7 @@ from .errors import BracketFailure, InvalidN, NoConvergence, NotCentral
 
 ALPHA_FLOOR = 1e-6
 BISECT_DEPTH = 6  # halvings per call of f in bisect
+BISECT_MAX_ITER = 200  # halvings before bisect gives up
 SCAN_BLOCK = 256  # grid intervals per block of ngon_threshold's bracket scan
 
 
@@ -35,8 +36,8 @@ class SpectralReport:
     # for a degenerate bottom eigenvalue the whole eigenspace is available here
     eigenvectors: np.ndarray = field(default=None, repr=False)
 
-    def bottom_eigenspace(self, tol: float = 1e-9) -> np.ndarray:
-        near = np.abs(self.eigenvalues - self.mu1) < tol * (1.0 + abs(self.mu1))
+    def bottom_eigenspace(self) -> np.ndarray:
+        near = np.abs(self.eigenvalues - self.mu1) < 1e-9 * (1.0 + abs(self.mu1))
         return self.eigenvectors[near]
 
     def to_dict(self) -> dict:
@@ -92,16 +93,15 @@ def admissible_basis(s0: np.ndarray, m: np.ndarray) -> np.ndarray:
     return q[:, rank:].T
 
 
-def constrained_hessian_matrix(cc: CentralConfiguration, alphas, b=None) -> np.ndarray:
+def constrained_hessian_matrix(cc: CentralConfiguration, alphas, b) -> np.ndarray:
     """Full-space matrices H + alpha b M of the ellipsoid-restricted second derivative.
 
-    One (N*d, N*d) matrix of the shape cc.s0 per entry of alphas, and b
-    (default cc.b) the matching potentials: shape (K, N*d, N*d) for K alphas,
+    One (N*d, N*d) matrix of the shape cc.s0 per entry of alphas, and b the
+    matching potentials: shape (K, N*d, N*d) for K alphas,
     (N*d, N*d) for one scalar.  alphas are trusted, as in nbody's core;
     spectral_sweep validates them.
     """
     alphas = np.asarray(alphas, dtype=float)
-    b = cc.b if b is None else b
     h = nbody.hessian_full_stack(cc.s0, cc.masses, alphas[..., None, None, None])
     mdiag = nbody.mass_matrix_diag(cc.masses, cc.dim)
     return h + (alphas * b)[..., None, None] * np.diag(mdiag)
@@ -312,13 +312,14 @@ def _cyclic_spectrum(cc: CentralConfiguration, alphas, b):
     return vals, out
 
 
-def smallest_eigenvalue(cc: CentralConfiguration, alpha: float | None = None) -> SpectralReport:
+def smallest_eigenvalue(cc: CentralConfiguration) -> SpectralReport:
     """Smallest eigenvalue of the constrained Hessian over admissible tangents.
 
-    spectral_sweep at the one exponent alpha, cc.alpha when None; the report
-    is satisfied iff mu1 < -(2-alpha)^2/8 * U(s0).
+    spectral_sweep at cc.alpha; the report is satisfied iff
+    mu1 < -(2-alpha)^2/8 * U(s0).  spectral_sweep(cc, [alpha]).report(0)
+    is the report at another alpha.
     """
-    return spectral_sweep(cc, [cc.alpha if alpha is None else alpha]).report(0)
+    return spectral_sweep(cc, [cc.alpha]).report(0)
 
 
 # ---------------------------------------------------------------------------
@@ -456,17 +457,17 @@ def ngon_threshold(n: int) -> ThresholdResult:
 # root finding
 
 
-def bisect(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+def bisect(f, lo: float, hi: float, tol: float) -> float:
     """Plain bisection; raises BracketFailure without a sign change and
-    NoConvergence when max_iter halvings leave the bracket wider than tol.
+    NoConvergence when BISECT_MAX_ITER halvings leave the bracket wider than tol.
 
     f takes a 1-D array of points and returns their values.  One call covers
     both ends, and then each call covers the next BISECT_DEPTH halvings: the
     2^BISECT_DEPTH - 1 midpoints they can reach, each formed as 0.5*(lo+hi)
     of its bracket.  The halvings then walk those values one by one, with the
-    exits and the max_iter count of a loop that calls f once per midpoint, so
-    the root is bitwise the one that loop returns whenever f's array entries
-    equal its scalar values.
+    exits and the BISECT_MAX_ITER budget of a loop that calls f once per
+    midpoint, so the root is bitwise the one that loop returns whenever f's
+    array entries equal its scalar values.
     """
     flo, fhi = f(np.array([lo, hi], dtype=float))
     if flo == 0.0:
@@ -475,7 +476,7 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> 
         return hi
     if np.sign(flo) == np.sign(fhi):
         raise BracketFailure(f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}")
-    left = max_iter
+    left = BISECT_MAX_ITER
     while left > 0:
         depth = min(BISECT_DEPTH, left)
         # level d's 2^d midpoints start at index 2^d - 1 of points, in order
@@ -499,4 +500,5 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> 
         left -= depth
     if hi - lo < tol:
         return 0.5 * (lo + hi)
-    raise NoConvergence(f"bracket [{lo}, {hi}] still wider than {tol} after {max_iter} halvings")
+    raise NoConvergence(f"bracket [{lo}, {hi}] still wider than {tol} "
+                        f"after {BISECT_MAX_ITER} halvings")

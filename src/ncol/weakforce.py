@@ -22,7 +22,9 @@ from .central import CentralConfiguration
 from .errors import NonCollapsing, NotHomographic
 from .mcgehee import Trajectory, beta_exponent, homothetic_quadrature_trajectory
 
+# the alpha grid and tau horizon of `ncol weakforce` and its suite script
 DEFAULT_ALPHA_GRID = (0.5, 0.3, 0.2, 0.1, 0.05, 0.02)
+DEFAULT_TAU_MAX = 12.0
 
 
 def pair_mass_sum(m) -> float:
@@ -51,11 +53,11 @@ class ScaledFamily:
     def __iter__(self):
         return iter(zip(self.alphas, self.trajectories))
 
-    def uniform_collapse(self, sigmas=(0.5, 0.1, 0.01)):
-        """Measured (UC): per sigma, the earliest tau after which every member
-        stays below sigma, or None when some member never does."""
+    def uniform_collapse(self):
+        """Measured (UC): per sigma in (0.5, 0.1, 0.01), the earliest tau after
+        which every member stays below sigma, or None when some member never does."""
         out = {}
-        for sigma in sigmas:
+        for sigma in (0.5, 0.1, 0.01):
             taus = []
             for traj in self.trajectories:
                 # the sample after the last one at or above sigma
@@ -66,8 +68,8 @@ class ScaledFamily:
         return out
 
 
-def build_H_family(cc: CentralConfiguration, alphas=DEFAULT_ALPHA_GRID,
-                   tau_max: float = 8.0) -> ScaledFamily:
+def build_H_family(cc: CentralConfiguration, alphas=DEFAULT_ALPHA_GRID, *,
+                   tau_max: float) -> ScaledFamily:
     """Per-alpha rescaled trajectories with hhat = 0 initial data.
 
     rho(0) = 1 and the shape stays at cc.s0; the radial velocity is solved

@@ -122,7 +122,7 @@ def reference_unequal_existence_boundary() -> spectral.ThresholdResult:
     def f2(m1):
         return (-m1**2 + 66.0 * m1 + 16.0) / (m1 + 8.0)
 
-    root = spectral.bisect(f2, 1.0, 200.0)
+    root = spectral.bisect(f2, 1.0, 200.0, tol=1e-12)
     return spectral.ThresholdResult(alpha_star=root, bracket=(1.0, 200.0),
                                     residual=abs(f2(root)), family="collinear3-m2-boundary")
 

@@ -123,11 +123,12 @@ def test_solve_central_equilateral():
     assert out.b == pytest.approx(nbody.potential(out.s0, out.masses, 1.0), rel=1e-14)
 
 
-def test_solve_central_no_convergence_on_hopeless_start():
+def test_solve_central_no_convergence_on_hopeless_start(monkeypatch):
     # two nearly coincident bodies head toward collision
     x0 = np.array([[1e-6, 0.0], [0.0, 1e-6], [1.0, 1.0]])
+    monkeypatch.setattr(central, "GN_MAX_ITER", 5)
     with pytest.raises(NoConvergence, match="no convergence after 5 iterations"):
-        central.solve_central(x0, np.ones(3), 1.0, max_iter=5)
+        central.solve_central(x0, np.ones(3), 1.0)
 
 
 @st.composite
@@ -356,7 +357,8 @@ def test_at_alpha_matches_fresh_family(alpha):
     assert moved.b == pytest.approx(fresh.b, rel=1e-12)
     assert moved.residual == pytest.approx(fresh.residual, rel=1e-12, abs=1e-15)
     assert np.array_equal(moved.s0, cc.s0) and moved.family == cc.family
-    direct, via = spectral.smallest_eigenvalue(cc, alpha=alpha), spectral.smallest_eigenvalue(moved)
+    direct = spectral.spectral_sweep(cc, [alpha]).report(0)
+    via = spectral.smallest_eigenvalue(moved)
     assert (direct.mu1, direct.margin, direct.b) == (via.mu1, via.margin, via.b)
     assert cc.at_alpha(1.0) is cc
 

@@ -70,7 +70,8 @@ def test_central_file_roundtrip(tmp_path, capsys):
 def test_central_file_at_a_collision_exits_two_in_one_line(tmp_path, capsys):
     # the projected start has a pair 1.2e-9 apart, inside the solver's 1e-8
     cfg = tmp_path / "collision.json"
-    cfg.write_text(nbody.config_to_json([[0.0, 0.0], [1e-9, 0.0], [0.0, 1.0]], np.ones(3), 1.0))
+    cfg.write_text(nbody.config_to_json([[0.0, 0.0], [1e-9, 0.0], [0.0, 1.0]], np.ones(3), 1.0,
+                                        {}))
     rc, out, err = run(capsys, "central", "--family", "file", "--file", str(cfg))
     assert (rc, out, err) == (2, "", "numeric failure: iterate entered the collision neighborhood\n")
 
@@ -136,7 +137,7 @@ def test_sweep_rows_equal_rows_from_a_configuration_built_per_alpha(capsys):
     assert rc == 0
     rows = [SWEEP_HEADER]
     for alpha in np.linspace(0.01, 1.99, 41):
-        rep = spectral.smallest_eigenvalue(central.collinear3(1.0, 1.0, alpha), alpha)
+        rep = spectral.smallest_eigenvalue(central.collinear3(1.0, 1.0, alpha))
         rows.extend(scalar_sweep_rows(alpha, rep.mu1, rep.margin))
     assert_same_text(out, "\n".join(rows) + "\n")
 

@@ -100,18 +100,17 @@ def test_quadratic_Q_matches_exact_homothetic_form(family, alpha, pick, kind, fr
     shift = place * (traj.tau_end - width - 1.0)
     bump = morse.BumpVariation(l1=0.5, l2=0.5 + width, shift=shift, xi=xis[j],
                                profile_kind=kind, flat_fraction=frac)
-    quad_tol = 1e-8
-    q = morse.quadratic_Q(traj, bump, quad_tol)
+    q = morse.quadratic_Q(traj, bump)
 
     def exact_form(t):
         phi, dphi = bump.scalar_and_deriv(t)
         return dphi**2 + (mus[j] + c * c) * phi**2
 
     expect = fine_simpson(exact_form, bump.support)
-    # refinement stops once two estimates differ by at most quad_tol (1 + |Q|),
+    # refinement stops once two estimates differ by at most QUAD_TOL (1 + |Q|),
     # and Simpson's error is then about a fifteenth of that difference; the
     # fine grid itself is converged to rounding
-    assert abs(q.value - expect) <= quad_tol * (1.0 + abs(expect))
+    assert abs(q.value - expect) <= morse.QUAD_TOL * (1.0 + abs(expect))
     assert abs(q.cross) < 1e-10
 
 
@@ -263,7 +262,8 @@ class StackOnly:
 @pytest.fixture(scope="module")
 def frozen_trajs(coll1, homothetic_traj):
     return {"exact": homothetic_traj,
-            "quadrature": mcgehee.homothetic_quadrature_trajectory(coll1, h=0.5, tau_max=300.0)}
+            "quadrature": mcgehee.homothetic_quadrature_trajectory(coll1, h=0.5, tau_max=300.0,
+                                                                   potential_scale=1.0)}
 
 
 @pytest.mark.parametrize("name", ["exact", "quadrature"])
@@ -816,21 +816,23 @@ def narrow_cases(alpha, h):
 
 
 @pytest.mark.parametrize("alpha,h", [(1.0, 0.0), (0.05, 1.0)])
-def test_narrow_blocks_meet_their_tolerance(alpha, h):
+def test_narrow_blocks_meet_their_tolerance(alpha, h, monkeypatch):
     # below width 2 the first grids share the 64-interval floor; refinement
     # must still compare two different grids before it stops, so a block and
-    # Q at quad_tol 1e-8 match both the 1e-14 values and one fine grid
+    # Q at QUAD_TOL 1e-8 match both the 1e-14 values and one fine grid
     traj, cases = narrow_cases(alpha, h)
     for z, v in cases:
         support, integrands = block_integrands(traj, z, v)
         fine = [fine_simpson(fn, support) for fn in integrands]
-        tight = morse.homographic_blocks(traj, z, v, quad_tol=1e-14)
+        with monkeypatch.context() as tight_tol:
+            tight_tol.setattr(morse, "QUAD_TOL", 1e-14)
+            tight = morse.homographic_blocks(traj, z, v)
+            tight_q = morse.quadratic_Q(traj, v).value
         for got, ref in zip(morse.homographic_blocks(traj, z, v), tight):
             assert abs(got - ref) <= 1e-8 * (1.0 + abs(ref))
         assert tight == pytest.approx(fine, rel=1e-9, abs=1e-9)
         rows = morse._sampled_integrand(traj, lambda t, _: (v.value(t), v.deriv(t)))
         fine_q = fine_simpson(lambda t: rows(t, None), v.support).sum()
-        tight_q = morse.quadratic_Q(traj, v, quad_tol=1e-14).value
         assert abs(morse.quadratic_Q(traj, v).value - tight_q) <= 1e-8 * (1.0 + abs(tight_q))
         assert tight_q == pytest.approx(fine_q, rel=1e-9, abs=1e-9)
 
@@ -838,7 +840,7 @@ def test_narrow_blocks_meet_their_tolerance(alpha, h):
 @pytest.mark.parametrize("alpha,h", [(1.0, 0.0), (0.05, 1.0)])
 def test_narrow_refinements_stop_before_the_last_level(alpha, h, monkeypatch):
     # a Simpson step of grid[1] - grid[0] loses about eps * lo / h of its
-    # digits on a support at tau = lo, so a tight quad_tol was never met and
+    # digits on a support at tau = lo, so a tight QUAD_TOL was never met and
     # these refinements ran all 8 levels; the step (hi - lo) / n meets 1e-14
     traj, cases = narrow_cases(alpha, h)
     support_grid, grids = morse._support_grid, []
@@ -848,9 +850,10 @@ def test_narrow_refinements_stop_before_the_last_level(alpha, h, monkeypatch):
         return support_grid(*args, **kwargs)
 
     monkeypatch.setattr(morse, "_support_grid", counted)
+    monkeypatch.setattr(morse, "QUAD_TOL", 1e-14)
     for z, v in cases:
-        for refine in (lambda: morse.homographic_blocks(traj, z, v, quad_tol=1e-14),
-                       lambda: morse.quadratic_Q(traj, v, quad_tol=1e-14)):
+        for refine in (lambda: morse.homographic_blocks(traj, z, v),
+                       lambda: morse.quadratic_Q(traj, v)):
             grids.clear()
             refine()
             # the blocks share one grid per level; the first grid holds the
@@ -901,7 +904,8 @@ def test_homographic_blocks_reject_moving_shape(coll1):
     u = nbody.potential(coll1.s0, coll1.masses, 1.0)
     rp = -0.25 * np.sqrt(2 * u)
     st0 = mcgehee.McGeheeState(rho=1.0, rho_prime=rp, s=coll1.s0.copy(), s_prime=kick)
-    traj = mcgehee.integrate_el(st0, coll1.masses, 1.0, tau_max=2.0)
+    traj = mcgehee.integrate_el(st0, coll1.masses, 1.0, tau_max=2.0,
+                                opts=mcgehee.IntegratorOptions())
     z = morse.ScalarBump(l1=0.2, l2=1.0)
     rng = np.random.default_rng(4)
     v = morse.BumpVariation(l1=0.2, l2=1.0, shift=0.0, xi=admissible_direction(coll1, rng))

@@ -304,7 +304,7 @@ def test_hessian_constrained_requires_central():
 
 
 def test_config_json_roundtrip():
-    text = nbody.config_to_json(COLLINEAR_S0, ONES3, 1.0)
+    text = nbody.config_to_json(COLLINEAR_S0, ONES3, 1.0, {})
     x, m, alpha, payload = nbody.config_from_json(text)
     assert np.allclose(x, COLLINEAR_S0)
     assert np.allclose(m, ONES3)
@@ -595,7 +595,7 @@ def rotating_trajectory(cc, n_samples):
 
 def test_traces_never_reach_the_scalar_boundary(monkeypatch):
     cc = central.collinear3(1.0, 1.0, 1.0)
-    frozen = mcgehee.homothetic_quadrature_trajectory(cc, h=1.0, tau_max=40.0)
+    frozen = mcgehee.homothetic_quadrature_trajectory(cc, h=1.0, tau_max=40.0, potential_scale=1.0)
     moving = rotating_trajectory(cc, 3000)
     assert frozen.n_samples > 2000
 

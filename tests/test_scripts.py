@@ -48,12 +48,24 @@ def test_script_runs(tmp_path, name, args, outputs):
     ("run_weakforce_suite.py", ["--eps", "nan"]),
     ("run_weakforce_suite.py", ["--grid", "0"]),
     ("run_weakforce_suite.py", ["--tau-max", "inf"]),
+    ("run_figure_sweep.py", ["--steps", "-1"]),
 ])
 def test_scripts_refuse_bad_options_with_a_usage_message(tmp_path, name, args):
     proc = run_script(name, args, tmp_path)
     assert proc.returncode == 2
     assert proc.stderr.startswith("usage:") and "Traceback" not in proc.stderr
     assert f"argument {args[0]}: must be" in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
+def test_collapse_probe_refuses_bumps_past_the_oracle_horizon(tmp_path):
+    # the gate and message of `ncol morse`, which exits 1 on the same values
+    proc = run_script("run_collapse_probe.py", ["--alphas", "1.0", "--bumps", "100000",
+                                                "--width", "20"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage:") and "Traceback" not in proc.stderr
+    assert proc.stderr.endswith("error: --bumps 100000 with --width 20 reach past tau = "
+                                "65535.9, the oracle's cap of 1048576 samples\n")
     assert not any(tmp_path.iterdir())
 
 

@@ -1,3 +1,4 @@
+import functools
 import warnings
 from dataclasses import replace
 
@@ -86,7 +87,7 @@ def test_smallest_eigenvalue_3d_embedding_matches(coll1):
     rep3 = spectral.smallest_eigenvalue(central.embed_in_3d(coll1))
     assert rep3.mu1 == pytest.approx(rep2.mu1, rel=1e-12)
     # the bottom eigenvalue is now doubly degenerate (y and z copies)
-    assert rep3.bottom_eigenspace(tol=1e-9).shape[0] == 2
+    assert rep3.bottom_eigenspace().shape[0] == 2
     for vec in rep3.bottom_eigenspace():
         quad = reference_hessian_on_ellipsoid(
             np.hstack([coll1.s0, np.zeros((3, 1))]), coll1.masses, 1.0, vec)
@@ -276,9 +277,10 @@ def test_admissible_basis_drops_a_dependent_constraint():
     (central.collinear3(1.0, 1.0, 1.0), 1.7),
 ])
 def test_smallest_eigenvalue_matches_gram_schmidt_spectrum(cc, alpha):
-    rep = spectral.smallest_eigenvalue(cc, alpha)
+    rep = spectral.spectral_sweep(cc, [alpha]).report(0)
     basis = reference_admissible_basis(cc.s0, cc.masses)
-    h = spectral.constrained_hessian_matrix(cc.at_alpha(alpha), alpha)
+    moved = cc.at_alpha(alpha)
+    h = spectral.constrained_hessian_matrix(moved, alpha, moved.b)
     ref = np.linalg.eigvalsh(basis @ h @ basis.T)
     assert rep.mu1 == pytest.approx(ref[0], rel=1e-12)
     assert np.max(np.abs(rep.eigenvalues - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -324,7 +326,7 @@ def test_spectral_sweep_equals_a_loop_over_alphas(cc, dim, alphas):
     cyclic = spectral.is_cyclic(cc)
     for k, alpha in enumerate(alphas):
         want = reference_smallest_eigenvalue(cc, alpha)
-        rep = spectral.smallest_eigenvalue(cc, alpha)
+        rep = spectral.spectral_sweep(cc, [alpha]).report(0)
         got = (sweep.mu1[k], sweep.margin[k], sweep.b[k], sweep.residual[k])
         # a polygon's spectrum comes from the cyclic route, the oracle's from
         # one dense eigh: they agree to rounding of the largest eigenvalue, or
@@ -368,7 +370,7 @@ def test_one_shape_equals_its_stack_over_alphas(cc, k):
     h = spectral.constrained_hessian_matrix(cc, alphas, cc.b)
     assert h.shape == (k, cc.s0.size, cc.s0.size)
     for j, alpha in enumerate(alphas):
-        np.testing.assert_array_equal(h[j], spectral.constrained_hessian_matrix(cc, alpha))
+        np.testing.assert_array_equal(h[j], spectral.constrained_hessian_matrix(cc, alpha, cc.b))
 
 
 def _quiet_ngon(n, alpha=1.0):
@@ -458,8 +460,9 @@ def test_smallest_eigenvalue_keeps_the_configurations_own_b(coll1):
     # as at_alpha does, an alpha within 1e-14 of the shape's own keeps its
     # stored b and residual; here they are set apart from recomputed values
     cc = replace(coll1, b=coll1.b * (1.0 + 1e-12), residual=3e-16)
-    for alpha in (None, 1.0, 1.0 + 1e-15):
-        assert spectral.smallest_eigenvalue(cc, alpha).b == cc.b
+    assert spectral.smallest_eigenvalue(cc).b == cc.b
+    for alpha in (1.0, 1.0 + 1e-15):
+        assert spectral.spectral_sweep(cc, [alpha]).report(0).b == cc.b
     sweep = spectral.spectral_sweep(cc, [1.0, 0.5])
     assert sweep.b[0] == cc.b and sweep.residual[0] == cc.residual
     assert sweep.margin[0] == sweep.mu1[0] + 1.0 / 8.0 * cc.b
@@ -482,7 +485,7 @@ def test_spectral_sweep_names_the_first_non_central_alpha():
     with pytest.raises(NotCentral, match=r"at alpha = 0\.9$"):
         spectral.spectral_sweep(cc, [1.0, 1.0, 0.9, 1.5, 0.5])
     with pytest.raises(NotCentral, match=r"at alpha = 0\.999$"):
-        spectral.smallest_eigenvalue(cc, 0.999)
+        spectral.spectral_sweep(cc, [0.999])
 
 
 def test_spectral_sweep_of_no_alphas(coll1):
@@ -1008,12 +1011,14 @@ def test_bisect_matches_reference_bitwise(problem):
         return g
 
     outcome = {}
-    for name, fn in (("ref", reference_bisect), ("new", spectral.bisect)):
-        try:
-            outcome[name] = float(fn(counted(name, name == "new"), lo, hi, tol=tol,
-                                     max_iter=max_iter)).hex()
-        except (BracketFailure, NoConvergence) as exc:
-            outcome[name] = type(exc)
+    with pytest.MonkeyPatch.context() as budget:
+        budget.setattr(spectral, "BISECT_MAX_ITER", max_iter)
+        for name, fn in (("ref", functools.partial(reference_bisect, max_iter=max_iter)),
+                         ("new", spectral.bisect)):
+            try:
+                outcome[name] = float(fn(counted(name, name == "new"), lo, hi, tol=tol)).hex()
+            except (BracketFailure, NoConvergence) as exc:
+                outcome[name] = type(exc)
     assert outcome["new"] == outcome["ref"]
     halvings = calls["ref"] - 2
     assert calls["new"] <= -(-halvings // spectral.BISECT_DEPTH) + 1
@@ -1021,16 +1026,16 @@ def test_bisect_matches_reference_bitwise(problem):
 
 def test_bisect_bracket_failure():
     with pytest.raises(BracketFailure):
-        spectral.bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+        spectral.bisect(lambda x: x * x + 1.0, -1.0, 1.0, tol=1e-12)
 
 
-def test_bisect_raises_when_iterations_run_out():
-    with pytest.raises(NoConvergence):
-        spectral.bisect(lambda x: x - 0.3, 0.0, 1.0, max_iter=3)
+def test_bisect_raises_when_iterations_run_out(monkeypatch):
     # a tolerance below the spacing of doubles near the root cannot be met
     with pytest.raises(NoConvergence):
         spectral.bisect(lambda x: np.where(x > 0.3, 1.0, -1.0), 0.0, 1.0, tol=1e-20)
-    assert spectral.bisect(lambda x: x - 0.3, 0.0, 1.0) == pytest.approx(0.3, abs=1e-12)
+    assert spectral.bisect(lambda x: x - 0.3, 0.0, 1.0, tol=1e-12) == pytest.approx(0.3, abs=1e-12)
+    monkeypatch.setattr(spectral, "BISECT_MAX_ITER", 3)
+    with pytest.raises(NoConvergence):
+        spectral.bisect(lambda x: x - 0.3, 0.0, 1.0, tol=1e-12)
     # the last halving may meet the tolerance: that answer is returned
-    assert spectral.bisect(lambda x: x - 0.3, 0.0, 1.0, tol=0.2, max_iter=3) \
-        == pytest.approx(0.3, abs=0.1)
+    assert spectral.bisect(lambda x: x - 0.3, 0.0, 1.0, tol=0.2) == pytest.approx(0.3, abs=0.1)

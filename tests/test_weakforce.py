@@ -85,7 +85,8 @@ def test_family_initial_conditions(family):
 
 
 def test_uniform_collapse_measured(family):
-    uc = family.uniform_collapse(sigmas=(0.5, 0.1, 0.01))
+    uc = family.uniform_collapse()
+    assert list(uc) == [0.5, 0.1, 0.01]
     assert all(v is not None for v in uc.values())
     assert uc[0.5] < uc[0.1] < uc[0.01]
 
@@ -100,7 +101,7 @@ def test_uniform_collapse_on_a_member_that_is_not_monotone(rho, sigma, want):
     tau = np.arange(float(len(rho)))
     member = mcgehee._frozen_trajectory(cc, tau, np.array(rho), -np.ones(tau.size), 0.0)
     fam = weakforce.ScaledFamily(cc=cc, alphas=(0.5,), trajectories=(member,))
-    assert fam.uniform_collapse(sigmas=(sigma,)) == {sigma: want}
+    assert fam.uniform_collapse()[sigma] == want
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.1])
